@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt race bench experiments serve fuzz traces perf-baseline perf-compare
+.PHONY: all build test check vet fmt race bench benchmark experiments serve fuzz traces perf-baseline perf-compare
 
 all: build
 
@@ -27,7 +27,10 @@ fmt:
 # Race instrumentation slows the simulator ~10x; give slow single-core
 # machines headroom beyond go test's default 10m panic. The JIT engine
 # and differential oracle are single-threaded but ride along under
-# -short to catch races introduced by future parallelism.
+# -short to catch races introduced by future parallelism. The profiler's
+# equivalence and cost-guard tests (internal/profile/profiler_test.go,
+# internal/harness/reqtrace_test.go) run here with every other test of
+# their packages.
 race:
 	$(GO) test -race -timeout 30m ./internal/harness/... ./internal/pintool/... ./internal/telemetry/... ./internal/mtjitd/... ./internal/profile/... ./internal/trace/... ./internal/cluster/... ./internal/reqtrace/...
 	$(GO) test -race -short -timeout 30m ./internal/mtjit/... ./internal/difftest/...
@@ -36,6 +39,16 @@ race:
 # before the benchmarks start.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/cpu
+
+# benchmark runs one workload of the repository benchmark (BENCHMARK.json,
+# benchmark/README.md): W is interp_sweep, jit_sweep, paper_regen or
+# serve_mix; TRACE=1 adds the per-layer rows and writes
+# benchmark/out/trace-$(W).json.
+W ?= serve_mix
+TRACE ?= 0
+
+benchmark:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 20 --trace $(TRACE)
 
 # Host-performance baseline (see internal/hostbench and EXPERIMENTS.md):
 # perf-baseline re-records the committed BENCH_host.json; perf-compare

@@ -108,6 +108,56 @@ func TestRunningTotalsMatchPhaseSums(t *testing.T) {
 	}
 }
 
+// TestPhaseViewAliasesLiveCounters pins the contract per-annotation
+// observers rely on: the view is the phase's own counters, not a copy —
+// it advances as that phase retires and stands still while another
+// phase is active — and it always agrees with the by-value read.
+func TestPhaseViewAliasesLiveCounters(t *testing.T) {
+	m := NewDefault()
+	interp, gc := m.PhaseView(core.PhaseInterp), m.PhaseView(core.PhaseGC)
+	m.Ops(isa.ALU, 5)
+	m.Load(0x40)
+	if interp.Instrs != 6 || interp.Loads != 1 || gc.Instrs != 0 {
+		t.Fatalf("view did not follow the live counters: interp %+v gc %+v", *interp, *gc)
+	}
+	m.SetPhase(core.PhaseGC)
+	m.Branch(0x100, true)
+	if interp.Instrs != 6 || gc.Instrs != 1 || gc.CondBr != 1 {
+		t.Fatalf("view crossed phases: interp %+v gc %+v", *interp, *gc)
+	}
+	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
+		if *m.PhaseView(ph) != m.PhaseCounters(ph) {
+			t.Fatalf("phase %s: view and by-value read disagree", ph)
+		}
+	}
+}
+
+// TestAnnotDetachedIsOneNop pins the detached annotation path: with no
+// observer registered an annotation is exactly one nop retired into the
+// current phase — no allocation, no other counter touched.
+func TestAnnotDetachedIsOneNop(t *testing.T) {
+	m := NewDefault()
+	m.SetPhase(core.PhaseJIT)
+	before := m.PhaseCounters(core.PhaseJIT)
+	if n := testing.AllocsPerRun(100, func() { m.Annot(core.TagDispatch, 7) }); n != 0 {
+		t.Fatalf("detached Annot allocates %v times per call", n)
+	}
+	runs := m.TotalInstrs() // AllocsPerRun's warm-up call included
+	want := before
+	want.Instrs += runs
+	want.ClassCounts[isa.Nop] += runs
+	want.Cycles = m.PhaseCounters(core.PhaseJIT).Cycles
+	if got := m.PhaseCounters(core.PhaseJIT); got != want {
+		t.Fatalf("detached Annot touched more than the nop:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := m.TotalCycles(), float64(runs)*m.Params().IssueCost[isa.Nop]; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("detached Annot cycles = %v, want %d nops = %v", got, runs, want)
+	}
+	if got := m.Total(); got != m.PhaseCounters(core.PhaseJIT) {
+		t.Fatalf("detached Annot retired outside the current phase: %+v", got)
+	}
+}
+
 func TestParamsNormalized(t *testing.T) {
 	t.Run("defaults pass through", func(t *testing.T) {
 		p := DefaultParams()

@@ -157,6 +157,12 @@ func (m *Machine) Phase() core.Phase { return m.phase }
 // PhaseCounters returns the accumulated counters of one phase.
 func (m *Machine) PhaseCounters(p core.Phase) Counters { return m.byPhase[p] }
 
+// PhaseView returns a read-only view of one phase's live counters: the
+// pointee advances as instructions retire into that phase. It exists for
+// per-annotation observers, which cannot afford a Counters copy per
+// event; callers must not write through it.
+func (m *Machine) PhaseView(p core.Phase) *Counters { return &m.byPhase[p] }
+
 // Total returns counters summed over all phases.
 func (m *Machine) Total() Counters {
 	var t Counters

@@ -6,11 +6,8 @@
 package harness
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"path/filepath"
 
 	"metajit/internal/bench"
@@ -131,34 +128,6 @@ type Options struct {
 // DefaultProfileWindow is the time-series window (in retired
 // instructions) used when profiling is on and no override is given.
 const DefaultProfileWindow = 1 << 16
-
-// reqTraceSink forwards closed profile spans to a request span in
-// simulated microseconds (nil sink when the run carries no request
-// trace). Start/Dur are the span's inclusive interval on the simulated
-// clock; Instrs/Cycles are the self counters — the per-phase work the
-// merged Chrome export annotates with IPC. Retention is bounded by the
-// span's recorder (Config.MaxVMSpans), so a long run cannot grow the
-// request tree without bound.
-func reqTraceSink(dst *reqtrace.Span, clockHz float64) func(profile.CompletedSpan) {
-	if dst == nil {
-		return nil
-	}
-	if clockHz <= 0 {
-		clockHz = 3e9
-	}
-	scale := 1e6 / clockHz
-	return func(cs profile.CompletedSpan) {
-		dst.AddVM(reqtrace.VMSpan{
-			Label:   cs.Label,
-			Phase:   cs.Phase.String(),
-			Depth:   cs.Depth,
-			StartUS: cs.Start.Cycles * scale,
-			DurUS:   (cs.End.Cycles - cs.Start.Cycles) * scale,
-			Instrs:  cs.Self.Instrs,
-			Cycles:  uint64(cs.Self.Cycles),
-		})
-	}
-}
 
 // Result is one benchmark execution's measurements.
 type Result struct {
@@ -316,79 +285,18 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 	hcfg := heapConfigOf(opt)
 	cfg.HeapConfig = &hcfg
 
-	// The profiler attaches after the pintool observers — PhaseTracker
-	// must run first so barrier checks see the post-switch phase — and
-	// before any guest code runs. Its label closures capture profVM /
-	// profLog, which are assigned as soon as the VM and JIT log exist
-	// (labels are only resolved at span open, during execution).
+	// The profiler attaches after the pintool observers and before any
+	// guest code runs (see attachProfiler). Its labels read profVM /
+	// profLog, which are assigned as soon as the VM and JIT log exist.
 	var (
-		prof       *profile.Profiler
-		profVM     *pylang.VM
-		profLog    *jitlog.Log
-		chromeFile *os.File
-		chromeBuf  *bufio.Writer
-		chromePath string
+		profVM  *pylang.VM
+		profLog *jitlog.Log
 	)
-	if opt.Profile || opt.ProfileDir != "" || opt.ReqTrace != nil {
-		pcfg := profile.Config{
-			Window:   opt.ProfileWindow,
-			ClockHz:  params.ClockHz,
-			SpanSink: reqTraceSink(opt.ReqTrace, params.ClockHz),
-			Labels: profile.Labels{
-				Trace: func(id uint64) string {
-					if profLog == nil {
-						return ""
-					}
-					return profLog.TraceLabel(id)
-				},
-				Baseline: func(id uint64) string {
-					if profLog == nil {
-						return ""
-					}
-					return profLog.BaselineLabel(id)
-				},
-				Method: func(id uint64) string {
-					if profLog == nil {
-						return ""
-					}
-					return profLog.MethodLabel(id)
-				},
-				AOTFunc: func(id uint64) string {
-					if profVM == nil {
-						return ""
-					}
-					for _, f := range profVM.RT.Funcs() {
-						if uint64(f.ID) == id {
-							return f.Name
-						}
-					}
-					return ""
-				},
-			},
-		}
-		if pcfg.Window == 0 {
-			pcfg.Window = DefaultProfileWindow
-		}
-		if opt.ProfileDir != "" {
-			if err := os.MkdirAll(opt.ProfileDir, 0o755); err != nil {
-				return nil, fmt.Errorf("harness: profile dir: %w", err)
-			}
-			chromePath = filepath.Join(opt.ProfileDir, fmt.Sprintf("%s-%s.trace.json", p.Name, kind))
-			f, err := os.Create(chromePath)
-			if err != nil {
-				return nil, fmt.Errorf("harness: profile trace: %w", err)
-			}
-			chromeFile = f
-			chromeBuf = bufio.NewWriter(f)
-			pcfg.Chrome = chromeBuf
-		}
-		prof = profile.Attach(mach, pcfg)
-		defer func() {
-			if chromeFile != nil {
-				chromeFile.Close()
-			}
-		}()
+	prof, err := attachProfiler(mach, p, kind, opt, &profVM, &profLog)
+	if err != nil {
+		return nil, err
 	}
+	defer prof.close()
 
 	// The recorder attaches after the profiler, so both see the same
 	// annotation stream; the heap tracer attaches right after the VM's
@@ -433,30 +341,8 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 	out := vm.RunFunction("main")
 	res.Checksum = out.I
 
-	if prof != nil {
-		prof.Finish()
-		res.Profile = prof
-		if opt.ProfileDir != "" {
-			if err := chromeBuf.Flush(); err != nil {
-				return nil, fmt.Errorf("harness: profile trace: %w", err)
-			}
-			if err := chromeFile.Close(); err != nil {
-				return nil, fmt.Errorf("harness: profile trace: %w", err)
-			}
-			chromeFile = nil
-			res.ProfileFiles = append(res.ProfileFiles, chromePath)
-			base := fmt.Sprintf("%s-%s", p.Name, kind)
-			folded := filepath.Join(opt.ProfileDir, base+".folded")
-			if err := writeArtifact(folded, prof.Stream.WriteFolded); err != nil {
-				return nil, fmt.Errorf("harness: profile flamegraph: %w", err)
-			}
-			res.ProfileFiles = append(res.ProfileFiles, folded)
-			series := filepath.Join(opt.ProfileDir, base+".series.txt")
-			if err := writeArtifact(series, prof.Stream.WriteSeries); err != nil {
-				return nil, fmt.Errorf("harness: profile series: %w", err)
-			}
-			res.ProfileFiles = append(res.ProfileFiles, series)
-		}
+	if err := prof.finish(res); err != nil {
+		return nil, err
 	}
 
 	res.GC = vm.H.Stats()
@@ -580,41 +466,11 @@ func runAllocReplay(p *bench.Program, kind VMKind, opt Options, mach *cpu.Machin
 	}
 	hcfg := heapConfigOf(opt)
 
-	var (
-		prof       *profile.Profiler
-		chromeFile *os.File
-		chromeBuf  *bufio.Writer
-		chromePath string
-	)
-	if opt.Profile || opt.ProfileDir != "" || opt.ReqTrace != nil {
-		pcfg := profile.Config{
-			Window:   opt.ProfileWindow,
-			ClockHz:  mach.Params().ClockHz,
-			SpanSink: reqTraceSink(opt.ReqTrace, mach.Params().ClockHz),
-		}
-		if pcfg.Window == 0 {
-			pcfg.Window = DefaultProfileWindow
-		}
-		if opt.ProfileDir != "" {
-			if err := os.MkdirAll(opt.ProfileDir, 0o755); err != nil {
-				return nil, fmt.Errorf("harness: profile dir: %w", err)
-			}
-			chromePath = filepath.Join(opt.ProfileDir, fmt.Sprintf("%s-%s.trace.json", p.Name, kind))
-			f, err := os.Create(chromePath)
-			if err != nil {
-				return nil, fmt.Errorf("harness: profile trace: %w", err)
-			}
-			chromeFile = f
-			chromeBuf = bufio.NewWriter(f)
-			pcfg.Chrome = chromeBuf
-		}
-		prof = profile.Attach(mach, pcfg)
-		defer func() {
-			if chromeFile != nil {
-				chromeFile.Close()
-			}
-		}()
+	prof, err := attachProfiler(mach, p, kind, opt, nil, nil)
+	if err != nil {
+		return nil, err
 	}
+	defer prof.close()
 
 	var rec *trace.Recorder
 	if opt.Record || opt.RecordDir != "" {
@@ -641,30 +497,8 @@ func runAllocReplay(p *bench.Program, kind VMKind, opt Options, mach *cpu.Machin
 	res.Checksum = int64(stats.Allocs)
 	res.GC = h.Stats()
 
-	if prof != nil {
-		prof.Finish()
-		res.Profile = prof
-		if opt.ProfileDir != "" {
-			if err := chromeBuf.Flush(); err != nil {
-				return nil, fmt.Errorf("harness: profile trace: %w", err)
-			}
-			if err := chromeFile.Close(); err != nil {
-				return nil, fmt.Errorf("harness: profile trace: %w", err)
-			}
-			chromeFile = nil
-			res.ProfileFiles = append(res.ProfileFiles, chromePath)
-			base := fmt.Sprintf("%s-%s", p.Name, kind)
-			folded := filepath.Join(opt.ProfileDir, base+".folded")
-			if err := writeArtifact(folded, prof.Stream.WriteFolded); err != nil {
-				return nil, fmt.Errorf("harness: profile flamegraph: %w", err)
-			}
-			res.ProfileFiles = append(res.ProfileFiles, folded)
-			series := filepath.Join(opt.ProfileDir, base+".series.txt")
-			if err := writeArtifact(series, prof.Stream.WriteSeries); err != nil {
-				return nil, fmt.Errorf("harness: profile series: %w", err)
-			}
-			res.ProfileFiles = append(res.ProfileFiles, series)
-		}
+	if err := prof.finish(res); err != nil {
+		return nil, err
 	}
 	if rec != nil {
 		if err := finishRecording(rec, res, opt, mach, 0, res.GC); err != nil {
@@ -673,24 +507,6 @@ func runAllocReplay(p *bench.Program, kind VMKind, opt Options, mach *cpu.Machin
 	}
 	res.finish(mach)
 	return res, nil
-}
-
-// writeArtifact writes one profile export through a buffered writer.
-func writeArtifact(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := write(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func (r *Result) finish(mach *cpu.Machine) {

@@ -1,10 +1,16 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"metajit/internal/bench"
+	"metajit/internal/core"
+	"metajit/internal/cpu"
+	"metajit/internal/pintool"
+	"metajit/internal/profile"
 	"metajit/internal/reqtrace"
+	"metajit/internal/telemetry"
 )
 
 // TestReqTraceLinksPhaseSpans runs one benchmark with a request span
@@ -74,6 +80,86 @@ func TestReqTraceLinksPhaseSpans(t *testing.T) {
 	}
 	if attributed != plain.Instrs {
 		t.Fatalf("self instrs sum to %d, want the run's %d", attributed, plain.Instrs)
+	}
+
+	// Nobody asked for a profile, so the Result must not carry one: in a
+	// worker it goes into the memo cache, where a profiler would pin the
+	// machine, the guest heap and the JIT log for the life of the process.
+	if traced.Profile != nil {
+		t.Fatal("ReqTrace-only run leaked its profiler into Result.Profile")
+	}
+	recorded, err := Run(p, VMPyPyJIT, Options{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := bench.FromTrace(recorded.Trace)
+	replaySpan := rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "telco/replay-alloc")
+	replayed, err := Run(&tp, VMPyPyJIT, Options{ReplayAlloc: true, ReqTrace: replaySpan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaySpan.End()
+	if replayed.Profile != nil {
+		t.Fatal("ReqTrace-only alloc replay leaked its profiler into Result.Profile")
+	}
+	if vm := rec.Trees(1)[0].Root().VM; len(vm) == 0 || vm[len(vm)-1].Depth != 0 {
+		t.Fatalf("alloc replay delivered no interp root to its request span: %+v", vm)
+	}
+}
+
+// TestReqTraceSurfacesProfilerErrors: on the serving path nothing reads
+// Profiler.Err, so a violation found while serving must land on the
+// simulate span and in the profile_* telemetry. The violation is forced
+// through a hand-driven machine: a dispatch tick retired inside a GC
+// span, which the grammar forbids.
+func TestReqTraceSurfacesProfilerErrors(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	profile.InstallTelemetry(reg)
+	defer profile.InstallTelemetry(nil)
+
+	rec := reqtrace.NewRecorder(reqtrace.Config{Process: "harness-test"})
+	sim := rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "forced/violation")
+	mach := cpu.NewDefault()
+	pintool.NewPhaseTracker(mach)
+	pr, err := attachProfiler(mach, &bench.Program{Name: "forced"}, VMCPython, Options{ReqTrace: sim}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach.Annot(core.TagDispatch, 0)
+	mach.Annot(core.TagGCMinorStart, core.GCReasonAlloc)
+	mach.Annot(core.TagDispatch, 0) // the violation
+	mach.Annot(core.TagGCMinorEnd, 0)
+	res := &Result{}
+	if err := pr.finish(res); err != nil {
+		t.Fatal(err)
+	}
+	sim.End()
+	if res.Profile != nil {
+		t.Fatal("ReqTrace-only profiling set Result.Profile")
+	}
+
+	var got string
+	for _, a := range rec.Trees(1)[0].Root().Attrs {
+		if a.Key == "profile_err" {
+			got = a.Value
+		}
+	}
+	if !strings.Contains(got, "dispatch event in phase gc") {
+		t.Fatalf("simulate span carries profile_err=%q, want the dispatch-in-gc violation", got)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := telemetry.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fams["profile_errors_total"]; f == nil || f.Samples[0].Value != 1 {
+		t.Fatalf("profile_errors_total = %+v, want 1", f)
+	}
+	if f := fams["profile_events_total"]; f == nil || f.Samples[0].Value != 4 {
+		t.Fatalf("profile_events_total = %+v, want every annotation (4), stamped or not", f)
 	}
 }
 

@@ -14,32 +14,31 @@ import (
 // by signature so output is deterministic. Feed to flamegraph.pl or
 // speedscope.
 func (s *Stream) WriteFolded(w io.Writer) error {
-	sigs := make([]string, 0, len(s.flame))
-	for sig, e := range s.flame {
-		if e.cycles == 0 && e.instrs == 0 {
-			continue
-		}
+	flame := s.flame()
+	sigs := make([]string, 0, len(flame))
+	for sig := range flame {
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
 	for _, sig := range sigs {
-		if _, err := fmt.Fprintf(w, "%s %d\n", sig, uint64(s.flame[sig].cycles+0.5)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", sig, uint64(flame[sig]+0.5)); err != nil {
 			return err
 		}
 	}
-	return s.writeLossFooter(w)
+	return nil
 }
 
-// writeLossFooter appends a dropped-events footer to a text export —
-// only when events were actually lost, so lossless captures (the normal
-// case, asserted by difftest) render byte-identically to before the
-// counter existed.
-func (s *Stream) writeLossFooter(w io.Writer) error {
-	if s.RingDropped == 0 {
-		return nil
+// flame flattens the signature tree into cycles per signature string,
+// merging nodes whose keys resolved to one label and leaving out stacks
+// that never ran.
+func (s *Stream) flame() map[string]float64 {
+	out := map[string]float64{}
+	for _, n := range s.nodes {
+		if n.cycles != 0 || n.instrs != 0 {
+			out[n.sig] += n.cycles
+		}
 	}
-	_, err := fmt.Fprintf(w, "# WARNING: %d event(s) dropped by the ring buffer; weights above undercount\n", s.RingDropped)
-	return err
+	return out
 }
 
 // WriteSeries emits the interval time-series as a TSV: one row per
@@ -83,7 +82,7 @@ func (s *Stream) WriteSeries(w io.Writer) error {
 			return err
 		}
 	}
-	return s.writeLossFooter(w)
+	return nil
 }
 
 // ratio formats num/den with 3 decimals, "0.000" when den is zero.

@@ -45,7 +45,7 @@ func seedStream(triples ...[3]byte) []byte {
 
 // FuzzAnnotStream feeds arbitrary — truncated, reordered, unknown-tag,
 // state-regressing — annotation streams through the full consumer
-// (ring, span checker, flamegraph, series, Chrome writer) and asserts
+// (span checker, flamegraph, series, Chrome writer) and asserts
 // the structural guarantees that must hold for ANY input: no panics,
 // the span stack never underflows, the stream always finishes back at
 // the root, the Chrome trace is valid JSON with balanced B/E events,

@@ -5,13 +5,15 @@
 //
 // The profiler sits alongside the pintool observers on cpu.Machine: the
 // machine-bound Profiler intercepts annotations, stamps each with the
-// machine state, and pushes it into a fixed ring buffer. Phase-boundary
-// annotations act as barriers that drain the ring synchronously (the
-// state is exactly at the boundary); high-frequency event-only
-// annotations (dispatch ticks) buffer lazily. The ring's consumer is a
-// pure Stream machine — span stack, well-formedness checker, and
-// aggregation — that never touches the machine, so malformed streams
-// can be fed to it directly (see FuzzAnnotStream).
+// machine state and hands it to a pure Stream machine — span stack,
+// well-formedness checker, and aggregation — that never touches the
+// machine, so malformed streams can be fed to it directly (see
+// FuzzAnnotStream). Phase-boundary annotations are additionally
+// barriers, where the profiler re-bases on the machine's per-phase
+// counters. Dispatch ticks, the one high-frequency annotation, change
+// no span: they are counted and phase-checked in place and stamped only
+// when the interval series needs a window boundary, their deltas riding
+// on the next stamped event.
 //
 // Exports:
 //   - Chrome trace-event JSON (Config.Chrome), loadable in
@@ -33,11 +35,8 @@ import (
 	"metajit/internal/cpu"
 )
 
-// Defaults for Config zero values.
-const (
-	DefaultRingSize        = 256
-	DefaultMaxChromeEvents = 250_000
-)
+// DefaultMaxChromeEvents replaces a zero Config.MaxChromeEvents.
+const DefaultMaxChromeEvents = 250_000
 
 // State is the profiler's projection of machine counters: the totals it
 // attributes to spans, windows, and flamegraph frames.
@@ -52,12 +51,12 @@ type State struct {
 }
 
 // StateOf projects one counter domain.
-func StateOf(c cpu.Counters) State {
+func StateOf(c *cpu.Counters) State {
 	return State{
 		Instrs:      c.Instrs,
 		Cycles:      c.Cycles,
-		Branches:    c.Branches(),
-		Mispredicts: c.Mispredicts(),
+		Branches:    c.CondBr + c.IndBr + c.Returns,
+		Mispredicts: c.CondMiss + c.IndMiss + c.RetMiss,
 		Accesses:    c.Loads + c.Stores,
 		L1Miss:      c.L1Miss,
 		L2Miss:      c.L2Miss,
@@ -86,6 +85,18 @@ func (s *State) Add(d State) {
 	s.Accesses += d.Accesses
 	s.L1Miss += d.L1Miss
 	s.L2Miss += d.L2Miss
+}
+
+// accrue adds the delta at-last into s; the caller supplies the cycle
+// delta, which it has already checked for regression.
+func (s *State) accrue(at, last *State, cycles float64) {
+	s.Instrs += at.Instrs - last.Instrs
+	s.Cycles += cycles
+	s.Branches += at.Branches - last.Branches
+	s.Mispredicts += at.Mispredicts - last.Mispredicts
+	s.Accesses += at.Accesses - last.Accesses
+	s.L1Miss += at.L1Miss - last.L1Miss
+	s.L2Miss += at.L2Miss - last.L2Miss
 }
 
 // Event is one annotation stamped with the machine totals at its
@@ -127,8 +138,6 @@ type Config struct {
 	// spans are dropped (already-open ones still close) and the trace
 	// tail records the drop count (0: DefaultMaxChromeEvents).
 	MaxChromeEvents int
-	// RingSize is the event ring capacity (0: DefaultRingSize).
-	RingSize int
 	// SpanSink, when non-nil, receives every span as it closes
 	// (including the implicit interp root, delivered at Finish). The
 	// request tracer uses it to link a run's phase spans to the serving

@@ -8,8 +8,8 @@ import (
 )
 
 // Profiler binds a Stream to a live cpu.Machine: it intercepts
-// annotations like a pintool, stamps each with the machine state, and
-// feeds the ring-buffered event stream through the Stream consumer.
+// annotations like a pintool, stamps them with the machine state, and
+// feeds them through the Stream consumer as they retire.
 //
 // Exactness contract. The machine's per-cycle costs are floats, so
 // naive re-summation of per-span deltas would drift from the machine's
@@ -29,9 +29,11 @@ import (
 type Profiler struct {
 	m      *cpu.Machine
 	Stream *Stream
-	ring   *Ring
 
-	active        core.Phase
+	active core.Phase
+	cur    *cpu.Counters // live counters of the active phase
+	base   State         // the active phase's projection at the last barrier
+
 	snaps         [core.NumPhases]cpu.Counters
 	initial       [core.NumPhases]cpu.Counters
 	instrsByPhase [core.NumPhases]uint64
@@ -48,19 +50,23 @@ func Attach(m *cpu.Machine, cfg Config) *Profiler {
 	p := &Profiler{
 		m:      m,
 		Stream: NewStream(cfg),
-		active: m.Phase(),
 	}
 	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
 		p.snaps[ph] = m.PhaseCounters(ph)
+		p.barrierTotal.Add(StateOf(&p.snaps[ph]))
 	}
 	p.initial = p.snaps
-	for ph := range p.snaps {
-		p.barrierTotal.Add(StateOf(p.snaps[ph]))
-	}
+	p.activate()
 	p.Stream.start(p.barrierTotal)
-	p.ring = NewRing(cfg.RingSize, p.Stream.Consume)
 	m.Observe(p)
 	return p
+}
+
+// activate points the stamping path at the machine's current phase.
+func (p *Profiler) activate() {
+	p.active = p.m.Phase()
+	p.cur = p.m.PhaseView(p.active)
+	p.base = StateOf(&p.snaps[p.active])
 }
 
 func (p *Profiler) errorf(format string, args ...any) {
@@ -70,88 +76,92 @@ func (p *Profiler) errorf(format string, args ...any) {
 	}
 }
 
-// now stamps the current machine state: the last barrier total plus the
-// active phase's advance since then. Between barriers only the active
-// phase's counters change (verified at the next barrier), so this is
-// both cheap — one phase read, not eight — and consistent with the
-// barrier totals the stream's deltas are computed against.
-func (p *Profiler) now() State {
-	cur := StateOf(p.m.PhaseCounters(p.active))
-	st := p.barrierTotal
-	st.Add(cur.Sub(StateOf(p.snaps[p.active])))
-	return st
+// stamp writes the current machine state into st: the last barrier
+// total plus the active phase's advance since then, read in place from
+// the machine. Between barriers only the active phase's counters change
+// (verified at the next barrier), so this is both cheap — a dozen
+// loads, no Counters copy — and consistent with the barrier totals the
+// stream's deltas are computed against.
+func (p *Profiler) stamp(st *State) {
+	c, b, t := p.cur, &p.base, &p.barrierTotal
+	st.Instrs = p.instrs()
+	st.Cycles = t.Cycles + (c.Cycles - b.Cycles)
+	st.Branches = t.Branches + (c.CondBr + c.IndBr + c.Returns - b.Branches)
+	st.Mispredicts = t.Mispredicts + (c.CondMiss + c.IndMiss + c.RetMiss - b.Mispredicts)
+	st.Accesses = t.Accesses + (c.Loads + c.Stores - b.Accesses)
+	st.L1Miss = t.L1Miss + (c.L1Miss - b.L1Miss)
+	st.L2Miss = t.L2Miss + (c.L2Miss - b.L2Miss)
+}
+
+// instrs is the Instrs field of the stamp, all a dispatch tick needs.
+func (p *Profiler) instrs() uint64 {
+	return p.barrierTotal.Instrs + (p.cur.Instrs - p.base.Instrs)
 }
 
 // OnAnnotation implements core.Observer. The annotation nop retires
 // into the pre-switch phase before observers run, so the stamped state
-// includes the nop; transition tags then drain the ring synchronously
-// (the stamped state is exactly at the phase boundary) and run the
-// barrier bookkeeping.
-func (p *Profiler) OnAnnotation(a core.Annotation, instrs, cycles uint64) {
+// includes the nop and a transition's stamp is exactly at the phase
+// boundary, where the barrier bookkeeping runs. A dispatch tick is
+// stamped only when the stream's series asks for it (Stream.tick).
+func (p *Profiler) OnAnnotation(a core.Annotation, _, _ uint64) {
 	if p.finished {
 		return
 	}
-	st := p.now()
-	p.ring.Push(Event{Tag: a.Tag, Arg: a.Arg, State: st})
+	if a.Tag == core.TagDispatch && !p.Stream.tick(p.instrs()) {
+		return
+	}
+	ev := Event{Tag: a.Tag, Arg: a.Arg}
+	p.stamp(&ev.State)
+	p.Stream.consume(&ev)
 	if isTransition(a.Tag) {
-		p.ring.Drain()
-		p.barrier(st)
+		p.barrier(&ev.State)
 	}
 }
 
-// barrier re-snapshots every phase, verifies change locality, folds the
-// active phase's instruction advance into the independent per-phase
-// sums, and re-bases the total on the event that crossed the boundary
-// (NOT on a re-summation of the snapshots, which would change float
-// addition order and break monotonicity against already-stamped
-// events).
-func (p *Profiler) barrier(st State) {
+// barrier verifies change locality against the machine's live counters
+// (every field of every non-active phase must equal its snapshot),
+// re-snapshots the phases that moved, folds their instruction advance
+// into the independent per-phase sums, and re-bases the total on the
+// event that crossed the boundary (NOT on a re-summation of the
+// snapshots, which would change float addition order and break
+// monotonicity against already-stamped events).
+func (p *Profiler) barrier(st *State) {
 	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-		c := p.m.PhaseCounters(ph)
-		if ph == p.active {
-			p.instrsByPhase[ph] += c.Instrs - p.snaps[ph].Instrs
-		} else if c != p.snaps[ph] {
+		c := p.m.PhaseView(ph)
+		if ph != p.active {
+			if *c == p.snaps[ph] {
+				continue
+			}
 			p.errorf("phase %s counters changed while %s was active", ph, p.active)
-			p.instrsByPhase[ph] += c.Instrs - p.snaps[ph].Instrs
 		}
-		p.snaps[ph] = c
+		p.instrsByPhase[ph] += c.Instrs - p.snaps[ph].Instrs
+		p.snaps[ph] = *c
 	}
-	p.barrierTotal = st
-	p.active = p.m.Phase()
+	p.barrierTotal = *st
+	p.activate()
 	if sp := p.Stream.CurrentPhase(); sp != p.active && p.Stream.errCount == 0 {
 		p.errorf("machine phase %s disagrees with span stack phase %s", p.active, sp)
 	}
 }
 
-// Finish drains pending events, runs a final barrier, and finalizes the
-// stream (closing exports). Further annotations are ignored. Ring and
-// span totals are flushed to the installed telemetry registry here, so
-// the per-annotation hot path stays metric-free.
+// Finish runs a final barrier and finalizes the stream (closing
+// exports). Further annotations are ignored. Span, event and error
+// totals are flushed to the installed telemetry registry here, so the
+// per-annotation hot path stays metric-free.
 func (p *Profiler) Finish() {
 	if p.finished {
 		return
 	}
-	st := p.now()
-	p.ring.Drain()
-	p.barrier(st)
-	p.Stream.RingOverruns = p.ring.Overruns()
-	p.Stream.RingDropped = p.ring.Dropped()
+	var st State
+	p.stamp(&st)
+	p.barrier(&st)
 	p.Stream.Finish(st)
 	p.finished = true
 	if m := telem(); m != nil {
 		m.spans.Add(p.Stream.Spans)
 		m.events.Add(p.Stream.Events)
-		m.overruns.Add(p.ring.Overruns())
-		m.dropped.Add(p.ring.Dropped())
+		m.errors.Add(uint64(p.errCount + p.Stream.errCount))
 	}
-}
-
-// RingStats reports the event ring's overrun and drop counts. A
-// profiled run must never drop events: the ring has a sink, so a full
-// push forces a drain (an overrun) instead of an overwrite. The
-// difftest CheckProfile invariant asserts dropped == 0.
-func (p *Profiler) RingStats() (overruns, dropped uint64) {
-	return p.ring.Overruns(), p.ring.Dropped()
 }
 
 // PhaseTotals returns per-phase counters attributed over the profiled

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 
 	"metajit/internal/core"
 )
@@ -65,10 +66,25 @@ var (
 	maskMethcomp = maskOf(core.PhaseInterp, core.PhaseBaseline)
 )
 
-// flameEntry accumulates one folded-stack signature's weight.
-type flameEntry struct {
+// sigNode is one distinct stack signature — the frames from the root
+// down to an open span — and its folded-stack weight. Open spans point
+// at their node, so opening a span is one child lookup keyed by the
+// opening annotation: the label and the signature string are built once
+// per distinct stack, not once per open.
+type sigNode struct {
+	label  string
+	sig    string // semicolon-joined labels, root first
 	cycles float64
 	instrs uint64
+	kids   map[sigKey]*sigNode
+}
+
+// sigKey identifies a child frame by the annotation that opens it.
+// Two keys may resolve to one label (a trace entered directly and
+// through a bridge); WriteFolded merges such nodes by signature.
+type sigKey struct {
+	tag core.Tag
+	arg uint64
 }
 
 // span is one open region of the phase/tier stack.
@@ -76,12 +92,10 @@ type span struct {
 	phase    core.Phase
 	openTag  core.Tag
 	enterArg uint64
-	label    string
-	start    State       // totals at open
-	self     State       // deltas attributed while top of stack
-	flame    *flameEntry // folded-stack accumulator for this stack signature
-	prevSig  string      // parent signature, restored on close
-	chrome   bool        // a Chrome B event was emitted
+	node     *sigNode // stack signature: label and folded-stack weight
+	start    State    // totals at open
+	self     State    // deltas attributed while top of stack
+	chrome   bool     // a Chrome B event was emitted
 	// linked records that execution transferred through a bridge inside
 	// this jit span. A bridge's closing jump links into a loop trace —
 	// not necessarily the entered one — with no annotation, so once a
@@ -109,52 +123,42 @@ type Stream struct {
 	cfg Config
 
 	stack []span
-	sig   string
+	nodes []*sigNode // every signature, first seen first (nodes[0] is the root)
 	last  State
 
-	flame map[string]*flameEntry
-
 	win     Window
+	winEnd  uint64 // instruction count that closes win; never reached with the series off
 	windows []Window
 
 	cw *chromeWriter
-
-	labelCache map[core.Tag]map[uint64]string
 
 	errs     []error
 	errCount int
 	finished bool
 
-	// Spans counts opened spans; Events counts consumed events.
-	Spans  uint64
-	Events uint64
-
-	// RingOverruns and RingDropped are filled in by the profiler at
-	// Finish from its event ring. A nonzero RingDropped marks a lossy
-	// capture and is surfaced as a footer in the text exports.
-	RingOverruns uint64
-	RingDropped  uint64
+	// Spans counts opened spans. Events counts annotations seen and
+	// Stamped those consumed with a stamped state; the difference is the
+	// dispatch ticks whose deltas rode on a later event.
+	Spans   uint64
+	Events  uint64
+	Stamped uint64
 }
 
 // NewStream returns a stream consumer starting at machine state zero in
 // the implicit interp root span.
 func NewStream(cfg Config) *Stream {
 	s := &Stream{
-		cfg:        cfg,
-		flame:      map[string]*flameEntry{},
-		labelCache: map[core.Tag]map[uint64]string{},
+		cfg:    cfg,
+		nodes:  []*sigNode{{label: "interp", sig: "interp"}},
+		winEnd: math.MaxUint64,
 	}
+	s.openWindow(0)
+	root := span{phase: core.PhaseInterp, node: s.nodes[0]}
 	if cfg.Chrome != nil {
 		s.cw = newChromeWriter(cfg.Chrome, cfg.ClockHz, cfg.MaxChromeEvents)
+		root.chrome = s.cw.begin(root.node.label, core.PhaseInterp.String(), 0)
 	}
-	root := span{phase: core.PhaseInterp, label: "interp"}
-	s.sig = root.label
-	root.flame = s.flameAt(s.sig)
 	s.stack = append(s.stack, root)
-	if s.cw != nil {
-		root.chrome = s.cw.begin(root.label, core.PhaseInterp.String(), 0)
-		s.stack[0] = root
-	}
 	return s
 }
 
@@ -163,16 +167,32 @@ func NewStream(cfg Config) *Stream {
 func (s *Stream) start(st State) {
 	s.last = st
 	s.stack[0].start = st
-	s.win.Start = st.Instrs
+	s.openWindow(st.Instrs)
 }
 
-func (s *Stream) flameAt(sig string) *flameEntry {
-	e := s.flame[sig]
-	if e == nil {
-		e = &flameEntry{}
-		s.flame[sig] = e
+// openWindow starts the next series window at instruction count at.
+func (s *Stream) openWindow(at uint64) {
+	s.win = Window{Start: at}
+	if s.cfg.Window > 0 {
+		s.winEnd = at + s.cfg.Window
 	}
-	return e
+}
+
+// child returns the signature node one frame below n, building the
+// label and signature on first sight of this stack.
+func (s *Stream) child(n *sigNode, tag core.Tag, arg uint64) *sigNode {
+	k := sigKey{tag, arg}
+	c := n.kids[k]
+	if c == nil {
+		label := s.buildLabel(tag, arg)
+		c = &sigNode{label: label, sig: n.sig + ";" + label}
+		if n.kids == nil {
+			n.kids = map[sigKey]*sigNode{}
+		}
+		n.kids[k] = c
+		s.nodes = append(s.nodes, c)
+	}
+	return c
 }
 
 func (s *Stream) errorf(format string, args ...any) {
@@ -206,47 +226,72 @@ func (s *Stream) Depth() int { return len(s.stack) }
 func (s *Stream) Windows() []Window { return s.windows }
 
 // Consume feeds one event through attribution and the span checker.
-func (s *Stream) Consume(ev Event) {
+func (s *Stream) Consume(ev Event) { s.consume(&ev) }
+
+// consume is Consume by reference: the profiler's events are stamped on
+// its stack and read in place.
+func (s *Stream) consume(ev *Event) {
 	if s.finished {
 		return
 	}
 	s.Events++
-	s.attribute(ev.State)
+	s.Stamped++
+	s.attribute(&ev.State)
 	s.apply(ev)
 	s.last = ev.State
 }
 
+// tick accounts for a dispatch annotation retired at instruction count
+// instrs without a stamped state. A dispatch tick changes no span and
+// attribution is additive, so its delta can ride on the next stamped
+// event; what cannot wait is the event count, the phase check (the span
+// stack is current: every other event is consumed as it retires) and
+// the series, whose windows close on the first event at or past their
+// end. tick reports whether this is that event — the caller must then
+// stamp it and Consume it, which does the counting and checking.
+func (s *Stream) tick(instrs uint64) (stamp bool) {
+	if instrs >= s.winEnd {
+		return true
+	}
+	s.Events++
+	s.checkEventPhase(maskDispatch, "dispatch")
+	return false
+}
+
 // attribute charges the delta since the previous event to the current
-// top of stack (folded signature, self counters, series window).
-func (s *Stream) attribute(at State) {
-	if at.Instrs < s.last.Instrs {
-		s.errorf("event state regressed: instrs %d -> %d", s.last.Instrs, at.Instrs)
+// top of stack (folded signature, self counters, series window). The
+// delta is never materialized: both accumulators read it off the two
+// states in place.
+func (s *Stream) attribute(at *State) {
+	last := &s.last
+	if at.Instrs < last.Instrs {
+		s.errorf("event state regressed: instrs %d -> %d", last.Instrs, at.Instrs)
 		return
 	}
-	d := at.Sub(s.last)
-	if d.Cycles < 0 {
-		s.errorf("event state regressed: cycles went negative by %g", -d.Cycles)
-		d.Cycles = 0
+	cycles := at.Cycles - last.Cycles
+	if cycles < 0 {
+		s.errorf("event state regressed: cycles went negative by %g", -cycles)
+		cycles = 0
 	}
-	if d.Instrs == 0 && d.Cycles == 0 {
+	if at.Instrs == last.Instrs && cycles == 0 {
 		return
 	}
 	top := &s.stack[len(s.stack)-1]
-	top.self.Add(d)
-	top.flame.cycles += d.Cycles
-	top.flame.instrs += d.Instrs
+	top.self.accrue(at, last, cycles)
+	top.node.cycles += cycles
+	top.node.instrs += at.Instrs - last.Instrs
 	if s.cfg.Window > 0 {
-		s.win.Phases[top.phase].Add(d)
-		if at.Instrs >= s.win.Start+s.cfg.Window {
+		s.win.Phases[top.phase].accrue(at, last, cycles)
+		if at.Instrs >= s.winEnd {
 			s.win.End = at.Instrs
 			s.windows = append(s.windows, s.win)
-			s.win = Window{Start: at.Instrs}
+			s.openWindow(at.Instrs)
 		}
 	}
 }
 
 // apply interprets the event's tag against the span grammar.
-func (s *Stream) apply(ev Event) {
+func (s *Stream) apply(ev *Event) {
 	switch ev.Tag {
 	case core.TagTraceStart:
 		s.open(ev, core.PhaseTracing, maskInterp)
@@ -308,20 +353,20 @@ func (s *Stream) apply(ev Event) {
 		s.close(ev, core.TagMethodEnter)
 
 	case core.TagDispatch:
-		s.checkEventPhase(ev, maskDispatch, "dispatch")
+		s.checkEventPhase(maskDispatch, "dispatch")
 	case core.TagGuardFail:
-		s.checkEventPhase(ev, maskJIT, "guard_fail")
+		s.checkEventPhase(maskJIT, "guard_fail")
 		s.instant(ev, "guard_fail")
 	case core.TagBridgeEnter:
 		s.bridgeEnter(ev)
 	case core.TagTraceCompiled:
-		s.checkEventPhase(ev, maskInterp, "trace_compiled")
+		s.checkEventPhase(maskInterp, "trace_compiled")
 		s.instant(ev, "trace_compiled")
 	case core.TagBaselineDeopt:
-		s.checkEventPhase(ev, maskBaseline, "baseline_deopt")
+		s.checkEventPhase(maskBaseline, "baseline_deopt")
 		s.instant(ev, "baseline_deopt")
 	case core.TagMethodDeopt:
-		s.checkEventPhase(ev, maskMethod, "method_deopt")
+		s.checkEventPhase(maskMethod, "method_deopt")
 		s.instant(ev, "method_deopt")
 	case core.TagGCSkipped:
 		s.instant(ev, "gc_skipped")
@@ -334,30 +379,26 @@ func (s *Stream) apply(ev Event) {
 
 func (s *Stream) top() *span { return &s.stack[len(s.stack)-1] }
 
-func (s *Stream) checkEventPhase(ev Event, allowed phaseMask, name string) {
+func (s *Stream) checkEventPhase(allowed phaseMask, name string) {
 	if p := s.CurrentPhase(); !allowed.has(p) {
 		s.errorf("%s event in phase %s", name, p)
 	}
 }
 
 // open pushes a span, checking its parent phase against the grammar.
-func (s *Stream) open(ev Event, phase core.Phase, parents phaseMask) {
+func (s *Stream) open(ev *Event, phase core.Phase, parents phaseMask) {
 	if p := s.CurrentPhase(); !parents.has(p) {
 		s.errorf("%s span opened in phase %s", phase, p)
 	}
-	label := s.labelFor(ev.Tag, ev.Arg)
 	sp := span{
 		phase:    phase,
 		openTag:  ev.Tag,
 		enterArg: ev.Arg,
-		label:    label,
+		node:     s.child(s.top().node, ev.Tag, ev.Arg),
 		start:    ev.State,
-		prevSig:  s.sig,
 	}
-	s.sig = s.sig + ";" + label
-	sp.flame = s.flameAt(s.sig)
 	if s.cw != nil {
-		sp.chrome = s.cw.begin(label, phase.String(), ev.State.Cycles)
+		sp.chrome = s.cw.begin(sp.node.label, phase.String(), ev.State.Cycles)
 	}
 	s.stack = append(s.stack, sp)
 	s.Spans++
@@ -367,7 +408,7 @@ func (s *Stream) open(ev Event, phase core.Phase, parents phaseMask) {
 // stream error; recovery pops down to the nearest matching span if one
 // is open (closing the spans above it), and ignores the event
 // otherwise. endPhase maps the end tag for the error message.
-func (s *Stream) close(ev Event, wantOpen core.Tag) {
+func (s *Stream) close(ev *Event, wantOpen core.Tag) {
 	idx := -1
 	for i := len(s.stack) - 1; i >= 1; i-- {
 		if s.stack[i].openTag == wantOpen {
@@ -377,37 +418,34 @@ func (s *Stream) close(ev Event, wantOpen core.Tag) {
 	}
 	top := len(s.stack) - 1
 	if idx == -1 {
-		s.errorf("%s with no matching open span (top is %s)", core.TagName(ev.Tag), s.stack[top].label)
+		s.errorf("%s with no matching open span (top is %s)", core.TagName(ev.Tag), s.stack[top].node.label)
 		return
 	}
 	if idx != top {
 		s.errorf("%s closes %s across %d still-open span(s), innermost %s",
-			core.TagName(ev.Tag), s.stack[idx].label, top-idx, s.stack[top].label)
+			core.TagName(ev.Tag), s.stack[idx].node.label, top-idx, s.stack[top].node.label)
 	}
-	for len(s.stack)-1 > idx {
-		s.pop(ev.State)
+	for len(s.stack)-1 >= idx {
+		s.pop(&ev.State)
 	}
-	s.pop(ev.State)
 }
 
 // pop closes the top span at the given state.
-func (s *Stream) pop(at State) {
+func (s *Stream) pop(at *State) {
 	top := s.top()
 	if s.cw != nil && top.chrome {
-		incl := at.Sub(top.start)
-		s.cw.end(at.Cycles, incl, top.self)
+		s.cw.end(at.Cycles, at.Sub(top.start), top.self)
 	}
 	if s.cfg.SpanSink != nil {
 		s.cfg.SpanSink(CompletedSpan{
-			Label: top.label,
+			Label: top.node.label,
 			Phase: top.phase,
 			Depth: len(s.stack) - 1,
 			Start: top.start,
-			End:   at,
+			End:   *at,
 			Self:  top.self,
 		})
 	}
-	s.sig = top.prevSig
 	s.stack = s.stack[:len(s.stack)-1]
 }
 
@@ -415,20 +453,18 @@ func (s *Stream) pop(at State) {
 // (flamegraph frames are keyed phase→tier→trace-id, and time after a
 // bridge transfer belongs to the bridge until the next transfer) and
 // records the bridge ID as a legal jit_leave argument.
-func (s *Stream) bridgeEnter(ev Event) {
-	s.checkEventPhase(ev, maskJIT, "bridge_enter")
+func (s *Stream) bridgeEnter(ev *Event) {
+	s.checkEventPhase(maskJIT, "bridge_enter")
 	s.instant(ev, "bridge_enter")
 	top := s.top()
 	if top.openTag != core.TagJITEnter {
 		return
 	}
 	top.linked = true
-	top.label = s.labelFor(core.TagBridgeEnter, ev.Arg)
-	s.sig = top.prevSig + ";" + top.label
-	top.flame = s.flameAt(s.sig)
+	top.node = s.child(s.stack[len(s.stack)-2].node, core.TagBridgeEnter, ev.Arg)
 }
 
-func (s *Stream) instant(ev Event, name string) {
+func (s *Stream) instant(ev *Event, name string) {
 	if s.cw != nil {
 		s.cw.instant(name, ev.State.Cycles, ev.Arg)
 	}
@@ -441,17 +477,17 @@ func (s *Stream) Finish(final State) {
 	if s.finished {
 		return
 	}
-	s.attribute(final)
+	s.attribute(&final)
 	s.last = final
 	if n := len(s.stack) - 1; n > 0 {
 		labels := make([]string, 0, n)
 		for _, sp := range s.stack[1:] {
-			labels = append(labels, sp.label)
+			labels = append(labels, sp.node.label)
 		}
 		s.errorf("%d span(s) still open at end of stream: %v", n, labels)
 	}
 	for len(s.stack) > 1 {
-		s.pop(final)
+		s.pop(&final)
 	}
 	if s.cfg.Window > 0 && (s.win.Phases != [core.NumPhases]State{}) {
 		s.win.End = final.Instrs
@@ -470,7 +506,7 @@ func (s *Stream) Finish(final State) {
 	if s.cfg.SpanSink != nil {
 		root := &s.stack[0]
 		s.cfg.SpanSink(CompletedSpan{
-			Label: root.label,
+			Label: root.node.label,
 			Phase: root.phase,
 			Depth: 0,
 			Start: root.start,
@@ -479,21 +515,6 @@ func (s *Stream) Finish(final State) {
 		})
 	}
 	s.finished = true
-}
-
-// labelFor builds (and caches) the span label for a tag/arg pair.
-func (s *Stream) labelFor(tag core.Tag, arg uint64) string {
-	byArg := s.labelCache[tag]
-	if byArg == nil {
-		byArg = map[uint64]string{}
-		s.labelCache[tag] = byArg
-	}
-	if l, ok := byArg[arg]; ok {
-		return l
-	}
-	l := s.buildLabel(tag, arg)
-	byArg[arg] = l
-	return l
 }
 
 func (s *Stream) buildLabel(tag core.Tag, arg uint64) string {

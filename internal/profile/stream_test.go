@@ -22,28 +22,6 @@ func consumeAll(s *Stream, evs []Event) {
 	}
 }
 
-func TestRingOrderAndOverflow(t *testing.T) {
-	var got []uint64
-	r := NewRing(4, func(e Event) { got = append(got, e.Arg) })
-	for i := uint64(0); i < 10; i++ {
-		r.Push(Event{Arg: i})
-	}
-	// Pushing 10 through capacity 4 forces intermediate drains; nothing
-	// may be lost or reordered.
-	r.Drain()
-	if len(got) != 10 {
-		t.Fatalf("drained %d events, want 10", len(got))
-	}
-	for i, a := range got {
-		if a != uint64(i) {
-			t.Fatalf("event %d has arg %d; order broken: %v", i, a, got)
-		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("ring not empty after drain: %d", r.Len())
-	}
-}
-
 func TestStreamWellFormed(t *testing.T) {
 	s := NewStream(Config{})
 	consumeAll(s, []Event{
@@ -74,8 +52,8 @@ func TestStreamWellFormed(t *testing.T) {
 	// Flamegraph weights partition total cycles exactly: every frame's
 	// self time is attributed to exactly one signature.
 	var total float64
-	for _, e := range s.flame {
-		total += e.cycles
+	for _, c := range s.flame() {
+		total += c
 	}
 	if want := 1.25 * 500; total != want {
 		t.Fatalf("flame cycles sum to %g, want %g", total, want)

@@ -10,10 +10,9 @@ import (
 // the process. The counters are flushed once per run at Profiler.Finish
 // — the annotation hot path never touches them.
 type profMetrics struct {
-	spans    *telemetry.Counter
-	events   *telemetry.Counter
-	overruns *telemetry.Counter
-	dropped  *telemetry.Counter
+	spans  *telemetry.Counter
+	events *telemetry.Counter
+	errors *telemetry.Counter
 }
 
 // tele holds the installed metrics; nil until InstallTelemetry.
@@ -30,10 +29,9 @@ func InstallTelemetry(r *telemetry.Registry) {
 		return
 	}
 	m := &profMetrics{
-		spans:    r.Counter("profile_spans_total", "Spans opened by the stream consumer."),
-		events:   r.Counter("profile_events_total", "Annotation events consumed by the stream."),
-		overruns: r.Counter("profile_ring_overruns_total", "Pushes that forced a drain of a full event ring."),
-		dropped:  r.Counter("profile_ring_dropped_total", "Events lost by capture-only rings (should stay zero for profiled runs)."),
+		spans:  r.Counter("profile_spans_total", "Spans opened by the stream consumer."),
+		events: r.Counter("profile_events_total", "Annotation events seen by the stream."),
+		errors: r.Counter("profile_errors_total", "Span-grammar, change-locality and phase-agreement violations found by profiled runs (should stay zero)."),
 	}
 	tele.Store(m)
 }

@@ -247,7 +247,12 @@ type Span struct {
 	err   string
 	attrs []Attr
 	vm    []VMSpan
-	vmCut int // VM spans dropped past MaxVMSpans
+
+	// vmFull is set, under tree.mu, once vm holds MaxVMSpans spans;
+	// vmCut counts the spans cut from then on. Both are atomics so a
+	// long simulation's steady state past the cap takes no lock.
+	vmFull atomic.Bool
+	vmCut  atomic.Int64
 }
 
 // Attr is one key/value annotation on a span.
@@ -336,16 +341,34 @@ func (s *Span) SetKind(kind string) {
 // covering the whole run, at Finish — are retained even past the cap,
 // so a truncated capture still frames the run it belongs to.
 func (s *Span) AddVM(v VMSpan) {
-	if s == nil {
+	if s == nil || v.Depth != 0 && s.CutVM() {
 		return
 	}
+	max := s.tree.rec.cfg.MaxVMSpans
 	s.tree.mu.Lock()
-	if len(s.vm) < s.tree.rec.cfg.MaxVMSpans || v.Depth == 0 {
+	if len(s.vm) < max || v.Depth == 0 {
 		s.vm = append(s.vm, v)
+		if len(s.vm) >= max {
+			s.vmFull.Store(true)
+		}
 	} else {
-		s.vmCut++
+		s.vmCut.Add(1)
 	}
 	s.tree.mu.Unlock()
+}
+
+// CutVM reports whether AddVM would cut a span below depth 0 — the VM
+// capture is full, or the receiver is nil — and if so counts the cut,
+// so the profile sink can skip building a VMSpan nobody will keep.
+func (s *Span) CutVM() bool {
+	if s == nil {
+		return true
+	}
+	if !s.vmFull.Load() {
+		return false
+	}
+	s.vmCut.Add(1)
+	return true
 }
 
 // End closes the span. Ending the tree's root completes the tree and
@@ -445,7 +468,7 @@ func (t *Tree) Snapshot() TreeSnapshot {
 			Start: s.start,
 			DurUS: float64(end.Sub(s.start)) / float64(time.Microsecond),
 			Err:   s.err,
-			VMCut: s.vmCut,
+			VMCut: int(s.vmCut.Load()),
 		}
 		if !s.parent.IsZero() {
 			ss.Parent = s.parent.Hex()

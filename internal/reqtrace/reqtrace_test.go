@@ -151,20 +151,44 @@ func TestVMSpanBound(t *testing.T) {
 	r := NewRecorder(Config{Process: "p", MaxVMSpans: 2})
 	root := r.StartTrace(Context{}, KindRun, "")
 	sim := root.StartChild(KindSimulate, "telco")
+	if sim.CutVM() {
+		t.Fatal("CutVM reports an empty capture full")
+	}
 	for i := 0; i < 5; i++ {
 		sim.AddVM(VMSpan{Label: "gc", Phase: "gc", Depth: 1, StartUS: float64(i), DurUS: 1})
 	}
+	// Past the cap the sink asks before building a span; every refusal
+	// is a counted cut, taken while a reader snapshots the tree (a
+	// simulation can outlive its request's root span, and completed trees
+	// are dumped at any time).
+	const asked = 1000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			sim.tree.Snapshot()
+		}
+	}()
+	for i := 0; i < asked; i++ {
+		if !sim.CutVM() {
+			t.Fatal("CutVM admits a span past the cap")
+		}
+	}
+	<-done
 	// The depth-0 run root arrives last (the profiler delivers it at
 	// Finish) and must survive the cap.
 	sim.AddVM(VMSpan{Label: "interp", Phase: "interp", Depth: 0, StartUS: 0, DurUS: 10})
 	sim.End()
 	root.End()
 	got := r.Trees(1)[0].Spans[1]
-	if len(got.VM) != 3 || got.VMCut != 3 {
-		t.Fatalf("vm=%d cut=%d, want 3/3", len(got.VM), got.VMCut)
+	if len(got.VM) != 3 || got.VMCut != 3+asked {
+		t.Fatalf("vm=%d cut=%d, want 3/%d", len(got.VM), got.VMCut, 3+asked)
 	}
 	if last := got.VM[len(got.VM)-1]; last.Depth != 0 {
 		t.Fatalf("run root dropped by the cap: %+v", got.VM)
+	}
+	if !(*Span)(nil).CutVM() {
+		t.Fatal("a nil span keeps nothing: CutVM must say so")
 	}
 }
 
