@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt race bench benchmark experiments serve fuzz traces perf-baseline perf-compare
+.PHONY: all build test check vet fmt race bench benchmark experiments serve fuzz traces
 
 all: build
 
@@ -32,7 +32,7 @@ fmt:
 # internal/harness/reqtrace_test.go) run here with every other test of
 # their packages.
 race:
-	$(GO) test -race -timeout 30m ./internal/harness/... ./internal/pintool/... ./internal/telemetry/... ./internal/mtjitd/... ./internal/profile/... ./internal/trace/... ./internal/cluster/... ./internal/reqtrace/...
+	$(GO) test -race -timeout 30m ./internal/harness/... ./internal/pintool/... ./internal/telemetry/... ./internal/profile/... ./internal/trace/... ./internal/cluster/... ./internal/reqtrace/...
 	$(GO) test -race -short -timeout 30m ./internal/mtjit/... ./internal/difftest/...
 
 # -run '^$' keeps `go test` from running the whole unit-test suite
@@ -50,20 +50,11 @@ TRACE ?= 0
 benchmark:
 	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 20 --trace $(TRACE)
 
-# Host-performance baseline (see internal/hostbench and EXPERIMENTS.md):
-# perf-baseline re-records the committed BENCH_host.json; perf-compare
-# measures a fresh run and fails if any entry regresses beyond the
-# thresholds relative to the committed baseline.
-perf-baseline:
-	$(GO) run ./cmd/hostbench -out BENCH_host.json
-
-perf-compare:
-	$(GO) run ./cmd/hostbench -baseline BENCH_host.json
-
 experiments:
 	$(GO) run ./cmd/experiments -exp all
 
-# serve starts the mtjitd introspection daemon on :8077 (see README).
+# serve starts mtjitd in single mode (a worker with no store) on :8077
+# (see README).
 serve:
 	$(GO) run ./cmd/mtjitd -addr :8077
 

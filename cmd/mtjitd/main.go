@@ -1,24 +1,27 @@
-// Command mtjitd is the simulation-serving daemon. It runs in three
-// modes:
+// Command mtjitd is the simulation-serving daemon. It has two servers
+// and three mode names:
 //
-//	-mode single    (default) the original single-process introspection
-//	                daemon: memoizing runner, /metrics, live /vm views.
-//	-mode worker    one shard of a cluster: simulates the cells routed
-//	                to it, persists results in the shared
-//	                content-addressed store (-store), sheds load with
-//	                429 past -max-pending, and drains gracefully on
-//	                SIGTERM (finish in-flight, 503 new requests so the
+//	-mode single    (default) the run server on its own: memoizing
+//	                runner, /metrics, live /vm views. It is -mode worker
+//	                started without -store; nothing else differs.
+//	-mode worker    the same run server as one shard of a cluster:
+//	                simulates the cells routed to it, persists results in
+//	                the shared content-addressed store (-store), sheds
+//	                load with 429 past -max-pending, and drains gracefully
+//	                on SIGTERM (finish in-flight, 503 new requests so the
 //	                frontend fails over, then exit).
 //	-mode frontend  the routing tier: consistent-hashes cells across
 //	                -peers workers, dedups identical in-flight cells,
 //	                retries/fails over along the ring, and propagates
 //	                worker 429 backpressure to clients.
 //
-// Single-mode endpoints:
+// Single/worker endpoints:
 //
-//	POST /run          {"bench":"telco","vm":"pypy-tiered"} — run (memoized)
+//	POST /run          {"bench":"telco","vm":"pypy-tiered"} — run (memoized);
+//	                   replies cell_id, source (simulated|memo|store), result
 //	GET  /metrics      Prometheus text exposition
-//	GET  /healthz      liveness + cache statistics
+//	GET  /healthz      liveness, drain state, cache statistics
+//	POST /drain        stop accepting runs (what SIGTERM does first)
 //	GET  /vm/phases    per-phase cycles/instrs/IPC of tracked runs
 //	GET  /vm/traces    compiled trace/bridge inventory with jitlog labels
 //	GET  /vm/warmup    per-tier work-fraction progress (SSE stream)
@@ -26,10 +29,11 @@
 //	GET  /debug/reqtrace  flight recorder: recent request span trees
 //	                      (JSON; ?format=chrome for a Chrome trace)
 //
-// Worker adds /drain (POST); frontend serves /run, /metrics, /healthz,
-// /ring, /debug/reqtrace. Every mode records request span trees into an
-// always-on flight recorder (bounded ring; -reqtrace-trees) and dumps
-// it on panic, drain, and store-corruption quarantine (-reqtrace-dump).
+// The frontend serves /run, /healthz, /ring and the same /metrics,
+// /debug/pprof and /debug/reqtrace. Every mode records request span
+// trees into an always-on flight recorder (bounded ring;
+// -reqtrace-trees) and dumps it on panic, drain, and store-corruption
+// quarantine (-reqtrace-dump).
 // See EXPERIMENTS.md "Cluster serving" for topology and failure
 // semantics, "Request tracing & flight recorder" for the span taxonomy,
 // and cmd/mtjitload for driving a cluster at saturation.
@@ -55,19 +59,18 @@ import (
 	"time"
 
 	"metajit/internal/cluster"
-	"metajit/internal/mtjitd"
 	"metajit/internal/reqtrace"
 )
 
 func main() {
-	mode := flag.String("mode", "single", "single | worker | frontend")
+	mode := flag.String("mode", "single", "single | worker | frontend (single is a worker started without -store)")
 	addr := flag.String("addr", ":8077", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0: NumCPU)")
 	maxPending := flag.Int("max-pending", 0, "run requests accepted at once before shedding with 429 (0: 4x workers)")
-	liveInterval := flag.Int("live-interval", 0, "live-snapshot publish cadence in machine annotations (0: default; single mode)")
-	storeDir := flag.String("store", "", "content-addressed result store directory (worker mode; empty: no persistence)")
+	liveInterval := flag.Int("live-interval", 0, "live-snapshot publish cadence in machine annotations (0: default; single and worker modes)")
+	storeDir := flag.String("store", "", "content-addressed result store directory (empty: no persistence)")
 	traceDir := flag.String("traces", "", "recorded-trace benchmark directory served in addition to the built-ins")
-	name := flag.String("name", "", "worker name for telemetry (worker mode; default: addr)")
+	name := flag.String("name", "", "worker name for telemetry (default: addr)")
 	peers := flag.String("peers", "", "comma-separated worker base URLs (frontend mode)")
 	replicas := flag.Int("replicas", 0, "virtual nodes per worker on the hash ring (0: default)")
 	attempts := flag.Int("attempts", 0, "distinct workers tried per request before giving up (0: all)")
@@ -90,15 +93,7 @@ func main() {
 	var handler http.Handler
 	var onShutdown func()
 	switch *mode {
-	case "single":
-		srv := mtjitd.New(mtjitd.Config{
-			Workers:      *workers,
-			MaxPending:   *maxPending,
-			LiveInterval: *liveInterval,
-			ReqTrace:     newRec("mtjitd"),
-		})
-		handler = srv.Handler()
-	case "worker":
+	case "single", "worker":
 		catalog, err := cluster.NewCatalog(*traceDir)
 		if err != nil {
 			fatal(err)
@@ -121,6 +116,7 @@ func main() {
 			Catalog:               catalog,
 			InstallStackTelemetry: true,
 			ReqTrace:              newRec("worker-" + wname),
+			LiveInterval:          *liveInterval,
 		})
 		handler = w.Handler()
 		// Drain before Shutdown: new requests 503 immediately (the

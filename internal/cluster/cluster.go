@@ -3,7 +3,8 @@
 // disk-backed content-addressed store shares finished results between
 // workers and across restarts, and in-flight deduplication
 // (singleflight) collapses identical concurrent cells into one
-// simulation cluster-wide.
+// simulation cluster-wide. The worker is the repo's one run server:
+// mtjitd's single mode is a worker with no store and no frontend.
 //
 // The whole design leans on one property the single-process harness
 // already guarantees: a cell — a (benchmark, VM configuration, options)
@@ -52,7 +53,7 @@ func IDOf(key harness.CellKey) CellID {
 // Request is the cluster's wire form of one cell: the subset of
 // harness.Options a remote client may set, plus identity. It is the
 // body of POST /run on both the frontend and the workers. Zero-valued
-// tuning fields keep harness defaults, exactly like mtjitd.
+// tuning fields keep harness defaults.
 type Request struct {
 	Bench             string `json:"bench"`
 	VM                string `json:"vm"`
@@ -77,23 +78,9 @@ func (r *Request) Options() harness.Options {
 	}
 }
 
-var vmKinds = map[string]harness.VMKind{
-	string(harness.VMCPython):    harness.VMCPython,
-	string(harness.VMPyPyNoJIT):  harness.VMPyPyNoJIT,
-	string(harness.VMPyPyJIT):    harness.VMPyPyJIT,
-	string(harness.VMRacket):     harness.VMRacket,
-	string(harness.VMPycket):     harness.VMPycket,
-	string(harness.VMC):          harness.VMC,
-	string(harness.VMPyPyTiered): harness.VMPyPyTiered,
-}
-
 // VMKind validates and resolves the request's VM field.
 func (r *Request) VMKind() (harness.VMKind, error) {
-	kind, ok := vmKinds[r.VM]
-	if !ok {
-		return "", fmt.Errorf("unknown vm %q", r.VM)
-	}
-	return kind, nil
+	return harness.ParseVMKind(r.VM)
 }
 
 // Catalog resolves benchmark names to programs: the 21 built-in

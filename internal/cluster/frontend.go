@@ -126,16 +126,13 @@ func (f *Frontend) ReqTrace() *reqtrace.Recorder { return f.rec }
 // Ring exposes the routing ring (tests pin shard layouts against it).
 func (f *Frontend) Ring() *Ring { return f.ring }
 
-// Handler returns the frontend's HTTP mux. A panicking handler dumps
-// the flight ring before answering 500 (reqtrace.PanicDump).
+// Handler returns the frontend's HTTP mux.
 func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", f.handleRun)
-	mux.HandleFunc("/metrics", f.handleMetrics)
 	mux.HandleFunc("/healthz", f.handleHealthz)
 	mux.HandleFunc("/ring", f.handleRing)
-	mux.Handle("/debug/reqtrace", f.rec.Handler())
-	return reqtrace.PanicDump(f.rec, mux)
+	return withProcessEndpoints(mux, f.reg, f.rec)
 }
 
 // upstream is the outcome of one routed request: enough to replay the
@@ -329,11 +326,6 @@ func (f *Frontend) tryWorker(ctx context.Context, worker string, body []byte, at
 		retryAfter: resp.Header.Get("Retry-After"),
 		body:       b,
 	}, nil
-}
-
-func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = f.reg.WritePrometheus(w)
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {

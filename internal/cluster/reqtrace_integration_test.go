@@ -55,28 +55,34 @@ func TestReqTraceEndToEndMergedChrome(t *testing.T) {
 	fts := httptest.NewServer(f.Handler())
 	defer fts.Close()
 
+	// postTraced runs the test's one cell under a client-minted trace.
+	postTraced := func(base string, ctx reqtrace.Context) RunResponse {
+		t.Helper()
+		body := `{"bench":"telco","vm":"pypy","max_instrs":2000000}`
+		req, err := http.NewRequest(http.MethodPost, base+"/run", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		reqtrace.Inject(req.Header, ctx)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("traced run: status %d body %s", resp.StatusCode, raw)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(raw, &rr); err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+
 	ctx := reqtrace.NewIDSource(12345).NewContext()
-	body := `{"bench":"telco","vm":"pypy","max_instrs":2000000}`
-	req, err := http.NewRequest(http.MethodPost, fts.URL+"/run", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	reqtrace.Inject(req.Header, ctx)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced run: status %d body %s", resp.StatusCode, raw)
-	}
-	var rr RunResponse
-	if err := json.Unmarshal(raw, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Source != "simulated" {
+	if rr := postTraced(fts.URL, ctx); rr.Source != "simulated" {
 		t.Fatalf("source %q, want a fresh simulation", rr.Source)
 	}
 
@@ -91,6 +97,7 @@ func TestReqTraceEndToEndMergedChrome(t *testing.T) {
 	kinds := map[string]int{}
 	spanIDs := map[string]bool{}
 	vmSpans := 0
+	var runID, simParent string
 	for _, tree := range trees {
 		if tree.Trace != trace {
 			t.Fatalf("tree from %s carries trace %s, want %s", tree.Process, tree.Trace, trace)
@@ -98,10 +105,17 @@ func TestReqTraceEndToEndMergedChrome(t *testing.T) {
 		for _, s := range tree.Spans {
 			kinds[s.Kind]++
 			spanIDs[s.ID] = true
-			if s.Kind == reqtrace.KindSimulate {
+			switch s.Kind {
+			case reqtrace.KindRun:
+				runID = s.ID
+			case reqtrace.KindSimulate:
 				vmSpans = len(s.VM)
+				simParent = s.Parent
 			}
 		}
+	}
+	if simParent != runID {
+		t.Errorf("simulate span parented under %s, want the run root %s", simParent, runID)
 	}
 	for _, k := range []string{
 		reqtrace.KindRoute, reqtrace.KindSingleflightLead,
@@ -141,5 +155,35 @@ func TestReqTraceEndToEndMergedChrome(t *testing.T) {
 		if !strings.Contains(blob, frag) {
 			t.Errorf("merged chrome trace missing %s", frag)
 		}
+	}
+
+	// The same cell again, straight at the worker under a fresh trace: a
+	// memo span under a run root parented to the client's span, no
+	// simulate span, and no VM spans — nothing attaches on a cache hit.
+	ctx2 := reqtrace.NewIDSource(54321).NewContext()
+	if rr := postTraced(wts.URL, ctx2); rr.Source != "memo" {
+		t.Fatalf("repeat source %q, want memo", rr.Source)
+	}
+	memoTrees := fetchTrace(t, wts.URL, ctx2.Trace.Hex())
+	if len(memoTrees) != 1 {
+		t.Fatalf("memo trace has %d trees, want 1", len(memoTrees))
+	}
+	if root := memoTrees[0].Root(); root.Kind != reqtrace.KindRun || root.Parent != ctx2.Span.Hex() {
+		t.Errorf("memo tree root kind %q parent %s, want run under the client span", root.Kind, root.Parent)
+	}
+	memo := 0
+	for _, s := range memoTrees[0].Spans {
+		switch s.Kind {
+		case reqtrace.KindMemo:
+			memo++
+			if len(s.VM) != 0 {
+				t.Error("memo span carries VM spans — the profiler attached on a cache hit")
+			}
+		case reqtrace.KindSimulate:
+			t.Error("memoized request recorded a simulate span")
+		}
+	}
+	if memo != 1 {
+		t.Errorf("%d memo spans, want 1", memo)
 	}
 }

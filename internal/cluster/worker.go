@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,8 @@ import (
 	"metajit/internal/telemetry"
 )
 
-// WorkerConfig tunes one cluster worker.
+// WorkerConfig tunes the run server — a cluster worker, or, with no
+// Store, the single-process daemon (mtjitd -mode single).
 type WorkerConfig struct {
 	// Name identifies the worker in telemetry and drain logs.
 	Name string
@@ -42,20 +44,25 @@ type WorkerConfig struct {
 	// the request carries a traceparent header; a fresh simulation's
 	// span additionally collects that run's VM phase spans.
 	ReqTrace *reqtrace.Recorder
+	// LiveInterval is the live-snapshot publish cadence in machine
+	// annotations (<= 0: harness.DefaultLiveInterval).
+	LiveInterval int
 }
 
-// Worker is one shard of the cluster: an HTTP daemon that simulates the
-// cells routed to it through the memoizing Runner, serves previously
-// computed cells from the shared content store, and sheds load past its
-// pending bound. On drain it finishes in-flight requests and refuses
-// new ones with 503 — the frontend's ring failover hands its cells to
-// the successor, and the shared store means the successor never
-// recomputes what this worker already finished.
+// Worker is the one run server: an HTTP daemon that simulates the cells
+// sent to it through the memoizing Runner, serves previously computed
+// cells from the shared content store when it has one, sheds load past
+// its pending bound, and exposes live views of in-flight simulations
+// (/vm/*). On drain it finishes in-flight requests and refuses new ones
+// with 503 — the frontend's ring failover hands its cells to the
+// successor, and the shared store means the successor never recomputes
+// what this worker already finished.
 type Worker struct {
 	cfg      WorkerConfig
 	reg      *telemetry.Registry
 	rec      *reqtrace.Recorder
 	runner   *harness.Runner
+	live     *harness.LiveTracker
 	store    *Store
 	catalog  *Catalog
 	started  time.Time
@@ -94,6 +101,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		reg:     telemetry.NewRegistry(),
 		rec:     rec,
 		runner:  harness.NewRunner(workers),
+		live:    harness.NewLiveTracker(cfg.LiveInterval),
 		store:   cfg.Store,
 		catalog: cfg.Catalog,
 		started: time.Now(),
@@ -118,6 +126,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 			return 1
 		}
 		return 0
+	})
+	w.reg.GaugeFunc("cluster_worker_uptime_seconds", "Seconds since the worker started.", func() float64 {
+		return time.Since(w.started).Seconds()
+	})
+	w.reg.GaugeFunc("cluster_worker_goroutines", "Goroutines in the worker process.", func() float64 {
+		return float64(runtime.NumGoroutine())
 	})
 	if w.store != nil {
 		w.store.InstallTelemetry(w.reg)
@@ -152,16 +166,36 @@ func (w *Worker) Draining() bool { return w.draining.Load() }
 // Pending reports requests currently being processed (tests).
 func (w *Worker) Pending() int64 { return w.pending.Load() }
 
-// Handler returns the worker's HTTP mux. A panicking handler dumps the
-// flight ring before answering 500 (reqtrace.PanicDump).
+// Handler returns the worker's HTTP mux.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", w.handleRun)
-	mux.HandleFunc("/metrics", w.handleMetrics)
 	mux.HandleFunc("/healthz", w.handleHealthz)
 	mux.HandleFunc("/drain", w.handleDrain)
-	mux.Handle("/debug/reqtrace", w.rec.Handler())
-	return reqtrace.PanicDump(w.rec, mux)
+	mux.HandleFunc("/vm/phases", w.handlePhases)
+	mux.HandleFunc("/vm/traces", w.handleTraces)
+	mux.HandleFunc("/vm/warmup", w.handleWarmup)
+	return withProcessEndpoints(mux, w.reg, w.rec)
+}
+
+// withProcessEndpoints mounts what every serving process exposes about
+// itself — /metrics, /debug/pprof/*, the /debug/reqtrace flight
+// recorder — and wraps the mux so a panicking handler dumps the flight
+// ring before answering 500 (reqtrace.PanicDump).
+func withProcessEndpoints(mux *http.ServeMux, reg *telemetry.Registry, rec *reqtrace.Recorder) http.Handler {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		// A write error here means the scraper hung up mid-scrape; the
+		// headers are already gone, so there is nothing further to report.
+		_ = reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/reqtrace", rec.Handler())
+	return reqtrace.PanicDump(rec, mux)
 }
 
 // RunResponse is the worker's POST /run reply (and, passed through
@@ -191,9 +225,10 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	// Admission control before any work, like mtjitd: a flood degrades
-	// to fast 429s, and the frontend propagates them instead of
-	// retrying into the saturation.
+	// Admission control before any work. The bound covers requests being
+	// processed (queued on the runner's worker pool included), so a flood
+	// degrades to fast 429s instead of an unbounded goroutine pile-up, and
+	// the frontend propagates them instead of retrying into the saturation.
 	if n := w.pending.Add(1); n > int64(w.cfg.MaxPending) {
 		w.pending.Add(-1)
 		w.runShed.Inc()
@@ -248,9 +283,11 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		sp := root.StartChild(spanKind, req.Bench+"/"+req.VM)
 		if src == "simulated" {
 			// A real simulation: link the run's VM phase spans to this
-			// request. ReqTrace is excluded from the memo CellKey, so the
-			// traced result stays byte-identical to an untraced one.
+			// request and publish its live snapshots. ReqTrace and Live are
+			// excluded from the memo CellKey, so the watched result stays
+			// byte-identical to an unwatched one.
 			opt.ReqTrace = sp
+			opt.Live = w.live
 		}
 		res, err := w.runner.Get(p, kind, opt)
 		if err != nil {
@@ -321,11 +358,6 @@ func (w *Worker) fromStore(id CellID, parent *reqtrace.Span) *WireResult {
 	return res
 }
 
-func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = w.reg.WritePrometheus(rw)
-}
-
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	if w.draining.Load() {
 		rw.WriteHeader(http.StatusServiceUnavailable)
@@ -336,11 +368,14 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 		"name":           w.cfg.Name,
 		"draining":       w.draining.Load(),
 		"uptime_seconds": time.Since(w.started).Seconds(),
+		"active_runs":    w.live.Active(),
 		"pending":        w.pending.Load(),
 		"cache": map[string]any{
-			"requests": stats.Requests,
-			"hits":     stats.Hits,
-			"misses":   stats.Misses,
+			"requests":  stats.Requests,
+			"hits":      stats.Hits,
+			"misses":    stats.Misses,
+			"evictions": stats.Evictions,
+			"hit_rate":  stats.HitRate(),
 		},
 	})
 }

@@ -89,44 +89,79 @@ func resultBytes(t *testing.T, raw []byte) []byte {
 	return rr.Result
 }
 
-// TestWorkerServingSources walks one cell through all three serving
-// paths — fresh simulation, in-process memo, cross-restart store — and
-// pins that the result payload is byte-identical on every one.
+// TestWorkerServingSources walks one cell per row through a frontend
+// and all three serving paths — fresh simulation, in-process memo,
+// cross-restart store — and pins that the result payload is
+// byte-identical on every one. Rows marked real run the true simulator
+// and additionally require the served result to equal bare
+// harness.Run's: every VM kind the harness has is servable (the
+// frontend once answered 400 "unknown vm" for the last two).
 func TestWorkerServingSources(t *testing.T) {
-	store := testStore(t)
-	w1 := newFakeWorker(t, store)
-	ts1 := httptest.NewServer(w1.Handler())
-	defer ts1.Close()
+	for _, row := range []struct {
+		vm   string
+		real bool
+	}{
+		{vm: "pypy"},
+		{vm: "pypy-amalg", real: true},
+		{vm: "pypy-adaptive", real: true},
+	} {
+		t.Run(row.vm, func(t *testing.T) {
+			if row.real && testing.Short() {
+				t.Skip("real simulation in -short mode")
+			}
+			store := testStore(t)
+			serve := func() (*Worker, *httptest.Server) {
+				w := NewWorker(WorkerConfig{Name: "test", Workers: 4, Store: store})
+				if !row.real {
+					w.Runner().SetSimulate(fakeSimulate)
+				}
+				wts := httptest.NewServer(w.Handler())
+				t.Cleanup(wts.Close)
+				fts := httptest.NewServer(NewFrontend(FrontendConfig{Workers: []string{wts.URL}}).Handler())
+				t.Cleanup(fts.Close)
+				return w, fts
+			}
+			_, ts1 := serve()
 
-	body := `{"bench":"telco","vm":"pypy"}`
-	resp, rr, raw1 := postWorkerRun(t, ts1, body)
-	if resp.StatusCode != http.StatusOK || rr.Source != "simulated" {
-		t.Fatalf("first request: status %d source %q", resp.StatusCode, rr.Source)
-	}
-	_, rr2, raw2 := postWorkerRun(t, ts1, body)
-	if rr2.Source != "memo" {
-		t.Fatalf("second request source %q, want memo", rr2.Source)
-	}
-	if !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw2)) {
-		t.Fatal("memo result differs from simulated result")
-	}
+			body := `{"bench":"telco","vm":"` + row.vm + `"}`
+			resp, rr, raw1 := postWorkerRun(t, ts1, body)
+			if resp.StatusCode != http.StatusOK || rr.Source != "simulated" {
+				t.Fatalf("first request: status %d source %q body %s", resp.StatusCode, rr.Source, raw1)
+			}
+			_, rr2, raw2 := postWorkerRun(t, ts1, body)
+			if rr2.Source != "memo" {
+				t.Fatalf("second request source %q, want memo", rr2.Source)
+			}
+			if !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw2)) {
+				t.Fatal("memo result differs from simulated result")
+			}
 
-	// A "restarted" worker: fresh process state, same store directory.
-	w2 := newFakeWorker(t, store)
-	ts2 := httptest.NewServer(w2.Handler())
-	defer ts2.Close()
-	_, rr3, raw3 := postWorkerRun(t, ts2, body)
-	if rr3.Source != "store" {
-		t.Fatalf("restarted worker source %q, want store", rr3.Source)
-	}
-	if !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw3)) {
-		t.Fatal("store result differs from simulated result")
-	}
-	if w2.Runner().Simulations() != 0 {
-		t.Fatal("restarted worker re-simulated a stored cell")
-	}
-	if rr.CellID != rr3.CellID {
-		t.Fatal("cell id changed across processes")
+			// A "restarted" worker: fresh process state, same store directory.
+			w2, ts2 := serve()
+			_, rr3, raw3 := postWorkerRun(t, ts2, body)
+			if rr3.Source != "store" {
+				t.Fatalf("restarted worker source %q, want store", rr3.Source)
+			}
+			if !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw3)) {
+				t.Fatal("store result differs from simulated result")
+			}
+			if w2.Runner().Simulations() != 0 {
+				t.Fatal("restarted worker re-simulated a stored cell")
+			}
+			if rr.CellID != rr3.CellID {
+				t.Fatal("cell id changed across processes")
+			}
+
+			if row.real {
+				bare, err := harness.Run(bench.ByName("telco"), harness.VMKind(row.vm), harness.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rr.Result.Encode(), FromResult(bare).Encode()) {
+					t.Fatal("served result differs from bare harness.Run")
+				}
+			}
+		})
 	}
 }
 
@@ -206,7 +241,8 @@ func TestWorkerFresh(t *testing.T) {
 }
 
 // TestWorkerShedding: past MaxPending the worker sheds with 429 +
-// Retry-After before doing any work, like mtjitd.
+// Retry-After before doing any work; the admitted request still
+// finishes, and with capacity free again new runs are accepted.
 func TestWorkerShedding(t *testing.T) {
 	catalog, _ := NewCatalog("")
 	w := NewWorker(WorkerConfig{Name: "shed", Workers: 1, MaxPending: 1, Catalog: catalog})
@@ -222,7 +258,9 @@ func TestWorkerShedding(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		postWorkerRun(t, ts, `{"bench":"telco","vm":"pypy"}`)
+		if resp, _, _ := postWorkerRun(t, ts, `{"bench":"telco","vm":"pypy"}`); resp.StatusCode != http.StatusOK {
+			t.Errorf("admitted request finished with %d", resp.StatusCode)
+		}
 	}()
 	for w.Pending() == 0 {
 	}
@@ -239,6 +277,9 @@ func TestWorkerShedding(t *testing.T) {
 	}
 	close(block)
 	wg.Wait()
+	if resp, _, _ := postWorkerRun(t, ts, `{"bench":"chaos","vm":"pypy"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("post-recovery run: status %d", resp.StatusCode)
+	}
 	if got := metricValue(t, ts.URL, "cluster_worker_requests_total", `outcome="shed"`); got != 1 {
 		t.Fatalf("shed counter = %v, want 1", got)
 	}

@@ -269,7 +269,8 @@ func TestRASRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-// ---- host micro-benchmarks (consumed by internal/hostbench) ----
+// ---- host micro-benchmarks (`make bench`; the committed numbers are
+// the repository benchmark's cpu.*_ns rows, benchmark/micro.go) ----
 
 func BenchmarkMachineOps(b *testing.B) {
 	m := NewDefault()

@@ -53,6 +53,24 @@ const (
 	VMPyPyAdaptive VMKind = "pypy-adaptive"
 )
 
+// vmKinds is the one VM-name table; TestParseVMKindCoversEveryKind
+// fails when a VMKind constant is missing from it.
+var vmKinds = []VMKind{
+	VMCPython, VMPyPyNoJIT, VMPyPyJIT, VMRacket, VMPycket, VMC,
+	VMPyPyTiered, VMPyPyAmalg, VMPyPyAdaptive,
+}
+
+// ParseVMKind resolves a VM name arriving from outside the process (a
+// /run request body) to its kind.
+func ParseVMKind(name string) (VMKind, error) {
+	for _, k := range vmKinds {
+		if string(k) == name {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("unknown vm %q", name)
+}
+
 // Options tunes a run.
 type Options struct {
 	// HeapConfig overrides the benchmark heap geometry. The default

@@ -181,6 +181,9 @@ func (lr *LiveRun) end() {
 	}
 	lr.ended = true
 	lr.publish(true)
+	// The tracker retains finished runs for their last snapshot only;
+	// holding the machine and the jitlog would pin the whole simulation.
+	lr.m, lr.log = nil, nil
 	t := lr.tracker
 	t.mu.Lock()
 	t.active--

@@ -57,8 +57,18 @@ func TestLiveTrackerSnapshots(t *testing.T) {
 		t.Errorf("per-phase work sums to %d, total bytecodes %d", work, snap.Bytecodes)
 	}
 
-	if _, ok := lt.Run(run.ID); !ok {
+	// The retained run keeps its last snapshot but must not pin the
+	// finished simulation (machine, jitlog) behind it.
+	lt.mu.Lock()
+	lr := lt.runs[run.ID]
+	lt.mu.Unlock()
+	if lr.m != nil || lr.log != nil {
+		t.Errorf("retained run still holds machine=%v jitlog=%v", lr.m != nil, lr.log != nil)
+	}
+	if again, ok := lt.Run(run.ID); !ok {
 		t.Error("Run(id) did not find the tracked run")
+	} else if again.Snap != snap || !again.Snap.Done {
+		t.Error("retained run no longer serves its done snapshot")
 	}
 	if lt.Active() != 0 {
 		t.Errorf("Active() = %d after completion", lt.Active())

@@ -192,7 +192,7 @@ func (r *Runner) Simulations() int {
 
 // TotalSimInstrs sums the simulated retired-instruction counts over
 // every completed, successful cell — the denominator for host-side
-// ns/simulated-instruction measurements (internal/hostbench). Cells
+// ns/simulated-instruction measurements (benchmark/regen.go). Cells
 // still in flight are skipped; call it after rendering.
 func (r *Runner) TotalSimInstrs() uint64 {
 	r.mu.Lock()

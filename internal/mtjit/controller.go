@@ -48,15 +48,6 @@ type ControllerDecision struct {
 // (static single- and two-tier engines pay nothing for it).
 func (e *Engine) ControllerLog() []ControllerDecision { return e.ctlLog }
 
-// EffectiveThreshold reports the tracing threshold currently in effect
-// for a loop header — the static Threshold, or the controller's
-// adjusted value when Adaptive is on. Read-only introspection surface;
-// hostbench uses it to price the controller's per-header-visit cost
-// (detached vs adaptive).
-func (e *Engine) EffectiveThreshold(key GreenKey) int {
-	return e.traceThresholdFor(key)
-}
-
 // traceThresholdFor returns the tracing threshold in effect for a loop
 // header. With Adaptive off it is the static Threshold (and costs
 // nothing extra). With Adaptive on:

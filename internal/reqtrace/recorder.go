@@ -16,7 +16,7 @@ import (
 // load.
 type Config struct {
 	// Process names this recorder's process in exports ("frontend",
-	// "worker-w0", "mtjitd", ...).
+	// "worker-w0", ...).
 	Process string
 	// Capacity is how many completed span trees the flight ring retains
 	// (default 64).
