@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt race bench benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs race bench benchmark experiments serve fuzz traces
 
 all: build
 
@@ -10,10 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: static analysis, formatting, and the
-# race-enabled tests for the packages with real concurrency (the
-# parallel experiment runner and the pintool observers).
-check: vet fmt race
+# check is the pre-merge gate: static analysis, formatting, the host
+# allocation guards, and the race-enabled tests for the packages with
+# real concurrency (the parallel experiment runner and the pintool
+# observers).
+check: vet fmt allocs race
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +24,14 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# allocs runs the testing.AllocsPerRun == 0 guards on the simulator's
+# per-event paths (trace entry/exit, residual calls, bound calls; see
+# DESIGN.md "Host memory discipline") and the buffer-aliasing tests.
+# The guards live in //go:build !race files — the race detector
+# allocates — so they run here, without -race.
+allocs:
+	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/
 
 # Race instrumentation slows the simulator ~10x; give slow single-core
 # machines headroom beyond go test's default 10m panic. The JIT engine

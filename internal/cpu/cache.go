@@ -1,9 +1,12 @@
 package cpu
 
 // cache is a direct-mapped cache model tracking only hit/miss (no data).
+// lines[set] holds the resident block number plus one, 0 meaning the set
+// is empty: tag and valid bit share a word so an access touches one host
+// cache line, not two. (Lines are at least 8 bytes, so block+1 cannot
+// wrap.)
 type cache struct {
-	tags  []uint64
-	valid []bool
+	lines []uint64
 	mask  uint64
 	shift uint
 }
@@ -24,8 +27,7 @@ func newCache(size, line int) *cache {
 		sh++
 	}
 	return &cache{
-		tags:  make([]uint64, sets),
-		valid: make([]bool, sets),
+		lines: make([]uint64, sets),
 		mask:  uint64(sets - 1),
 		shift: sh,
 	}
@@ -34,11 +36,10 @@ func newCache(size, line int) *cache {
 // access touches addr and reports whether it hit.
 func (c *cache) access(addr uint64) (hit bool) {
 	block := addr >> c.shift
-	idx := block & c.mask
-	if c.valid[idx] && c.tags[idx] == block {
+	line := &c.lines[block&c.mask]
+	if *line == block+1 {
 		return true
 	}
-	c.valid[idx] = true
-	c.tags[idx] = block
+	*line = block + 1
 	return false
 }

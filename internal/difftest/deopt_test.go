@@ -172,7 +172,9 @@ func TestMethodDeoptRoundTrip(t *testing.T) {
 // bridge). Every run must reproduce the pure interpreter's result,
 // output, and heap — the restored interpreter state after each deopt is
 // exactly what the interpreter would have computed itself.
-func TestDeoptRoundTrip(t *testing.T) {
+func TestDeoptRoundTrip(t *testing.T) { deoptRoundTrip(t) }
+
+func deoptRoundTrip(t *testing.T) {
 	ref, err := RunSource(deoptSrc, false, VMConfig{Name: "interp"})
 	if err != nil {
 		t.Fatal(err)
@@ -228,4 +230,34 @@ func TestDeoptRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScratchPoisoned is the aliasing check on the run-owned buffers
+// (DESIGN.md, "Host memory discipline"): with mtjit.PoisonScratch on,
+// every residual-call argument window is scribbled the moment its thunk
+// returns and the ExitState buffers the moment the next Execute begins,
+// so a thunk or driver that kept one reads references to no object. The
+// full configuration matrix over both corpora and the deopt round trip
+// must come out exactly as they do without the hook.
+func TestScratchPoisoned(t *testing.T) {
+	mtjit.PoisonScratch = true
+	defer func() { mtjit.PoisonScratch = false }()
+
+	npy, nsk := 80, 30
+	if testing.Short() {
+		npy, nsk = 12, 6
+	}
+	for i := 0; i < npy; i++ {
+		src := GenPylang(seedBytes(uint64(i)))
+		if _, err := RunMatrix(src, false); err != nil {
+			t.Fatalf("pylang seed %d: %v\nprogram:\n%s", i, err, src)
+		}
+	}
+	for i := 0; i < nsk; i++ {
+		src := GenSklang(seedBytes(uint64(i) | 1<<32))
+		if _, err := RunMatrix(src, true); err != nil {
+			t.Fatalf("sklang seed %d: %v\nprogram:\n%s", i, err, src)
+		}
+	}
+	deoptRoundTrip(t)
 }

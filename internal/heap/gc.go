@@ -37,7 +37,6 @@ func (h *Heap) minor(reason uint64) {
 	h.stream.Annot(core.TagGCMinorStart, reason)
 
 	h.epoch++
-	var stack []*Obj
 	var promoted uint64
 
 	visit := func(o *Obj) {
@@ -46,7 +45,7 @@ func (h *Heap) minor(reason uint64) {
 		}
 		o.mark = h.epoch
 		if o.gen == 0 {
-			stack = append(stack, o)
+			h.markStack = append(h.markStack, o)
 		}
 	}
 
@@ -66,14 +65,13 @@ func (h *Heap) minor(reason uint64) {
 		h.stream.Ops(isa.Load, 1+len(o.Fields)+len(o.Elems))
 		o.inRemset = false
 	}
+	clear(h.remset)
 	h.remset = h.remset[:0]
 
 	// Trace and promote. Per-object overhead covers the type-info
 	// lookup, forwarding-pointer install, and remembered-set checks of a
 	// real generational collector.
-	for len(stack) > 0 {
-		o := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for o := h.popMark(); o != nil; o = h.popMark() {
 		h.promote(o)
 		promoted += o.size
 		h.stream.Block(promoteBlock)
@@ -94,6 +92,9 @@ func (h *Heap) minor(reason uint64) {
 	// Nursery reset: the collector re-zeroes the nursery for the next
 	// allocation epoch (streaming stores, one per 64-byte line).
 	h.stream.Ops(isa.Store, int(h.cfg.NurserySize/64))
+	// Cleared, not just truncated: the backing array would otherwise keep
+	// every dead nursery object reachable for the host collector.
+	clear(h.nursery)
 	h.nursery = h.nursery[:0]
 	h.sinceMinor = 0
 	h.oldBytes += promoted
@@ -110,6 +111,19 @@ func (h *Heap) minor(reason uint64) {
 	if h.oldBytes > h.majorAt && !h.inMajor {
 		h.major(core.GCReasonThreshold)
 	}
+}
+
+// popMark pops the collector's mark stack (nil when empty), clearing the
+// slot so the stack's backing array never pins a guest object.
+func (h *Heap) popMark() *Obj {
+	n := len(h.markStack) - 1
+	if n < 0 {
+		return nil
+	}
+	o := h.markStack[n]
+	h.markStack[n] = nil
+	h.markStack = h.markStack[:n]
+	return o
 }
 
 // promote moves a surviving nursery object to the old generation: it gets a
@@ -170,13 +184,12 @@ func (h *Heap) major(reason uint64) {
 	h.stream.Annot(core.TagGCMajorStart, reason)
 
 	h.epoch++
-	var stack []*Obj
 	visit := func(o *Obj) {
 		if o == nil || o.mark == h.epoch {
 			return
 		}
 		o.mark = h.epoch
-		stack = append(stack, o)
+		h.markStack = append(h.markStack, o)
 	}
 	nroots := 0
 	for _, r := range h.roots {
@@ -187,11 +200,7 @@ func (h *Heap) major(reason uint64) {
 	}
 	h.stream.Ops(isa.Load, nroots+8)
 
-	marked := 0
-	for len(stack) > 0 {
-		o := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		marked++
+	for o := h.popMark(); o != nil; o = h.popMark() {
 		// Mark cost: header load, type dispatch, mark store, children
 		// scan (two instructions per edge: load + null/gen test).
 		h.stream.Load(o.addr)
@@ -217,6 +226,9 @@ func (h *Heap) major(reason uint64) {
 			}
 		}
 	}
+	// Clear the swept tail, or the backing array pins the dead objects
+	// in host memory until the slice happens to regrow.
+	clear(h.old[len(liveOld):])
 	h.old = liveOld
 	h.oldBytes = liveBytes
 	h.majorAt = uint64(h.cfg.MajorGrowth * float64(liveBytes))

@@ -109,6 +109,9 @@ type Heap struct {
 	old     []*Obj
 	remset  []*Obj
 	roots   []RootProvider
+	// markStack is the collector's work list, kept across collections so
+	// marking does not regrow it from nothing every time.
+	markStack []*Obj
 
 	epoch   uint32
 	nextUID uint64
@@ -179,17 +182,52 @@ var (
 // AllocObj allocates an object with nFields fixed fields, running a minor
 // collection first if the nursery budget is exhausted.
 func (h *Heap) AllocObj(shape *Shape, nFields int) *Obj {
-	o := &Obj{
-		Shape:  shape,
-		Fields: make([]Value, nFields),
-		live:   true,
-	}
+	o := newObjFields(nFields)
+	o.Shape, o.live = shape, true
 	o.recomputeSize()
 	h.allocate(o)
 	if h.tracer != nil {
 		h.tracer.TraceAlloc(o, AllocObjKind)
 	}
 	return o
+}
+
+// newObjFields returns a zero Obj with nFields fields. Up to four fields
+// share the header's host allocation (the struct sizes land exactly on Go
+// size classes, so no byte is wasted); each object is still its own
+// allocation, so a dead guest object pins nothing but itself.
+func newObjFields(nFields int) *Obj {
+	switch nFields {
+	case 1:
+		b := new(struct {
+			Obj
+			f [1]Value
+		})
+		b.Fields = b.f[:]
+		return &b.Obj
+	case 2:
+		b := new(struct {
+			Obj
+			f [2]Value
+		})
+		b.Fields = b.f[:]
+		return &b.Obj
+	case 3:
+		b := new(struct {
+			Obj
+			f [3]Value
+		})
+		b.Fields = b.f[:]
+		return &b.Obj
+	case 4:
+		b := new(struct {
+			Obj
+			f [4]Value
+		})
+		b.Fields = b.f[:]
+		return &b.Obj
+	}
+	return &Obj{Fields: make([]Value, nFields)}
 }
 
 // AllocBytes allocates a bytes-payload object (guest string).

@@ -27,6 +27,11 @@ type DirectMachine struct {
 	faddBlock *isa.Block // float add/sub/cmp-style: PrimALU + one FPU op
 	fmulBlock *isa.Block
 	fdivBlock *isa.Block
+
+	// vals is the residual-call value stack: CallAOT pushes the argument
+	// values, hands the thunk that window, and pops it. A thunk's args
+	// are valid only until it returns; one that keeps them copies.
+	vals []heap.Value
 }
 
 var _ Machine = (*DirectMachine)(nil)
@@ -444,14 +449,44 @@ func (m *DirectMachine) Annotate(tag core.Tag, arg uint64) {
 
 // CallAOT implements Machine: from the plain interpreter, a residual call
 // is just a call (no phase change).
-func (m *DirectMachine) CallAOT(fn *aot.Func, thunk func(args []heap.Value) heap.Value, args ...TV) TV {
-	vals := make([]heap.Value, len(args))
-	for i, a := range args {
-		vals[i] = a.V
+func (m *DirectMachine) CallAOT(fn *aot.Func, thunk Thunk, args ...TV) TV {
+	for _, a := range args {
+		m.vals = append(m.vals, a.V)
 	}
-	m.RT.CallPrologue(fn, len(args))
-	res := thunk(vals)
+	return m.callAOT(fn, thunk, len(args))
+}
+
+// CallAOT1 implements Machine.
+func (m *DirectMachine) CallAOT1(fn *aot.Func, thunk Thunk, a TV) TV {
+	m.vals = append(m.vals, a.V)
+	return m.callAOT(fn, thunk, 1)
+}
+
+// CallAOT2 implements Machine.
+func (m *DirectMachine) CallAOT2(fn *aot.Func, thunk Thunk, a, b TV) TV {
+	m.vals = append(m.vals, a.V, b.V)
+	return m.callAOT(fn, thunk, 2)
+}
+
+// CallAOT3 implements Machine.
+func (m *DirectMachine) CallAOT3(fn *aot.Func, thunk Thunk, a, b, c TV) TV {
+	m.vals = append(m.vals, a.V, b.V, c.V)
+	return m.callAOT(fn, thunk, 3)
+}
+
+// callAOT calls thunk on the top n values of the value stack and pops
+// them. A nested residual call pushes above the window (and may move the
+// stack, which leaves the outer window readable where it was).
+func (m *DirectMachine) callAOT(fn *aot.Func, thunk Thunk, n int) TV {
+	base := len(m.vals) - n
+	m.RT.CallPrologue(fn, n)
+	args := m.vals[base:len(m.vals):len(m.vals)]
+	res := thunk(args)
+	if PoisonScratch {
+		poison(args)
+	}
 	m.RT.CallEpilogue(fn)
+	m.vals = m.vals[:base]
 	return Concrete(res)
 }
 

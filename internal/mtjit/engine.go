@@ -1,6 +1,8 @@
 package mtjit
 
 import (
+	"math"
+
 	"metajit/internal/aot"
 	"metajit/internal/core"
 	"metajit/internal/heap"
@@ -162,15 +164,63 @@ type Engine struct {
 	cmpSite isa.Site
 	lastOvf bool
 
-	activeRegs []*[]heap.Value
+	// activeRegs holds the live register file of every Execute in
+	// progress, innermost last, by value: Execute rewrites its own slot on
+	// a bridge or loop transfer, so Roots always scans the file in use.
+	activeRegs [][]heap.Value
 	// regsPool recycles trace register files: every loop entry from the
-	// interpreter and every bridge transfer needs one, so Execute would
-	// otherwise allocate on each — a measurable share of the simulator's
-	// host allocation pressure on JIT-heavy cells. Pooled slices are not
-	// in activeRegs and are zeroed on reuse, so they are invisible to the
-	// simulated GC.
+	// interpreter and every bridge transfer needs one. Pooled slices are
+	// not in activeRegs and are zeroed on reuse, so they are invisible to
+	// the simulated GC. Like every buffer below it belongs to this one
+	// engine (one run), never to a sync.Pool or a global: concurrent
+	// cells share nothing.
 	regsPool [][]heap.Value
-	stats    EngineStats
+	// scratch is Execute's marshalling space, one entry per nesting depth.
+	scratch []*execScratch
+	// exit, exitFrames (with each frame's Vals) and virt are what a trace
+	// exit hands the driver; the next Execute overwrites them.
+	exit       ExitState
+	exitFrames []FrameVals
+	virt       []virtObj
+	stats      EngineStats
+}
+
+// PoisonScratch is a test hook. When set, every run-owned buffer is
+// scribbled over the moment its validity ends: a thunk's args when the
+// thunk returns, the ExitState buffers when the next Execute begins. A
+// thunk or driver that kept such a buffer then reads poisonValue (a
+// reference to no object) instead of plausible stale data. Set it only
+// while no simulation is running.
+var PoisonScratch bool
+
+var poisonValue = heap.Value{Kind: heap.KindRef, I: -0x2152411021524111, F: math.NaN()}
+
+func poison(vals []heap.Value) {
+	for i := range vals {
+		vals[i] = poisonValue
+	}
+}
+
+// poisonExit scribbles the exit buffers, spare capacity included.
+func (e *Engine) poisonExit() {
+	for i := range e.exitFrames {
+		fv := &e.exitFrames[i]
+		poison(fv.Vals[:cap(fv.Vals)])
+		*fv = FrameVals{CodeID: ^uint32(0), PC: -1, NumLocals: -1, Vals: fv.Vals}
+	}
+	e.exit = ExitState{}
+}
+
+// execScratch is the operand marshalling space of one Execute nesting
+// depth: loop-closing jump arguments and residual-call arguments.
+type execScratch struct {
+	jumpTmp, callArgs []heap.Value
+}
+
+// virtObj is one allocation-removed object rebuilt at a guard failure.
+type virtObj struct {
+	ref Ref
+	obj *heap.Obj
 }
 
 // Config bundles the Engine's tunable tier thresholds. Constructing an
@@ -311,11 +361,21 @@ func (e *Engine) putRegs(r []heap.Value) {
 	e.regsPool = append(e.regsPool, r[:0])
 }
 
+// leaveExecute pops the innermost Execute's register file (deferred, so
+// a guest error unwinding through a residual call leaves the root set
+// consistent).
+func (e *Engine) leaveExecute() {
+	d := len(e.activeRegs) - 1
+	e.putRegs(e.activeRegs[d])
+	e.activeRegs[d] = nil
+	e.activeRegs = e.activeRegs[:d]
+}
+
 // Roots implements heap.RootProvider: live JIT register files and trace
 // constants keep objects alive.
 func (e *Engine) Roots(visit func(*heap.Obj)) {
 	for _, regs := range e.activeRegs {
-		for _, v := range *regs {
+		for _, v := range regs {
 			if v.Kind == heap.KindRef && v.O != nil {
 				visit(v.O)
 			}

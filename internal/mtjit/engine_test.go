@@ -13,7 +13,7 @@ import (
 // ---- a minimal guest interpreter exercising the full JIT pipeline ----
 
 type miniOp struct {
-	kind    string // "loadk", "add", "addvar", "lt", "mod", "jmpif", "jmp", "halt", "newpair", "getfst"
+	kind    string // "loadk", "add", "addvar", "lt", "mod", "jmpif", "jmp", "halt", "newpair", "pair", "call"
 	a, b, c int
 	k       int64
 }
@@ -49,6 +49,10 @@ type miniVM struct {
 	frame    *miniFrame
 	pairSh   *heap.Shape
 	dispatch isa.Site
+	// callFn/callThunk are the residual call the "call" op performs
+	// (set by the tests that use it).
+	callFn    *aot.Func
+	callThunk func(args []heap.Value) heap.Value
 }
 
 func newMiniVM(t *testing.T, mach *cpu.Machine) *miniVM {
@@ -169,6 +173,16 @@ func (vm *miniVM) run(code *miniCode, iters int64) heap.Value {
 			m.SetField(p, 0, f.slots[op.b])
 			m.SetField(p, 1, f.slots[op.c])
 			f.slots[op.a] = m.GetField(p, 0)
+			f.pc++
+		case "pair":
+			// Allocate a pair and keep it in a slot.
+			p := m.NewObj(vm.pairSh, 2)
+			m.SetField(p, 0, f.slots[op.b])
+			m.SetField(p, 1, f.slots[op.c])
+			f.slots[op.a] = p
+			f.pc++
+		case "call":
+			f.slots[op.a] = m.CallAOT1(vm.callFn, vm.callThunk, f.slots[op.b])
 			f.pc++
 		case "halt":
 			if vm.tm != nil {

@@ -20,7 +20,9 @@ type FrameVals struct {
 }
 
 // ExitState describes how trace execution ended and what the interpreter
-// must do next.
+// must do next. The state, its Frames and every frame's Vals are buffers
+// the Engine owns and rewrites on its next Execute: the driver copies the
+// values into its own frames before anything else runs.
 type ExitState struct {
 	// Frames is the reconstructed frame chain (trace-root first).
 	Frames []FrameVals
@@ -56,19 +58,23 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 	if len(t.Entry.Frames) != 1 {
 		panic("mtjit: loop trace entry must have exactly one frame")
 	}
+	if PoisonScratch {
+		e.poisonExit()
+	}
 	regs := e.getRegs(t.NumRegs)
-	e.activeRegs = append(e.activeRegs, &regs)
-	defer func() {
-		e.activeRegs = e.activeRegs[:len(e.activeRegs)-1]
-		e.putRegs(regs)
-	}()
+	depth := len(e.activeRegs)
+	e.activeRegs = append(e.activeRegs, regs)
+	defer e.leaveExecute()
 
-	// Scratch buffers reused across iterations: loop-closing jumps and
-	// residual calls marshal their operands here instead of allocating
-	// per iteration. Consumers copy the values out (or only read them)
-	// before the next use, and every value also lives in regs, which is
-	// what the simulated GC scans.
-	var jumpTmp, callArgs []heap.Value
+	// Scratch buffers of this nesting depth, reused across iterations and
+	// across Execute calls: loop-closing jumps and residual calls marshal
+	// their operands here. Consumers copy the values out (or only read
+	// them) before the next use, and every value also lives in regs,
+	// which is what the simulated GC scans.
+	if depth == len(e.scratch) {
+		e.scratch = append(e.scratch, &execScratch{})
+	}
+	sc := e.scratch[depth]
 
 	entry := t.Entry.Frames[0]
 	if len(entry.Slots) != fr.NumSlots() {
@@ -108,10 +114,10 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 			// retires its recorded bytecodes here.
 			s.Annot(core.TagDispatch, uint64(cur.BCLength))
 			s.Block(jumpBlock)
-			if cap(jumpTmp) < len(op.Args) {
-				jumpTmp = make([]heap.Value, len(op.Args))
+			if cap(sc.jumpTmp) < len(op.Args) {
+				sc.jumpTmp = make([]heap.Value, len(op.Args))
 			}
-			tmp := jumpTmp[:len(op.Args)]
+			tmp := sc.jumpTmp[:len(op.Args)]
 			for i, a := range op.Args {
 				tmp[i] = e.val(cur, regs, a)
 			}
@@ -130,7 +136,7 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 				}
 				e.putRegs(regs)
 				regs = regs2
-				e.activeRegs[len(e.activeRegs)-1] = &regs
+				e.activeRegs[depth] = regs
 				cur = target
 				ops = cur.Ops
 			} else {
@@ -147,9 +153,9 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 			// retired (finish resumes past the last recorded bytecode).
 			s.Annot(core.TagDispatch, uint64(cur.BCLength))
 			s.Block(finishBlock)
-			frames := e.materializeFrames(cur, op.Resume, regs, false)
+			exit := e.materializeFrames(cur, op.Resume, regs, false)
 			s.Annot(core.TagJITLeave, uint64(cur.ID))
-			return &ExitState{Frames: frames}
+			return exit
 
 		case OpCallAssembler:
 			// Recording ended at another loop's header, before its
@@ -157,9 +163,10 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 			s.Annot(core.TagDispatch, uint64(cur.BCLength))
 			s.Block(callAsmBlock)
 			s.CallIndirect(opPC, op.Target.AsmBase)
-			frames := e.materializeFrames(cur, op.Resume, regs, false)
+			exit := e.materializeFrames(cur, op.Resume, regs, false)
 			s.Annot(core.TagJITLeave, uint64(cur.ID))
-			return &ExitState{Frames: frames, Enter: op.Target}
+			exit.Enter = op.Target
+			return exit
 
 		case OpGuardTrue, OpGuardFalse, OpGuardValue, OpGuardClass,
 			OpGuardNonnull, OpGuardIsnull, OpGuardNoOverflow, OpGuardNotInvalidated:
@@ -186,21 +193,24 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 			ops = cur.Ops
 			e.putRegs(regs)
 			regs = newRegs
-			e.activeRegs[len(e.activeRegs)-1] = &regs
+			e.activeRegs[depth] = regs
 			pc = -1
 			continue
 
 		case OpCall, OpCallMayForce, OpCondCall:
-			if cap(callArgs) < len(op.Args) {
-				callArgs = make([]heap.Value, len(op.Args))
+			if cap(sc.callArgs) < len(op.Args) {
+				sc.callArgs = make([]heap.Value, len(op.Args))
 			}
-			args := callArgs[:len(op.Args)]
+			args := sc.callArgs[:len(op.Args)]
 			for i, a := range op.Args {
 				args[i] = e.val(cur, regs, a)
 			}
 			s.Annot(core.TagAOTCallEnter, uint64(op.Fn.ID))
 			e.RT.CallPrologue(op.Fn, len(args))
 			res := op.Thunk(args)
+			if PoisonScratch {
+				poison(args)
+			}
 			e.RT.CallEpilogue(op.Fn)
 			s.Annot(core.TagAOTCallLeave, uint64(op.Fn.ID))
 			if op.Res != RefNone {
@@ -281,7 +291,7 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 		// the bridge's entry mapping; virtuals are materialized. The
 		// caller releases the old register file after the transfer.
 		newRegs := e.getRegs(bridge.NumRegs)
-		virt := e.materializeVirtuals(t, op.Resume, regs)
+		e.materializeVirtuals(t, op.Resume, regs)
 		if len(bridge.Entry.Frames) != len(op.Resume.Frames) {
 			panic("mtjit: bridge entry does not match guard resume shape")
 		}
@@ -289,7 +299,7 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 			src := &op.Resume.Frames[fi]
 			dst := &bridge.Entry.Frames[fi]
 			for si, ref := range src.Slots {
-				newRegs[dst.Slots[si]] = e.resumeVal(t, regs, virt, ref)
+				newRegs[dst.Slots[si]] = e.resumeVal(t, regs, ref)
 			}
 		}
 		bridge.ExecCount++
@@ -299,10 +309,10 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 	// Deoptimize.
 	s.Annot(core.TagJITLeave, uint64(t.ID))
 	s.Annot(core.TagBlackholeEnter, uint64(op.GuardID))
-	frames := e.materializeFrames(t, op.Resume, regs, true)
+	exit := e.materializeFrames(t, op.Resume, regs, true)
 	s.Annot(core.TagBlackholeLeave, uint64(op.GuardID))
 
-	exit := &ExitState{Frames: frames, GuardID: op.GuardID}
+	exit.GuardID = op.GuardID
 	if e.guardFails[op.GuardID] == e.BridgeThreshold {
 		exit.StartBridgeGuard = op.GuardID
 		e.pendingBridgeResume[op.GuardID] = op.Resume
@@ -311,12 +321,10 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 }
 
 // materializeVirtuals rebuilds allocation-removed objects described by a
-// resume state, in two passes so virtuals may reference each other.
-func (e *Engine) materializeVirtuals(t *Trace, r *ResumeState, regs []heap.Value) map[Ref]*heap.Obj {
-	if len(r.Virtuals) == 0 {
-		return nil
-	}
-	virt := make(map[Ref]*heap.Obj, len(r.Virtuals))
+// resume state into e.virt, in two passes so virtuals may reference each
+// other. e.virt is reused by the next guard failure.
+func (e *Engine) materializeVirtuals(t *Trace, r *ResumeState, regs []heap.Value) {
+	e.virt = e.virt[:0]
 	for _, vd := range r.Virtuals {
 		var o *heap.Obj
 		if vd.ArrayLen >= 0 {
@@ -324,48 +332,50 @@ func (e *Engine) materializeVirtuals(t *Trace, r *ResumeState, regs []heap.Value
 		} else {
 			o = e.H.AllocObj(vd.Shape, vd.NumFields)
 		}
-		virt[vd.Ref] = o
+		e.virt = append(e.virt, virtObj{vd.Ref, o})
 	}
-	for _, vd := range r.Virtuals {
-		o := virt[vd.Ref]
+	for vi, vd := range r.Virtuals {
+		o := e.virt[vi].obj
 		for i, f := range vd.FieldRefs {
-			e.H.WriteField(o, i, e.resumeVal(t, regs, virt, f))
+			e.H.WriteField(o, i, e.resumeVal(t, regs, f))
 		}
 		for i, el := range vd.ElemRefs {
-			e.H.WriteElem(o, i, e.resumeVal(t, regs, virt, el))
+			e.H.WriteElem(o, i, e.resumeVal(t, regs, el))
 		}
 	}
-	return virt
 }
 
-// resumeVal resolves a resume ref, consulting materialized virtuals.
-func (e *Engine) resumeVal(t *Trace, regs []heap.Value, virt map[Ref]*heap.Obj, r Ref) heap.Value {
-	if o, ok := virt[r]; ok {
-		return heap.RefVal(o)
+// resumeVal resolves a resume ref, consulting the virtuals materialized
+// for the failing guard (none for 97% of failures and never more than
+// three across the benchmark's JIT cells, so a scan beats a map).
+func (e *Engine) resumeVal(t *Trace, regs []heap.Value, r Ref) heap.Value {
+	for i := range e.virt {
+		if e.virt[i].ref == r {
+			return heap.RefVal(e.virt[i].obj)
+		}
 	}
 	return e.val(t, regs, r)
 }
 
 // materializeFrames runs the blackhole interpreter: it decodes the resume
-// data and rebuilds every interpreter frame. The blackhole interpreter's
-// instruction mix is dominated by dependent loads and indirect dispatch,
-// which is why the paper measures it with the worst IPC of all phases
-// (Table IV).
-func (e *Engine) materializeFrames(t *Trace, r *ResumeState, regs []heap.Value, blackhole bool) []FrameVals {
-	virt := e.materializeVirtuals(t, r, regs)
-	out := make([]FrameVals, len(r.Frames))
+// data and rebuilds every interpreter frame into the engine's exit
+// buffers. The blackhole interpreter's instruction mix is dominated by
+// dependent loads and indirect dispatch, which is why the paper measures
+// it with the worst IPC of all phases (Table IV).
+func (e *Engine) materializeFrames(t *Trace, r *ResumeState, regs []heap.Value, blackhole bool) *ExitState {
+	e.materializeVirtuals(t, r, regs)
+	for len(e.exitFrames) < len(r.Frames) {
+		e.exitFrames = append(e.exitFrames, FrameVals{})
+	}
+	out := e.exitFrames[:len(r.Frames)]
 	s := e.S
 	for fi := range r.Frames {
 		f := &r.Frames[fi]
-		fv := FrameVals{
-			CodeID:    f.CodeID,
-			PC:        f.PC,
-			NumLocals: f.NumLocals,
-			Vals:      make([]heap.Value, len(f.Slots)),
-			Ctor:      f.Ctor,
-		}
+		fv := &out[fi]
+		fv.CodeID, fv.PC, fv.NumLocals, fv.Ctor = f.CodeID, f.PC, f.NumLocals, f.Ctor
+		fv.Vals = fv.Vals[:0]
 		for si, ref := range f.Slots {
-			fv.Vals[si] = e.resumeVal(t, regs, virt, ref)
+			fv.Vals = append(fv.Vals, e.resumeVal(t, regs, ref))
 			if blackhole {
 				// Resume-data decode: chase the compressed encoding,
 				// dispatch on the tag, store the slot.
@@ -374,12 +384,12 @@ func (e *Engine) materializeFrames(t *Trace, r *ResumeState, regs []heap.Value, 
 				s.Store(isa.RegionStack + uint64(fi)*512 + uint64(si)*8)
 			}
 		}
-		out[fi] = fv
 	}
 	if blackhole {
 		s.Block(bhExitBlock)
 	}
-	return out
+	e.exit = ExitState{Frames: out}
+	return &e.exit
 }
 
 // execSimple executes the arithmetic/memory IR nodes.

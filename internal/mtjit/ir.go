@@ -292,7 +292,7 @@ type Op struct {
 	// Fn and Thunk implement residual calls: Fn identifies the AOT
 	// entry point, Thunk performs it.
 	Fn    *aot.Func
-	Thunk func(args []heap.Value) heap.Value
+	Thunk Thunk
 	// Args holds call arguments.
 	Args []Ref
 	// Target is the callee trace of call_assembler.

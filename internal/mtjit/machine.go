@@ -125,6 +125,11 @@ func CustomVMProfile() *CostProfile {
 	}
 }
 
+// Thunk is the body of a residual call: it performs the call on concrete
+// values, from the interpreter and again from compiled code. It must not
+// keep args — the slice is the caller's scratch, valid until it returns.
+type Thunk = func(args []heap.Value) heap.Value
+
 // Machine is the execution interface guest interpreters are written
 // against: the meta-tracing analog of writing an interpreter in RPython.
 // DirectMachine executes concretely; TracingMachine additionally records
@@ -197,8 +202,13 @@ type Machine interface {
 
 	// CallAOT performs a residual call to an AOT-compiled function.
 	// thunk must capture everything needed to re-execute the call from
-	// compiled code.
-	CallAOT(fn *aot.Func, thunk func(args []heap.Value) heap.Value, args ...TV) TV
+	// compiled code. CallAOT1/2/3 are the same call with the arguments
+	// passed by value — a variadic slice handed through an interface
+	// escapes to the host heap on every call.
+	CallAOT(fn *aot.Func, thunk Thunk, args ...TV) TV
+	CallAOT1(fn *aot.Func, thunk Thunk, a TV) TV
+	CallAOT2(fn *aot.Func, thunk Thunk, a, b TV) TV
+	CallAOT3(fn *aot.Func, thunk Thunk, a, b, c TV) TV
 
 	// Guest-call overhead accounting (frame push/pop).
 	GuestCall(site uint64)

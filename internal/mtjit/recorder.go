@@ -476,7 +476,7 @@ func (m *TracingMachine) Annotate(tag core.Tag, arg uint64) {
 }
 
 // CallAOT implements Machine: records a residual call node.
-func (m *TracingMachine) CallAOT(fn *aot.Func, thunk func(args []heap.Value) heap.Value, args ...TV) TV {
+func (m *TracingMachine) CallAOT(fn *aot.Func, thunk Thunk, args ...TV) TV {
 	refs := make([]Ref, len(args))
 	for i, a := range args {
 		refs[i] = m.ref(a)
@@ -488,6 +488,21 @@ func (m *TracingMachine) CallAOT(fn *aot.Func, thunk func(args []heap.Value) hea
 	}
 	r := m.rec(Op{Opc: opc, Fn: fn, Thunk: thunk, Args: refs}, true)
 	return TV{V: v.V, R: r}
+}
+
+// CallAOT1 implements Machine (recording is off the hot path: forward).
+func (m *TracingMachine) CallAOT1(fn *aot.Func, thunk Thunk, a TV) TV {
+	return m.CallAOT(fn, thunk, a)
+}
+
+// CallAOT2 implements Machine.
+func (m *TracingMachine) CallAOT2(fn *aot.Func, thunk Thunk, a, b TV) TV {
+	return m.CallAOT(fn, thunk, a, b)
+}
+
+// CallAOT3 implements Machine.
+func (m *TracingMachine) CallAOT3(fn *aot.Func, thunk Thunk, a, b, c TV) TV {
+	return m.CallAOT(fn, thunk, a, b, c)
 }
 
 // GuestCall implements Machine: calls are inlined into the trace, so only

@@ -138,20 +138,21 @@ func hasDotOrExp(s string) bool {
 }
 
 func biPrint(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		out := ""
-		for i, v := range vals {
-			if i > 0 {
-				out += " "
-			}
-			out += vm.Format(v)
+	return m.CallAOT(vm.fnMemcpy, vm.th.print, args...)
+}
+
+func (vm *VM) thunkPrint(vals []heap.Value) heap.Value {
+	out := ""
+	for i, v := range vals {
+		if i > 0 {
+			out += " "
 		}
-		out += "\n"
-		vm.RT.S.Ops(isa.Store, len(out)/8+1)
-		vm.Output.WriteString(out)
-		return heap.Nil
+		out += vm.Format(v)
 	}
-	return m.CallAOT(vm.fnMemcpy, thunk, args...)
+	out += "\n"
+	vm.RT.S.Ops(isa.Store, len(out)/8+1)
+	vm.Output.WriteString(out)
+	return heap.Nil
 }
 
 func biAbs(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -229,23 +230,26 @@ func biStr(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	case nkStr:
 		return a
 	case nkInt:
-		thunk := func(vals []heap.Value) heap.Value {
-			return heap.RefVal(vm.RT.Int2Dec(vals[0].I))
-		}
-		return m.CallAOT(vm.fnInt2Dec, thunk, a)
+		return m.CallAOT1(vm.fnInt2Dec, vm.th.intStr, a)
 	case nkBig:
-		thunk := func(vals []heap.Value) heap.Value {
-			return heap.RefVal(vm.RT.BigintStr(vals[0].O.Native.(*aot.Big)))
-		}
-		return m.CallAOT(vm.fnBigStr, thunk, a)
+		return m.CallAOT1(vm.fnBigStr, vm.th.bigStr, a)
 	default:
-		thunk := func(vals []heap.Value) heap.Value {
-			s := vm.Format(vals[0])
-			vm.RT.S.Ops(isa.Store, len(s)/8+1)
-			return heap.RefVal(vm.RT.NewStr([]byte(s)))
-		}
-		return m.CallAOT(vm.fnInt2Dec, thunk, a)
+		return m.CallAOT1(vm.fnInt2Dec, vm.th.formatStr, a)
 	}
+}
+
+func (vm *VM) thunkIntStr(vals []heap.Value) heap.Value {
+	return heap.RefVal(vm.RT.Int2Dec(vals[0].I))
+}
+
+func (vm *VM) thunkBigStr(vals []heap.Value) heap.Value {
+	return heap.RefVal(vm.RT.BigintStr(vals[0].O.Native.(*aot.Big)))
+}
+
+func (vm *VM) thunkFormatStr(vals []heap.Value) heap.Value {
+	s := vm.Format(vals[0])
+	vm.RT.S.Ops(isa.Store, len(s)/8+1)
+	return heap.RefVal(vm.RT.NewStr([]byte(s)))
 }
 
 func biInt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -257,17 +261,18 @@ func biInt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	case nkFloat:
 		return m.FloatToInt(a)
 	case nkStr:
-		thunk := func(vals []heap.Value) heap.Value {
-			v, ok := vm.RT.StrToInt(vals[0].O)
-			if !ok {
-				vm.throw("invalid literal for int(): %q", vals[0].O.Bytes)
-			}
-			return heap.IntVal(v)
-		}
-		return m.CallAOT(vm.fnStr2Int, thunk, a)
+		return m.CallAOT1(vm.fnStr2Int, vm.th.strToInt, a)
 	}
 	vm.throw("int() argument must be a number or string")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkStrToInt(vals []heap.Value) heap.Value {
+	v, ok := vm.RT.StrToInt(vals[0].O)
+	if !ok {
+		vm.throw("invalid literal for int(): %q", vals[0].O.Bytes)
+	}
+	return heap.IntVal(v)
 }
 
 func biFloat(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -279,18 +284,19 @@ func biFloat(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	case nkInt:
 		return m.IntToFloat(a)
 	case nkStr:
-		thunk := func(vals []heap.Value) heap.Value {
-			f, err := strconv.ParseFloat(string(vals[0].O.Bytes), 64)
-			if err != nil {
-				vm.throw("invalid literal for float(): %q", vals[0].O.Bytes)
-			}
-			vm.RT.S.Ops(isa.ALU, 3*len(vals[0].O.Bytes))
-			return heap.FloatVal(f)
-		}
-		return m.CallAOT(vm.fnStr2Int, thunk, a)
+		return m.CallAOT1(vm.fnStr2Int, vm.th.strToFloat, a)
 	}
 	vm.throw("float() argument must be a number or string")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkStrToFloat(vals []heap.Value) heap.Value {
+	f, err := strconv.ParseFloat(string(vals[0].O.Bytes), 64)
+	if err != nil {
+		vm.throw("invalid literal for float(): %q", vals[0].O.Bytes)
+	}
+	vm.RT.S.Ops(isa.ALU, 3*len(vals[0].O.Bytes))
+	return heap.FloatVal(f)
 }
 
 func biDivmod(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -308,14 +314,15 @@ func biDivmod(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 		m.SetElem(tup, m.Const(heap.IntVal(1)), r)
 		return tup
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		q, r := vm.RT.BigintDivMod(vm.toBig(vals[0]), vm.toBig(vals[1]))
-		tup := vm.H.AllocElems(vm.TupleShape, 0, 2)
-		tup.Elems[0] = vm.bigResult(q)
-		tup.Elems[1] = vm.bigResult(r)
-		return heap.RefVal(tup)
-	}
-	return m.CallAOT(vm.fnBigDivMod, thunk, a, b)
+	return m.CallAOT2(vm.fnBigDivMod, vm.th.bigDivmod, a, b)
+}
+
+func (vm *VM) thunkBigDivmod(vals []heap.Value) heap.Value {
+	q, r := vm.RT.BigintDivMod(vm.toBig(vals[0]), vm.toBig(vals[1]))
+	tup := vm.H.AllocElems(vm.TupleShape, 0, 2)
+	tup.Elems[0] = vm.bigResult(q)
+	tup.Elems[1] = vm.bigResult(r)
+	return heap.RefVal(tup)
 }
 
 func biSqrt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -324,10 +331,11 @@ func biSqrt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	if vm.classify(m, a) == nkInt {
 		a = m.IntToFloat(a)
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		return heap.FloatVal(vm.RT.CSqrt(vals[0].F))
-	}
-	return m.CallAOT(vm.fnSqrt, thunk, a)
+	return m.CallAOT1(vm.fnSqrt, vm.th.sqrt, a)
+}
+
+func (vm *VM) thunkSqrt(vals []heap.Value) heap.Value {
+	return heap.FloatVal(vm.RT.CSqrt(vals[0].F))
 }
 
 func biPow(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -337,18 +345,27 @@ func biPow(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 
 // ---- built-in methods on list/str/dict/tuple ----
 
-// builtinMethod returns (and caches) the method object for a built-in type.
+// methodKey names a built-in type's method without building a string.
+type methodKey struct {
+	sh   *heap.Shape
+	name string
+}
+
+// builtinMethod returns (and caches) the method object for a built-in
+// type. The object also goes into vm.builtins under "Shape.name", which is
+// the sorted root set the collector walks.
 func (vm *VM) builtinMethod(sh *heap.Shape, name string) *heap.Obj {
-	key := sh.Name + "." + name
-	if o, ok := vm.builtins[key]; ok {
+	if o, ok := vm.builtinMethods[methodKey{sh, name}]; ok {
 		return o
 	}
 	fn := vm.resolveBuiltinMethod(sh, name)
 	if fn == nil {
 		return nil
 	}
+	key := sh.Name + "." + name
 	o := vm.newBuiltin(key, fn)
 	vm.builtins[key] = o
+	vm.builtinMethods[methodKey{sh, name}] = o
 	return o
 }
 
@@ -410,11 +427,12 @@ func (vm *VM) resolveBuiltinMethod(sh *heap.Shape, name string) func(*VM, mtjit.
 }
 
 func lmAppend(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		vm.H.AppendElem(vals[0].O, vals[1])
-		return heap.Nil
-	}
-	return m.CallAOT(vm.fnListSetSlice, thunk, args[0], args[1])
+	return m.CallAOT2(vm.fnListSetSlice, vm.th.listAppend, args[0], args[1])
+}
+
+func (vm *VM) thunkListAppend(vals []heap.Value) heap.Value {
+	vm.H.AppendElem(vals[0].O, vals[1])
+	return heap.Nil
 }
 
 func lmPop(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -422,90 +440,95 @@ func lmPop(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	if len(args) > 1 {
 		idxTV = args[1]
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		o := vals[0].O
-		n := len(o.Elems)
-		if n == 0 {
-			vm.throw("pop from empty list")
-		}
-		i := vals[1].I
-		if i < 0 {
-			i += int64(n)
-		}
-		if i < 0 || i >= int64(n) {
-			vm.throw("pop index out of range")
-		}
-		v := o.Elems[i]
-		copy(o.Elems[i:], o.Elems[i+1:])
-		o.Elems = o.Elems[:n-1]
-		vm.RT.CMemcpy(8 * (n - int(i)))
-		return v
+	return m.CallAOT2(vm.fnListSetSlice, vm.th.listPop, args[0], idxTV)
+}
+
+func (vm *VM) thunkListPop(vals []heap.Value) heap.Value {
+	o := vals[0].O
+	n := len(o.Elems)
+	if n == 0 {
+		vm.throw("pop from empty list")
 	}
-	return m.CallAOT(vm.fnListSetSlice, thunk, args[0], idxTV)
+	i := vals[1].I
+	if i < 0 {
+		i += int64(n)
+	}
+	if i < 0 || i >= int64(n) {
+		vm.throw("pop index out of range")
+	}
+	v := o.Elems[i]
+	copy(o.Elems[i:], o.Elems[i+1:])
+	o.Elems = o.Elems[:n-1]
+	vm.RT.CMemcpy(8 * (n - int(i)))
+	return v
 }
 
 func lmInsert(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		o := vals[0].O
-		i := vals[1].I
-		if i < 0 {
-			i += int64(len(o.Elems))
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i > int64(len(o.Elems)) {
-			i = int64(len(o.Elems))
-		}
-		vm.H.AppendElem(o, heap.Nil)
-		copy(o.Elems[i+1:], o.Elems[i:])
-		o.Elems[i] = vals[2]
-		vm.H.Barrier(o, vals[2])
-		vm.RT.CMemcpy(8 * (len(o.Elems) - int(i)))
-		return heap.Nil
+	return m.CallAOT3(vm.fnListSetSlice, vm.th.listInsert, args[0], args[1], args[2])
+}
+
+func (vm *VM) thunkListInsert(vals []heap.Value) heap.Value {
+	o := vals[0].O
+	i := vals[1].I
+	if i < 0 {
+		i += int64(len(o.Elems))
 	}
-	return m.CallAOT(vm.fnListSetSlice, thunk, args[0], args[1], args[2])
+	if i < 0 {
+		i = 0
+	}
+	if i > int64(len(o.Elems)) {
+		i = int64(len(o.Elems))
+	}
+	vm.H.AppendElem(o, heap.Nil)
+	copy(o.Elems[i+1:], o.Elems[i:])
+	o.Elems[i] = vals[2]
+	vm.H.Barrier(o, vals[2])
+	vm.RT.CMemcpy(8 * (len(o.Elems) - int(i)))
+	return heap.Nil
 }
 
 func lmIndex(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		i := vm.RT.ListFind(vals[0].O, vals[1])
-		if i < 0 {
-			vm.throw("ValueError: value not in list")
-		}
-		return heap.IntVal(int64(i))
+	return m.CallAOT2(vm.fnListFind, vm.th.listIndex, args[0], args[1])
+}
+
+func (vm *VM) thunkListIndex(vals []heap.Value) heap.Value {
+	i := vm.RT.ListFind(vals[0].O, vals[1])
+	if i < 0 {
+		vm.throw("ValueError: value not in list")
 	}
-	return m.CallAOT(vm.fnListFind, thunk, args[0], args[1])
+	return heap.IntVal(int64(i))
 }
 
 func lmExtend(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		dst, src := vals[0].O, vals[1].O
-		for _, v := range src.Elems {
-			vm.H.AppendElem(dst, v)
-		}
-		return heap.Nil
+	return m.CallAOT2(vm.fnListSetSlice, vm.th.listExtend, args[0], args[1])
+}
+
+func (vm *VM) thunkListExtend(vals []heap.Value) heap.Value {
+	dst, src := vals[0].O, vals[1].O
+	for _, v := range src.Elems {
+		vm.H.AppendElem(dst, v)
 	}
-	return m.CallAOT(vm.fnListSetSlice, thunk, args[0], args[1])
+	return heap.Nil
 }
 
 func lmSort(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		o := vals[0].O
-		n := len(o.Elems)
-		sort.SliceStable(o.Elems, func(i, j int) bool {
-			return vm.valueLess(o.Elems[i], o.Elems[j])
-		})
-		cost := n
-		if n > 1 {
-			cost = n * bits(n)
-		}
-		vm.RT.S.Ops(isa.Load, 2*cost)
-		vm.RT.S.Ops(isa.ALU, 3*cost)
-		vm.RT.S.Ops(isa.Store, cost)
-		return heap.Nil
+	return m.CallAOT1(vm.fnListSort, vm.th.listSort, args[0])
+}
+
+func (vm *VM) thunkListSort(vals []heap.Value) heap.Value {
+	o := vals[0].O
+	n := len(o.Elems)
+	sort.SliceStable(o.Elems, func(i, j int) bool {
+		return vm.valueLess(o.Elems[i], o.Elems[j])
+	})
+	cost := n
+	if n > 1 {
+		cost = n * bits(n)
 	}
-	return m.CallAOT(vm.fnListSort, thunk, args[0])
+	vm.RT.S.Ops(isa.Load, 2*cost)
+	vm.RT.S.Ops(isa.ALU, 3*cost)
+	vm.RT.S.Ops(isa.Store, cost)
+	return heap.Nil
 }
 
 func bits(n int) int {
@@ -541,31 +564,33 @@ func (vm *VM) valueLess(a, b heap.Value) bool {
 }
 
 func lmReverse(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		e := vals[0].O.Elems
-		for i, j := 0, len(e)-1; i < j; i, j = i+1, j-1 {
-			e[i], e[j] = e[j], e[i]
-		}
-		vm.RT.CMemcpy(8 * len(e))
-		return heap.Nil
+	return m.CallAOT1(vm.fnListSetSlice, vm.th.listReverse, args[0])
+}
+
+func (vm *VM) thunkListReverse(vals []heap.Value) heap.Value {
+	e := vals[0].O.Elems
+	for i, j := 0, len(e)-1; i < j; i, j = i+1, j-1 {
+		e[i], e[j] = e[j], e[i]
 	}
-	return m.CallAOT(vm.fnListSetSlice, thunk, args[0])
+	vm.RT.CMemcpy(8 * len(e))
+	return heap.Nil
 }
 
 func smJoin(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		sep := vals[0].O
-		list := vals[1].O
-		parts := make([]*heap.Obj, len(list.Elems))
-		for i, e := range list.Elems {
-			if e.Kind != heap.KindRef || e.O.Shape != vm.StrShape {
-				vm.throw("join() requires strings")
-			}
-			parts[i] = e.O
+	return m.CallAOT2(vm.fnStrJoin, vm.th.strJoin, args[0], args[1])
+}
+
+func (vm *VM) thunkStrJoin(vals []heap.Value) heap.Value {
+	sep := vals[0].O
+	list := vals[1].O
+	parts := make([]*heap.Obj, len(list.Elems))
+	for i, e := range list.Elems {
+		if e.Kind != heap.KindRef || e.O.Shape != vm.StrShape {
+			vm.throw("join() requires strings")
 		}
-		return heap.RefVal(vm.RT.StrJoin(sep, parts))
+		parts[i] = e.O
 	}
-	return m.CallAOT(vm.fnStrJoin, thunk, args[0], args[1])
+	return heap.RefVal(vm.RT.StrJoin(sep, parts))
 }
 
 func smSplit(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -573,22 +598,24 @@ func smSplit(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	if len(args) > 1 {
 		sep = args[1]
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		parts := vm.RT.StrSplitChar(vals[0].O, vals[1].O.Bytes[0])
-		out := vm.H.AllocElems(vm.ListShape, 0, len(parts))
-		for i, p := range parts {
-			out.Elems[i] = heap.RefVal(p)
-		}
-		return heap.RefVal(out)
+	return m.CallAOT2(vm.fnStrSplit, vm.th.strSplit, args[0], sep)
+}
+
+func (vm *VM) thunkStrSplit(vals []heap.Value) heap.Value {
+	parts := vm.RT.StrSplitChar(vals[0].O, vals[1].O.Bytes[0])
+	out := vm.H.AllocElems(vm.ListShape, 0, len(parts))
+	for i, p := range parts {
+		out.Elems[i] = heap.RefVal(p)
 	}
-	return m.CallAOT(vm.fnStrSplit, thunk, args[0], sep)
+	return heap.RefVal(out)
 }
 
 func smReplace(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		return heap.RefVal(vm.RT.StrReplace(vals[0].O, vals[1].O, vals[2].O))
-	}
-	return m.CallAOT(vm.fnStrReplace, thunk, args[0], args[1], args[2])
+	return m.CallAOT3(vm.fnStrReplace, vm.th.strReplace, args[0], args[1], args[2])
+}
+
+func (vm *VM) thunkStrReplace(vals []heap.Value) heap.Value {
+	return heap.RefVal(vm.RT.StrReplace(vals[0].O, vals[1].O, vals[2].O))
 }
 
 func smFind(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -596,82 +623,86 @@ func smFind(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	if len(args) > 2 {
 		start = args[2]
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		if len(vals[1].O.Bytes) == 1 {
-			return heap.IntVal(int64(vm.RT.StrFindChar(vals[0].O, vals[1].O.Bytes[0], int(vals[2].I))))
-		}
-		return heap.IntVal(int64(vm.RT.StrFind(vals[0].O, vals[1].O, int(vals[2].I))))
+	return m.CallAOT3(vm.fnStrFindChar, vm.th.strFind, args[0], args[1], start)
+}
+
+func (vm *VM) thunkStrFind(vals []heap.Value) heap.Value {
+	if len(vals[1].O.Bytes) == 1 {
+		return heap.IntVal(int64(vm.RT.StrFindChar(vals[0].O, vals[1].O.Bytes[0], int(vals[2].I))))
 	}
-	return m.CallAOT(vm.fnStrFindChar, thunk, args[0], args[1], start)
+	return heap.IntVal(int64(vm.RT.StrFind(vals[0].O, vals[1].O, int(vals[2].I))))
 }
 
 func smStartswith(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		s, p := vals[0].O.Bytes, vals[1].O.Bytes
-		vm.RT.S.Ops(isa.Load, len(p)/4+2)
-		return heap.BoolVal(len(s) >= len(p) && string(s[:len(p)]) == string(p))
-	}
-	return m.CallAOT(vm.fnStrFind, thunk, args[0], args[1])
+	return m.CallAOT2(vm.fnStrFind, vm.th.strStartswith, args[0], args[1])
+}
+
+func (vm *VM) thunkStrStartswith(vals []heap.Value) heap.Value {
+	s, p := vals[0].O.Bytes, vals[1].O.Bytes
+	vm.RT.S.Ops(isa.Load, len(p)/4+2)
+	return heap.BoolVal(len(s) >= len(p) && string(s[:len(p)]) == string(p))
 }
 
 func smEndswith(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		s, p := vals[0].O.Bytes, vals[1].O.Bytes
-		vm.RT.S.Ops(isa.Load, len(p)/4+2)
-		return heap.BoolVal(len(s) >= len(p) && string(s[len(s)-len(p):]) == string(p))
-	}
-	return m.CallAOT(vm.fnStrFind, thunk, args[0], args[1])
+	return m.CallAOT2(vm.fnStrFind, vm.th.strEndswith, args[0], args[1])
 }
 
-func smUpper(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	var table [256]byte
-	for i := range table {
-		table[i] = byte(i)
+func (vm *VM) thunkStrEndswith(vals []heap.Value) heap.Value {
+	s, p := vals[0].O.Bytes, vals[1].O.Bytes
+	vm.RT.S.Ops(isa.Load, len(p)/4+2)
+	return heap.BoolVal(len(s) >= len(p) && string(s[len(s)-len(p):]) == string(p))
+}
+
+// upperTable and lowerTable are the ASCII case-mapping translate tables.
+var upperTable, lowerTable = func() (up, lo [256]byte) {
+	for i := range up {
+		up[i], lo[i] = byte(i), byte(i)
 	}
 	for c := byte('a'); c <= 'z'; c++ {
-		table[c] = c - 32
+		up[c], lo[c-32] = c-32, c
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		return heap.RefVal(vm.RT.Translate(vals[0].O, table))
-	}
-	return m.CallAOT(vm.fnTranslate, thunk, args[0])
+	return
+}()
+
+func smUpper(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT1(vm.fnTranslate, vm.th.strUpper, args[0])
+}
+
+func (vm *VM) thunkStrUpper(vals []heap.Value) heap.Value {
+	return heap.RefVal(vm.RT.Translate(vals[0].O, upperTable))
 }
 
 func smLower(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	var table [256]byte
-	for i := range table {
-		table[i] = byte(i)
-	}
-	for c := byte('A'); c <= 'Z'; c++ {
-		table[c] = c + 32
-	}
-	thunk := func(vals []heap.Value) heap.Value {
-		return heap.RefVal(vm.RT.Translate(vals[0].O, table))
-	}
-	return m.CallAOT(vm.fnTranslate, thunk, args[0])
+	return m.CallAOT1(vm.fnTranslate, vm.th.strLower, args[0])
+}
+
+func (vm *VM) thunkStrLower(vals []heap.Value) heap.Value {
+	return heap.RefVal(vm.RT.Translate(vals[0].O, lowerTable))
 }
 
 func smStrip(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		b := vals[0].O.Bytes
-		lo, hi := 0, len(b)
-		for lo < hi && (b[lo] == ' ' || b[lo] == '\t' || b[lo] == '\n') {
-			lo++
-		}
-		for hi > lo && (b[hi-1] == ' ' || b[hi-1] == '\t' || b[hi-1] == '\n') {
-			hi--
-		}
-		vm.RT.S.Ops(isa.Load, len(b)/4+2)
-		return heap.RefVal(vm.RT.NewStr(append([]byte(nil), b[lo:hi]...)))
+	return m.CallAOT1(vm.fnStrSlice, vm.th.strStrip, args[0])
+}
+
+func (vm *VM) thunkStrStrip(vals []heap.Value) heap.Value {
+	b := vals[0].O.Bytes
+	lo, hi := 0, len(b)
+	for lo < hi && (b[lo] == ' ' || b[lo] == '\t' || b[lo] == '\n') {
+		lo++
 	}
-	return m.CallAOT(vm.fnStrSlice, thunk, args[0])
+	for hi > lo && (b[hi-1] == ' ' || b[hi-1] == '\t' || b[hi-1] == '\n') {
+		hi--
+	}
+	vm.RT.S.Ops(isa.Load, len(b)/4+2)
+	return heap.RefVal(vm.RT.NewStr(append([]byte(nil), b[lo:hi]...)))
 }
 
 func smEncodeASCII(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		return heap.RefVal(vm.RT.EncodeASCII(vals[0].O))
-	}
-	return m.CallAOT(vm.fnEncode, thunk, args[0])
+	return m.CallAOT1(vm.fnEncode, vm.th.encodeASCII, args[0])
+}
+
+func (vm *VM) thunkEncodeASCII(vals []heap.Value) heap.Value {
+	return heap.RefVal(vm.RT.EncodeASCII(vals[0].O))
 }
 
 func dmGet(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -679,14 +710,15 @@ func dmGet(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	if len(args) > 2 {
 		def = args[2]
 	}
-	thunk := func(vals []heap.Value) heap.Value {
-		v, ok := vm.RT.DictGet(vals[0].O.Native.(*aot.Dict), vals[1])
-		if !ok {
-			return vals[2]
-		}
-		return v
+	return m.CallAOT3(vm.fnDictLookup, vm.th.dictGet, args[0], args[1], def)
+}
+
+func (vm *VM) thunkDictGet(vals []heap.Value) heap.Value {
+	v, ok := vm.RT.DictGet(vals[0].O.Native.(*aot.Dict), vals[1])
+	if !ok {
+		return vals[2]
 	}
-	return m.CallAOT(vm.fnDictLookup, thunk, args[0], args[1], def)
+	return v
 }
 
 func dmKeys(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -694,28 +726,30 @@ func dmKeys(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 }
 
 func dmValues(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		d := vals[0].O.Native.(*aot.Dict)
-		out := vm.H.AllocElems(vm.ListShape, 0, d.Len())
-		i := 0
-		vm.RT.DictItems(d, func(_, v heap.Value) {
-			out.Elems[i] = v
-			i++
-		})
-		return heap.RefVal(out)
-	}
-	return m.CallAOT(vm.fnDictKeys, thunk, args[0])
+	return m.CallAOT1(vm.fnDictKeys, vm.th.dictValues, args[0])
+}
+
+func (vm *VM) thunkDictValues(vals []heap.Value) heap.Value {
+	d := vals[0].O.Native.(*aot.Dict)
+	out := vm.H.AllocElems(vm.ListShape, 0, d.Len())
+	i := 0
+	vm.RT.DictItems(d, func(_, v heap.Value) {
+		out.Elems[i] = v
+		i++
+	})
+	return heap.RefVal(out)
 }
 
 func dmPop(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	thunk := func(vals []heap.Value) heap.Value {
-		d := vals[0].O.Native.(*aot.Dict)
-		v, ok := vm.RT.DictGet(d, vals[1])
-		if !ok {
-			vm.throw("KeyError in dict.pop()")
-		}
-		vm.RT.DictDel(d, vals[1])
-		return v
+	return m.CallAOT2(vm.fnDictDel, vm.th.dictPop, args[0], args[1])
+}
+
+func (vm *VM) thunkDictPop(vals []heap.Value) heap.Value {
+	d := vals[0].O.Native.(*aot.Dict)
+	v, ok := vm.RT.DictGet(d, vals[1])
+	if !ok {
+		vm.throw("KeyError in dict.pop()")
 	}
-	return m.CallAOT(vm.fnDictDel, thunk, args[0], args[1])
+	vm.RT.DictDel(d, vals[1])
+	return v
 }

@@ -118,6 +118,11 @@ type VM struct {
 	// while pushCall still reads the scratch, and every consumer copies
 	// the TVs before the next call instruction.
 	argScratch []mtjit.TV
+	// callBuf is the stack RunFunction and pushCallWith build argument
+	// lists on.
+	callBuf []mtjit.TV
+	// th is the residual-call thunk table (thunks.go).
+	th thunks
 
 	globals  map[string]heap.Value
 	codes    []*Code
@@ -141,6 +146,7 @@ type VM struct {
 	classes        map[*heap.Shape]*Class
 	pendingClasses map[string]*Class
 	builtins       map[string]*heap.Obj
+	builtinMethods map[methodKey]*heap.Obj // builtinMethod's lookup cache
 	interned       map[string]*heap.Obj
 	charTab        *heap.Obj
 
@@ -218,6 +224,7 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 		codeByID:       map[uint32]*Code{},
 		classes:        map[*heap.Shape]*Class{},
 		builtins:       map[string]*heap.Obj{},
+		builtinMethods: map[methodKey]*heap.Obj{},
 		interned:       map[string]*heap.Obj{},
 		Profile:        cfg.Profile,
 
@@ -277,6 +284,7 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 
 	h.AddRoots(vm)
 	vm.registerAOT()
+	vm.bindThunks()
 	vm.setupBuiltins()
 	vm.buildCharTable()
 	return vm

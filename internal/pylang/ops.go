@@ -176,18 +176,18 @@ func (vm *VM) binary(m mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
 			}
 			return res
 		case BinMod:
-			return m.CallAOT(vm.fnPow, vm.thunkFloatMod, fa, fb)
+			return m.CallAOT2(vm.fnPow, vm.th.floatMod, fa, fb)
 		case BinPow:
-			return m.CallAOT(vm.fnPow, vm.thunkPow, fa, fb)
+			return m.CallAOT2(vm.fnPow, vm.th.pow, fa, fb)
 		}
 	case ka == nkStr && kb == nkStr && op == BinAdd:
-		return m.CallAOT(vm.fnStrConcat, vm.thunkStrConcat, a, b)
+		return m.CallAOT2(vm.fnStrConcat, vm.th.strConcat, a, b)
 	case ka == nkStr && kb == nkInt && op == BinMul:
-		return m.CallAOT(vm.fnMemcpy, vm.thunkStrRepeat, a, b)
+		return m.CallAOT2(vm.fnMemcpy, vm.th.strRepeat, a, b)
 	case ka == nkList && kb == nkList && op == BinAdd:
-		return m.CallAOT(vm.fnListSlice, vm.thunkListConcat, a, b)
+		return m.CallAOT2(vm.fnListSlice, vm.th.listConcat, a, b)
 	case ka == nkList && kb == nkInt && op == BinMul:
-		return m.CallAOT(vm.fnListSlice, vm.thunkListRepeat, a, b)
+		return m.CallAOT2(vm.fnListSlice, vm.th.listRepeat, a, b)
 	}
 	vm.throw("unsupported operand types for binary op %d (%s, %s)", op, a.V, b.V)
 	return mtjit.TV{}
@@ -215,34 +215,36 @@ var (
 func (vm *VM) intPow(m mtjit.Machine, a, b mtjit.TV) mtjit.TV {
 	bneg := m.IntCmp(mtjit.OpIntLt, b, m.Const(heap.IntVal(0)))
 	if m.Truth(bneg, sitePowNeg.PC()) {
-		return m.CallAOT(vm.fnPow, vm.thunkPow, m.IntToFloat(a), m.IntToFloat(b))
+		return m.CallAOT2(vm.fnPow, vm.th.pow, m.IntToFloat(a), m.IntToFloat(b))
 	}
-	return m.CallAOT(vm.fnBigMul, vm.thunkIntPow, a, b)
+	return m.CallAOT2(vm.fnBigMul, vm.th.intPow, a, b)
 }
 
 func (vm *VM) bigBinary(m mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
 	switch op {
 	case BinAdd:
-		return m.CallAOT(vm.fnBigAdd, vm.thunkBigAdd, a, b)
+		return m.CallAOT2(vm.fnBigAdd, vm.th.bigAdd, a, b)
 	case BinSub:
-		return m.CallAOT(vm.fnBigSub, vm.thunkBigSub, a, b)
+		return m.CallAOT2(vm.fnBigSub, vm.th.bigSub, a, b)
 	case BinMul:
-		return m.CallAOT(vm.fnBigMul, vm.thunkBigMul, a, b)
+		return m.CallAOT2(vm.fnBigMul, vm.th.bigMul, a, b)
 	case BinFloorDiv:
-		return m.CallAOT(vm.fnBigDivMod, vm.thunkBigFloorDiv, a, b)
+		return m.CallAOT2(vm.fnBigDivMod, vm.th.bigFloorDiv, a, b)
 	case BinMod:
-		return m.CallAOT(vm.fnBigDivMod, vm.thunkBigMod, a, b)
+		return m.CallAOT2(vm.fnBigDivMod, vm.th.bigMod, a, b)
 	case BinLsh:
-		return m.CallAOT(vm.fnBigLsh, vm.thunkBigLsh, a, b)
+		return m.CallAOT2(vm.fnBigLsh, vm.th.bigLsh, a, b)
 	case BinRsh:
-		return m.CallAOT(vm.fnBigRsh, vm.thunkBigRsh, a, b)
+		return m.CallAOT2(vm.fnBigRsh, vm.th.bigRsh, a, b)
 	}
 	vm.throw("unsupported bigint operation %d", op)
 	return mtjit.TV{}
 }
 
 // ---- thunks (residual-call bodies; must allocate only through the
-// runtime so compiled code can re-execute them) ----
+// runtime so compiled code can re-execute them, and must not keep their
+// args slice, which is the caller's scratch). Callers take them from
+// vm.th, where each is bound to the VM once (see thunks.go) ----
 
 func (vm *VM) thunkBigAdd(args []heap.Value) heap.Value {
 	return vm.bigResult(vm.RT.BigintAdd(vm.toBig(args[0]), vm.toBig(args[1])))
@@ -374,27 +376,9 @@ func (vm *VM) compare(m mtjit.Machine, op CmpKind, a, b mtjit.TV) mtjit.TV {
 		}
 		return m.FloatCmp(cmpToFloatIR(op), fa, fb)
 	case ka == nkBig || kb == nkBig:
-		thunk := func(args []heap.Value) heap.Value {
-			c := vm.toBig(args[0]).Cmp(vm.toBig(args[1]))
-			vm.RT.S.Ops(isa.ALU, 8)
-			return heap.BoolVal(cmpHolds(op, c))
-		}
-		return m.CallAOT(vm.fnBigSub, thunk, a, b)
+		return m.CallAOT2(vm.fnBigSub, vm.th.cmpBig[op], a, b)
 	case ka == nkStr && kb == nkStr:
-		thunk := func(args []heap.Value) heap.Value {
-			x, y := string(args[0].O.Bytes), string(args[1].O.Bytes)
-			n := min(len(x), len(y))
-			vm.RT.S.Ops(isa.Load, n/4+2)
-			vm.RT.S.Ops(isa.ALU, n/4+2)
-			c := 0
-			if x < y {
-				c = -1
-			} else if x > y {
-				c = 1
-			}
-			return heap.BoolVal(cmpHolds(op, c))
-		}
-		return m.CallAOT(vm.fnStrEq, thunk, a, b)
+		return m.CallAOT2(vm.fnStrEq, vm.th.cmpStr[op], a, b)
 	case op == CmpEq:
 		return m.PtrEq(a, b)
 	case op == CmpNe:
@@ -403,6 +387,26 @@ func (vm *VM) compare(m mtjit.Machine, op CmpKind, a, b mtjit.TV) mtjit.TV {
 	}
 	vm.throw("unsupported comparison")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkCmpBig(op CmpKind, args []heap.Value) heap.Value {
+	c := vm.toBig(args[0]).Cmp(vm.toBig(args[1]))
+	vm.RT.S.Ops(isa.ALU, 8)
+	return heap.BoolVal(cmpHolds(op, c))
+}
+
+func (vm *VM) thunkCmpStr(op CmpKind, args []heap.Value) heap.Value {
+	x, y := string(args[0].O.Bytes), string(args[1].O.Bytes)
+	n := min(len(x), len(y))
+	vm.RT.S.Ops(isa.Load, n/4+2)
+	vm.RT.S.Ops(isa.ALU, n/4+2)
+	c := 0
+	if x < y {
+		c = -1
+	} else if x > y {
+		c = 1
+	}
+	return heap.BoolVal(cmpHolds(op, c))
 }
 
 func cmpHolds(op CmpKind, c int) bool {
@@ -463,25 +467,28 @@ func cmpToFloatIR(op CmpKind) mtjit.Opcode {
 func (vm *VM) contains(m mtjit.Machine, container, needle mtjit.TV) mtjit.TV {
 	switch vm.classify(m, container) {
 	case nkDict:
-		thunk := func(args []heap.Value) heap.Value {
-			_, ok := vm.RT.DictGet(args[0].O.Native.(*aot.Dict), args[1])
-			return heap.BoolVal(ok)
-		}
-		return m.CallAOT(vm.fnDictLookup, thunk, container, needle)
+		return m.CallAOT2(vm.fnDictLookup, vm.th.dictContains, container, needle)
 	case nkList, nkTuple:
-		thunk := func(args []heap.Value) heap.Value {
-			i := vm.RT.ListFind(args[0].O, args[1])
-			return heap.BoolVal(i >= 0)
-		}
-		return m.CallAOT(vm.fnListFind, thunk, container, needle)
+		return m.CallAOT2(vm.fnListFind, vm.th.listContains, container, needle)
 	case nkStr:
-		thunk := func(args []heap.Value) heap.Value {
-			return heap.BoolVal(vm.RT.StrFind(args[0].O, args[1].O, 0) >= 0)
-		}
-		return m.CallAOT(vm.fnStrFind, thunk, container, needle)
+		return m.CallAOT2(vm.fnStrFind, vm.th.strContains, container, needle)
 	}
 	vm.throw("argument of 'in' is not a container")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkDictContains(args []heap.Value) heap.Value {
+	_, ok := vm.RT.DictGet(args[0].O.Native.(*aot.Dict), args[1])
+	return heap.BoolVal(ok)
+}
+
+func (vm *VM) thunkListContains(args []heap.Value) heap.Value {
+	i := vm.RT.ListFind(args[0].O, args[1])
+	return heap.BoolVal(i >= 0)
+}
+
+func (vm *VM) thunkStrContains(args []heap.Value) heap.Value {
+	return heap.BoolVal(vm.RT.StrFind(args[0].O, args[1].O, 0) >= 0)
 }
 
 func (vm *VM) unaryNeg(m mtjit.Machine, a mtjit.TV) mtjit.TV {
@@ -491,14 +498,15 @@ func (vm *VM) unaryNeg(m mtjit.Machine, a mtjit.TV) mtjit.TV {
 	case nkFloat:
 		return m.FloatNeg(a)
 	case nkBig:
-		thunk := func(args []heap.Value) heap.Value {
-			b := vm.toBig(args[0])
-			return vm.bigResult(vm.RT.BigintSub(aot.BigFromInt64(0), b))
-		}
-		return m.CallAOT(vm.fnBigSub, thunk, a)
+		return m.CallAOT1(vm.fnBigSub, vm.th.bigNeg, a)
 	}
 	vm.throw("bad operand for unary minus")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkBigNeg(args []heap.Value) heap.Value {
+	b := vm.toBig(args[0])
+	return vm.bigResult(vm.RT.BigintSub(aot.BigFromInt64(0), b))
 }
 
 // truthy evaluates guest truthiness, recording the guard.
@@ -556,17 +564,18 @@ func (vm *VM) index(m mtjit.Machine, o, i mtjit.TV) mtjit.TV {
 		ch := m.StrGetItem(o, i)
 		return m.GetElem(m.Const(heap.RefVal(vm.charTab)), ch)
 	case nkDict:
-		thunk := func(args []heap.Value) heap.Value {
-			v, ok := vm.RT.DictGet(args[0].O.Native.(*aot.Dict), args[1])
-			if !ok {
-				vm.throw("KeyError: %s", args[1].String())
-			}
-			return v
-		}
-		return m.CallAOT(vm.fnDictLookup, thunk, o, i)
+		return m.CallAOT2(vm.fnDictLookup, vm.th.dictIndex, o, i)
 	}
 	vm.throw("object is not subscriptable")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkDictIndex(args []heap.Value) heap.Value {
+	v, ok := vm.RT.DictGet(args[0].O.Native.(*aot.Dict), args[1])
+	if !ok {
+		vm.throw("KeyError: %s", args[1].String())
+	}
+	return v
 }
 
 func (vm *VM) storeIndex(m mtjit.Machine, o, i, v mtjit.TV) {
@@ -582,31 +591,34 @@ func (vm *VM) storeIndex(m mtjit.Machine, o, i, v mtjit.TV) {
 }
 
 func (vm *VM) dictSet(m mtjit.Machine, d, k, v mtjit.TV) {
-	thunk := func(args []heap.Value) heap.Value {
-		dict := args[0].O.Native.(*aot.Dict)
-		vm.RT.DictSet(dict, args[1], args[2])
-		vm.H.Barrier(args[0].O, args[1])
-		vm.H.Barrier(args[0].O, args[2])
-		return heap.Nil
-	}
-	m.CallAOT(vm.fnDictSet, thunk, d, k, v)
+	m.CallAOT3(vm.fnDictSet, vm.th.dictSet, d, k, v)
+}
+
+func (vm *VM) thunkDictSet(args []heap.Value) heap.Value {
+	dict := args[0].O.Native.(*aot.Dict)
+	vm.RT.DictSet(dict, args[1], args[2])
+	vm.H.Barrier(args[0].O, args[1])
+	vm.H.Barrier(args[0].O, args[2])
+	return heap.Nil
 }
 
 func (vm *VM) dictLen(m mtjit.Machine, d mtjit.TV) mtjit.TV {
-	thunk := func(args []heap.Value) heap.Value {
-		vm.RT.S.Ops(isa.Load, 1)
-		return heap.IntVal(int64(args[0].O.Native.(*aot.Dict).Len()))
-	}
-	return m.CallAOT(vm.fnDictLen, thunk, d)
+	return m.CallAOT1(vm.fnDictLen, vm.th.dictLen, d)
+}
+
+func (vm *VM) thunkDictLen(args []heap.Value) heap.Value {
+	vm.RT.S.Ops(isa.Load, 1)
+	return heap.IntVal(int64(args[0].O.Native.(*aot.Dict).Len()))
 }
 
 func (vm *VM) newDict(m mtjit.Machine) mtjit.TV {
-	thunk := func(args []heap.Value) heap.Value {
-		o := vm.H.AllocObj(vm.DictShape, 0)
-		o.Native = vm.RT.NewDict()
-		return heap.RefVal(o)
-	}
-	return m.CallAOT(vm.fnDictNew, thunk)
+	return m.CallAOT(vm.fnDictNew, vm.th.dictNew)
+}
+
+func (vm *VM) thunkDictNew([]heap.Value) heap.Value {
+	o := vm.H.AllocObj(vm.DictShape, 0)
+	o.Native = vm.RT.NewDict()
+	return heap.RefVal(o)
 }
 
 // sliceBounds resolves lo/hi (hi == -1 means "to the end") against length.
@@ -635,34 +647,37 @@ func sliceBounds(lo, hi, n int64) (int64, int64) {
 func (vm *VM) slice(m mtjit.Machine, o, lo, hi mtjit.TV) mtjit.TV {
 	switch vm.classify(m, o) {
 	case nkList, nkTuple:
-		thunk := func(args []heap.Value) heap.Value {
-			l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Elems)))
-			return heap.RefVal(vm.RT.ListSlice(vm.ListShape, args[0].O, int(l), int(h)))
-		}
-		return m.CallAOT(vm.fnListSlice, thunk, o, lo, hi)
+		return m.CallAOT3(vm.fnListSlice, vm.th.listSlice, o, lo, hi)
 	case nkStr:
-		thunk := func(args []heap.Value) heap.Value {
-			l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Bytes)))
-			vm.RT.CMemcpy(int(h - l))
-			return heap.RefVal(vm.RT.NewStr(append([]byte(nil), args[0].O.Bytes[l:h]...)))
-		}
-		return m.CallAOT(vm.fnStrSlice, thunk, o, lo, hi)
+		return m.CallAOT3(vm.fnStrSlice, vm.th.strSlice, o, lo, hi)
 	}
 	vm.throw("object is not sliceable")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkListSlice(args []heap.Value) heap.Value {
+	l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Elems)))
+	return heap.RefVal(vm.RT.ListSlice(vm.ListShape, args[0].O, int(l), int(h)))
+}
+
+func (vm *VM) thunkStrSlice(args []heap.Value) heap.Value {
+	l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Bytes)))
+	vm.RT.CMemcpy(int(h - l))
+	return heap.RefVal(vm.RT.NewStr(append([]byte(nil), args[0].O.Bytes[l:h]...)))
 }
 
 func (vm *VM) storeSlice(m mtjit.Machine, o, lo, hi, v mtjit.TV) {
 	if vm.classify(m, o) != nkList || vm.classify(m, v) != nkList {
 		vm.throw("slice assignment requires lists")
 	}
-	thunk := func(args []heap.Value) heap.Value {
-		l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Elems)))
-		src := append([]heap.Value(nil), args[3].O.Elems...)
-		vm.RT.ListSetSlice(args[0].O, int(l), int(h), src)
-		return heap.Nil
-	}
-	m.CallAOT(vm.fnListSetSlice, thunk, o, lo, hi, v)
+	m.CallAOT(vm.fnListSetSlice, vm.th.listSetSlice, o, lo, hi, v)
+}
+
+func (vm *VM) thunkListSetSlice(args []heap.Value) heap.Value {
+	l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Elems)))
+	src := append([]heap.Value(nil), args[3].O.Elems...)
+	vm.RT.ListSetSlice(args[0].O, int(l), int(h), src)
+	return heap.Nil
 }
 
 func (vm *VM) length(m mtjit.Machine, o mtjit.TV) mtjit.TV {
@@ -683,20 +698,21 @@ func (vm *VM) iterPrep(m mtjit.Machine, o mtjit.TV) mtjit.TV {
 	case nkList, nkTuple, nkStr:
 		return o
 	case nkDict:
-		thunk := func(args []heap.Value) heap.Value {
-			d := args[0].O.Native.(*aot.Dict)
-			out := vm.H.AllocElems(vm.ListShape, 0, d.Len())
-			i := 0
-			vm.RT.DictItems(d, func(k, _ heap.Value) {
-				out.Elems[i] = k
-				i++
-			})
-			return heap.RefVal(out)
-		}
-		return m.CallAOT(vm.fnDictKeys, thunk, o)
+		return m.CallAOT1(vm.fnDictKeys, vm.th.dictKeys, o)
 	}
 	vm.throw("object is not iterable")
 	return mtjit.TV{}
+}
+
+func (vm *VM) thunkDictKeys(args []heap.Value) heap.Value {
+	d := args[0].O.Native.(*aot.Dict)
+	out := vm.H.AllocElems(vm.ListShape, 0, d.Len())
+	i := 0
+	vm.RT.DictItems(d, func(k, _ heap.Value) {
+		out.Elems[i] = k
+		i++
+	})
+	return heap.RefVal(out)
 }
 
 // ---- attributes ----

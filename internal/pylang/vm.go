@@ -150,12 +150,13 @@ func (vm *VM) RunFunction(name string, args ...heap.Value) heap.Value {
 	if !ok {
 		vm.throw("no function %q", name)
 	}
-	tvs := make([]mtjit.TV, len(args))
-	for i, a := range args {
-		tvs[i] = mtjit.Concrete(a)
+	abase := len(vm.callBuf)
+	for _, a := range args {
+		vm.callBuf = append(vm.callBuf, mtjit.Concrete(a))
 	}
 	base := len(vm.frames)
-	vm.pushCall(vm.m, mtjit.Concrete(gv), tvs, false)
+	vm.pushCall(vm.m, mtjit.Concrete(gv), vm.callBuf[abase:], false)
+	vm.callBuf = vm.callBuf[:abase]
 	return vm.run(base)
 }
 
@@ -551,7 +552,7 @@ func (vm *VM) storeGlobal(m mtjit.Machine, name string, v mtjit.TV) {
 		if vm.tm.DependsOnGlobal(name) {
 			vm.tm.Abort(mtjit.AbortForced)
 		}
-		m.CallAOT(vm.fnDictSet, func(args []heap.Value) heap.Value {
+		m.CallAOT1(vm.fnDictSet, func(args []heap.Value) heap.Value {
 			vm.setGlobal(name, args[0])
 			return heap.Nil
 		}, v)
@@ -603,7 +604,7 @@ func (vm *VM) pushCall(m mtjit.Machine, callee mtjit.TV, args []mtjit.TV, ctor b
 	case vm.BoundShape:
 		self := m.GetField(callee, 0)
 		fnv := m.GetField(callee, 1)
-		vm.pushCall(m, fnv, append([]mtjit.TV{self}, args...), ctor)
+		vm.pushCallWith(m, fnv, self, args, ctor)
 	case vm.ClassShape:
 		co := m.PromoteRef(callee)
 		cls := co.Native.(*Class)
@@ -613,7 +614,7 @@ func (vm *VM) pushCall(m mtjit.Machine, callee mtjit.TV, args []mtjit.TV, ctor b
 			// __init__ frame; the constructor's own return value is
 			// discarded. Deoptimization rebuilds the same shape.
 			vm.frames[len(vm.frames)-1].push(inst)
-			vm.pushCall(m, m.Const(heap.RefVal(initO)), append([]mtjit.TV{inst}, args...), true)
+			vm.pushCallWith(m, m.Const(heap.RefVal(initO)), inst, args, true)
 		} else {
 			if len(args) != 0 {
 				vm.throw("%s() takes no arguments", cls.Name)
@@ -628,4 +629,16 @@ func (vm *VM) pushCall(m mtjit.Machine, callee mtjit.TV, args []mtjit.TV, ctor b
 	default:
 		vm.throw("%s object is not callable", sh.Name)
 	}
+}
+
+// pushCallWith is pushCall with first prepended to args (a bound
+// method's self, a constructor's instance). The argument list is built on
+// vm.callBuf used as a stack, so the nested pushCall a bound constructor
+// makes builds its own list above this one; args may itself be a window
+// of callBuf (append copies before it moves the buffer).
+func (vm *VM) pushCallWith(m mtjit.Machine, callee, first mtjit.TV, args []mtjit.TV, ctor bool) {
+	base := len(vm.callBuf)
+	vm.callBuf = append(append(vm.callBuf, first), args...)
+	vm.pushCall(m, callee, vm.callBuf[base:], ctor)
+	vm.callBuf = vm.callBuf[:base]
 }
