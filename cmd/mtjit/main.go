@@ -212,6 +212,11 @@ func report(r *harness.Result, dumpLog bool) {
 			r.EngStats.BaselinesCompiled, r.EngStats.BaselineInvalidated,
 			r.EngStats.BaselineEnters, r.EngStats.BaselineDeopts)
 	}
+	if r.EngStats.MethodsCompiled > 0 {
+		fmt.Printf("tier2: %d methods compiled (%d invalidated), %d enters, %d deopts\n",
+			r.EngStats.MethodsCompiled, r.EngStats.MethodInvalidated,
+			r.EngStats.MethodEnters, r.EngStats.MethodDeopts)
+	}
 	if r.EngStats.LoopsCompiled > 0 || r.EngStats.BridgesCompiled > 0 {
 		fmt.Printf("jit: %d loops, %d bridges, %d aborts, %d ops recorded (%d removed by optimizer)\n",
 			r.EngStats.LoopsCompiled, r.EngStats.BridgesCompiled, r.EngStats.Aborts,

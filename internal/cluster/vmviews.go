@@ -51,14 +51,15 @@ func (w *Worker) handlePhases(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, map[string]any{"runs": out})
 }
 
-// tracesView is the /vm/traces row: identity plus the jitlog inventory.
+// tracesView is the /vm/traces row: identity plus the jitlog inventory
+// (traces and bridges, then baseline and method code by "tier").
 type tracesView struct {
-	ID        uint64                 `json:"id"`
-	Bench     string                 `json:"bench"`
-	VM        harness.VMKind         `json:"vm"`
-	Done      bool                   `json:"done"`
-	Traces    []harness.LiveTrace    `json:"traces"`
-	Baselines []harness.LiveBaseline `json:"baselines"`
+	ID     uint64              `json:"id"`
+	Bench  string              `json:"bench"`
+	VM     harness.VMKind      `json:"vm"`
+	Done   bool                `json:"done"`
+	Traces []harness.LiveTrace `json:"traces"`
+	Code   []harness.LiveCode  `json:"code"`
 }
 
 func (w *Worker) handleTraces(rw http.ResponseWriter, r *http.Request) {
@@ -72,7 +73,7 @@ func (w *Worker) handleTraces(rw http.ResponseWriter, r *http.Request) {
 		if sn := st.Snap; sn != nil {
 			v.Done = sn.Done
 			v.Traces = sn.Traces
-			v.Baselines = sn.Baselines
+			v.Code = sn.Code
 		}
 		out = append(out, v)
 	}

@@ -237,6 +237,39 @@ func testLiveIntrospection(t *testing.T, store *Store) {
 	}
 }
 
+// TestTracesListBothLowerTiers: /vm/traces carries one lower-tier
+// inventory with a tier per entry — richards on the amalgamated strategy
+// compiles baseline fragments and method code, and both must be listed
+// with their labels.
+func TestTracesListBothLowerTiers(t *testing.T) {
+	ts := newRealWorker(t, WorkerConfig{Workers: 1})
+	resp, rr, _ := postWorkerRun(t, ts, `{"bench":"richards","vm":"pypy-amalg"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("richards run failed: %d", resp.StatusCode)
+	}
+	var tr struct {
+		Runs []struct {
+			Code []harness.LiveCode `json:"code"`
+		} `json:"runs"`
+	}
+	getJSON(t, ts.URL+"/vm/traces", &tr)
+	if len(tr.Runs) != 1 {
+		t.Fatalf("/vm/traces listed %d runs, want 1", len(tr.Runs))
+	}
+	perTier := map[string]int{}
+	for _, c := range tr.Runs[0].Code {
+		perTier[c.Tier]++
+		if c.Label == "" || c.Ops == 0 {
+			t.Errorf("%s code %d: label %q, %d ops", c.Tier, c.ID, c.Label, c.Ops)
+		}
+	}
+	eng := rr.Result.Eng
+	if eng.MethodsCompiled == 0 || perTier["method"] != eng.MethodsCompiled || perTier["baseline"] != eng.BaselinesCompiled {
+		t.Errorf("inventory lists %v, engine compiled %d baselines and %d methods",
+			perTier, eng.BaselinesCompiled, eng.MethodsCompiled)
+	}
+}
+
 // TestWarmupSSE reads a bounded server-sent-event stream and checks the
 // event grammar and the per-tier work fractions.
 func TestWarmupSSE(t *testing.T) {

@@ -37,131 +37,80 @@ def main():
     return acc
 `
 
-// TestBaselineDeoptRoundTrip is the tier-1 analog of
-// TestDeoptRoundTrip: force a failure at every guard the baseline
-// threaded code executes, one guard per run, and demand the fallback
-// interpreter reproduces the pure interpreter's result, output, and
-// heap exactly. Tracing is kept out of reach so every deopt exits
-// baseline code, not a trace.
-func TestBaselineDeoptRoundTrip(t *testing.T) {
-	ref, err := RunSource(deoptSrc, false, VMConfig{Name: "interp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Discovery run: collect every (code, guard) pair baseline code
-	// executes. Guard IDs are only unique within one BaselineCode, so
-	// the pair is the key.
-	type guardKey struct {
-		code uint32
-		id   uint64
-	}
-	var order []guardKey
-	seen := map[guardKey]bool{}
-	discover := VMConfig{
-		Name: "tier1-discover", JIT: true, Baseline: true,
-		BaselineThreshold: 2, Threshold: 1 << 20,
-		ForceBaselineGuardFail: func(bc *mtjit.BaselineCode, id uint64) bool {
-			k := guardKey{code: bc.ID, id: id}
-			if !seen[k] {
-				seen[k] = true
-				order = append(order, k)
+// TestTierDeoptRoundTrip is the lower-tier analog of TestDeoptRoundTrip,
+// one row per tier: force a failure at every guard the tier's code
+// executes, one guard per run, and demand the fallback interpreter
+// reproduces the pure interpreter's result, output, and heap exactly.
+// Tracing is kept out of reach so every deopt exits the tier's code, not
+// a trace.
+func TestTierDeoptRoundTrip(t *testing.T) {
+	for _, row := range []struct {
+		tier   mtjit.Tier
+		cfg    VMConfig
+		deopts func(mtjit.EngineStats) uint64
+	}{
+		{mtjit.BaselineTier,
+			VMConfig{JIT: true, Baseline: true, BaselineThreshold: 2, Threshold: 1 << 20},
+			func(s mtjit.EngineStats) uint64 { return s.BaselineDeopts }},
+		{mtjit.MethodTier,
+			VMConfig{JIT: true, Method: true, MethodThreshold: 2, Threshold: 1 << 20},
+			func(s mtjit.EngineStats) uint64 { return s.MethodDeopts }},
+	} {
+		t.Run(row.tier.String(), func(t *testing.T) {
+			ref, err := RunSource(deoptSrc, false, VMConfig{Name: "interp"})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return false
-		},
-	}
-	if _, err := RunSource(deoptSrc, false, discover); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) < 5 {
-		t.Fatalf("only %d baseline guards executed; the loop did not run in tier-1 code as intended", len(order))
-	}
 
-	for _, gk := range order {
-		gk := gk
-		cfg := VMConfig{
-			Name: "tier1-forced", JIT: true, Baseline: true,
-			BaselineThreshold: 2, Threshold: 1 << 20,
-			ForceBaselineGuardFail: func(bc *mtjit.BaselineCode, id uint64) bool {
-				return bc.ID == gk.code && id == gk.id
-			},
-		}
-		out, err := RunSource(deoptSrc, false, cfg)
-		if err != nil {
-			t.Fatalf("baseline guard %d/%d: %v", gk.code, gk.id, err)
-		}
-		if out.Result != ref.Result || out.Heap != ref.Heap ||
-			out.Output != ref.Output || out.Err != ref.Err {
-			t.Errorf("baseline guard %d/%d diverged:\n  interp: %s\n  forced: %s",
-				gk.code, gk.id, ref, out)
-		}
-		if out.Stats.BaselineDeopts == 0 {
-			t.Errorf("baseline guard %d/%d: no deopt recorded", gk.code, gk.id)
-		}
-	}
-}
-
-// TestMethodDeoptRoundTrip is the tier-2 method analog of
-// TestBaselineDeoptRoundTrip: force a failure at every guard the
-// method-compiled code executes, one guard per run, and demand the
-// fallback interpreter reproduces the pure interpreter's result,
-// output, and heap exactly. Tracing is kept out of reach so every
-// deopt exits method code, not a trace.
-func TestMethodDeoptRoundTrip(t *testing.T) {
-	ref, err := RunSource(deoptSrc, false, VMConfig{Name: "interp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Discovery run: collect every (method, guard) pair the method code
-	// executes. Guard IDs are only unique within one MethodCode, so the
-	// pair is the key.
-	type guardKey struct {
-		method uint32
-		id     uint64
-	}
-	var order []guardKey
-	seen := map[guardKey]bool{}
-	discover := VMConfig{
-		Name: "method-discover", JIT: true, Method: true,
-		MethodThreshold: 2, Threshold: 1 << 20,
-		ForceMethodGuardFail: func(mc *mtjit.MethodCode, id uint64) bool {
-			k := guardKey{method: mc.ID, id: id}
-			if !seen[k] {
-				seen[k] = true
-				order = append(order, k)
+			// Discovery run: collect every (code, guard) pair the tier's
+			// code executes. Guard IDs are only unique within one
+			// TierCode, so the pair is the key.
+			type guardKey struct {
+				code uint32
+				id   uint64
 			}
-			return false
-		},
-	}
-	if _, err := RunSource(deoptSrc, false, discover); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) < 5 {
-		t.Fatalf("only %d method guards executed; the loop did not run in tier-2 method code as intended", len(order))
-	}
+			var order []guardKey
+			seen := map[guardKey]bool{}
+			discover := row.cfg
+			discover.Name = row.tier.String() + "-discover"
+			discover.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+				if c.Tier != row.tier {
+					t.Errorf("guard in %s code, want %s", c.Tier, row.tier)
+				}
+				k := guardKey{code: c.ID, id: id}
+				if !seen[k] {
+					seen[k] = true
+					order = append(order, k)
+				}
+				return false
+			}
+			if _, err := RunSource(deoptSrc, false, discover); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) < 5 {
+				t.Fatalf("only %d %s guards executed; the loop did not run in the tier's code as intended", len(order), row.tier)
+			}
 
-	for _, gk := range order {
-		gk := gk
-		cfg := VMConfig{
-			Name: "method-forced", JIT: true, Method: true,
-			MethodThreshold: 2, Threshold: 1 << 20,
-			ForceMethodGuardFail: func(mc *mtjit.MethodCode, id uint64) bool {
-				return mc.ID == gk.method && id == gk.id
-			},
-		}
-		out, err := RunSource(deoptSrc, false, cfg)
-		if err != nil {
-			t.Fatalf("method guard %d/%d: %v", gk.method, gk.id, err)
-		}
-		if out.Result != ref.Result || out.Heap != ref.Heap ||
-			out.Output != ref.Output || out.Err != ref.Err {
-			t.Errorf("method guard %d/%d diverged:\n  interp: %s\n  forced: %s",
-				gk.method, gk.id, ref, out)
-		}
-		if out.Stats.MethodDeopts == 0 {
-			t.Errorf("method guard %d/%d: no deopt recorded", gk.method, gk.id)
-		}
+			for _, gk := range order {
+				cfg := row.cfg
+				cfg.Name = row.tier.String() + "-forced"
+				cfg.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+					return c.ID == gk.code && id == gk.id
+				}
+				out, err := RunSource(deoptSrc, false, cfg)
+				if err != nil {
+					t.Fatalf("%s guard %d/%d: %v", row.tier, gk.code, gk.id, err)
+				}
+				if out.Result != ref.Result || out.Heap != ref.Heap ||
+					out.Output != ref.Output || out.Err != ref.Err {
+					t.Errorf("%s guard %d/%d diverged:\n  interp: %s\n  forced: %s",
+						row.tier, gk.code, gk.id, ref, out)
+				}
+				if row.deopts(out.Stats) == 0 {
+					t.Errorf("%s guard %d/%d: no deopt recorded", row.tier, gk.code, gk.id)
+				}
+			}
+		})
 	}
 }
 

@@ -65,8 +65,8 @@ func FuzzTieredPromotion(f *testing.F) {
 			BaselineThreshold: baseT, Threshold: hotT, BridgeThreshold: bridgeT,
 		}
 		if mask != 0 {
-			tiered.ForceBaselineGuardFail = func(bc *mtjit.BaselineCode, id uint64) bool {
-				return (id+bc.EnterCount+bc.DeoptCount)&7 == mask
+			tiered.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+				return (id+c.EnterCount+c.DeoptCount)&7 == mask
 			}
 		}
 		configs := []VMConfig{{Name: "interp"}, tiered}
@@ -106,8 +106,8 @@ func FuzzAmalgamatedTiering(f *testing.F) {
 			MethodThreshold: methodT, Adaptive: adaptive,
 		}
 		if mask != 0 {
-			amalg.ForceMethodGuardFail = func(mc *mtjit.MethodCode, id uint64) bool {
-				return (id+mc.EnterCount+mc.DeoptCount)&7 == mask
+			amalg.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+				return c.Tier == mtjit.MethodTier && (id+c.EnterCount+c.DeoptCount)&7 == mask
 			}
 		}
 		configs := []VMConfig{{Name: "interp"}, amalg}

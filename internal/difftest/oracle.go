@@ -38,12 +38,10 @@ type VMConfig struct {
 	// ForceGuardFail, when set, is installed as the engine's
 	// deoptimization-testing hook (see mtjit.Engine.ForceGuardFail).
 	ForceGuardFail func(*mtjit.Trace, *mtjit.Op) bool
-	// ForceBaselineGuardFail is the tier-1 analog (see
-	// mtjit.Engine.ForceBaselineGuardFail).
-	ForceBaselineGuardFail func(*mtjit.BaselineCode, uint64) bool
-	// ForceMethodGuardFail is the tier-2 method analog (see
-	// mtjit.Engine.ForceMethodGuardFail).
-	ForceMethodGuardFail func(*mtjit.MethodCode, uint64) bool
+	// ForceTierGuardFail is the lower-tier analog (see
+	// mtjit.Engine.ForceTierGuardFail): it sees baseline and method
+	// guards alike and tells them apart by the code's Tier.
+	ForceTierGuardFail func(*mtjit.TierCode, uint64) bool
 }
 
 // hot is the aggressive threshold pair: nearly every loop gets traced
@@ -169,11 +167,8 @@ func RunSource(src string, scheme bool, cfg VMConfig) (*Outcome, error) {
 	if cfg.ForceGuardFail != nil && vm.Eng != nil {
 		vm.Eng.ForceGuardFail = cfg.ForceGuardFail
 	}
-	if cfg.ForceBaselineGuardFail != nil && vm.Eng != nil {
-		vm.Eng.ForceBaselineGuardFail = cfg.ForceBaselineGuardFail
-	}
-	if cfg.ForceMethodGuardFail != nil && vm.Eng != nil {
-		vm.Eng.ForceMethodGuardFail = cfg.ForceMethodGuardFail
+	if cfg.ForceTierGuardFail != nil && vm.Eng != nil {
+		vm.Eng.ForceTierGuardFail = cfg.ForceTierGuardFail
 	}
 
 	if scheme {

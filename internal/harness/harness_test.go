@@ -171,3 +171,28 @@ func TestWarmupBreakEven(t *testing.T) {
 			w.BreakEvenNoJIT, w.BreakEvenCPy)
 	}
 }
+
+// TestReturnInsideResidentLoopClosesSpans: a main that returns from
+// inside a loop resident in tier-1 code must still end that residency,
+// or the profiler reports the baseline span open at end of stream.
+func TestReturnInsideResidentLoopClosesSpans(t *testing.T) {
+	p := &bench.Program{Name: "early-return", Suite: "pypy", Source: `
+def main():
+    i = 0
+    while i < 1000:
+        i = i + 1
+        if i > 50:
+            return i
+`}
+	res, err := Run(p, VMPyPyTiered, Options{Threshold: 1 << 20, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Checksum != 51 || res.EngStats.BaselineEnters == 0 {
+		t.Fatalf("checksum %d, %d baseline enters: the loop did not return while resident",
+			res.Checksum, res.EngStats.BaselineEnters)
+	}
+	if err := res.Profile.Err(); err != nil {
+		t.Error(err)
+	}
+}

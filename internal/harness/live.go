@@ -72,14 +72,14 @@ type LiveRun struct {
 
 // LiveSnapshot is one immutable point-in-time view of a run.
 type LiveSnapshot struct {
-	Seq       uint64         `json:"seq"`
-	Done      bool           `json:"done"`
-	Instrs    uint64         `json:"instrs"`
-	Cycles    float64        `json:"cycles"`
-	Bytecodes uint64         `json:"bytecodes"`
-	Phases    []LivePhase    `json:"phases"`
-	Traces    []LiveTrace    `json:"traces,omitempty"`
-	Baselines []LiveBaseline `json:"baselines,omitempty"`
+	Seq       uint64      `json:"seq"`
+	Done      bool        `json:"done"`
+	Instrs    uint64      `json:"instrs"`
+	Cycles    float64     `json:"cycles"`
+	Bytecodes uint64      `json:"bytecodes"`
+	Phases    []LivePhase `json:"phases"`
+	Traces    []LiveTrace `json:"traces,omitempty"`
+	Code      []LiveCode  `json:"code,omitempty"`
 }
 
 // LivePhase is one phase's live counters. Work is the guest bytecodes
@@ -105,9 +105,11 @@ type LiveTrace struct {
 	Invalidated bool   `json:"invalidated,omitempty"`
 }
 
-// LiveBaseline is one tier-1 compilation in the live inventory.
-type LiveBaseline struct {
-	ID          uint32 `json:"id"`
+// LiveCode is one lower-tier (baseline or method) compilation in the
+// live inventory, in install order across tiers.
+type LiveCode struct {
+	Tier        string `json:"tier"` // "baseline" or "method"
+	ID          uint32 `json:"id"`   // unique within the tier
 	Label       string `json:"label"`
 	Enters      uint64 `json:"enters"`
 	Deopts      uint64 `json:"deopts"`
@@ -150,8 +152,9 @@ func (lr *LiveRun) attach() {
 	lr.m.Observe(lr)
 }
 
-// setLog hands the run its jitlog once the engine exists; trace and
-// baseline inventories appear in snapshots from the next publish on.
+// setLog hands the run its jitlog once the engine exists; the trace and
+// lower-tier code inventories appear in snapshots from the next publish
+// on.
 func (lr *LiveRun) setLog(log *jitlog.Log) {
 	if lr == nil {
 		return
@@ -251,16 +254,17 @@ func (lr *LiveRun) publish(done bool) {
 				Invalidated: t.Invalidated,
 			})
 		}
-		snap.Baselines = make([]LiveBaseline, 0, len(lr.log.Baselines))
-		for _, bc := range lr.log.Baselines {
-			snap.Baselines = append(snap.Baselines, LiveBaseline{
-				ID:          bc.ID,
-				Label:       lr.log.BaselineLabel(uint64(bc.ID)),
-				Enters:      bc.EnterCount,
-				Deopts:      bc.DeoptCount,
-				Ops:         len(bc.Ops),
-				AsmLen:      bc.AsmLen,
-				Invalidated: bc.Invalidated,
+		snap.Code = make([]LiveCode, 0, len(lr.log.Code))
+		for _, c := range lr.log.Code {
+			snap.Code = append(snap.Code, LiveCode{
+				Tier:        c.Tier.String(),
+				ID:          c.ID,
+				Label:       c.Label(),
+				Enters:      c.EnterCount,
+				Deopts:      c.DeoptCount,
+				Ops:         len(c.Ops),
+				AsmLen:      c.AsmLen,
+				Invalidated: c.Invalidated,
 			})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"metajit/internal/bench"
 	"metajit/internal/cpu"
 	"metajit/internal/jitlog"
+	"metajit/internal/mtjit"
 	"metajit/internal/profile"
 	"metajit/internal/pylang"
 	"metajit/internal/reqtrace"
@@ -81,10 +82,18 @@ func attachProfiler(mach *cpu.Machine, p *bench.Program, kind VMKind, opt Option
 	return pr, nil
 }
 
-// guestLabels names traces, tier-1 and method code objects through the
-// JIT log and AOT functions through the VM's runtime; before either
-// exists every id falls back to its numeric label.
+// guestLabels names traces and lower-tier code objects through the JIT
+// log and AOT functions through the VM's runtime; before either exists
+// every id falls back to its numeric label.
 func guestLabels(vm **pylang.VM, log **jitlog.Log) profile.Labels {
+	tier := func(t mtjit.Tier) func(uint64) string {
+		return func(id uint64) string {
+			if *log == nil {
+				return ""
+			}
+			return (*log).TierLabel(t, id)
+		}
+	}
 	return profile.Labels{
 		Trace: func(id uint64) string {
 			if *log == nil {
@@ -92,18 +101,8 @@ func guestLabels(vm **pylang.VM, log **jitlog.Log) profile.Labels {
 			}
 			return (*log).TraceLabel(id)
 		},
-		Baseline: func(id uint64) string {
-			if *log == nil {
-				return ""
-			}
-			return (*log).BaselineLabel(id)
-		},
-		Method: func(id uint64) string {
-			if *log == nil {
-				return ""
-			}
-			return (*log).MethodLabel(id)
-		},
+		Baseline: tier(mtjit.BaselineTier),
+		Method:   tier(mtjit.MethodTier),
 		AOTFunc: func(id uint64) string {
 			if *vm == nil {
 				return ""

@@ -12,25 +12,20 @@ import (
 	"metajit/internal/mtjit"
 )
 
-// Log collects trace, tier-1, and tier-2 method compile records from an
-// engine.
+// Log collects trace and lower-tier compile records from an engine.
 type Log struct {
 	Traces []*mtjit.Trace
-	// Baselines records tier-1 (baseline threaded-code) compilations in
+	// Code records lower-tier (baseline and method) compilations in
 	// install order, including later-invalidated ones.
-	Baselines []*mtjit.BaselineCode
-	// Methods records tier-2 method compilations in install order,
-	// including later-invalidated ones.
-	Methods []*mtjit.MethodCode
+	Code []*mtjit.TierCode
 
-	// Lazy ID indexes for the span-label helpers. Traces/Baselines/
-	// Methods are append-only, so the indexes extend incrementally.
+	// Lazy ID indexes for the span-label helpers. Traces and Code are
+	// append-only, so the indexes extend incrementally. Lower-tier IDs
+	// are per tier.
 	traceByID    map[uint32]*mtjit.Trace
-	baselineByID map[uint32]*mtjit.BaselineCode
-	methodByID   map[uint32]*mtjit.MethodCode
+	codeByID     [mtjit.NumTiers]map[uint32]*mtjit.TierCode
 	traceIndexed int
-	baseIndexed  int
-	methIndexed  int
+	codeIndexed  int
 }
 
 // TraceLabel returns a compact human-readable label for the trace with
@@ -56,44 +51,27 @@ func (l *Log) TraceLabel(id uint64) string {
 	return fmt.Sprintf("%s%d@c%d:p%d", kind, t.ID, t.Key.CodeID, t.Key.PC)
 }
 
-// BaselineLabel is TraceLabel's tier-1 analog ("bc1@c2:p14").
-func (l *Log) BaselineLabel(id uint64) string {
-	for ; l.baseIndexed < len(l.Baselines); l.baseIndexed++ {
-		if l.baselineByID == nil {
-			l.baselineByID = map[uint32]*mtjit.BaselineCode{}
+// TierLabel is TraceLabel's lower-tier analog: the mtjit.TierCode.Label
+// of tier t's code with the given ID, or "" when the ID is unknown.
+func (l *Log) TierLabel(t mtjit.Tier, id uint64) string {
+	for ; l.codeIndexed < len(l.Code); l.codeIndexed++ {
+		c := l.Code[l.codeIndexed]
+		if l.codeByID[c.Tier] == nil {
+			l.codeByID[c.Tier] = map[uint32]*mtjit.TierCode{}
 		}
-		bc := l.Baselines[l.baseIndexed]
-		l.baselineByID[bc.ID] = bc
+		l.codeByID[c.Tier][c.ID] = c
 	}
-	bc := l.baselineByID[uint32(id)]
-	if bc == nil {
-		return ""
+	if c := l.codeByID[t][uint32(id)]; c != nil {
+		return c.Label()
 	}
-	return fmt.Sprintf("bc%d@c%d:p%d", bc.ID, bc.Key.CodeID, bc.Key.PC)
-}
-
-// MethodLabel is TraceLabel's tier-2 method analog ("mc1@c2").
-func (l *Log) MethodLabel(id uint64) string {
-	for ; l.methIndexed < len(l.Methods); l.methIndexed++ {
-		if l.methodByID == nil {
-			l.methodByID = map[uint32]*mtjit.MethodCode{}
-		}
-		mc := l.Methods[l.methIndexed]
-		l.methodByID[mc.ID] = mc
-	}
-	mc := l.methodByID[uint32(id)]
-	if mc == nil {
-		return ""
-	}
-	return fmt.Sprintf("mc%d@c%d", mc.ID, mc.CodeID)
+	return ""
 }
 
 // Attach registers the log with an engine's compile hooks.
 func Attach(eng *mtjit.Engine) *Log {
 	l := &Log{}
 	eng.OnCompile = func(t *mtjit.Trace) { l.Traces = append(l.Traces, t) }
-	eng.OnBaselineCompile = func(bc *mtjit.BaselineCode) { l.Baselines = append(l.Baselines, bc) }
-	eng.OnMethodCompile = func(mc *mtjit.MethodCode) { l.Methods = append(l.Methods, mc) }
+	eng.OnTierCompile = func(c *mtjit.TierCode) { l.Code = append(l.Code, c) }
 	return l
 }
 
@@ -223,25 +201,17 @@ func (l *Log) AsmPerOpcode() map[mtjit.Opcode]float64 {
 	return out
 }
 
-// Dump renders tier-1 and trace records in PyPy-log style for
+// Dump renders lower-tier and trace records in PyPy-log style for
 // debugging; every record leads with its tier tag.
 func (l *Log) Dump() string {
 	var sb strings.Builder
-	for _, bc := range l.Baselines {
+	for _, c := range l.Code {
 		status := ""
-		if bc.Invalidated {
+		if c.Invalidated {
 			status = " (invalidated)"
 		}
-		fmt.Fprintf(&sb, "# tier1 baseline %d (code %d pc %d-%d) entered %d times, %d deopts, %d ops, %d asm bytes%s\n",
-			bc.ID, bc.Key.CodeID, bc.Start, bc.End, bc.EnterCount, bc.DeoptCount, len(bc.Ops), bc.AsmLen*4, status)
-	}
-	for _, mc := range l.Methods {
-		status := ""
-		if mc.Invalidated {
-			status = " (invalidated)"
-		}
-		fmt.Fprintf(&sb, "# tier2 method %d (code %d pc 0-%d) entered %d times, %d deopts, %d ops, %d asm bytes%s\n",
-			mc.ID, mc.CodeID, mc.End, mc.EnterCount, mc.DeoptCount, len(mc.Ops), mc.AsmLen*4, status)
+		fmt.Fprintf(&sb, "# tier%d %s %d (code %d pc %d-%d) entered %d times, %d deopts, %d ops, %d asm bytes%s\n",
+			c.Tier+1, c.Tier, c.ID, c.CodeID, c.Start, c.End, c.EnterCount, c.DeoptCount, len(c.Ops), c.AsmLen*4, status)
 	}
 	for _, t := range l.Traces {
 		kind := "loop"

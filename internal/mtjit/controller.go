@@ -1,12 +1,15 @@
 package mtjit
 
-// This file implements the adaptive tier controller: the replacement
-// for the static BaselineThreshold/Threshold pair. Instead of one
-// global tracing threshold, each loop header gets an effective
-// threshold derived from the engine's own observed event history —
-// trace-abort counts back promotion off, a clean tier-1 warmup slope
-// pulls it forward, and guard-failure traffic feeds the method tier's
-// hostility judgment (Engine.hostile).
+import "metajit/internal/isa"
+
+// This file implements the tier controller: the state machine every
+// loop-header crossing runs through (CountAtHeader), and its adaptive
+// mode, the replacement for the static BaselineThreshold/Threshold
+// pair. Instead of one global tracing threshold, each loop header gets
+// an effective threshold derived from the engine's own observed event
+// history — trace-abort counts back promotion off, a clean tier-1
+// warmup slope pulls it forward, and guard-failure traffic feeds the
+// method tier's hostility judgment (Engine.hostile).
 //
 // Determinism contract: every controller input is per-Engine state
 // that is itself maintained deterministically (abort counts, baseline
@@ -32,6 +35,88 @@ const (
 	// one bridge's worth of failures at the default BridgeThreshold).
 	methodGuardHostile = 24
 )
+
+// TierEvent is the driver instruction returned from a loop-header
+// crossing: which tier (if any) the header just became eligible for.
+type TierEvent uint8
+
+// Tier events.
+const (
+	// TierNone: keep interpreting (or stay resident in lower-tier code).
+	TierNone TierEvent = iota
+	// TierBaseline: the header crossed BaselineThreshold; the driver
+	// should lower the loop body and install baseline code.
+	TierBaseline
+	// TierTrace: the header crossed Threshold; the driver should begin
+	// tracing (promotion, when baseline code exists).
+	TierTrace
+	// TierMethod: the enclosing function crossed MethodThreshold and
+	// its region is trace-hostile; the driver should lower the whole
+	// function and install method code.
+	TierMethod
+)
+
+// headerCountBlock is the counter check on every loop-header crossing.
+var headerCountBlock = isa.NewBlock(isa.CC(isa.ALU, 2), isa.CC(isa.Load, 1))
+
+// CountAtHeader bumps the loop-header counter for key and reports which
+// tier the header just became eligible for. The counter check costs a
+// couple of instructions per crossing, as in RPython. With
+// BaselineThreshold == 0 (the default) this is exactly the single-tier
+// CountAndMaybeTrace behavior.
+func (e *Engine) CountAtHeader(key GreenKey) TierEvent {
+	e.S.Block(headerCountBlock)
+	if e.tracing != nil {
+		return TierNone
+	}
+	if e.blacklist[key] >= e.MaxAborts {
+		// Tracing has given up on this header; the method tier (whose
+		// whole point is trace-hostile regions) may still take it.
+		return e.maybeMethod(key)
+	}
+	e.counters[key]++
+	if e.counters[key] >= e.traceThresholdFor(key) && e.traces[key] == nil {
+		e.counters[key] = 0
+		e.recordDecision(key, TierTrace)
+		return TierTrace
+	}
+	if ev := e.maybeMethod(key); ev != TierNone {
+		return ev
+	}
+	if e.BaselineThreshold > 0 && e.counters[key] >= e.BaselineThreshold &&
+		e.liveTier(BaselineTier, key) == nil && !e.tierFailed(BaselineTier, key) &&
+		e.traces[key] == nil && e.liveTier(MethodTier, key) == nil {
+		return TierBaseline
+	}
+	return TierNone
+}
+
+// CountAndMaybeTrace bumps the loop-header counter for key and reports
+// whether the driver should begin tracing it now (single-tier wrapper
+// around CountAtHeader).
+func (e *Engine) CountAndMaybeTrace(key GreenKey) bool {
+	return e.CountAtHeader(key) == TierTrace
+}
+
+// maybeMethod accumulates function hotness for key's function and
+// reports whether the driver should method-compile it now. Hotness is
+// per function (all its loop headers pool into one counter), and the
+// decision additionally requires the region to be trace-hostile —
+// trace-friendly functions stay on the tracing pipeline.
+func (e *Engine) maybeMethod(key GreenKey) TierEvent {
+	if e.MethodThreshold <= 0 {
+		return TierNone
+	}
+	if e.liveTier(MethodTier, key) != nil || e.tierFailed(MethodTier, key) {
+		return TierNone
+	}
+	e.methodCounters[key.CodeID]++
+	if e.methodCounters[key.CodeID] >= e.MethodThreshold && e.hostile(key) {
+		e.recordDecision(key, TierMethod)
+		return TierMethod
+	}
+	return TierNone
+}
 
 // ControllerDecision is one recorded promotion decision: which header,
 // which tier, and the effective tracing threshold in force when it
@@ -71,7 +156,7 @@ func (e *Engine) traceThresholdFor(key GreenKey) int {
 		}
 		return th << uint(a)
 	}
-	if bc := e.baseline[key]; bc != nil && !bc.Invalidated &&
+	if bc := e.liveTier(BaselineTier, key); bc != nil &&
 		bc.DeoptCount == 0 && bc.EnterCount >= ctlWarmupEnters {
 		return th - th/4
 	}
@@ -89,7 +174,7 @@ func (e *Engine) traceThresholdFor(key GreenKey) int {
 // qualifies there — that is what makes a method-only configuration
 // (Threshold effectively infinite) compile every hot function.
 func (e *Engine) hostile(key GreenKey) bool {
-	if e.blacklist[key] > 0 || e.baselineFailed[key] {
+	if e.blacklist[key] > 0 || e.tierFailed(BaselineTier, key) {
 		return true
 	}
 	if e.keyGuardFails[key] >= methodGuardHostile {

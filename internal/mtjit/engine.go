@@ -23,7 +23,7 @@ type EngineStats struct {
 
 	// Tier-1 (baseline threaded-code) bookkeeping.
 	BaselinesCompiled   int
-	BaselineInvalidated int // killed by promotion or global mutation
+	BaselineInvalidated int // killed by promotion, method install or global mutation
 	BaselineEnters      uint64
 	BaselineDeopts      uint64
 
@@ -93,25 +93,15 @@ type Engine struct {
 	// bridge/blackhole exit paths at guards whose conditions hold.
 	ForceGuardFail func(*Trace, *Op) bool
 
-	// OnBaselineCompile, if set, is invoked for every installed baseline
-	// compilation (the tier-1 analog of OnCompile).
-	OnBaselineCompile func(*BaselineCode)
+	// OnTierCompile, if set, is invoked for every installed lower-tier
+	// compilation (the tier-1/tier-2 analog of OnCompile).
+	OnTierCompile func(*TierCode)
 
-	// ForceBaselineGuardFail, if set, is consulted at every generic
-	// guard executed in baseline code; returning true deoptimizes to the
-	// interpreter at the next bytecode boundary. Tier-1 analog of
-	// ForceGuardFail.
-	ForceBaselineGuardFail func(*BaselineCode, uint64) bool
-
-	// OnMethodCompile, if set, is invoked for every installed method
-	// compilation (the tier-2 analog of OnCompile).
-	OnMethodCompile func(*MethodCode)
-
-	// ForceMethodGuardFail, if set, is consulted at every generic guard
-	// executed in method code; returning true deoptimizes to the
-	// interpreter at the next bytecode boundary. Tier-2 analog of
-	// ForceGuardFail.
-	ForceMethodGuardFail func(*MethodCode, uint64) bool
+	// ForceTierGuardFail, if set, is consulted at every generic guard
+	// executed in lower-tier code; returning true deoptimizes to the
+	// interpreter at the next bytecode boundary. Lower-tier analog of
+	// ForceGuardFail; the code's Tier field tells the tiers apart.
+	ForceTierGuardFail func(*TierCode, uint64) bool
 
 	counters  map[GreenKey]int
 	blacklist map[GreenKey]int
@@ -126,24 +116,11 @@ type Engine struct {
 	// constant-folded its value (see TracingMachine.DependOnGlobal).
 	globalDeps map[string][]*Trace
 
-	// Tier-1 bookkeeping: installed baseline code by green key, headers
-	// that could not be lowered, the compile log, and global-value
-	// dependencies (baseline code embeds globals like an inline cache).
-	baseline       map[GreenKey]*BaselineCode
-	baselineFailed map[GreenKey]bool
-	allBaseline    []*BaselineCode
-	baselineDeps   map[string][]*BaselineCode
-	baselineSeq    uint32
-
-	// Tier-2 bookkeeping: installed method code by function, functions
-	// that could not be lowered, the compile log, global-value
-	// dependencies, and per-function hotness accumulation.
-	method         map[uint32]*MethodCode
-	methodFailed   map[uint32]bool
-	allMethod      []*MethodCode
-	methodDeps     map[string][]*MethodCode
+	// tiers is the lower-tier bookkeeping, one entry per Tier (tier.go).
+	tiers [NumTiers]tierState
+	// methodCounters is per-function hotness: all of a function's loop
+	// headers pool into one counter (maybeMethod).
 	methodCounters map[uint32]int
-	methodSeq      uint32
 
 	// keyGuardFails attributes trace guard failures to the loop header
 	// whose trace they fired in — the controller's per-site
@@ -322,18 +299,13 @@ func NewEngineConfig(rt *aot.Runtime, profile *CostProfile, cfg Config) *Engine 
 		guardFails:          map[uint32]int{},
 		pendingBridgeResume: map[uint32]*ResumeState{},
 		globalDeps:          map[string][]*Trace{},
-		baseline:            map[GreenKey]*BaselineCode{},
-		baselineFailed:      map[GreenKey]bool{},
-		baselineDeps:        map[string][]*BaselineCode{},
-		method:              map[uint32]*MethodCode{},
-		methodFailed:        map[uint32]bool{},
-		methodDeps:          map[string][]*MethodCode{},
 		methodCounters:      map[uint32]int{},
 		keyGuardFails:       map[GreenKey]int{},
 		jitPC:               isa.NewPCAlloc(isa.RegionJITCode),
 		bhSite:              rt.PC.Site(),
 		cmpSite:             rt.PC.Site(),
 	}
+	e.initTiers()
 	rt.H.AddRoots(e)
 	return e
 }
@@ -649,8 +621,8 @@ func (e *Engine) install(tm *TracingMachine, key GreenKey, bridge bool) *Trace {
 	if !bridge {
 		// Promotion: the loop trace supersedes any tier-1 code for the
 		// same header.
-		if bc := e.baseline[key]; bc != nil {
-			e.invalidateBaseline(bc)
+		if bc := e.liveTier(BaselineTier, key); bc != nil {
+			e.invalidateTier(bc)
 			if m := telem(); m != nil {
 				m.promotions.Inc()
 			}
@@ -681,25 +653,16 @@ func (e *Engine) assemble(t *Trace) {
 // GuardFailCount returns how often a guard has failed.
 func (e *Engine) GuardFailCount(id uint32) int { return e.guardFails[id] }
 
-// InvalidateGlobal kills every installed trace that constant-folded the
-// named global: each is marked invalidated (its guard_not_invalidated
-// ops fail from now on, deoptimizing any execution that reaches them)
-// and unlinked from the dispatch tables so it is never entered fresh.
+// InvalidateGlobal kills the lower-tier code that embeds the named
+// global's value (method code, then baseline code), then every installed
+// trace that constant-folded it: each trace is marked invalidated (its
+// guard_not_invalidated ops fail from now on, deoptimizing any execution
+// that reaches them) and unlinked from the dispatch tables so it is
+// never entered fresh.
 // The traces stay in the compile log (Traces/stats) — invalidation does
 // not rewrite history, it only stops the code from running.
 func (e *Engine) InvalidateGlobal(name string) {
-	if mcs := e.methodDeps[name]; len(mcs) > 0 {
-		delete(e.methodDeps, name)
-		for _, mc := range mcs {
-			e.invalidateMethod(mc)
-		}
-	}
-	if bcs := e.baselineDeps[name]; len(bcs) > 0 {
-		delete(e.baselineDeps, name)
-		for _, bc := range bcs {
-			e.invalidateBaseline(bc)
-		}
-	}
+	e.invalidateTierDeps(name)
 	ts := e.globalDeps[name]
 	if len(ts) == 0 {
 		return

@@ -1,6 +1,7 @@
 package mtjit
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"metajit/internal/telemetry"
@@ -17,18 +18,18 @@ type engineMetrics struct {
 	aborts              *telemetry.Counter
 	guardFails          *telemetry.Counter
 	invalidated         *telemetry.Counter
-	baselines           *telemetry.Counter
-	baselineDeopts      *telemetry.Counter
-	baselineInvalidated *telemetry.Counter
 	promotions          *telemetry.Counter
 	opsRecorded         *telemetry.Counter
 	opsRemoved          *telemetry.Counter
-	methods             *telemetry.Counter
-	methodDeopts        *telemetry.Counter
-	methodInvalidated   *telemetry.Counter
+	tiers               [NumTiers]tierMetrics
 	ctlBackoffDecisions *telemetry.Counter
 	ctlEarlyPromotions  *telemetry.Counter
 	ctlMethodDecisions  *telemetry.Counter
+}
+
+// tierMetrics is one lower tier's counters.
+type tierMetrics struct {
+	compiles, deopts, invalidated *telemetry.Counter
 }
 
 // tele holds the installed metrics; nil until InstallTelemetry. An
@@ -54,18 +55,20 @@ func InstallTelemetry(r *telemetry.Registry) {
 		aborts:              r.Counter("mtjit_trace_aborts_total", "Recordings abandoned before installation."),
 		guardFails:          r.Counter("mtjit_guard_failures_total", "Guard failures during trace execution."),
 		invalidated:         r.Counter("mtjit_invalidations_total", "Compiled code invalidated by a global mutation or a tier promotion.", "tier", "trace"),
-		baselineInvalidated: r.Counter("mtjit_invalidations_total", "Compiled code invalidated by a global mutation or a tier promotion.", "tier", "baseline"),
-		baselines:           r.Counter("mtjit_baseline_compiles_total", "Tier-1 baseline compilations installed."),
-		baselineDeopts:      r.Counter("mtjit_baseline_deopts_total", "Tier-1 generic-guard deoptimizations."),
 		promotions:          r.Counter("mtjit_baseline_promotions_total", "Loop headers promoted from tier-1 baseline code to a compiled trace."),
 		opsRecorded:         r.Counter("mtjit_trace_ops_total", "IR operations recorded into traces.", "stage", "recorded"),
 		opsRemoved:          r.Counter("mtjit_trace_ops_total", "IR operations recorded into traces.", "stage", "removed"),
-		methods:             r.Counter("mtjit_method_compiles_total", "Tier-2 method compilations installed."),
-		methodDeopts:        r.Counter("mtjit_method_deopts_total", "Tier-2 generic-guard deoptimizations."),
-		methodInvalidated:   r.Counter("mtjit_invalidations_total", "Compiled code invalidated by a global mutation or a tier promotion.", "tier", "method"),
 		ctlBackoffDecisions: r.Counter("mtjit_controller_decisions_total", "Tier-controller promotion decisions.", "kind", "trace_backoff"),
 		ctlEarlyPromotions:  r.Counter("mtjit_controller_decisions_total", "Tier-controller promotion decisions.", "kind", "trace_early"),
 		ctlMethodDecisions:  r.Counter("mtjit_controller_decisions_total", "Tier-controller promotion decisions.", "kind", "method"),
+	}
+	for t := range m.tiers {
+		name := tierTable[t].name
+		m.tiers[t] = tierMetrics{
+			compiles:    r.Counter("mtjit_"+name+"_compiles_total", fmt.Sprintf("Tier-%d %s compilations installed.", t+1, name)),
+			deopts:      r.Counter("mtjit_"+name+"_deopts_total", fmt.Sprintf("Tier-%d generic-guard deoptimizations.", t+1)),
+			invalidated: r.Counter("mtjit_invalidations_total", "Compiled code invalidated by a global mutation or a tier promotion.", "tier", name),
+		}
 	}
 	tele.Store(m)
 }

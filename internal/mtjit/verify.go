@@ -1,6 +1,9 @@
 package mtjit
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements structural well-formedness checks over installed
 // traces and over the engine's bookkeeping. The differential-testing
@@ -272,7 +275,7 @@ func (e *Engine) Validate() error {
 		if t.Invalidated {
 			return fmt.Errorf("loop table entry %v holds invalidated trace %d", key, t.ID)
 		}
-		if !installed(e.all, t) {
+		if !slices.Contains(e.all, t) {
 			return fmt.Errorf("loop table entry %v holds uninstalled trace %d", key, t.ID)
 		}
 	}
@@ -283,191 +286,106 @@ func (e *Engine) Validate() error {
 		if t.Invalidated {
 			return fmt.Errorf("bridge table entry for guard %d holds invalidated trace %d", id, t.ID)
 		}
-		if !installed(e.all, t) {
+		if !slices.Contains(e.all, t) {
 			return fmt.Errorf("bridge table entry for guard %d holds uninstalled trace %d", id, t.ID)
 		}
 	}
 	for name, ts := range e.globalDeps {
 		for _, t := range ts {
-			if !installed(e.all, t) {
+			if !slices.Contains(e.all, t) {
 				return fmt.Errorf("global dep %q holds uninstalled trace %d", name, t.ID)
 			}
 		}
 	}
-	return e.validateBaseline()
+	return e.validateTiers()
 }
 
-// validateBaseline checks tier-1 bookkeeping: stats match the compile
-// log, the dispatch table only holds valid code, promotion invalidated
-// superseded code, and per-code counters sum to the engine totals.
-func (e *Engine) validateBaseline() error {
-	st := e.stats
-	if st.BaselinesCompiled != len(e.allBaseline) {
-		return fmt.Errorf("stats.BaselinesCompiled = %d, %d baseline codes installed",
-			st.BaselinesCompiled, len(e.allBaseline))
-	}
-	invalidated := 0
-	var enters, deopts uint64
-	for _, bc := range e.allBaseline {
-		if bc.Invalidated {
-			invalidated++
+// validateTiers checks lower-tier bookkeeping, the same for every tier:
+// stats match the compile log, every compiled region is well-formed,
+// the dispatch table only holds valid installed code under its own key,
+// and per-code counters sum to the engine totals. Then the two
+// cross-tier invariants: promotion invalidated the baseline code a loop
+// trace supersedes, and a function with live method code has no live
+// baseline fragments (method install must invalidate them) — while
+// coexisting loop traces are legal (a loop trace owns its header inside
+// a method-compiled function).
+func (e *Engine) validateTiers() error {
+	for t := Tier(0); t < NumTiers; t++ {
+		spec, ts := &tierTable[t], &e.tiers[t]
+		want := ts.stats
+		if *want.compiled != len(ts.all) {
+			return fmt.Errorf("stats count %d %s compiles, %d codes installed", *want.compiled, t, len(ts.all))
 		}
-		enters += bc.EnterCount
-		deopts += bc.DeoptCount
-		if len(bc.Ops) == 0 {
-			return fmt.Errorf("baseline code %d has no ops", bc.ID)
-		}
-		if bc.AsmLen <= 0 {
-			return fmt.Errorf("baseline code %d has AsmLen %d", bc.ID, bc.AsmLen)
-		}
-		if !bc.Covers(bc.Key.PC) {
-			return fmt.Errorf("baseline code %d region [%d,%d] does not cover its header pc %d",
-				bc.ID, bc.Start, bc.End, bc.Key.PC)
-		}
-		for i := range bc.Ops {
-			if bc.Ops[i].PC < bc.Start || bc.Ops[i].PC > bc.End {
-				return fmt.Errorf("baseline code %d op %d at pc %d outside region [%d,%d]",
-					bc.ID, i, bc.Ops[i].PC, bc.Start, bc.End)
+		invalidated := 0
+		var enters, deopts uint64
+		for _, c := range ts.all {
+			if c.Invalidated {
+				invalidated++
 			}
-			if bc.Ops[i].AsmLen <= 0 {
-				return fmt.Errorf("baseline code %d op %d has AsmLen %d", bc.ID, i, bc.Ops[i].AsmLen)
+			enters += c.EnterCount
+			deopts += c.DeoptCount
+			if c.Tier != t {
+				return fmt.Errorf("%s compile log holds %s code %d", t, c.Tier, c.ID)
+			}
+			if len(c.Ops) == 0 {
+				return fmt.Errorf("%s code %d has no ops", t, c.ID)
+			}
+			if c.AsmLen <= 0 {
+				return fmt.Errorf("%s code %d has AsmLen %d", t, c.ID, c.AsmLen)
+			}
+			if !c.Covers(c.Start) {
+				return fmt.Errorf("%s code %d region [%d,%d] does not cover its entry pc", t, c.ID, c.Start, c.End)
+			}
+			if spec.key(c.Key()) != c.Key() {
+				return fmt.Errorf("%s code %d is keyed %v, not by the tier's lookup key", t, c.ID, c.Key())
+			}
+			for i := range c.Ops {
+				if !c.Covers(c.Ops[i].PC) {
+					return fmt.Errorf("%s code %d op %d at pc %d outside region [%d,%d]",
+						t, c.ID, i, c.Ops[i].PC, c.Start, c.End)
+				}
+				if c.Ops[i].AsmLen <= 0 {
+					return fmt.Errorf("%s code %d op %d has AsmLen %d", t, c.ID, i, c.Ops[i].AsmLen)
+				}
+			}
+		}
+		if invalidated != *want.invalidated {
+			return fmt.Errorf("%d %s codes marked invalidated, stats say %d", invalidated, t, *want.invalidated)
+		}
+		if enters != *want.enters {
+			return fmt.Errorf("per-code %s enter counts sum to %d, stats say %d", t, enters, *want.enters)
+		}
+		if deopts != *want.deopts {
+			return fmt.Errorf("per-code %s deopt counts sum to %d, stats say %d", t, deopts, *want.deopts)
+		}
+		for key, c := range ts.live {
+			if c.Key() != key {
+				return fmt.Errorf("%s table entry %v holds code %d keyed %v", t, key, c.ID, c.Key())
+			}
+			if c.Invalidated {
+				return fmt.Errorf("%s table entry %v holds invalidated code %d", t, key, c.ID)
+			}
+			if !slices.Contains(ts.all, c) {
+				return fmt.Errorf("%s table entry %v holds uninstalled code %d", t, key, c.ID)
+			}
+		}
+		for name, cs := range ts.deps {
+			for _, c := range cs {
+				if !slices.Contains(ts.all, c) {
+					return fmt.Errorf("%s global dep %q holds uninstalled code %d", t, name, c.ID)
+				}
 			}
 		}
 	}
-	if invalidated != st.BaselineInvalidated {
-		return fmt.Errorf("%d baseline codes marked invalidated, stats.BaselineInvalidated = %d",
-			invalidated, st.BaselineInvalidated)
-	}
-	if enters != st.BaselineEnters {
-		return fmt.Errorf("per-code enter counts sum to %d, stats.BaselineEnters = %d", enters, st.BaselineEnters)
-	}
-	if deopts != st.BaselineDeopts {
-		return fmt.Errorf("per-code deopt counts sum to %d, stats.BaselineDeopts = %d", deopts, st.BaselineDeopts)
-	}
-	for key, bc := range e.baseline {
-		if bc.Key != key {
-			return fmt.Errorf("baseline table entry %v holds code %d keyed %v", key, bc.ID, bc.Key)
-		}
-		if bc.Invalidated {
-			return fmt.Errorf("baseline table entry %v holds invalidated code %d", key, bc.ID)
-		}
-		if !baselineInstalled(e.allBaseline, bc) {
-			return fmt.Errorf("baseline table entry %v holds uninstalled code %d", key, bc.ID)
-		}
+	for key, bc := range e.tiers[BaselineTier].live {
 		if t := e.traces[key]; t != nil && !t.Invalidated {
 			return fmt.Errorf("header %v has both live baseline code %d and loop trace %d (promotion must invalidate)",
 				key, bc.ID, t.ID)
 		}
-	}
-	for name, bcs := range e.baselineDeps {
-		for _, bc := range bcs {
-			if !baselineInstalled(e.allBaseline, bc) {
-				return fmt.Errorf("baseline global dep %q holds uninstalled code %d", name, bc.ID)
-			}
-		}
-	}
-	return e.validateMethod()
-}
-
-// validateMethod checks tier-2 bookkeeping: stats match the compile
-// log, the dispatch table only holds valid code, per-code counters sum
-// to the engine totals, and the amalgamation invariant holds — a
-// function with live method code has no live baseline fragments
-// (method install must invalidate them), while coexisting loop traces
-// are legal (a loop trace owns its header inside a method-compiled
-// function).
-func (e *Engine) validateMethod() error {
-	st := e.stats
-	if st.MethodsCompiled != len(e.allMethod) {
-		return fmt.Errorf("stats.MethodsCompiled = %d, %d method codes installed",
-			st.MethodsCompiled, len(e.allMethod))
-	}
-	invalidated := 0
-	var enters, deopts uint64
-	for _, mc := range e.allMethod {
-		if mc.Invalidated {
-			invalidated++
-		}
-		enters += mc.EnterCount
-		deopts += mc.DeoptCount
-		if len(mc.Ops) == 0 {
-			return fmt.Errorf("method code %d has no ops", mc.ID)
-		}
-		if mc.AsmLen <= 0 {
-			return fmt.Errorf("method code %d has AsmLen %d", mc.ID, mc.AsmLen)
-		}
-		for i := range mc.Ops {
-			if !mc.Covers(mc.Ops[i].PC) {
-				return fmt.Errorf("method code %d op %d at pc %d outside region [0,%d]",
-					mc.ID, i, mc.Ops[i].PC, mc.End)
-			}
-			if mc.Ops[i].AsmLen <= 0 {
-				return fmt.Errorf("method code %d op %d has AsmLen %d", mc.ID, i, mc.Ops[i].AsmLen)
-			}
-		}
-	}
-	if invalidated != st.MethodInvalidated {
-		return fmt.Errorf("%d method codes marked invalidated, stats.MethodInvalidated = %d",
-			invalidated, st.MethodInvalidated)
-	}
-	if enters != st.MethodEnters {
-		return fmt.Errorf("per-code enter counts sum to %d, stats.MethodEnters = %d", enters, st.MethodEnters)
-	}
-	if deopts != st.MethodDeopts {
-		return fmt.Errorf("per-code deopt counts sum to %d, stats.MethodDeopts = %d", deopts, st.MethodDeopts)
-	}
-	for codeID, mc := range e.method {
-		if mc.CodeID != codeID {
-			return fmt.Errorf("method table entry %d holds code %d for function %d", codeID, mc.ID, mc.CodeID)
-		}
-		if mc.Invalidated {
-			return fmt.Errorf("method table entry %d holds invalidated code %d", codeID, mc.ID)
-		}
-		if !methodInstalled(e.allMethod, mc) {
-			return fmt.Errorf("method table entry %d holds uninstalled code %d", codeID, mc.ID)
-		}
-	}
-	// Amalgamation exclusivity: live method code and live baseline
-	// fragments never share a function.
-	for key, bc := range e.baseline {
-		if mc := e.method[key.CodeID]; mc != nil && !mc.Invalidated {
+		if mc := e.liveTier(MethodTier, key); mc != nil {
 			return fmt.Errorf("function %d has both live method code %d and baseline code %d (method install must invalidate)",
 				key.CodeID, mc.ID, bc.ID)
 		}
 	}
-	for name, mcs := range e.methodDeps {
-		for _, mc := range mcs {
-			if !methodInstalled(e.allMethod, mc) {
-				return fmt.Errorf("method global dep %q holds uninstalled code %d", name, mc.ID)
-			}
-		}
-	}
 	return nil
-}
-
-func methodInstalled(all []*MethodCode, mc *MethodCode) bool {
-	for _, x := range all {
-		if x == mc {
-			return true
-		}
-	}
-	return false
-}
-
-func baselineInstalled(all []*BaselineCode, bc *BaselineCode) bool {
-	for _, x := range all {
-		if x == bc {
-			return true
-		}
-	}
-	return false
-}
-
-func installed(all []*Trace, t *Trace) bool {
-	for _, x := range all {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }

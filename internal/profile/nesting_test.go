@@ -15,7 +15,11 @@ import (
 // agrees with the machine's phase at every transition, and the
 // profiler's per-phase totals equal the machine's own counters exactly.
 func TestPhaseNesting(t *testing.T) {
-	vms := []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered, harness.VMPycket}
+	// The amalgamated and adaptive kinds pin the method tier's span
+	// grammar: method compile inside a baseline span, the takeover
+	// (baseline_leave before method_enter), return while resident.
+	vms := []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered,
+		harness.VMPyPyAmalg, harness.VMPyPyAdaptive, harness.VMPycket}
 	for _, p := range bench.All() {
 		p := p
 		for _, vm := range vms {

@@ -113,9 +113,9 @@ type Event struct {
 type Labels struct {
 	// Trace labels a tier-2 trace or bridge by ID (jitlog.Log.TraceLabel).
 	Trace func(id uint64) string
-	// Baseline labels a tier-1 code object by ID (jitlog.Log.BaselineLabel).
+	// Baseline labels a tier-1 code object by ID (jitlog.Log.TierLabel).
 	Baseline func(id uint64) string
-	// Method labels a tier-2 method code object by ID (jitlog.Log.MethodLabel).
+	// Method labels a tier-2 method code object by ID (jitlog.Log.TierLabel).
 	Method func(id uint64) string
 	// AOTFunc labels an AOT-compiled function by ID.
 	AOTFunc func(id uint64) string

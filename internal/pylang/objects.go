@@ -92,20 +92,13 @@ type VM struct {
 	// started.
 	traceRoot int
 
-	// Tier-1 residency: while baseCode is non-nil the dispatch loop runs
-	// inside baseline threaded code for baseFrame, using baseMach for
-	// cost accounting. baseMach is nil unless the baseline tier is on.
-	baseMach  *mtjit.BaselineMachine
-	baseCode  *mtjit.BaselineCode
-	baseFrame *Frame
-
-	// Tier-2 residency: while methCode is non-nil the dispatch loop runs
-	// inside method-compiled code for methFrame, using methMach for cost
-	// accounting. methMach is nil unless the method tier is on. Tier-1
-	// and tier-2 residency are mutually exclusive.
-	methMach  *mtjit.MethodMachine
-	methCode  *mtjit.MethodCode
-	methFrame *Frame
+	// Lower-tier residency: while tierCode is non-nil the dispatch loop
+	// runs inside that compiled region for tierFrame, on the region's
+	// tier machine for cost accounting. tierMach[t] is nil unless tier t
+	// is on; each tier keeps its own machine (see mtjit.TierMachine).
+	tierMach  [mtjit.NumTiers]*mtjit.TierMachine
+	tierCode  *mtjit.TierCode
+	tierFrame *Frame
 
 	frames []*Frame
 	// framePool recycles popped guest frames with their Locals/Stack
@@ -275,10 +268,10 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 			vm.Eng.Opts = *cfg.Opts
 		}
 		if cfg.Baseline {
-			vm.baseMach = mtjit.NewBaselineMachine(vm.Eng)
+			vm.tierMach[mtjit.BaselineTier] = mtjit.NewTierMachine(vm.Eng, mtjit.BaselineTier)
 		}
 		if cfg.Method {
-			vm.methMach = mtjit.NewMethodMachine(vm.Eng)
+			vm.tierMach[mtjit.MethodTier] = mtjit.NewTierMachine(vm.Eng, mtjit.MethodTier)
 		}
 	}
 

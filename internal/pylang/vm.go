@@ -101,7 +101,7 @@ func (vm *VM) newFrame(code *Code, numLocals int, ctor bool) *Frame {
 // touch f afterwards. Frames that unwind through guest errors simply
 // miss the pool.
 func (vm *VM) releaseFrame(f *Frame) {
-	if f == vm.baseFrame || f == vm.methFrame {
+	if f == vm.tierFrame {
 		// Tier residency still compares against this pointer at the
 		// next dispatch; let it drop instead of risking pointer reuse.
 		return
@@ -241,8 +241,7 @@ func (vm *VM) mergePoint(f *Frame) bool {
 		return false
 	}
 	if tr := vm.Eng.LookupTrace(key); tr != nil {
-		vm.leaveBaseline()
-		vm.leaveMethod()
+		vm.leaveTier()
 		vm.runTrace(tr)
 		return true
 	}
@@ -251,8 +250,7 @@ func (vm *VM) mergePoint(f *Frame) bool {
 		// Promotion: tracing records from the interpreter; any tier
 		// residency ends here, and installing the loop trace will
 		// invalidate the superseded baseline code.
-		vm.leaveBaseline()
-		vm.leaveMethod()
+		vm.leaveTier()
 		vm.traceRoot = len(vm.frames) - 1
 		vm.tm = vm.Eng.BeginTracing(key, f, vm.snapshot)
 		vm.tm.UseUnicodeOps = vm.UnicodeStrings
@@ -260,22 +258,18 @@ func (vm *VM) mergePoint(f *Frame) bool {
 		return false
 	case mtjit.TierMethod:
 		// Amalgamation: the whole enclosing function compiles (and
-		// supersedes its baseline fragments); residency starts below.
-		vm.compileMethod(f)
+		// supersedes its baseline fragments) while any baseline
+		// residency is still open; the takeover happens below.
+		vm.compileTier(mtjit.MethodTier, f, 0, len(f.Code.Instrs)-1)
 	case mtjit.TierBaseline:
-		vm.compileBaseline(f, key)
+		vm.compileTier(mtjit.BaselineTier, f, f.PC, loopEnd(f.Code, f.PC))
 	}
-	if vm.methMach != nil && vm.methCode == nil {
-		if mc := vm.Eng.LookupMethod(f.Code.ID); mc != nil {
-			vm.leaveBaseline()
-			vm.enterMethod(mc, f)
-		}
-	}
-	if vm.baseMach != nil && vm.methCode == nil {
-		if bc := vm.Eng.LookupBaseline(key); bc != nil && bc != vm.baseCode {
-			vm.leaveBaseline()
-			vm.enterBaseline(bc, f)
-		}
+	// Residency: the engine's code for this header takes the frame
+	// unless it is already running (an inner loop's baseline code
+	// displaces the outer loop's; method code displaces baseline code).
+	if c := vm.Eng.LookupTier(key); c != nil && c != vm.tierCode {
+		vm.leaveTier()
+		vm.enterTier(c, f)
 	}
 	return false
 }
@@ -307,11 +301,8 @@ func (vm *VM) runTrace(tr *mtjit.Trace) {
 // frame at base returns, and returns that value.
 func (vm *VM) run(base int) heap.Value {
 	for {
-		if vm.methCode != nil {
-			vm.checkMethodResidency()
-		}
-		if vm.baseCode != nil {
-			vm.checkBaselineResidency()
+		if vm.tierCode != nil {
+			vm.checkResidency()
 		}
 		f := vm.frames[len(vm.frames)-1]
 		code := f.Code
@@ -334,18 +325,13 @@ func (vm *VM) run(base int) heap.Value {
 		in := code.Instrs[f.PC]
 		m := vm.m
 		site := code.Site(f.PC)
-		if vm.baseCode != nil {
-			// Resident in tier-1 code: the dispatch site is the
-			// threaded-code fragment's own address (per-fragment
-			// indirect branches predict far better than the shared
-			// switch), and guard identities reset per bytecode.
-			vm.baseMach.BeginOp(f.PC)
-			site = vm.baseCode.SitePC(f.PC)
-		} else if vm.methCode != nil {
-			// Resident in tier-2 method code: same per-fragment
-			// dispatch-site treatment, method guard identities.
-			vm.methMach.BeginOp(f.PC)
-			site = vm.methCode.SitePC(f.PC)
+		if c := vm.tierCode; c != nil {
+			// Resident in lower-tier code: the dispatch site is the
+			// compiled fragment's own address (per-fragment indirect
+			// branches predict far better than the shared switch), and
+			// guard identities reset per bytecode.
+			vm.tierMach[c.Tier].BeginOp(f.PC)
+			site = c.SitePC(f.PC)
 		}
 		m.Dispatch(site, HandlerPC(in.Op))
 		f.PC++
@@ -421,12 +407,13 @@ func (vm *VM) run(base int) heap.Value {
 				m = vm.m
 			}
 			if len(vm.frames) == base {
-				// Method code covers the whole function, return included,
-				// so residency can still be live here (baseline fragments
-				// never cover the return); end it before run() exits or
-				// the method span outlives the stream.
-				if f == vm.methFrame {
-					vm.leaveMethod()
+				// Compiled regions can cover the return (method code
+				// always does, a loop extent does when the loop body
+				// returns), so residency can still be live here; end it
+				// before run() exits or the tier's span outlives the
+				// stream and the next call runs on the tier's machine.
+				if f == vm.tierFrame {
+					vm.leaveTier()
 				}
 				vm.releaseFrame(f)
 				return res.V
