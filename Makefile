@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt allocs race bench benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs inline race bench hostprof benchmark experiments serve fuzz traces
 
 all: build
 
@@ -11,10 +11,10 @@ test:
 	$(GO) test ./...
 
 # check is the pre-merge gate: static analysis, formatting, the host
-# allocation guards, and the race-enabled tests for the packages with
-# real concurrency (the parallel experiment runner and the pintool
-# observers).
-check: vet fmt allocs race
+# allocation guards, the retire-path inlining guard, and the race-enabled
+# tests for the packages with real concurrency (the parallel experiment
+# runner and the pintool observers).
+check: vet fmt allocs inline race
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,19 @@ fmt:
 allocs:
 	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/
 
+# inline fails unless the compiler reports cpu.Machine.Ops inlined into
+# the trace executor, the interpreter machine and the heap: every emitter
+# holds the concrete *cpu.Machine so that the retire calls inline, and an
+# interface creeping back between them would show here first (DESIGN.md
+# "Executor"). go build replays the -m diagnostics from its cache.
+inline:
+	@out="$$($(GO) build -gcflags=-m ./internal/mtjit ./internal/heap ./internal/aot 2>&1)"; \
+	for f in internal/mtjit/executor.go internal/mtjit/direct.go internal/heap/heap.go; do \
+		if ! echo "$$out" | grep -q "^$$f:.*inlining call to cpu.(\*Machine).Ops"; then \
+			echo "$$f: cpu.Machine.Ops is not inlined (is the retire path behind an interface again?)"; exit 1; \
+		fi; \
+	done
+
 # Race instrumentation slows the simulator ~10x; give slow single-core
 # machines headroom beyond go test's default 10m panic. The JIT engine
 # and differential oracle are single-threaded but ride along under
@@ -48,6 +61,19 @@ race:
 # before the benchmarks start.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/cpu
+
+# hostprof profiles the simulator itself: it runs the root bench_test.go
+# benchmarks BENCH names (default BenchmarkTable1, the interpreter and JIT
+# kinds side by side) under -cpuprofile and prints the 25 hottest
+# functions — the recipe behind EXPERIMENTS.md "Where host time goes".
+# The test binary and the profile stay in .bench_build/.
+BENCH ?= BenchmarkTable1
+
+hostprof:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 3x -o .bench_build/hostprof.test \
+		-cpuprofile .bench_build/hostprof.prof .
+	$(GO) tool pprof -top -nodecount 25 .bench_build/hostprof.test .bench_build/hostprof.prof
 
 # benchmark runs one workload of the repository benchmark (BENCHMARK.json,
 # benchmark/README.md): W is interp_sweep, jit_sweep, paper_regen or

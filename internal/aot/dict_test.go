@@ -6,19 +6,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/isa"
 )
 
-func testRuntime() (*Runtime, *isa.CountingStream) {
-	var s isa.CountingStream
-	h := heap.New(&s, heap.DefaultConfig())
+// testRuntime returns a runtime and the machine it retires into; tests
+// read instruction and class counts from the machine's totals.
+func testRuntime() (*Runtime, *cpu.Machine) {
+	s := cpu.NewDefault()
+	h := heap.New(s, heap.DefaultConfig())
 	rt := NewRuntime(h)
 	rt.StrShape = h.NewShape("str", 0)
 	rt.BigShape = h.NewShape("bigint", 0)
 	rt.DictShape = h.NewShape("dict", 0)
 	rt.ListShape = h.NewShape("list", 0)
-	return rt, &s
+	return rt, s
 }
 
 func TestDictSetGetDelete(t *testing.T) {
@@ -169,22 +172,21 @@ func TestDictMatchesMapProperty(t *testing.T) {
 func TestDictEmitsProbeTraffic(t *testing.T) {
 	rt, s := testRuntime()
 	d := rt.NewDict()
-	before := s.Total()
+	before := s.TotalInstrs()
 	rt.DictSet(d, heap.IntVal(1), heap.IntVal(2))
 	rt.DictGet(d, heap.IntVal(1))
-	if s.Total() == before {
+	if s.TotalInstrs() == before {
 		t.Fatalf("dict operations emitted no instructions")
 	}
-	if s.Counts[isa.Load] == 0 {
+	if s.Total().ClassCounts[isa.Load] == 0 {
 		t.Fatalf("dict probes emitted no loads")
 	}
 }
 
 func TestDictGCIntegration(t *testing.T) {
-	var s isa.CountingStream
 	cfg := heap.DefaultConfig()
 	cfg.NurserySize = 2 << 10
-	h := heap.New(&s, cfg)
+	h := heap.New(cpu.NewDefault(), cfg)
 	rt := NewRuntime(h)
 	rt.StrShape = h.NewShape("str", 0)
 	dictShape := h.NewShape("dict", 0)

@@ -18,6 +18,7 @@ package aot
 import (
 	"fmt"
 
+	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/isa"
 )
@@ -52,7 +53,7 @@ type Func struct {
 // stream it operates on. One Runtime exists per VM instance.
 type Runtime struct {
 	H *heap.Heap
-	S isa.Stream
+	S *cpu.Machine
 
 	// Shapes the runtime must recognize; set by the guest language
 	// during VM construction.

@@ -12,9 +12,9 @@ func TestStrHashCached(t *testing.T) {
 	rt, s := testRuntime()
 	str := rt.NewStr([]byte("some moderately long string for hashing"))
 	h1 := rt.StrHash(str)
-	cost1 := s.Total()
+	cost1 := s.TotalInstrs()
 	h2 := rt.StrHash(str)
-	cost2 := s.Total() - cost1
+	cost2 := s.TotalInstrs() - cost1
 	if h1 != h2 {
 		t.Fatalf("hash not stable: %d vs %d", h1, h2)
 	}
@@ -258,7 +258,7 @@ func TestBigintWrappersMatchPure(t *testing.T) {
 	if string(rt.BigintStr(a).Bytes) != a.String() {
 		t.Errorf("BigintStr mismatch")
 	}
-	if s.Total() == 0 {
+	if s.TotalInstrs() == 0 {
 		t.Errorf("bigint wrappers emitted no cost")
 	}
 }

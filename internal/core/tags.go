@@ -78,6 +78,10 @@ const (
 	tagFirstDynamic
 )
 
+// NumBuiltinTags is the number of tag values below the dynamic range
+// (TagNone included): the size of a table indexed by built-in tag.
+const NumBuiltinTags = int(tagFirstDynamic)
+
 // GC trigger reasons, carried in the Arg of TagGCMinorStart,
 // TagGCMajorStart, and TagGCSkipped so profilers can attribute each
 // collection span to what forced it.

@@ -4,8 +4,12 @@
 package cpu
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"metajit/internal/core"
@@ -331,5 +335,116 @@ func BenchmarkMachineAnnot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Annot(core.TagDispatch, uint64(i))
+	}
+}
+
+// TestOpsBranchMatchesOpsThenBranch: the fused guard retire is Ops(ALU, n)
+// followed by Branch(pc, taken) bit for bit — every counter of every phase,
+// both cycle accumulators and the predictor — over seeded sequences with
+// n == 0 and phase switches between calls. Equality is exact: float64
+// accumulation is order-sensitive and the fused form must keep the order.
+// The sequences are many and short because the order shows where the
+// accumulators are small: adding the two costs as one sum differs in the
+// last bit within a few of these sequences, and almost never once the
+// totals are large.
+func TestOpsBranchMatchesOpsThenBranch(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	phases := []core.Phase{core.PhaseJIT, core.PhaseInterp, core.PhaseBlackhole}
+	zeros := 0
+	for seq := 0; seq < 2000; seq++ {
+		fused, split := NewDefault(), NewDefault()
+		for i := 0; i < 40; i++ {
+			if rng.Intn(7) == 0 {
+				p := phases[rng.Intn(len(phases))]
+				fused.SetPhase(p)
+				split.SetPhase(p)
+			}
+			// Another retire path in between, so the accumulators hold
+			// values whose low bits a reordering would disturb.
+			if rng.Intn(2) == 0 {
+				addr := isa.RegionHeap + uint64(rng.Intn(1<<16))*8
+				fused.Load(addr)
+				split.Load(addr)
+			}
+			n := rng.Intn(3) // a guard's compare: 0 (guard_not_invalidated), 1 or 2
+			if n == 0 {
+				zeros++
+			}
+			pc := isa.RegionJITCode + uint64(rng.Intn(64))*4
+			taken := rng.Intn(5) == 0
+			fused.OpsBranch(n, pc, taken)
+			split.Ops(isa.ALU, n)
+			split.Branch(pc, taken)
+		}
+		if fused.TotalCycles() != split.TotalCycles() || fused.TotalInstrs() != split.TotalInstrs() {
+			t.Fatalf("sequence %d: running totals diverge: %v/%d fused, %v/%d split", seq,
+				fused.TotalCycles(), fused.TotalInstrs(), split.TotalCycles(), split.TotalInstrs())
+		}
+		for _, p := range core.AllPhases() {
+			if f, s := fused.PhaseCounters(p), split.PhaseCounters(p); f != s {
+				t.Fatalf("sequence %d, phase %s:\nfused %+v\nsplit %+v", seq, p, f, s)
+			}
+		}
+		if fused.bp.history != split.bp.history || !bytes.Equal(fused.bp.table, split.bp.table) {
+			t.Fatalf("sequence %d: predictor state diverges", seq)
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("the sequences never retired a guard with n == 0")
+	}
+}
+
+// recorder is an observer that logs what it is handed under its name.
+type recorder struct {
+	name string
+	log  *[]string
+}
+
+func (r recorder) OnAnnotation(a core.Annotation, _, _ uint64) {
+	*r.log = append(*r.log, fmt.Sprintf("%s:%d", r.name, a.Tag))
+}
+
+// TestObserveRoutesByTag: an observer registered for a tag set sees
+// exactly those tags; observers of one annotation run in registration
+// order however each was registered; no tags means every annotation; and
+// registry-defined tags reach the catch-all observers, and an observer
+// registered for one.
+func TestObserveRoutesByTag(t *testing.T) {
+	m := NewDefault()
+	var log []string
+	dyn := m.Registry().Define("app.checkpoint")
+	other := m.Registry().Define("app.other")
+	if int(dyn) < core.NumBuiltinTags {
+		t.Fatalf("registry tag %d inside the built-in range", dyn)
+	}
+	m.Observe(recorder{"jit", &log}, core.TagJITEnter, core.TagJITLeave)
+	m.Observe(recorder{"all1", &log})
+	m.Observe(recorder{"disp", &log}, core.TagDispatch, core.TagJITEnter)
+	m.Observe(recorder{"dyn", &log}, dyn)
+	m.Observe(recorder{"all2", &log})
+
+	for _, tc := range []struct {
+		tag  core.Tag
+		want string
+	}{
+		{core.TagJITEnter, "jit all1 disp all2"},
+		{core.TagJITLeave, "jit all1 all2"},
+		{core.TagDispatch, "all1 disp all2"},
+		{core.TagGuardFail, "all1 all2"},
+		{dyn, "all1 dyn all2"},
+		{other, "all1 all2"},
+	} {
+		log = log[:0]
+		m.Annot(tc.tag, 1)
+		var want []string
+		for _, name := range strings.Fields(tc.want) {
+			want = append(want, fmt.Sprintf("%s:%d", name, tc.tag))
+		}
+		if !slices.Equal(log, want) {
+			t.Errorf("tag %s: observers ran %v, want %v", m.Registry().Name(tc.tag), log, want)
+		}
+	}
+	if got := m.Total().ClassCounts[isa.Nop]; got != 6 {
+		t.Errorf("%d nops retired for 6 annotations", got)
 	}
 }

@@ -82,9 +82,13 @@ func (c Counters) MPKI() float64 {
 	return float64(c.Mispredicts()) / float64(c.Instrs) * 1000
 }
 
-// Machine is the simulated core. It implements isa.Stream; all simulated
-// components of the VM stack emit into one Machine so that predictor and
-// cache state is shared across layers, exactly as on real hardware.
+// Machine is the simulated core and the instruction sink of the whole
+// stack: every simulated component (interpreters, recorder, compiled
+// traces, AOT runtime, collector, static kernels) holds the *Machine and
+// retires into it directly, so that predictor and cache state is shared
+// across layers, exactly as on real hardware. The retire methods are
+// concrete on purpose — Ops and Block inline at their call sites, which an
+// interface in between would prevent (`make inline` checks it).
 type Machine struct {
 	p Params
 
@@ -107,11 +111,19 @@ type Machine struct {
 	l1  *cache
 	l2  *cache
 
-	observers []core.Observer
-	registry  *core.Registry
+	// byTag[t] lists, in registration order, the observers that receive
+	// annotations tagged t; all lists the observers registered for every
+	// tag, which is also who receives a tag beyond the table (see Observe).
+	byTag    [][]core.Observer
+	all      []core.Observer
+	registry *core.Registry
 }
 
-var _ isa.Stream = (*Machine)(nil)
+// obsPerTag is the room each built-in tag's observer list starts with,
+// carved from one allocation: the harness's standing tools put at most two
+// observers on a tag and an attached profiler or recorder adds one each. A
+// fuller list grows on its own.
+const obsPerTag = 4
 
 // New returns a Machine with the given parameters, normalized first (see
 // Params.Normalized): invalid cache and predictor geometry is rounded to
@@ -119,6 +131,7 @@ var _ isa.Stream = (*Machine)(nil)
 func New(p Params) *Machine {
 	m := &Machine{
 		p:        p.Normalized(),
+		byTag:    make([][]core.Observer, core.NumBuiltinTags),
 		registry: core.NewRegistry(),
 	}
 	m.bp = newGShare(m.p.GShareBits, m.p.HistoryBits)
@@ -127,6 +140,10 @@ func New(p Params) *Machine {
 	m.l1 = newCache(m.p.L1Size, m.p.L1Line)
 	m.l2 = newCache(m.p.L2Size, m.p.L2Line)
 	m.cur = &m.byPhase[m.phase]
+	lists := make([]core.Observer, core.NumBuiltinTags*obsPerTag)
+	for t := range m.byTag {
+		m.byTag[t] = lists[t*obsPerTag : t*obsPerTag : (t+1)*obsPerTag]
+	}
 	return m
 }
 
@@ -140,8 +157,27 @@ func (m *Machine) Params() Params { return m.p }
 // Registry returns the machine's cross-layer tag registry.
 func (m *Machine) Registry() *core.Registry { return m.registry }
 
-// Observe registers an annotation interceptor (a "PinTool").
-func (m *Machine) Observe(o core.Observer) { m.observers = append(m.observers, o) }
+// Observe registers an annotation interceptor (a "PinTool"). With tags, o
+// receives only annotations carrying one of them; without, every
+// annotation, registry-defined tags included. Observers of one annotation
+// run in registration order, however each was registered.
+func (m *Machine) Observe(o core.Observer, tags ...core.Tag) {
+	if len(tags) == 0 {
+		m.all = append(m.all, o)
+		for t := range m.byTag {
+			m.byTag[t] = append(m.byTag[t], o)
+		}
+		return
+	}
+	for _, t := range tags {
+		for int(t) >= len(m.byTag) {
+			// A registry-defined tag: its list starts from the observers
+			// that were receiving it through m.all.
+			m.byTag = append(m.byTag, append([]core.Observer(nil), m.all...))
+		}
+		m.byTag[t] = append(m.byTag[t], o)
+	}
+}
 
 // SetPhase switches the accounting domain for subsequently retired
 // instructions. It is typically called by a phase-tracking observer in
@@ -179,7 +215,8 @@ func (m *Machine) TotalInstrs() uint64 { return m.totInstrs }
 // (may differ from the per-phase grouped sum in the last float64 bit).
 func (m *Machine) TotalCycles() float64 { return m.totCycles }
 
-// Ops implements isa.Stream.
+// Ops retires n straight-line instructions of class c. c must not be a
+// branch class.
 func (m *Machine) Ops(c isa.Class, n int) {
 	d := m.cur
 	un := uint64(n)
@@ -191,8 +228,8 @@ func (m *Machine) Ops(c isa.Class, n int) {
 	m.totCycles += cyc
 }
 
-// Block implements isa.Stream: retires a precomputed straight-line mix in
-// one dynamic call instead of one Ops call per class.
+// Block retires a precomputed straight-line mix in one call instead of
+// one Ops call per class.
 func (m *Machine) Block(b *isa.Block) {
 	d := m.cur
 	var cyc float64
@@ -206,7 +243,7 @@ func (m *Machine) Block(b *isa.Block) {
 	m.totCycles += cyc
 }
 
-// Load implements isa.Stream.
+// Load retires one load from the simulated address addr.
 func (m *Machine) Load(addr uint64) {
 	d := m.cur
 	d.Instrs++
@@ -227,9 +264,9 @@ func (m *Machine) Load(addr uint64) {
 	m.totCycles += cyc
 }
 
-// Store implements isa.Stream. Store misses are charged half the load
-// miss penalty: the store buffer hides most of the latency, but a miss
-// still occupies a fill buffer and delays retirement.
+// Store retires one store to the simulated address addr. Store misses are
+// charged half the load miss penalty: the store buffer hides most of the
+// latency, but a miss still occupies a fill buffer and delays retirement.
 func (m *Machine) Store(addr uint64) {
 	d := m.cur
 	d.Instrs++
@@ -252,7 +289,7 @@ func (m *Machine) Store(addr uint64) {
 	m.totCycles += cyc
 }
 
-// Branch implements isa.Stream.
+// Branch retires a conditional direct branch at pc with the given outcome.
 func (m *Machine) Branch(pc uint64, taken bool) {
 	d := m.cur
 	d.Instrs++
@@ -268,7 +305,34 @@ func (m *Machine) Branch(pc uint64, taken bool) {
 	m.totCycles += cyc
 }
 
-// Indirect implements isa.Stream.
+// OpsBranch retires n ALU instructions and then a conditional branch at pc
+// — a compiled guard's compare-and-branch — in one call. It is Ops(isa.ALU,
+// n) followed by Branch(pc, taken) to the bit: Cycles and the running
+// total each receive the same two additions in the same order, because
+// float64 accumulation of the non-dyadic issue costs is order-sensitive
+// and the totals feed every result.
+func (m *Machine) OpsBranch(n int, pc uint64, taken bool) {
+	d := m.cur
+	un := uint64(n)
+	d.Instrs += un + 1
+	d.ClassCounts[isa.ALU] += un
+	d.ClassCounts[isa.Branch]++
+	d.CondBr++
+	cyc := m.p.IssueCost[isa.ALU] * float64(n)
+	d.Cycles += cyc
+	m.totCycles += cyc
+	cyc = m.p.IssueCost[isa.Branch]
+	if !m.bp.predict(pc, taken) {
+		d.CondMiss++
+		cyc += m.p.MispredictPenalty
+	}
+	d.Cycles += cyc
+	m.totInstrs += un + 1
+	m.totCycles += cyc
+}
+
+// Indirect retires an indirect jump at pc to target (interpreter
+// dispatch, vtable dispatch).
 func (m *Machine) Indirect(pc, target uint64) {
 	d := m.cur
 	d.Instrs++
@@ -284,7 +348,8 @@ func (m *Machine) Indirect(pc, target uint64) {
 	m.totCycles += cyc
 }
 
-// CallDirect implements isa.Stream.
+// CallDirect retires a direct call at pc (pushes the return-address
+// stack).
 func (m *Machine) CallDirect(pc uint64) {
 	d := m.cur
 	d.Instrs++
@@ -296,7 +361,7 @@ func (m *Machine) CallDirect(pc uint64) {
 	m.ras.push(pc + 4)
 }
 
-// CallIndirect implements isa.Stream.
+// CallIndirect retires an indirect call at pc to target.
 func (m *Machine) CallIndirect(pc, target uint64) {
 	d := m.cur
 	d.Instrs++
@@ -313,7 +378,7 @@ func (m *Machine) CallIndirect(pc, target uint64) {
 	m.ras.push(pc + 4)
 }
 
-// Return implements isa.Stream.
+// Return retires a return (pops the return-address stack).
 func (m *Machine) Return() {
 	d := m.cur
 	d.Instrs++
@@ -329,9 +394,9 @@ func (m *Machine) Return() {
 	m.totCycles += cyc
 }
 
-// Annot implements isa.Stream: retires a tagged nop and dispatches it to
-// every registered observer with the machine's current instruction and
-// cycle totals.
+// Annot retires a tagged nop carrying a cross-layer annotation and hands
+// it, with the machine's current instruction and cycle totals, to the
+// observers registered for its tag.
 func (m *Machine) Annot(tag core.Tag, arg uint64) {
 	d := m.cur
 	d.Instrs++
@@ -340,13 +405,17 @@ func (m *Machine) Annot(tag core.Tag, arg uint64) {
 	d.Cycles += cyc
 	m.totInstrs++
 	m.totCycles += cyc
-	if len(m.observers) == 0 {
+	obs := m.all
+	if int(tag) < len(m.byTag) {
+		obs = m.byTag[tag]
+	}
+	if len(obs) == 0 {
 		return
 	}
 	a := core.Annotation{Tag: tag, Arg: arg}
 	instrs := m.totInstrs
 	cycles := uint64(m.totCycles)
-	for _, o := range m.observers {
+	for _, o := range obs {
 		o.OnAnnotation(a, instrs, cycles)
 	}
 }

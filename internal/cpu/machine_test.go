@@ -24,6 +24,37 @@ func TestOpsAccounting(t *testing.T) {
 	}
 }
 
+// TestEveryRetireMethodCountsItsClass: each retire method retires one
+// instruction (Ops: n) under its own class and nowhere else.
+func TestEveryRetireMethodCountsItsClass(t *testing.T) {
+	m := NewDefault()
+	m.Ops(isa.ALU, 3)
+	m.Load(0x1000)
+	m.Store(0x1008)
+	m.Branch(0x400000, true)
+	m.Branch(0x400004, false)
+	m.OpsBranch(2, 0x400008, false)
+	m.Indirect(0x400008, 0x500000)
+	m.CallDirect(0x40000c)
+	m.CallIndirect(0x400010, 0x500040)
+	m.Return()
+	m.Annot(core.TagDispatch, 1)
+
+	var want [isa.NumClasses]uint64
+	want[isa.ALU], want[isa.Load], want[isa.Store], want[isa.Branch] = 5, 1, 1, 3
+	want[isa.IndirectJump], want[isa.Call], want[isa.IndirectCall], want[isa.Ret], want[isa.Nop] = 1, 1, 1, 1, 1
+	tot := m.Total()
+	if tot.ClassCounts != want {
+		t.Errorf("class counts = %v, want %v", tot.ClassCounts, want)
+	}
+	if tot.Instrs != 15 || m.TotalInstrs() != 15 {
+		t.Errorf("Instrs = %d (running total %d), want 15", tot.Instrs, m.TotalInstrs())
+	}
+	if tot.CondBr != 3 || tot.IndBr != 2 || tot.Returns != 1 || tot.Loads != 1 || tot.Stores != 1 {
+		t.Errorf("event counts wrong: %+v", tot)
+	}
+}
+
 func TestPhaseAccountingSeparation(t *testing.T) {
 	m := NewDefault()
 	m.SetPhase(core.PhaseInterp)

@@ -1,8 +1,8 @@
 // Package cpu models the microarchitecture the paper measures with
 // performance counters: a superscalar core with branch prediction and a
 // two-level cache hierarchy. It consumes the synthetic instruction stream
-// (internal/isa.Stream) emitted by every simulated VM component and
-// produces retired-instruction counts, cycles, IPC, branch rates, and
+// (classes and blocks from internal/isa) that every simulated VM component
+// retires into its Machine and produces retired-instruction counts, cycles, IPC, branch rates, and
 // misprediction rates — globally and per framework phase — replacing the
 // paper's PAPI/perf measurements.
 package cpu

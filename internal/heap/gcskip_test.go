@@ -6,7 +6,7 @@ import (
 	"metajit/internal/core"
 )
 
-// annotCount tallies annotations by tag in a CountingStream suffix.
+// annotCount tallies annotations by tag in a suffix of testStream.Annotations.
 func annotCount(anns []core.Annotation, tag core.Tag) int {
 	n := 0
 	for _, a := range anns {

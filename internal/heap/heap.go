@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 	"metajit/internal/isa"
 )
 
@@ -98,7 +99,7 @@ type Stats struct {
 // Heap is the simulated guest heap.
 type Heap struct {
 	cfg    Config
-	stream isa.Stream
+	stream *cpu.Machine
 
 	nextAddr   uint64
 	sinceMinor uint64
@@ -124,7 +125,7 @@ type Heap struct {
 }
 
 // New returns a heap emitting allocation and collection costs into stream.
-func New(stream isa.Stream, cfg Config) *Heap {
+func New(stream *cpu.Machine, cfg Config) *Heap {
 	if cfg.NurserySize == 0 {
 		cfg = DefaultConfig()
 	}
@@ -139,8 +140,8 @@ func New(stream isa.Stream, cfg Config) *Heap {
 // Stats returns a copy of the collector statistics.
 func (h *Heap) Stats() Stats { return h.stats }
 
-// Stream returns the instruction stream the heap emits into.
-func (h *Heap) Stream() isa.Stream { return h.stream }
+// Stream returns the machine the heap retires into.
+func (h *Heap) Stream() *cpu.Machine { return h.stream }
 
 // AddRoots registers a root provider.
 func (h *Heap) AddRoots(r RootProvider) { h.roots = append(h.roots, r) }

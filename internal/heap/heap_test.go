@@ -6,16 +6,34 @@ import (
 	"testing/quick"
 
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 	"metajit/internal/isa"
 )
 
-func testHeap(debug bool) (*Heap, *isa.CountingStream) {
-	var s isa.CountingStream
+// testStream is the machine a test heap retires into together with every
+// annotation it retired; class counts are the machine's totals.
+type testStream struct {
+	*cpu.Machine
+	Annotations []core.Annotation
+}
+
+func newTestStream() *testStream {
+	s := &testStream{Machine: cpu.NewDefault()}
+	s.Observe(core.ObserverFunc(func(a core.Annotation, _, _ uint64) {
+		s.Annotations = append(s.Annotations, a)
+	}))
+	return s
+}
+
+func (s *testStream) count(c isa.Class) uint64 { return s.Total().ClassCounts[c] }
+
+func testHeap(debug bool) (*Heap, *testStream) {
+	s := newTestStream()
 	cfg := DefaultConfig()
 	cfg.NurserySize = 4 << 10 // tiny nursery so tests trigger GC
 	cfg.MajorThreshold = 32 << 10
 	cfg.Debug = debug
-	return New(&s, cfg), &s
+	return New(s.Machine, cfg), s
 }
 
 func TestValueBasics(t *testing.T) {
@@ -51,8 +69,8 @@ func TestAllocAndFieldAccess(t *testing.T) {
 	if got := h.ReadField(o, 1); !got.Eq(IntVal(4)) {
 		t.Fatalf("field 1 = %v", got)
 	}
-	if s.Counts[isa.Load] < 2 || s.Counts[isa.Store] < 3 {
-		t.Errorf("accesses did not emit memory traffic: %+v", s.Counts)
+	if s.count(isa.Load) < 2 || s.count(isa.Store) < 3 {
+		t.Errorf("accesses did not emit memory traffic: %+v", s.Total().ClassCounts)
 	}
 	if o.Addr() < isa.RegionHeap {
 		t.Errorf("object address %#x outside heap region", o.Addr())
@@ -244,8 +262,7 @@ func TestGCLivenessProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		// Full-size nursery: no collection may run while the graph is
 		// under construction (roots are registered afterwards).
-		var s isa.CountingStream
-		h := New(&s, DefaultConfig())
+		h := New(cpu.NewDefault(), DefaultConfig())
 		sh := h.NewShape("n", 3)
 
 		const n = 120
@@ -358,8 +375,8 @@ func TestAppendElemAmortized(t *testing.T) {
 		}
 	}
 	// Amortized growth: far fewer reallocation copies than appends.
-	if s.Counts[isa.Store] > 3000 {
-		t.Errorf("append emitted %d stores for 500 appends; growth not amortized", s.Counts[isa.Store])
+	if s.count(isa.Store) > 3000 {
+		t.Errorf("append emitted %d stores for 500 appends; growth not amortized", s.count(isa.Store))
 	}
 	// Survives GC.
 	h.Minor()

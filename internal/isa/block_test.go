@@ -31,16 +31,3 @@ func TestNewBlockRejectsPredictedClasses(t *testing.T) {
 		}()
 	}
 }
-
-func TestCountingStreamBlock(t *testing.T) {
-	var s CountingStream
-	b := NewBlock(CC(ALU, 4), CC(Store, 2))
-	s.Block(b)
-	s.Block(b)
-	if s.Counts[ALU] != 8 || s.Counts[Store] != 4 {
-		t.Fatalf("counts = alu:%d store:%d, want 8/4", s.Counts[ALU], s.Counts[Store])
-	}
-	if s.Total() != 12 {
-		t.Fatalf("Total = %d, want 12", s.Total())
-	}
-}

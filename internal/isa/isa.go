@@ -1,6 +1,8 @@
 // Package isa defines the synthetic instruction-set architecture that every
-// layer of the simulated VM stack emits into, and that the CPU model in
-// internal/cpu consumes.
+// layer of the simulated VM stack emits and the CPU model in internal/cpu
+// retires: instruction classes, precomputed blocks, and the simulated
+// address space. There is no sink interface here — emitters hold the
+// concrete *cpu.Machine.
 //
 // The paper measures real x86 executions with Pin and performance counters.
 // This reproduction has no hardware access, so instead each component — the
@@ -12,8 +14,6 @@
 // memory addresses (for the cache model), and tagged nop instructions
 // carrying cross-layer annotations.
 package isa
-
-import "metajit/internal/core"
 
 // Class is a synthetic instruction class. The CPU model assigns issue cost
 // and hazards per class.
@@ -72,7 +72,7 @@ type ClassCount struct {
 func CC(c Class, n int) ClassCount { return ClassCount{Class: c, N: uint32(n)} }
 
 // Block is a precomputed mix of straight-line instructions retired
-// through one Stream.Block call instead of one Ops call per class. Hot
+// through one cpu.Machine.Block call instead of one Ops call per class. Hot
 // emitters (dispatch loops, guest-call overhead, trace-exit stubs) build
 // their fixed mixes once and retire them with a single dynamic call —
 // the host-side analogue of threaded code replacing switch dispatch.
@@ -88,7 +88,7 @@ type Block struct {
 
 // NewBlock builds a Block from its components, panicking on classes that
 // need per-instruction outcomes or predictor/RAS state (those must go
-// through the dedicated Stream methods).
+// through the machine's dedicated retire methods).
 func NewBlock(mix ...ClassCount) *Block {
 	b := &Block{}
 	for _, cc := range mix {
@@ -102,96 +102,4 @@ func NewBlock(mix ...ClassCount) *Block {
 		b.Total += uint64(cc.N)
 	}
 	return b
-}
-
-// Stream is the instruction sink every simulated component emits into.
-// internal/cpu.Machine is the canonical implementation; tests use
-// CountingStream.
-type Stream interface {
-	// Ops retires n straight-line instructions of class c. c must not be
-	// a branch class.
-	Ops(c Class, n int)
-	// Block retires a precomputed straight-line instruction mix in one
-	// call (see Block).
-	Block(b *Block)
-	// Load retires one load from the simulated address addr.
-	Load(addr uint64)
-	// Store retires one store to the simulated address addr.
-	Store(addr uint64)
-	// Branch retires a conditional direct branch at pc with the given
-	// outcome.
-	Branch(pc uint64, taken bool)
-	// Indirect retires an indirect jump at pc to target (interpreter
-	// dispatch, vtable dispatch).
-	Indirect(pc, target uint64)
-	// CallDirect retires a direct call at pc (pushes the return-address
-	// stack).
-	CallDirect(pc uint64)
-	// CallIndirect retires an indirect call at pc to target.
-	CallIndirect(pc, target uint64)
-	// Return retires a return (pops the return-address stack).
-	Return()
-	// Annot retires a tagged nop carrying a cross-layer annotation.
-	Annot(tag core.Tag, arg uint64)
-}
-
-// CountingStream is a minimal Stream that tallies instruction classes and
-// records annotations; used in unit tests and by cost-model calibration.
-type CountingStream struct {
-	Counts      [NumClasses]uint64
-	Taken       uint64
-	Annotations []core.Annotation
-}
-
-var _ Stream = (*CountingStream)(nil)
-
-// Total returns the total number of retired instructions.
-func (s *CountingStream) Total() uint64 {
-	var t uint64
-	for _, c := range s.Counts {
-		t += c
-	}
-	return t
-}
-
-// Ops implements Stream.
-func (s *CountingStream) Ops(c Class, n int) { s.Counts[c] += uint64(n) }
-
-// Block implements Stream.
-func (s *CountingStream) Block(b *Block) {
-	for _, cc := range b.Mix {
-		s.Counts[cc.Class] += uint64(cc.N)
-	}
-}
-
-// Load implements Stream.
-func (s *CountingStream) Load(addr uint64) { s.Counts[Load]++ }
-
-// Store implements Stream.
-func (s *CountingStream) Store(addr uint64) { s.Counts[Store]++ }
-
-// Branch implements Stream.
-func (s *CountingStream) Branch(pc uint64, taken bool) {
-	s.Counts[Branch]++
-	if taken {
-		s.Taken++
-	}
-}
-
-// Indirect implements Stream.
-func (s *CountingStream) Indirect(pc, target uint64) { s.Counts[IndirectJump]++ }
-
-// CallDirect implements Stream.
-func (s *CountingStream) CallDirect(pc uint64) { s.Counts[Call]++ }
-
-// CallIndirect implements Stream.
-func (s *CountingStream) CallIndirect(pc, target uint64) { s.Counts[IndirectCall]++ }
-
-// Return implements Stream.
-func (s *CountingStream) Return() { s.Counts[Ret]++ }
-
-// Annot implements Stream.
-func (s *CountingStream) Annot(tag core.Tag, arg uint64) {
-	s.Counts[Nop]++
-	s.Annotations = append(s.Annotations, core.Annotation{Tag: tag, Arg: arg})
 }

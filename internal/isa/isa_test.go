@@ -1,10 +1,6 @@
 package isa
 
-import (
-	"testing"
-
-	"metajit/internal/core"
-)
+import "testing"
 
 func TestClassString(t *testing.T) {
 	if ALU.String() != "alu" || IndirectJump.String() != "ijump" {
@@ -26,33 +22,6 @@ func TestIsBranch(t *testing.T) {
 		if c.IsBranch() {
 			t.Errorf("%s should not be a branch", c)
 		}
-	}
-}
-
-func TestCountingStream(t *testing.T) {
-	var s CountingStream
-	s.Ops(ALU, 3)
-	s.Load(0x1000)
-	s.Store(0x1008)
-	s.Branch(0x400000, true)
-	s.Branch(0x400004, false)
-	s.Indirect(0x400008, 0x500000)
-	s.CallDirect(0x40000c)
-	s.CallIndirect(0x400010, 0x500040)
-	s.Return()
-	s.Annot(core.TagDispatch, 1)
-
-	if s.Counts[ALU] != 3 || s.Counts[Load] != 1 || s.Counts[Store] != 1 {
-		t.Errorf("counts wrong: %+v", s.Counts)
-	}
-	if s.Counts[Branch] != 2 || s.Taken != 1 {
-		t.Errorf("branch counts wrong: %d taken %d", s.Counts[Branch], s.Taken)
-	}
-	if s.Total() != 12 {
-		t.Errorf("Total = %d, want 12", s.Total())
-	}
-	if len(s.Annotations) != 1 || s.Annotations[0].Tag != core.TagDispatch {
-		t.Errorf("annotations wrong: %+v", s.Annotations)
 	}
 }
 

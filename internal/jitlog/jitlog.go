@@ -105,8 +105,8 @@ type OpcodeFreq struct {
 func (l *Log) DynamicOpcodeHistogram() []OpcodeFreq {
 	counts := map[mtjit.Opcode]uint64{}
 	for _, t := range l.Traces {
-		for i := range t.Ops {
-			counts[t.Ops[i].Opc] += t.OpExecs[i]
+		for i, n := range t.OpExecs() {
+			counts[t.Ops[i].Opc] += n
 		}
 	}
 	out := make([]OpcodeFreq, 0, len(counts))
@@ -123,12 +123,12 @@ func (l *Log) CategoryBreakdown() map[mtjit.Category]float64 {
 	counts := map[mtjit.Category]uint64{}
 	var total uint64
 	for _, t := range l.Traces {
-		for i := range t.Ops {
+		for i, n := range t.OpExecs() {
 			if t.Ops[i].Opc == mtjit.OpLabel {
 				continue
 			}
-			counts[t.Ops[i].Opc.Cat()] += t.OpExecs[i]
-			total += t.OpExecs[i]
+			counts[t.Ops[i].Opc.Cat()] += n
+			total += n
 		}
 	}
 	out := map[mtjit.Category]float64{}
@@ -148,12 +148,12 @@ func (l *Log) HotNodeFraction(share float64) float64 {
 	var nodes []node
 	var total uint64
 	for _, t := range l.Traces {
-		for i := range t.Ops {
+		for i, n := range t.OpExecs() {
 			if t.Ops[i].Opc == mtjit.OpLabel {
 				continue
 			}
-			nodes = append(nodes, node{execs: t.OpExecs[i]})
-			total += t.OpExecs[i]
+			nodes = append(nodes, node{execs: n})
+			total += n
 		}
 	}
 	if total == 0 || len(nodes) == 0 {
@@ -175,9 +175,9 @@ func (l *Log) HotNodeFraction(share float64) float64 {
 func (l *Log) DynamicIRNodes() uint64 {
 	var n uint64
 	for _, t := range l.Traces {
-		for i := range t.Ops {
+		for i, execs := range t.OpExecs() {
 			if t.Ops[i].Opc != mtjit.OpLabel {
-				n += t.OpExecs[i]
+				n += execs
 			}
 		}
 	}
@@ -220,8 +220,8 @@ func (l *Log) Dump() string {
 		}
 		fmt.Fprintf(&sb, "# tier2 %s %d (code %d pc %d) executed %d times, %d ops, %d asm bytes\n",
 			kind, t.ID, t.Key.CodeID, t.Key.PC, t.ExecCount, len(t.Ops), t.AsmLen*4)
-		for i := range t.Ops {
-			fmt.Fprintf(&sb, "  [%6d] %s\n", t.OpExecs[i], t.Ops[i].String())
+		for i, n := range t.OpExecs() {
+			fmt.Fprintf(&sb, "  [%6d] %s\n", n, t.Ops[i].String())
 		}
 	}
 	return sb.String()

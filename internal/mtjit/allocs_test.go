@@ -41,12 +41,49 @@ func TestCallAOTDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// lopsidedLoop is branchyLoop with the arms of its branch padded to
+// `other` additions (i%3 != 0) and `third` additions (i%3 == 0): the loop
+// trace records one arm and the bridge the other, so their register files
+// differ in size by the difference.
+// slots: 0=n 1=s 2=i 3=tmp 4=tmp2
+func lopsidedLoop(id uint32, other, third int) *miniCode {
+	arm := func(first int64, n int) []miniOp {
+		ops := []miniOp{{kind: "addk", a: 1, b: 1, k: first}}
+		for len(ops) < n {
+			ops = append(ops, miniOp{kind: "addk", a: 1, b: 1, k: 0})
+		}
+		return ops
+	}
+	otherAt := 8 + third
+	join := otherAt + other
+	ops := []miniOp{
+		{kind: "loadk", a: 1, k: 0},       // 0
+		{kind: "loadk", a: 2, k: 0},       // 1
+		{kind: "lt", a: 3, b: 2, c: 0},    // 2: header
+		{kind: "jmpif", a: 3, b: 5},       // 3
+		{kind: "jmp", a: join + 2},        // 4: exit
+		{kind: "mod", a: 4, b: 2, k: 3},   // 5: tmp2 = i % 3
+		{kind: "jmpif", a: 4, b: otherAt}, // 6
+	}
+	ops = append(ops, arm(7, third)...) // 7: s += 7, padded
+	ops = append(ops, miniOp{kind: "jmp", a: join})
+	ops = append(ops, arm(1, other)...) // otherAt: s += 1, padded
+	ops = append(ops,
+		miniOp{kind: "addk", a: 2, b: 2, k: 1}, // join: i += 1
+		miniOp{kind: "jmp", a: 2},
+		miniOp{kind: "halt", a: 1})
+	return &miniCode{id: id, nRegs: 5, ops: ops, headers: map[int]bool{2: true}}
+}
+
 // TestExecuteDoesNotAllocate: entering a compiled loop, running it to the
 // guard that ends it, deoptimizing and handing the frames back costs no
 // host allocation once the engine's buffers have grown — with and without
-// a bridge transfer on the way.
+// a bridge transfer on the way, and with the bridge's register file
+// smaller and larger than the loop's (a transfer in either direction must
+// find a pooled file that fits and leave the other pooled).
 func TestExecuteDoesNotAllocate(t *testing.T) {
-	for _, code := range []*miniCode{sumLoop(), branchyLoop()} {
+	bridgeSmaller, bridgeLarger := false, false
+	for _, code := range []*miniCode{sumLoop(), branchyLoop(), lopsidedLoop(5, 8, 1), lopsidedLoop(6, 1, 8)} {
 		mach := cpu.NewDefault()
 		vm := newMiniVM(t, mach)
 		vm.eng.BridgeThreshold = 3
@@ -74,8 +111,24 @@ func TestExecuteDoesNotAllocate(t *testing.T) {
 		if after.GuardFailures-before.GuardFailures < 101 {
 			t.Errorf("code %d: the measured runs did not deoptimize", code.id)
 		}
-		if code.id == 2 && after.BridgesCompiled == 0 {
-			t.Errorf("branchy loop compiled no bridge: the transfer path was not measured")
+		if code.id == 1 {
+			continue
 		}
+		var bridge *Trace
+		for _, b := range vm.eng.Traces() {
+			if b.Bridge && b.ExecCount > 100 {
+				bridge = b
+			}
+		}
+		if bridge == nil {
+			t.Fatalf("code %d compiled no bridge that ran: the transfer path was not measured", code.id)
+		}
+		loopFile, bridgeFile := tr.regBase+tr.NumRegs, bridge.regBase+bridge.NumRegs
+		bridgeSmaller = bridgeSmaller || bridgeFile < loopFile
+		bridgeLarger = bridgeLarger || bridgeFile > loopFile
+	}
+	if !bridgeSmaller || !bridgeLarger {
+		t.Errorf("bridge register file smaller than its loop's: %v, larger: %v; both orders must be measured",
+			bridgeSmaller, bridgeLarger)
 	}
 }

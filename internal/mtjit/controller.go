@@ -177,7 +177,20 @@ func (e *Engine) hostile(key GreenKey) bool {
 	if e.blacklist[key] > 0 || e.tierFailed(BaselineTier, key) {
 		return true
 	}
-	if e.keyGuardFails[key] >= methodGuardHostile {
+	// Guard failures are attributed to the loop header whose traces they
+	// fired in (a bridge carries its loop's key). Counted when asked: this
+	// runs on a few header crossings per function, a guard fails far more
+	// often.
+	fails := 0
+	for _, t := range e.all {
+		if t.Key != key {
+			continue
+		}
+		for i := range t.Ops {
+			fails += int(t.Ops[i].Fails)
+		}
+	}
+	if fails >= methodGuardHostile {
 		return true
 	}
 	return e.Threshold > e.MethodThreshold

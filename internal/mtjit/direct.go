@@ -3,6 +3,7 @@ package mtjit
 import (
 	"metajit/internal/aot"
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/isa"
 )
@@ -14,7 +15,7 @@ import (
 type DirectMachine struct {
 	H  *heap.Heap
 	RT *aot.Runtime
-	S  isa.Stream
+	S  *cpu.Machine
 	P  *CostProfile
 
 	dispatchSeq uint64

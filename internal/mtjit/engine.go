@@ -1,10 +1,13 @@
 package mtjit
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"metajit/internal/aot"
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/isa"
 )
@@ -46,7 +49,7 @@ type EngineStats struct {
 type Engine struct {
 	RT *aot.Runtime
 	H  *heap.Heap
-	S  isa.Stream
+	S  *cpu.Machine
 
 	// Profile is the cost profile of the plain interpreter the engine
 	// falls back to.
@@ -107,10 +110,12 @@ type Engine struct {
 	blacklist map[GreenKey]int
 	traces    map[GreenKey]*Trace
 	all       []*Trace
-	bridges   map[uint32]*Trace
-
-	guardFails          map[uint32]int
-	pendingBridgeResume map[uint32]*ResumeState
+	// guards maps a GuardID to the guard op of the installed trace that
+	// carries it (nil for IDs whose guard was optimized away or whose
+	// recording aborted): where a bridge is attached and where tests and
+	// Validate find a guard's counters. The executor never reads it — a
+	// failing guard has its op in hand.
+	guards []*Op
 
 	// globalDeps maps a global name to the installed traces that
 	// constant-folded its value (see TracingMachine.DependOnGlobal).
@@ -121,11 +126,6 @@ type Engine struct {
 	// methodCounters is per-function hotness: all of a function's loop
 	// headers pool into one counter (maybeMethod).
 	methodCounters map[uint32]int
-
-	// keyGuardFails attributes trace guard failures to the loop header
-	// whose trace they fired in — the controller's per-site
-	// guard-failure-rate signal.
-	keyGuardFails map[GreenKey]int
 
 	// ctlLog records promotion decisions in the order they were made;
 	// only maintained when the method tier or the adaptive controller
@@ -141,17 +141,12 @@ type Engine struct {
 	cmpSite isa.Site
 	lastOvf bool
 
-	// activeRegs holds the live register file of every Execute in
-	// progress, innermost last, by value: Execute rewrites its own slot on
-	// a bridge or loop transfer, so Roots always scans the file in use.
-	activeRegs [][]heap.Value
-	// regsPool recycles trace register files: every loop entry from the
-	// interpreter and every bridge transfer needs one. Pooled slices are
-	// not in activeRegs and are zeroed on reuse, so they are invisible to
-	// the simulated GC. Like every buffer below it belongs to this one
-	// engine (one run), never to a sync.Pool or a global: concurrent
-	// cells share nothing.
-	regsPool [][]heap.Value
+	// active holds the live register file of every Execute in progress
+	// with the trace it belongs to, innermost last, by value: Execute
+	// rewrites its own entry on a bridge or loop transfer, so Roots always
+	// scans the file in use. Files not listed here (pooled on their trace,
+	// see Trace.getRegs) are invisible to the simulated GC.
+	active []activeFile
 	// scratch is Execute's marshalling space, one entry per nesting depth.
 	scratch []*execScratch
 	// exit, exitFrames (with each frame's Vals) and virt are what a trace
@@ -186,6 +181,13 @@ func (e *Engine) poisonExit() {
 		*fv = FrameVals{CodeID: ^uint32(0), PC: -1, NumLocals: -1, Vals: fv.Vals}
 	}
 	e.exit = ExitState{}
+}
+
+// activeFile is one register file in use and the trace whose layout it
+// has.
+type activeFile struct {
+	t    *Trace
+	regs []heap.Value
 }
 
 // execScratch is the operand marshalling space of one Execute nesting
@@ -280,74 +282,52 @@ func NewEngine(rt *aot.Runtime, profile *CostProfile) *Engine {
 func NewEngineConfig(rt *aot.Runtime, profile *CostProfile, cfg Config) *Engine {
 	cfg = cfg.normalize()
 	e := &Engine{
-		RT:                  rt,
-		H:                   rt.H,
-		S:                   rt.H.Stream(),
-		Profile:             profile,
-		Opts:                AllOpts(),
-		Threshold:           cfg.Threshold,
-		BridgeThreshold:     cfg.BridgeThreshold,
-		TraceLimit:          cfg.TraceLimit,
-		MaxAborts:           cfg.MaxAborts,
-		BaselineThreshold:   cfg.BaselineThreshold,
-		MethodThreshold:     cfg.MethodThreshold,
-		Adaptive:            cfg.Adaptive,
-		counters:            map[GreenKey]int{},
-		blacklist:           map[GreenKey]int{},
-		traces:              map[GreenKey]*Trace{},
-		bridges:             map[uint32]*Trace{},
-		guardFails:          map[uint32]int{},
-		pendingBridgeResume: map[uint32]*ResumeState{},
-		globalDeps:          map[string][]*Trace{},
-		methodCounters:      map[uint32]int{},
-		keyGuardFails:       map[GreenKey]int{},
-		jitPC:               isa.NewPCAlloc(isa.RegionJITCode),
-		bhSite:              rt.PC.Site(),
-		cmpSite:             rt.PC.Site(),
+		RT:                rt,
+		H:                 rt.H,
+		S:                 rt.H.Stream(),
+		Profile:           profile,
+		Opts:              AllOpts(),
+		Threshold:         cfg.Threshold,
+		BridgeThreshold:   cfg.BridgeThreshold,
+		TraceLimit:        cfg.TraceLimit,
+		MaxAborts:         cfg.MaxAborts,
+		BaselineThreshold: cfg.BaselineThreshold,
+		MethodThreshold:   cfg.MethodThreshold,
+		Adaptive:          cfg.Adaptive,
+		counters:          map[GreenKey]int{},
+		blacklist:         map[GreenKey]int{},
+		traces:            map[GreenKey]*Trace{},
+		globalDeps:        map[string][]*Trace{},
+		methodCounters:    map[uint32]int{},
+		jitPC:             isa.NewPCAlloc(isa.RegionJITCode),
+		bhSite:            rt.PC.Site(),
+		cmpSite:           rt.PC.Site(),
 	}
 	e.initTiers()
 	rt.H.AddRoots(e)
 	return e
 }
 
-// getRegs returns a zeroed register file of length n, reusing a pooled
-// slice when one is big enough (same semantics as make).
-func (e *Engine) getRegs(n int) []heap.Value {
-	if k := len(e.regsPool); k > 0 {
-		r := e.regsPool[k-1]
-		e.regsPool = e.regsPool[:k-1]
-		if cap(r) >= n {
-			r = r[:n]
-			for i := range r {
-				r[i] = heap.Value{}
-			}
-			return r
-		}
-	}
-	return make([]heap.Value, n)
-}
-
-// putRegs returns a register file to the pool. The caller must have
-// removed it from activeRegs (or replaced its slot) first.
-func (e *Engine) putRegs(r []heap.Value) {
-	e.regsPool = append(e.regsPool, r[:0])
-}
-
 // leaveExecute pops the innermost Execute's register file (deferred, so
 // a guest error unwinding through a residual call leaves the root set
 // consistent).
 func (e *Engine) leaveExecute() {
-	d := len(e.activeRegs) - 1
-	e.putRegs(e.activeRegs[d])
-	e.activeRegs[d] = nil
-	e.activeRegs = e.activeRegs[:d]
+	d := len(e.active) - 1
+	a := e.active[d]
+	a.t.putRegs(a.regs)
+	e.active[d] = activeFile{}
+	e.active = e.active[:d]
 }
 
 // Roots implements heap.RootProvider: live JIT register files and trace
-// constants keep objects alive.
+// constants keep objects alive. Of a register file only the registers are
+// visited, in register order; the constants below them are rooted once
+// per trace through Trace.Consts. The visit order feeds the simulated
+// collector (promotion order is address order), so it is part of the
+// results.
 func (e *Engine) Roots(visit func(*heap.Obj)) {
-	for _, regs := range e.activeRegs {
-		for _, v := range regs {
+	for _, a := range e.active {
+		for _, v := range a.regs[a.t.regBase+1:] {
 			if v.Kind == heap.KindRef && v.O != nil {
 				visit(v.O)
 			}
@@ -381,12 +361,22 @@ func (e *Engine) Tracing() *TracingMachine { return e.tracing }
 // LookupTrace returns the compiled loop trace for a green key, or nil.
 func (e *Engine) LookupTrace(key GreenKey) *Trace { return e.traces[key] }
 
-// PendingBridgeResume returns (and consumes) the resume state of a guard
-// whose failure count just crossed the bridge threshold.
-func (e *Engine) PendingBridgeResume(guardID uint32) *ResumeState {
-	r := e.pendingBridgeResume[guardID]
-	delete(e.pendingBridgeResume, guardID)
-	return r
+// guard returns the installed guard op carrying id, or nil.
+func (e *Engine) guard(id uint32) *Op {
+	if int(id) < len(e.guards) {
+		return e.guards[id]
+	}
+	return nil
+}
+
+// GuardResume returns the resume state of an installed guard (nil for an
+// unknown ID): what a driver answering ExitState.StartBridgeGuard hands to
+// BeginBridge.
+func (e *Engine) GuardResume(guardID uint32) *ResumeState {
+	if g := e.guard(guardID); g != nil {
+		return g.Resume
+	}
+	return nil
 }
 
 func (e *Engine) nextGuardID() uint32 {
@@ -546,13 +536,11 @@ func (e *Engine) finishBridgeJump(tm *TracingMachine, target *Trace, fr FrameAda
 		// Shapes disagree (stack depth changed): exit via finish
 		// instead; the interpreter will enter the loop itself.
 		tm.rec(Op{Opc: OpFinish, Resume: tm.captureResume()}, false)
-		t := e.install(tm, target.Key, true)
-		e.bridges[tm.fromGrd] = t
-		return
+	} else {
+		tm.rec(Op{Opc: OpJump, Args: args, Target: target}, false)
 	}
-	tm.rec(Op{Opc: OpJump, Args: args, Target: target}, false)
 	t := e.install(tm, target.Key, true)
-	e.bridges[tm.fromGrd] = t
+	e.guards[tm.fromGrd].Bridge = t
 }
 
 // finishCallAssembler ends a recording that reached another compiled loop:
@@ -565,7 +553,7 @@ func (e *Engine) finishCallAssembler(tm *TracingMachine, target *Trace) {
 	}, false)
 	if tm.bridge {
 		t := e.install(tm, target.Key, true)
-		e.bridges[tm.fromGrd] = t
+		e.guards[tm.fromGrd].Bridge = t
 	} else {
 		t := e.install(tm, tm.rootKey, false)
 		e.traces[tm.rootKey] = t
@@ -588,7 +576,18 @@ func (e *Engine) install(tm *TracingMachine, key GreenKey, bridge bool) *Trace {
 	recorded := len(t.Ops)
 	removed := Optimize(t, e.Opts)
 	e.assemble(t)
-	t.OpExecs = make([]uint64, len(t.Ops))
+	t.predecode()
+	if n := int(e.guardSeq) + 1; n > len(e.guards) {
+		e.guards = slices.Grow(e.guards, n-len(e.guards))[:n]
+	}
+	for i := range t.Ops {
+		if op := &t.Ops[i]; op.Opc.IsGuard() {
+			if e.guards[op.GuardID] != nil {
+				panic(fmt.Sprintf("mtjit: guard %d installed twice", op.GuardID))
+			}
+			e.guards[op.GuardID] = op
+		}
+	}
 
 	// Optimizer + assembler cost, proportional to the recorded ops
 	// (attributed to the tracing phase, as in the paper).
@@ -638,20 +637,22 @@ func (e *Engine) install(tm *TracingMachine, key GreenKey, bridge bool) *Trace {
 	return t
 }
 
-// assemble assigns the trace's simulated code region and per-op PCs.
+// assemble assigns the trace's simulated code region.
 func (e *Engine) assemble(t *Trace) {
-	t.OpPCs = make([]uint64, len(t.Ops))
-	off := uint64(0)
+	t.AsmLen = 0
 	for i := range t.Ops {
-		t.OpPCs[i] = off
-		off += uint64(t.Ops[i].Opc.AsmLen()) * 4
+		t.AsmLen += t.Ops[i].Opc.AsmLen()
 	}
-	t.AsmLen = int(off / 4)
-	t.AsmBase = e.jitPC.Take(off + 64)
+	t.AsmBase = e.jitPC.Take(uint64(t.AsmLen)*4 + 64)
 }
 
 // GuardFailCount returns how often a guard has failed.
-func (e *Engine) GuardFailCount(id uint32) int { return e.guardFails[id] }
+func (e *Engine) GuardFailCount(id uint32) int {
+	if g := e.guard(id); g != nil {
+		return int(g.Fails)
+	}
+	return 0
+}
 
 // InvalidateGlobal kills the lower-tier code that embeds the named
 // global's value (method code, then baseline code), then every installed
@@ -684,9 +685,9 @@ func (e *Engine) InvalidateGlobal(name string) {
 		if e.traces[t.Key] == t {
 			delete(e.traces, t.Key)
 		}
-		for id, b := range e.bridges {
-			if b == t {
-				delete(e.bridges, id)
+		for _, g := range e.guards {
+			if g != nil && g.Bridge == t {
+				g.Bridge = nil
 			}
 		}
 	}

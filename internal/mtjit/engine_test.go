@@ -13,7 +13,7 @@ import (
 // ---- a minimal guest interpreter exercising the full JIT pipeline ----
 
 type miniOp struct {
-	kind    string // "loadk", "add", "addvar", "lt", "mod", "jmpif", "jmp", "halt", "newpair", "pair", "call"
+	kind    string // "loadk", "loadref", "add", "addk", "lt", "mod", "jmpif", "jmp", "halt", "newpair", "pair", "call"
 	a, b, c int
 	k       int64
 }
@@ -53,6 +53,9 @@ type miniVM struct {
 	// (set by the tests that use it).
 	callFn    *aot.Func
 	callThunk func(args []heap.Value) heap.Value
+	// refConst is the object "loadref" loads: a trace constant that is a
+	// heap reference (set, and kept alive, by the test that uses it).
+	refConst *heap.Obj
 }
 
 func newMiniVM(t *testing.T, mach *cpu.Machine) *miniVM {
@@ -127,7 +130,7 @@ func (vm *miniVM) run(code *miniCode, iters int64) heap.Value {
 					vm.applyExit(exit)
 					tr = exit.Enter
 					if exit.StartBridgeGuard != 0 {
-						resume := vm.eng.PendingBridgeResume(exit.StartBridgeGuard)
+						resume := vm.eng.GuardResume(exit.StartBridgeGuard)
 						vm.tm = vm.eng.BeginBridge(exit.StartBridgeGuard, resume,
 							[]FrameAdapter{f}, vm.snapshot)
 						vm.m = vm.tm
@@ -145,6 +148,9 @@ func (vm *miniVM) run(code *miniCode, iters int64) heap.Value {
 		switch op.kind {
 		case "loadk":
 			f.slots[op.a] = m.Const(heap.IntVal(op.k))
+			f.pc++
+		case "loadref":
+			f.slots[op.a] = m.Const(heap.RefVal(vm.refConst))
 			f.pc++
 		case "add":
 			f.slots[op.a] = m.IntAdd(f.slots[op.b], f.slots[op.c])

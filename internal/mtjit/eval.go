@@ -6,8 +6,9 @@ import (
 	"metajit/internal/heap"
 )
 
-// evalPureBin evaluates a pure binary IR op on constant values. Shared by
-// the optimizer (constant folding) and the executor.
+// evalPureBin evaluates a pure binary IR op on constant values: the
+// optimizer's constant folding. The executor computes the same inline, one
+// case per opcode, and TestEveryOpcodeHasAHandler holds the two together.
 func evalPureBin(opc Opcode, a, b heap.Value) (heap.Value, bool) {
 	switch opc {
 	case OpIntAdd:

@@ -2,6 +2,7 @@ package mtjit
 
 import (
 	"fmt"
+	"math"
 
 	"metajit/internal/core"
 	"metajit/internal/heap"
@@ -54,6 +55,12 @@ var (
 // guard without an attached bridge fails (deoptimization) or the trace
 // finishes. Hot guard failures transfer into bridges without leaving
 // JIT-compiled code.
+//
+// The loop runs the predecoded form (predecode.go), one dispatch per IR
+// op: each case does the op's work and retires its instructions into the
+// machine. Retire calls are never merged across ops — Counters.Cycles is a
+// float64 accumulated in retire order with non-dyadic issue costs, so any
+// regrouping changes its rounding and every result derived from it.
 func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 	if len(t.Entry.Frames) != 1 {
 		panic("mtjit: loop trace entry must have exactly one frame")
@@ -61,9 +68,9 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 	if PoisonScratch {
 		e.poisonExit()
 	}
-	regs := e.getRegs(t.NumRegs)
-	depth := len(e.activeRegs)
-	e.activeRegs = append(e.activeRegs, regs)
+	regs := t.getRegs()
+	depth := len(e.active)
+	e.active = append(e.active, activeFile{t, regs})
 	defer e.leaveExecute()
 
 	// Scratch buffers of this nesting depth, reused across iterations and
@@ -76,17 +83,18 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 	}
 	sc := e.scratch[depth]
 
-	entry := t.Entry.Frames[0]
+	entry := &t.Entry.Frames[0]
 	if len(entry.Slots) != fr.NumSlots() {
 		panic(fmt.Sprintf("mtjit: trace %d entry expects %d slots, frame has %d",
 			t.ID, len(entry.Slots), fr.NumSlots()))
 	}
+	base := t.regBase
 	for i, ref := range entry.Slots {
-		regs[ref] = fr.ReadSlot(i)
+		regs[base+int(ref)] = fr.ReadSlot(i)
 	}
 
-	s := e.S
-	s.Annot(core.TagJITEnter, uint64(t.ID))
+	m, h := e.S, e.H
+	m.Annot(core.TagJITEnter, uint64(t.ID))
 	t.ExecCount++
 	// Work accounting is exact: a segment's bytecodes are counted when
 	// the segment completes (the loop-closing jump, finish, or
@@ -94,184 +102,323 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 	// pass actually retired (Op.BCProgress). Totals therefore agree with
 	// a pure-interpreter run bit for bit, whatever the tier mix.
 
-	cur := t
-	ops := t.Ops
-	for pc := 0; pc < len(ops); pc++ {
-		op := &ops[pc]
-		cur.OpExecs[pc]++
-		opPC := cur.AsmBase + cur.OpPCs[pc]
-
-		switch op.Opc {
+	cur, code := t, t.code
+	for pc := 0; pc < len(code); pc++ {
+		x := &code[pc]
+		var ok bool // a guard's outcome, for the shared tail below the switch
+		switch x.opc {
 		case OpLabel:
-			continue
 
 		case OpAnnot:
-			s.Annot(core.Tag(op.Aux>>32), uint64(uint32(op.Aux)))
+			m.Annot(core.Tag(x.aux>>32), uint64(uint32(x.aux)))
 
 		case OpJump:
 			// Close the loop: remap jump args onto entry slots. The
 			// completed segment (one loop iteration, or a whole bridge)
 			// retires its recorded bytecodes here.
-			s.Annot(core.TagDispatch, uint64(cur.BCLength))
-			s.Block(jumpBlock)
-			if cap(sc.jumpTmp) < len(op.Args) {
-				sc.jumpTmp = make([]heap.Value, len(op.Args))
-			}
-			tmp := sc.jumpTmp[:len(op.Args)]
-			for i, a := range op.Args {
-				tmp[i] = e.val(cur, regs, a)
-			}
+			m.Annot(core.TagDispatch, uint64(cur.BCLength))
+			m.Block(jumpBlock)
+			args := x.op.Args
 			// A jump targets the owning loop's entry label (Target is
 			// nil for self-jumps, a loop trace for bridge exits).
-			target := op.Target
-			if target == nil {
-				target = cur
-			}
-			if cur != target {
+			if target := x.op.Target; target != nil && target != cur {
 				// Bridge jumping back into a loop: switch register
 				// files.
-				regs2 := e.getRegs(target.NumRegs)
+				next, nb := target.getRegs(), target.regBase
 				for i, ref := range target.Entry.Frames[0].Slots {
-					regs2[ref] = tmp[i]
+					next[nb+int(ref)] = regs[base+int(args[i])]
 				}
-				e.putRegs(regs)
-				regs = regs2
-				e.activeRegs[depth] = regs
-				cur = target
-				ops = cur.Ops
+				cur.putRegs(regs)
+				cur, code, regs, base = target, target.code, next, nb
+				e.active[depth] = activeFile{cur, regs}
 			} else {
+				// The entry slots may be jump args themselves: move in
+				// parallel, through the scratch.
+				if cap(sc.jumpTmp) < len(args) {
+					sc.jumpTmp = make([]heap.Value, len(args))
+				}
+				tmp := sc.jumpTmp[:len(args)]
+				for i, a := range args {
+					tmp[i] = regs[base+int(a)]
+				}
 				for i, ref := range cur.Entry.Frames[0].Slots {
-					regs[ref] = tmp[i]
+					regs[base+int(ref)] = tmp[i]
 				}
 			}
 			cur.ExecCount++
-			pc = -1 // restart at ops[0]
-			continue
+			pc = -1 // restart at code[0]
 
 		case OpFinish:
 			// The recorded path ran to its end: the whole segment
 			// retired (finish resumes past the last recorded bytecode).
-			s.Annot(core.TagDispatch, uint64(cur.BCLength))
-			s.Block(finishBlock)
-			exit := e.materializeFrames(cur, op.Resume, regs, false)
-			s.Annot(core.TagJITLeave, uint64(cur.ID))
+			m.Annot(core.TagDispatch, uint64(cur.BCLength))
+			m.Block(finishBlock)
+			exit := e.materializeFrames(cur, x.op.Resume, regs, false)
+			m.Annot(core.TagJITLeave, uint64(cur.ID))
 			return exit
 
 		case OpCallAssembler:
 			// Recording ended at another loop's header, before its
 			// bytecode dispatched: the whole segment retired.
-			s.Annot(core.TagDispatch, uint64(cur.BCLength))
-			s.Block(callAsmBlock)
-			s.CallIndirect(opPC, op.Target.AsmBase)
-			exit := e.materializeFrames(cur, op.Resume, regs, false)
-			s.Annot(core.TagJITLeave, uint64(cur.ID))
-			exit.Enter = op.Target
+			m.Annot(core.TagDispatch, uint64(cur.BCLength))
+			m.Block(callAsmBlock)
+			m.CallIndirect(x.pc, x.op.Target.AsmBase)
+			exit := e.materializeFrames(cur, x.op.Resume, regs, false)
+			m.Annot(core.TagJITLeave, uint64(cur.ID))
+			exit.Enter = x.op.Target
 			return exit
 
-		case OpGuardTrue, OpGuardFalse, OpGuardValue, OpGuardClass,
-			OpGuardNonnull, OpGuardIsnull, OpGuardNoOverflow, OpGuardNotInvalidated:
-			ok := e.checkGuard(cur, op, regs)
-			if ok && e.ForceGuardFail != nil && e.ForceGuardFail(cur, op) {
-				ok = false
-			}
-			// guard_not_invalidated lowers to zero instructions (the
-			// invalidation path patches the code instead), so only the
-			// branch below is accounted for it.
-			if n := op.Opc.AsmLen() - 1; n > 0 {
-				s.Ops(isa.ALU, n)
-			}
-			s.Branch(opPC, !ok)
-			if ok {
-				continue
-			}
-			exit, newTrace, newRegs := e.guardFail(cur, op, regs)
-			if exit != nil {
-				return exit
-			}
-			// Transfer into the bridge.
-			cur = newTrace
-			ops = cur.Ops
-			e.putRegs(regs)
-			regs = newRegs
-			e.activeRegs[depth] = regs
-			pc = -1
-			continue
-
 		case OpCall, OpCallMayForce, OpCondCall:
+			op := x.op
 			if cap(sc.callArgs) < len(op.Args) {
 				sc.callArgs = make([]heap.Value, len(op.Args))
 			}
 			args := sc.callArgs[:len(op.Args)]
 			for i, a := range op.Args {
-				args[i] = e.val(cur, regs, a)
+				args[i] = regs[base+int(a)]
 			}
-			s.Annot(core.TagAOTCallEnter, uint64(op.Fn.ID))
+			m.Annot(core.TagAOTCallEnter, uint64(op.Fn.ID))
 			e.RT.CallPrologue(op.Fn, len(args))
 			res := op.Thunk(args)
 			if PoisonScratch {
 				poison(args)
 			}
 			e.RT.CallEpilogue(op.Fn)
-			s.Annot(core.TagAOTCallLeave, uint64(op.Fn.ID))
-			if op.Res != RefNone {
-				regs[op.Res] = res
+			m.Annot(core.TagAOTCallLeave, uint64(op.Fn.ID))
+			if x.res >= 0 {
+				regs[x.res] = res
 			}
 
+		// Guards evaluate their condition here and share the tail below
+		// the switch.
+		case OpGuardTrue:
+			ok = regs[x.a].Truthy()
+			goto guard
+		case OpGuardFalse:
+			ok = !regs[x.a].Truthy()
+			goto guard
+		case OpGuardValue:
+			if v := &regs[x.a]; v.Kind == heap.KindRef {
+				ok = v.O != nil && int64(v.O.UID()) == x.aux
+			} else {
+				ok = v.I == x.aux
+			}
+			goto guard
+		case OpGuardClass:
+			if v := &regs[x.a]; v.Kind == heap.KindRef {
+				ok = v.O != nil && v.O.Shape == x.shape
+			} else {
+				ok = KindShape(v.Kind) == x.shape
+			}
+			goto guard
+		case OpGuardNonnull:
+			ok = regs[x.a].Kind != heap.KindNil
+			goto guard
+		case OpGuardIsnull:
+			ok = regs[x.a].Kind == heap.KindNil
+			goto guard
+		case OpGuardNoOverflow:
+			// The paired ovf op stored its overflow flag in the engine.
+			ok = e.lastOvf == (x.aux == 1)
+			goto guard
+		case OpGuardNotInvalidated:
+			ok = !cur.Invalidated
+			goto guard
+
+		case OpGetfieldGC:
+			regs[x.res] = h.ReadField(regs[x.a].O, int(x.aux))
+		case OpSetfieldGC:
+			m.Ops(isa.ALU, 1)
+			h.WriteField(regs[x.a].O, int(x.aux), regs[x.b])
+		case OpGetarrayitemGC:
+			m.Ops(isa.ALU, 1)
+			regs[x.res] = h.ReadElem(regs[x.a].O, int(regs[x.b].I))
+		case OpSetarrayitemGC:
+			m.Ops(isa.ALU, 2)
+			h.WriteElem(regs[x.a].O, int(regs[x.b].I), regs[x.c])
+		case OpArraylenGC:
+			o := regs[x.a].O
+			m.Load(o.Addr() + 8)
+			regs[x.res] = heap.IntVal(int64(len(o.Elems)))
+		case OpStrgetitem, OpUnicodegetitem:
+			m.Ops(isa.ALU, 1)
+			regs[x.res] = heap.IntVal(int64(h.LoadByte(regs[x.a].O, int(regs[x.b].I))))
+		case OpStrlen, OpUnicodelen:
+			o := regs[x.a].O
+			m.Load(o.Addr() + 8)
+			regs[x.res] = heap.IntVal(int64(len(o.Bytes)))
+
+		case OpNewWithVtable:
+			m.Ops(isa.ALU, int(x.n))
+			regs[x.res] = heap.RefVal(h.AllocObj(x.shape, int(x.aux)))
+		case OpNewArray:
+			nf, n := unpackNewArray(x.aux)
+			m.Ops(isa.ALU, int(x.n))
+			regs[x.res] = heap.RefVal(h.AllocElems(x.shape, nf, n))
+
+		case OpIntAdd:
+			regs[x.res] = heap.IntVal(regs[x.a].I + regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntSub:
+			regs[x.res] = heap.IntVal(regs[x.a].I - regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntMul:
+			regs[x.res] = heap.IntVal(regs[x.a].I * regs[x.b].I)
+			m.Ops(isa.Mul, 1)
+		case OpIntFloorDiv:
+			regs[x.res] = heap.IntVal(floorDiv(regs[x.a].I, nonzero(x, regs[x.b].I)))
+			m.Block(divModBlock)
+		case OpIntMod:
+			regs[x.res] = heap.IntVal(floorMod(regs[x.a].I, nonzero(x, regs[x.b].I)))
+			m.Block(divModBlock)
+		case OpIntAnd:
+			regs[x.res] = heap.IntVal(regs[x.a].I & regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntOr:
+			regs[x.res] = heap.IntVal(regs[x.a].I | regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntXor:
+			regs[x.res] = heap.IntVal(regs[x.a].I ^ regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntLshift:
+			regs[x.res] = heap.IntVal(regs[x.a].I << uint(regs[x.b].I&63))
+			m.Ops(isa.ALU, 1)
+		case OpIntRshift:
+			regs[x.res] = heap.IntVal(regs[x.a].I >> uint(regs[x.b].I&63))
+			m.Ops(isa.ALU, 1)
+		case OpIntNeg:
+			regs[x.res] = heap.IntVal(-regs[x.a].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntLt:
+			regs[x.res] = heap.BoolVal(regs[x.a].I < regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntLe:
+			regs[x.res] = heap.BoolVal(regs[x.a].I <= regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntEq:
+			regs[x.res] = heap.BoolVal(regs[x.a].I == regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntNe:
+			regs[x.res] = heap.BoolVal(regs[x.a].I != regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntGt:
+			regs[x.res] = heap.BoolVal(regs[x.a].I > regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntGe:
+			regs[x.res] = heap.BoolVal(regs[x.a].I >= regs[x.b].I)
+			m.Ops(isa.ALU, 1)
+		case OpIntIsTrue:
+			regs[x.res] = heap.BoolVal(regs[x.a].I != 0)
+			m.Ops(isa.ALU, 1)
+		case OpIntAddOvf:
+			r, ovf := addOvf(regs[x.a].I, regs[x.b].I)
+			e.lastOvf = ovf
+			regs[x.res] = heap.IntVal(r)
+			m.Ops(isa.ALU, 1)
+		case OpIntSubOvf:
+			r, ovf := subOvf(regs[x.a].I, regs[x.b].I)
+			e.lastOvf = ovf
+			regs[x.res] = heap.IntVal(r)
+			m.Ops(isa.ALU, 1)
+		case OpIntMulOvf:
+			r, ovf := mulOvf(regs[x.a].I, regs[x.b].I)
+			e.lastOvf = ovf
+			regs[x.res] = heap.IntVal(r)
+			m.Block(mulOvfBlock)
+
+		case OpFloatAdd:
+			regs[x.res] = heap.FloatVal(regs[x.a].F + regs[x.b].F)
+			m.Ops(isa.FPU, 1)
+		case OpFloatSub:
+			regs[x.res] = heap.FloatVal(regs[x.a].F - regs[x.b].F)
+			m.Ops(isa.FPU, 1)
+		case OpFloatMul:
+			regs[x.res] = heap.FloatVal(regs[x.a].F * regs[x.b].F)
+			m.Ops(isa.FMul, 1)
+		case OpFloatTruediv:
+			regs[x.res] = heap.FloatVal(regs[x.a].F / regs[x.b].F)
+			m.Ops(isa.FDiv, 1)
+		case OpFloatNeg:
+			regs[x.res] = heap.FloatVal(-regs[x.a].F)
+			m.Ops(isa.FPU, 1)
+		case OpFloatAbs:
+			regs[x.res] = heap.FloatVal(math.Abs(regs[x.a].F))
+			m.Ops(isa.FPU, 1)
+		case OpFloatLt:
+			regs[x.res] = heap.BoolVal(regs[x.a].F < regs[x.b].F)
+			m.Ops(isa.FPU, 2)
+		case OpFloatLe:
+			regs[x.res] = heap.BoolVal(regs[x.a].F <= regs[x.b].F)
+			m.Ops(isa.FPU, 2)
+		case OpFloatEq:
+			regs[x.res] = heap.BoolVal(regs[x.a].F == regs[x.b].F)
+			m.Ops(isa.FPU, 2)
+		case OpFloatNe:
+			regs[x.res] = heap.BoolVal(regs[x.a].F != regs[x.b].F)
+			m.Ops(isa.FPU, 2)
+		case OpFloatGt:
+			regs[x.res] = heap.BoolVal(regs[x.a].F > regs[x.b].F)
+			m.Ops(isa.FPU, 2)
+		case OpFloatGe:
+			regs[x.res] = heap.BoolVal(regs[x.a].F >= regs[x.b].F)
+			m.Ops(isa.FPU, 2)
+		case OpCastIntToFloat:
+			regs[x.res] = heap.FloatVal(float64(regs[x.a].I))
+			m.Ops(isa.FPU, 1)
+		case OpCastFloatToInt:
+			regs[x.res] = heap.IntVal(int64(regs[x.a].F))
+			m.Ops(isa.FPU, 1)
+
+		case OpPtrEq:
+			regs[x.res] = heap.BoolVal(regs[x.a].Eq(regs[x.b]))
+			m.Ops(isa.ALU, 1)
+		case OpPtrNe:
+			regs[x.res] = heap.BoolVal(!regs[x.a].Eq(regs[x.b]))
+			m.Ops(isa.ALU, 1)
+		case OpSameAs:
+			regs[x.res] = regs[x.a]
+			m.Ops(isa.ALU, 1)
+
 		default:
-			e.execSimple(cur, op, opPC, regs)
+			panic("mtjit: cannot execute IR op " + x.opc.Name())
 		}
+		continue
+
+	guard:
+		if ok && e.ForceGuardFail != nil && e.ForceGuardFail(cur, x.op) {
+			ok = false
+		}
+		m.OpsBranch(int(x.n), x.pc, !ok)
+		if ok {
+			continue
+		}
+		exit, bridge, next := e.guardFail(cur, x.op, regs)
+		if exit != nil {
+			return exit
+		}
+		// Transfer into the bridge.
+		cur.putRegs(regs)
+		cur, code, regs, base = bridge, bridge.code, next, bridge.regBase
+		e.active[depth] = activeFile{cur, regs}
+		pc = -1
 	}
 	panic(fmt.Sprintf("mtjit: trace %d fell off the end (missing jump/finish)", cur.ID))
 }
 
-// val resolves a ref against the register file and constant table.
-func (e *Engine) val(t *Trace, regs []heap.Value, r Ref) heap.Value {
-	if r.IsConst() {
-		return t.Consts[r.ConstIndex()]
+// nonzero returns the divisor of an integer division. The recorder guards
+// every division it records, so a zero here is an optimizer bug.
+func nonzero(x *inst, d int64) int64 {
+	if d == 0 {
+		panic("mtjit: cannot execute IR op " + x.opc.Name() + ": zero divisor")
 	}
-	if r == RefUnused || r == RefNone {
-		return heap.Nil
-	}
-	return regs[r]
+	return d
 }
 
-// checkGuard evaluates a guard condition.
-func (e *Engine) checkGuard(t *Trace, op *Op, regs []heap.Value) bool {
-	switch op.Opc {
-	case OpGuardTrue:
-		return e.val(t, regs, op.A).Truthy()
-	case OpGuardFalse:
-		return !e.val(t, regs, op.A).Truthy()
-	case OpGuardValue:
-		v := e.val(t, regs, op.A)
-		if v.Kind == heap.KindRef {
-			return v.O != nil && int64(v.O.UID()) == op.Aux
-		}
-		return v.I == op.Aux
-	case OpGuardClass:
-		v := e.val(t, regs, op.A)
-		if v.Kind != heap.KindRef {
-			return KindShape(v.Kind) == op.Shape
-		}
-		return v.O != nil && v.O.Shape == op.Shape
-	case OpGuardNonnull:
-		return e.val(t, regs, op.A).Kind != heap.KindNil
-	case OpGuardIsnull:
-		return e.val(t, regs, op.A).Kind == heap.KindNil
-	case OpGuardNoOverflow:
-		// The paired ovf op stored its overflow flag in the engine.
-		return e.lastOvf == (op.Aux == 1)
-	case OpGuardNotInvalidated:
-		return !t.Invalidated
-	}
-	panic("mtjit: not a guard: " + op.Opc.Name())
-}
-
-// guardFail handles a failing guard: transfer to an attached bridge, or
-// deoptimize through the blackhole interpreter.
+// guardFail handles a failing guard: transfer to an attached bridge (the
+// bridge and its filled register file are returned; the caller releases
+// the old file), or deoptimize through the blackhole interpreter.
 func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Trace, []heap.Value) {
-	e.guardFails[op.GuardID]++
-	e.keyGuardFails[t.Key]++
+	op.Fails++
 	e.stats.GuardFailures++
 	if m := telem(); m != nil {
 		m.guardFails.Inc()
@@ -285,12 +432,11 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 		s.Annot(core.TagDispatch, uint64(op.BCProgress))
 	}
 
-	if bridge := e.bridges[op.GuardID]; bridge != nil {
+	if bridge := op.Bridge; bridge != nil {
 		s.Annot(core.TagBridgeEnter, uint64(bridge.ID))
 		// Compute the slot values of the resume state and feed them to
-		// the bridge's entry mapping; virtuals are materialized. The
-		// caller releases the old register file after the transfer.
-		newRegs := e.getRegs(bridge.NumRegs)
+		// the bridge's entry mapping; virtuals are materialized.
+		next, nb := bridge.getRegs(), bridge.regBase
 		e.materializeVirtuals(t, op.Resume, regs)
 		if len(bridge.Entry.Frames) != len(op.Resume.Frames) {
 			panic("mtjit: bridge entry does not match guard resume shape")
@@ -299,11 +445,11 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 			src := &op.Resume.Frames[fi]
 			dst := &bridge.Entry.Frames[fi]
 			for si, ref := range src.Slots {
-				newRegs[dst.Slots[si]] = e.resumeVal(t, regs, ref)
+				next[nb+int(dst.Slots[si])] = e.resumeVal(t, regs, ref)
 			}
 		}
 		bridge.ExecCount++
-		return nil, bridge, newRegs
+		return nil, bridge, next
 	}
 
 	// Deoptimize.
@@ -313,9 +459,8 @@ func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Tr
 	s.Annot(core.TagBlackholeLeave, uint64(op.GuardID))
 
 	exit.GuardID = op.GuardID
-	if e.guardFails[op.GuardID] == e.BridgeThreshold {
+	if int(op.Fails) == e.BridgeThreshold {
 		exit.StartBridgeGuard = op.GuardID
-		e.pendingBridgeResume[op.GuardID] = op.Resume
 	}
 	return exit, nil, nil
 }
@@ -354,7 +499,7 @@ func (e *Engine) resumeVal(t *Trace, regs []heap.Value, r Ref) heap.Value {
 			return heap.RefVal(e.virt[i].obj)
 		}
 	}
-	return e.val(t, regs, r)
+	return regs[t.regBase+int(r)]
 }
 
 // materializeFrames runs the blackhole interpreter: it decodes the resume
@@ -390,99 +535,4 @@ func (e *Engine) materializeFrames(t *Trace, r *ResumeState, regs []heap.Value, 
 	}
 	e.exit = ExitState{Frames: out}
 	return &e.exit
-}
-
-// execSimple executes the arithmetic/memory IR nodes.
-func (e *Engine) execSimple(t *Trace, op *Op, opPC uint64, regs []heap.Value) {
-	s := e.S
-	switch op.Opc {
-	case OpIntAddOvf:
-		a, b := e.val(t, regs, op.A), e.val(t, regs, op.B)
-		r, ovf := addOvf(a.I, b.I)
-		e.lastOvf = ovf
-		regs[op.Res] = heap.IntVal(r)
-		s.Ops(isa.ALU, 1)
-	case OpIntSubOvf:
-		a, b := e.val(t, regs, op.A), e.val(t, regs, op.B)
-		r, ovf := subOvf(a.I, b.I)
-		e.lastOvf = ovf
-		regs[op.Res] = heap.IntVal(r)
-		s.Ops(isa.ALU, 1)
-	case OpIntMulOvf:
-		a, b := e.val(t, regs, op.A), e.val(t, regs, op.B)
-		r, ovf := mulOvf(a.I, b.I)
-		e.lastOvf = ovf
-		regs[op.Res] = heap.IntVal(r)
-		s.Block(mulOvfBlock)
-
-	case OpGetfieldGC:
-		o := e.val(t, regs, op.A).O
-		regs[op.Res] = e.H.ReadField(o, int(op.Aux))
-	case OpSetfieldGC:
-		o := e.val(t, regs, op.A).O
-		s.Ops(isa.ALU, 1)
-		e.H.WriteField(o, int(op.Aux), e.val(t, regs, op.B))
-	case OpGetarrayitemGC:
-		o := e.val(t, regs, op.A).O
-		s.Ops(isa.ALU, 1)
-		regs[op.Res] = e.H.ReadElem(o, int(e.val(t, regs, op.B).I))
-	case OpSetarrayitemGC:
-		o := e.val(t, regs, op.A).O
-		s.Ops(isa.ALU, 2)
-		e.H.WriteElem(o, int(e.val(t, regs, op.B).I), e.val(t, regs, op.C))
-	case OpArraylenGC:
-		o := e.val(t, regs, op.A).O
-		s.Load(o.Addr() + 8)
-		regs[op.Res] = heap.IntVal(int64(len(o.Elems)))
-	case OpStrgetitem, OpUnicodegetitem:
-		o := e.val(t, regs, op.A).O
-		s.Ops(isa.ALU, 1)
-		regs[op.Res] = heap.IntVal(int64(e.H.LoadByte(o, int(e.val(t, regs, op.B).I))))
-	case OpStrlen, OpUnicodelen:
-		o := e.val(t, regs, op.A).O
-		s.Load(o.Addr() + 8)
-		regs[op.Res] = heap.IntVal(int64(len(o.Bytes)))
-
-	case OpNewWithVtable:
-		s.Ops(isa.ALU, op.Opc.AsmLen()-2)
-		regs[op.Res] = heap.RefVal(e.H.AllocObj(op.Shape, int(op.Aux)))
-	case OpNewArray:
-		nf, n := unpackNewArray(op.Aux)
-		s.Ops(isa.ALU, op.Opc.AsmLen()-2)
-		regs[op.Res] = heap.RefVal(e.H.AllocElems(op.Shape, nf, n))
-
-	default:
-		// Pure arithmetic.
-		a := e.val(t, regs, op.A)
-		var res heap.Value
-		var ok bool
-		if isBinary(op.Opc) {
-			res, ok = evalPureBin(op.Opc, a, e.val(t, regs, op.B))
-		} else {
-			res, ok = evalPureUn(op.Opc, a)
-		}
-		if !ok {
-			panic("mtjit: cannot execute IR op " + op.Opc.Name())
-		}
-		regs[op.Res] = res
-		switch op.Opc.Cat() {
-		case CatFloat:
-			switch op.Opc {
-			case OpFloatMul:
-				s.Ops(isa.FMul, 1)
-			case OpFloatTruediv:
-				s.Ops(isa.FDiv, 1)
-			default:
-				s.Ops(isa.FPU, op.Opc.AsmLen())
-			}
-		default:
-			if op.Opc == OpIntMul {
-				s.Ops(isa.Mul, 1)
-			} else if op.Opc == OpIntFloorDiv || op.Opc == OpIntMod {
-				s.Block(divModBlock)
-			} else {
-				s.Ops(isa.ALU, op.Opc.AsmLen())
-			}
-		}
-	}
 }

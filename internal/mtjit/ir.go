@@ -82,7 +82,6 @@ const (
 	// Allocation.
 	OpNewWithVtable
 	OpNewArray
-	OpNewstr
 
 	// Float operations.
 	OpFloatAdd
@@ -99,9 +98,6 @@ const (
 	OpFloatGe
 	OpCastIntToFloat
 	OpCastFloatToInt
-
-	// String operations.
-	OpCopystrcontent
 
 	// Pointer operations.
 	OpPtrEq
@@ -210,7 +206,6 @@ var opInfos = [NumOpcodes]opInfo{
 
 	OpNewWithVtable: {"new_with_vtable", CatNew, 6, false},
 	OpNewArray:      {"new_array", CatNew, 8, false},
-	OpNewstr:        {"newstr", CatNew, 7, false},
 
 	OpFloatAdd:       {"float_add", CatFloat, 1, true},
 	OpFloatSub:       {"float_sub", CatFloat, 1, true},
@@ -226,8 +221,6 @@ var opInfos = [NumOpcodes]opInfo{
 	OpFloatGe:        {"float_ge", CatFloat, 2, true},
 	OpCastIntToFloat: {"cast_int_to_float", CatFloat, 1, true},
 	OpCastFloatToInt: {"cast_float_to_int", CatFloat, 1, true},
-
-	OpCopystrcontent: {"copystrcontent", CatStr, 6, false},
 
 	OpPtrEq:  {"ptr_eq", CatPtr, 1, true},
 	OpPtrNe:  {"ptr_ne", CatPtr, 1, true},
@@ -283,6 +276,14 @@ type Op struct {
 	// Res is the virtual register receiving the result (RefNone for
 	// void ops).
 	Res Ref
+	// BCProgress is the number of guest bytecodes fully executed by the
+	// segment before this guard's bytecode (guards only). On a guard
+	// failure the interpreter resumes at the start of the guard's
+	// bytecode and re-counts it, so this — not BCLength — is the work
+	// the trace pass actually retired (exact work-meter accounting). It
+	// and Fails are 32-bit and placed where they fill padding: the
+	// recorder appends these structs by the thousand.
+	BCProgress int32
 	// Aux carries the field index (getfield/setfield), element count
 	// (new_array), or expected kind tag (guard_class on unboxed kinds).
 	Aux int64
@@ -300,15 +301,14 @@ type Op struct {
 	// Resume describes how to rebuild interpreter state if this guard
 	// fails.
 	Resume *ResumeState
-	// GuardID is the process-global guard identity used for failure
-	// counting and bridge attachment.
+	// GuardID is the engine-wide guard identity that annotations, bridge
+	// requests and Engine.GuardFailCount name the guard by.
 	GuardID uint32
-	// BCProgress is the number of guest bytecodes fully executed by the
-	// segment before this guard's bytecode (guards only). On a guard
-	// failure the interpreter resumes at the start of the guard's
-	// bytecode and re-counts it, so this — not BCLength — is the work
-	// the trace pass actually retired (exact work-meter accounting).
-	BCProgress int
+	// Fails counts this guard's failures and Bridge is the bridge attached
+	// to it, if any (guards only). They are the only fields the executor
+	// writes after install.
+	Fails  uint32
+	Bridge *Trace
 }
 
 // String renders the op in PyPy-log style.
@@ -394,15 +394,39 @@ type Trace struct {
 	// (work-meter accounting for the dispatch annotation).
 	BCLength int
 	// AsmBase/AsmLen locate the lowered code in the simulated JIT
-	// region; each op occupies a deterministic slot so guard branch PCs
-	// are stable. OpPCs holds each op's byte offset from AsmBase.
+	// region; the ops lie back to back from AsmBase, four bytes an
+	// instruction, so guard branch PCs are stable.
 	AsmBase uint64
 	AsmLen  int
-	OpPCs   []uint64
-	// ExecCount counts loop-header crossings (Figure 6's usage data).
+	// ExecCount counts passes over the trace: entries from the
+	// interpreter, loop-closing jumps into it and bridge transfers
+	// (Figure 6's usage data).
 	ExecCount uint64
-	// OpExecs counts op executions for IR-profile reporting.
-	OpExecs []uint64
+
+	// code is Ops lowered for the executor and regBase the register-file
+	// index of register 0 (see predecode.go); files pools the trace's
+	// register files.
+	code    []inst
+	regBase int
+	files   [][]heap.Value
+}
+
+// OpExecs returns how often each op has executed, for IR-profile
+// reporting. Nothing counts per op: a pass starts at op 0 and leaves only
+// at a failing guard or at the closing jump/finish/call_assembler, so op i
+// has run ExecCount times less the failures of the guards before it. (A
+// pass cut short by a guest error unwinding through a residual call is
+// counted as complete; such a run reports the error, not a profile.)
+func (t *Trace) OpExecs() []uint64 {
+	execs := make([]uint64, len(t.Ops))
+	n := t.ExecCount
+	for i := range t.Ops {
+		execs[i] = n
+		if t.Ops[i].Opc.IsGuard() {
+			n -= uint64(t.Ops[i].Fails)
+		}
+	}
+	return execs
 }
 
 // NewOpsCount returns the number of IR nodes excluding labels (the unit of

@@ -50,8 +50,7 @@ func passFixture() *Trace {
 		}
 	}
 	t := buildTrace(3, []heap.Value{heap.IntVal(2), heap.IntVal(3)}, ops)
-	t.OpPCs = make([]uint64, len(t.Ops))
-	t.OpExecs = make([]uint64, len(t.Ops))
+	t.predecode()
 	return t
 }
 
@@ -208,8 +207,7 @@ func TestPassAblationsPreserveSemantics(t *testing.T) {
 				t.Errorf("Optimize reported %d removed, IR shrank by %d",
 					removed, before-len(tr.Ops))
 			}
-			tr.OpPCs = make([]uint64, len(tr.Ops))
-			tr.OpExecs = make([]uint64, len(tr.Ops))
+			tr.predecode()
 			if err := ValidateTrace(tr); err != nil {
 				t.Errorf("optimized trace is malformed: %v", err)
 			}

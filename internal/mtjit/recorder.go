@@ -179,9 +179,7 @@ func (m *TracingMachine) captureResume() *ResumeState {
 func (m *TracingMachine) guard(op Op) {
 	op.Resume = m.captureResume()
 	op.GuardID = m.eng.nextGuardID()
-	if op.BCProgress = m.bcCount - 1; op.BCProgress < 0 {
-		op.BCProgress = 0
-	}
+	op.BCProgress = int32(max(m.bcCount-1, 0))
 	m.rec(op, false)
 	// Snapshot capture cost (resume-data construction).
 	n := 0

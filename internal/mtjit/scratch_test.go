@@ -10,29 +10,34 @@ import (
 
 // probeLoop is branchyLoop with a pair allocated and handed to a residual
 // call on every iteration, after the branch joins — so the call runs in
-// the loop trace, in the bridge, and after the bridge jumps back.
-// slots: 0=n 1=s 2=i 3=tmp 4=tmp2 5=p
+// the loop trace, in the bridge, and after the bridge jumps back. The
+// pair's second field is a constant heap reference, loaded into a slot
+// that holds an integer again before the loop closes: the object is a
+// constant of every trace and never a loop-carried register.
+// slots: 0=n 1=s 2=i 3=tmp 4=tmp2 5=p 6=k
 func probeLoop() *miniCode {
 	return &miniCode{
 		id:    4,
-		nRegs: 6,
+		nRegs: 7,
 		ops: []miniOp{
 			{kind: "loadk", a: 1, k: 0},      // 0
 			{kind: "loadk", a: 2, k: 0},      // 1
 			{kind: "lt", a: 3, b: 2, c: 0},   // 2: header
 			{kind: "jmpif", a: 3, b: 5},      // 3
-			{kind: "jmp", a: 15},             // 4: exit
+			{kind: "jmp", a: 17},             // 4: exit
 			{kind: "mod", a: 4, b: 2, k: 3},  // 5: tmp2 = i % 3
 			{kind: "jmpif", a: 4, b: 9},      // 6
 			{kind: "addk", a: 1, b: 1, k: 7}, // 7: s += 7
 			{kind: "jmp", a: 10},             // 8
 			{kind: "addk", a: 1, b: 1, k: 1}, // 9: s += 1
-			{kind: "pair", a: 5, b: 2, c: 1}, // 10: p = pair(i, s)
-			{kind: "call", a: 3, b: 5},       // 11: tmp = probe(p)
-			{kind: "add", a: 1, b: 1, c: 3},  // 12: s += tmp
-			{kind: "addk", a: 2, b: 2, k: 1}, // 13: i += 1
-			{kind: "jmp", a: 2},              // 14
-			{kind: "halt", a: 1},             // 15
+			{kind: "loadref", a: 6},          // 10: k = the constant object
+			{kind: "pair", a: 5, b: 2, c: 6}, // 11: p = pair(i, k)
+			{kind: "loadk", a: 6, k: 0},      // 12: k = 0
+			{kind: "call", a: 3, b: 5},       // 13: tmp = probe(p)
+			{kind: "add", a: 1, b: 1, c: 3},  // 14: s += tmp
+			{kind: "addk", a: 2, b: 2, k: 1}, // 15: i += 1
+			{kind: "jmp", a: 2},              // 16
+			{kind: "halt", a: 1},             // 17
 		},
 		headers: map[int]bool{2: true},
 	}
@@ -43,19 +48,23 @@ func probeLoop() *miniCode {
 // call's argument — an object only the trace registers hold — survives
 // it, in the loop, right after a guard transferred into a bridge, and
 // after the bridge jumped back: Engine.Roots must scan the register file
-// in use, not the one Execute started with.
+// in use, not the one Execute started with. And it must scan only the
+// file's registers: the constant object in the file's constant area is
+// visited once per trace, through Trace.Consts.
 func TestRootsFollowRegisterFileTransfers(t *testing.T) {
 	mach := cpu.NewDefault()
 	attachPhaseSwitcher(mach)
 	vm := newMiniVM(t, mach)
 	eng := vm.eng
 	vm.callFn = eng.RT.Register("test.probe", aot.SrcIntrinsic)
+	vm.refConst = eng.H.AllocObj(vm.pairSh, 2)
+	eng.H.AddRoots(heap.RootFunc(func(visit func(*heap.Obj)) { visit(vm.refConst) }))
 
 	var inTrace, inBridge int
 	var lastBridgeExecs uint64
 	vm.callThunk = func(args []heap.Value) heap.Value {
 		o := args[0].O
-		if len(eng.activeRegs) == 0 {
+		if len(eng.active) == 0 {
 			return heap.IntVal(1) // interpreter or recorder: the frame roots it
 		}
 		inTrace++
@@ -69,12 +78,33 @@ func TestRootsFollowRegisterFileTransfers(t *testing.T) {
 		if !o.Live() {
 			t.Fatalf("call %d: argument died in a collection forced mid-Execute", inTrace)
 		}
+		cur := eng.active[len(eng.active)-1]
 		held := false
-		for _, v := range eng.activeRegs[len(eng.activeRegs)-1] {
+		for _, v := range cur.regs[cur.t.regBase:] {
 			held = held || v.O == o
 		}
 		if !held {
 			t.Fatalf("call %d: the active register file does not hold the argument", inTrace)
+		}
+		inConsts, viaConsts, visits := false, 0, 0
+		for _, v := range cur.regs[:cur.t.regBase] {
+			inConsts = inConsts || v.O == vm.refConst
+		}
+		for _, tr := range eng.Traces() {
+			for _, c := range tr.Consts {
+				if c.O == vm.refConst {
+					viaConsts++
+				}
+			}
+		}
+		eng.Roots(func(v *heap.Obj) {
+			if v == vm.refConst {
+				visits++
+			}
+		})
+		if !inConsts || visits != viaConsts {
+			t.Fatalf("call %d: constant object in the file's constant area: %v; visited %d times, %d traces hold it as a constant",
+				inTrace, inConsts, visits, viaConsts)
 		}
 		return heap.IntVal(1)
 	}
@@ -88,8 +118,8 @@ func TestRootsFollowRegisterFileTransfers(t *testing.T) {
 		t.Fatalf("bridge transfers not exercised: %d bridges, %d calls right after a transfer",
 			eng.Stats().BridgesCompiled, inBridge)
 	}
-	if len(eng.activeRegs) != 0 {
-		t.Fatalf("%d register files still active after the run", len(eng.activeRegs))
+	if len(eng.active) != 0 {
+		t.Fatalf("%d register files still active after the run", len(eng.active))
 	}
 }
 

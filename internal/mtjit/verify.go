@@ -23,7 +23,10 @@ import (
 //     call_assembler),
 //   - the trace ends in exactly one terminator (jump / finish /
 //     call_assembler) and jump argument counts match the target entry,
-//   - per-op metadata (OpPCs, OpExecs) covers every op.
+//   - the predecoded form the executor runs agrees with Ops op for op:
+//     same opcode, operand and result slots that resolve to the op's
+//     refs, the op's absolute address (the ops lie back to back from
+//     AsmBase), and the op itself behind it.
 func ValidateTrace(t *Trace) error {
 	if t == nil {
 		return fmt.Errorf("nil trace")
@@ -40,11 +43,11 @@ func ValidateTrace(t *Trace) error {
 	if t.NumRegs < 1 {
 		return fail("NumRegs = %d", t.NumRegs)
 	}
-	if len(t.OpPCs) != len(t.Ops) {
-		return fail("OpPCs covers %d of %d ops", len(t.OpPCs), len(t.Ops))
+	if len(t.code) != len(t.Ops) {
+		return fail("predecoded form covers %d of %d ops", len(t.code), len(t.Ops))
 	}
-	if len(t.OpExecs) != len(t.Ops) {
-		return fail("OpExecs covers %d of %d ops", len(t.OpExecs), len(t.Ops))
+	if t.regBase != len(t.Consts) {
+		return fail("register base %d with %d constants", t.regBase, len(t.Consts))
 	}
 
 	defined := make(map[Ref]bool)
@@ -127,6 +130,7 @@ func ValidateTrace(t *Trace) error {
 	if len(t.Ops) == 0 {
 		return fail("empty op list")
 	}
+	pc := t.AsmBase
 	for i := range t.Ops {
 		op := &t.Ops[i]
 		for _, r := range [...]Ref{op.A, op.B, op.C} {
@@ -185,6 +189,11 @@ func ValidateTrace(t *Trace) error {
 			}
 		}
 
+		if err := t.checkInst(i, pc); err != nil {
+			return fail("op %d %s: predecoded form: %v", i, op, err)
+		}
+		pc += uint64(op.Opc.AsmLen()) * 4
+
 		if op.Res != RefNone {
 			if op.Res <= 0 || int(op.Res) >= t.NumRegs {
 				return fail("op %d %s: result register %d out of range (NumRegs %d)", i, op, op.Res, t.NumRegs)
@@ -198,17 +207,48 @@ func ValidateTrace(t *Trace) error {
 	return nil
 }
 
+// checkInst compares predecoded instruction i with the op it was lowered
+// from, which lies at pc.
+func (t *Trace) checkInst(i int, pc uint64) error {
+	op, x := &t.Ops[i], &t.code[i]
+	if x.op != op || x.opc != op.Opc || x.aux != op.Aux || x.shape != op.Shape {
+		return fmt.Errorf("holds %s (aux %d), not this op", x.opc.Name(), x.aux)
+	}
+	if x.pc != pc {
+		return fmt.Errorf("pc %#x, want %#x", x.pc, pc)
+	}
+	// A slot names the ref regBase below it; an absent operand reads the
+	// unused ref's slot and an absent result has none.
+	named := func(slot int32) Ref { return Ref(int(slot) - t.regBase) }
+	want := func(r Ref) Ref {
+		if r == RefNone {
+			return RefUnused
+		}
+		return r
+	}
+	if named(x.a) != want(op.A) || named(x.b) != want(op.B) || named(x.c) != want(op.C) {
+		return fmt.Errorf("operand slots resolve to refs %d, %d, %d; op names %d, %d, %d",
+			named(x.a), named(x.b), named(x.c), want(op.A), want(op.B), want(op.C))
+	}
+	if res := want(op.Res); res == RefUnused && x.res != -1 || res != RefUnused && named(x.res) != res {
+		return fmt.Errorf("result slot %d, op names register %d", x.res, res)
+	}
+	return nil
+}
+
 // Validate checks the engine's bookkeeping for internal consistency and
 // validates every installed trace. It verifies that:
 //
 //   - LoopsCompiled + BridgesCompiled matches the installed trace count,
 //   - the optimizer never reports removing more ops than were recorded,
 //   - per-reason abort counters never exceed the abort total,
-//   - every counted guard failure belongs to a guard of an installed
-//     trace, and the per-guard counts sum to EngineStats.GuardFailures,
-//   - the trace and bridge lookup tables only hold installed,
-//     non-invalidated traces, and stats.Invalidated matches the number
-//     of invalidated traces in the compile log.
+//   - every GuardID belongs to exactly one op of one installed trace and
+//     the guard table maps it to that op — the per-guard counters and the
+//     execution counts derived from them (Trace.OpExecs) rely on it,
+//   - the guards' failure counts add up to EngineStats.GuardFailures,
+//   - the trace table and the guards' bridge pointers only hold
+//     installed, non-invalidated traces, and stats.Invalidated matches
+//     the number of invalidated traces in the compile log.
 func (e *Engine) Validate() error {
 	st := e.stats
 	if st.LoopsCompiled+st.BridgesCompiled != len(e.all) {
@@ -233,7 +273,7 @@ func (e *Engine) Validate() error {
 		return fmt.Errorf("%d traces marked invalidated, stats.Invalidated = %d", invalidated, st.Invalidated)
 	}
 
-	guardIDs := make(map[uint32]bool)
+	guards, fails := 0, uint64(0)
 	for _, t := range e.all {
 		if err := ValidateTrace(t); err != nil {
 			return err
@@ -244,26 +284,45 @@ func (e *Engine) Validate() error {
 			loops++
 		}
 		for i := range t.Ops {
-			if t.Ops[i].Opc.IsGuard() {
-				guardIDs[t.Ops[i].GuardID] = true
+			op := &t.Ops[i]
+			if !op.Opc.IsGuard() {
+				continue
+			}
+			if e.guard(op.GuardID) != op {
+				return fmt.Errorf("trace %d op %d: guard table does not map guard %d to this op (duplicate or unregistered ID)",
+					t.ID, i, op.GuardID)
+			}
+			guards++
+			fails += uint64(op.Fails)
+			if b := op.Bridge; b != nil {
+				if !b.Bridge {
+					return fmt.Errorf("guard %d holds loop trace %d as its bridge", op.GuardID, b.ID)
+				}
+				if b.Invalidated {
+					return fmt.Errorf("guard %d holds invalidated bridge %d", op.GuardID, b.ID)
+				}
+				if !slices.Contains(e.all, b) {
+					return fmt.Errorf("guard %d holds uninstalled bridge %d", op.GuardID, b.ID)
+				}
 			}
 		}
+	}
+	for id, op := range e.guards {
+		if op != nil {
+			guards--
+			if op.GuardID != uint32(id) {
+				return fmt.Errorf("guard table entry %d holds guard %d", id, op.GuardID)
+			}
+		}
+	}
+	if guards != 0 {
+		return fmt.Errorf("guard table holds %d ops that are no guard of an installed trace", -guards)
 	}
 	if loops != st.LoopsCompiled || bridges != st.BridgesCompiled {
 		return fmt.Errorf("installed %d loops / %d bridges, stats say %d / %d",
 			loops, bridges, st.LoopsCompiled, st.BridgesCompiled)
 	}
 
-	var fails uint64
-	for id, n := range e.guardFails {
-		if n < 0 {
-			return fmt.Errorf("guard %d has negative failure count %d", id, n)
-		}
-		if n > 0 && !guardIDs[id] {
-			return fmt.Errorf("guard %d failed %d times but belongs to no installed trace", id, n)
-		}
-		fails += uint64(n)
-	}
 	if fails != st.GuardFailures {
 		return fmt.Errorf("per-guard failure counts sum to %d, stats.GuardFailures = %d", fails, st.GuardFailures)
 	}
@@ -277,17 +336,6 @@ func (e *Engine) Validate() error {
 		}
 		if !slices.Contains(e.all, t) {
 			return fmt.Errorf("loop table entry %v holds uninstalled trace %d", key, t.ID)
-		}
-	}
-	for id, t := range e.bridges {
-		if !t.Bridge {
-			return fmt.Errorf("bridge table entry for guard %d holds loop trace %d", id, t.ID)
-		}
-		if t.Invalidated {
-			return fmt.Errorf("bridge table entry for guard %d holds invalidated trace %d", id, t.ID)
-		}
-		if !slices.Contains(e.all, t) {
-			return fmt.Errorf("bridge table entry for guard %d holds uninstalled trace %d", id, t.ID)
 		}
 	}
 	for name, ts := range e.globalDeps {

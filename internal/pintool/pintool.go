@@ -2,11 +2,14 @@
 // observe cross-layer annotations at the machine level, as the custom
 // PinTool of Section IV does with tagged nop instructions.
 //
-// Tools are cpu observers. PhaseTracker reconstructs the framework phase
-// (Figures 2-4, Table IV), WorkMeter measures bytecode rate for warmup
-// curves (Figure 5), AOTAttributor attributes JIT-call time to AOT entry
-// points (Table III), and IRProfiler aggregates per-trace IR statistics
-// (Figures 6-9) together with internal/jitlog.
+// Tools are cpu observers, each registered for the tags it reads, so the
+// machine hands an annotation only to the tools that act on it (the
+// per-bytecode dispatch tick reaches the WorkMeter alone). PhaseTracker
+// reconstructs the framework phase (Figures 2-4, Table IV), WorkMeter
+// measures bytecode rate for warmup curves (Figure 5), AOTAttributor
+// attributes JIT-call time to AOT entry points (Table III), and IRProfiler
+// aggregates per-trace IR statistics (Figures 6-9) together with
+// internal/jitlog.
 package pintool
 
 import (
@@ -25,10 +28,49 @@ type PhaseTracker struct {
 	Transitions uint64
 }
 
+// phaseEdges says what each phase-boundary annotation does to the phase
+// stack: open a phase, or close the one on top. A tracker registers for
+// exactly the tags with an entry (phaseTags).
+var phaseEdges = [core.NumBuiltinTags]struct {
+	open, close bool
+	phase       core.Phase
+}{
+	core.TagTraceStart:           {open: true, phase: core.PhaseTracing},
+	core.TagTraceEnd:             {close: true},
+	core.TagTraceAbort:           {close: true},
+	core.TagJITEnter:             {open: true, phase: core.PhaseJIT},
+	core.TagJITLeave:             {close: true},
+	core.TagAOTCallEnter:         {open: true, phase: core.PhaseJITCall},
+	core.TagAOTCallLeave:         {close: true},
+	core.TagGCMinorStart:         {open: true, phase: core.PhaseGC},
+	core.TagGCMinorEnd:           {close: true},
+	core.TagGCMajorStart:         {open: true, phase: core.PhaseGC},
+	core.TagGCMajorEnd:           {close: true},
+	core.TagBlackholeEnter:       {open: true, phase: core.PhaseBlackhole},
+	core.TagBlackholeLeave:       {close: true},
+	core.TagBaselineCompileStart: {open: true, phase: core.PhaseBaselineComp},
+	core.TagBaselineCompileEnd:   {close: true},
+	core.TagBaselineEnter:        {open: true, phase: core.PhaseBaseline},
+	core.TagBaselineLeave:        {close: true},
+	core.TagMethodCompileStart:   {open: true, phase: core.PhaseMethodComp},
+	core.TagMethodCompileEnd:     {close: true},
+	core.TagMethodEnter:          {open: true, phase: core.PhaseMethod},
+	core.TagMethodLeave:          {close: true},
+}
+
+var phaseTags = func() (tags []core.Tag) {
+	for tag, e := range phaseEdges {
+		if e.open || e.close {
+			tags = append(tags, core.Tag(tag))
+		}
+	}
+	return tags
+}()
+
 // NewPhaseTracker attaches a phase tracker to m.
 func NewPhaseTracker(m *cpu.Machine) *PhaseTracker {
 	t := &PhaseTracker{m: m, cur: core.PhaseInterp}
-	m.Observe(t)
+	m.Observe(t, phaseTags...)
 	return t
 }
 
@@ -52,42 +94,13 @@ func (t *PhaseTracker) pop() {
 
 // OnAnnotation implements core.Observer.
 func (t *PhaseTracker) OnAnnotation(a core.Annotation, _, _ uint64) {
-	switch a.Tag {
-	case core.TagTraceStart:
-		t.push(core.PhaseTracing)
-	case core.TagTraceEnd, core.TagTraceAbort:
-		t.pop()
-	case core.TagJITEnter:
-		t.push(core.PhaseJIT)
-	case core.TagJITLeave:
-		t.pop()
-	case core.TagAOTCallEnter:
-		t.push(core.PhaseJITCall)
-	case core.TagAOTCallLeave:
-		t.pop()
-	case core.TagGCMinorStart, core.TagGCMajorStart:
-		t.push(core.PhaseGC)
-	case core.TagGCMinorEnd, core.TagGCMajorEnd:
-		t.pop()
-	case core.TagBlackholeEnter:
-		t.push(core.PhaseBlackhole)
-	case core.TagBlackholeLeave:
-		t.pop()
-	case core.TagBaselineCompileStart:
-		t.push(core.PhaseBaselineComp)
-	case core.TagBaselineCompileEnd:
-		t.pop()
-	case core.TagBaselineEnter:
-		t.push(core.PhaseBaseline)
-	case core.TagBaselineLeave:
-		t.pop()
-	case core.TagMethodCompileStart:
-		t.push(core.PhaseMethodComp)
-	case core.TagMethodCompileEnd:
-		t.pop()
-	case core.TagMethodEnter:
-		t.push(core.PhaseMethod)
-	case core.TagMethodLeave:
+	if int(a.Tag) >= len(phaseEdges) {
+		return
+	}
+	switch e := &phaseEdges[a.Tag]; {
+	case e.open:
+		t.push(e.phase)
+	case e.close:
 		t.pop()
 	}
 }
@@ -122,7 +135,7 @@ type WorkMeter struct {
 // (0 disables sampling).
 func NewWorkMeter(m *cpu.Machine, interval uint64) *WorkMeter {
 	w := &WorkMeter{m: m, interval: interval, nextSample: interval}
-	m.Observe(w)
+	m.Observe(w, core.TagDispatch)
 	return w
 }
 
@@ -168,7 +181,7 @@ func NewAOTAttributor(m *cpu.Machine) *AOTAttributor {
 		CyclesByFunc: map[uint32]float64{},
 		CallsByFunc:  map[uint32]uint64{},
 	}
-	m.Observe(a)
+	m.Observe(a, core.TagAOTCallEnter, core.TagAOTCallLeave)
 	return a
 }
 
@@ -215,7 +228,8 @@ type TraceEventCounter struct {
 	MethodDeopts   uint64
 }
 
-// NewTraceEventCounter attaches a counter to m.
+// NewTraceEventCounter attaches a counter to m, registered for the tags
+// its switch counts.
 func NewTraceEventCounter(m *cpu.Machine) *TraceEventCounter {
 	c := &TraceEventCounter{}
 	m.Observe(core.ObserverFunc(func(a core.Annotation, _, _ uint64) {
@@ -247,6 +261,10 @@ func NewTraceEventCounter(m *cpu.Machine) *TraceEventCounter {
 		case core.TagMethodDeopt:
 			c.MethodDeopts++
 		}
-	}))
+	}),
+		core.TagTraceCompiled, core.TagTraceAbort, core.TagGuardFail, core.TagBridgeEnter,
+		core.TagGCMinorStart, core.TagGCMajorStart, core.TagBlackholeEnter,
+		core.TagBaselineCompileEnd, core.TagBaselineEnter, core.TagBaselineDeopt,
+		core.TagMethodCompileEnd, core.TagMethodEnter, core.TagMethodDeopt)
 	return c
 }

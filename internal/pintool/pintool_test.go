@@ -135,3 +135,53 @@ func TestTraceEventCounter(t *testing.T) {
 		t.Errorf("counter state wrong: %+v", c)
 	}
 }
+
+// TestToolsRegisterForEveryTagTheyRead: each tool registers with the
+// machine for a tag list that must cover the switch in its OnAnnotation.
+// Every built-in tag goes to one machine where the tools are attached as
+// shipped and to one where the same tool values are registered for every
+// annotation; a tag missing from a list shows as a difference.
+func TestToolsRegisterForEveryTagTheyRead(t *testing.T) {
+	routed, all := cpu.NewDefault(), cpu.NewDefault()
+	pt, wm, at, ec := NewPhaseTracker(routed), NewWorkMeter(routed, 0), NewAOTAttributor(routed), NewTraceEventCounter(routed)
+
+	pt2 := &PhaseTracker{m: all, cur: core.PhaseInterp}
+	wm2 := &WorkMeter{m: all}
+	at2 := &AOTAttributor{m: all, CyclesByFunc: map[uint32]float64{}, CallsByFunc: map[uint32]uint64{}}
+	all.Observe(pt2)
+	all.Observe(wm2)
+	all.Observe(at2)
+	// The event counter is a closure: a second one on a routed machine,
+	// compared with a tally of what a catch-all observer sees it count.
+	seen := map[core.Tag]uint64{}
+	all.Observe(core.ObserverFunc(func(a core.Annotation, _, _ uint64) { seen[a.Tag]++ }))
+
+	for round := 0; round < 3; round++ {
+		for tag := core.Tag(1); int(tag) < core.NumBuiltinTags; tag++ {
+			routed.Annot(tag, 3)
+			all.Annot(tag, 3)
+			if pt.Current() != pt2.Current() {
+				t.Fatalf("after %s: phase %v routed, %v unrouted", core.TagName(tag), pt.Current(), pt2.Current())
+			}
+		}
+	}
+	if pt.Transitions != pt2.Transitions || pt.Transitions == 0 {
+		t.Errorf("phase transitions: %d routed, %d unrouted", pt.Transitions, pt2.Transitions)
+	}
+	if wm.Bytecodes != wm2.Bytecodes || wm.Bytecodes != 9 {
+		t.Errorf("bytecodes: %d routed, %d unrouted, want 9", wm.Bytecodes, wm2.Bytecodes)
+	}
+	if at.CallsByFunc[3] != at2.CallsByFunc[3] || at.CallsByFunc[3] != 3 {
+		t.Errorf("AOT calls: %d routed, %d unrouted, want 3", at.CallsByFunc[3], at2.CallsByFunc[3])
+	}
+	want := TraceEventCounter{
+		Compiled: seen[core.TagTraceCompiled], Aborts: seen[core.TagTraceAbort],
+		GuardFails: seen[core.TagGuardFail], BridgeEnters: seen[core.TagBridgeEnter],
+		MinorGCs: seen[core.TagGCMinorStart], MajorGCs: seen[core.TagGCMajorStart], Deopts: seen[core.TagBlackholeEnter],
+		BaselineCompiles: seen[core.TagBaselineCompileEnd], BaselineEnters: seen[core.TagBaselineEnter], BaselineDeopts: seen[core.TagBaselineDeopt],
+		MethodCompiles: seen[core.TagMethodCompileEnd], MethodEnters: seen[core.TagMethodEnter], MethodDeopts: seen[core.TagMethodDeopt],
+	}
+	if *ec != want || ec.Compiled != 3 {
+		t.Errorf("event counter on the routed machine: %+v, want %+v", *ec, want)
+	}
+}

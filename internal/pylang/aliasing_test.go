@@ -79,9 +79,9 @@ func TestExitStateAliasing(t *testing.T) {
 		if tc.callAssembler {
 			var execs uint64
 			for _, tr := range vm.Eng.Traces() {
-				for i := range tr.Ops {
+				for i, n := range tr.OpExecs() {
 					if tr.Ops[i].Opc == mtjit.OpCallAssembler {
-						execs += tr.OpExecs[i]
+						execs += n
 					}
 				}
 			}

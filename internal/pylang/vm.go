@@ -283,7 +283,7 @@ func (vm *VM) runTrace(tr *mtjit.Trace) {
 		vm.applyExit(exit)
 		tr = exit.Enter
 		if exit.StartBridgeGuard != 0 {
-			resume := vm.Eng.PendingBridgeResume(exit.StartBridgeGuard)
+			resume := vm.Eng.GuardResume(exit.StartBridgeGuard)
 			n := len(exit.Frames)
 			vm.traceRoot = len(vm.frames) - n
 			adapters := make([]mtjit.FrameAdapter, n)

@@ -8,13 +8,14 @@ package static
 import (
 	"math"
 
+	"metajit/internal/cpu"
 	"metajit/internal/isa"
 )
 
 // Kernel is one statically-compiled benchmark.
 type Kernel struct {
 	Name string
-	Run  func(s isa.Stream) int64
+	Run  func(s *cpu.Machine) int64
 }
 
 // ByName returns the kernel for a benchmark name, or nil.
@@ -45,11 +46,11 @@ var kernels = []Kernel{
 // cost helpers: a statically compiled op is 1 instruction; loop overhead
 // is a compare+branch per iteration.
 type emitter struct {
-	s    isa.Stream
+	s    *cpu.Machine
 	site isa.Site
 }
 
-func newEmitter(s isa.Stream) *emitter {
+func newEmitter(s *cpu.Machine) *emitter {
 	// A fixed PC keeps kernel runs deterministic and independent of how
 	// many sites other runs allocated before this one; kernels never
 	// share a machine, so reuse cannot alias.
@@ -64,7 +65,7 @@ func (e *emitter) load(a uint64)   { e.s.Load(isa.RegionStatic<<8 + a) }
 func (e *emitter) store(a uint64)  { e.s.Store(isa.RegionStatic<<8 + a) }
 func (e *emitter) loop(taken bool) { e.s.Ops(isa.ALU, 1); e.s.Branch(e.site.PC(), taken) }
 
-func runSpectral(s isa.Stream) int64 {
+func runSpectral(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	n := 60
 	u := make([]float64, n)
@@ -119,7 +120,7 @@ func runSpectral(s isa.Stream) int64 {
 	return int64(math.Sqrt(vbv/vv) * 1e6)
 }
 
-func runFloat(s isa.Stream) int64 {
+func runFloat(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	n := 4000
 	xs := make([]float64, n)
@@ -171,7 +172,7 @@ func runFloat(s isa.Stream) int64 {
 	return int64(mx*1000) + int64(my*100) + int64(mz*10)
 }
 
-func runFannkuch(s isa.Stream) int64 {
+func runFannkuch(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	n := 7
 	perm1 := make([]int, n)
@@ -230,7 +231,7 @@ func runFannkuch(s isa.Stream) int64 {
 	}
 }
 
-func runNbody(s isa.Stream) int64 {
+func runNbody(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	n := 5
 	xs := []float64{0, 4.84143144246472090, 8.34336671824457987, 12.894369562139131, 15.379697114850917}
@@ -295,7 +296,7 @@ type stNode struct {
 	left, right *stNode
 }
 
-func runBinarytrees(s isa.Stream) int64 {
+func runBinarytrees(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	var makeTree func(depth int) *stNode
 	makeTree = func(depth int) *stNode {
@@ -333,7 +334,7 @@ func runBinarytrees(s isa.Stream) int64 {
 	return total % 1000000007
 }
 
-func runFasta(s isa.Stream) int64 {
+func runFasta(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	iub := "acgtBDHKMNRSVWY"
 	seed := int64(42)
@@ -370,7 +371,7 @@ func runFasta(s isa.Stream) int64 {
 	return checksum + outLen
 }
 
-func runMandelbrot(s isa.Stream) int64 {
+func runMandelbrot(s *cpu.Machine) int64 {
 	e := newEmitter(s)
 	size := 80
 	bits, checksum := int64(0), int64(0)
