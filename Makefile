@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt allocs inline race bench hostprof benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs inline race bench hostprof serveprof benchmark experiments serve fuzz traces
 
 all: build
 
@@ -27,11 +27,13 @@ fmt:
 
 # allocs runs the testing.AllocsPerRun == 0 guards on the simulator's
 # per-event paths (trace entry/exit, residual calls, bound calls; see
-# DESIGN.md "Host memory discipline") and the buffer-aliasing tests.
+# DESIGN.md "Host memory discipline"), the buffer-aliasing tests, and the
+# serving path's handler-level guard: a warm /run allocates at most twice
+# its reply and a fixed few objects (DESIGN.md "The serving path").
 # The guards live in //go:build !race files — the race detector
 # allocates — so they run here, without -race.
 allocs:
-	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/
+	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/ ./internal/cluster/
 
 # inline fails unless the compiler reports cpu.Machine.Ops inlined into
 # the trace executor, the interpreter machine and the heap: every emitter
@@ -75,6 +77,16 @@ hostprof:
 		-cpuprofile .bench_build/hostprof.prof .
 	$(GO) tool pprof -top -nodecount 25 .bench_build/hostprof.test .bench_build/hostprof.prof
 
+# serveprof profiles the warm serving path: BenchmarkServeMemo (frontend,
+# three workers, loopback, memo hits from GOMAXPROCS clients) under
+# -cpuprofile, then the 25 hottest functions — the recipe behind
+# EXPERIMENTS.md "What a request costs".
+serveprof:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench BenchmarkServeMemo -benchtime 20000x -o .bench_build/serveprof.test \
+		-cpuprofile .bench_build/serveprof.prof ./internal/cluster
+	$(GO) tool pprof -top -nodecount 25 .bench_build/serveprof.test .bench_build/serveprof.prof
+
 # benchmark runs one workload of the repository benchmark (BENCHMARK.json,
 # benchmark/README.md): W is interp_sweep, jit_sweep, paper_regen or
 # serve_mix; TRACE=1 adds the per-layer rows and writes
@@ -97,6 +109,8 @@ serve:
 # bytes and cross-checks them under the full VM configuration matrix
 # (see internal/difftest). Divergences are minimized into
 # internal/difftest/testdata/fuzz and replayed by plain `go test`.
+# FuzzTraceDecode and FuzzRunRequest fuzz decoders of bytes that cross a
+# process boundary: never panic, and what is accepted is canonical.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -106,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAmalgamatedTiering -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -fuzz=FuzzAnnotStream -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/cluster
 
 # traces re-records the committed workload fixtures under
 # internal/bench/testdata/traces (needed when instruction accounting or

@@ -24,7 +24,9 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 
 	"metajit/internal/bench"
@@ -65,6 +67,17 @@ type Request struct {
 	// Fresh forces re-simulation: the worker evicts its memoized cell
 	// and bypasses (but still refreshes) the content store.
 	Fresh bool `json:"fresh,omitempty"`
+}
+
+// decodeRequest parses the body of a POST /run, on the frontend and on
+// the workers alike: at most 1 MiB, and no field Request does not have,
+// so that a misspelt option is refused instead of silently ignored.
+func decodeRequest(rw http.ResponseWriter, r *http.Request) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // Options maps the request onto harness run options.

@@ -148,10 +148,8 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(w, r)
+	if err != nil {
 		f.reqBad.Inc()
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -244,6 +242,7 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", up.retryAfter)
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(up.body)))
 	w.WriteHeader(up.status)
 	_, _ = w.Write(up.body)
 }
@@ -317,7 +316,7 @@ func (f *Frontend) tryWorker(ctx context.Context, worker string, body []byte, at
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	b, err := readUpstream(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -326,6 +325,35 @@ func (f *Frontend) tryWorker(ctx context.Context, worker string, body []byte, at
 		retryAfter: resp.Header.Get("Retry-After"),
 		body:       b,
 	}, nil
+}
+
+// maxUpstreamBody bounds a worker's reply; a /run reply is about 7 KB.
+const maxUpstreamBody = 8 << 20
+
+// readUpstream reads a worker's reply into one buffer of its declared
+// length, or, when none is declared, up to the bound. A reply over the
+// bound or shorter than it declared is an error — the worker is treated
+// as failed — and is never passed on cut short.
+func readUpstream(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > maxUpstreamBody {
+		return nil, fmt.Errorf("upstream declares a %d-byte body, over the %d-byte bound", n, maxUpstreamBody)
+	}
+	if n >= 0 {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, fmt.Errorf("reading the %d-byte upstream body: %w", n, err)
+		}
+		return b, nil
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(b) > maxUpstreamBody {
+		return nil, fmt.Errorf("upstream body over the %d-byte bound", maxUpstreamBody)
+	}
+	return b, nil
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {

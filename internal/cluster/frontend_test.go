@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,7 @@ func TestFrontendRoutesToOwner(t *testing.T) {
 			t.Errorf("%s: owner %s did not simulate", benchName, url)
 		}
 		for u, w := range c.byURL {
-			if u != url && w.Runner().Has(mustCell(t, c, body)) {
+			if u != url && w.Runner().Peek(mustCell(t, c, body)) != nil {
 				t.Errorf("%s: non-owner %s holds the cell", benchName, u)
 			}
 		}
@@ -159,6 +160,74 @@ func TestFrontendFailover(t *testing.T) {
 	resp, raw = c.post(t, `{"bench":"chaos","vm":"pypy"}`)
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("total outage: status %d body %s", resp.StatusCode, raw)
+	}
+}
+
+// TestFrontendRefusesBadUpstreamBody: a worker whose reply is over the
+// frontend's bound — declared or streamed — or shorter than it declared
+// has failed like one that hung up: the request moves to the ring
+// successor, and with no successor left it is a 502. The reply is never
+// passed on cut short as a 200.
+func TestFrontendRefusesBadUpstreamBody(t *testing.T) {
+	over := bytes.Repeat([]byte{' '}, maxUpstreamBody+1)
+	for name, reply := range map[string]http.HandlerFunc{
+		"declared over the bound": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(over)))
+			_, _ = w.Write(over)
+		},
+		"streamed over the bound": func(w http.ResponseWriter, r *http.Request) {
+			w.(http.Flusher).Flush() // headers leave before the body: no length, chunked
+			_, _ = w.Write(over)
+		},
+		"shorter than declared": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", "7112")
+			_, _ = w.Write([]byte(`{"cell_id": "`)) // the server hangs up on return
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var asked atomic.Int64
+			hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				asked.Add(1)
+				reply(w, r)
+			}))
+			t.Cleanup(hostile.Close)
+			good := newFakeWorker(t, nil)
+			gts := httptest.NewServer(good.Handler())
+			t.Cleanup(gts.Close)
+			catalog, _ := NewCatalog("")
+			post := func(f *Frontend, body string) (int, []byte) {
+				rec := httptest.NewRecorder()
+				f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
+				return rec.Code, rec.Body.Bytes()
+			}
+
+			alone := NewFrontend(FrontendConfig{Workers: []string{hostile.URL}, Backoff: time.Millisecond, Catalog: catalog})
+			if code, raw := post(alone, `{"bench":"telco","vm":"pypy"}`); code != http.StatusBadGateway || len(raw) > 1<<10 {
+				t.Fatalf("hostile worker alone: status %d with a %d-byte body, want a 502 and its error", code, len(raw))
+			}
+			if asked.Load() != 1 {
+				t.Fatalf("the hostile worker was asked %d times, want once", asked.Load())
+			}
+
+			// A cell the hostile worker owns: the good one is its successor.
+			pair := NewFrontend(FrontendConfig{Workers: []string{hostile.URL, gts.URL}, Backoff: time.Millisecond, Catalog: catalog})
+			var body string
+			for _, p := range bench.All() {
+				body = fmt.Sprintf(`{"bench":%q,"vm":"pypy"}`, p.Name)
+				if _, _, _, id, _ := catalog.Cell(&Request{Bench: p.Name, VM: "pypy"}); pair.Ring().Lookup(id) == hostile.URL {
+					break
+				}
+			}
+			code, raw := post(pair, body)
+			var rr RunResponse
+			if err := json.Unmarshal(raw, &rr); code != http.StatusOK || err != nil || rr.Source != "simulated" {
+				t.Fatalf("with a good successor: status %d, source %q, %v", code, rr.Source, err)
+			}
+			if asked.Load() != 2 || pair.failovers.Value() != 1 || good.Runner().Simulations() != 1 {
+				t.Fatalf("hostile asked %d times, %d failovers, %d simulations on the successor; want 2, 1, 1",
+					asked.Load(), pair.failovers.Value(), good.Runner().Simulations())
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,6 +71,8 @@ type Worker struct {
 	pending  atomic.Int64
 	draining atomic.Bool
 
+	encoded resultTable
+
 	runSim   *telemetry.Counter
 	runMemo  *telemetry.Counter
 	runStore *telemetry.Counter
@@ -105,6 +109,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		store:   cfg.Store,
 		catalog: cfg.Catalog,
 		started: time.Now(),
+		encoded: resultTable{m: map[CellID][]byte{}},
 	}
 	if cfg.InstallStackTelemetry {
 		harness.InstallTelemetry(w.reg)
@@ -211,6 +216,74 @@ type RunResponse struct {
 	Result    *WireResult `json:"result"`
 }
 
+// encodeResult lays a result out as the "result" member of a
+// RunResponse encoded with two-space indentation: the member sits one
+// level deep, which is MarshalIndent with that level as the prefix.
+func encodeResult(wres *WireResult) ([]byte, error) {
+	return json.MarshalIndent(wres, "  ", "  ")
+}
+
+// resultTable holds, for every cell its worker has simulated, the bytes
+// encodeResult gave: produced once when the simulation finishes and
+// spliced into every later reply. The key is the content address of
+// every input to the cell, so an entry could only ever be replaced by
+// the same bytes and there is nothing to invalidate; fresh drops the
+// entry with the Runner's cell and the re-simulation puts it back.
+type resultTable struct {
+	mu sync.Mutex
+	m  map[CellID][]byte
+}
+
+func (t *resultTable) get(id CellID) []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[id]
+}
+
+// put encodes wres, enters it under id and returns the bytes.
+func (t *resultTable) put(id CellID, wres *WireResult) ([]byte, error) {
+	b, err := encodeResult(wres)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m[id] = b
+	return b, nil
+}
+
+func (t *resultTable) drop(id CellID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.m, id)
+}
+
+// writeRun writes a 200 /run reply in one sized Write: the bytes
+// json.Encoder with SetIndent("", "  ") gives for a RunResponse, with
+// result — encodeResult's bytes — spliced in as they are. cellID is hex
+// and source one of three words, so neither needs escaping; elapsed_ms
+// is whole microseconds over 1000, so it is 0 or at least 0.001 and far
+// below 1e21, the range in which encoding/json too prints the shortest
+// round-tripping decimal without an exponent.
+func writeRun(rw http.ResponseWriter, cellID, source string, elapsed time.Duration, result []byte) {
+	buf := make([]byte, 0, len(result)+len(cellID)+128)
+	buf = append(buf, "{\n  \"cell_id\": \""...)
+	buf = append(buf, cellID...)
+	buf = append(buf, "\",\n  \"source\": \""...)
+	buf = append(buf, source...)
+	buf = append(buf, "\",\n  \"elapsed_ms\": "...)
+	buf = strconv.AppendFloat(buf, float64(elapsed.Microseconds())/1000, 'f', -1, 64)
+	buf = append(buf, ",\n  \"result\": "...)
+	buf = append(buf, result...)
+	buf = append(buf, "\n}\n"...)
+	h := rw.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Cell-Id", cellID)
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	// A write error means the client hung up; there is no one to tell.
+	_, _ = rw.Write(buf)
+}
+
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(rw, http.StatusMethodNotAllowed, "POST only")
@@ -242,17 +315,16 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer w.pending.Add(-1)
 
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(rw, r)
+	if err != nil {
 		w.runErr.Inc()
 		httpError(rw, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	// The run span is the worker's root, parented under the frontend's
 	// attempt span when the request propagated a trace context.
-	root := w.rec.StartTrace(reqtrace.FromHTTP(r), reqtrace.KindRun, req.Bench+"/"+req.VM)
+	label := req.Bench + "/" + req.VM
+	root := w.rec.StartTrace(reqtrace.FromHTTP(r), reqtrace.KindRun, label)
 	p, kind, opt, id, err := w.catalog.Cell(&req)
 	if err != nil {
 		w.runErr.Inc()
@@ -260,50 +332,62 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, err.Error())
 		return
 	}
-	root.Annotate("cell", id.Hex())
+	hexID := id.Hex()
+	root.Annotate("cell", hexID)
 
 	start := time.Now()
+	var (
+		src    string
+		result []byte // the reply's "result" member
+	)
 	if req.Fresh {
 		w.runner.Evict(p, kind, opt)
+		w.encoded.drop(id)
+	} else if res := w.runner.Peek(p, kind, opt); res != nil {
+		// The warm path: one lookup in the Runner and one here — no
+		// reflection and no disk, the store was written when the cell was
+		// simulated. The entry is missing only in a race: the request that
+		// simulated the cell has not entered it yet, or a fresh one dropped
+		// it after this request's Peek.
+		src = "memo"
+		sp := root.StartChild(reqtrace.KindMemo, label)
+		if result = w.encoded.get(id); result == nil {
+			result, err = w.encoded.put(id, FromResult(res))
+		}
+		sp.EndErr(err)
+	} else if wres := w.fromStore(id, root); wres != nil {
+		// Encoded for this reply only: another worker simulated the cell,
+		// and clients read that off the source of every reply.
+		src = "store"
+		result, err = encodeResult(wres)
 	}
-	src := "simulated"
-	var wres *WireResult
-	if !req.Fresh {
-		if w.runner.Has(p, kind, opt) {
-			src = "memo"
-		} else if wres = w.fromStore(id, root); wres != nil {
-			src = "store"
+	if src == "" {
+		src = "simulated"
+		sp := root.StartChild(reqtrace.KindSimulate, label)
+		// Link the run's VM phase spans to this request and publish its
+		// live snapshots. ReqTrace and Live are excluded from the memo
+		// CellKey, so the watched result stays byte-identical to an
+		// unwatched one.
+		opt.ReqTrace = sp
+		opt.Live = w.live
+		var res *harness.Result
+		res, err = w.runner.Get(p, kind, opt)
+		sp.EndErr(err)
+		if err == nil {
+			wres := FromResult(res)
+			if w.store != nil {
+				ws := root.StartChild(reqtrace.KindStoreWrite, id.Short())
+				// A failed write only costs the next restart a re-simulation.
+				ws.EndErr(w.store.Put(id, wres.Encode()))
+			}
+			result, err = w.encoded.put(id, wres)
 		}
 	}
-	if wres == nil {
-		spanKind := reqtrace.KindSimulate
-		if src == "memo" {
-			spanKind = reqtrace.KindMemo
-		}
-		sp := root.StartChild(spanKind, req.Bench+"/"+req.VM)
-		if src == "simulated" {
-			// A real simulation: link the run's VM phase spans to this
-			// request and publish its live snapshots. ReqTrace and Live are
-			// excluded from the memo CellKey, so the watched result stays
-			// byte-identical to an unwatched one.
-			opt.ReqTrace = sp
-			opt.Live = w.live
-		}
-		res, err := w.runner.Get(p, kind, opt)
-		if err != nil {
-			w.runErr.Inc()
-			sp.EndErr(err)
-			root.EndErr(err)
-			httpError(rw, http.StatusInternalServerError, err.Error())
-			return
-		}
-		sp.End()
-		wres = FromResult(res)
-		if w.store != nil {
-			ws := root.StartChild(reqtrace.KindStoreWrite, id.Short())
-			// A failed write only costs the next restart a re-simulation.
-			ws.EndErr(w.store.Put(id, wres.Encode()))
-		}
+	if err != nil {
+		w.runErr.Inc()
+		root.EndErr(err)
+		httpError(rw, http.StatusInternalServerError, err.Error())
+		return
 	}
 	root.Annotate("source", src)
 	root.End()
@@ -316,13 +400,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		w.runStore.Inc()
 	}
 	w.latency.Observe(uint64(time.Since(start).Microseconds()))
-	rw.Header().Set("X-Cell-Id", id.Hex())
-	writeJSON(rw, RunResponse{
-		CellID:    id.Hex(),
-		Source:    src,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Result:    wres,
-	})
+	writeRun(rw, hexID, src, time.Since(start), result)
 }
 
 // fromStore fetches and decodes a stored result; any corruption (blob

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"metajit/internal/bench"
 	"metajit/internal/harness"
@@ -145,6 +146,15 @@ func TestWorkerServingSources(t *testing.T) {
 			if !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw3)) {
 				t.Fatal("store result differs from simulated result")
 			}
+			// Who simulated a cell is API (the source of every reply), so a
+			// store hit is not promoted: the same worker asked again reads
+			// the store again.
+			if _, again, _ := postWorkerRun(t, ts2, body); again.Source != "store" {
+				t.Fatalf("second request to the restarted worker: source %q, want store", again.Source)
+			}
+			if len(w2.encoded.m) != 0 {
+				t.Fatal("a store hit entered the encoded-result table")
+			}
 			if w2.Runner().Simulations() != 0 {
 				t.Fatal("restarted worker re-simulated a stored cell")
 			}
@@ -237,6 +247,55 @@ func TestWorkerFresh(t *testing.T) {
 	}
 	if !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw2)) {
 		t.Fatal("fresh re-simulation diverged")
+	}
+}
+
+// TestWorkerFreshRebuildsEncodedResult: the fresh request that evicts the
+// Runner's cell drops the encoded bytes with it, and the re-simulation
+// puts the same bytes back.
+func TestWorkerFreshRebuildsEncodedResult(t *testing.T) {
+	w := newFakeWorker(t, nil)
+	_, _, _, id, err := w.catalog.Cell(&Request{Bench: "telco", VM: "pypy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+
+	postWorkerRun(t, ts, `{"bench":"telco","vm":"pypy"}`)
+	old := w.encoded.get(id)
+	if old == nil {
+		t.Fatal("a simulation left no encoded result")
+	}
+	gate := make(chan struct{})
+	w.Runner().SetSimulate(func(p *bench.Program, kind harness.VMKind, opt harness.Options) (*harness.Result, error) {
+		<-gate
+		return fakeSimulate(p, kind, opt)
+	})
+	done := make(chan []byte)
+	go func() {
+		_, _, raw := postWorkerRun(t, ts, `{"bench":"telco","vm":"pypy","fresh":true}`)
+		done <- raw
+	}()
+	for w.Runner().Simulations() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if w.encoded.get(id) != nil {
+		t.Error("fresh evicted the cell and kept its encoded result")
+	}
+	close(gate)
+	raw := <-done
+	rebuilt := w.encoded.get(id)
+	if !bytes.Equal(rebuilt, old) {
+		t.Errorf("re-simulation rebuilt different bytes:\n%s\nwas\n%s", rebuilt, old)
+	}
+	if &rebuilt[0] == &old[0] {
+		t.Error("the entry was never rebuilt")
+	}
+	// The table's bytes are the reply's "result" member but for the
+	// whitespace json.RawMessage trims — none at either end.
+	if !bytes.Equal(resultBytes(t, raw), rebuilt) {
+		t.Error("the reply does not carry the table's bytes")
 	}
 }
 

@@ -210,23 +210,34 @@ func (r *Runner) TotalSimInstrs() uint64 {
 	return t
 }
 
-// Has reports whether the cell is memoized AND finished — a subsequent
-// Get will return without simulating. Advisory under concurrency: a
-// cell can finish (or be evicted) between Has and Get.
-func (r *Runner) Has(p *bench.Program, kind VMKind, opt Options) bool {
+// Peek returns the result of a cell that is memoized, finished and
+// succeeded, or nil; it never schedules a simulation and never blocks.
+// A non-nil answer counts as one request and one hit, exactly as the Get
+// it stands in for would have; nil counts nothing — the caller's
+// follow-up Get does. A failed cell answers nil so that Get reports its
+// memoized error.
+func (r *Runner) Peek(p *bench.Program, kind VMKind, opt Options) *Result {
 	key := Key(p, kind, opt)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.cells[key]
-	r.mu.Unlock()
 	if !ok {
-		return false
+		return nil
 	}
 	select {
 	case <-c.done:
-		return true
 	default:
-		return false
+		return nil
 	}
+	if c.err != nil {
+		return nil
+	}
+	r.stats.Requests++
+	r.stats.Hits++
+	if m := telem(); m != nil {
+		m.hits.Inc()
+	}
+	return c.res
 }
 
 // SetSimulate replaces the cell executor. Intended for tests that need
@@ -239,7 +250,7 @@ func (r *Runner) SetSimulate(fn func(*bench.Program, VMKind, Options) (*Result, 
 
 // CacheStats summarizes the runner's memoization behavior.
 type CacheStats struct {
-	Requests  int // cell lookups (Get + Prefetch)
+	Requests  int // cell lookups (Get, Prefetch, and each Peek that found its cell)
 	Hits      int // lookups served by an existing cell
 	Misses    int // lookups that scheduled a fresh simulation
 	Evictions int // cells explicitly evicted for re-simulation

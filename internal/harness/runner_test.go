@@ -103,6 +103,57 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunnerPeek: Peek answers only for a cell that is memoized,
+// finished and succeeded, never schedules one, and a hit counts as the
+// request and hit of the Get it replaces while a miss counts nothing.
+func TestRunnerPeek(t *testing.T) {
+	r := NewRunner(2)
+	gate := make(chan struct{})
+	r.simulate = func(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
+		<-gate
+		if kind == VMC {
+			return nil, errors.New("no static kernel")
+		}
+		return &Result{Bench: p.Name, VM: kind}, nil
+	}
+	p := bench.ByName("telco")
+	if r.Peek(p, VMCPython, Options{}) != nil {
+		t.Fatal("Peek found a cell nobody asked for")
+	}
+	r.Prefetch(p, VMCPython, Options{})
+	r.Prefetch(p, VMC, Options{})
+	if r.Peek(p, VMCPython, Options{}) != nil {
+		t.Fatal("Peek answered for a cell still in flight")
+	}
+	if got := r.CacheStats(); got != (CacheStats{Requests: 2, Misses: 2}) {
+		t.Fatalf("after two prefetches and two empty Peeks: %+v", got)
+	}
+	close(gate)
+	want, err := r.Get(p, VMCPython, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Get(p, VMC, Options{}); err == nil {
+		t.Fatal("the failing cell succeeded")
+	}
+	if got := r.Peek(p, VMCPython, Options{}); got != want {
+		t.Fatalf("Peek = %p, want the memoized result %p", got, want)
+	}
+	if r.Peek(p, VMC, Options{}) != nil {
+		t.Fatal("Peek answered for a failed cell; Get reports its error")
+	}
+	if got := r.CacheStats(); got != (CacheStats{Requests: 5, Hits: 3, Misses: 2}) {
+		t.Fatalf("after two Gets and one Peek that found its cell: %+v", got)
+	}
+	if r.Simulations() != 2 {
+		t.Fatalf("%d simulations, want the two prefetched", r.Simulations())
+	}
+	r.Evict(p, VMCPython, Options{})
+	if r.Peek(p, VMCPython, Options{}) != nil || r.Simulations() != 2 {
+		t.Fatal("Peek answered for, or re-simulated, an evicted cell")
+	}
+}
+
 func TestRunnerErrorPath(t *testing.T) {
 	r := NewRunner(2)
 	// knucleotide has no static kernel: the cell fails, others proceed.
