@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt allocs inline race bench hostprof serveprof benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs inline results race bench hostprof serveprof benchmark experiments serve fuzz traces
 
 all: build
 
@@ -11,10 +11,11 @@ test:
 	$(GO) test ./...
 
 # check is the pre-merge gate: static analysis, formatting, the host
-# allocation guards, the retire-path inlining guard, and the race-enabled
-# tests for the packages with real concurrency (the parallel experiment
-# runner and the pintool observers).
-check: vet fmt allocs inline race
+# allocation guards, the retire-path inlining guard, the byte-identical
+# regeneration of results.txt, and the race-enabled tests for the
+# packages with real concurrency (the parallel experiment runner and the
+# pintool observers).
+check: vet fmt allocs inline results race
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +48,12 @@ inline:
 			echo "$$f: cpu.Machine.Ops is not inlined (is the retire path behind an interface again?)"; exit 1; \
 		fi; \
 	done
+
+# results regenerates every table and figure and compares the output
+# byte for byte with the checked-in results.txt — the repo's first
+# invariant (~12 s on 2 CPUs; each distinct cell simulates once).
+results:
+	$(GO) run ./cmd/experiments -exp all | cmp - results.txt
 
 # Race instrumentation slows the simulator ~10x; give slow single-core
 # machines headroom beyond go test's default 10m panic. The JIT engine

@@ -139,12 +139,10 @@ func BenchmarkFig6IRStats(b *testing.B) {
 	p := bench.ByName("richards")
 	for i := 0; i < b.N; i++ {
 		r := run(b, p, harness.VMPyPyJIT, harness.Options{})
-		if r.Log == nil || r.Log.TotalIRNodes() == 0 {
+		if r.IR.CompiledNodes() == 0 || r.IR.Hot95 == 0 {
 			b.Fatal("no IR stats")
 		}
-		r.Log.CategoryBreakdown()
-		r.Log.HotNodeFraction(0.95)
-		r.Log.DynamicOpcodeHistogram()
+		r.IR.Categories()
 	}
 }
 
@@ -153,7 +151,7 @@ func BenchmarkTable3AOT(b *testing.B) {
 	p := bench.ByName("pidigits")
 	for i := 0; i < b.N; i++ {
 		r := run(b, p, harness.VMPyPyJIT, harness.Options{})
-		if len(r.AOT.CyclesByFunc) == 0 {
+		if len(r.AOT) == 0 {
 			b.Fatal("no AOT attribution")
 		}
 	}

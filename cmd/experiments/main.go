@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 
 	"metajit/internal/bench"
@@ -26,7 +27,7 @@ func main() {
 	profileDir := flag.String("profile", "", "also run the PyPy suite under the streaming profiler, writing Chrome traces, folded flamegraphs, and interval series to this directory")
 	recordDir := flag.String("record", "", "also record the PyPy suite as workload traces (.mtt) into this directory")
 	tracesDir := flag.String("traces", "", "replay every committed trace fixture (*.mtt) in this directory, verifying each against its recorded summary")
-	stats := flag.Bool("stats", false, "print memo-cache statistics to stderr after the run")
+	stats := flag.Bool("stats", false, "print memo-cache statistics and the live heap per held cell to stderr after the run")
 	flag.Parse()
 
 	pypy := bench.PyPySuite()
@@ -166,6 +167,17 @@ func main() {
 		cs := runner.CacheStats()
 		fmt.Fprintf(os.Stderr, "cache: %d requests, %d hits, %d misses, %d evictions (%.1f%% hit rate)\n",
 			cs.Requests, cs.Hits, cs.Misses, cs.Evictions, 100*cs.HitRate())
+		// What the memo retains against what it serves: the live heap
+		// once every table is rendered, after two collections (the second
+		// frees what the first one's finalizers released), over the cells
+		// still held — each miss inserted one, each eviction removed one.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		cells := cs.Misses - cs.Evictions
+		fmt.Fprintf(os.Stderr, "heap: %.1f MB live, %d cells held (%.1f KB per cell)\n",
+			float64(ms.HeapAlloc)/(1<<20), cells, float64(ms.HeapAlloc)/1024/float64(max(cells, 1)))
 	}
 
 	if errs := runner.Errs(); len(errs) > 0 {

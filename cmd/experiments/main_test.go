@@ -12,6 +12,53 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
+// subset picks the named programs out of the PyPy suite, in suite order.
+func subset(t *testing.T, names ...string) []bench.Program {
+	t.Helper()
+	want := map[string]bool{}
+	for _, n := range names {
+		want[n] = true
+	}
+	var progs []bench.Program
+	for _, p := range bench.PyPySuite() {
+		if want[p.Name] {
+			progs = append(progs, p)
+		}
+	}
+	if len(progs) != len(want) {
+		t.Fatalf("subset selected %d of %d programs; suite renamed?", len(progs), len(want))
+	}
+	return progs
+}
+
+// checkGolden renders over a fresh Runner and compares the output byte
+// for byte against testdata/<name>; -update rewrites the file.
+func checkGolden(t *testing.T, name string, render func(*harness.Runner) string) {
+	t.Helper()
+	runner := harness.NewRunner(0)
+	got := render(runner)
+	if errs := runner.Errs(); len(errs) > 0 {
+		t.Fatalf("runner errors: %v", errs)
+	}
+
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantBytes, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(wantBytes) {
+		t.Errorf("output drifted from %s:\n--- golden\n%s\n--- got\n%s", golden, wantBytes, got)
+	}
+}
+
 // TestTable1Golden renders Table I over a small fixed subset of the PyPy
 // suite in process and compares it byte-for-byte against the checked-in
 // golden file. The simulator is deterministic, so any drift in cycle
@@ -20,39 +67,10 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 //
 //	go test ./cmd/experiments -run TestTable1Golden -update
 func TestTable1Golden(t *testing.T) {
-	want := map[string]bool{"telco": true, "pidigits": true}
-	var progs []bench.Program
-	for _, p := range bench.PyPySuite() {
-		if want[p.Name] {
-			progs = append(progs, p)
-		}
-	}
-	if len(progs) != len(want) {
-		t.Fatalf("subset selected %d of %d programs; suite renamed?", len(progs), len(want))
-	}
-
-	runner := harness.NewRunner(0)
-	got := harness.Table1(runner, progs)
-	if errs := runner.Errs(); len(errs) > 0 {
-		t.Fatalf("runner errors: %v", errs)
-	}
-
-	golden := filepath.Join("testdata", "table1_subset.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantBytes, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(wantBytes) {
-		t.Errorf("Table I output drifted from golden file:\n--- golden\n%s\n--- got\n%s", wantBytes, got)
-	}
+	progs := subset(t, "telco", "pidigits")
+	checkGolden(t, "table1_subset.golden", func(r *harness.Runner) string {
+		return harness.Table1(r, progs)
+	})
 }
 
 // TestFig10Golden pins the tiered-warmup figure (Figure 10) on a small
@@ -61,39 +79,25 @@ func TestTable1Golden(t *testing.T) {
 //
 //	go test ./cmd/experiments -run TestFig10Golden -update
 func TestFig10Golden(t *testing.T) {
-	want := map[string]bool{"telco": true, "pidigits": true}
-	var progs []bench.Program
-	for _, p := range bench.PyPySuite() {
-		if want[p.Name] {
-			progs = append(progs, p)
-		}
-	}
-	if len(progs) != len(want) {
-		t.Fatalf("subset selected %d of %d programs; suite renamed?", len(progs), len(want))
-	}
+	progs := subset(t, "telco", "pidigits")
+	checkGolden(t, "fig10_subset.golden", func(r *harness.Runner) string {
+		return harness.Fig10(r, progs)
+	})
+}
 
-	runner := harness.NewRunner(0)
-	got := harness.Fig10(runner, progs)
-	if errs := runner.Errs(); len(errs) > 0 {
-		t.Fatalf("runner errors: %v", errs)
-	}
-
-	golden := filepath.Join("testdata", "fig10_subset.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantBytes, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(wantBytes) {
-		t.Errorf("Figure 10 output drifted from golden file:\n--- golden\n%s\n--- got\n%s", wantBytes, got)
-	}
+// TestIRFiguresGolden pins the renderings that reduce a run's JIT log and
+// AOT attribution — Figures 6-9 and Table III — over four programs:
+// richards (bridges and deoptimizations), pidigits (its time is in AOT
+// bigint calls, so Table III has rows), telco and chaos. The golden was
+// recorded while the figures still walked the live jitlog.Log and
+// AOTAttributor of each Result; the tables a Result carries now must
+// print the same bytes.
+func TestIRFiguresGolden(t *testing.T) {
+	progs := subset(t, "richards", "chaos", "telco", "pidigits")
+	checkGolden(t, "ir_subset.golden", func(r *harness.Runner) string {
+		return harness.Fig6(r, progs) + harness.Fig7(r, progs) + harness.Fig8(r, progs) +
+			harness.Fig9(r, progs) + harness.Table3(r, progs)
+	})
 }
 
 // TestTieredWarmupRegression is the headline acceptance check for the

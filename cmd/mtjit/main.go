@@ -29,7 +29,6 @@ import (
 	"metajit/internal/core"
 	"metajit/internal/cpu"
 	"metajit/internal/harness"
-	"metajit/internal/jitlog"
 	"metajit/internal/mtjit"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
@@ -74,6 +73,13 @@ func main() {
 		return
 	}
 
+	// Run writes the -jitlog dump into jitLog; report prints it last.
+	var jitLog bytes.Buffer
+	opt := harness.Options{Threshold: *threshold, ProfileDir: *profileDir, RecordDir: *recordDir}
+	if *dumpLog {
+		opt.JITLog = &jitLog
+	}
+
 	if *replayFile != "" {
 		vmExplicit := false
 		flag.Visit(func(f *flag.Flag) {
@@ -81,7 +87,7 @@ func main() {
 				vmExplicit = true
 			}
 		})
-		code := runReplay(*replayFile, *vmName, vmExplicit, *replayAlloc, *profileDir, *recordDir, *dumpLog)
+		code := runReplay(*replayFile, *vmName, vmExplicit, *replayAlloc, opt, &jitLog)
 		dumpTelemetry(reg)
 		os.Exit(code)
 	}
@@ -96,16 +102,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (use -list)\n", *benchName)
 		os.Exit(2)
 	}
-	r, err := harness.Run(p, harness.VMKind(*vmName), harness.Options{
-		Threshold:  *threshold,
-		ProfileDir: *profileDir,
-		RecordDir:  *recordDir,
-	})
+	r, err := harness.Run(p, harness.VMKind(*vmName), opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	report(r, *dumpLog)
+	report(r, &jitLog)
 	dumpTelemetry(reg)
 }
 
@@ -115,8 +117,9 @@ func main() {
 // verification: a different tier structure legitimately changes the
 // counters) and is verified bit-exactly against the recorded summary
 // and event stream. Alloc replay applies the recorded allocation/free
-// stream straight to a fresh heap.
-func runReplay(path, vmName string, vmExplicit, allocOnly bool, profileDir, recordDir string, dumpLog bool) int {
+// stream straight to a fresh heap. cli is the command line's options;
+// a replay takes only their artifact outputs.
+func runReplay(path, vmName string, vmExplicit, allocOnly bool, cli harness.Options, jitLog *bytes.Buffer) int {
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -128,8 +131,7 @@ func runReplay(path, vmName string, vmExplicit, allocOnly bool, profileDir, reco
 		kind = harness.VMKind(vmName)
 	}
 	opt := harness.ReplayOptions(tr)
-	opt.ProfileDir = profileDir
-	opt.RecordDir = recordDir
+	opt.ProfileDir, opt.RecordDir, opt.JITLog = cli.ProfileDir, cli.RecordDir, cli.JITLog
 	fmt.Printf("replaying %s: %s (guest %s) recorded on %s, %d events\n",
 		path, tr.Header.Name, tr.Header.Guest, tr.Header.VM, tr.Summary.Events)
 
@@ -153,7 +155,7 @@ func runReplay(path, vmName string, vmExplicit, allocOnly bool, profileDir, reco
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	report(r, dumpLog)
+	report(r, jitLog)
 	if vmExplicit && kind != harness.VMKind(tr.Header.VM) {
 		fmt.Printf("replay: ran on %s, recorded on %s — verification skipped\n", kind, tr.Header.VM)
 		return 0
@@ -189,7 +191,7 @@ func dumpTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-func report(r *harness.Result, dumpLog bool) {
+func report(r *harness.Result, jitLog *bytes.Buffer) {
 	fmt.Printf("benchmark: %s on %s\n", r.Bench, r.VM)
 	fmt.Printf("checksum:  %d\n", r.Checksum)
 	fmt.Printf("instrs:    %d\n", r.Instrs)
@@ -235,9 +237,9 @@ func report(r *harness.Result, dumpLog bool) {
 			fmt.Printf("profile: wrote %s\n", f)
 		}
 	}
-	if dumpLog && r.Log != nil {
+	if jitLog.Len() > 0 {
 		fmt.Println("---- jit log ----")
-		fmt.Print(r.Log.Dump())
+		fmt.Print(jitLog.String())
 	}
 }
 
@@ -273,10 +275,6 @@ func runFile(path, vmName string) {
 		os.Exit(2)
 	}
 	vm := pylang.New(mach, cfg)
-	var log *jitlog.Log
-	if vm.Eng != nil {
-		log = jitlog.Attach(vm.Eng)
-	}
 	if err := vm.LoadModule(path, string(src)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -286,7 +284,8 @@ func runFile(path, vmName string) {
 	fmt.Printf("main() = %s\n", vm.Format(res))
 	fmt.Printf("instrs: %d  cycles: %.0f  IPC: %.2f\n",
 		mach.TotalInstrs(), mach.TotalCycles(), mach.Total().IPC())
-	if log != nil {
-		fmt.Printf("jit: %d traces compiled\n", len(log.Traces))
+	if vm.Eng != nil {
+		st := vm.Eng.Stats()
+		fmt.Printf("jit: %d traces compiled\n", st.LoopsCompiled+st.BridgesCompiled)
 	}
 }

@@ -62,7 +62,7 @@ func main() {
 	hotCells := flag.Int("hot-cells", 3, "size of the hot cell subset")
 	seed := flag.Int64("seed", 1, "mix-sampling seed (reproducible traffic)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-	maxInstrs := flag.Uint64("max-instrs", 0, "forwarded to every request (0: run to completion)")
+	maxInstrs := flag.Uint64("max-instrs", 0, "forwarded to every request as max_instrs; no simulator code reads it — it only selects a distinct memo cell")
 	verify := flag.Bool("verify", true, "fail if a cell ever answers with different result bytes")
 	scrape := flag.String("scrape", "", "extra /metrics base URLs to aggregate (comma-separated; target always scraped)")
 	out := flag.String("out", "", "write the JSON report here (default: stdout)")

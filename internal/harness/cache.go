@@ -14,9 +14,10 @@ import (
 // value — two Options that point at equal configs fingerprint identically
 // — so the Runner simulates each distinct cell exactly once per process
 // no matter which table or figure asks for it. Every field is comparable,
-// letting the key index a map directly. Options.Live is deliberately
-// excluded: a live tracker observes a run without changing its Result,
-// so tracked and untracked requests share a cell.
+// letting the key index a map directly. Options.Live, ReqTrace and
+// JITLog are deliberately excluded: each observes a run without changing
+// its Result (keyExcluded in cache_audit_test.go argues each), so
+// requests that differ only in them share a cell.
 type CellKey struct {
 	Bench string
 	VM    VMKind

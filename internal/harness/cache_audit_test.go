@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,7 @@ import (
 var keyExcluded = map[string]string{
 	"Live":     "a live tracker observes counters without perturbing the run",
 	"ReqTrace": "request-trace span capture observes counters without perturbing the run",
+	"JITLog":   "a text sink for the JIT log dump cannot reach the Result: it is an io.Writer, not a *jitlog.Log",
 }
 
 // perturb returns an Options differing from the zero value only in the
@@ -54,6 +56,11 @@ func perturb(t *testing.T, field string) Options {
 	case *reqtrace.Span:
 		rec := reqtrace.NewRecorder(reqtrace.Config{Process: "audit"})
 		v.Set(reflect.ValueOf(rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "audit")))
+	case nil: // an interface field: its zero value carries no dynamic type
+		if v.Type() != reflect.TypeFor[io.Writer]() {
+			t.Fatalf("Options.%s has interface type %s the audit cannot perturb", field, v.Type())
+		}
+		v.Set(reflect.ValueOf(io.Discard))
 	default:
 		t.Fatalf("Options.%s has type %s the audit cannot perturb — teach perturb() about it "+
 			"and decide whether it belongs in CellKey", field, v.Type())

@@ -8,6 +8,7 @@ import (
 
 	"metajit/internal/bench"
 	"metajit/internal/core"
+	"metajit/internal/jitlog"
 	"metajit/internal/mtjit"
 )
 
@@ -298,11 +299,10 @@ func Table3Data(r *Runner, progs []bench.Program, minPercent float64) []AOTEntry
 		if err != nil {
 			continue
 		}
-		for id, cyc := range res.AOT.CyclesByFunc {
-			pct := 100 * cyc / res.Cycles
+		for _, f := range res.AOT {
+			pct := 100 * f.Cycles / res.Cycles
 			if pct >= minPercent {
-				info := res.AOTNames[id]
-				out = append(out, AOTEntry{Bench: p.Name, Percent: pct, Src: info.Src, Name: info.Name})
+				out = append(out, AOTEntry{Bench: p.Name, Percent: pct, Src: f.Src, Name: f.Name})
 			}
 		}
 	}
@@ -448,14 +448,11 @@ func Fig6(r *Runner, progs []bench.Program) string {
 			fmt.Fprintf(&sb, "%-20s %s\n", p.Name, errCell)
 			continue
 		}
-		if res.Log == nil {
-			continue
-		}
 		fmt.Fprintf(&sb, "%-20s %12d %15.1f%% %16.0f\n",
 			p.Name,
-			res.Log.TotalIRNodes(),
-			100*res.Log.HotNodeFraction(0.95),
-			float64(res.Log.DynamicIRNodes())/(float64(res.Instrs)/1e6))
+			res.IR.CompiledNodes(),
+			100*res.IR.Hot95,
+			float64(res.IR.DynamicNodes())/(float64(res.Instrs)/1e6))
 	}
 	return sb.String()
 }
@@ -473,7 +470,7 @@ func Fig7(r *Runner, progs []bench.Program) string {
 		fmt.Fprintf(&sb, " %7s", c)
 	}
 	sb.WriteByte('\n')
-	totals := map[mtjit.Category]float64{}
+	var totals [mtjit.NumCategories]float64
 	n := 0
 	for i := range progs {
 		p := &progs[i]
@@ -482,10 +479,7 @@ func Fig7(r *Runner, progs []bench.Program) string {
 			fmt.Fprintf(&sb, "%-20s %s\n", p.Name, errCell)
 			continue
 		}
-		if res.Log == nil {
-			continue
-		}
-		br := res.Log.CategoryBreakdown()
+		br := res.IR.Categories()
 		fmt.Fprintf(&sb, "%-20s", p.Name)
 		for _, c := range cats {
 			fmt.Fprintf(&sb, " %6.1f%%", 100*br[c])
@@ -504,31 +498,42 @@ func Fig7(r *Runner, progs []bench.Program) string {
 	return sb.String()
 }
 
-// Fig8 reproduces Figure 8: the dynamic frequency histogram of IR node
-// types across the suite.
-func Fig8(r *Runner, progs []bench.Program) string {
+// suiteIR sums the per-opcode IR statistics of the suite's pypy cells
+// (Figures 8 and 9 are suite aggregates); failed cells are skipped.
+func suiteIR(r *Runner, progs []bench.Program) (sum jitlog.Stats) {
 	for i := range progs {
 		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
 	}
-	counts := map[mtjit.Opcode]uint64{}
-	var total uint64
 	for i := range progs {
 		res, err := r.Get(&progs[i], VMPyPyJIT, Options{})
-		if err != nil || res.Log == nil {
+		if err != nil {
 			continue
 		}
-		for _, f := range res.Log.DynamicOpcodeHistogram() {
-			counts[f.Opc] += f.Count
-			total += f.Count
+		for opc := range sum.Compiled {
+			sum.Compiled[opc] += res.IR.Compiled[opc]
+			sum.Dynamic[opc] += res.IR.Dynamic[opc]
 		}
 	}
+	return sum
+}
+
+// Fig8 reproduces Figure 8: the dynamic frequency histogram of IR node
+// types across the suite.
+func Fig8(r *Runner, progs []bench.Program) string {
+	ir := suiteIR(r, progs)
 	type kv struct {
 		opc mtjit.Opcode
 		n   uint64
 	}
+	// A node type has a row once any benchmark compiled it, executed or
+	// not, and labels count here as any other node.
 	var list []kv
-	for o, n := range counts {
-		list = append(list, kv{o, n})
+	var total uint64
+	for opc, n := range ir.Dynamic {
+		if ir.Compiled[opc] > 0 {
+			list = append(list, kv{mtjit.Opcode(opc), n})
+			total += n
+		}
 	}
 	sort.Slice(list, func(i, j int) bool {
 		if list[i].n != list[j].n {
@@ -548,26 +553,16 @@ func Fig8(r *Runner, progs []bench.Program) string {
 
 // Fig9 reproduces Figure 9: mean assembly instructions per IR node type.
 func Fig9(r *Runner, progs []bench.Program) string {
-	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
-	}
-	seen := map[mtjit.Opcode]float64{}
-	for i := range progs {
-		res, err := r.Get(&progs[i], VMPyPyJIT, Options{})
-		if err != nil || res.Log == nil {
-			continue
-		}
-		for opc, asm := range res.Log.AsmPerOpcode() {
-			seen[opc] = asm
-		}
-	}
+	ir := suiteIR(r, progs)
 	type kv struct {
 		opc mtjit.Opcode
 		asm float64
 	}
 	var list []kv
-	for o, a := range seen {
-		list = append(list, kv{o, a})
+	for opc, n := range ir.Compiled {
+		if o := mtjit.Opcode(opc); n > 0 && o != mtjit.OpLabel {
+			list = append(list, kv{o, float64(o.AsmLen())})
+		}
 	}
 	sort.Slice(list, func(i, j int) bool {
 		if list[i].asm != list[j].asm {

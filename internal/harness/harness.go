@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 
@@ -96,8 +97,9 @@ type Options struct {
 	Opts *mtjit.OptConfig
 	// Params overrides the CPU model.
 	Params *cpu.Params
-	// MaxInstrs stops sampling-based comparisons early (0 = run to
-	// completion; execution itself always completes).
+	// MaxInstrs is read by nothing: every run executes and samples to
+	// completion. It only splits the memo by entering CellKey, and leaves
+	// with the one planned CellID move (ROADMAP item 2).
 	MaxInstrs uint64
 	// Profile attaches the streaming cross-layer profiler
 	// (internal/profile) to the run; Result.Profile holds the finished
@@ -141,13 +143,23 @@ type Options struct {
 	// simulation, so a traced run's Result is byte-identical to an
 	// untraced one.
 	ReqTrace *reqtrace.Span
+	// JITLog, when non-nil and the run has a JIT, receives the JIT log
+	// dump (jitlog.Log.Dump) after main returns; a write error is the
+	// run's error. The traces end with the run and Result.IR keeps their
+	// statistics. Excluded from the memo CellKey: a text sink cannot
+	// reach the Result, and a memo hit writes nothing to it.
+	JITLog io.Writer
 }
 
 // DefaultProfileWindow is the time-series window (in retired
 // instructions) used when profiling is on and no override is given.
 const DefaultProfileWindow = 1 << 16
 
-// Result is one benchmark execution's measurements.
+// Result is one benchmark execution's measurements. It is a value:
+// everything a default run produces is numbers and strings computed when
+// the run ends, so a memoized Result holds no machine, trace or guest
+// heap (TestResultHoldsNoGraph). Profile and Trace are the two artifacts
+// a caller asks for by name; they are nil otherwise.
 type Result struct {
 	Bench string
 	VM    VMKind
@@ -166,11 +178,14 @@ type Result struct {
 	Samples []pintool.Sample
 
 	Bytecodes uint64
-	AOT       *pintool.AOTAttributor
-	Log       *jitlog.Log
-	Events    *pintool.TraceEventCounter
-	EngStats  mtjit.EngineStats
-	AOTNames  map[uint32]aotInfo
+	// AOT is Table III's input: one row per AOT function that JIT code
+	// called, in function-ID order.
+	AOT []AOTCost
+	// IR is the JIT log reduced to what Figures 6-9 read (zero for a run
+	// without a JIT).
+	IR       jitlog.Stats
+	Events   pintool.TraceEventCounter
+	EngStats mtjit.EngineStats
 
 	// Profile is the finished streaming profiler (nil unless
 	// Options.Profile/ProfileDir enabled it); ProfileFiles lists artifact
@@ -189,9 +204,13 @@ type Result struct {
 	TraceFile string
 }
 
-type aotInfo struct {
-	Name string
-	Src  string
+// AOTCost is the cycles attributed to one AOT-compiled entry point over
+// the calls JIT code made to it (pintool.AOTAttributor).
+type AOTCost struct {
+	Name   string
+	Src    string
+	Cycles float64
+	Calls  uint64
 }
 
 // Seconds converts cycles to simulated seconds at the clock of the CPU
@@ -256,8 +275,7 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 	}
 
 	cfg := pylang.Config{}
-	src := p.Source
-	scheme := false
+	src, guest := p.Source, trace.GuestPy
 	switch kind {
 	case VMCPython:
 		cfg.Profile = mtjit.ReferenceProfile()
@@ -281,13 +299,11 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 		cfg.Adaptive = kind == VMPyPyAdaptive
 	case VMRacket:
 		cfg.Profile = mtjit.CustomVMProfile()
-		src = p.SkSource
-		scheme = true
+		src, guest = p.SkSource, trace.GuestSk
 	case VMPycket:
 		cfg.Profile = mtjit.FrameworkProfile()
 		cfg.JIT = true
-		src = p.SkSource
-		scheme = true
+		src, guest = p.SkSource, trace.GuestSk
 	default:
 		return nil, fmt.Errorf("harness: unknown VM %q", kind)
 	}
@@ -319,21 +335,7 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 	// The recorder attaches after the profiler, so both see the same
 	// annotation stream; the heap tracer attaches right after the VM's
 	// heap exists, before any guest code (module init included) runs.
-	var rec *trace.Recorder
-	if opt.Record || opt.RecordDir != "" {
-		guest := trace.GuestPy
-		if scheme {
-			guest = trace.GuestSk
-		}
-		rec = trace.NewRecorder(trace.Header{
-			Guest:  guest,
-			Name:   p.Name,
-			VM:     string(kind),
-			Source: src,
-			Config: snapshotConfig(opt, hcfg),
-		})
-		mach.Observe(rec)
-	}
+	rec := attachRecorder(mach, p, kind, opt, hcfg, guest, src)
 
 	vm := pylang.New(mach, cfg)
 	profVM = vm
@@ -346,7 +348,7 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 		profLog = log
 		lr.setLog(log)
 	}
-	if scheme {
+	if guest == trace.GuestSk {
 		vm.UnicodeStrings = false
 		if err := sklang.Load(vm, src); err != nil {
 			return nil, fmt.Errorf("harness: %s on %s: %w", p.Name, kind, err)
@@ -363,18 +365,25 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 		return nil, err
 	}
 
+	// Reduce the observers to values: the machine, the traces and the
+	// guest heap end with this function.
 	res.GC = vm.H.Stats()
 	res.Bytecodes = wm.Bytecodes
 	res.Samples = wm.Samples
-	res.AOT = att
-	res.Events = events
-	res.Log = log
-	if vm.Eng != nil {
+	res.Events = *events
+	if log != nil {
+		res.IR = log.Stats()
 		res.EngStats = vm.Eng.Stats()
+		if opt.JITLog != nil {
+			if _, err := io.WriteString(opt.JITLog, log.Dump()); err != nil {
+				return nil, fmt.Errorf("harness: %s on %s: jit log: %w", p.Name, kind, err)
+			}
+		}
 	}
-	res.AOTNames = map[uint32]aotInfo{}
 	for _, f := range vm.RT.Funcs() {
-		res.AOTNames[f.ID] = aotInfo{Name: f.Name, Src: f.Src.String()}
+		if cyc, ok := att.CyclesByFunc[f.ID]; ok {
+			res.AOT = append(res.AOT, AOTCost{Name: f.Name, Src: f.Src.String(), Cycles: cyc, Calls: att.CallsByFunc[f.ID]})
+		}
 	}
 	// The heap checksum is a pure Go walk (no simulated instructions),
 	// so computing it here perturbs nothing; it feeds the recorded
@@ -439,6 +448,23 @@ func ReplayOptions(t *trace.Trace) Options {
 	}
 }
 
+// attachRecorder attaches the trace recorder when the options ask for a
+// recording (nil otherwise); guest and source name what is being run.
+func attachRecorder(mach *cpu.Machine, p *bench.Program, kind VMKind, opt Options, hcfg heap.Config, guest, source string) *trace.Recorder {
+	if !opt.Record && opt.RecordDir == "" {
+		return nil
+	}
+	rec := trace.NewRecorder(trace.Header{
+		Guest:  guest,
+		Name:   p.Name,
+		VM:     string(kind),
+		Source: source,
+		Config: snapshotConfig(opt, hcfg),
+	})
+	mach.Observe(rec)
+	return rec
+}
+
 // finishRecording seals the recorder with the run's outcome and writes
 // the trace file when RecordDir asks for one.
 func finishRecording(rec *trace.Recorder, res *Result, opt Options, mach *cpu.Machine, heapCk uint64, gc heap.Stats) error {
@@ -490,17 +516,7 @@ func runAllocReplay(p *bench.Program, kind VMKind, opt Options, mach *cpu.Machin
 	}
 	defer prof.close()
 
-	var rec *trace.Recorder
-	if opt.Record || opt.RecordDir != "" {
-		rec = trace.NewRecorder(trace.Header{
-			Guest:  p.Trace.Header.Guest,
-			Name:   p.Name,
-			VM:     string(kind),
-			Source: p.Trace.Header.Source,
-			Config: snapshotConfig(opt, hcfg),
-		})
-		mach.Observe(rec)
-	}
+	rec := attachRecorder(mach, p, kind, opt, hcfg, p.Trace.Header.Guest, p.Trace.Header.Source)
 
 	h := heap.New(mach, hcfg)
 	if rec != nil {

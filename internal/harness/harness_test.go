@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"metajit/internal/bench"
@@ -131,11 +132,13 @@ func TestGCHeavyBenchmarkShowsGCPhase(t *testing.T) {
 func TestAOTAttributionFindsBigintForPidigits(t *testing.T) {
 	r := mustRun(t, bench.ByName("pidigits"), VMPyPyJIT, Options{})
 	var bigCycles, total float64
-	for id, cyc := range r.AOT.CyclesByFunc {
-		total += cyc
-		name := r.AOTNames[id].Name
-		if len(name) >= 7 && name[:7] == "rbigint" {
-			bigCycles += cyc
+	for _, f := range r.AOT {
+		total += f.Cycles
+		if strings.HasPrefix(f.Name, "rbigint") {
+			bigCycles += f.Cycles
+		}
+		if f.Calls == 0 {
+			t.Errorf("%s: %.0f cycles attributed over no calls", f.Name, f.Cycles)
 		}
 	}
 	if total == 0 || bigCycles/r.Cycles < 0.10 {

@@ -33,12 +33,12 @@ type Runner struct {
 	simCount int
 }
 
+// cell is one memoized simulation. It holds the key and the outcome, not
+// the Options it ran under: their observers and sinks (Live, ReqTrace,
+// JITLog) belong to the request that caused the run, and a memo that
+// kept them would pin, for one, every cold request's span tree.
 type cell struct {
 	key  CellKey
-	p    *bench.Program
-	kind VMKind
-	opt  Options
-
 	done chan struct{}
 	res  *Result
 	err  error
@@ -89,10 +89,10 @@ func (r *Runner) lookup(p *bench.Program, kind VMKind, opt Options) *cell {
 	if m := telem(); m != nil {
 		m.misses.Inc()
 	}
-	c := &cell{key: key, p: p, kind: kind, opt: opt, done: make(chan struct{})}
+	c := &cell{key: key, done: make(chan struct{})}
 	r.cells[key] = c
 	r.order = append(r.order, c)
-	go r.runCell(c)
+	go r.runCell(c, p, kind, opt)
 	return c
 }
 
@@ -123,18 +123,18 @@ func (r *Runner) Evict(p *bench.Program, kind VMKind, opt Options) bool {
 	return true
 }
 
-func (r *Runner) runCell(c *cell) {
+func (r *Runner) runCell(c *cell, p *bench.Program, kind VMKind, opt Options) {
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
 	defer close(c.done)
 	// A cell failure — including a guest-level panic deep in a simulated
 	// VM — must not take down the other cells' goroutines with it.
 	defer func() {
-		if p := recover(); p != nil {
-			c.err = fmt.Errorf("%s: panic: %v", c.key, p)
+		if v := recover(); v != nil {
+			c.err = fmt.Errorf("%s: panic: %v", c.key, v)
 		}
 	}()
-	if c.p == nil {
+	if p == nil {
 		c.err = fmt.Errorf("%s: unknown benchmark", c.key)
 		return
 	}
@@ -145,7 +145,7 @@ func (r *Runner) runCell(c *cell) {
 	m := telem()
 	m.inflight().Inc()
 	start := time.Now()
-	res, err := sim(c.p, c.kind, c.opt)
+	res, err := sim(p, kind, opt)
 	m.latencyHist().Observe(uint64(time.Since(start).Microseconds()))
 	m.inflight().Dec()
 	if err != nil {

@@ -6,7 +6,7 @@ package jitlog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"metajit/internal/mtjit"
@@ -75,127 +75,106 @@ func Attach(eng *mtjit.Engine) *Log {
 	return l
 }
 
-// TotalIRNodes returns the number of IR nodes compiled across all traces
-// (Figure 6a's metric).
-func (l *Log) TotalIRNodes() int {
-	n := 0
-	for _, t := range l.Traces {
-		n += t.NewOpsCount()
-	}
-	return n
+// Stats is what Figures 6-9 need from a finished log, as plain numbers: a
+// run keeps this and lets the traces go. Both arrays are indexed by
+// opcode and count OpLabel like any other node; the figures that exclude
+// labels (6, 7, 9 and the hot fraction) skip that one index.
+type Stats struct {
+	// Compiled counts the IR nodes of each type across all traces.
+	Compiled [mtjit.NumOpcodes]uint64
+	// Dynamic counts how often nodes of each type executed.
+	Dynamic [mtjit.NumOpcodes]uint64
+	// Hot95 is the fraction of compiled non-label nodes that account for
+	// 95% of their dynamic executions (Figure 6b).
+	Hot95 float64
 }
 
-// TotalAsmInstrs returns the lowered assembly footprint.
-func (l *Log) TotalAsmInstrs() int {
-	n := 0
+// Stats reduces the log in one walk over Traces x Ops. A node's execution
+// count is the trace's entry count minus the failures of the guards
+// before it — Trace.OpExecs, derived in place so the walk allocates one
+// slice per log, not one per trace.
+func (l *Log) Stats() Stats {
+	var s Stats
+	nodes := 0
 	for _, t := range l.Traces {
-		n += t.AsmLen
+		nodes += len(t.Ops)
 	}
-	return n
-}
-
-// OpcodeFreq is the dynamic execution count of one IR node type.
-type OpcodeFreq struct {
-	Opc   mtjit.Opcode
-	Count uint64
-}
-
-// DynamicOpcodeHistogram returns per-opcode dynamic execution counts,
-// descending (Figure 8).
-func (l *Log) DynamicOpcodeHistogram() []OpcodeFreq {
-	counts := map[mtjit.Opcode]uint64{}
+	execs := make([]uint64, 0, nodes)
 	for _, t := range l.Traces {
-		for i, n := range t.OpExecs() {
-			counts[t.Ops[i].Opc] += n
-		}
-	}
-	out := make([]OpcodeFreq, 0, len(counts))
-	for opc, c := range counts {
-		out = append(out, OpcodeFreq{Opc: opc, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
-
-// CategoryBreakdown returns the dynamic IR-node category mix (Figure 7),
-// as fractions summing to 1 (zero map if nothing executed).
-func (l *Log) CategoryBreakdown() map[mtjit.Category]float64 {
-	counts := map[mtjit.Category]uint64{}
-	var total uint64
-	for _, t := range l.Traces {
-		for i, n := range t.OpExecs() {
-			if t.Ops[i].Opc == mtjit.OpLabel {
-				continue
+		n := t.ExecCount
+		for i := range t.Ops {
+			op := &t.Ops[i]
+			s.Compiled[op.Opc]++
+			s.Dynamic[op.Opc] += n
+			if op.Opc != mtjit.OpLabel {
+				execs = append(execs, n)
 			}
-			counts[t.Ops[i].Opc.Cat()] += n
-			total += n
+			if op.Opc.IsGuard() {
+				n -= uint64(op.Fails)
+			}
 		}
 	}
-	out := map[mtjit.Category]float64{}
+	s.Hot95 = hotFraction(execs, 0.95)
+	return s
+}
+
+// hotFraction returns the fraction of nodes, hottest first, whose
+// execution counts reach the given share of the total; it sorts execs.
+func hotFraction(execs []uint64, share float64) float64 {
+	var total uint64
+	for _, n := range execs {
+		total += n
+	}
 	if total == 0 {
-		return out
-	}
-	for c, n := range counts {
-		out[c] = float64(n) / float64(total)
-	}
-	return out
-}
-
-// HotNodeFraction returns the fraction of compiled IR nodes that account
-// for the given share of dynamic executions (Figure 6b with share=0.95).
-func (l *Log) HotNodeFraction(share float64) float64 {
-	type node struct{ execs uint64 }
-	var nodes []node
-	var total uint64
-	for _, t := range l.Traces {
-		for i, n := range t.OpExecs() {
-			if t.Ops[i].Opc == mtjit.OpLabel {
-				continue
-			}
-			nodes = append(nodes, node{execs: n})
-			total += n
-		}
-	}
-	if total == 0 || len(nodes) == 0 {
 		return 0
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].execs > nodes[j].execs })
+	slices.Sort(execs)
 	target := uint64(float64(total) * share)
 	var acc uint64
-	for i, n := range nodes {
-		acc += n.execs
+	for i := len(execs) - 1; i >= 0; i-- {
+		acc += execs[i]
 		if acc >= target {
-			return float64(i+1) / float64(len(nodes))
+			return float64(len(execs)-i) / float64(len(execs))
 		}
 	}
 	return 1
 }
 
-// DynamicIRNodes returns total IR-node executions (Figure 6c's numerator).
-func (l *Log) DynamicIRNodes() uint64 {
+// CompiledNodes returns the number of IR nodes compiled, labels excluded
+// (Figure 6a's metric).
+func (s *Stats) CompiledNodes() uint64 {
+	return sumExceptLabel(&s.Compiled)
+}
+
+// DynamicNodes returns total IR-node executions, labels excluded
+// (Figure 6c's numerator).
+func (s *Stats) DynamicNodes() uint64 {
+	return sumExceptLabel(&s.Dynamic)
+}
+
+func sumExceptLabel(a *[mtjit.NumOpcodes]uint64) uint64 {
 	var n uint64
-	for _, t := range l.Traces {
-		for i, execs := range t.OpExecs() {
-			if t.Ops[i].Opc != mtjit.OpLabel {
-				n += execs
-			}
+	for opc, c := range a {
+		if mtjit.Opcode(opc) != mtjit.OpLabel {
+			n += c
 		}
 	}
 	return n
 }
 
-// AsmPerOpcode returns the mean lowered-assembly instruction count per IR
-// node type, for types that appear in the log (Figure 9).
-func (l *Log) AsmPerOpcode() map[mtjit.Opcode]float64 {
-	out := map[mtjit.Opcode]float64{}
-	seen := map[mtjit.Opcode]bool{}
-	for _, t := range l.Traces {
-		for i := range t.Ops {
-			opc := t.Ops[i].Opc
-			if !seen[opc] && opc != mtjit.OpLabel {
-				seen[opc] = true
-				out[opc] = float64(opc.AsmLen())
-			}
+// Categories returns the dynamic IR-node category mix (Figure 7) as
+// fractions summing to 1, all zero if nothing executed.
+func (s *Stats) Categories() [mtjit.NumCategories]float64 {
+	var counts [mtjit.NumCategories]uint64
+	for opc, n := range s.Dynamic {
+		if mtjit.Opcode(opc) != mtjit.OpLabel {
+			counts[mtjit.Opcode(opc).Cat()] += n
+		}
+	}
+	var out [mtjit.NumCategories]float64
+	if total := s.DynamicNodes(); total != 0 {
+		for c, n := range counts {
+			out[c] = float64(n) / float64(total)
 		}
 	}
 	return out

@@ -33,49 +33,57 @@ def main():
 
 func TestLogStatistics(t *testing.T) {
 	l := buildLog(t)
-	if l.TotalIRNodes() <= 0 {
-		t.Errorf("TotalIRNodes = %d", l.TotalIRNodes())
+	s := l.Stats()
+	if s.CompiledNodes() == 0 {
+		t.Errorf("CompiledNodes = 0")
 	}
-	if l.TotalAsmInstrs() < l.TotalIRNodes() {
-		t.Errorf("asm (%d) should be >= IR nodes (%d)", l.TotalAsmInstrs(), l.TotalIRNodes())
+	var asm uint64
+	for opc, n := range s.Compiled {
+		asm += n * uint64(mtjit.Opcode(opc).AsmLen())
 	}
-	if l.DynamicIRNodes() == 0 {
+	if asm < s.CompiledNodes() {
+		t.Errorf("asm (%d) should be >= IR nodes (%d)", asm, s.CompiledNodes())
+	}
+	if s.DynamicNodes() == 0 {
 		t.Errorf("no dynamic executions recorded")
 	}
-
-	hist := l.DynamicOpcodeHistogram()
-	if len(hist) == 0 {
-		t.Fatalf("empty histogram")
-	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].Count > hist[i-1].Count {
-			t.Errorf("histogram not sorted")
+	for opc, n := range s.Dynamic {
+		if n > 0 && s.Compiled[opc] == 0 {
+			t.Errorf("%s executed %d times but was never compiled", mtjit.Opcode(opc).Name(), n)
 		}
 	}
 
-	br := l.CategoryBreakdown()
 	var sum float64
-	for _, f := range br {
+	for _, f := range s.Categories() {
 		sum += f
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("category fractions sum to %f", sum)
 	}
 
-	frac := l.HotNodeFraction(0.95)
-	if frac <= 0 || frac > 1 {
-		t.Errorf("HotNodeFraction = %f", frac)
+	if s.Hot95 <= 0 || s.Hot95 > 1 {
+		t.Errorf("Hot95 = %f", s.Hot95)
 	}
-	if l.HotNodeFraction(0.5) > frac {
+	var execs []uint64
+	for _, tr := range l.Traces {
+		for i, n := range tr.OpExecs() {
+			if tr.Ops[i].Opc != mtjit.OpLabel {
+				execs = append(execs, n)
+			}
+		}
+	}
+	if got := hotFraction(execs, 0.95); got != s.Hot95 {
+		t.Errorf("hot fraction over Trace.OpExecs = %f, Stats derived %f", got, s.Hot95)
+	}
+	if hotFraction(execs, 0.5) > s.Hot95 {
 		t.Errorf("smaller share must need fewer nodes")
 	}
 
-	asm := l.AsmPerOpcode()
-	if asm[mtjit.OpIntAddOvf] != 1 {
-		t.Errorf("int_add_ovf asm = %f", asm[mtjit.OpIntAddOvf])
+	if s.Compiled[mtjit.OpIntAddOvf] == 0 || mtjit.OpIntAddOvf.AsmLen() != 1 {
+		t.Errorf("int_add_ovf: %d compiled, asm %d", s.Compiled[mtjit.OpIntAddOvf], mtjit.OpIntAddOvf.AsmLen())
 	}
-	if asm[mtjit.OpJump] != float64(mtjit.OpJump.AsmLen()) {
-		t.Errorf("jump asm = %f", asm[mtjit.OpJump])
+	if s.Compiled[mtjit.OpJump] == 0 {
+		t.Errorf("no jump compiled")
 	}
 
 	dump := l.Dump()
@@ -85,14 +93,14 @@ func TestLogStatistics(t *testing.T) {
 }
 
 func TestEmptyLogSafe(t *testing.T) {
-	l := &Log{}
-	if l.TotalIRNodes() != 0 || l.DynamicIRNodes() != 0 {
+	s := (&Log{}).Stats()
+	if s.CompiledNodes() != 0 || s.DynamicNodes() != 0 {
 		t.Errorf("empty log nonzero")
 	}
-	if f := l.HotNodeFraction(0.95); f != 0 {
-		t.Errorf("empty HotNodeFraction = %f", f)
+	if s.Hot95 != 0 {
+		t.Errorf("empty Hot95 = %f", s.Hot95)
 	}
-	if br := l.CategoryBreakdown(); len(br) != 0 {
+	if br := s.Categories(); br != [mtjit.NumCategories]float64{} {
 		t.Errorf("empty breakdown = %v", br)
 	}
 }

@@ -162,8 +162,6 @@ func (w *WorkMeter) OnAnnotation(a core.Annotation, instrs, cycles uint64) {
 // attribute to the outermost entry point, matching the paper ("time spent
 // in called functions is counted as part of these entry points").
 type AOTAttributor struct {
-	m *cpu.Machine
-
 	// CyclesByFunc maps AOT function ID to cycles attributed.
 	CyclesByFunc map[uint32]float64
 	// CallsByFunc counts calls per function.
@@ -177,7 +175,6 @@ type AOTAttributor struct {
 // NewAOTAttributor attaches an attributor to m.
 func NewAOTAttributor(m *cpu.Machine) *AOTAttributor {
 	a := &AOTAttributor{
-		m:            m,
 		CyclesByFunc: map[uint32]float64{},
 		CallsByFunc:  map[uint32]uint64{},
 	}

@@ -147,7 +147,7 @@ func TestToolsRegisterForEveryTagTheyRead(t *testing.T) {
 
 	pt2 := &PhaseTracker{m: all, cur: core.PhaseInterp}
 	wm2 := &WorkMeter{m: all}
-	at2 := &AOTAttributor{m: all, CyclesByFunc: map[uint32]float64{}, CallsByFunc: map[uint32]uint64{}}
+	at2 := &AOTAttributor{CyclesByFunc: map[uint32]float64{}, CallsByFunc: map[uint32]uint64{}}
 	all.Observe(pt2)
 	all.Observe(wm2)
 	all.Observe(at2)

@@ -157,6 +157,10 @@ func (p *Profiler) Finish() {
 	p.barrier(&st)
 	p.Stream.Finish(st)
 	p.finished = true
+	// Nothing below reads the machine again: totals and errors are the
+	// profiler's own copies. A finished profiler that a Result keeps must
+	// not pin the simulation it watched.
+	p.m, p.cur = nil, nil
 	if m := telem(); m != nil {
 		m.spans.Add(p.Stream.Spans)
 		m.events.Add(p.Stream.Events)
