@@ -14,11 +14,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 
 	"metajit/internal/bench"
 	"metajit/internal/harness"
+	"metajit/internal/trace"
 )
 
 func main() {
@@ -84,10 +87,11 @@ func main() {
 	}
 
 	// Profiled cells run after the tables so they reuse the warmed pool
-	// without perturbing memoized cells (a ProfileDir is part of the cell
-	// key). Artifacts are written as a side effect of each simulation;
-	// the summary goes to stderr to keep stdout byte-identical to an
-	// unprofiled run of the same experiments.
+	// without perturbing memoized cells (Profile is part of what a cell
+	// is; the directory is not). Artifacts are written by the call that
+	// simulates the cell, and nothing before this loop asked for a
+	// profiled one; the summary goes to stderr to keep stdout
+	// byte-identical to an unprofiled run of the same experiments.
 	if *profileDir != "" {
 		for _, kind := range []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered} {
 			for i := range pypy {
@@ -101,17 +105,17 @@ func main() {
 					runner.Fail(fmt.Errorf("%s/%s: profile: %w", p.Name, kind, perr))
 					continue
 				}
-				fmt.Fprintf(os.Stderr, "profiled %s/%s: %d spans, %d artifacts\n",
-					p.Name, kind, res.Profile.Stream.Spans, len(res.ProfileFiles))
+				fmt.Fprintf(os.Stderr, "profiled %s/%s: %d spans -> %s\n", p.Name, kind, res.Profile.Stream.Spans,
+					strings.Join(harness.ProfileArtifacts(*profileDir, p.Name, kind), " "))
 			}
 		}
 	}
 
 	// Recorded cells follow the same pattern as profiled ones: they run
-	// after the tables on the warmed pool (Record is part of the cell
-	// key, so recording never perturbs a memoized unrecorded cell), the
-	// trace files land in -record as a side effect, and the summary goes
-	// to stderr.
+	// after the tables on the warmed pool (Record is part of what a cell
+	// is, so recording never perturbs a memoized unrecorded cell), the
+	// trace files land in -record as each cell simulates, and the summary
+	// goes to stderr.
 	if *recordDir != "" {
 		for _, kind := range []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered} {
 			for i := range pypy {
@@ -122,16 +126,17 @@ func main() {
 					continue
 				}
 				fmt.Fprintf(os.Stderr, "recorded %s/%s: %d events -> %s\n",
-					p.Name, kind, res.Trace.Summary.Events, res.TraceFile)
+					p.Name, kind, res.Trace.Summary.Events,
+					filepath.Join(*recordDir, trace.FileName(p.Name, string(kind))))
 			}
 		}
 	}
 
 	// Fixture replay: load every committed recording and re-drive it
 	// under the configuration sealed in its header, demanding the
-	// recorded summary bit-exactly. This is the CI-facing face of
-	// difftest.CheckReplay — a table of verified fixtures on stdout,
-	// non-zero exit if any diverges.
+	// recorded summary and event stream bit-exactly (trace.CheckReplay,
+	// the comparison difftest.CheckReplay makes) — a table of verified
+	// fixtures on stdout, non-zero exit if any diverges.
 	if *tracesDir != "" {
 		progs, err := bench.LoadTraceDir(*tracesDir)
 		if err != nil {
@@ -150,10 +155,8 @@ func main() {
 			if err != nil {
 				runner.Fail(err)
 				status = "ERROR"
-			} else if s := &res.Trace.Summary; s.Checksum != tr.Summary.Checksum ||
-				s.HeapChecksum != tr.Summary.HeapChecksum ||
-				s.Instrs != tr.Summary.Instrs || s.CyclesBits != tr.Summary.CyclesBits {
-				runner.Fail(fmt.Errorf("%s: replay diverged from recorded summary", p.Name))
+			} else if err := trace.CheckReplay(tr, res.Trace); err != nil {
+				runner.Fail(fmt.Errorf("%s: replay DIVERGED: %w", p.Name, err))
 				status = "DIVERGED"
 			}
 			fmt.Printf("%-24s %-12s %10d %12d  %s\n",

@@ -107,7 +107,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	report(r, &jitLog)
+	report(r, *profileDir, &jitLog)
 	dumpTelemetry(reg)
 }
 
@@ -155,28 +155,17 @@ func runReplay(path, vmName string, vmExplicit, allocOnly bool, cli harness.Opti
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	report(r, jitLog)
+	report(r, cli.ProfileDir, jitLog)
 	if vmExplicit && kind != harness.VMKind(tr.Header.VM) {
 		fmt.Printf("replay: ran on %s, recorded on %s — verification skipped\n", kind, tr.Header.VM)
 		return 0
 	}
-	got, want := &r.Trace.Summary, &tr.Summary
-	switch {
-	case got.Checksum != want.Checksum:
-		fmt.Fprintf(os.Stderr, "replay DIVERGED: checksum %d, recorded %d\n", got.Checksum, want.Checksum)
-	case got.HeapChecksum != want.HeapChecksum:
-		fmt.Fprintf(os.Stderr, "replay DIVERGED: heap checksum %#x, recorded %#x\n", got.HeapChecksum, want.HeapChecksum)
-	case got.Instrs != want.Instrs || got.CyclesBits != want.CyclesBits:
-		fmt.Fprintf(os.Stderr, "replay DIVERGED: %d instrs / %.1f cycles, recorded %d / %.1f\n",
-			got.Instrs, got.Cycles(), want.Instrs, want.Cycles())
-	case !bytes.Equal(r.Trace.EventData, tr.EventData):
-		fmt.Fprintf(os.Stderr, "replay DIVERGED: event stream differs (%d vs %d bytes)\n",
-			len(r.Trace.EventData), len(tr.EventData))
-	default:
-		fmt.Printf("replay verified: summary and event stream reproduce the recording bit-exactly\n")
-		return 0
+	if err := trace.CheckReplay(tr, r.Trace); err != nil {
+		fmt.Fprintf(os.Stderr, "replay DIVERGED: %v\n", err)
+		return 1
 	}
-	return 1
+	fmt.Printf("replay verified: summary and event stream reproduce the recording bit-exactly\n")
+	return 0
 }
 
 // dumpTelemetry writes the registry's final exposition snapshot to
@@ -191,7 +180,10 @@ func dumpTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-func report(r *harness.Result, jitLog *bytes.Buffer) {
+// report prints the run. profileDir is -profile's directory, the only way
+// this command asks for a profile: it passed the directory, so it names
+// the files.
+func report(r *harness.Result, profileDir string, jitLog *bytes.Buffer) {
 	fmt.Printf("benchmark: %s on %s\n", r.Bench, r.VM)
 	fmt.Printf("checksum:  %d\n", r.Checksum)
 	fmt.Printf("instrs:    %d\n", r.Instrs)
@@ -233,7 +225,7 @@ func report(r *harness.Result, jitLog *bytes.Buffer) {
 			fmt.Printf("profile: %d spans, %d events over %d windows\n",
 				r.Profile.Stream.Spans, r.Profile.Stream.Events, len(r.Profile.Stream.Windows()))
 		}
-		for _, f := range r.ProfileFiles {
+		for _, f := range harness.ProfileArtifacts(profileDir, r.Bench, r.VM) {
 			fmt.Printf("profile: wrote %s\n", f)
 		}
 	}

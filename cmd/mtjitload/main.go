@@ -62,7 +62,6 @@ func main() {
 	hotCells := flag.Int("hot-cells", 3, "size of the hot cell subset")
 	seed := flag.Int64("seed", 1, "mix-sampling seed (reproducible traffic)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-	maxInstrs := flag.Uint64("max-instrs", 0, "forwarded to every request as max_instrs; no simulator code reads it — it only selects a distinct memo cell")
 	verify := flag.Bool("verify", true, "fail if a cell ever answers with different result bytes")
 	scrape := flag.String("scrape", "", "extra /metrics base URLs to aggregate (comma-separated; target always scraped)")
 	out := flag.String("out", "", "write the JSON report here (default: stdout)")
@@ -77,7 +76,7 @@ func main() {
 	if len(mix) == 0 {
 		fatal(fmt.Errorf("empty request mix"))
 	}
-	g := newGenerator(*target, mix, *hot, *hotCells, *seed, *timeout, *maxInstrs, *verify)
+	g := newGenerator(*target, mix, *hot, *hotCells, *seed, *timeout, *verify)
 	fmt.Fprintf(os.Stderr, "mtjitload: %d cells in mix (%d hot), %.0f req/s for %s against %s\n",
 		len(mix), min(*hotCells, len(mix)), *rate, *duration, *target)
 
@@ -170,13 +169,12 @@ func buildMix(benchCSV, vmCSV, traceDir string) ([]cluster.Request, error) {
 }
 
 type generator struct {
-	target    string
-	mix       []cluster.Request
-	hot       float64
-	hotCells  int
-	maxInstrs uint64
-	verify    bool
-	client    *http.Client
+	target   string
+	mix      []cluster.Request
+	hot      float64
+	hotCells int
+	verify   bool
+	client   *http.Client
 
 	reg      *telemetry.Registry
 	okC      *telemetry.Counter
@@ -207,19 +205,18 @@ type sample struct {
 	latUS  uint64
 }
 
-func newGenerator(target string, mix []cluster.Request, hot float64, hotCells int, seed int64, timeout time.Duration, maxInstrs uint64, verify bool) *generator {
+func newGenerator(target string, mix []cluster.Request, hot float64, hotCells int, seed int64, timeout time.Duration, verify bool) *generator {
 	g := &generator{
-		target:    strings.TrimSuffix(target, "/"),
-		mix:       mix,
-		hot:       hot,
-		hotCells:  hotCells,
-		maxInstrs: maxInstrs,
-		verify:    verify,
-		client:    &http.Client{Timeout: timeout},
-		reg:       telemetry.NewRegistry(),
-		ids:       reqtrace.NewIDSource(seed),
-		rng:       rand.New(rand.NewSource(seed)),
-		seen:      map[string]json.RawMessage{},
+		target:   strings.TrimSuffix(target, "/"),
+		mix:      mix,
+		hot:      hot,
+		hotCells: hotCells,
+		verify:   verify,
+		client:   &http.Client{Timeout: timeout},
+		reg:      telemetry.NewRegistry(),
+		ids:      reqtrace.NewIDSource(seed),
+		rng:      rand.New(rand.NewSource(seed)),
+		seen:     map[string]json.RawMessage{},
 	}
 	help := "Load-generator requests by outcome (ok, shed, error, wrong)."
 	g.okC = g.reg.Counter("mtjitload_requests_total", help, "outcome", "ok")
@@ -282,7 +279,6 @@ func (g *generator) run(rate float64, d time.Duration) {
 }
 
 func (g *generator) one(req cluster.Request) {
-	req.MaxInstrs = g.maxInstrs
 	body, _ := json.Marshal(&req)
 	// Mint this request's trace before sending: the seeded ID source
 	// makes a run's trace IDs reproducible, and knowing the ID up front

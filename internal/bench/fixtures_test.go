@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -208,21 +207,8 @@ func TestTraceFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := r.Trace.Summary, tr.Summary
-			if got.Checksum != want.Checksum || got.HeapChecksum != want.HeapChecksum ||
-				got.Instrs != want.Instrs || got.CyclesBits != want.CyclesBits {
-				t.Fatalf("replay diverged from recorded summary:\n got %+v\nwant %+v", got, want)
-			}
-			for i := range want.Phases {
-				if got.Phases[i] != want.Phases[i] {
-					t.Fatalf("phase %d diverged: got %+v want %+v", i, got.Phases[i], want.Phases[i])
-				}
-			}
-			if got.GC != want.GC {
-				t.Fatalf("gc stats diverged: got %+v want %+v", got.GC, want.GC)
-			}
-			if !bytes.Equal(r.Trace.EventData, tr.EventData) {
-				t.Fatal("replayed event stream not byte-identical to fixture")
+			if err := trace.CheckReplay(tr, r.Trace); err != nil {
+				t.Fatalf("replay diverged from the fixture: %v", err)
 			}
 		})
 	}
@@ -273,6 +259,6 @@ func recordFixtures(t *testing.T) {
 			t.Fatalf("recording %s: %v", def.name, err)
 		}
 		t.Logf("recorded %s: %d events, %d bytes, checksum %d",
-			filepath.Base(r.TraceFile), r.Trace.Summary.Events, len(r.Trace.Encode()), r.Checksum)
+			trace.FileName(p.Name, string(def.kind)), r.Trace.Summary.Events, len(r.Trace.Encode()), r.Checksum)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // (after restarts, corruption fallbacks, failovers) agree bit-for-bit —
 // exactly the property the real simulator has, at nanosecond cost.
 func detExec(p *bench.Program, kind harness.VMKind, opt harness.Options) (*harness.Result, error) {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d", p.Name, kind, opt.Threshold, opt.MaxInstrs)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d", p.Name, kind, opt.Threshold)))
 	res := &harness.Result{Bench: p.Name, VM: kind}
 	res.Checksum = int64(binary.BigEndian.Uint64(h[:8]))
 	res.Instrs = binary.BigEndian.Uint64(h[8:16])%1e9 + 1

@@ -8,9 +8,9 @@
 //
 // The whole design leans on one property the single-process harness
 // already guarantees: a cell — a (benchmark, VM configuration, options)
-// triple, fingerprinted by harness.CellKey — simulates to a
+// triple, resolved to a harness.Spec — simulates to a
 // bit-identical Result no matter where or when it runs. That makes
-// results content-addressable: the SHA-256 of the canonical CellKey
+// results content-addressable: the SHA-256 of the canonical Spec
 // encoding names the result forever, so any worker may serve any cell,
 // a restarted worker re-serves what it computed in a previous life, and
 // a frontend may fail a request over to the ring successor without
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
 
 	"metajit/internal/bench"
@@ -34,8 +35,9 @@ import (
 )
 
 // CellID is the content address of one experiment cell: the SHA-256 of
-// the canonical encoding of its harness.CellKey. Everything in the
-// cluster — ring placement, store paths, in-flight dedup — keys on it.
+// specVersion and the canonical encoding of its harness.Spec. Everything
+// in the cluster — ring placement, store paths, in-flight dedup — keys on
+// it.
 type CellID [sha256.Size]byte
 
 // Hex renders the id as lowercase hex (store filenames, logs).
@@ -44,12 +46,19 @@ func (id CellID) Hex() string { return hex.EncodeToString(id[:]) }
 // Short renders the first 8 hex digits for human-facing output.
 func (id CellID) Short() string { return hex.EncodeToString(id[:4]) }
 
-// IDOf content-addresses a cell. The canonical encoding walks the
-// CellKey struct reflectively (see canonicalAppend), so a field added
-// to CellKey in a future PR enters the address automatically — the same
-// property the harness's reflection audit enforces for memoization.
-func IDOf(key harness.CellKey) CellID {
-	return sha256.Sum256(canonicalBytes(key))
+// specVersion opens the hashed stream and names the layout of
+// harness.Spec: bump it when a Spec field is added, removed or reordered,
+// and regenerate testdata/ring_golden.txt. It is never zero, and every
+// canonical Spec encoding starts with the high zero byte of Bench's
+// length, so no address can equal one computed before the stream was
+// versioned (DESIGN.md §11).
+const specVersion = 1
+
+// IDOf content-addresses a cell. The canonical encoding walks the Spec
+// reflectively (see canonicalAppend), so the address covers exactly what
+// harness.Run simulates from: defaults resolved, no sink, no file path.
+func IDOf(spec harness.Spec) CellID {
+	return sha256.Sum256(canonicalAppend([]byte{specVersion}, reflect.ValueOf(spec)))
 }
 
 // Request is the cluster's wire form of one cell: the subset of
@@ -63,7 +72,6 @@ type Request struct {
 	BridgeThreshold   int    `json:"bridge_threshold,omitempty"`
 	BaselineThreshold int    `json:"baseline_threshold,omitempty"`
 	SampleInterval    uint64 `json:"sample_interval,omitempty"`
-	MaxInstrs         uint64 `json:"max_instrs,omitempty"`
 	// Fresh forces re-simulation: the worker evicts its memoized cell
 	// and bypasses (but still refreshes) the content store.
 	Fresh bool `json:"fresh,omitempty"`
@@ -87,7 +95,6 @@ func (r *Request) Options() harness.Options {
 		BridgeThreshold:   r.BridgeThreshold,
 		BaselineThreshold: r.BaselineThreshold,
 		SampleInterval:    r.SampleInterval,
-		MaxInstrs:         r.MaxInstrs,
 	}
 }
 

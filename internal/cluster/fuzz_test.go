@@ -20,11 +20,12 @@ func FuzzRunRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"bench":"telco","vm":"pypy"}`,
 		`{"bench":"telco","vm":"pypy-tiered","threshold":40,"bridge_threshold":7,"baseline_threshold":3}`,
-		`{"bench":"richards","vm":"pypy-amalg","sample_interval":200000,"max_instrs":2000000,"fresh":true}`,
+		`{"bench":"richards","vm":"pypy-amalg","sample_interval":200000,"fresh":true}`,
 		`{"bench":"telco","vm":"pypy","threshold":-1}`,
-		`{"bench":"telco","vm":"pypy","threshold":9223372036854775807,"max_instrs":18446744073709551615}`,
-		`{"bench":"telco","vm":"pypy","max_instrs":18446744073709551616}`,
-		`{"bench":"telco","vm":"pypy","max_instrs":-1}`,
+		`{"bench":"telco","vm":"pypy","threshold":9223372036854775807,"sample_interval":18446744073709551615}`,
+		`{"bench":"telco","vm":"pypy","sample_interval":18446744073709551616}`,
+		`{"bench":"telco","vm":"pypy","sample_interval":-1}`,
+		`{"bench":"telco","vm":"pypy","max_instrs":2000000}`, // a field until PR 22; unknown now
 		`{"bench":"telco","vm":"pypy","threshold":1e3}`,
 		`{"bench":"telco","vm":"pypy","threshold":1.5}`,
 		`{"BENCH":"telco","Vm":"pypy"}`,

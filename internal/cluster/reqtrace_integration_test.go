@@ -58,7 +58,7 @@ func TestReqTraceEndToEndMergedChrome(t *testing.T) {
 	// postTraced runs the test's one cell under a client-minted trace.
 	postTraced := func(base string, ctx reqtrace.Context) RunResponse {
 		t.Helper()
-		body := `{"bench":"telco","vm":"pypy","max_instrs":2000000}`
+		body := `{"bench":"telco","vm":"pypy"}`
 		req, err := http.NewRequest(http.MethodPost, base+"/run", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

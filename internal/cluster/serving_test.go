@@ -257,6 +257,9 @@ func TestHitRacingFresh(t *testing.T) {
 	gated(gate)
 	var wg sync.WaitGroup
 	for _, body := range []string{fresh, plain} {
+		// Read before the request is sent: read after, a request that got
+		// to its lookup first left nothing to wait for (a hang under -race).
+		lookups := w.Runner().CacheStats().Requests
 		wg.Add(1)
 		go func(body string) {
 			defer wg.Done()
@@ -264,7 +267,7 @@ func TestHitRacingFresh(t *testing.T) {
 		}(body)
 		// The fresh request has scheduled the cell, then the plain one has
 		// joined it, when the Runner has counted their lookups.
-		for lookups := w.Runner().CacheStats().Requests; w.Runner().CacheStats().Requests == lookups; {
+		for w.Runner().CacheStats().Requests == lookups {
 			time.Sleep(time.Millisecond)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // (so two results differing in the last ulp differ in the encoding),
 // strings and slices length-prefixed. No type information is written —
 // the decoder walks the same struct shape — so identical values encode
-// identically forever, which is what lets the SHA-256 of a CellKey act
+// identically forever, which is what lets the SHA-256 of a Spec act
 // as a stable content address and lets byte comparison of two encoded
 // results stand in for deep equality.
 //
@@ -62,10 +62,6 @@ func canonicalAppend(buf []byte, v reflect.Value) []byte {
 	default:
 		panic(fmt.Sprintf("cluster: canonical encoding of unsupported kind %s (%s)", v.Kind(), v.Type()))
 	}
-}
-
-func canonicalBytes(v any) []byte {
-	return canonicalAppend(nil, reflect.ValueOf(v))
 }
 
 // canonicalRead is the inverse walk: it fills v from buf and returns

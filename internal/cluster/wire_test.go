@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"reflect"
 	"testing"
@@ -78,7 +79,7 @@ func TestWireDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestCellKeyCanonicalizable walks a fully populated harness.CellKey
+// TestCellKeyCanonicalizable walks a fully populated harness.Spec
 // through the canonical encoder. If a future PR adds a field of a kind
 // the encoder does not support (map, pointer...), canonicalAppend
 // panics and this test fails at the source of the problem rather than
@@ -93,13 +94,32 @@ func TestCellKeyCanonicalizable(t *testing.T) {
 		BridgeThreshold: 3,
 		SampleInterval:  1000,
 	})
-	b1 := canonicalBytes(key)
-	b2 := canonicalBytes(key)
+	b1 := canonicalAppend(nil, reflect.ValueOf(key))
+	b2 := canonicalAppend(nil, reflect.ValueOf(key))
 	if !bytes.Equal(b1, b2) {
-		t.Fatal("CellKey canonical encoding is not deterministic")
+		t.Fatal("Spec canonical encoding is not deterministic")
 	}
 	if IDOf(key) == (CellID{}) {
 		t.Fatal("zero CellID")
+	}
+}
+
+// TestIDOfVersioned pins how the identity is built: the hashed stream is
+// specVersion, then the Spec's canonical bytes. The version is never
+// zero and the canonical bytes always start with zero — the high byte of
+// Bench's 8-byte length, Spec's first field — so no versioned address
+// can equal an unversioned one, whatever the fields were then.
+func TestIDOfVersioned(t *testing.T) {
+	spec := harness.Key(bench.ByName("telco"), harness.VMPyPyJIT, harness.Options{})
+	canon := canonicalAppend(nil, reflect.ValueOf(spec))
+	if specVersion == 0 || canon[0] != 0 {
+		t.Fatalf("specVersion %d must be non-zero and the canonical Spec must open with a zero byte, got %#x", specVersion, canon[0])
+	}
+	if IDOf(spec) != sha256.Sum256(append([]byte{specVersion}, canon...)) {
+		t.Fatal("IDOf is not SHA-256(specVersion || canonical Spec)")
+	}
+	if IDOf(spec) == sha256.Sum256(canon) {
+		t.Fatal("the version byte does not enter the hash")
 	}
 }
 
@@ -132,9 +152,6 @@ func TestCellIDDistinguishesCells(t *testing.T) {
 	o = base()
 	o.SampleInterval = 1
 	add("sample", harness.VMPyPyJIT, o)
-	o = base()
-	o.MaxInstrs = 12345
-	add("max", harness.VMPyPyJIT, o)
 	q := bench.ByName("chaos")
 	id := IDOf(harness.Key(q, harness.VMPyPyJIT, base()))
 	if _, dup := ids[id]; dup {

@@ -365,9 +365,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		src = "simulated"
 		sp := root.StartChild(reqtrace.KindSimulate, label)
 		// Link the run's VM phase spans to this request and publish its
-		// live snapshots. ReqTrace and Live are excluded from the memo
-		// CellKey, so the watched result stays byte-identical to an
-		// unwatched one.
+		// live snapshots. ReqTrace and Live are sinks (harness.Observe),
+		// not part of the Spec: the watched result is the unwatched one.
 		opt.ReqTrace = sp
 		opt.Live = w.live
 		var res *harness.Result

@@ -26,8 +26,8 @@ import (
 // "simulation" costs nanoseconds; the chaos suite's real-run tests keep
 // the true harness in the loop.
 func fakeSimulate(p *bench.Program, kind harness.VMKind, opt harness.Options) (*harness.Result, error) {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d",
-		p.Name, kind, opt.Threshold, opt.BridgeThreshold, opt.BaselineThreshold, opt.SampleInterval, opt.MaxInstrs)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d|%d",
+		p.Name, kind, opt.Threshold, opt.BridgeThreshold, opt.BaselineThreshold, opt.SampleInterval)))
 	res := &harness.Result{Bench: p.Name, VM: kind}
 	res.Checksum = int64(binary.BigEndian.Uint64(h[:8]))
 	res.Instrs = binary.BigEndian.Uint64(h[8:16])%1e9 + 1
@@ -374,23 +374,30 @@ func TestWorkerDrain(t *testing.T) {
 	}
 }
 
+// TestWorkerBadRequests: the worker and a frontend over it refuse the
+// same bodies with 400 before any work.
 func TestWorkerBadRequests(t *testing.T) {
 	w := newFakeWorker(t, nil)
 	ts := httptest.NewServer(w.Handler())
 	defer ts.Close()
+	fts := httptest.NewServer(NewFrontend(FrontendConfig{Workers: []string{ts.URL}}).Handler())
+	defer fts.Close()
 	for name, body := range map[string]string{
 		"unknown bench": `{"bench":"nope","vm":"pypy"}`,
 		"unknown vm":    `{"bench":"telco","vm":"jvm"}`,
 		"bad json":      `{`,
 		"unknown field": `{"bench":"telco","vm":"pypy","frehs":true}`,
+		"removed field": `{"bench":"telco","vm":"pypy","max_instrs":2000000}`,
 	} {
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		for _, base := range []string{ts.URL, fts.URL} {
+			resp, err := http.Post(base+"/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+			}
 		}
 	}
 	resp, err := http.Get(ts.URL + "/run")

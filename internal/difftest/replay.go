@@ -14,18 +14,17 @@ import (
 // attached, the resulting trace is pushed through Encode/Decode (the
 // wire format must preserve it byte-exactly), and the decoded trace is
 // replayed as a trace benchmark under the configuration sealed in its
-// header. The replay must reproduce the recorded Summary bit-for-bit —
-// guest checksum, heap checksum, instruction and cycle totals, every
-// per-phase counter, the GC statistics — and, because the replay also
-// records, the two event streams must be byte-identical. Any
-// divergence means either the simulator is nondeterministic or the
-// trace format dropped state, both of which break the recorded-workload
-// contract (EXPERIMENTS.md, "Recorded workloads").
+// header. The replay must reproduce the recorded Summary bit-for-bit
+// and, because the replay also records, a byte-identical event stream
+// (trace.CheckReplay is the comparison). Any divergence means either the
+// simulator is nondeterministic or the trace format dropped state, both
+// of which break the recorded-workload contract (EXPERIMENTS.md,
+// "Recorded workloads").
 //
 // The passed Options seed the recording run; fields the trace header
-// cannot carry (Params, Opts, SampleInterval, MaxInstrs) are forwarded
-// to the replay explicitly, everything else is reconstructed from the
-// trace alone — exercising the same path a replay-from-file takes.
+// cannot carry (Params, Opts, SampleInterval) are forwarded to the replay
+// explicitly, everything else is reconstructed from the trace alone —
+// exercising the same path a replay-from-file takes.
 func CheckReplay(p *bench.Program, kind harness.VMKind, opt harness.Options) error {
 	opt.Record = true
 	opt.RecordDir = ""
@@ -60,7 +59,6 @@ func CheckReplay(p *bench.Program, kind harness.VMKind, opt harness.Options) err
 	ropt.Params = opt.Params
 	ropt.Opts = opt.Opts
 	ropt.SampleInterval = opt.SampleInterval
-	ropt.MaxInstrs = opt.MaxInstrs
 	ropt.Record = true
 	r2, err := harness.Run(&p2, kind, ropt)
 	if err != nil {
@@ -70,48 +68,8 @@ func CheckReplay(p *bench.Program, kind harness.VMKind, opt harness.Options) err
 		return fmt.Errorf("replay[%s/%s]: replay run produced no trace", p.Name, kind)
 	}
 
-	if err := diffSummaries(&tr.Summary, &r2.Trace.Summary); err != nil {
+	if err := trace.CheckReplay(tr, r2.Trace); err != nil {
 		return fmt.Errorf("replay[%s/%s]: %w", p.Name, kind, err)
-	}
-	if !bytes.Equal(tr.EventData, r2.Trace.EventData) {
-		return fmt.Errorf("replay[%s/%s]: event streams differ (%d vs %d bytes)",
-			p.Name, kind, len(tr.EventData), len(r2.Trace.EventData))
-	}
-	return nil
-}
-
-// diffSummaries compares two recorded summaries field by field so a
-// violation names the first counter that diverged instead of dumping
-// both structs.
-func diffSummaries(want, got *trace.Summary) error {
-	if got.Checksum != want.Checksum {
-		return fmt.Errorf("checksum %d, recorded %d", got.Checksum, want.Checksum)
-	}
-	if got.HeapChecksum != want.HeapChecksum {
-		return fmt.Errorf("heap checksum %#x, recorded %#x", got.HeapChecksum, want.HeapChecksum)
-	}
-	if got.Instrs != want.Instrs {
-		return fmt.Errorf("instrs %d, recorded %d", got.Instrs, want.Instrs)
-	}
-	if got.CyclesBits != want.CyclesBits {
-		return fmt.Errorf("cycles %v, recorded %v (bit-exact comparison)",
-			got.Cycles(), want.Cycles())
-	}
-	if len(got.Phases) != len(want.Phases) {
-		return fmt.Errorf("%d phases, recorded %d", len(got.Phases), len(want.Phases))
-	}
-	for i := range want.Phases {
-		if got.Phases[i] != want.Phases[i] {
-			return fmt.Errorf("phase %d counters {instrs %d, cycles %v}, recorded {%d, %v}",
-				i, got.Phases[i].Instrs, got.Phases[i].CyclesBits,
-				want.Phases[i].Instrs, want.Phases[i].CyclesBits)
-		}
-	}
-	if got.GC != want.GC {
-		return fmt.Errorf("gc stats %+v, recorded %+v", got.GC, want.GC)
-	}
-	if got.Events != want.Events {
-		return fmt.Errorf("%d events, recorded %d", got.Events, want.Events)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"metajit/internal/bench"
@@ -53,9 +55,10 @@ func TestRecordReplayEquivalence(t *testing.T) {
 }
 
 // TestReplayDetectsTamper proves the invariant has teeth: a trace whose
-// recorded summary was altered must fail CheckReplay's comparison path.
-// (CheckReplay re-records internally, so tampering is staged through
-// diffSummaries directly plus a decode-level corruption.)
+// recorded summary or event stream was altered must fail the comparison
+// every replay site makes, with the edited field named. (CheckReplay
+// re-records internally, so tampering is staged through
+// trace.CheckReplay directly plus a decode-level corruption.)
 func TestReplayDetectsTamper(t *testing.T) {
 	p := bench.ByName("telco")
 	if p == nil {
@@ -65,20 +68,25 @@ func TestReplayDetectsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := r.Trace.Summary
-	tampered := sum
-	tampered.HeapChecksum ^= 1
-	if err := diffSummaries(&sum, &tampered); err == nil {
-		t.Error("heap checksum tamper not detected")
-	}
-	tampered = sum
-	if len(sum.Phases) == 0 {
+	if len(r.Trace.Summary.Phases) == 0 {
 		t.Fatal("recorded summary has no phase counters")
 	}
-	tampered.Phases = append([]trace.PhaseSum(nil), sum.Phases...)
-	tampered.Phases[0].Instrs++
-	if err := diffSummaries(&sum, &tampered); err == nil {
-		t.Error("phase counter tamper not detected")
+	if err := trace.CheckReplay(r.Trace, r.Trace); err != nil {
+		t.Fatalf("a recording diverges from itself: %v", err)
+	}
+	for field, edit := range map[string]func(*trace.Trace){
+		"heap checksum": func(tr *trace.Trace) { tr.Summary.HeapChecksum ^= 1 },
+		"phase 0":       func(tr *trace.Trace) { tr.Summary.Phases[0].Instrs++ },
+		"gc stats":      func(tr *trace.Trace) { tr.Summary.GC.PromotedBytes++ },
+		"events":        func(tr *trace.Trace) { tr.Summary.Events++ },
+		"event stream":  func(tr *trace.Trace) { tr.EventData[len(tr.EventData)/2] ^= 1 },
+	} {
+		tampered := trace.Trace{Header: r.Trace.Header, Summary: r.Trace.Summary, EventData: bytes.Clone(r.Trace.EventData)}
+		tampered.Summary.Phases = append([]trace.PhaseSum(nil), r.Trace.Summary.Phases...)
+		edit(&tampered)
+		if err := trace.CheckReplay(&tampered, r.Trace); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s tamper: CheckReplay = %v, want a divergence naming it", field, err)
+		}
 	}
 
 	// Decode-level: flipping a bit in the encoding must not yield a

@@ -2,142 +2,169 @@ package harness
 
 import (
 	"fmt"
+	"io"
 
 	"metajit/internal/bench"
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/mtjit"
+	"metajit/internal/reqtrace"
 )
 
-// CellKey is the canonical fingerprint of one experiment cell: a
-// (benchmark, VM configuration, options) triple. Options are flattened by
-// value — two Options that point at equal configs fingerprint identically
-// — so the Runner simulates each distinct cell exactly once per process
-// no matter which table or figure asks for it. Every field is comparable,
-// letting the key index a map directly. Options.Live, ReqTrace and
-// JITLog are deliberately excluded: each observes a run without changing
-// its Result (keyExcluded in cache_audit_test.go argues each), so
-// requests that differ only in them share a cell.
-type CellKey struct {
+// Spec is what one cell simulates, and so what it is: simulate builds the
+// machine, the guest and the Result from a Spec and nothing else, the
+// Runner memoizes by it, and the cluster's CellID is the hash of its
+// canonical encoding. It is a comparable value with every default
+// resolved — a nil override and a pointer to the default are one cell,
+// and when a default changes, every address moves with it. Bench comes
+// first: its length prefix opens the canonical encoding (cluster.IDOf).
+type Spec struct {
 	Bench string
-	VM    VMKind
-
-	HasHeap bool
-	Heap    heap.Config
-
-	SampleInterval    uint64
-	Threshold         int
-	BridgeThreshold   int
-	BaselineThreshold int
-	MethodThreshold   int
-	Adaptive          bool
-
-	HasOpts bool
-	Opts    mtjit.OptConfig
-
-	HasParams bool
-	Params    cpu.Params
-
-	MaxInstrs uint64
-
-	Profile       bool
-	ProfileDir    string
-	ProfileWindow uint64
-
 	// TraceHash is the content hash of a trace benchmark's recording
 	// (empty for synthetic programs). Two distinct recordings can carry
 	// the same benchmark name (bench.FromTrace appends only a hash
 	// prefix), so the full hash — not the name, never a file path — is
 	// what keeps replay memoization sound.
 	TraceHash string
+	VM        VMKind
 
-	Record      bool
-	RecordDir   string
-	ReplayAlloc bool
+	Heap              heap.Config
+	SampleInterval    uint64
+	Threshold         int
+	BridgeThreshold   int
+	BaselineThreshold int
+	MethodThreshold   int
+	Adaptive          bool
+	Opts              mtjit.OptConfig
+	Params            cpu.Params
+
+	// Profile and Record say whether Result.Profile and Result.Trace
+	// exist; ProfileWindow is zero unless Profile.
+	Profile       bool
+	ProfileWindow uint64
+	Record        bool
+	ReplayAlloc   bool
 }
 
-// Key fingerprints a cell.
-func Key(p *bench.Program, kind VMKind, opt Options) CellKey {
-	k := CellKey{
+// Observe is how one call watches the run it causes: sinks only. None of
+// them can reach the Result — simulate hands them what happened after the
+// Result is complete — so requests that differ only here share a cell,
+// and the call that simulates the cell is the one whose sinks are fed.
+type Observe struct {
+	Live       *LiveTracker
+	ReqTrace   *reqtrace.Span
+	JITLog     io.Writer
+	ProfileDir string
+	RecordDir  string
+}
+
+// What a nil override resolves to. The heap geometry scales the paper's
+// testbed down to simulator workload sizes; the optimizer set is the one
+// mtjit.NewEngineConfig installs.
+var (
+	defaultHeap = heap.Config{
+		NurserySize:    32 << 10,
+		MajorThreshold: 384 << 10,
+		MajorGrowth:    1.82,
+	}
+	defaultOpts   = mtjit.AllOpts()
+	defaultParams = cpu.DefaultParams()
+)
+
+// split separates the two things an Options says. It is the only place
+// that reads an Options field by field: an option that is neither in the
+// Spec nor in the Observe does nothing (TestSplitDropsNoOption).
+func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
+	s := Spec{
 		VM:                kind,
+		Heap:              defaultHeap,
 		SampleInterval:    opt.SampleInterval,
 		Threshold:         opt.Threshold,
 		BridgeThreshold:   opt.BridgeThreshold,
 		BaselineThreshold: opt.BaselineThreshold,
 		MethodThreshold:   opt.MethodThreshold,
 		Adaptive:          opt.Adaptive,
-		MaxInstrs:         opt.MaxInstrs,
-		Profile:           opt.Profile,
-		ProfileDir:        opt.ProfileDir,
-		ProfileWindow:     opt.ProfileWindow,
-		Record:            opt.Record,
-		RecordDir:         opt.RecordDir,
+		Opts:              defaultOpts,
+		Params:            defaultParams,
+		Profile:           opt.Profile || opt.ProfileDir != "",
+		Record:            opt.Record || opt.RecordDir != "",
 		ReplayAlloc:       opt.ReplayAlloc,
 	}
 	if p != nil {
-		k.Bench = p.Name
-		k.TraceHash = p.TraceHash
+		s.Bench, s.TraceHash = p.Name, p.TraceHash
 	}
 	if opt.HeapConfig != nil {
-		k.HasHeap = true
-		k.Heap = *opt.HeapConfig
+		s.Heap = *opt.HeapConfig
 	}
 	if opt.Opts != nil {
-		k.HasOpts = true
-		k.Opts = *opt.Opts
+		s.Opts = *opt.Opts
 	}
 	if opt.Params != nil {
-		k.HasParams = true
-		k.Params = *opt.Params
+		s.Params = *opt.Params
 	}
-	return k
+	if s.Profile {
+		s.ProfileWindow = opt.ProfileWindow
+		if s.ProfileWindow == 0 {
+			s.ProfileWindow = DefaultProfileWindow
+		}
+	}
+	return s, Observe{
+		Live:       opt.Live,
+		ReqTrace:   opt.ReqTrace,
+		JITLog:     opt.JITLog,
+		ProfileDir: opt.ProfileDir,
+		RecordDir:  opt.RecordDir,
+	}
 }
 
-// String renders the key compactly for error messages: the benchmark and
-// VM, plus a marker for each non-default option group.
-func (k CellKey) String() string {
-	s := fmt.Sprintf("%s/%s", k.Bench, k.VM)
-	if k.SampleInterval != 0 {
-		s += fmt.Sprintf("+sample=%d", k.SampleInterval)
-	}
-	if k.Threshold != 0 {
-		s += fmt.Sprintf("+threshold=%d", k.Threshold)
-	}
-	if k.BridgeThreshold != 0 {
-		s += fmt.Sprintf("+bridge=%d", k.BridgeThreshold)
-	}
-	if k.BaselineThreshold != 0 {
-		s += fmt.Sprintf("+baseline=%d", k.BaselineThreshold)
-	}
-	if k.MethodThreshold != 0 {
-		s += fmt.Sprintf("+method=%d", k.MethodThreshold)
-	}
-	if k.Adaptive {
-		s += "+adaptive"
-	}
-	if k.HasHeap {
-		s += "+heap"
-	}
-	if k.HasOpts {
-		s += "+opts"
-	}
-	if k.HasParams {
-		s += "+params"
-	}
-	if k.MaxInstrs != 0 {
-		s += fmt.Sprintf("+max=%d", k.MaxInstrs)
-	}
-	if k.Profile || k.ProfileDir != "" {
-		s += "+profile"
-	}
-	if k.TraceHash != "" {
-		s += "+trace=" + k.TraceHash[:min(8, len(k.TraceHash))]
-	}
-	if k.Record || k.RecordDir != "" {
-		s += "+record"
-	}
-	if k.ReplayAlloc {
-		s += "+replay-alloc"
-	}
+// Key returns the cell a call asks for.
+func Key(p *bench.Program, kind VMKind, opt Options) Spec {
+	s, _ := opt.split(p, kind)
 	return s
+}
+
+// String renders the cell compactly for error messages: the benchmark and
+// VM, plus a marker for each option group that is not at its default.
+func (s Spec) String() string {
+	out := fmt.Sprintf("%s/%s", s.Bench, s.VM)
+	if s.SampleInterval != 0 {
+		out += fmt.Sprintf("+sample=%d", s.SampleInterval)
+	}
+	if s.Threshold != 0 {
+		out += fmt.Sprintf("+threshold=%d", s.Threshold)
+	}
+	if s.BridgeThreshold != 0 {
+		out += fmt.Sprintf("+bridge=%d", s.BridgeThreshold)
+	}
+	if s.BaselineThreshold != 0 {
+		out += fmt.Sprintf("+baseline=%d", s.BaselineThreshold)
+	}
+	if s.MethodThreshold != 0 {
+		out += fmt.Sprintf("+method=%d", s.MethodThreshold)
+	}
+	if s.Adaptive {
+		out += "+adaptive"
+	}
+	if s.Heap != defaultHeap {
+		out += "+heap"
+	}
+	if s.Opts != defaultOpts {
+		out += "+opts"
+	}
+	if s.Params != defaultParams {
+		out += "+params"
+	}
+	if s.Profile {
+		out += "+profile"
+	}
+	if s.TraceHash != "" {
+		out += "+trace=" + s.TraceHash[:min(8, len(s.TraceHash))]
+	}
+	if s.Record {
+		out += "+record"
+	}
+	if s.ReplayAlloc {
+		out += "+replay-alloc"
+	}
+	return out
 }

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -14,23 +16,10 @@ import (
 	"metajit/internal/trace"
 )
 
-// keyExcluded lists the Options fields deliberately NOT part of the
-// memo CellKey, each with the reason it is sound to share a cell across
-// values of that field. Everything else MUST change the key: PR 4
-// shipped a BaselineThreshold sweep whose cells all memoized to the
-// same result because the field was missing here — this audit is the
-// regression test for that class of bug.
-var keyExcluded = map[string]string{
-	"Live":     "a live tracker observes counters without perturbing the run",
-	"ReqTrace": "request-trace span capture observes counters without perturbing the run",
-	"JITLog":   "a text sink for the JIT log dump cannot reach the Result: it is an io.Writer, not a *jitlog.Log",
-}
-
-// perturb returns an Options differing from the zero value only in the
-// named field, set to a non-default value.
-func perturb(t *testing.T, field string) Options {
+// perturb returns base with the named field set to a non-default value.
+func perturb(t *testing.T, base Options, field string) Options {
 	t.Helper()
-	var o Options
+	o := base
 	v := reflect.ValueOf(&o).Elem().FieldByName(field)
 	switch v.Interface().(type) {
 	case bool:
@@ -63,34 +52,107 @@ func perturb(t *testing.T, field string) Options {
 		v.Set(reflect.ValueOf(io.Discard))
 	default:
 		t.Fatalf("Options.%s has type %s the audit cannot perturb — teach perturb() about it "+
-			"and decide whether it belongs in CellKey", field, v.Type())
+			"and put it in Spec or in Observe", field, v.Type())
 	}
 	return o
 }
 
-// TestCellKeyCoversOptions walks every Options field by reflection:
-// each one must either change the memo key when perturbed or be listed
-// in keyExcluded with a soundness argument. Adding a field to Options
-// without deciding its memoization story fails here, not in a silently
-// wrong sweep.
-func TestCellKeyCoversOptions(t *testing.T) {
+// TestSplitDropsNoOption walks every Options field by reflection: set
+// alone, each one must change the Spec or the Observe that split
+// returns. Which of the two says whether it is identity — there is no
+// third place for a field to go, and one that reaches neither does
+// nothing. (PR 4 shipped a BaselineThreshold sweep whose cells all
+// memoized to one result because the key missed the field; this is the
+// regression test for that class of bug.) ProfileWindow only means
+// something to a profiled run, so it is perturbed on one.
+func TestSplitDropsNoOption(t *testing.T) {
 	p := bench.ByName("telco")
-	base := Key(p, VMPyPyJIT, Options{})
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		field := typ.Field(i).Name
-		got := Key(p, VMPyPyJIT, perturb(t, field))
-		changed := got != base
-		if why, excluded := keyExcluded[field]; excluded {
-			if changed {
-				t.Errorf("Options.%s is listed as key-excluded (%s) but changes the key", field, why)
+		var base Options
+		if field == "ProfileWindow" {
+			base.Profile = true
+		}
+		spec, obs := base.split(p, VMPyPyJIT)
+		gotSpec, gotObs := perturb(t, base, field).split(p, VMPyPyJIT)
+		if gotSpec == spec && gotObs == obs {
+			t.Errorf("Options.%s reaches neither the Spec nor the Observe: split drops it", field)
+		}
+	}
+}
+
+// TestSpecResolvesDefaults: an override that spells out the default is
+// the default's cell — equal Specs and one simulation — and what a
+// directory implies is already in the Spec.
+func TestSpecResolvesDefaults(t *testing.T) {
+	p := bench.ByName("telco")
+	def, all, params := defaultHeap, mtjit.AllOpts(), cpu.DefaultParams()
+	explicit := Options{HeapConfig: &def, Opts: &all, Params: &params}
+	if Key(p, VMPyPyJIT, explicit) != Key(p, VMPyPyJIT, Options{}) {
+		t.Fatal("spelling out every default changed the Spec")
+	}
+	if s := Key(p, VMPyPyJIT, Options{ProfileDir: "x"}); !s.Profile || s.ProfileWindow != DefaultProfileWindow {
+		t.Errorf("ProfileDir did not resolve to a profiled Spec with the default window: %+v", s)
+	}
+	if s := Key(p, VMPyPyJIT, Options{ProfileWindow: 9}); s.ProfileWindow != 0 {
+		t.Errorf("an unprofiled Spec carries ProfileWindow %d", s.ProfileWindow)
+	}
+
+	r := NewRunner(2)
+	sims := 0
+	r.SetSimulate(func(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
+		sims++
+		return &Result{Bench: p.Name, VM: kind}, nil
+	})
+	for _, opt := range []Options{{}, explicit} {
+		if _, err := r.Get(p, VMPyPyJIT, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sims != 1 {
+		t.Errorf("default and spelled-out default simulated %d times, want 1", sims)
+	}
+}
+
+// TestDirectoriesAreNotIdentity: where artifacts go is a sink. Asking by
+// flag or by any directory is one cell, so a second Get is a memo hit —
+// and a memo hit feeds no sink: only the directory of the call that
+// simulated has files.
+func TestDirectoriesAreNotIdentity(t *testing.T) {
+	p := bench.ByName("telco")
+	a, b := filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")
+	for _, same := range [][]Options{
+		{{Profile: true}, {ProfileDir: a}, {ProfileDir: b}},
+		{{Record: true}, {RecordDir: a}, {RecordDir: b}},
+	} {
+		for _, opt := range same[1:] {
+			if Key(p, VMPyPyJIT, opt) != Key(p, VMPyPyJIT, same[0]) {
+				t.Errorf("%+v and %+v are different cells", opt, same[0])
 			}
-			continue
 		}
-		if !changed {
-			t.Errorf("Options.%s does not change the memo key: two sweeps differing only "+
-				"in this field would share (wrong) memoized results", field)
+	}
+
+	r := NewRunner(1)
+	first, err := r.Get(p, VMPyPyJIT, Options{ProfileDir: a, RecordDir: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := r.Get(p, VMPyPyJIT, Options{ProfileDir: b, RecordDir: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first || r.Simulations() != 1 {
+		t.Fatalf("two directories simulated %d times, want one shared cell", r.Simulations())
+	}
+	want := append(ProfileArtifacts(a, p.Name, VMPyPyJIT), filepath.Join(a, trace.FileName(p.Name, string(VMPyPyJIT))))
+	for _, path := range want {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("the simulating call's directory lacks %s: %v", path, err)
 		}
+	}
+	if _, err := os.Stat(b); !os.IsNotExist(err) {
+		t.Errorf("a memo hit wrote into its directory %s (stat: %v)", b, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"metajit/internal/bench"
+	"metajit/internal/reqtrace"
 )
 
 // A small sub-corpus keeps formatter tests fast.
@@ -151,8 +152,30 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(p, VMC, Options{}); err == nil {
 		t.Errorf("expected error for missing static kernel")
 	}
-	if _, err := Run(p, VMKind("nonesuch"), Options{}); err == nil {
+	// An unknown kind is refused before a machine is built or a live run
+	// is registered.
+	lt := NewLiveTracker(1)
+	if _, err := Run(p, VMKind("nonesuch"), Options{Live: lt}); err == nil {
 		t.Errorf("expected error for unknown VM")
+	}
+	if st := lt.Status(); len(st) != 0 {
+		t.Errorf("a refused VM kind registered a live run: %+v", st)
+	}
+
+	// A static kernel has no annotation stream: asking for a profile, a
+	// recording or a replay is refused (-profile used to exit 0 and write
+	// nothing), while the sinks the worker attaches to every run stay
+	// legal — they just hear nothing.
+	nbody := bench.ByName("nbody")
+	for _, opt := range []Options{{Profile: true}, {ProfileDir: t.TempDir()}, {Record: true}, {RecordDir: t.TempDir()}, {ReplayAlloc: true}} {
+		if _, err := Run(nbody, VMC, opt); err == nil || !strings.Contains(err.Error(), "unsupported for c") {
+			t.Errorf("Run(nbody, c, %+v) = %v, want an unsupported-for-c refusal", opt, err)
+		}
+	}
+	rec := reqtrace.NewRecorder(reqtrace.Config{Process: "harness-test"})
+	sp := rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "nbody/c")
+	if _, err := Run(nbody, VMC, Options{Live: lt, ReqTrace: sp}); err != nil {
+		t.Errorf("a watched static kernel failed: %v", err)
 	}
 }
 

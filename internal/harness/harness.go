@@ -6,9 +6,11 @@
 package harness
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 
 	"metajit/internal/bench"
@@ -54,25 +56,46 @@ const (
 	VMPyPyAdaptive VMKind = "pypy-adaptive"
 )
 
-// vmKinds is the one VM-name table; TestParseVMKindCoversEveryKind
-// fails when a VMKind constant is missing from it.
-var vmKinds = []VMKind{
-	VMCPython, VMPyPyNoJIT, VMPyPyJIT, VMRacket, VMPycket, VMC,
-	VMPyPyTiered, VMPyPyAmalg, VMPyPyAdaptive,
+// vmRow is what one VMKind means to a run: the interpreter cost profile
+// (nil for the static kernels, which have no guest VM), the guest
+// language and the tiers in front of the interpreter.
+type vmRow struct {
+	profile  func() *mtjit.CostProfile
+	scheme   bool // runs the benchmark's Scheme source through sklang
+	jit      bool
+	baseline bool
+	method   bool
+	adaptive bool
+}
+
+// vmTable is the one VM table: ParseVMKind, Run and the "unknown VM"
+// refusal read it, and TestParseVMKindCoversEveryKind fails when a VMKind
+// constant is missing from it.
+var vmTable = map[VMKind]vmRow{
+	VMCPython:      {profile: mtjit.ReferenceProfile},
+	VMPyPyNoJIT:    {profile: mtjit.FrameworkProfile},
+	VMPyPyJIT:      {profile: mtjit.FrameworkProfile, jit: true},
+	VMPyPyTiered:   {profile: mtjit.FrameworkProfile, jit: true, baseline: true},
+	VMPyPyAmalg:    {profile: mtjit.FrameworkProfile, jit: true, baseline: true, method: true},
+	VMPyPyAdaptive: {profile: mtjit.FrameworkProfile, jit: true, baseline: true, method: true, adaptive: true},
+	VMRacket:       {profile: mtjit.CustomVMProfile, scheme: true},
+	VMPycket:       {profile: mtjit.FrameworkProfile, scheme: true, jit: true},
+	VMC:            {},
 }
 
 // ParseVMKind resolves a VM name arriving from outside the process (a
 // /run request body) to its kind.
 func ParseVMKind(name string) (VMKind, error) {
-	for _, k := range vmKinds {
-		if string(k) == name {
-			return k, nil
-		}
+	if _, ok := vmTable[VMKind(name)]; !ok {
+		return "", fmt.Errorf("unknown vm %q", name)
 	}
-	return "", fmt.Errorf("unknown vm %q", name)
+	return VMKind(name), nil
 }
 
-// Options tunes a run.
+// Options is the one input literal of a run. It says two things that
+// never mix: what is simulated, which split resolves into a Spec (the
+// cell's identity), and how the run is watched, which split collects
+// into an Observe (sinks the Result cannot see).
 type Options struct {
 	// HeapConfig overrides the benchmark heap geometry. The default
 	// scales the paper's testbed down to simulator workload sizes: a
@@ -97,57 +120,51 @@ type Options struct {
 	Opts *mtjit.OptConfig
 	// Params overrides the CPU model.
 	Params *cpu.Params
-	// MaxInstrs is read by nothing: every run executes and samples to
-	// completion. It only splits the memo by entering CellKey, and leaves
-	// with the one planned CellID move (ROADMAP item 2).
-	MaxInstrs uint64
 	// Profile attaches the streaming cross-layer profiler
 	// (internal/profile) to the run; Result.Profile holds the finished
 	// profiler. When false and ProfileDir is empty, no profiler is
 	// attached and the run is bit-identical to an unprofiled one.
 	Profile bool
-	// ProfileDir, when non-empty, implies Profile and writes the profile
-	// artifacts (<bench>-<vm>.trace.json / .folded / .series.txt) there,
-	// creating the directory if needed.
-	ProfileDir string
-	// ProfileWindow overrides the interval time-series window in retired
-	// instructions (0: DefaultProfileWindow).
+	// ProfileWindow overrides the interval time-series window of a
+	// profiled run in retired instructions (0: DefaultProfileWindow).
 	ProfileWindow uint64
-	// Live, when non-nil, registers the run with a LiveTracker so its
-	// progress can be observed mid-flight (the mtjitd introspection
-	// endpoints). Excluded from the memo CellKey: tracking reads counters
-	// without perturbing the simulation, so a tracked run's Result is
-	// identical to an untracked one.
-	Live *LiveTracker
 	// Record attaches the trace recorder (internal/trace): every
 	// cross-layer annotation and heap allocation/free event is captured
 	// into Result.Trace, with the run's outcome sealed into the trace
 	// Summary. Nothing is attached when false and RecordDir is empty,
 	// so an unrecorded run is bit-identical to a pre-recorder one.
 	Record bool
-	// RecordDir, when non-empty, implies Record and writes the trace
-	// file (<bench>-<vm>.mtt) there, creating the directory if needed.
-	RecordDir string
 	// ReplayAlloc replays the benchmark's recorded allocation/free
 	// event stream directly against a fresh heap (trace.ReplayAllocs,
 	// the dj_trace mode) instead of executing guest code. Requires a
 	// trace benchmark (bench.FromTrace / bench.LoadTraceDir).
 	ReplayAlloc bool
+
+	// The five sinks (Observe). One rule for all of them: a sink is fed
+	// by the call that simulates the cell; a Runner memo hit feeds none.
+
+	// ProfileDir, when non-empty, implies Profile and writes the profile
+	// artifacts (ProfileArtifacts names them) there, creating the
+	// directory if needed.
+	ProfileDir string
+	// RecordDir, when non-empty, implies Record and writes the trace
+	// file (trace.FileName) there, creating the directory if needed.
+	RecordDir string
+	// Live, when non-nil, registers the run with a LiveTracker so its
+	// progress can be observed mid-flight (the mtjitd introspection
+	// endpoints).
+	Live *LiveTracker
 	// ReqTrace, when non-nil, links this run into a request trace: the
-	// profiler is attached (with no artifact output unless Profile /
-	// ProfileDir also ask for it) and every closed phase span is
-	// forwarded to the request span, in simulated microseconds, so the
-	// serving stack's merged Chrome export can decompose the request
-	// down to GC/tracing/JIT phases. Excluded from the memo CellKey:
-	// like Live, span capture observes counters without perturbing the
-	// simulation, so a traced run's Result is byte-identical to an
-	// untraced one.
+	// profiler is attached (with the interval series off unless Profile
+	// also asks for it) and every closed phase span is forwarded to the
+	// request span, in simulated microseconds, so the serving stack's
+	// merged Chrome export can decompose the request down to
+	// GC/tracing/JIT phases.
 	ReqTrace *reqtrace.Span
 	// JITLog, when non-nil and the run has a JIT, receives the JIT log
 	// dump (jitlog.Log.Dump) after main returns; a write error is the
 	// run's error. The traces end with the run and Result.IR keeps their
-	// statistics. Excluded from the memo CellKey: a text sink cannot
-	// reach the Result, and a memo hit writes nothing to it.
+	// statistics.
 	JITLog io.Writer
 }
 
@@ -164,8 +181,7 @@ type Result struct {
 	Bench string
 	VM    VMKind
 
-	// Params is the CPU model the run actually used (the default or the
-	// Options.Params override).
+	// Params is the CPU model the run used (Spec.Params).
 	Params cpu.Params
 
 	Checksum int64
@@ -188,20 +204,16 @@ type Result struct {
 	EngStats mtjit.EngineStats
 
 	// Profile is the finished streaming profiler (nil unless
-	// Options.Profile/ProfileDir enabled it); ProfileFiles lists artifact
-	// paths written under Options.ProfileDir.
-	Profile      *profile.Profiler
-	ProfileFiles []string
+	// Spec.Profile asked for it).
+	Profile *profile.Profiler
 
 	// HeapChecksum is the structural hash of the final guest-visible
 	// heap (pylang.VM.HeapChecksum); 0 for static-kernel and
 	// alloc-replay runs, which have no guest heap state.
 	HeapChecksum uint64
-	// Trace is the finished recording (nil unless Options.Record or
-	// RecordDir enabled it); TraceFile is the path written under
-	// Options.RecordDir.
-	Trace     *trace.Trace
-	TraceFile string
+	// Trace is the finished recording (nil unless Spec.Record asked for
+	// it).
+	Trace *trace.Trace
 }
 
 // AOTCost is the cycles attributed to one AOT-compiled entry point over
@@ -234,195 +246,294 @@ func (r *Result) PhaseFraction(p core.Phase) float64 {
 	return float64(r.Phases[p].Instrs) / float64(r.Instrs)
 }
 
-// Run executes one benchmark on one VM configuration.
+// Run executes one benchmark on one VM configuration: split says what is
+// simulated and who watches, simulate does both.
 func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
-	params := cpu.DefaultParams()
-	if opt.Params != nil {
-		params = *opt.Params
+	spec, obs := opt.split(p, kind)
+	return simulate(p, spec, obs)
+}
+
+// run is one simulation in flight: the machine, its observers in
+// registration order and, as they come to exist, the guest heap, VM and
+// JIT log that span labels and the final reduction read.
+type run struct {
+	p    *bench.Program
+	spec Spec
+	obs  Observe
+
+	// guest and source name what runs; a recording's header carries them.
+	guest, source string
+
+	mach   *cpu.Machine
+	live   *LiveRun
+	wm     *pintool.WorkMeter
+	att    *pintool.AOTAttributor
+	events *pintool.TraceEventCounter
+	prof   *profile.Profiler // spec.Profile or obs.ReqTrace
+	rec    *trace.Recorder   // spec.Record
+
+	heap *heap.Heap
+	vm   *pylang.VM  // nil for an alloc replay
+	log  *jitlog.Log // nil without a JIT
+
+	// The profile's Chrome trace streams into obs.ProfileDir as the run
+	// goes.
+	chromeFile *os.File
+	chromeBuf  *bufio.Writer
+}
+
+// simulate builds the machine, the guest and the Result from the Spec
+// alone; obs only watches. What cannot run is refused first, before a
+// machine exists or a live run is registered.
+func simulate(p *bench.Program, spec Spec, obs Observe) (*Result, error) {
+	row, ok := vmTable[spec.VM]
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown VM %q", spec.VM)
 	}
-	mach := cpu.New(params)
+	r := &run{p: p, spec: spec, obs: obs, guest: trace.GuestPy, source: p.Source}
+	var kernel *static.Kernel
+	switch {
+	case row.profile == nil:
+		// A static kernel has no annotation stream: there is nothing to
+		// profile, record or replay.
+		if spec.Profile || spec.Record || spec.ReplayAlloc {
+			return nil, fmt.Errorf("harness: profile and trace record/replay unsupported for %s", spec.VM)
+		}
+		if kernel = static.ByName(p.Name); kernel == nil {
+			return nil, fmt.Errorf("harness: no static kernel for %s", p.Name)
+		}
+	case spec.ReplayAlloc:
+		if p.Trace == nil {
+			return nil, fmt.Errorf("harness: %s: replay-alloc needs a trace benchmark (bench.FromTrace)", p.Name)
+		}
+		r.guest, r.source = p.Trace.Header.Guest, p.Trace.Header.Source
+	default:
+		if row.scheme {
+			r.guest, r.source = trace.GuestSk, p.SkSource
+		}
+		if r.source == "" {
+			return nil, fmt.Errorf("harness: %s has no source for %s", p.Name, spec.VM)
+		}
+	}
 
-	res := &Result{Bench: p.Name, VM: kind}
-
+	r.mach = cpu.New(spec.Params)
 	// Live tracking begins before any guest work and ends on every exit
 	// path (including errors), so a daemon's run listing never shows a
 	// run stuck in flight. Static-kernel runs get begin/end snapshots
 	// only: no annotation stream, nothing to observe mid-run.
-	lr := opt.Live.begin(p.Name, kind, mach)
-	defer lr.end()
+	r.live = obs.Live.begin(p.Name, spec.VM, r.mach)
+	defer r.live.end()
 
-	if kind == VMC {
-		if opt.Record || opt.RecordDir != "" || opt.ReplayAlloc {
-			return nil, fmt.Errorf("harness: trace record/replay unsupported for %s", kind)
-		}
-		k := static.ByName(p.Name)
-		if k == nil {
-			return nil, fmt.Errorf("harness: no static kernel for %s", p.Name)
-		}
-		res.Checksum = k.Run(mach)
-		res.finish(mach)
+	res := &Result{Bench: p.Name, VM: spec.VM}
+	if kernel != nil {
+		res.Checksum = kernel.Run(r.mach)
+		res.readCounters(r.mach)
 		return res, nil
 	}
-
-	pintool.NewPhaseTracker(mach)
-	lr.attach() // after the tracker: dispatch ticks see the switched phase
-	wm := pintool.NewWorkMeter(mach, opt.SampleInterval)
-	att := pintool.NewAOTAttributor(mach)
-	events := pintool.NewTraceEventCounter(mach)
-
-	if opt.ReplayAlloc {
-		return runAllocReplay(p, kind, opt, mach, res)
+	if err := r.attach(); err != nil {
+		return nil, err
 	}
-
-	cfg := pylang.Config{}
-	src, guest := p.Source, trace.GuestPy
-	switch kind {
-	case VMCPython:
-		cfg.Profile = mtjit.ReferenceProfile()
-	case VMPyPyNoJIT:
-		cfg.Profile = mtjit.FrameworkProfile()
-	case VMPyPyJIT:
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-	case VMPyPyTiered:
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-		cfg.Baseline = true
-		cfg.BaselineThreshold = opt.BaselineThreshold
-	case VMPyPyAmalg, VMPyPyAdaptive:
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-		cfg.Baseline = true
-		cfg.BaselineThreshold = opt.BaselineThreshold
-		cfg.Method = true
-		cfg.MethodThreshold = opt.MethodThreshold
-		cfg.Adaptive = kind == VMPyPyAdaptive
-	case VMRacket:
-		cfg.Profile = mtjit.CustomVMProfile()
-		src, guest = p.SkSource, trace.GuestSk
-	case VMPycket:
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-		src, guest = p.SkSource, trace.GuestSk
-	default:
-		return nil, fmt.Errorf("harness: unknown VM %q", kind)
+	defer r.close()
+	var err error
+	if spec.ReplayAlloc {
+		res.Checksum, err = r.replayAllocs()
+	} else {
+		res.Checksum, err = r.runGuest(row)
 	}
-	if src == "" {
-		return nil, fmt.Errorf("harness: %s has no source for %s", p.Name, kind)
-	}
-	cfg.Threshold = opt.Threshold
-	cfg.BridgeThreshold = opt.BridgeThreshold
-	if opt.Adaptive {
-		cfg.Adaptive = true
-	}
-	cfg.Opts = opt.Opts
-	hcfg := heapConfigOf(opt)
-	cfg.HeapConfig = &hcfg
-
-	// The profiler attaches after the pintool observers and before any
-	// guest code runs (see attachProfiler). Its labels read profVM /
-	// profLog, which are assigned as soon as the VM and JIT log exist.
-	var (
-		profVM  *pylang.VM
-		profLog *jitlog.Log
-	)
-	prof, err := attachProfiler(mach, p, kind, opt, &profVM, &profLog)
 	if err != nil {
 		return nil, err
 	}
-	defer prof.close()
-
-	// The recorder attaches after the profiler, so both see the same
-	// annotation stream; the heap tracer attaches right after the VM's
-	// heap exists, before any guest code (module init included) runs.
-	rec := attachRecorder(mach, p, kind, opt, hcfg, guest, src)
-
-	vm := pylang.New(mach, cfg)
-	profVM = vm
-	if rec != nil {
-		vm.H.SetTracer(rec)
-	}
-	var log *jitlog.Log
-	if cfg.JIT {
-		log = jitlog.Attach(vm.Eng)
-		profLog = log
-		lr.setLog(log)
-	}
-	if guest == trace.GuestSk {
-		vm.UnicodeStrings = false
-		if err := sklang.Load(vm, src); err != nil {
-			return nil, fmt.Errorf("harness: %s on %s: %w", p.Name, kind, err)
-		}
-	} else {
-		if err := vm.LoadModule(p.Name, src); err != nil {
-			return nil, fmt.Errorf("harness: %s on %s: %w", p.Name, kind, err)
-		}
-	}
-	out := vm.RunFunction("main")
-	res.Checksum = out.I
-
-	if err := prof.finish(res); err != nil {
+	if err := r.finish(res); err != nil {
 		return nil, err
 	}
-
-	// Reduce the observers to values: the machine, the traces and the
-	// guest heap end with this function.
-	res.GC = vm.H.Stats()
-	res.Bytecodes = wm.Bytecodes
-	res.Samples = wm.Samples
-	res.Events = *events
-	if log != nil {
-		res.IR = log.Stats()
-		res.EngStats = vm.Eng.Stats()
-		if opt.JITLog != nil {
-			if _, err := io.WriteString(opt.JITLog, log.Dump()); err != nil {
-				return nil, fmt.Errorf("harness: %s on %s: jit log: %w", p.Name, kind, err)
-			}
-		}
-	}
-	for _, f := range vm.RT.Funcs() {
-		if cyc, ok := att.CyclesByFunc[f.ID]; ok {
-			res.AOT = append(res.AOT, AOTCost{Name: f.Name, Src: f.Src.String(), Cycles: cyc, Calls: att.CallsByFunc[f.ID]})
-		}
-	}
-	// The heap checksum is a pure Go walk (no simulated instructions),
-	// so computing it here perturbs nothing; it feeds the recorded
-	// summary and the record→replay equivalence checks.
-	res.HeapChecksum = vm.HeapChecksum()
-	if rec != nil {
-		if err := finishRecording(rec, res, opt, mach, res.HeapChecksum, res.GC); err != nil {
-			return nil, err
-		}
-	}
-	res.finish(mach)
 	return res, nil
 }
 
-// heapConfigOf resolves the effective heap geometry of a run: the
-// explicit override, or the benchmark default that scales the paper's
-// testbed down to simulator workload sizes.
-func heapConfigOf(opt Options) heap.Config {
-	if opt.HeapConfig != nil {
-		return *opt.HeapConfig
+// attach registers every observer, before any guest code runs, in the
+// order the goldens were recorded under. The phase tracker is first so
+// that everything after it sees the post-switch phase; the profiler and
+// the recorder are last and hear the same annotation stream.
+func (r *run) attach() error {
+	pintool.NewPhaseTracker(r.mach)
+	r.live.attach()
+	r.wm = pintool.NewWorkMeter(r.mach, r.spec.SampleInterval)
+	r.att = pintool.NewAOTAttributor(r.mach)
+	r.events = pintool.NewTraceEventCounter(r.mach)
+	if err := r.attachProfiler(); err != nil {
+		return err
 	}
-	return heap.Config{
-		NurserySize:    32 << 10,
-		MajorThreshold: 384 << 10,
-		MajorGrowth:    1.82,
+	if r.spec.Record {
+		r.rec = trace.NewRecorder(trace.Header{
+			Guest:  r.guest,
+			Name:   r.p.Name,
+			VM:     string(r.spec.VM),
+			Source: r.source,
+			Config: snapshotConfig(r.spec),
+		})
+		r.mach.Observe(r.rec)
+	}
+	return nil
+}
+
+// setHeap hands the run its heap the moment it exists, before any guest
+// code (module init included) allocates from it: the recorder traces its
+// allocations and finish reads its statistics.
+func (r *run) setHeap(h *heap.Heap) {
+	r.heap = h
+	if r.rec != nil {
+		h.SetTracer(r.rec)
 	}
 }
 
-// snapshotConfig pins the replay-affecting options into a trace header.
-func snapshotConfig(opt Options, hcfg heap.Config) trace.ConfigSnapshot {
+// runGuest builds the guest VM the row describes, loads the benchmark
+// and returns main's result.
+func (r *run) runGuest(row vmRow) (int64, error) {
+	vm := pylang.New(r.mach, pylang.Config{
+		Profile:           row.profile(),
+		JIT:               row.jit,
+		Baseline:          row.baseline,
+		Method:            row.method,
+		Adaptive:          row.adaptive || r.spec.Adaptive,
+		Threshold:         r.spec.Threshold,
+		BridgeThreshold:   r.spec.BridgeThreshold,
+		BaselineThreshold: r.spec.BaselineThreshold,
+		MethodThreshold:   r.spec.MethodThreshold,
+		Opts:              &r.spec.Opts,
+		HeapConfig:        &r.spec.Heap,
+	})
+	r.vm = vm
+	r.setHeap(vm.H)
+	if row.jit {
+		r.log = jitlog.Attach(vm.Eng)
+		r.live.setLog(r.log)
+	}
+	var err error
+	if row.scheme {
+		vm.UnicodeStrings = false
+		err = sklang.Load(vm, r.source)
+	} else {
+		err = vm.LoadModule(r.p.Name, r.source)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("harness: %s on %s: %w", r.p.Name, r.spec.VM, err)
+	}
+	return vm.RunFunction("main").I, nil
+}
+
+// replayAllocs is the dj_trace execution mode: no guest code runs; the
+// trace's allocation/free event stream drives a fresh heap (and through
+// it the generational collector) directly. Every observer works
+// unchanged — the annotation stream simply contains only GC activity.
+func (r *run) replayAllocs() (int64, error) {
+	h := heap.New(r.mach, r.spec.Heap)
+	r.setHeap(h)
+	stats, err := trace.ReplayAllocs(h, r.p.Trace)
+	if err != nil {
+		return 0, fmt.Errorf("harness: %s: %w", r.p.Name, err)
+	}
+	// The replay's checksum is its applied-allocation count: a stable,
+	// config-independent fingerprint of how much of the stream ran.
+	return int64(stats.Allocs), nil
+}
+
+// finish ends the run. The observers are reduced to values first — the
+// machine, the traces and the guest heap end with this call — and only
+// then are the sinks fed: nothing a sink does can reach res.
+func (r *run) finish(res *Result) error {
+	res.GC = r.heap.Stats()
+	res.Bytecodes = r.wm.Bytecodes
+	res.Samples = r.wm.Samples
+	res.Events = *r.events
+	if r.log != nil {
+		res.IR = r.log.Stats()
+		res.EngStats = r.vm.Eng.Stats()
+	}
+	if r.vm != nil {
+		for _, f := range r.vm.RT.Funcs() {
+			if cyc, ok := r.att.CyclesByFunc[f.ID]; ok {
+				res.AOT = append(res.AOT, AOTCost{Name: f.Name, Src: f.Src.String(), Cycles: cyc, Calls: r.att.CallsByFunc[f.ID]})
+			}
+		}
+		// The heap checksum is a pure Go walk (no simulated
+		// instructions), so computing it here perturbs nothing; it feeds
+		// the recorded summary and the record→replay equivalence checks.
+		res.HeapChecksum = r.vm.HeapChecksum()
+	}
+	res.readCounters(r.mach)
+	if r.prof != nil {
+		r.prof.Finish()
+		// Only a profile that was asked for: a memoized Result must not
+		// hold the interval series of a profiler a request span attached.
+		if r.spec.Profile {
+			res.Profile = r.prof
+		}
+	}
+	if r.rec != nil {
+		res.Trace = r.rec.Finish(r.summary(res))
+	}
+
+	if r.prof != nil {
+		// On the serving path nothing else reads the profiler's errors.
+		if err := r.prof.Err(); err != nil {
+			r.obs.ReqTrace.Annotate("profile_err", err.Error())
+		}
+	}
+	if r.obs.ProfileDir != "" {
+		if err := r.writeProfile(); err != nil {
+			return err
+		}
+	}
+	if r.obs.JITLog != nil && r.log != nil {
+		if _, err := io.WriteString(r.obs.JITLog, r.log.Dump()); err != nil {
+			return fmt.Errorf("harness: %s on %s: jit log: %w", r.p.Name, r.spec.VM, err)
+		}
+	}
+	if r.obs.RecordDir != "" {
+		path := filepath.Join(r.obs.RecordDir, trace.FileName(res.Bench, string(res.VM)))
+		if err := trace.WriteFile(path, res.Trace); err != nil {
+			return fmt.Errorf("harness: record: %w", err)
+		}
+	}
+	return nil
+}
+
+// summary seals the run's outcome for the recording. The totals are the
+// machine's retire-order sums, which can differ from the per-phase
+// grouped sum of Result.Total in the last float64 bit.
+func (r *run) summary(res *Result) trace.Summary {
+	sum := trace.Summary{
+		Checksum:     res.Checksum,
+		HeapChecksum: res.HeapChecksum,
+		Instrs:       r.mach.TotalInstrs(),
+		CyclesBits:   math.Float64bits(r.mach.TotalCycles()),
+		Phases:       make([]trace.PhaseSum, core.NumPhases),
+		GC: trace.GCSum{
+			Minor:         res.GC.Minor,
+			Major:         res.GC.Major,
+			AllocObjects:  res.GC.AllocObjects,
+			AllocBytes:    res.GC.AllocBytes,
+			PromotedBytes: res.GC.PromotedBytes,
+			Skipped:       res.GC.Skipped,
+		},
+	}
+	for ph, c := range res.Phases {
+		sum.Phases[ph] = trace.PhaseSum{Instrs: c.Instrs, CyclesBits: math.Float64bits(c.Cycles)}
+	}
+	return sum
+}
+
+// snapshotConfig pins the replay-affecting part of a Spec into a trace
+// header.
+func snapshotConfig(s Spec) trace.ConfigSnapshot {
 	return trace.ConfigSnapshot{
-		Threshold:         int64(opt.Threshold),
-		BridgeThreshold:   int64(opt.BridgeThreshold),
-		BaselineThreshold: int64(opt.BaselineThreshold),
-		MethodThreshold:   int64(opt.MethodThreshold),
-		Adaptive:          opt.Adaptive,
-		NurserySize:       hcfg.NurserySize,
-		MajorThreshold:    hcfg.MajorThreshold,
-		MajorGrowthBits:   math.Float64bits(hcfg.MajorGrowth),
+		Threshold:         int64(s.Threshold),
+		BridgeThreshold:   int64(s.BridgeThreshold),
+		BaselineThreshold: int64(s.BaselineThreshold),
+		MethodThreshold:   int64(s.MethodThreshold),
+		Adaptive:          s.Adaptive,
+		NurserySize:       s.Heap.NurserySize,
+		MajorThreshold:    s.Heap.MajorThreshold,
+		MajorGrowthBits:   math.Float64bits(s.Heap.MajorGrowth),
 	}
 }
 
@@ -448,102 +559,8 @@ func ReplayOptions(t *trace.Trace) Options {
 	}
 }
 
-// attachRecorder attaches the trace recorder when the options ask for a
-// recording (nil otherwise); guest and source name what is being run.
-func attachRecorder(mach *cpu.Machine, p *bench.Program, kind VMKind, opt Options, hcfg heap.Config, guest, source string) *trace.Recorder {
-	if !opt.Record && opt.RecordDir == "" {
-		return nil
-	}
-	rec := trace.NewRecorder(trace.Header{
-		Guest:  guest,
-		Name:   p.Name,
-		VM:     string(kind),
-		Source: source,
-		Config: snapshotConfig(opt, hcfg),
-	})
-	mach.Observe(rec)
-	return rec
-}
-
-// finishRecording seals the recorder with the run's outcome and writes
-// the trace file when RecordDir asks for one.
-func finishRecording(rec *trace.Recorder, res *Result, opt Options, mach *cpu.Machine, heapCk uint64, gc heap.Stats) error {
-	sum := trace.Summary{
-		Checksum:     res.Checksum,
-		HeapChecksum: heapCk,
-		Instrs:       mach.TotalInstrs(),
-		CyclesBits:   math.Float64bits(mach.TotalCycles()),
-		Phases:       make([]trace.PhaseSum, core.NumPhases),
-		GC: trace.GCSum{
-			Minor:         gc.Minor,
-			Major:         gc.Major,
-			AllocObjects:  gc.AllocObjects,
-			AllocBytes:    gc.AllocBytes,
-			PromotedBytes: gc.PromotedBytes,
-			Skipped:       gc.Skipped,
-		},
-	}
-	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-		c := mach.PhaseCounters(ph)
-		sum.Phases[ph] = trace.PhaseSum{Instrs: c.Instrs, CyclesBits: math.Float64bits(c.Cycles)}
-	}
-	tr := rec.Finish(sum)
-	res.Trace = tr
-	if opt.RecordDir != "" {
-		path := filepath.Join(opt.RecordDir, trace.FileName(res.Bench, string(res.VM)))
-		if err := trace.WriteFile(path, tr); err != nil {
-			return fmt.Errorf("harness: record: %w", err)
-		}
-		res.TraceFile = path
-	}
-	return nil
-}
-
-// runAllocReplay is the dj_trace execution mode: no guest code runs;
-// the trace's allocation/free event stream drives a fresh heap (and
-// through it the generational collector) directly. The phase tracker,
-// profiler, and recorder all work unchanged — the annotation stream
-// simply contains only GC activity.
-func runAllocReplay(p *bench.Program, kind VMKind, opt Options, mach *cpu.Machine, res *Result) (*Result, error) {
-	if p.Trace == nil {
-		return nil, fmt.Errorf("harness: %s: replay-alloc needs a trace benchmark (bench.FromTrace)", p.Name)
-	}
-	hcfg := heapConfigOf(opt)
-
-	prof, err := attachProfiler(mach, p, kind, opt, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer prof.close()
-
-	rec := attachRecorder(mach, p, kind, opt, hcfg, p.Trace.Header.Guest, p.Trace.Header.Source)
-
-	h := heap.New(mach, hcfg)
-	if rec != nil {
-		h.SetTracer(rec)
-	}
-	stats, err := trace.ReplayAllocs(h, p.Trace)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", p.Name, err)
-	}
-	// The replay's checksum is its applied-allocation count: a stable,
-	// config-independent fingerprint of how much of the stream ran.
-	res.Checksum = int64(stats.Allocs)
-	res.GC = h.Stats()
-
-	if err := prof.finish(res); err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		if err := finishRecording(rec, res, opt, mach, 0, res.GC); err != nil {
-			return nil, err
-		}
-	}
-	res.finish(mach)
-	return res, nil
-}
-
-func (r *Result) finish(mach *cpu.Machine) {
+// readCounters copies the machine's final counters into the Result.
+func (r *Result) readCounters(mach *cpu.Machine) {
 	r.Params = mach.Params()
 	r.Total = mach.Total()
 	r.Instrs = r.Total.Instrs

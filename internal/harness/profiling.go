@@ -7,107 +7,78 @@ import (
 	"os"
 	"path/filepath"
 
-	"metajit/internal/bench"
-	"metajit/internal/cpu"
-	"metajit/internal/jitlog"
 	"metajit/internal/mtjit"
 	"metajit/internal/profile"
-	"metajit/internal/pylang"
 	"metajit/internal/reqtrace"
 )
 
-// profiling is one run's attached profiler with what is owed at the end
-// of the run: artifacts for Options.ProfileDir, Result.Profile when the
-// caller asked for a profile, and the request span that hears about
-// profiler errors. A nil *profiling (no profiler requested) is valid.
-type profiling struct {
-	prof     *profile.Profiler
-	span     *reqtrace.Span
-	exported bool // Options.Profile/ProfileDir asked: the Result carries the profiler
-	dir      string
-	base     string // <bench>-<vm>, the artifact file stem
-
-	chromeFile *os.File
-	chromeBuf  *bufio.Writer
+// ProfileArtifacts names the three files a run with Options.ProfileDir
+// writes: the Chrome trace, the folded flamegraph stacks and the interval
+// series, in that order.
+func ProfileArtifacts(dir, bench string, kind VMKind) []string {
+	base := filepath.Join(dir, fmt.Sprintf("%s-%s", bench, kind))
+	return []string{base + ".trace.json", base + ".folded", base + ".series.txt"}
 }
 
-// attachProfiler attaches the streaming profiler when the options ask
-// for a profile or link the run into a request trace. It must run after
-// the pintool observers — PhaseTracker first, so barrier checks see the
-// post-switch phase — and before any guest code. A request trace alone
-// keeps the interval series off: nobody reads it, and with the series
-// off no dispatch tick is ever stamped.
-//
-// vm and log point at the caller's variables for the guest VM and its
-// JIT log, which do not exist yet: span labels are resolved at span
-// open, during execution, by which time the caller has assigned them.
-// Both are nil for a run with no guest (alloc replay).
-func attachProfiler(mach *cpu.Machine, p *bench.Program, kind VMKind, opt Options, vm **pylang.VM, log **jitlog.Log) (*profiling, error) {
-	exported := opt.Profile || opt.ProfileDir != ""
-	if !exported && opt.ReqTrace == nil {
-		return nil, nil
+// attachProfiler attaches the streaming profiler when the Spec asks for
+// a profile or a request span wants the run's phases. A request span
+// alone keeps the interval series off (Spec.ProfileWindow is zero):
+// nobody reads it, and with the series off no dispatch tick is ever
+// stamped. Span labels are resolved at span open, during execution, by
+// which time the run has its guest VM and JIT log.
+func (r *run) attachProfiler() error {
+	if !r.spec.Profile && r.obs.ReqTrace == nil {
+		return nil
 	}
-	pr := &profiling{
-		span:     opt.ReqTrace,
-		exported: exported,
-		dir:      opt.ProfileDir,
-		base:     fmt.Sprintf("%s-%s", p.Name, kind),
+	clock := r.mach.Params().ClockHz
+	cfg := profile.Config{
+		ClockHz:  clock,
+		SpanSink: reqTraceSink(r.obs.ReqTrace, clock),
+		Labels:   r.labels(),
+		Window:   r.spec.ProfileWindow,
 	}
-	pcfg := profile.Config{
-		ClockHz:  mach.Params().ClockHz,
-		SpanSink: reqTraceSink(pr.span, mach.Params().ClockHz),
-	}
-	if vm != nil {
-		pcfg.Labels = guestLabels(vm, log)
-	}
-	if pr.exported {
-		pcfg.Window = opt.ProfileWindow
-		if pcfg.Window == 0 {
-			pcfg.Window = DefaultProfileWindow
+	if dir := r.obs.ProfileDir; dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("harness: profile dir: %w", err)
 		}
-	}
-	if pr.dir != "" {
-		if err := os.MkdirAll(pr.dir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: profile dir: %w", err)
-		}
-		f, err := os.Create(filepath.Join(pr.dir, pr.base+".trace.json"))
+		f, err := os.Create(ProfileArtifacts(dir, r.p.Name, r.spec.VM)[0])
 		if err != nil {
-			return nil, fmt.Errorf("harness: profile trace: %w", err)
+			return fmt.Errorf("harness: profile trace: %w", err)
 		}
-		pr.chromeFile = f
-		pr.chromeBuf = bufio.NewWriter(f)
-		pcfg.Chrome = pr.chromeBuf
+		r.chromeFile, r.chromeBuf = f, bufio.NewWriter(f)
+		cfg.Chrome = r.chromeBuf
 	}
-	pr.prof = profile.Attach(mach, pcfg)
-	return pr, nil
+	r.prof = profile.Attach(r.mach, cfg)
+	return nil
 }
 
-// guestLabels names traces and lower-tier code objects through the JIT
-// log and AOT functions through the VM's runtime; before either exists
-// every id falls back to its numeric label.
-func guestLabels(vm **pylang.VM, log **jitlog.Log) profile.Labels {
+// labels names traces and lower-tier code objects through the JIT log
+// and AOT functions through the VM's runtime; before either exists (and
+// in an alloc replay, which has neither) every id falls back to its
+// numeric label.
+func (r *run) labels() profile.Labels {
 	tier := func(t mtjit.Tier) func(uint64) string {
 		return func(id uint64) string {
-			if *log == nil {
+			if r.log == nil {
 				return ""
 			}
-			return (*log).TierLabel(t, id)
+			return r.log.TierLabel(t, id)
 		}
 	}
 	return profile.Labels{
 		Trace: func(id uint64) string {
-			if *log == nil {
+			if r.log == nil {
 				return ""
 			}
-			return (*log).TraceLabel(id)
+			return r.log.TraceLabel(id)
 		},
 		Baseline: tier(mtjit.BaselineTier),
 		Method:   tier(mtjit.MethodTier),
 		AOTFunc: func(id uint64) string {
-			if *vm == nil {
+			if r.vm == nil {
 				return ""
 			}
-			for _, f := range (*vm).RT.Funcs() {
+			for _, f := range r.vm.RT.Funcs() {
 				if uint64(f.ID) == id {
 					return f.Name
 				}
@@ -118,50 +89,30 @@ func guestLabels(vm **pylang.VM, log **jitlog.Log) profile.Labels {
 }
 
 // close releases the Chrome trace file of a run that did not reach
-// finish.
-func (pr *profiling) close() {
-	if pr != nil && pr.chromeFile != nil {
-		pr.chromeFile.Close()
+// writeProfile.
+func (r *run) close() {
+	if r.chromeFile != nil {
+		r.chromeFile.Close()
 	}
 }
 
-// finish finalizes the profiler, reports its errors to the request span
-// (on the serving path nothing else reads them), hands the profiler to
-// the Result only when a profile was asked for — a memoized Result must
-// not pin the machine and guest heap behind a profiler nobody wanted —
-// and writes the ProfileDir artifacts.
-func (pr *profiling) finish(res *Result) error {
-	if pr == nil {
-		return nil
-	}
-	pr.prof.Finish()
-	if err := pr.prof.Err(); err != nil {
-		pr.span.Annotate("profile_err", err.Error())
-	}
-	if pr.exported {
-		res.Profile = pr.prof
-	}
-	if pr.dir == "" {
-		return nil
-	}
-	if err := pr.chromeBuf.Flush(); err != nil {
+// writeProfile completes the streamed Chrome trace and writes the other
+// two ProfileDir artifacts from the finished profiler.
+func (r *run) writeProfile() error {
+	if err := r.chromeBuf.Flush(); err != nil {
 		return fmt.Errorf("harness: profile trace: %w", err)
 	}
-	if err := pr.chromeFile.Close(); err != nil {
+	if err := r.chromeFile.Close(); err != nil {
 		return fmt.Errorf("harness: profile trace: %w", err)
 	}
-	res.ProfileFiles = append(res.ProfileFiles, pr.chromeFile.Name())
-	pr.chromeFile = nil
-	folded := filepath.Join(pr.dir, pr.base+".folded")
-	if err := writeArtifact(folded, pr.prof.Stream.WriteFolded); err != nil {
+	r.chromeFile = nil
+	names := ProfileArtifacts(r.obs.ProfileDir, r.p.Name, r.spec.VM)
+	if err := writeArtifact(names[1], r.prof.Stream.WriteFolded); err != nil {
 		return fmt.Errorf("harness: profile flamegraph: %w", err)
 	}
-	res.ProfileFiles = append(res.ProfileFiles, folded)
-	series := filepath.Join(pr.dir, pr.base+".series.txt")
-	if err := writeArtifact(series, pr.prof.Stream.WriteSeries); err != nil {
+	if err := writeArtifact(names[2], r.prof.Stream.WriteSeries); err != nil {
 		return fmt.Errorf("harness: profile series: %w", err)
 	}
-	res.ProfileFiles = append(res.ProfileFiles, series)
 	return nil
 }
 

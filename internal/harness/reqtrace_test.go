@@ -7,7 +7,7 @@ import (
 	"metajit/internal/bench"
 	"metajit/internal/core"
 	"metajit/internal/cpu"
-	"metajit/internal/pintool"
+	"metajit/internal/heap"
 	"metajit/internal/profile"
 	"metajit/internal/reqtrace"
 	"metajit/internal/telemetry"
@@ -20,9 +20,9 @@ import (
 func TestReqTraceLinksPhaseSpans(t *testing.T) {
 	p := bench.ByName("telco")
 
-	// Run directly, not through the memo runner: ReqTrace is key-excluded
-	// (deliberately — see cache_audit_test.go), so a cached read would
-	// never execute and never produce spans. That mirrors production: the
+	// Run directly, not through the memo runner: ReqTrace is a sink, not
+	// part of the Spec, so a cached read would never execute and never
+	// produce spans. That mirrors production: the
 	// worker only attaches a span on the fresh-simulate path.
 	plain, err := Run(p, VMPyPyTiered, Options{})
 	if err != nil {
@@ -119,18 +119,20 @@ func TestReqTraceSurfacesProfilerErrors(t *testing.T) {
 
 	rec := reqtrace.NewRecorder(reqtrace.Config{Process: "harness-test"})
 	sim := rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "forced/violation")
-	mach := cpu.NewDefault()
-	pintool.NewPhaseTracker(mach)
-	pr, err := attachProfiler(mach, &bench.Program{Name: "forced"}, VMCPython, Options{ReqTrace: sim}, nil, nil)
-	if err != nil {
+	p := &bench.Program{Name: "forced"}
+	spec, obs := Options{ReqTrace: sim}.split(p, VMCPython)
+	mach := cpu.New(spec.Params)
+	r := &run{p: p, spec: spec, obs: obs, mach: mach}
+	if err := r.attach(); err != nil {
 		t.Fatal(err)
 	}
+	r.setHeap(heap.New(mach, spec.Heap))
 	mach.Annot(core.TagDispatch, 0)
 	mach.Annot(core.TagGCMinorStart, core.GCReasonAlloc)
 	mach.Annot(core.TagDispatch, 0) // the violation
 	mach.Annot(core.TagGCMinorEnd, 0)
 	res := &Result{}
-	if err := pr.finish(res); err != nil {
+	if err := r.finish(res); err != nil {
 		t.Fatal(err)
 	}
 	sim.End()

@@ -52,8 +52,9 @@ func TestResultHoldsNoGraph(t *testing.T) {
 	}
 }
 
-// TestJITLogSinkLeavesResultAlone: Options.JITLog is key-excluded, which
-// is sound only if handing a run a sink changes nothing it returns.
+// TestJITLogSinkLeavesResultAlone: Options.JITLog is a sink, outside the
+// Spec, which is sound only if handing a run a sink changes nothing it
+// returns.
 func TestJITLogSinkLeavesResultAlone(t *testing.T) {
 	p := bench.ByName("richards")
 	var dump bytes.Buffer

@@ -10,7 +10,7 @@ import (
 )
 
 // Runner memoizes and parallelizes experiment cells. Each distinct
-// (benchmark, VM, options) cell — see CellKey — is simulated exactly once
+// (benchmark, VM, options) cell — see Spec — is simulated exactly once
 // per Runner, on a worker pool bounded at the configured width; every
 // table and figure that needs the cell shares the one result. Cells are
 // independent simulations (each Run builds its own cpu.Machine, VM, and
@@ -22,7 +22,7 @@ type Runner struct {
 	sem chan struct{}
 
 	mu     sync.Mutex
-	cells  map[CellKey]*cell
+	cells  map[Spec]*cell
 	order  []*cell
 	failed []error
 	stats  CacheStats
@@ -33,12 +33,12 @@ type Runner struct {
 	simCount int
 }
 
-// cell is one memoized simulation. It holds the key and the outcome, not
-// the Options it ran under: their observers and sinks (Live, ReqTrace,
-// JITLog) belong to the request that caused the run, and a memo that
-// kept them would pin, for one, every cold request's span tree.
+// cell is one memoized simulation. It holds the Spec and the outcome, not
+// the Options it ran under: their sinks (Observe) belong to the call that
+// caused the run — a later hit feeds none — and a memo that kept them
+// would pin, for one, every cold request's span tree.
 type cell struct {
-	key  CellKey
+	key  Spec
 	done chan struct{}
 	res  *Result
 	err  error
@@ -52,7 +52,7 @@ func NewRunner(workers int) *Runner {
 	}
 	return &Runner{
 		sem:      make(chan struct{}, workers),
-		cells:    map[CellKey]*cell{},
+		cells:    map[Spec]*cell{},
 		simulate: Run,
 	}
 }

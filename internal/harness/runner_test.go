@@ -13,7 +13,7 @@ import (
 
 // countingRunner wraps a Runner so the test can count and intercept
 // actual simulations through the simulate hook.
-func countingRunner(workers int, calls *[]CellKey, mu *sync.Mutex) *Runner {
+func countingRunner(workers int, calls *[]Spec, mu *sync.Mutex) *Runner {
 	r := NewRunner(workers)
 	inner := r.simulate
 	r.simulate = func(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
@@ -26,7 +26,7 @@ func countingRunner(workers int, calls *[]CellKey, mu *sync.Mutex) *Runner {
 }
 
 func TestRunnerMemoizesCells(t *testing.T) {
-	var calls []CellKey
+	var calls []Spec
 	var mu sync.Mutex
 	r := countingRunner(4, &calls, &mu)
 	p := bench.ByName("telco")
@@ -35,10 +35,10 @@ func TestRunnerMemoizesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same cell again, including via a distinct-but-equal Options value
-	// carrying pointers to equal configs.
+	// Same cell again, including via an Options value that spells out a
+	// default behind a pointer.
 	params := cpu.DefaultParams()
-	if _, err := r.Get(p, VMCPython, Options{}); err != nil {
+	if _, err := r.Get(p, VMCPython, Options{Params: &params}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := r.Get(p, VMCPython, Options{})
@@ -52,7 +52,9 @@ func TestRunnerMemoizesCells(t *testing.T) {
 		t.Errorf("simulated %d times; want 1", len(calls))
 	}
 
-	// A different cell (explicit params override) simulates separately.
+	// A different cell (a params override that changes a value)
+	// simulates separately.
+	params.ClockHz = 2e9
 	if _, err := r.Get(p, VMCPython, Options{Params: &params}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +75,8 @@ func TestKeyCanonicalizesOptionPointers(t *testing.T) {
 	if ka == Key(p, VMPyPyJIT, Options{Params: &pb}) {
 		t.Errorf("different configs must fingerprint differently")
 	}
-	if Key(p, VMPyPyJIT, Options{}) == ka {
-		t.Errorf("nil override and explicit default are distinct cells")
+	if Key(p, VMPyPyJIT, Options{}) != ka {
+		t.Errorf("nil override and explicit default must be one cell: the Spec holds the resolved value")
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // TestParseVMKindCoversEveryKind reads the VMKind constants out of
-// harness.go and requires ParseVMKind to round-trip each one, so a new
-// kind cannot be declared without becoming servable. (The cluster's own
+// harness.go and requires ParseVMKind — a lookup in vmTable, which Run
+// reads too — to round-trip each one, so a new kind cannot be declared
+// without becoming runnable and servable. (The cluster's own
 // table once stopped at seven kinds while the harness had nine.)
 func TestParseVMKindCoversEveryKind(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "harness.go", nil, 0)
@@ -47,8 +48,8 @@ func TestParseVMKindCoversEveryKind(t *testing.T) {
 			t.Errorf("ParseVMKind(%q) = %q, %v", name, kind, err)
 		}
 	}
-	if len(vmKinds) != len(names) {
-		t.Errorf("vmKinds lists %d kinds, harness.go declares %d", len(vmKinds), len(names))
+	if len(vmTable) != len(names) {
+		t.Errorf("vmTable has %d rows, harness.go declares %d kinds", len(vmTable), len(names))
 	}
 	if _, err := ParseVMKind("jvm"); err == nil {
 		t.Error("ParseVMKind accepted an unknown name")

@@ -18,7 +18,7 @@ import "metajit/internal/isa"
 // counters are shared across engines and parallel runs, so consuming
 // them would break `-j1 == -jN` and memoization. It only *writes*
 // decision counts there for observability. Controller-relevant
-// configuration (MethodThreshold, Adaptive) enters harness.CellKey, so
+// configuration (MethodThreshold, Adaptive) enters harness.Spec, so
 // memoized results can never alias across controller settings.
 
 // Controller tuning constants.

@@ -20,7 +20,7 @@
 // Config.MaxSpans (further Start calls return a nil span, whose methods
 // are all no-ops), a simulate span stops capturing VM phase spans past
 // Config.MaxVMSpans, and the completed-tree ring holds Config.Capacity
-// trees. Trace context never enters harness.CellKey or
+// trees. Trace context never enters harness.Spec or
 // cluster.WireResult, so tracing a request cannot change any result
 // byte.
 package reqtrace

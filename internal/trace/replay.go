@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 
 	"metajit/internal/heap"
@@ -87,4 +88,47 @@ func ReplayAllocs(h *heap.Heap, t *Trace) (AllocStats, error) {
 		return nil
 	})
 	return stats, err
+}
+
+// CheckReplay is the one replay verifier. replayed — the recording made
+// while re-driving recorded — must reproduce recorded's whole Summary
+// (guest and heap checksums, instruction and cycle totals bit for bit,
+// every per-phase counter, the GC statistics, the event count) and its
+// event stream byte for byte. The error names the first field that
+// diverged instead of dumping both summaries.
+func CheckReplay(recorded, replayed *Trace) error {
+	want, got := &recorded.Summary, &replayed.Summary
+	if got.Checksum != want.Checksum {
+		return fmt.Errorf("checksum %d, recorded %d", got.Checksum, want.Checksum)
+	}
+	if got.HeapChecksum != want.HeapChecksum {
+		return fmt.Errorf("heap checksum %#x, recorded %#x", got.HeapChecksum, want.HeapChecksum)
+	}
+	if got.Instrs != want.Instrs {
+		return fmt.Errorf("instrs %d, recorded %d", got.Instrs, want.Instrs)
+	}
+	if got.CyclesBits != want.CyclesBits {
+		return fmt.Errorf("cycles %v, recorded %v (bit-exact comparison)", got.Cycles(), want.Cycles())
+	}
+	if len(got.Phases) != len(want.Phases) {
+		return fmt.Errorf("%d phases, recorded %d", len(got.Phases), len(want.Phases))
+	}
+	for i := range want.Phases {
+		if got.Phases[i] != want.Phases[i] {
+			return fmt.Errorf("phase %d counters {instrs %d, cycles %v}, recorded {%d, %v}",
+				i, got.Phases[i].Instrs, got.Phases[i].CyclesBits,
+				want.Phases[i].Instrs, want.Phases[i].CyclesBits)
+		}
+	}
+	if got.GC != want.GC {
+		return fmt.Errorf("gc stats %+v, recorded %+v", got.GC, want.GC)
+	}
+	if got.Events != want.Events {
+		return fmt.Errorf("%d events, recorded %d", got.Events, want.Events)
+	}
+	if !bytes.Equal(replayed.EventData, recorded.EventData) {
+		return fmt.Errorf("event stream differs (%d bytes, recorded %d)",
+			len(replayed.EventData), len(recorded.EventData))
+	}
+	return nil
 }
