@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt allocs inline results race bench hostprof serveprof benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs inline results race bench hostprof allocprof serveprof benchmark experiments serve fuzz traces
 
 all: build
 
@@ -30,11 +30,15 @@ fmt:
 # per-event paths (trace entry/exit, residual calls, bound calls; see
 # DESIGN.md "Host memory discipline"), the buffer-aliasing tests, and the
 # serving path's handler-level guard: a warm /run allocates at most twice
-# its reply and a fixed few objects (DESIGN.md "The serving path").
+# its reply and a fixed few objects (DESIGN.md "The serving path"); the
+# one-allocation-per-guest-object guards of internal/heap and the string
+# runtime; and the per-cell budget (internal/harness: three fixed cells
+# under committed host-allocations-per-kinstr ceilings, measured number
+# printed on failure).
 # The guards live in //go:build !race files — the race detector
 # allocates — so they run here, without -race.
 allocs:
-	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/ ./internal/cluster/
+	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/ ./internal/aot/ ./internal/harness/ ./internal/cluster/
 
 # inline fails unless the compiler reports cpu.Machine.Ops inlined into
 # the trace executor, the interpreter machine and the heap: every emitter
@@ -83,6 +87,16 @@ hostprof:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 3x -o .bench_build/hostprof.test \
 		-cpuprofile .bench_build/hostprof.prof .
 	$(GO) tool pprof -top -nodecount 25 .bench_build/hostprof.test .bench_build/hostprof.prof
+
+# allocprof counts where the simulator allocates on the host: the same
+# benchmarks under -memprofile with every 512th byte sampled, then the 25
+# sites with the most objects — the recipe behind EXPERIMENTS.md "Host
+# allocations per simulated instruction".
+allocprof:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x -o .bench_build/allocprof.test \
+		-memprofile .bench_build/allocprof.prof -memprofilerate 512 .
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 .bench_build/allocprof.test .bench_build/allocprof.prof
 
 # serveprof profiles the warm serving path: BenchmarkServeMemo (frontend,
 # three workers, loopback, memo hits from GOMAXPROCS clients) under

@@ -199,5 +199,8 @@ func (rt *Runtime) BigintRsh(a *Big, n uint) *Big {
 func (rt *Runtime) BigintStr(a *Big) *heap.Obj {
 	rt.bigCost(a.NumDigits()*a.NumDigits()+1, 2, 0)
 	rt.S.Ops(isa.Div, a.NumDigits()+1)
-	return rt.NewStr([]byte(a.String()))
+	s := a.String()
+	out := rt.NewStrN(len(s))
+	copy(out.Bytes, s)
+	return out
 }

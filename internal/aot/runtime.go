@@ -69,6 +69,12 @@ type Runtime struct {
 
 	funcs  []*Func
 	byName map[string]*Func
+
+	// scratch is where StrReplace and JSONEscape, whose result length is
+	// known only at the end, build before NewStr copies it out. A
+	// run-owned buffer under DESIGN.md "Host memory discipline": valid
+	// until the call that filled it returns, never retained.
+	scratch []byte
 }
 
 // NewRuntime returns a Runtime over h.
@@ -147,12 +153,22 @@ func (rt *Runtime) CallEpilogue(f *Func) {
 
 // ---- guest string helpers ----
 
-// NewStr allocates a guest string object with cached-hash semantics.
-func (rt *Runtime) NewStr(b []byte) *heap.Obj {
+// NewStrN allocates a guest string of n zero bytes for the caller to fill
+// in place before it hands the object on: header and payload are one host
+// allocation (heap.AllocBytes), so a string built this way costs the host
+// exactly what it costs the guest.
+func (rt *Runtime) NewStrN(n int) *heap.Obj {
 	if rt.StrShape == nil {
 		panic("aot: StrShape not configured")
 	}
-	return rt.H.AllocBytes(rt.StrShape, b)
+	return rt.H.AllocBytes(rt.StrShape, n)
+}
+
+// NewStr allocates a guest string holding a copy of b; the caller keeps b.
+func (rt *Runtime) NewStr(b []byte) *heap.Obj {
+	o := rt.NewStrN(len(b))
+	copy(o.Bytes, b)
+	return o
 }
 
 // StrBytes returns the payload of a guest string.

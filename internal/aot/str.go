@@ -50,33 +50,27 @@ func (rt *Runtime) StrHash(s *heap.Obj) uint64 {
 func (rt *Runtime) StrConcat(a, b *heap.Obj) *heap.Obj {
 	rt.requireStr(a, "StrConcat")
 	rt.requireStr(b, "StrConcat")
-	out := make([]byte, 0, len(a.Bytes)+len(b.Bytes))
-	out = append(out, a.Bytes...)
-	out = append(out, b.Bytes...)
-	words := (len(out) + 7) / 8
+	words := (len(a.Bytes) + len(b.Bytes) + 7) / 8
 	rt.S.Ops(isa.Load, words)
 	rt.S.Ops(isa.Store, words)
 	rt.S.Ops(isa.ALU, 4)
-	return rt.NewStr(out)
+	out := rt.NewStrN(len(a.Bytes) + len(b.Bytes))
+	n := copy(out.Bytes, a.Bytes)
+	copy(out.Bytes[n:], b.Bytes)
+	return out
 }
 
-// StrJoin joins parts with separator sep (rstr.ll_join).
-func (rt *Runtime) StrJoin(sep *heap.Obj, parts []*heap.Obj) *heap.Obj {
+// StrJoin joins parts, the elements of a guest list and every one a
+// string, with separator sep (rstr.ll_join).
+func (rt *Runtime) StrJoin(sep *heap.Obj, parts []heap.Value) *heap.Obj {
 	rt.requireStr(sep, "StrJoin")
 	total := 0
 	for _, p := range parts {
-		rt.requireStr(p, "StrJoin part")
-		total += len(p.Bytes)
+		rt.requireStr(p.O, "StrJoin part")
+		total += len(p.O.Bytes)
 	}
 	if len(parts) > 1 {
 		total += len(sep.Bytes) * (len(parts) - 1)
-	}
-	out := make([]byte, 0, total)
-	for i, p := range parts {
-		if i > 0 {
-			out = append(out, sep.Bytes...)
-		}
-		out = append(out, p.Bytes...)
 	}
 	// Length pre-pass plus copy pass.
 	rt.S.Ops(isa.Load, len(parts)*2)
@@ -85,7 +79,15 @@ func (rt *Runtime) StrJoin(sep *heap.Obj, parts []*heap.Obj) *heap.Obj {
 	rt.S.Ops(isa.Store, words)
 	rt.S.Ops(isa.ALU, 4+len(parts))
 	rt.S.Branch(siteStrLoop.PC(), len(parts) > 0)
-	return rt.NewStr(out)
+	out := rt.NewStrN(total)
+	at := 0
+	for i, p := range parts {
+		if i > 0 {
+			at += copy(out.Bytes[at:], sep.Bytes)
+		}
+		at += copy(out.Bytes[at:], p.O.Bytes)
+	}
+	return out
 }
 
 // StrFindChar returns the first index of c at or after start, or -1
@@ -139,7 +141,7 @@ func (rt *Runtime) StrReplace(s, old, new_ *heap.Obj) *heap.Obj {
 	if len(old.Bytes) == 0 {
 		return s
 	}
-	var out []byte
+	out := rt.scratch[:0]
 	i := 0
 	for i < len(s.Bytes) {
 		rt.S.Ops(isa.Load, 1)
@@ -157,6 +159,7 @@ func (rt *Runtime) StrReplace(s, old, new_ *heap.Obj) *heap.Obj {
 			i++
 		}
 	}
+	rt.scratch = out
 	return rt.NewStr(out)
 }
 
@@ -169,7 +172,7 @@ func (rt *Runtime) StrSplitChar(s *heap.Obj, c byte) []*heap.Obj {
 		rt.S.Ops(isa.Load, 1)
 		rt.S.Ops(isa.ALU, 1)
 		if i == len(s.Bytes) || s.Bytes[i] == c {
-			out = append(out, rt.NewStr(append([]byte(nil), s.Bytes[start:i]...)))
+			out = append(out, rt.NewStr(s.Bytes[start:i]))
 			start = i + 1
 		}
 	}
@@ -178,12 +181,13 @@ func (rt *Runtime) StrSplitChar(s *heap.Obj, c byte) []*heap.Obj {
 
 // Int2Dec renders v in decimal (rstr.ll_int2dec).
 func (rt *Runtime) Int2Dec(v int64) *heap.Obj {
-	s := strconv.FormatInt(v, 10)
+	var buf [20]byte // len("-9223372036854775808")
+	s := strconv.AppendInt(buf[:0], v, 10)
 	rt.S.Ops(isa.Div, len(s))
 	rt.S.Ops(isa.ALU, 2*len(s))
 	rt.S.Ops(isa.Store, len(s))
 	rt.S.Branch(siteInt2DecLoop.PC(), false)
-	return rt.NewStr([]byte(s))
+	return rt.NewStr(s)
 }
 
 // StrToInt parses a decimal integer (arithmetic.string_to_int, telco's
@@ -210,30 +214,29 @@ func (rt *Runtime) EncodeASCII(s *heap.Obj) *heap.Obj {
 	rt.S.Ops(isa.ALU, 2*n)
 	rt.S.Ops(isa.Store, n)
 	rt.S.Branch(siteEncodeLoop.PC(), false)
-	return rt.NewStr(append([]byte(nil), s.Bytes...))
+	return rt.NewStr(s.Bytes)
 }
 
 // Translate maps bytes through a 256-entry table, the analog of
 // W_UnicodeObject_descr_translate (html5lib's top AOT call).
 func (rt *Runtime) Translate(s *heap.Obj, table [256]byte) *heap.Obj {
 	rt.requireStr(s, "Translate")
-	out := make([]byte, len(s.Bytes))
-	for i, b := range s.Bytes {
-		out[i] = table[b]
-	}
 	n := len(s.Bytes)
 	rt.S.Ops(isa.Load, 2*n)
 	rt.S.Ops(isa.Store, n)
 	rt.S.Ops(isa.ALU, n)
-	return rt.NewStr(out)
+	out := rt.NewStrN(n)
+	for i, b := range s.Bytes {
+		out.Bytes[i] = table[b]
+	}
+	return out
 }
 
 // JSONEscape escapes a string for JSON output, the analog of
 // _pypyjson.raw_encode_basestring_ascii (json_bench's top AOT call).
 func (rt *Runtime) JSONEscape(s *heap.Obj) *heap.Obj {
 	rt.requireStr(s, "JSONEscape")
-	var out []byte
-	out = append(out, '"')
+	out := append(rt.scratch[:0], '"')
 	for _, b := range s.Bytes {
 		rt.S.Ops(isa.Load, 1)
 		rt.S.Ops(isa.ALU, 2)
@@ -250,6 +253,7 @@ func (rt *Runtime) JSONEscape(s *heap.Obj) *heap.Obj {
 		rt.S.Ops(isa.Store, 1)
 	}
 	out = append(out, '"')
+	rt.scratch = out
 	return rt.NewStr(out)
 }
 
@@ -300,5 +304,5 @@ func (rt *Runtime) BuilderBuild(b *Builder) *heap.Obj {
 	words := (len(b.buf) + 7) / 8
 	rt.S.Ops(isa.Load, words)
 	rt.S.Ops(isa.Store, words)
-	return rt.NewStr(append([]byte(nil), b.buf...))
+	return rt.NewStr(b.buf)
 }

@@ -35,7 +35,7 @@ func TestStrConcatJoin(t *testing.T) {
 		t.Fatalf("concat = %q", got)
 	}
 	sep := rt.NewStr([]byte(", "))
-	parts := []*heap.Obj{a, b, rt.NewStr([]byte("baz"))}
+	parts := []heap.Value{heap.RefVal(a), heap.RefVal(b), heap.RefVal(rt.NewStr([]byte("baz")))}
 	if got := string(rt.StrJoin(sep, parts).Bytes); got != "foo, bar, baz" {
 		t.Fatalf("join = %q", got)
 	}
@@ -260,5 +260,36 @@ func TestBigintWrappersMatchPure(t *testing.T) {
 	}
 	if s.TotalInstrs() == 0 {
 		t.Errorf("bigint wrappers emitted no cost")
+	}
+}
+
+// TestStringBytesAliasing: a guest string owns its bytes. What a caller
+// passed to NewStr may be scribbled afterwards, and two strings built back
+// to back in the runtime's scratch (StrReplace, JSONEscape) share nothing
+// with it or with each other.
+func TestStringBytesAliasing(t *testing.T) {
+	rt, _ := testRuntime()
+	buf := []byte("abc")
+	s := rt.NewStr(buf)
+	copy(buf, "XYZ")
+	if string(s.Bytes) != "abc" {
+		t.Fatalf("NewStr kept its argument: %q after the caller overwrote it", s.Bytes)
+	}
+
+	x, y := rt.NewStr([]byte("x")), rt.NewStr([]byte("yy"))
+	first := rt.StrReplace(rt.NewStr([]byte("axbxc")), x, y)
+	second := rt.JSONEscape(rt.NewStr([]byte("q\"q")))
+	third := rt.StrReplace(rt.NewStr([]byte("xx")), x, y)
+	scratch := rt.scratch[:cap(rt.scratch)]
+	for i := range scratch {
+		scratch[i] = 0xAA
+	}
+	for _, c := range []struct {
+		got  *heap.Obj
+		want string
+	}{{first, "ayybyyc"}, {second, `"q\"q"`}, {third, "yyyy"}} {
+		if string(c.got.Bytes) != c.want {
+			t.Errorf("string built in the scratch reads %q, want %q", c.got.Bytes, c.want)
+		}
 	}
 }

@@ -183,8 +183,8 @@ var (
 // AllocObj allocates an object with nFields fixed fields, running a minor
 // collection first if the nursery budget is exhausted.
 func (h *Heap) AllocObj(shape *Shape, nFields int) *Obj {
-	o := newObjFields(nFields)
-	o.Shape, o.live = shape, true
+	o, f := valueTail(nFields)
+	o.Shape, o.Fields, o.live = shape, f, true
 	o.recomputeSize()
 	h.allocate(o)
 	if h.tracer != nil {
@@ -193,47 +193,92 @@ func (h *Heap) AllocObj(shape *Shape, nFields int) *Obj {
 	return o
 }
 
-// newObjFields returns a zero Obj with nFields fields. Up to four fields
-// share the header's host allocation (the struct sizes land exactly on Go
-// size classes, so no byte is wasted); each object is still its own
-// allocation, so a dead guest object pins nothing but itself.
-func newObjFields(nFields int) *Obj {
-	switch nFields {
-	case 1:
-		b := new(struct {
-			Obj
-			f [1]Value
-		})
-		b.Fields = b.f[:]
-		return &b.Obj
-	case 2:
-		b := new(struct {
-			Obj
-			f [2]Value
-		})
-		b.Fields = b.f[:]
-		return &b.Obj
-	case 3:
-		b := new(struct {
-			Obj
-			f [3]Value
-		})
-		b.Fields = b.f[:]
-		return &b.Obj
-	case 4:
-		b := new(struct {
-			Obj
-			f [4]Value
-		})
-		b.Fields = b.f[:]
-		return &b.Obj
-	}
-	return &Obj{Fields: make([]Value, nFields)}
+// coalloc returns a zero Obj and a zero T in one host allocation: a guest
+// object's header and its payload. Obj is 160 bytes and Value 32, so every
+// tail the two tables below ask for ([1..8]Value, 16…128 bytes) lands the
+// struct exactly on a Go size class and no byte is wasted. Each object is
+// still its own allocation, never a slot in a slab, so a dead guest object
+// pins nothing but itself (DESIGN.md "Host memory discipline").
+func coalloc[T any]() (*Obj, *T) {
+	b := new(struct {
+		Obj
+		tail T
+	})
+	return &b.Obj, &b.tail
 }
 
-// AllocBytes allocates a bytes-payload object (guest string).
-func (h *Heap) AllocBytes(shape *Shape, b []byte) *Obj {
-	o := &Obj{Shape: shape, Bytes: b, live: true}
+// valueTail returns a zero Obj and n zero Values with len == cap == n — a
+// fields area or an array part. For 1 ≤ n ≤ 8 the two are one host
+// allocation; n == 0 is the header alone with an empty, non-nil slice
+// (recomputeSize tells "no array part" from "empty array part" by nil);
+// beyond 8 the values are a second allocation.
+func valueTail(n int) (*Obj, []Value) {
+	switch n {
+	case 1:
+		o, t := coalloc[[1]Value]()
+		return o, t[:]
+	case 2:
+		o, t := coalloc[[2]Value]()
+		return o, t[:]
+	case 3:
+		o, t := coalloc[[3]Value]()
+		return o, t[:]
+	case 4:
+		o, t := coalloc[[4]Value]()
+		return o, t[:]
+	case 5:
+		o, t := coalloc[[5]Value]()
+		return o, t[:]
+	case 6:
+		o, t := coalloc[[6]Value]()
+		return o, t[:]
+	case 7:
+		o, t := coalloc[[7]Value]()
+		return o, t[:]
+	case 8:
+		o, t := coalloc[[8]Value]()
+		return o, t[:]
+	}
+	return &Obj{}, make([]Value, n)
+}
+
+// byteTail is valueTail for a bytes payload: one host allocation up to
+// 128 bytes (99.8 % of the guest strings the benchmarks make are under 59),
+// two beyond. The slice is cut to len == cap == n, so an append to it can
+// never write into the spare end of a tail.
+func byteTail(n int) (*Obj, []byte) {
+	switch {
+	case n == 0 || n > 128:
+		return &Obj{}, make([]byte, n)
+	case n <= 16:
+		o, t := coalloc[[16]byte]()
+		return o, t[:n:n]
+	case n <= 32:
+		o, t := coalloc[[32]byte]()
+		return o, t[:n:n]
+	case n <= 48:
+		o, t := coalloc[[48]byte]()
+		return o, t[:n:n]
+	case n <= 64:
+		o, t := coalloc[[64]byte]()
+		return o, t[:n:n]
+	case n <= 80:
+		o, t := coalloc[[80]byte]()
+		return o, t[:n:n]
+	case n <= 96:
+		o, t := coalloc[[96]byte]()
+		return o, t[:n:n]
+	}
+	o, t := coalloc[[128]byte]()
+	return o, t[:n:n]
+}
+
+// AllocBytes allocates a bytes-payload object (guest string) whose Bytes
+// are n zeroes for the caller to fill before anything else can see the
+// object. The tracer has fired by then; it reads only lengths.
+func (h *Heap) AllocBytes(shape *Shape, n int) *Obj {
+	o, b := byteTail(n)
+	o.Shape, o.Bytes, o.live = shape, b, true
 	o.recomputeSize()
 	h.allocate(o)
 	if h.tracer != nil {
@@ -242,14 +287,21 @@ func (h *Heap) AllocBytes(shape *Shape, b []byte) *Obj {
 	return o
 }
 
-// AllocElems allocates an object with an array part of length n.
+// AllocElems allocates an object with an array part of length n. Without
+// fixed fields (every caller the benchmarks reach) header and array part
+// are one host allocation up to eight elements; with them the fields ride
+// with the header and the array part is apart.
 func (h *Heap) AllocElems(shape *Shape, nFields, n int) *Obj {
-	o := &Obj{
-		Shape:  shape,
-		Fields: make([]Value, nFields),
-		Elems:  make([]Value, n),
-		live:   true,
+	var o *Obj
+	var fields, elems []Value
+	if nFields == 0 {
+		o, elems = valueTail(n)
+		fields = []Value{}
+	} else {
+		o, fields = valueTail(nFields)
+		elems = make([]Value, n)
 	}
+	o.Shape, o.Fields, o.Elems, o.live = shape, fields, elems, true
 	h.allocate(o)
 	o.elemsAddr = h.bump(8 * uint64(max(n, 1)))
 	o.recomputeSize()
@@ -325,14 +377,24 @@ func (h *Heap) LoadByte(o *Obj, i int) byte {
 	return o.Bytes[i]
 }
 
+// regrow returns old's contents in a fresh slice of length n and capacity
+// c, and zeroes old. An outgrown fields area or array part may be the tail
+// of its object's own host allocation (valueTail), which lives as long as
+// the object does: references left in it would keep guest objects the
+// simulated collector has freed reachable for the host's.
+func regrow(old []Value, n, c int) []Value {
+	ne := make([]Value, n, c)
+	copy(ne, old)
+	clear(old)
+	return ne
+}
+
 // GrowElems reallocates the array part to capacity n, emitting the copy
 // cost (the list-resize path of the runtime).
 func (h *Heap) GrowElems(o *Obj, n int) {
 	h.checkLive(o)
 	old := len(o.Elems)
-	ne := make([]Value, n)
-	copy(ne, o.Elems)
-	o.Elems = ne
+	o.Elems = regrow(o.Elems, n, n)
 	o.elemsAddr = h.bump(8 * uint64(max(n, 1)))
 	// memcpy of the old contents plus allocation.
 	h.allocCost(o.elemsAddr)
@@ -351,9 +413,7 @@ func (h *Heap) AppendElem(o *Obj, v Value) {
 	n := len(o.Elems)
 	if n == cap(o.Elems) {
 		newCap := cap(o.Elems)*2 + 4
-		ne := make([]Value, n, newCap)
-		copy(ne, o.Elems)
-		o.Elems = ne
+		o.Elems = regrow(o.Elems, n, newCap)
 		o.elemsAddr = h.bump(8 * uint64(newCap))
 		h.allocCost(o.elemsAddr)
 		h.stream.Ops(isa.Load, n)
@@ -376,9 +436,7 @@ func (h *Heap) GrowFields(o *Obj, n int) {
 		return
 	}
 	old := len(o.Fields)
-	nf := make([]Value, n)
-	copy(nf, o.Fields)
-	o.Fields = nf
+	o.Fields = regrow(o.Fields, n, n)
 	h.stream.Ops(isa.Load, old)
 	h.stream.Ops(isa.Store, n)
 	delta := 8 * uint64(n-old)

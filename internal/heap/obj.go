@@ -19,6 +19,13 @@ type Shape struct {
 // (strings), and a Native escape hatch for runtime-internal payloads
 // (bigint digit arrays, dictionary tables) that are manipulated only by
 // AOT-compiled runtime functions.
+//
+// On the host an object is one allocation wherever the payload is small:
+// AllocObj, AllocBytes and AllocElems put up to eight fields, 128 bytes or
+// eight array elements right behind the header (valueTail, byteTail in
+// heap.go), so Fields, Bytes or Elems then point into the object's own
+// allocation, and a part that has been outgrown stays there, zeroed, until
+// the object dies.
 type Obj struct {
 	Shape  *Shape
 	Fields []Value

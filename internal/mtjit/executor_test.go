@@ -47,7 +47,8 @@ func TestEveryOpcodeHasAHandler(t *testing.T) {
 	sh := h.NewShape("box", 2)
 	fn := rt.Register("test.id", aot.SrcIntrinsic)
 	box := h.AllocElems(sh, 2, 4)
-	str := h.AllocBytes(h.NewShape("str", 0), []byte("trace"))
+	str := h.AllocBytes(h.NewShape("str", 0), len("trace"))
+	copy(str.Bytes, "trace")
 	h.AddRoots(heap.RootFunc(func(visit func(*heap.Obj)) { visit(box); visit(str) }))
 
 	// Inputs: r1=6 r2=3 r3=1.5 r4=0.5 r5=box r6=str r7=0; results go to r8.

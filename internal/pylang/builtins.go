@@ -249,7 +249,9 @@ func (vm *VM) thunkBigStr(vals []heap.Value) heap.Value {
 func (vm *VM) thunkFormatStr(vals []heap.Value) heap.Value {
 	s := vm.Format(vals[0])
 	vm.RT.S.Ops(isa.Store, len(s)/8+1)
-	return heap.RefVal(vm.RT.NewStr([]byte(s)))
+	out := vm.RT.NewStrN(len(s))
+	copy(out.Bytes, s)
+	return heap.RefVal(out)
 }
 
 func biInt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -505,8 +507,10 @@ func lmExtend(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 
 func (vm *VM) thunkListExtend(vals []heap.Value) heap.Value {
 	dst, src := vals[0].O, vals[1].O
-	for _, v := range src.Elems {
-		vm.H.AppendElem(dst, v)
+	// By index, not by range: when dst is src, growth zeroes the array
+	// part a range would still be reading (heap.regrow).
+	for i, n := 0, len(src.Elems); i < n; i++ {
+		vm.H.AppendElem(dst, src.Elems[i])
 	}
 	return heap.Nil
 }
@@ -583,14 +587,12 @@ func smJoin(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 func (vm *VM) thunkStrJoin(vals []heap.Value) heap.Value {
 	sep := vals[0].O
 	list := vals[1].O
-	parts := make([]*heap.Obj, len(list.Elems))
-	for i, e := range list.Elems {
+	for _, e := range list.Elems {
 		if e.Kind != heap.KindRef || e.O.Shape != vm.StrShape {
 			vm.throw("join() requires strings")
 		}
-		parts[i] = e.O
 	}
-	return heap.RefVal(vm.RT.StrJoin(sep, parts))
+	return heap.RefVal(vm.RT.StrJoin(sep, list.Elems))
 }
 
 func smSplit(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
@@ -694,7 +696,7 @@ func (vm *VM) thunkStrStrip(vals []heap.Value) heap.Value {
 		hi--
 	}
 	vm.RT.S.Ops(isa.Load, len(b)/4+2)
-	return heap.RefVal(vm.RT.NewStr(append([]byte(nil), b[lo:hi]...)))
+	return heap.RefVal(vm.RT.NewStr(b[lo:hi]))
 }
 
 func smEncodeASCII(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {

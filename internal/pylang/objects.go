@@ -22,6 +22,18 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// orderedKeys returns m's keys in sorted order out of *cache, sorting again
+// only when the key set changed: Roots runs on every minor collection, and
+// the maps it walks settle once the module body has run. Nothing in this
+// package deletes from the maps this is used on (globals, interned,
+// builtins, a class's Methods), so the set changed exactly when its size did.
+func orderedKeys[V any](cache *[]string, m map[string]V) []string {
+	if len(*cache) != len(m) {
+		*cache = sortedKeys(m)
+	}
+	return *cache
+}
+
 // Function is a guest function: a compiled code object. It lives in the
 // Native slot of a FuncShape heap object.
 type Function struct {
@@ -47,6 +59,8 @@ type Class struct {
 	Methods  map[string]*heap.Obj // name -> FuncShape object
 	// obj is the class object itself.
 	obj *heap.Obj
+	// methodKeys is Methods' key order for Roots (orderedKeys).
+	methodKeys []string
 }
 
 // fieldIndex resolves an attribute slot, consulting base classes.
@@ -142,6 +156,10 @@ type VM struct {
 	builtinMethods map[methodKey]*heap.Obj // builtinMethod's lookup cache
 	interned       map[string]*heap.Obj
 	charTab        *heap.Obj
+	// Roots' visit orders over the maps above, each rebuilt when its map
+	// grew (orderedKeys).
+	globalKeys, internedKeys, builtinKeys []string
+	classOrder                            []*Class
 
 	// AOT entry points used by the object model (Table III names).
 	fnDictLookup, fnDictSet, fnStrEq, fnStrJoin, fnStrReplace   *aot.Func
@@ -303,15 +321,15 @@ func (vm *VM) Roots(visit func(*heap.Obj)) {
 	// addresses, and address layout must be a deterministic function of
 	// the run for results to be reproducible (and for parallel cells to
 	// match sequential ones byte for byte).
-	for _, k := range sortedKeys(vm.globals) {
+	for _, k := range orderedKeys(&vm.globalKeys, vm.globals) {
 		if v := vm.globals[k]; v.Kind == heap.KindRef && v.O != nil {
 			visit(v.O)
 		}
 	}
-	for _, k := range sortedKeys(vm.interned) {
+	for _, k := range orderedKeys(&vm.internedKeys, vm.interned) {
 		visit(vm.interned[k])
 	}
-	for _, k := range sortedKeys(vm.builtins) {
+	for _, k := range orderedKeys(&vm.builtinKeys, vm.builtins) {
 		visit(vm.builtins[k])
 	}
 	for _, code := range vm.codes {
@@ -321,13 +339,15 @@ func (vm *VM) Roots(visit func(*heap.Obj)) {
 			}
 		}
 	}
-	classes := make([]*Class, 0, len(vm.classes))
-	for _, c := range vm.classes {
-		classes = append(classes, c)
+	if len(vm.classOrder) != len(vm.classes) { // classes are never deleted either
+		vm.classOrder = vm.classOrder[:0]
+		for _, c := range vm.classes {
+			vm.classOrder = append(vm.classOrder, c)
+		}
+		sort.Slice(vm.classOrder, func(i, j int) bool { return vm.classOrder[i].Shape.ID < vm.classOrder[j].Shape.ID })
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i].Shape.ID < classes[j].Shape.ID })
-	for _, c := range classes {
-		for _, k := range sortedKeys(c.Methods) {
+	for _, c := range vm.classOrder {
+		for _, k := range orderedKeys(&c.methodKeys, c.Methods) {
 			visit(c.Methods[k])
 		}
 		if c.obj != nil {
@@ -384,7 +404,8 @@ func (vm *VM) Intern(s string) *heap.Obj {
 	if o, ok := vm.interned[s]; ok {
 		return o
 	}
-	o := vm.RT.NewStr([]byte(s))
+	o := vm.RT.NewStrN(len(s))
+	copy(o.Bytes, s)
 	vm.interned[s] = o
 	return o
 }

@@ -318,12 +318,12 @@ func (vm *VM) thunkStrRepeat(args []heap.Value) heap.Value {
 	if n < 0 {
 		n = 0
 	}
-	out := make([]byte, 0, len(s)*n)
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
+	vm.RT.CMemcpy(len(s) * n)
+	out := vm.RT.NewStrN(len(s) * n)
+	for at := 0; at < len(out.Bytes); at += len(s) {
+		copy(out.Bytes[at:], s)
 	}
-	vm.RT.CMemcpy(len(out))
-	return heap.RefVal(vm.RT.NewStr(out))
+	return heap.RefVal(out)
 }
 
 func (vm *VM) thunkListConcat(args []heap.Value) heap.Value {
@@ -663,7 +663,7 @@ func (vm *VM) thunkListSlice(args []heap.Value) heap.Value {
 func (vm *VM) thunkStrSlice(args []heap.Value) heap.Value {
 	l, h := sliceBounds(args[1].I, args[2].I, int64(len(args[0].O.Bytes)))
 	vm.RT.CMemcpy(int(h - l))
-	return heap.RefVal(vm.RT.NewStr(append([]byte(nil), args[0].O.Bytes[l:h]...)))
+	return heap.RefVal(vm.RT.NewStr(args[0].O.Bytes[l:h]))
 }
 
 func (vm *VM) storeSlice(m mtjit.Machine, o, lo, hi, v mtjit.TV) {

@@ -431,3 +431,73 @@ def main():
 		t.Errorf("expected several bridges, got %d", vmj.Eng.Stats().BridgesCompiled)
 	}
 }
+
+// TestRootsOrderTracksNewKeys: Roots keeps its sorted visit orders between
+// collections, so a global, an interned string, a class or a method that
+// appears between two collections has to be visited by the second, and at
+// the position a fresh sort would give it — promotion order decides
+// simulated addresses.
+func TestRootsOrderTracksNewKeys(t *testing.T) {
+	_, vm := interp(t, `
+class B:
+    def m(self):
+        return 1
+
+def main():
+    return B().m()
+`)
+	order := func() []*heap.Obj {
+		var out []*heap.Obj
+		vm.Roots(func(o *heap.Obj) { out = append(out, o) })
+		return out
+	}
+	before := order() // what a first collection leaves cached
+
+	added := map[string]*heap.Obj{
+		"global":   vm.H.AllocObj(vm.FuncShape, 0),
+		"interned": vm.Intern("\x00 sorts first"),
+		"method":   vm.H.AllocObj(vm.FuncShape, 0),
+		"class":    vm.H.AllocObj(vm.ClassShape, 0),
+	}
+	vm.SetGlobal("A_sorts_before_B", heap.RefVal(added["global"]))
+	for _, c := range vm.classes {
+		c.Methods["a_sorts_before_m"] = added["method"]
+	}
+	late := &Class{Name: "Late", Shape: vm.H.NewShape("Late", 0), obj: added["class"]}
+	vm.classes[late.Shape] = late
+
+	cached := order()
+	vm.globalKeys, vm.internedKeys, vm.builtinKeys, vm.classOrder = nil, nil, nil, nil
+	for _, c := range vm.classes {
+		c.methodKeys = nil
+	}
+	fresh := order()
+
+	if len(cached) != len(before)+len(added) {
+		t.Fatalf("second collection visited %d roots, want %d + %d new", len(cached), len(before), len(added))
+	}
+	if len(fresh) != len(cached) {
+		t.Fatalf("cached orders visit %d roots, fresh sorts %d", len(cached), len(fresh))
+	}
+	for i := range fresh {
+		if cached[i] != fresh[i] {
+			t.Fatalf("root %d differs between the cached orders and a fresh sort", i)
+		}
+	}
+	pos := func(o *heap.Obj) int {
+		for i, r := range cached {
+			if r == o {
+				return i
+			}
+		}
+		t.Fatalf("a root added between collections was not visited")
+		return -1
+	}
+	classB := vm.globals["B"].O
+	if g, b := pos(added["global"]), pos(classB); g > b {
+		t.Errorf("new global visited at %d, after global B at %d", g, b)
+	}
+	if m, b := pos(added["method"]), pos(classB.Native.(*Class).Methods["m"]); m > b {
+		t.Errorf("new method visited at %d, after method m at %d", m, b)
+	}
+}

@@ -16,6 +16,36 @@ type AllocStats struct {
 	Bytes   uint64 // simulated bytes allocated
 }
 
+// maxReplayObject is the largest object, in simulated bytes, ReplayAllocs
+// will allocate for one event: room for a two-million-element list, and
+// small enough that a hostile trace cannot name an allocation the host
+// cannot make.
+const maxReplayObject = 16 << 20
+
+// replayArgs is how many arguments ReplayAllocs reads from each event kind
+// it acts on. Decode holds an event to its trace's own schema, and the
+// schema is input too.
+var replayArgs = [...]int{EvShape: 2, EvAlloc: 5, EvFree: 1}
+
+// allocSize is the simulated size heap gives a fresh object of the kind,
+// field count and payload an EvAlloc names — what the recorder wrote as
+// the event's size argument. ok is false for a kind or a combination the
+// heap does not make and for an object over maxReplayObject.
+func allocSize(kind heap.AllocKind, nFields, payload uint64) (size uint64, ok bool) {
+	if nFields > maxReplayObject || payload > maxReplayObject {
+		return 0, false // and the sums below cannot overflow
+	}
+	switch kind {
+	case heap.AllocObjKind:
+		size, ok = 16+8*nFields, payload == 0
+	case heap.AllocBytesKind:
+		size, ok = 16+payload, nFields == 0
+	case heap.AllocElemsKind:
+		size, ok = 16+8*nFields+16+8*payload, true
+	}
+	return size, ok && size <= maxReplayObject
+}
+
 // ReplayAllocs drives a heap directly from a trace's recorded
 // allocation/free event stream — the dj_trace idea: no guest code runs,
 // but the generational collector sees the recorded object demography
@@ -52,17 +82,26 @@ func ReplayAllocs(h *heap.Heap, t *Trace) (AllocStats, error) {
 		return s
 	}
 	err := t.WalkEvents(func(e Event) error {
+		if e.Kind < uint64(len(replayArgs)) && len(e.Args) < replayArgs[e.Kind] {
+			return fmt.Errorf("%w: %s event with %d arguments, replay needs %d",
+				ErrCorrupt, t.SchemaName(e.Kind), len(e.Args), replayArgs[e.Kind])
+		}
 		switch e.Kind {
 		case EvShape:
 			shapeFor(e.Args[0], e.Args[1])
 			stats.Shapes++
 		case EvAlloc:
 			shapeID, kind := e.Args[0], heap.AllocKind(e.Args[1])
+			size, ok := allocSize(kind, e.Args[2], e.Args[3])
+			if !ok || size != e.Args[4] {
+				return fmt.Errorf("%w: alloc of kind %d with %d fields and payload %d recorded as %d bytes",
+					ErrCorrupt, kind, e.Args[2], e.Args[3], e.Args[4])
+			}
 			nFields, payload := int(e.Args[2]), int(e.Args[3])
 			var o *heap.Obj
 			switch kind {
 			case heap.AllocBytesKind:
-				o = h.AllocBytes(shapeFor(shapeID, uint64(nFields)), make([]byte, payload))
+				o = h.AllocBytes(shapeFor(shapeID, uint64(nFields)), payload)
 			case heap.AllocElemsKind:
 				o = h.AllocElems(shapeFor(shapeID, uint64(nFields)), nFields, payload)
 			default:

@@ -205,7 +205,7 @@ func TestRecorderHeapEvents(t *testing.T) {
 		if i%10 == 0 {
 			keep = append(keep, o) // survivors
 		}
-		h.AllocBytes(shape, make([]byte, 16)) // dies young
+		h.AllocBytes(shape, 16) // dies young
 	}
 	h.Minor()
 	tr := rec.Finish(Summary{})
@@ -326,6 +326,49 @@ func TestReplayAllocs(t *testing.T) {
 		// Shape IDs renumber across heaps; kind, fields, payload carry.
 		if a1[i].Args[1] != a3[i].Args[1] || a1[i].Args[2] != a3[i].Args[2] || a1[i].Args[3] != a3[i].Args[3] {
 			t.Fatalf("alloc %d differs: %v vs %v", i, a1[i].Args, a3[i].Args)
+		}
+	}
+}
+
+// hostileAllocTraces are traces Decode accepts — valid CRC, every event as
+// long as its schema says — whose alloc events ReplayAllocs must refuse:
+// each took the process down (makeslice panic, out of memory, index out of
+// range) while the arguments were trusted.
+func hostileAllocTraces() map[string]*Trace {
+	build := func(schema []EventDef, args ...uint64) *Trace {
+		rec := NewRecorder(Header{Guest: GuestPy, Name: "hostile", VM: "pypy"})
+		if schema != nil {
+			rec.hdr.Schema = schema
+		}
+		rec.emit(EvAlloc, args...)
+		return rec.Finish(Summary{})
+	}
+	bytesKind, elemsKind := uint64(heap.AllocBytesKind), uint64(heap.AllocElemsKind)
+	return map[string]*Trace{
+		"payload 1<<62":       build(nil, 1, bytesKind, 0, 1<<62, 16+1<<62),
+		"payload 1<<40":       build(nil, 1, bytesKind, 0, 1<<40, 16+1<<40),
+		"elems size overflow": build(nil, 1, elemsKind, 0, 1<<61, 32),
+		"fields 1<<40":        build(nil, 1, uint64(heap.AllocObjKind), 1<<40, 0, 16+8<<40),
+		"size disagrees":      build(nil, 1, bytesKind, 0, 1000, 16),
+		"over the ceiling":    build(nil, 1, bytesKind, 0, maxReplayObject, 16+maxReplayObject),
+		"unknown kind":        build(nil, 1, 9, 0, 0, 16),
+		"short alloc schema": build([]EventDef{{Kind: EvAlloc, Name: "alloc", NArgs: 3}},
+			1, bytesKind, 0),
+	}
+}
+
+// TestReplayAllocsRejectsHostileAllocs: each is ErrCorrupt after a Decode
+// round trip, none is a panic or an allocation of what the event names.
+func TestReplayAllocsRejectsHostileAllocs(t *testing.T) {
+	for name, tr := range hostileAllocTraces() {
+		decoded, err := Decode(tr.Encode())
+		if err != nil {
+			t.Errorf("%s: Decode refused it (%v): the case no longer reaches ReplayAllocs", name, err)
+			continue
+		}
+		h := heap.New(cpu.New(cpu.DefaultParams()), heap.DefaultConfig())
+		if stats, err := ReplayAllocs(h, decoded); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v after %d allocs, want ErrCorrupt", name, err, stats.Allocs)
 		}
 	}
 }
