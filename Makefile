@@ -130,9 +130,10 @@ serve:
 # bytes and cross-checks them under the full VM configuration matrix
 # (see internal/difftest). Divergences are minimized into
 # internal/difftest/testdata/fuzz and replayed by plain `go test`.
-# FuzzTraceDecode, FuzzRunRequest, FuzzDecodeResult (store payloads) and
-# FuzzTraceparent fuzz decoders of bytes that cross a process boundary:
-# never panic, and what is accepted is canonical.
+# FuzzTraceDecode, FuzzRunRequest, FuzzDecodeResult (store payloads),
+# FuzzTraceparent and FuzzReqtraceQuery (the /debug/reqtrace query) fuzz
+# decoders of bytes that cross a process boundary: never panic, and what
+# is accepted is canonical.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -145,6 +146,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=$(FUZZTIME) ./internal/reqtrace
+	$(GO) test -fuzz=FuzzReqtraceQuery -fuzztime=$(FUZZTIME) ./internal/reqtrace
 
 # traces re-records the committed workload fixtures under
 # internal/bench/testdata/traces (needed when instruction accounting or

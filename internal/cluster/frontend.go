@@ -357,7 +357,7 @@ func readUpstream(resp *http.Response) ([]byte, error) {
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":             true,
 		"uptime_seconds": time.Since(f.started).Seconds(),
 		"workers":        f.ring.Members(),
@@ -374,7 +374,7 @@ func (f *Frontend) handleRing(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"cell_id":    id.Hex(),
 		"owner":      f.ring.Lookup(id),
 		"successors": f.ring.Successors(id, len(f.ring.Members())),

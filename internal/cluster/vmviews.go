@@ -48,7 +48,7 @@ func (w *Worker) handlePhases(rw http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, v)
 	}
-	writeJSON(rw, map[string]any{"runs": out})
+	writeJSON(rw, http.StatusOK, map[string]any{"runs": out})
 }
 
 // tracesView is the /vm/traces row: identity plus the jitlog inventory
@@ -77,7 +77,7 @@ func (w *Worker) handleTraces(rw http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, v)
 	}
-	writeJSON(rw, map[string]any{"runs": out})
+	writeJSON(rw, http.StatusOK, map[string]any{"runs": out})
 }
 
 // selectRuns resolves the optional ?id= filter; on a bad or unknown id

@@ -490,8 +490,9 @@ func (w *Worker) fromStore(id CellID, parent *reqtrace.Span) *WireResult {
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
+	code := http.StatusOK
 	if w.draining.Load() {
-		rw.WriteHeader(http.StatusServiceUnavailable)
+		code = http.StatusServiceUnavailable
 	}
 	// The memo's hits are the memo outcomes; a served request it could
 	// not answer was simulated or read from the store.
@@ -500,7 +501,7 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	writeJSON(rw, map[string]any{
+	writeJSON(rw, code, map[string]any{
 		"ok":             !w.draining.Load(),
 		"name":           w.cfg.Name,
 		"draining":       w.draining.Load(),
@@ -524,11 +525,14 @@ func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Drain()
-	writeJSON(rw, map[string]any{"draining": true, "pending": w.pending.Load()})
+	writeJSON(rw, http.StatusOK, map[string]any{"draining": true, "pending": w.pending.Load()})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers code with v as indented JSON. The header is set
+// before the status goes out: a header set after it is dropped.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {

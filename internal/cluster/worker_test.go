@@ -444,10 +444,19 @@ func TestWorkerDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(b), "draining") {
 		t.Fatalf("draining run: status %d body %s", resp.StatusCode, b)
 	}
-	if hr, err := http.Get(ts.URL + "/healthz"); err != nil || hr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz status: %v", err)
-	} else {
-		hr.Body.Close()
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	if ct := hr.Header.Get("Content-Type"); hr.StatusCode != http.StatusServiceUnavailable || ct != "application/json" {
+		t.Fatalf("draining healthz: %d %q, want 503 application/json", hr.StatusCode, ct)
+	}
+	var health struct {
+		Draining bool `json:"draining"`
+	}
+	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil || !health.Draining {
+		t.Fatalf("draining healthz body: %+v, %v", health, err)
 	}
 }
 

@@ -437,8 +437,9 @@ func (r *run) replayAllocs() (int64, error) {
 }
 
 // finish ends the run. The observers are reduced to values first — the
-// machine, the traces and the guest heap end with this call — and only
-// then are the sinks fed: nothing a sink does can reach res.
+// machine, the traces and the guest heap end with this call — then the
+// run is counted into the stack's telemetry once, and only then are the
+// sinks fed: nothing a sink does can reach res.
 func (r *run) finish(res *Result) error {
 	res.GC = r.heap.Stats()
 	res.Bytecodes = r.wm.Bytecodes
@@ -471,6 +472,7 @@ func (r *run) finish(res *Result) error {
 	if r.rec != nil {
 		res.Trace = r.rec.Finish(r.summary(res))
 	}
+	r.count(res)
 
 	if r.prof != nil {
 		// On the serving path nothing else reads the profiler's errors.

@@ -8,7 +8,6 @@ import (
 	"metajit/internal/core"
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
-	"metajit/internal/profile"
 	"metajit/internal/reqtrace"
 	"metajit/internal/telemetry"
 )
@@ -114,8 +113,8 @@ func TestReqTraceLinksPhaseSpans(t *testing.T) {
 // span, which the grammar forbids.
 func TestReqTraceSurfacesProfilerErrors(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	profile.InstallTelemetry(reg)
-	defer profile.InstallTelemetry(nil)
+	InstallTelemetry(reg)
+	defer InstallTelemetry(nil)
 
 	rec := reqtrace.NewRecorder(reqtrace.Config{Process: "harness-test"})
 	sim := rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "forced/violation")

@@ -27,9 +27,6 @@ func (h *Heap) Minor() { h.minor(core.GCReasonExplicit) }
 func (h *Heap) minor(reason uint64) {
 	if h.gcActive {
 		h.stats.Skipped++
-		if m := telem(); m != nil {
-			m.skipped.Inc()
-		}
 		h.stream.Annot(core.TagGCSkipped, reason)
 		return
 	}
@@ -100,10 +97,6 @@ func (h *Heap) minor(reason uint64) {
 	h.oldBytes += promoted
 	h.stats.Minor++
 	h.stats.PromotedBytes += promoted
-	if m := telem(); m != nil {
-		m.minor.Inc()
-		m.promotedBytes.Add(promoted)
-	}
 
 	h.stream.Annot(core.TagGCMinorEnd, promoted)
 	h.gcActive = false
@@ -170,9 +163,6 @@ func (h *Heap) Major() { h.major(core.GCReasonExplicit) }
 func (h *Heap) major(reason uint64) {
 	if h.gcActive || h.inMajor {
 		h.stats.Skipped++
-		if m := telem(); m != nil {
-			m.skipped.Inc()
-		}
 		h.stream.Annot(core.TagGCSkipped, reason)
 		return
 	}
@@ -237,9 +227,6 @@ func (h *Heap) major(reason uint64) {
 	}
 	h.stats.Major++
 	h.stats.LiveAtMajor = liveBytes
-	if m := telem(); m != nil {
-		m.major.Inc()
-	}
 
 	h.stream.Annot(core.TagGCMajorEnd, liveBytes)
 	h.gcActive = false

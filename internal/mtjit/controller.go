@@ -14,10 +14,10 @@ import "metajit/internal/isa"
 // Determinism contract: every controller input is per-Engine state
 // that is itself maintained deterministically (abort counts, baseline
 // enter/deopt counts, per-header guard-failure attribution). The
-// controller never reads the process-global telemetry registry — those
-// counters are shared across engines and parallel runs, so consuming
-// them would break `-j1 == -jN` and memoization. It only *writes*
-// decision counts there for observability. Controller-relevant
+// controller reads no process-wide state, which parallel runs would
+// share and so break `-j1 == -jN` and memoization; its decision counts
+// are EngineStats fields, which the harness adds to telemetry when the
+// run finishes. Controller-relevant
 // configuration (MethodThreshold, Adaptive) enters harness.Spec, so
 // memoized results can never alias across controller settings.
 
@@ -206,22 +206,12 @@ func (e *Engine) recordDecision(key GreenKey, ev TierEvent) {
 	}
 	th := e.traceThresholdFor(key)
 	e.ctlLog = append(e.ctlLog, ControllerDecision{Key: key, Event: ev, Threshold: th})
-	m := telem()
 	switch {
 	case ev == TierMethod:
 		e.stats.CtlMethodDecisions++
-		if m != nil {
-			m.ctlMethodDecisions.Inc()
-		}
 	case th > e.Threshold:
 		e.stats.CtlBackoffDecisions++
-		if m != nil {
-			m.ctlBackoffDecisions.Inc()
-		}
 	case th < e.Threshold:
 		e.stats.CtlEarlyPromotions++
-		if m != nil {
-			m.ctlEarlyPromotions.Inc()
-		}
 	}
 }

@@ -155,6 +155,9 @@ type Engine struct {
 	exitFrames []FrameVals
 	virt       []virtObj
 	stats      EngineStats
+	// promotions counts loop headers whose baseline code a loop trace
+	// superseded. It is not in EngineStats, whose fields are on the wire.
+	promotions int
 }
 
 // PoisonScratch is a test hook. When set, every run-owned buffer is
@@ -352,6 +355,10 @@ func (e *Engine) Roots(visit func(*heap.Obj)) {
 // Stats returns a copy of the engine statistics.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
+// BaselinePromotions returns how many loop headers were promoted from
+// tier-1 baseline code to a compiled trace.
+func (e *Engine) BaselinePromotions() int { return e.promotions }
+
 // Traces returns every installed trace and bridge in compile order.
 func (e *Engine) Traces() []*Trace { return e.all }
 
@@ -500,9 +507,6 @@ func (e *Engine) AbortTrace(tm *TracingMachine, reason ...AbortReason) {
 	}
 	e.S.Annot(core.TagTraceAbort, uint64(r))
 	e.stats.Aborts++
-	if m := telem(); m != nil {
-		m.aborts.Inc()
-	}
 	switch r {
 	case AbortTooLong:
 		e.stats.AbortsTooLong++
@@ -600,15 +604,6 @@ func (e *Engine) install(tm *TracingMachine, key GreenKey, bridge bool) *Trace {
 
 	e.stats.OpsRecorded += recorded
 	e.stats.OpsRemoved += removed
-	if m := telem(); m != nil {
-		m.opsRecorded.Add(uint64(recorded))
-		m.opsRemoved.Add(uint64(removed))
-		if bridge {
-			m.bridges.Inc()
-		} else {
-			m.loops.Inc()
-		}
-	}
 	if bridge {
 		e.stats.BridgesCompiled++
 	} else {
@@ -622,9 +617,7 @@ func (e *Engine) install(tm *TracingMachine, key GreenKey, bridge bool) *Trace {
 		// same header.
 		if bc := e.liveTier(BaselineTier, key); bc != nil {
 			e.invalidateTier(bc)
-			if m := telem(); m != nil {
-				m.promotions.Inc()
-			}
+			e.promotions++
 		}
 	}
 	e.all = append(e.all, t)
@@ -679,9 +672,6 @@ func (e *Engine) InvalidateGlobal(name string) {
 		}
 		t.Invalidated = true
 		e.stats.Invalidated++
-		if m := telem(); m != nil {
-			m.invalidated.Inc()
-		}
 		if e.traces[t.Key] == t {
 			delete(e.traces, t.Key)
 		}

@@ -420,9 +420,6 @@ func nonzero(x *inst, d int64) int64 {
 func (e *Engine) guardFail(t *Trace, op *Op, regs []heap.Value) (*ExitState, *Trace, []heap.Value) {
 	op.Fails++
 	e.stats.GuardFailures++
-	if m := telem(); m != nil {
-		m.guardFails.Inc()
-	}
 	s := e.S
 	s.Annot(core.TagGuardFail, uint64(op.GuardID))
 	// The failing pass retired only the bytecodes before the guard's

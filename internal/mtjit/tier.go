@@ -60,7 +60,7 @@ func (t Tier) String() string { return tierTable[t].name }
 // tierSpec is one row of tierTable: everything that distinguishes a
 // lower tier from the other.
 type tierSpec struct {
-	// name is the tier's telemetry and JSON name; labelPrefix starts
+	// name is the tier's JSON name; labelPrefix starts
 	// its code labels (TierCode.Label).
 	name, labelPrefix string
 	// perFunction tiers compile, look up and blacklist whole functions
@@ -333,9 +333,6 @@ func (e *Engine) CompileTier(t Tier, codeID uint32, start, end int, ops []TierOp
 		}
 	}
 	*ts.stats.compiled++
-	if m := telem(); m != nil {
-		m.tiers[t].compiles.Inc()
-	}
 	e.S.Annot(spec.compileEnd, uint64(c.ID))
 	if e.OnTierCompile != nil {
 		e.OnTierCompile(c)
@@ -398,9 +395,6 @@ func (e *Engine) TierDeopt(c *TierCode) {
 	spec := &tierTable[c.Tier]
 	c.DeoptCount++
 	*e.tiers[c.Tier].stats.deopts++
-	if m := telem(); m != nil {
-		m.tiers[c.Tier].deopts.Inc()
-	}
 	e.S.Annot(spec.deopt, uint64(c.ID))
 	e.S.Block(spec.deoptBlock)
 }
@@ -415,9 +409,6 @@ func (e *Engine) invalidateTier(c *TierCode) {
 	ts := &e.tiers[c.Tier]
 	c.Invalidated = true
 	*ts.stats.invalidated++
-	if m := telem(); m != nil {
-		m.tiers[c.Tier].invalidated.Inc()
-	}
 	if ts.live[c.Key()] == c {
 		delete(ts.live, c.Key())
 	}

@@ -145,9 +145,7 @@ func (p *Profiler) barrier(st *State) {
 }
 
 // Finish runs a final barrier and finalizes the stream (closing
-// exports). Further annotations are ignored. Span, event and error
-// totals are flushed to the installed telemetry registry here, so the
-// per-annotation hot path stays metric-free.
+// exports). Further annotations are ignored.
 func (p *Profiler) Finish() {
 	if p.finished {
 		return
@@ -161,11 +159,6 @@ func (p *Profiler) Finish() {
 	// profiler's own copies. A finished profiler that a Result keeps must
 	// not pin the simulation it watched.
 	p.m, p.cur = nil, nil
-	if m := telem(); m != nil {
-		m.spans.Add(p.Stream.Spans)
-		m.events.Add(p.Stream.Events)
-		m.errors.Add(uint64(p.errCount + p.Stream.errCount))
-	}
 }
 
 // PhaseTotals returns per-phase counters attributed over the profiled
@@ -193,6 +186,10 @@ func (p *Profiler) Err() error {
 	}
 	return p.Stream.Err()
 }
+
+// ErrorCount returns every error the run found, profiler-level and
+// stream well-formedness alike, including those Errors does not retain.
+func (p *Profiler) ErrorCount() int { return p.errCount + p.Stream.errCount }
 
 // Errors returns retained profiler-level error details.
 func (p *Profiler) Errors() []error { return p.errs }

@@ -90,6 +90,10 @@ func TestTierMatchesInterp(t *testing.T) {
 		if (ts.invalidated > 0) != row.promotionInvalidates {
 			t.Fatalf("promotion invalidated %d codes, want invalidation=%v", ts.invalidated, row.promotionInvalidates)
 		}
+		// Each superseded baseline is one promotion; method code stays.
+		if got := vm.Eng.BaselinePromotions(); got != ts.invalidated {
+			t.Fatalf("BaselinePromotions() = %d, tier invalidated %d codes", got, ts.invalidated)
+		}
 		if err := vm.Eng.Validate(); err != nil {
 			t.Fatalf("engine validation: %v", err)
 		}

@@ -17,6 +17,7 @@ import (
 //
 // format=chrome composes with trace= and n=.
 func (r *Recorder) Handler() http.Handler {
+	const badTrace = "trace must be 32 hex digits"
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r == nil {
 			http.Error(w, "reqtrace disabled", http.StatusNotFound)
@@ -24,9 +25,15 @@ func (r *Recorder) Handler() http.Handler {
 		}
 		var trees []TreeSnapshot
 		if th := req.URL.Query().Get("trace"); th != "" {
+			// The length is refused before decoding: given more than 32
+			// digits, hex.Decode writes past trace.
 			var trace TraceID
-			if n, err := hex.Decode(trace[:], []byte(th)); err != nil || n != len(trace) {
-				http.Error(w, "trace must be 32 hex digits", http.StatusBadRequest)
+			if len(th) != hex.EncodedLen(len(trace)) {
+				http.Error(w, badTrace, http.StatusBadRequest)
+				return
+			}
+			if _, err := hex.Decode(trace[:], []byte(th)); err != nil {
+				http.Error(w, badTrace, http.StatusBadRequest)
 				return
 			}
 			trees = r.Find(trace)

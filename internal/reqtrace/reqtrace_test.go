@@ -446,7 +446,7 @@ func TestHandlerJSONAndChrome(t *testing.T) {
 
 	validateChrome(t, get("/?format=chrome"))
 
-	for _, bad := range []string{"/?trace=zz", "/?n=-1"} {
+	for _, bad := range []string{"/?trace=zz", "/?trace=" + trace.Hex() + "00", "/?n=-1"} {
 		resp, err := http.Get(srv.URL + bad)
 		if err != nil {
 			t.Fatal(err)
@@ -456,6 +456,60 @@ func TestHandlerJSONAndChrome(t *testing.T) {
 			t.Fatalf("GET %s: %s, want 400", bad, resp.Status)
 		}
 	}
+}
+
+// FuzzReqtraceQuery sends arbitrary raw query strings to the
+// /debug/reqtrace handler of a recorder holding a few trees. It answers
+// 200 or 400 and never panics, and a 200 that is not a Chrome download
+// decodes as a Dump.
+func FuzzReqtraceQuery(f *testing.F) {
+	r := NewRecorder(Config{Process: "p"})
+	var trace TraceID
+	for _, name := range []string{"telco", "fib", "richards"} {
+		root := r.StartTrace(Context{}, KindRun, name)
+		root.StartChild(KindSimulate, name).End()
+		trace = root.Context().Trace
+		root.End()
+	}
+	h := r.Handler()
+	for _, seed := range []string{
+		"",
+		"n=1",
+		"n=-1",
+		"n=99999999999999999999",
+		"n=1&n=x",
+		"trace=" + trace.Hex(),
+		"trace=" + strings.ToUpper(trace.Hex()),
+		"trace=" + trace.Hex() + "00", // 34 digits: indexed past the ID
+		"trace=" + trace.Hex()[:31],
+		"trace=zz",
+		"trace=%zz",
+		"trace=" + trace.Hex() + "&format=chrome&n=1",
+		"format=chrome",
+		"n=1;format=chrome",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		req := httptest.NewRequest("GET", "/debug/reqtrace", nil)
+		req.URL.RawQuery = q
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		switch w.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("?%s: status %d", q, w.Code)
+		}
+		if req.URL.Query().Get("format") == "chrome" {
+			return
+		}
+		var d Dump
+		if err := json.Unmarshal(w.Body.Bytes(), &d); err != nil {
+			t.Fatalf("?%s: a 200 that is not a Dump: %v", q, err)
+		}
+	})
 }
 
 func TestAnomalyDump(t *testing.T) {
