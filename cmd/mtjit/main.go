@@ -93,8 +93,11 @@ func main() {
 	}
 
 	if *file != "" {
-		runFile(*file, *vmName)
-		dumpTelemetry(reg)
+		if err := refuseForFile(opt, reg != nil); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		runFile(*file, *vmName, *threshold)
 		return
 	}
 	p := bench.ByName(*benchName)
@@ -235,7 +238,27 @@ func report(r *harness.Result, profileDir string, jitLog *bytes.Buffer) {
 	}
 }
 
-func runFile(path, vmName string) {
+// refuseForFile names the first flag a -file run cannot honour: it
+// builds the guest VM itself, outside harness.Run, so no profiler,
+// recorder, JIT log sink or telemetry flush is attached to it.
+func refuseForFile(opt harness.Options, teleDump bool) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"profile", opt.ProfileDir != ""},
+		{"record", opt.RecordDir != ""},
+		{"jitlog", opt.JITLog != nil},
+		{"telemetry-dump", teleDump},
+	} {
+		if f.set {
+			return fmt.Errorf("mtjit: -file does not support -%s", f.name)
+		}
+	}
+	return nil
+}
+
+func runFile(path, vmName string, threshold int) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -243,7 +266,7 @@ func runFile(path, vmName string) {
 	}
 	mach := cpu.NewDefault()
 	pintool.NewPhaseTracker(mach)
-	cfg := pylang.Config{}
+	cfg := pylang.Config{Threshold: threshold}
 	switch vmName {
 	case "cpython":
 		cfg.Profile = mtjit.ReferenceProfile()

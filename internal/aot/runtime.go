@@ -171,9 +171,6 @@ func (rt *Runtime) NewStr(b []byte) *heap.Obj {
 	return o
 }
 
-// StrBytes returns the payload of a guest string.
-func StrBytes(o *heap.Obj) []byte { return o.Bytes }
-
 // IsStr reports whether o is a guest string of this runtime.
 func (rt *Runtime) IsStr(o *heap.Obj) bool { return o != nil && o.Shape == rt.StrShape }
 

@@ -91,13 +91,6 @@ func (t *Transport) Kill(host string) {
 	t.down[host] = true
 }
 
-// Down reports whether host is currently killed.
-func (t *Transport) Down(host string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.down[host]
-}
-
 // Stats returns a snapshot of fault counts.
 func (t *Transport) Stats() Stats {
 	t.mu.Lock()

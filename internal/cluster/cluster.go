@@ -25,10 +25,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
-	"sort"
 
 	"metajit/internal/bench"
 	"metajit/internal/harness"
@@ -112,7 +112,6 @@ func (r *Request) VMKind() (harness.VMKind, error) {
 // to the same recording for routing and storage to agree.
 type Catalog struct {
 	traces map[string]*bench.Program
-	names  []string
 }
 
 // NewCatalog builds a catalog; traceDir optionally adds recorded-trace
@@ -127,9 +126,7 @@ func NewCatalog(traceDir string) (*Catalog, error) {
 		for i := range progs {
 			p := &progs[i]
 			c.traces[p.Name] = p
-			c.names = append(c.names, p.Name)
 		}
-		sort.Strings(c.names)
 	}
 	return c, nil
 }
@@ -145,14 +142,6 @@ func (c *Catalog) Resolve(name string) *bench.Program {
 	return c.traces[name]
 }
 
-// TraceNames lists the catalog's recorded-trace benchmarks, sorted.
-func (c *Catalog) TraceNames() []string {
-	if c == nil {
-		return nil
-	}
-	return append([]string(nil), c.names...)
-}
-
 // Cell resolves a request against the catalog into its program, VM
 // kind, options, and content address.
 func (c *Catalog) Cell(r *Request) (*bench.Program, harness.VMKind, harness.Options, CellID, error) {
@@ -163,6 +152,11 @@ func (c *Catalog) Cell(r *Request) (*bench.Program, harness.VMKind, harness.Opti
 	kind, err := r.VMKind()
 	if err != nil {
 		return nil, "", harness.Options{}, CellID{}, err
+	}
+	// A threshold at or below zero runs with the default, so a negative
+	// one would name a second cell for the same simulation.
+	if r.Threshold < 0 || r.BridgeThreshold < 0 || r.BaselineThreshold < 0 {
+		return nil, "", harness.Options{}, CellID{}, errors.New("threshold, bridge_threshold and baseline_threshold must not be negative (0 keeps the default)")
 	}
 	opt := r.Options()
 	return p, kind, opt, IDOf(harness.Key(p, kind, opt)), nil

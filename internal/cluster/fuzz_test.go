@@ -13,10 +13,11 @@ import (
 
 // FuzzRunRequest feeds arbitrary bytes to what both handlers do with a
 // POST /run body before any work: decodeRequest, then Catalog.Cell.
-// Neither may panic, and a request they accept must name the same cell
-// once re-marshalled — the frontend forwards json.Marshal of what it
-// decoded, and routing, coalescing and the store all assume the worker
-// computes the CellID the frontend did. The seeds below are the pinned
+// Neither may panic, a request they accept has no negative threshold
+// (one would name a second cell for the default), and it must name the
+// same cell once re-marshalled — the frontend forwards json.Marshal of
+// what it decoded, and routing, coalescing and the store all assume the
+// worker computes the CellID the frontend did. The seeds below are the pinned
 // corpus: each accepted shape, each refusal, and the inputs a decoder
 // gets wrong first.
 func FuzzRunRequest(f *testing.F) {
@@ -25,6 +26,7 @@ func FuzzRunRequest(f *testing.F) {
 		`{"bench":"telco","vm":"pypy-tiered","threshold":40,"bridge_threshold":7,"baseline_threshold":3}`,
 		`{"bench":"richards","vm":"pypy-amalg","fresh":true}`,
 		`{"bench":"telco","vm":"pypy","threshold":-1}`,
+		`{"bench":"telco","vm":"pypy-tiered","bridge_threshold":-1,"baseline_threshold":-1}`,
 		`{"bench":"telco","vm":"pypy","threshold":9223372036854775807,"baseline_threshold":-9223372036854775808}`,
 		`{"bench":"telco","vm":"pypy","threshold":9223372036854775808}`,
 		`{"bench":"telco","vm":"pypy","sample_interval":1}`,  // moved the cell, not the reply; unknown now
@@ -64,6 +66,9 @@ func FuzzRunRequest(f *testing.F) {
 		_, _, _, id, err := catalog.Cell(&req)
 		if err != nil {
 			return
+		}
+		if req.Threshold < 0 || req.BridgeThreshold < 0 || req.BaselineThreshold < 0 {
+			t.Fatalf("accepted a negative threshold, a second name for the default cell: %+v", req)
 		}
 		forwarded, err := json.Marshal(&req)
 		if err != nil {

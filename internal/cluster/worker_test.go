@@ -477,6 +477,11 @@ func TestWorkerBadRequests(t *testing.T) {
 		// A sample interval changed the CellID and no byte of the reply:
 		// the wire carries no Samples.
 		"sample interval": `{"bench":"telco","vm":"pypy","sample_interval":1}`,
+		// A threshold at or below zero runs with the default: a negative
+		// one would split the default cell.
+		"negative threshold":          `{"bench":"telco","vm":"pypy","threshold":-1}`,
+		"negative bridge threshold":   `{"bench":"telco","vm":"pypy","bridge_threshold":-2}`,
+		"negative baseline threshold": `{"bench":"telco","vm":"pypy-tiered","baseline_threshold":-3}`,
 	} {
 		for _, base := range []string{ts.URL, fts.URL} {
 			resp, err := http.Post(base+"/run", "application/json", strings.NewReader(body))

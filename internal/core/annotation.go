@@ -13,8 +13,10 @@
 // would.
 //
 // This package owns the vocabulary shared by every layer: tags, the tag
-// registry, the phase taxonomy of a meta-tracing JIT, and the Observer
-// interface implemented by interception tools (see internal/pintool).
+// registry, the phase taxonomy of a meta-tracing JIT, the span grammar
+// that says which phase each built-in tag opens or closes and where it
+// may occur (Rule), and the Observer interface implemented by
+// interception tools (see internal/pintool and internal/profile).
 package core
 
 import (
@@ -91,7 +93,7 @@ func (r *Registry) Define(name string) Tag {
 // unknown tags. Consumers holding a Registry should prefer Registry.Name,
 // which also resolves dynamically defined tags.
 func TagName(t Tag) string {
-	if s, ok := builtinTagNames[t]; ok {
+	if s := Rule(t).Name; s != "" {
 		return s
 	}
 	return fmt.Sprintf("tag<%d>", t)
@@ -100,15 +102,13 @@ func TagName(t Tag) string {
 // Name returns the name of a tag defined in this registry, or the name of a
 // built-in tag, or "tag<N>" for unknown tags.
 func (r *Registry) Name(t Tag) string {
-	if s, ok := builtinTagNames[t]; ok {
-		return s
-	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.byID[t]; ok {
+	s, ok := r.byID[t]
+	r.mu.Unlock()
+	if ok {
 		return s
 	}
-	return fmt.Sprintf("tag<%d>", t)
+	return TagName(t)
 }
 
 // Names returns all dynamically defined tag names in sorted order.

@@ -25,8 +25,7 @@ const (
 	TagDispatch
 
 	// Phase-boundary annotations. Enter/Leave pairs bracket framework
-	// activities; the PhaseTracker tool reconstructs a phase stack from
-	// them (GC can interrupt any phase, blackhole interrupts JIT, etc.).
+	// activities; the span grammar (below) says what each tag does.
 	TagTraceStart     // meta-interpreter begins recording (Arg: green key hash)
 	TagTraceEnd       // recording + optimize + assemble finished (Arg: trace ID)
 	TagTraceAbort     // recording aborted (Arg: abort reason code)
@@ -46,10 +45,7 @@ const (
 	TagGuardFail     // a guard failed (Arg: global guard ID)
 	TagBridgeEnter   // execution transferred through a bridge (Arg: bridge trace ID)
 
-	// Tier-1 (baseline threaded-code) annotations. Enter/Leave and
-	// CompileStart/CompileEnd bracket phases like the tracing pairs
-	// above; Deopt is an event marker (a baseline guard fell back to the
-	// interpreter) with no phase effect, like TagGuardFail.
+	// Tier-1 (baseline threaded-code) annotations.
 	TagBaselineCompileStart // baseline compilation begins (Arg: green key hash)
 	TagBaselineCompileEnd   // baseline code installed (Arg: baseline code ID)
 	TagBaselineEnter        // execution enters baseline threaded code (Arg: baseline code ID)
@@ -58,16 +54,12 @@ const (
 
 	// TagGCSkipped marks a collection request that the collector dropped
 	// because a collection was already active (Arg: the GCReason* code of
-	// the dropped request). It is an event marker with no phase effect:
-	// without it a re-entrant Minor/Major request would vanish from the
-	// annotation stream entirely, invisible to stream checkers.
+	// the dropped request). Without it a re-entrant Minor/Major request
+	// would vanish from the annotation stream, invisible to checkers.
 	TagGCSkipped
 
 	// Tier-2 method-compilation annotations (the amalgamated strategy:
 	// whole guest functions compiled beside traces in one engine).
-	// Enter/Leave and CompileStart/CompileEnd bracket phases like the
-	// baseline pairs above; Deopt is an event marker (a method guard fell
-	// back to the interpreter) with no phase effect.
 	TagMethodCompileStart // method compilation begins (Arg: function code ID)
 	TagMethodCompileEnd   // method code installed (Arg: method code ID)
 	TagMethodEnter        // execution enters method-compiled code (Arg: method code ID)
@@ -98,40 +90,6 @@ const (
 // stream consumers tell the two recording kinds apart, which the arg
 // values alone cannot.
 const TraceStartBridge uint64 = 1 << 40
-
-var builtinTagNames = map[Tag]string{
-	TagDispatch:       "dispatch",
-	TagTraceStart:     "trace_start",
-	TagTraceEnd:       "trace_end",
-	TagTraceAbort:     "trace_abort",
-	TagJITEnter:       "jit_enter",
-	TagJITLeave:       "jit_leave",
-	TagAOTCallEnter:   "aot_call_enter",
-	TagAOTCallLeave:   "aot_call_leave",
-	TagGCMinorStart:   "gc_minor_start",
-	TagGCMinorEnd:     "gc_minor_end",
-	TagGCMajorStart:   "gc_major_start",
-	TagGCMajorEnd:     "gc_major_end",
-	TagBlackholeEnter: "blackhole_enter",
-	TagBlackholeLeave: "blackhole_leave",
-	TagTraceCompiled:  "trace_compiled",
-	TagGuardFail:      "guard_fail",
-	TagBridgeEnter:    "bridge_enter",
-
-	TagBaselineCompileStart: "baseline_compile_start",
-	TagBaselineCompileEnd:   "baseline_compile_end",
-	TagBaselineEnter:        "baseline_enter",
-	TagBaselineLeave:        "baseline_leave",
-	TagBaselineDeopt:        "baseline_deopt",
-
-	TagGCSkipped: "gc_skipped",
-
-	TagMethodCompileStart: "method_compile_start",
-	TagMethodCompileEnd:   "method_compile_end",
-	TagMethodEnter:        "method_enter",
-	TagMethodLeave:        "method_leave",
-	TagMethodDeopt:        "method_deopt",
-}
 
 // Phase is the framework-level execution phase taxonomy of Section V-B:
 // every cycle of a meta-tracing VM's execution belongs to exactly one of
@@ -177,4 +135,146 @@ func AllPhases() []Phase {
 		out[i] = Phase(i)
 	}
 	return out
+}
+
+// PhaseSet is a set of phases, one bit per Phase.
+type PhaseSet uint16
+
+// AnyPhase holds every phase.
+const AnyPhase PhaseSet = 1<<NumPhases - 1
+
+// PhasesOf returns the set holding ps.
+func PhasesOf(ps ...Phase) PhaseSet {
+	var s PhaseSet
+	for _, p := range ps {
+		s |= 1 << p
+	}
+	return s
+}
+
+// Has reports whether p is in the set.
+func (s PhaseSet) Has(p Phase) bool { return s&(1<<p) != 0 }
+
+// TagRule is one built-in tag's row of the span grammar. Every built-in
+// tag has exactly one role: an opener pushes a span of its phase, a
+// closer pops the span its opener pushed, and any other tag is an event,
+// which changes no span.
+type TagRule struct {
+	// Name names the tag in logs, error messages and instant markers.
+	Name string
+	// Opens is the phase an opener pushes; PhaseInterp, the root that is
+	// never opened, for closers and events.
+	Opens Phase
+	// Closes is the opener whose span a closer pops; TagNone otherwise.
+	Closes Tag
+	// In is where the tag may occur: the phases an opener may open its
+	// span in, or an event may retire in. A closer is checked against
+	// the span it closes instead, and leaves In empty.
+	In PhaseSet
+	// MatchArg says a closer's Arg must equal its opener's.
+	MatchArg bool
+}
+
+// Opener reports whether the tag opens a span.
+func (r *TagRule) Opener() bool { return r.Opens != PhaseInterp }
+
+// Closer reports whether the tag closes a span.
+func (r *TagRule) Closer() bool { return r.Closes != TagNone }
+
+// Transition reports whether the tag switches the accounting phase.
+func (r *TagRule) Transition() bool { return r.Opener() || r.Closer() }
+
+// Rule returns t's row of the span grammar; callers must not modify it.
+// Dynamic and unknown tags read the TagNone row: an unnamed event that
+// may occur in any phase.
+func Rule(t Tag) *TagRule {
+	if int(t) < len(grammar) {
+		return &grammar[t]
+	}
+	return &grammar[TagNone]
+}
+
+// SpanTags returns the tags that open or close a span, in tag order:
+// the tags a phase tracker registers for. The slice is shared; callers
+// must not modify it.
+func SpanTags() []Tag { return spanTags }
+
+var spanTags = func() (tags []Tag) {
+	for t := range grammar {
+		if grammar[t].Transition() {
+			tags = append(tags, Tag(t))
+		}
+	}
+	return tags
+}()
+
+// The span grammar. Every *_start/*_enter tag opens a span, every
+// *_end/*_leave tag closes the matching one, and spans nest strictly:
+//
+//	interp (implicit root, never opened or closed)
+//	├─ tracing    trace_start .. trace_end|trace_abort    from interp only
+//	├─ jit        jit_enter .. jit_leave                  from interp only
+//	│   └─ jit_call  aot_call_enter .. aot_call_leave     from jit or jit_call
+//	├─ blackhole  blackhole_enter .. blackhole_leave      from interp only
+//	│             (a guard failure in JIT code: the executor closes the
+//	│             jit span first, so the blackhole span nests in the
+//	│             phase the JIT code was entered from)
+//	├─ basecomp   baseline_compile_start .. _end          from interp or
+//	│             baseline (a loop header crossing the tier-1 threshold
+//	│             while another loop's baseline code is resident)
+//	├─ baseline   baseline_enter .. baseline_leave        from interp only
+//	├─ methcomp   method_compile_start .. _end            from interp or
+//	│             baseline (the method tier fires at a loop header,
+//	│             possibly while tier-1 code for the region is resident;
+//	│             never from method residency — a compiled function is
+//	│             no longer a compile candidate)
+//	├─ method     method_enter .. method_leave            from interp only
+//	└─ gc         gc_{minor,major}_start .. _end          from any phase
+//	              except gc itself (GC interrupts anything; a major's
+//	              preparatory minor runs before the major span opens)
+//
+// jit_leave, aot_call_leave, blackhole_leave, baseline_leave and
+// method_leave repeat their opener's argument (MatchArg; the profiler
+// exempts a jit span that a bridge transfer relinked). Events change no
+// span but are phase-checked: dispatch ticks in
+// interp/tracing/jit/baseline/method; guard_fail and bridge_enter only
+// inside jit; trace_compiled in interp (installation happens after the
+// tracing span closes); baseline_deopt inside baseline; method_deopt
+// inside method; gc_skipped anywhere. Dynamic (application-defined)
+// tags pass through unchecked.
+var grammar = [NumBuiltinTags]TagRule{
+	TagNone:     {In: AnyPhase},
+	TagDispatch: {Name: "dispatch", In: PhasesOf(PhaseInterp, PhaseTracing, PhaseJIT, PhaseBaseline, PhaseMethod)},
+
+	TagTraceStart:     {Name: "trace_start", Opens: PhaseTracing, In: PhasesOf(PhaseInterp)},
+	TagTraceEnd:       {Name: "trace_end", Closes: TagTraceStart},
+	TagTraceAbort:     {Name: "trace_abort", Closes: TagTraceStart},
+	TagJITEnter:       {Name: "jit_enter", Opens: PhaseJIT, In: PhasesOf(PhaseInterp)},
+	TagJITLeave:       {Name: "jit_leave", Closes: TagJITEnter, MatchArg: true},
+	TagAOTCallEnter:   {Name: "aot_call_enter", Opens: PhaseJITCall, In: PhasesOf(PhaseJIT, PhaseJITCall)},
+	TagAOTCallLeave:   {Name: "aot_call_leave", Closes: TagAOTCallEnter, MatchArg: true},
+	TagGCMinorStart:   {Name: "gc_minor_start", Opens: PhaseGC, In: AnyPhase &^ PhasesOf(PhaseGC)},
+	TagGCMinorEnd:     {Name: "gc_minor_end", Closes: TagGCMinorStart},
+	TagGCMajorStart:   {Name: "gc_major_start", Opens: PhaseGC, In: AnyPhase &^ PhasesOf(PhaseGC)},
+	TagGCMajorEnd:     {Name: "gc_major_end", Closes: TagGCMajorStart},
+	TagBlackholeEnter: {Name: "blackhole_enter", Opens: PhaseBlackhole, In: PhasesOf(PhaseInterp)},
+	TagBlackholeLeave: {Name: "blackhole_leave", Closes: TagBlackholeEnter, MatchArg: true},
+
+	TagTraceCompiled: {Name: "trace_compiled", In: PhasesOf(PhaseInterp)},
+	TagGuardFail:     {Name: "guard_fail", In: PhasesOf(PhaseJIT)},
+	TagBridgeEnter:   {Name: "bridge_enter", In: PhasesOf(PhaseJIT)},
+
+	TagBaselineCompileStart: {Name: "baseline_compile_start", Opens: PhaseBaselineComp, In: PhasesOf(PhaseInterp, PhaseBaseline)},
+	TagBaselineCompileEnd:   {Name: "baseline_compile_end", Closes: TagBaselineCompileStart},
+	TagBaselineEnter:        {Name: "baseline_enter", Opens: PhaseBaseline, In: PhasesOf(PhaseInterp)},
+	TagBaselineLeave:        {Name: "baseline_leave", Closes: TagBaselineEnter, MatchArg: true},
+	TagBaselineDeopt:        {Name: "baseline_deopt", In: PhasesOf(PhaseBaseline)},
+
+	TagGCSkipped: {Name: "gc_skipped", In: AnyPhase},
+
+	TagMethodCompileStart: {Name: "method_compile_start", Opens: PhaseMethodComp, In: PhasesOf(PhaseInterp, PhaseBaseline)},
+	TagMethodCompileEnd:   {Name: "method_compile_end", Closes: TagMethodCompileStart},
+	TagMethodEnter:        {Name: "method_enter", Opens: PhaseMethod, In: PhasesOf(PhaseInterp)},
+	TagMethodLeave:        {Name: "method_leave", Closes: TagMethodEnter, MatchArg: true},
+	TagMethodDeopt:        {Name: "method_deopt", In: PhasesOf(PhaseMethod)},
 }

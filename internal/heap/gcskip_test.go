@@ -119,3 +119,40 @@ func TestGCReasonThreading(t *testing.T) {
 		t.Fatalf("clean runs recorded %d skips", got)
 	}
 }
+
+// TestGCTagsFollowGrammar reads the collector's annotations against the
+// span grammar (core.Rule): each start tag opens a gc span from the
+// phase it fires in, each end tag closes the start just before it, and a
+// skipped request is an event allowed inside a collection.
+func TestGCTagsFollowGrammar(t *testing.T) {
+	h, s := testHeap(false)
+	h.Minor()
+	h.Major()
+	var open []core.Tag
+	phase := core.PhaseInterp
+	opened := map[core.Tag]bool{}
+	for _, a := range s.Annotations {
+		r := core.Rule(a.Tag)
+		switch {
+		case r.Opener():
+			if r.Opens != core.PhaseGC || !r.In.Has(phase) {
+				t.Fatalf("%s opens %s from %s; want a gc span", r.Name, r.Opens, phase)
+			}
+			open = append(open, a.Tag)
+			opened[a.Tag] = true
+			phase = core.PhaseGC
+		case r.Closer():
+			if len(open) == 0 || r.Closes != open[len(open)-1] {
+				t.Fatalf("%s closes %s, but the open spans are %v", r.Name, core.TagName(r.Closes), open)
+			}
+			open = open[:len(open)-1]
+			phase = core.PhaseInterp
+		}
+	}
+	if len(open) != 0 || !opened[core.TagGCMinorStart] || !opened[core.TagGCMajorStart] {
+		t.Fatalf("a minor and a major left spans %v open, opened %v", open, opened)
+	}
+	if !core.Rule(core.TagGCSkipped).In.Has(core.PhaseGC) {
+		t.Fatal("gc_skipped is not allowed inside a collection")
+	}
+}

@@ -56,10 +56,6 @@ func (o *Obj) Addr() uint64 { return o.addr }
 // survives GC moves, like RPython's preserved identity hashes).
 func (o *Obj) UID() uint64 { return o.uid }
 
-// ElemsAddr returns the simulated address of the array storage, which is a
-// separate allocation as in RPython's list implementation.
-func (o *Obj) ElemsAddr() uint64 { return o.elemsAddr }
-
 // Size returns the object's accounted size in simulated bytes.
 func (o *Obj) Size() uint64 { return o.size }
 

@@ -639,14 +639,6 @@ func (e *Engine) assemble(t *Trace) {
 	t.AsmBase = e.jitPC.Take(uint64(t.AsmLen)*4 + 64)
 }
 
-// GuardFailCount returns how often a guard has failed.
-func (e *Engine) GuardFailCount(id uint32) int {
-	if g := e.guard(id); g != nil {
-		return int(g.Fails)
-	}
-	return 0
-}
-
 // InvalidateGlobal kills the lower-tier code that embeds the named
 // global's value (method code, then baseline code), then every installed
 // trace that constant-folded it: each trace is marked invalidated (its

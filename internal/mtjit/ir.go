@@ -301,8 +301,8 @@ type Op struct {
 	// Resume describes how to rebuild interpreter state if this guard
 	// fails.
 	Resume *ResumeState
-	// GuardID is the engine-wide guard identity that annotations, bridge
-	// requests and Engine.GuardFailCount name the guard by.
+	// GuardID is the engine-wide guard identity that annotations and
+	// bridge requests name the guard by.
 	GuardID uint32
 	// Fails counts this guard's failures and Bridge is the bridge attached
 	// to it, if any (guards only). They are the only fields the executor
@@ -359,9 +359,6 @@ type ResumeState struct {
 	Frames   []FrameSnap
 	Virtuals []VirtualDesc
 }
-
-// Innermost returns the deepest frame snapshot.
-func (r *ResumeState) Innermost() *FrameSnap { return &r.Frames[len(r.Frames)-1] }
 
 // GreenKey identifies an application-level loop: the interpreter's "green"
 // variables (code object identity + position).

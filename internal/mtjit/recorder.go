@@ -547,11 +547,3 @@ func (m *TracingMachine) Abort(reason AbortReason) {
 // RefOf exposes the IR ref of a TV for snapshot construction, interning
 // values that flowed in from outside the recording.
 func (m *TracingMachine) RefOf(tv TV) Ref { return m.ref(tv) }
-
-// BytecodesRecorded returns the guest bytecodes covered so far (one trace
-// iteration's worth once the loop closes).
-func (m *TracingMachine) BytecodesRecorded() int { return m.bcCount }
-
-// Aborted reports whether the recording has been abandoned (e.g. trace too
-// long); the driver should call AbortTrace and resume plain interpretation.
-func (m *TracingMachine) Aborted() bool { return m.aborted }

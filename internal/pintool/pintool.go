@@ -18,7 +18,8 @@ import (
 )
 
 // PhaseTracker reconstructs the phase stack from phase-boundary
-// annotations and drives the machine's accounting domain.
+// annotations, read against the span grammar (core.Rule), and drives the
+// machine's accounting domain.
 type PhaseTracker struct {
 	m     *cpu.Machine
 	stack []core.Phase
@@ -28,49 +29,10 @@ type PhaseTracker struct {
 	Transitions uint64
 }
 
-// phaseEdges says what each phase-boundary annotation does to the phase
-// stack: open a phase, or close the one on top. A tracker registers for
-// exactly the tags with an entry (phaseTags).
-var phaseEdges = [core.NumBuiltinTags]struct {
-	open, close bool
-	phase       core.Phase
-}{
-	core.TagTraceStart:           {open: true, phase: core.PhaseTracing},
-	core.TagTraceEnd:             {close: true},
-	core.TagTraceAbort:           {close: true},
-	core.TagJITEnter:             {open: true, phase: core.PhaseJIT},
-	core.TagJITLeave:             {close: true},
-	core.TagAOTCallEnter:         {open: true, phase: core.PhaseJITCall},
-	core.TagAOTCallLeave:         {close: true},
-	core.TagGCMinorStart:         {open: true, phase: core.PhaseGC},
-	core.TagGCMinorEnd:           {close: true},
-	core.TagGCMajorStart:         {open: true, phase: core.PhaseGC},
-	core.TagGCMajorEnd:           {close: true},
-	core.TagBlackholeEnter:       {open: true, phase: core.PhaseBlackhole},
-	core.TagBlackholeLeave:       {close: true},
-	core.TagBaselineCompileStart: {open: true, phase: core.PhaseBaselineComp},
-	core.TagBaselineCompileEnd:   {close: true},
-	core.TagBaselineEnter:        {open: true, phase: core.PhaseBaseline},
-	core.TagBaselineLeave:        {close: true},
-	core.TagMethodCompileStart:   {open: true, phase: core.PhaseMethodComp},
-	core.TagMethodCompileEnd:     {close: true},
-	core.TagMethodEnter:          {open: true, phase: core.PhaseMethod},
-	core.TagMethodLeave:          {close: true},
-}
-
-var phaseTags = func() (tags []core.Tag) {
-	for tag, e := range phaseEdges {
-		if e.open || e.close {
-			tags = append(tags, core.Tag(tag))
-		}
-	}
-	return tags
-}()
-
 // NewPhaseTracker attaches a phase tracker to m.
 func NewPhaseTracker(m *cpu.Machine) *PhaseTracker {
 	t := &PhaseTracker{m: m, cur: core.PhaseInterp}
-	m.Observe(t, phaseTags...)
+	m.Observe(t, core.SpanTags()...)
 	return t
 }
 
@@ -94,13 +56,10 @@ func (t *PhaseTracker) pop() {
 
 // OnAnnotation implements core.Observer.
 func (t *PhaseTracker) OnAnnotation(a core.Annotation, _, _ uint64) {
-	if int(a.Tag) >= len(phaseEdges) {
-		return
-	}
-	switch e := &phaseEdges[a.Tag]; {
-	case e.open:
-		t.push(e.phase)
-	case e.close:
+	switch r := core.Rule(a.Tag); {
+	case r.Opener():
+		t.push(r.Opens)
+	case r.Closer():
 		t.pop()
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"metajit/internal/core"
+	"metajit/internal/cpu"
+	"metajit/internal/pintool"
 )
 
 // decodeEvents turns fuzz bytes into an annotation stream, 3 bytes per
@@ -50,7 +52,9 @@ func seedStream(triples ...[3]byte) []byte {
 // the span stack never underflows, the stream always finishes back at
 // the root, the Chrome trace is valid JSON with balanced B/E events,
 // and a malformed stream is flagged through Err() rather than silently
-// accepted.
+// accepted. A pintool.PhaseTracker reads the same events: both read one
+// grammar (core.Rule), so on every prefix the stream finds well formed
+// the two agree on the current phase.
 func FuzzAnnotStream(f *testing.F) {
 	// A well-formed tiered run: tier-1 compile + residency, tracing,
 	// trace execution with a GC inside, a bridge transfer, and a deopt.
@@ -99,9 +103,10 @@ func FuzzAnnotStream(f *testing.F) {
 			Chrome:          &chrome,
 			MaxChromeEvents: 128,
 		})
+		tracker := pintool.NewPhaseTracker(cpu.NewDefault())
 		malformed := false
 		var last State
-		for _, e := range evs {
+		for i, e := range evs {
 			if e.State.Instrs < last.Instrs {
 				malformed = true
 			}
@@ -109,6 +114,11 @@ func FuzzAnnotStream(f *testing.F) {
 			s.Consume(e)
 			if s.Depth() < 1 {
 				t.Fatal("span stack underflowed below the root")
+			}
+			tracker.OnAnnotation(core.Annotation{Tag: e.Tag, Arg: e.Arg}, 0, 0)
+			if s.Err() == nil && s.CurrentPhase() != tracker.Current() {
+				t.Fatalf("after event %d (%s) the stream is in %s, the phase tracker in %s",
+					i, core.TagName(e.Tag), s.CurrentPhase(), tracker.Current())
 			}
 		}
 		final := last

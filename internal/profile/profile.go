@@ -8,12 +8,17 @@
 // machine state and hands it to a pure Stream machine — span stack,
 // well-formedness checker, and aggregation — that never touches the
 // machine, so malformed streams can be fed to it directly (see
-// FuzzAnnotStream). Phase-boundary annotations are additionally
-// barriers, where the profiler re-bases on the machine's per-phase
-// counters. Dispatch ticks, the one high-frequency annotation, change
-// no span: they are counted and phase-checked in place and stamped only
-// when the interval series needs a window boundary, their deltas riding
-// on the next stamped event.
+// FuzzAnnotStream). The grammar the checker enforces — which phase each
+// tag opens or closes, where it may occur, which closers must repeat
+// their opener's argument — is core's (core.Rule), the same table
+// pintool.PhaseTracker reads; this package adds only what is the
+// profiler's own: span labels, bridge relinking and instant markers.
+// Phase-boundary annotations are additionally barriers, where the
+// profiler re-bases on the machine's per-phase counters. Dispatch
+// ticks, the one high-frequency annotation, change no span: they are
+// counted and phase-checked in place and stamped only when the interval
+// series needs a window boundary, their deltas riding on the next
+// stamped event.
 //
 // Exports:
 //   - Chrome trace-event JSON (Config.Chrome), loadable in
@@ -157,26 +162,6 @@ type CompletedSpan struct {
 	Start State
 	End   State
 	Self  State
-}
-
-// isTransition reports whether tag switches the accounting phase; the
-// set mirrors pintool.PhaseTracker exactly. Transitions are the
-// profiler's barriers.
-func isTransition(t core.Tag) bool {
-	switch t {
-	case core.TagTraceStart, core.TagTraceEnd, core.TagTraceAbort,
-		core.TagJITEnter, core.TagJITLeave,
-		core.TagAOTCallEnter, core.TagAOTCallLeave,
-		core.TagGCMinorStart, core.TagGCMinorEnd,
-		core.TagGCMajorStart, core.TagGCMajorEnd,
-		core.TagBlackholeEnter, core.TagBlackholeLeave,
-		core.TagBaselineCompileStart, core.TagBaselineCompileEnd,
-		core.TagBaselineEnter, core.TagBaselineLeave,
-		core.TagMethodCompileStart, core.TagMethodCompileEnd,
-		core.TagMethodEnter, core.TagMethodLeave:
-		return true
-	}
-	return false
 }
 
 // gcReasonName renders a core.GCReason* code for span labels.

@@ -113,7 +113,7 @@ func (p *Profiler) OnAnnotation(a core.Annotation, _, _ uint64) {
 	ev := Event{Tag: a.Tag, Arg: a.Arg}
 	p.stamp(&ev.State)
 	p.Stream.consume(&ev)
-	if isTransition(a.Tag) {
+	if core.Rule(a.Tag).Transition() {
 		p.barrier(&ev.State)
 	}
 }

@@ -52,7 +52,7 @@ func (r *refObserver) now() State {
 func (r *refObserver) OnAnnotation(a core.Annotation, _, _ uint64) {
 	st := r.now()
 	r.s.Consume(Event{Tag: a.Tag, Arg: a.Arg, State: st})
-	if isTransition(a.Tag) {
+	if core.Rule(a.Tag).Transition() {
 		for ph := range r.snaps {
 			r.snaps[ph] = r.m.PhaseCounters(core.Phase(ph))
 		}

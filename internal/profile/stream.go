@@ -7,64 +7,17 @@ import (
 	"metajit/internal/core"
 )
 
-// The span grammar — the interruption rules the checker enforces.
-// Every *_start/*_enter tag opens a span, every *_end/*_leave tag
-// closes the matching one, and spans nest strictly:
-//
-//	interp (implicit root, never opened or closed)
-//	├─ tracing    trace_start .. trace_end|trace_abort    from interp only
-//	├─ jit        jit_enter .. jit_leave                  from interp only
-//	│   └─ jit_call  aot_call_enter .. aot_call_leave     from jit or jit_call
-//	├─ blackhole  blackhole_enter .. blackhole_leave      from interp only
-//	│             ("blackhole interrupts JIT" lowers to jit_leave;
-//	│             blackhole_enter — the executor closes the jit span
-//	│             before deoptimizing, so the blackhole span nests in
-//	│             the phase the JIT code was entered from)
-//	├─ basecomp   baseline_compile_start .. _end          from interp or
-//	│             baseline (a loop header crossing the tier-1 threshold
-//	│             while another loop's baseline code is resident)
-//	├─ baseline   baseline_enter .. baseline_leave        from interp only
-//	├─ methcomp   method_compile_start .. _end            from interp or
-//	│             baseline (the method tier fires at a loop header,
-//	│             possibly while tier-1 code for the region is resident;
-//	│             never from method residency — a compiled function is
-//	│             no longer a compile candidate)
-//	├─ method     method_enter .. method_leave            from interp only
-//	└─ gc         gc_{minor,major}_start .. _end          from any phase
-//	              except gc itself (GC interrupts anything; a major's
-//	              preparatory minor runs before the major span opens)
-//
-// Event-only tags carry no span structure but are phase-checked:
-// dispatch ticks in interp/tracing/jit/baseline/method; guard_fail and
-// bridge_enter only inside jit; trace_compiled in interp (installation
-// happens after the tracing span closes); baseline_deopt inside
-// baseline; method_deopt inside method; trace_abort closes the tracing
-// span like trace_end; gc_skipped anywhere. Dynamic
-// (application-defined) tags pass through unchecked.
-
-type phaseMask uint16
-
-func maskOf(ps ...core.Phase) phaseMask {
-	var m phaseMask
-	for _, p := range ps {
-		m |= 1 << p
-	}
-	return m
+// instants are the tags the Chrome trace marks as instant events: the
+// JIT's and the tiers' lifecycle events, and an abandoned recording.
+var instants = [core.NumBuiltinTags]bool{
+	core.TagTraceAbort:    true,
+	core.TagTraceCompiled: true,
+	core.TagGuardFail:     true,
+	core.TagBridgeEnter:   true,
+	core.TagBaselineDeopt: true,
+	core.TagMethodDeopt:   true,
+	core.TagGCSkipped:     true,
 }
-
-func (m phaseMask) has(p core.Phase) bool { return m&(1<<p) != 0 }
-
-var (
-	maskInterp   = maskOf(core.PhaseInterp)
-	maskAnyButGC = ^maskOf(core.PhaseGC)
-	maskJITCall  = maskOf(core.PhaseJIT, core.PhaseJITCall)
-	maskDispatch = maskOf(core.PhaseInterp, core.PhaseTracing, core.PhaseJIT, core.PhaseBaseline, core.PhaseMethod)
-	maskJIT      = maskOf(core.PhaseJIT)
-	maskBaseline = maskOf(core.PhaseBaseline)
-	maskBasecomp = maskOf(core.PhaseInterp, core.PhaseBaseline)
-	maskMethod   = maskOf(core.PhaseMethod)
-	maskMethcomp = maskOf(core.PhaseInterp, core.PhaseBaseline)
-)
 
 // sigNode is one distinct stack signature — the frames from the root
 // down to an open span — and its folded-stack weight. Open spans point
@@ -254,7 +207,7 @@ func (s *Stream) tick(instrs uint64) (stamp bool) {
 		return true
 	}
 	s.Events++
-	s.checkEventPhase(maskDispatch, "dispatch")
+	s.check(core.Rule(core.TagDispatch))
 	return false
 }
 
@@ -290,140 +243,80 @@ func (s *Stream) attribute(at *State) {
 	}
 }
 
-// apply interprets the event's tag against the span grammar.
+// apply interprets the event's tag against the span grammar
+// (core.Rule), then does what only the profiler does with it: mark an
+// instant event and relink a bridge transfer.
 func (s *Stream) apply(ev *Event) {
-	switch ev.Tag {
-	case core.TagTraceStart:
-		s.open(ev, core.PhaseTracing, maskInterp)
-	case core.TagTraceEnd, core.TagTraceAbort:
-		s.close(ev, core.TagTraceStart)
-		if ev.Tag == core.TagTraceAbort {
-			s.instant(ev, "trace_abort")
-		}
-	case core.TagJITEnter:
-		s.open(ev, core.PhaseJIT, maskInterp)
-	case core.TagJITLeave:
-		if top := s.top(); top.openTag == core.TagJITEnter && !top.linked && ev.Arg != top.enterArg {
-			s.errorf("jit_leave arg %d from unlinked span entered at trace %d", ev.Arg, top.enterArg)
-		}
-		s.close(ev, core.TagJITEnter)
-	case core.TagAOTCallEnter:
-		s.open(ev, core.PhaseJITCall, maskJITCall)
-	case core.TagAOTCallLeave:
-		if top := s.top(); top.openTag == core.TagAOTCallEnter && top.enterArg != ev.Arg {
-			s.errorf("aot_call_leave arg %d does not match enter arg %d", ev.Arg, top.enterArg)
-		}
-		s.close(ev, core.TagAOTCallEnter)
-	case core.TagGCMinorStart:
-		s.open(ev, core.PhaseGC, maskAnyButGC)
-	case core.TagGCMinorEnd:
-		s.close(ev, core.TagGCMinorStart)
-	case core.TagGCMajorStart:
-		s.open(ev, core.PhaseGC, maskAnyButGC)
-	case core.TagGCMajorEnd:
-		s.close(ev, core.TagGCMajorStart)
-	case core.TagBlackholeEnter:
-		s.open(ev, core.PhaseBlackhole, maskInterp)
-	case core.TagBlackholeLeave:
-		if top := s.top(); top.openTag == core.TagBlackholeEnter && top.enterArg != ev.Arg {
-			s.errorf("blackhole_leave guard %d does not match enter guard %d", ev.Arg, top.enterArg)
-		}
-		s.close(ev, core.TagBlackholeEnter)
-	case core.TagBaselineCompileStart:
-		s.open(ev, core.PhaseBaselineComp, maskBasecomp)
-	case core.TagBaselineCompileEnd:
-		s.close(ev, core.TagBaselineCompileStart)
-	case core.TagBaselineEnter:
-		s.open(ev, core.PhaseBaseline, maskInterp)
-	case core.TagBaselineLeave:
-		if top := s.top(); top.openTag == core.TagBaselineEnter && top.enterArg != ev.Arg {
-			s.errorf("baseline_leave code %d does not match enter code %d", ev.Arg, top.enterArg)
-		}
-		s.close(ev, core.TagBaselineEnter)
-	case core.TagMethodCompileStart:
-		s.open(ev, core.PhaseMethodComp, maskMethcomp)
-	case core.TagMethodCompileEnd:
-		s.close(ev, core.TagMethodCompileStart)
-	case core.TagMethodEnter:
-		s.open(ev, core.PhaseMethod, maskInterp)
-	case core.TagMethodLeave:
-		if top := s.top(); top.openTag == core.TagMethodEnter && top.enterArg != ev.Arg {
-			s.errorf("method_leave code %d does not match enter code %d", ev.Arg, top.enterArg)
-		}
-		s.close(ev, core.TagMethodEnter)
-
-	case core.TagDispatch:
-		s.checkEventPhase(maskDispatch, "dispatch")
-	case core.TagGuardFail:
-		s.checkEventPhase(maskJIT, "guard_fail")
-		s.instant(ev, "guard_fail")
-	case core.TagBridgeEnter:
-		s.bridgeEnter(ev)
-	case core.TagTraceCompiled:
-		s.checkEventPhase(maskInterp, "trace_compiled")
-		s.instant(ev, "trace_compiled")
-	case core.TagBaselineDeopt:
-		s.checkEventPhase(maskBaseline, "baseline_deopt")
-		s.instant(ev, "baseline_deopt")
-	case core.TagMethodDeopt:
-		s.checkEventPhase(maskMethod, "method_deopt")
-		s.instant(ev, "method_deopt")
-	case core.TagGCSkipped:
-		s.instant(ev, "gc_skipped")
-
+	r := core.Rule(ev.Tag)
+	switch {
+	case r.Opener():
+		s.open(ev, r)
+	case r.Closer():
+		s.close(ev, r)
 	default:
-		// Dynamic application tags (and, in fuzzed streams, unknown tag
-		// values) are phase-agnostic events: tolerated anywhere.
+		s.check(r)
+	}
+	if int(ev.Tag) < len(instants) && instants[ev.Tag] && s.cw != nil {
+		s.cw.instant(r.Name, ev.State.Cycles, ev.Arg)
+	}
+	if ev.Tag == core.TagBridgeEnter {
+		s.relink(ev)
 	}
 }
 
 func (s *Stream) top() *span { return &s.stack[len(s.stack)-1] }
 
-func (s *Stream) checkEventPhase(allowed phaseMask, name string) {
-	if p := s.CurrentPhase(); !allowed.has(p) {
-		s.errorf("%s event in phase %s", name, p)
+// check phase-checks an event against where its rule allows it.
+func (s *Stream) check(r *core.TagRule) {
+	if p := s.CurrentPhase(); !r.In.Has(p) {
+		s.errorf("%s event in phase %s", r.Name, p)
 	}
 }
 
 // open pushes a span, checking its parent phase against the grammar.
-func (s *Stream) open(ev *Event, phase core.Phase, parents phaseMask) {
-	if p := s.CurrentPhase(); !parents.has(p) {
-		s.errorf("%s span opened in phase %s", phase, p)
+func (s *Stream) open(ev *Event, r *core.TagRule) {
+	if p := s.CurrentPhase(); !r.In.Has(p) {
+		s.errorf("%s span opened in phase %s", r.Opens, p)
 	}
 	sp := span{
-		phase:    phase,
+		phase:    r.Opens,
 		openTag:  ev.Tag,
 		enterArg: ev.Arg,
 		node:     s.child(s.top().node, ev.Tag, ev.Arg),
 		start:    ev.State,
 	}
 	if s.cw != nil {
-		sp.chrome = s.cw.begin(sp.node.label, phase.String(), ev.State.Cycles)
+		sp.chrome = s.cw.begin(sp.node.label, r.Opens.String(), ev.State.Cycles)
 	}
 	s.stack = append(s.stack, sp)
 	s.Spans++
 }
 
-// close pops the span opened by wantOpen. A mismatched close is a
-// stream error; recovery pops down to the nearest matching span if one
-// is open (closing the spans above it), and ignores the event
-// otherwise. endPhase maps the end tag for the error message.
-func (s *Stream) close(ev *Event, wantOpen core.Tag) {
+// close pops the span opened by the rule's opener. A closer whose
+// argument must match its opener's is checked against the top span
+// (a jit span that a bridge relinked may leave with any trace). A
+// mismatched close is a stream error; recovery pops down to the nearest
+// matching span if one is open (closing the spans above it), and
+// ignores the event otherwise.
+func (s *Stream) close(ev *Event, r *core.TagRule) {
+	if top := s.top(); r.MatchArg && top.openTag == r.Closes && !top.linked && ev.Arg != top.enterArg {
+		s.errorf("%s arg %d from an unlinked span does not match enter arg %d", r.Name, ev.Arg, top.enterArg)
+	}
 	idx := -1
 	for i := len(s.stack) - 1; i >= 1; i-- {
-		if s.stack[i].openTag == wantOpen {
+		if s.stack[i].openTag == r.Closes {
 			idx = i
 			break
 		}
 	}
 	top := len(s.stack) - 1
 	if idx == -1 {
-		s.errorf("%s with no matching open span (top is %s)", core.TagName(ev.Tag), s.stack[top].node.label)
+		s.errorf("%s with no matching open span (top is %s)", r.Name, s.stack[top].node.label)
 		return
 	}
 	if idx != top {
 		s.errorf("%s closes %s across %d still-open span(s), innermost %s",
-			core.TagName(ev.Tag), s.stack[idx].node.label, top-idx, s.stack[top].node.label)
+			r.Name, s.stack[idx].node.label, top-idx, s.stack[top].node.label)
 	}
 	for len(s.stack)-1 >= idx {
 		s.pop(&ev.State)
@@ -449,25 +342,17 @@ func (s *Stream) pop(at *State) {
 	s.stack = s.stack[:len(s.stack)-1]
 }
 
-// bridgeEnter relabels the open jit span's attribution to the bridge
+// relink relabels the open jit span's attribution to the bridge
 // (flamegraph frames are keyed phase→tier→trace-id, and time after a
 // bridge transfer belongs to the bridge until the next transfer) and
-// records the bridge ID as a legal jit_leave argument.
-func (s *Stream) bridgeEnter(ev *Event) {
-	s.checkEventPhase(maskJIT, "bridge_enter")
-	s.instant(ev, "bridge_enter")
+// frees the span's jit_leave argument.
+func (s *Stream) relink(ev *Event) {
 	top := s.top()
 	if top.openTag != core.TagJITEnter {
 		return
 	}
 	top.linked = true
 	top.node = s.child(s.stack[len(s.stack)-2].node, core.TagBridgeEnter, ev.Arg)
-}
-
-func (s *Stream) instant(ev *Event, name string) {
-	if s.cw != nil {
-		s.cw.instant(name, ev.State.Cycles, ev.Arg)
-	}
 }
 
 // Finish attributes the tail delta, verifies balance, closes any
