@@ -34,7 +34,8 @@ fmt:
 # one-allocation-per-guest-object guards of internal/heap and the string
 # runtime; and the per-cell budget (internal/harness: three fixed cells
 # under committed host-allocations-per-kinstr ceilings, measured number
-# printed on failure).
+# printed on failure); and the plain interpreter's fused dispatch and
+# primitive retire, which compute into the machine's own buffers.
 # The guards live in //go:build !race files — the race detector
 # allocates — so they run here, without -race.
 allocs:
@@ -44,14 +45,32 @@ allocs:
 # the trace executor, the interpreter machine and the heap: every emitter
 # holds the concrete *cpu.Machine so that the retire calls inline, and an
 # interface creeping back between them would show here first (DESIGN.md
-# "Executor"). go build replays the -m diagnostics from its cache.
+# "Executor"). It also holds the interpreter's fused dispatch to one call
+# per bytecode: the cache, BTB and gshare models inline into the fused
+# cpu.Machine entries, and the table-address helper and its reciprocal
+# modulus into DirectMachine.Dispatch (DESIGN.md "The interpreter's retire
+# path"). inlined FILE FUNC CALLEE finds CALLEE's inlining diagnostic
+# between the line of FILE that starts with FUNC and the next closing
+# brace. go build replays the -m diagnostics from its cache.
 inline:
-	@out="$$($(GO) build -gcflags=-m ./internal/mtjit ./internal/heap ./internal/aot 2>&1)"; \
+	@out="$$($(GO) build -gcflags=-m ./internal/cpu ./internal/mtjit ./internal/heap ./internal/aot 2>&1)"; \
 	for f in internal/mtjit/executor.go internal/mtjit/direct.go internal/heap/heap.go; do \
 		if ! echo "$$out" | grep -q "^$$f:.*inlining call to cpu.(\*Machine).Ops"; then \
 			echo "$$f: cpu.Machine.Ops is not inlined (is the retire path behind an interface again?)"; exit 1; \
 		fi; \
-	done
+	done; \
+	inlined() { \
+		echo "$$out" | awk -v f="$$1" -v h="$$2" -v c="inlining call to $$3" ' \
+			FNR == NR { if (index($$0, h) == 1) s = FNR; else if (s && !e && $$0 == "}") e = FNR; next } \
+			index($$0, f ":") == 1 && index($$0, c) { split($$0, p, ":"); if (p[2] >= s && p[2] <= e) ok = 1 } \
+			END { exit !ok }' "$$1" - || { echo "$$1: $$3 is not inlined into $$2...)"; exit 1; }; \
+	}; \
+	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*cache).access' && \
+	inlined internal/cpu/machine.go 'func (m *Machine) OpsLoads(' '(*cache).access' && \
+	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*btb).predict' && \
+	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*gshare).predict' && \
+	inlined internal/mtjit/direct.go 'func (m *DirectMachine) Dispatch(' '(*DirectMachine).tableAddr' && \
+	inlined internal/mtjit/direct.go 'func (m *DirectMachine) Dispatch(' 'divisor.mod'
 
 # results regenerates every table and figure and compares the output
 # byte for byte with the checked-in results.txt — the repo's first
@@ -131,7 +150,8 @@ serve:
 # (see internal/difftest). Divergences are minimized into
 # internal/difftest/testdata/fuzz and replayed by plain `go test`.
 # FuzzTraceDecode, FuzzRunRequest, FuzzDecodeResult (store payloads),
-# FuzzTraceparent and FuzzReqtraceQuery (the /debug/reqtrace query) fuzz
+# FuzzStoreVerify (the store's blob frame), FuzzTraceparent and
+# FuzzReqtraceQuery (the /debug/reqtrace query) fuzz
 # decoders of bytes that cross a process boundary: never panic, and what
 # is accepted is canonical.
 FUZZTIME ?= 30s
@@ -145,6 +165,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -fuzz=FuzzStoreVerify -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=$(FUZZTIME) ./internal/reqtrace
 	$(GO) test -fuzz=FuzzReqtraceQuery -fuzztime=$(FUZZTIME) ./internal/reqtrace
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -124,6 +125,56 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if again := res.Encode(); !bytes.Equal(again, payload) {
 			t.Fatalf("an accepted payload re-encodes differently:\n%x\n%x", payload, again)
+		}
+	})
+}
+
+// FuzzStoreVerify feeds arbitrary bytes to Store.verify, the check every
+// store read makes on a blob from disk (which another process, a crash or
+// a bad disk may have written), as a read for one fixed cell. verify may
+// not panic, and a blob it accepts must claim the requested cell and be
+// exactly what Put frames for the payload it returns. The seeds are the
+// pinned corpus: a valid blob, an empty payload's, and each way a blob is
+// refused.
+func FuzzStoreVerify(f *testing.F) {
+	want := IDOf(harness.Spec{Bench: "telco"})
+	other := IDOf(harness.Spec{Bench: "richards"})
+	valid := frame(want, sampleResult().Encode())
+	edit := func(i int, b byte) []byte {
+		blob := append([]byte(nil), valid...)
+		blob[i] = b
+		return blob
+	}
+	long := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint64(long[5+len(want):], 1<<40)
+	for _, seed := range [][]byte{
+		valid,
+		frame(want, nil),
+		nil,
+		[]byte(storeMagic),
+		valid[:len(valid)/2], // truncated
+		valid[:len(valid)-1],
+		edit(0, 'X'),                             // bad magic
+		edit(4, storeVersion-1),                  // old version: superseded
+		frame(other, []byte("payload")),          // another cell's blob
+		long,                                     // a length past the blob
+		append(append([]byte(nil), valid...), 0), // trailing byte
+		edit(len(valid)-1, valid[len(valid)-1]^1),    // CRC flip
+		edit(len(valid)/2, valid[len(valid)/2]^0x40), // payload flip
+	} {
+		f.Add(seed)
+	}
+	var s Store
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		payload, err := s.verify(want, blob)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(blob[5:5+len(want)], want[:]) {
+			t.Fatalf("an accepted blob claims cell %x, want %s", blob[5:5+len(want)], want.Short())
+		}
+		if again := frame(want, payload); !bytes.Equal(again, blob) {
+			t.Fatalf("an accepted blob re-frames differently:\n%x\n%x", blob, again)
 		}
 	})
 }

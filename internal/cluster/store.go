@@ -106,13 +106,7 @@ func (s *Store) Put(id CellID, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return fmt.Errorf("cluster: store put: %w", err)
 	}
-	blob := make([]byte, 0, len(storeMagic)+1+len(id)+8+len(payload)+4)
-	blob = append(blob, storeMagic...)
-	blob = append(blob, storeVersion)
-	blob = append(blob, id[:]...)
-	blob = binary.BigEndian.AppendUint64(blob, uint64(len(payload)))
-	blob = append(blob, payload...)
-	blob = binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	blob := frame(id, payload)
 	tmp := fmt.Sprintf("%s.tmp.%d.%d", final, os.Getpid(), s.seq.Add(1))
 	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 		return fmt.Errorf("cluster: store put: %w", err)
@@ -123,6 +117,18 @@ func (s *Store) Put(id CellID, payload []byte) error {
 	}
 	s.m.writes.Inc()
 	return nil
+}
+
+// frame returns the blob Put writes for a cell's payload, in the layout
+// storeMagic describes.
+func frame(id CellID, payload []byte) []byte {
+	blob := make([]byte, 0, len(storeMagic)+1+len(id)+8+len(payload)+4)
+	blob = append(blob, storeMagic...)
+	blob = append(blob, storeVersion)
+	blob = append(blob, id[:]...)
+	blob = binary.BigEndian.AppendUint64(blob, uint64(len(payload)))
+	blob = append(blob, payload...)
+	return binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
 }
 
 // Get returns the verified payload for a cell. A missing or

@@ -17,7 +17,7 @@ type cache struct {
 // divide. The panic guards against a caller bypassing normalization —
 // the pre-mask model silently aliased sets on non-power-of-two counts
 // and divided by zero when size < line.
-func newCache(size, line int) *cache {
+func newCache(size, line int) cache {
 	sets := size / line
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cpu: cache geometry not normalized (sets must be a nonzero power of two)")
@@ -26,7 +26,7 @@ func newCache(size, line int) *cache {
 	for 1<<sh < line {
 		sh++
 	}
-	return &cache{
+	return cache{
 		lines: make([]uint64, sets),
 		mask:  uint64(sets - 1),
 		shift: sh,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -191,6 +192,15 @@ func TestParamsNormalized(t *testing.T) {
 		n := p.Normalized()
 		if n.L2Line != 8 || n.L2Size != 128 {
 			t.Fatalf("got size %d line %d, want 128/8", n.L2Size, n.L2Line)
+		}
+	})
+	t.Run("predictor tables clamp", func(t *testing.T) {
+		p := DefaultParams()
+		p.GShareBits, p.BTBBits, p.HistoryBits = 40, MaxPredictorBits, 65
+		n := p.Normalized()
+		if n.GShareBits != MaxPredictorBits || n.BTBBits != MaxPredictorBits || n.HistoryBits != 64 {
+			t.Fatalf("got gshare %d btb %d history %d bits, want %d/%d/64",
+				n.GShareBits, n.BTBBits, n.HistoryBits, MaxPredictorBits, MaxPredictorBits)
 		}
 	})
 	t.Run("negative RAS depth clamps", func(t *testing.T) {
@@ -394,6 +404,174 @@ func TestOpsBranchMatchesOpsThenBranch(t *testing.T) {
 	}
 }
 
+// phaseFlipper is the dispatch observer of the fused-entry tests: it logs
+// the totals each annotation hands it and, on some annotations, switches
+// the machine's phase — as a phase tracker does — so a fused entry that
+// kept the pre-annotation phase would retire into the wrong counters. Its
+// choice depends only on the totals, so the fused and the split machine
+// flip alike while they agree.
+type phaseFlipper struct {
+	m   *Machine
+	log [][2]uint64
+}
+
+func (f *phaseFlipper) OnAnnotation(_ core.Annotation, instrs, cycles uint64) {
+	f.log = append(f.log, [2]uint64{instrs, cycles})
+	if instrs%3 == 0 {
+		f.m.SetPhase(core.Phase(cycles % uint64(core.NumPhases)))
+	}
+}
+
+// fusedPair is a machine for a fused entry and one for the split calls it
+// stands for, each with its own phaseFlipper on the dispatch tag.
+type fusedPair struct {
+	fused, split   *Machine
+	fusedF, splitF *phaseFlipper
+}
+
+func newFusedPair() *fusedPair {
+	p := &fusedPair{fused: NewDefault(), split: NewDefault()}
+	p.fusedF = &phaseFlipper{m: p.fused}
+	p.splitF = &phaseFlipper{m: p.split}
+	p.fused.Observe(p.fusedF, core.TagDispatch)
+	p.split.Observe(p.splitF, core.TagDispatch)
+	return p
+}
+
+// interleave makes the same random phase switch and other retire on both
+// machines, so the accumulators hold values whose low bits a reordering
+// would disturb and the models hold state the fused entry must continue.
+func (p *fusedPair) interleave(rng *rand.Rand) {
+	if rng.Intn(5) == 0 {
+		ph := core.Phase(rng.Intn(int(core.NumPhases)))
+		p.fused.SetPhase(ph)
+		p.split.SetPhase(ph)
+	}
+	switch rng.Intn(4) {
+	case 0:
+		addr := isa.RegionHeap + uint64(rng.Intn(1<<18))*8
+		p.fused.Load(addr)
+		p.split.Load(addr)
+	case 1:
+		pc, taken := isa.RegionVMText+uint64(rng.Intn(64))*4, rng.Intn(3) == 0
+		p.fused.Branch(pc, taken)
+		p.split.Branch(pc, taken)
+	case 2:
+		p.fused.Ops(isa.FPU, 1)
+		p.split.Ops(isa.FPU, 1)
+	}
+}
+
+// tableAddrs draws n load addresses from a small hot core and, one time in
+// eight, from a 2 MB region, so the loads hit L1, hit L2 and miss both.
+func tableAddrs(rng *rand.Rand, n int) []uint64 {
+	loads := make([]uint64, n)
+	for i := range loads {
+		span := 16 << 10
+		if rng.Intn(8) == 0 {
+			span = 2 << 20
+		}
+		loads[i] = isa.RegionVMText + uint64(rng.Intn(span))&^7
+	}
+	return loads
+}
+
+// check fails unless the two machines agree to the bit: every counter of
+// every phase, both running totals, every model's state and the totals
+// the dispatch observer was handed.
+func (p *fusedPair) check(t *testing.T, seq int) {
+	t.Helper()
+	f, s := p.fused, p.split
+	if f.TotalCycles() != s.TotalCycles() || f.TotalInstrs() != s.TotalInstrs() {
+		t.Fatalf("sequence %d: running totals diverge: %v/%d fused, %v/%d split", seq,
+			f.TotalCycles(), f.TotalInstrs(), s.TotalCycles(), s.TotalInstrs())
+	}
+	for _, ph := range core.AllPhases() {
+		if fc, sc := f.PhaseCounters(ph), s.PhaseCounters(ph); fc != sc {
+			t.Fatalf("sequence %d, phase %s:\nfused %+v\nsplit %+v", seq, ph, fc, sc)
+		}
+	}
+	if f.Phase() != s.Phase() {
+		t.Fatalf("sequence %d: phase %s fused, %s split", seq, f.Phase(), s.Phase())
+	}
+	if !reflect.DeepEqual(f.bp, s.bp) || !reflect.DeepEqual(f.btb, s.btb) ||
+		!reflect.DeepEqual(f.l1, s.l1) || !reflect.DeepEqual(f.l2, s.l2) {
+		t.Fatalf("sequence %d: predictor or cache state diverges", seq)
+	}
+	if !slices.Equal(p.fusedF.log, p.splitF.log) {
+		t.Fatalf("sequence %d: observer saw %v fused, %v split", seq, p.fusedF.log, p.splitF.log)
+	}
+}
+
+// TestDispatchMatchesSplit: the fused dispatch retire is Annot, Ops, the
+// loads, Indirect and the branches bit for bit, with an observer on the
+// dispatch tag that switches the phase mid-dispatch. Equality is exact,
+// for the reason TestOpsBranchMatchesOpsThenBranch gives.
+func TestDispatchMatchesSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	flips, empty := 0, 0
+	for seq := 0; seq < 1000; seq++ {
+		p := newFusedPair()
+		for i := 0; i < 30; i++ {
+			p.interleave(rng)
+			alu := rng.Intn(15)
+			loads := tableAddrs(rng, rng.Intn(6))
+			site := isa.RegionVMText + uint64(rng.Intn(8))*64
+			target := isa.RegionVMText + 0x1000 + uint64(rng.Intn(6))*16
+			brs := make([]CondBranch, rng.Intn(3))
+			for j := range brs {
+				brs[j] = CondBranch{PC: site + 4 + uint64(j)*4, Taken: rng.Intn(2) == 0}
+			}
+			if len(loads) == 0 && len(brs) == 0 {
+				empty++
+			}
+			before := p.split.Phase()
+			p.fused.Dispatch(alu, loads, site, target, brs)
+			p.split.Annot(core.TagDispatch, 1)
+			if p.split.Phase() != before {
+				flips++
+			}
+			p.split.Ops(isa.ALU, alu)
+			for _, a := range loads {
+				p.split.Load(a)
+			}
+			p.split.Indirect(site, target)
+			for _, b := range brs {
+				p.split.Branch(b.PC, b.Taken)
+			}
+		}
+		p.check(t, seq)
+	}
+	if flips == 0 || empty == 0 {
+		t.Fatalf("the sequences never exercised a phase switch by the observer (%d) or an empty dispatch (%d)", flips, empty)
+	}
+}
+
+// TestOpsLoadsMatchesSplit is TestDispatchMatchesSplit for a primitive's
+// fused retire: Ops(isa.ALU, n) and then the loads, between dispatches
+// whose observer switches the phase.
+func TestOpsLoadsMatchesSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for seq := 0; seq < 1000; seq++ {
+		p := newFusedPair()
+		for i := 0; i < 30; i++ {
+			p.interleave(rng)
+			if rng.Intn(3) == 0 {
+				p.fused.Annot(core.TagDispatch, 1)
+				p.split.Annot(core.TagDispatch, 1)
+			}
+			n := rng.Intn(8)
+			loads := tableAddrs(rng, rng.Intn(4))
+			p.fused.OpsLoads(n, loads)
+			p.split.Ops(isa.ALU, n)
+			for _, a := range loads {
+				p.split.Load(a)
+			}
+		}
+		p.check(t, seq)
+	}
+}
+
 // recorder is an observer that logs what it is handed under its name.
 type recorder struct {
 	name string
@@ -448,3 +626,36 @@ func TestObserveRoutesByTag(t *testing.T) {
 		t.Errorf("%d nops retired for 6 annotations", got)
 	}
 }
+
+// BenchmarkMachineDispatch retires the framework interpreter's dispatch
+// shape (13 ALU ops, 5 table loads, the indirect jump, 2 extra branches)
+// through the fused entry, with one observer on the dispatch tag. The
+// loads mostly hit a hot 16 KB core and sometimes walk 1.5 MB, as the
+// interpreter's table loads do.
+func BenchmarkMachineDispatch(b *testing.B) {
+	m := NewDefault()
+	m.Observe(nopObserver{}, core.TagDispatch)
+	rng := rand.New(rand.NewSource(1))
+	var addrs [1024]uint64
+	for i := range addrs {
+		if rng.Intn(16) == 0 {
+			addrs[i] = uint64(rng.Intn(1536<<10)) &^ 7
+		} else {
+			addrs[i] = uint64(rng.Intn(16<<10)) &^ 7
+		}
+	}
+	brs := make([]CondBranch, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % (len(addrs) - 5)
+		target := uint64(i%37) * 64
+		for j := range brs {
+			brs[j] = CondBranch{PC: 0x1004 + uint64(j)*4, Taken: (target>>uint(j+3))&1 == 0}
+		}
+		m.Dispatch(13, addrs[k:k+5], 0x1000, target, brs)
+	}
+}
+
+type nopObserver struct{}
+
+func (nopObserver) OnAnnotation(core.Annotation, uint64, uint64) {}

@@ -105,11 +105,13 @@ type Machine struct {
 	totInstrs uint64
 	totCycles float64
 
-	bp  *gshare
-	btb *btb
-	ras *ras
-	l1  *cache
-	l2  *cache
+	// The predictor and cache models are held by value: a retire reaches
+	// their tables through m, without a pointer load per model.
+	bp  gshare
+	btb btb
+	ras ras
+	l1  cache
+	l2  cache
 
 	// byTag[t] lists, in registration order, the observers that receive
 	// annotations tagged t; all lists the observers registered for every
@@ -329,6 +331,128 @@ func (m *Machine) OpsBranch(n int, pc uint64, taken bool) {
 	d.Cycles += cyc
 	m.totInstrs += un + 1
 	m.totCycles += cyc
+}
+
+// CondBranch is one conditional branch of a Dispatch: its pc and outcome.
+type CondBranch struct {
+	PC    uint64
+	Taken bool
+}
+
+// Dispatch retires one bytecode dispatch of an interpreter in one call:
+//
+//	Annot(core.TagDispatch, 1)
+//	Ops(isa.ALU, alu)
+//	Load(a) for each a in loads
+//	Indirect(site, target)
+//	Branch(b.PC, b.Taken) for each b in brs
+//
+// to the bit, as OpsBranch is to its pair. The annotation retires and
+// reaches its observers first, and the phase is read again after them
+// (an observer may SetPhase). The rest keeps the phase's Cycles and the
+// running total in locals but adds each retire's cycles to both in the
+// split calls' order, because float64 accumulation of the non-dyadic
+// issue costs is order-sensitive and the totals feed every result.
+func (m *Machine) Dispatch(alu int, loads []uint64, site, target uint64, brs []CondBranch) {
+	d := m.cur
+	d.Instrs++
+	d.ClassCounts[isa.Nop]++
+	cyc := m.p.IssueCost[isa.Nop]
+	d.Cycles += cyc
+	m.totInstrs++
+	m.totCycles += cyc
+	if obs := m.byTag[core.TagDispatch]; len(obs) != 0 {
+		a, instrs, cycles := core.Annotation{Tag: core.TagDispatch, Arg: 1}, m.totInstrs, uint64(m.totCycles)
+		for _, o := range obs {
+			o.OnAnnotation(a, instrs, cycles)
+		}
+	}
+
+	d = m.cur
+	nb := uint64(len(brs))
+	d.ClassCounts[isa.IndirectJump]++
+	d.IndBr++
+	d.ClassCounts[isa.Branch] += nb
+	d.CondBr += nb
+	// The ALU ops and the loads, as in OpsLoads. Written out rather than
+	// called: the call and the spills around it cost the fused dispatch a
+	// tenth of its host time.
+	un, nl := uint64(alu), uint64(len(loads))
+	d.Instrs += un + nl
+	d.ClassCounts[isa.ALU] += un
+	d.ClassCounts[isa.Load] += nl
+	d.Loads += nl
+	m.totInstrs += un + nl
+	cyc = m.p.IssueCost[isa.ALU] * float64(alu)
+	dc, tc := d.Cycles+cyc, m.totCycles+cyc
+	hit := m.p.IssueCost[isa.Load] + m.p.LoadUseStall
+	for _, a := range loads {
+		cyc = hit
+		if !m.l1.access(a) {
+			d.L1Miss++
+			if m.l2.access(a) {
+				cyc += m.p.L1MissPenalty
+			} else {
+				d.L2Miss++
+				cyc += m.p.L1MissPenalty + m.p.L2MissPenalty
+			}
+		}
+		dc += cyc
+		tc += cyc
+	}
+	cyc = m.p.IssueCost[isa.IndirectJump]
+	if !m.btb.predict(site, target) {
+		d.IndMiss++
+		cyc += m.p.MispredictPenalty
+	}
+	dc += cyc
+	tc += cyc
+	for _, b := range brs {
+		cyc = m.p.IssueCost[isa.Branch]
+		if !m.bp.predict(b.PC, b.Taken) {
+			d.CondMiss++
+			cyc += m.p.MispredictPenalty
+		}
+		dc += cyc
+		tc += cyc
+	}
+	d.Instrs += 1 + nb
+	m.totInstrs += 1 + nb
+	d.Cycles = dc
+	m.totCycles = tc
+}
+
+// OpsLoads retires n ALU instructions and then one load at each address
+// of loads — an interpreter primitive's tag tests and table loads — in
+// one call. It is Ops(isa.ALU, n) followed by Load(a) for each a, to the
+// bit, as Dispatch is to its split calls.
+func (m *Machine) OpsLoads(n int, loads []uint64) {
+	d := m.cur
+	un, nl := uint64(n), uint64(len(loads))
+	d.Instrs += un + nl
+	d.ClassCounts[isa.ALU] += un
+	d.ClassCounts[isa.Load] += nl
+	d.Loads += nl
+	m.totInstrs += un + nl
+	cyc := m.p.IssueCost[isa.ALU] * float64(n)
+	dc, tc := d.Cycles+cyc, m.totCycles+cyc
+	hit := m.p.IssueCost[isa.Load] + m.p.LoadUseStall
+	for _, a := range loads {
+		cyc = hit
+		if !m.l1.access(a) {
+			d.L1Miss++
+			if m.l2.access(a) {
+				cyc += m.p.L1MissPenalty
+			} else {
+				d.L2Miss++
+				cyc += m.p.L1MissPenalty + m.p.L2MissPenalty
+			}
+		}
+		dc += cyc
+		tc += cyc
+	}
+	d.Cycles = dc
+	m.totCycles = tc
 }
 
 // Indirect retires an indirect jump at pc to target (interpreter

@@ -262,3 +262,24 @@ func TestStaticPredictorWorse(t *testing.T) {
 			dyn.Total().CondMiss, sta.Total().CondMiss)
 	}
 }
+
+// TestNewClampsPredictorGeometry: a machine asked for 64-bit predictor
+// tables and a 100-bit history is built at MaxPredictorBits and 64 and
+// runs. Unclamped, 1<<64 entries wrap to an empty table and the first
+// branch panics with an index out of range.
+func TestNewClampsPredictorGeometry(t *testing.T) {
+	p := DefaultParams()
+	p.GShareBits, p.HistoryBits, p.BTBBits = 64, 100, 64
+	m := New(p)
+	for i := 0; i < 1000; i++ {
+		m.Branch(isa.RegionVMText+uint64(i%17)*4, i%3 == 0)
+		m.Indirect(isa.RegionVMText+0x100, isa.RegionVMText+uint64(i%5)*64)
+	}
+	if got := m.Params(); got.GShareBits != MaxPredictorBits || got.BTBBits != MaxPredictorBits || got.HistoryBits != 64 {
+		t.Fatalf("modeled geometry: gshare %d btb %d history %d bits, want %d/%d/64",
+			got.GShareBits, got.BTBBits, got.HistoryBits, MaxPredictorBits, MaxPredictorBits)
+	}
+	if tot := m.Total(); tot.CondBr != 1000 || tot.IndBr != 1000 || tot.CondMiss == 0 || tot.CondMiss == 1000 {
+		t.Fatalf("clamped predictor retired %+v", tot)
+	}
+}

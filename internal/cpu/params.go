@@ -38,7 +38,8 @@ type Params struct {
 	L1MissPenalty float64
 	L2MissPenalty float64
 
-	// Branch predictor geometry.
+	// Branch predictor geometry. Normalized clamps the table sizes to
+	// MaxPredictorBits and the history to 64 bits.
 	GShareBits  uint // log2 of pattern-history-table entries
 	HistoryBits uint // global-history length
 	BTBBits     uint // log2 of BTB entries (indirect branches)
@@ -87,6 +88,13 @@ func DefaultParams() Params {
 	return p
 }
 
+// MaxPredictorBits is the largest GShareBits and BTBBits the model
+// builds: 2^20 pattern-history counters (1 MiB) and 2^20 BTB entries
+// (16 MiB of host memory), far beyond any real predictor. A larger
+// request would ask for terabytes, and at 64 bits the table size wraps
+// to zero entries.
+const MaxPredictorBits = 20
+
 // Normalized returns p with its geometry rounded to the nearest
 // configuration the model can actually represent:
 //
@@ -94,7 +102,9 @@ func DefaultParams() Params {
 //   - cache sizes are rounded up so the set count (size/line) is a
 //     nonzero power of two, which lets the cache index with a mask and
 //     removes the divide-by-zero when size < line;
-//   - a negative RAS depth is clamped to zero (no return prediction).
+//   - a negative RAS depth is clamped to zero (no return prediction);
+//   - GShareBits and BTBBits are clamped to MaxPredictorBits, and
+//     HistoryBits to 64, the width of the history register.
 //
 // cpu.New normalizes its Params, so Machine.Params always reports the
 // geometry actually modeled. Already-valid parameters (including every
@@ -106,6 +116,9 @@ func (p Params) Normalized() Params {
 	if p.RASDepth < 0 {
 		p.RASDepth = 0
 	}
+	p.GShareBits = min(p.GShareBits, MaxPredictorBits)
+	p.BTBBits = min(p.BTBBits, MaxPredictorBits)
+	p.HistoryBits = min(p.HistoryBits, 64)
 	return p
 }
 

@@ -1,22 +1,27 @@
 package cpu
 
 // gshare is a global-history two-bit-counter conditional branch predictor.
-// When bits == 0 it degrades to static predict-not-taken.
+// When bits == 0 it degrades to static predict-not-taken: one counter,
+// pinned at 0 by an all-zero transition table, so the static and the
+// dynamic predictor run the same branch-free update.
 type gshare struct {
 	table   []uint8 // 2-bit saturating counters
 	history uint64
 	mask    uint64
 	hmask   uint64
-	static_ bool
+	// next[taken][ctr] is a counter's value after an outcome.
+	next [2][4]uint8
 }
 
-func newGShare(bits, history uint) *gshare {
-	g := &gshare{}
+// saturate is the two-bit counter's transition table: down on not
+// taken, up on taken, saturating at 0 and 3.
+var saturate = [2][4]uint8{{0, 0, 1, 2}, {1, 2, 3, 3}}
+
+func newGShare(bits, history uint) gshare {
 	if bits == 0 {
-		g.static_ = true
-		return g
+		return gshare{table: make([]uint8, 1)}
 	}
-	g.table = make([]uint8, 1<<bits)
+	g := gshare{table: make([]uint8, 1<<bits), next: saturate}
 	for i := range g.table {
 		g.table[i] = 1 // weakly not-taken
 	}
@@ -28,21 +33,12 @@ func newGShare(bits, history uint) *gshare {
 // predict returns the prediction for the branch at pc and updates state
 // with the actual outcome, reporting whether the prediction was correct.
 func (g *gshare) predict(pc uint64, taken bool) (correct bool) {
-	if g.static_ {
-		return !taken
-	}
-	idx := ((pc >> 2) ^ g.history) & g.mask
-	ctr := g.table[idx]
-	pred := ctr >= 2
-	if taken {
-		if ctr < 3 {
-			g.table[idx] = ctr + 1
-		}
-	} else if ctr > 0 {
-		g.table[idx] = ctr - 1
-	}
-	g.history = ((g.history << 1) | b2u(taken)) & g.hmask
-	return pred == taken
+	t := b2u(taken)
+	ctr := &g.table[((pc>>2)^g.history)&g.mask]
+	c := *ctr
+	*ctr = g.next[t][c&3]
+	g.history = ((g.history << 1) | t) & g.hmask
+	return (c >= 2) == taken
 }
 
 func b2u(b bool) uint64 {
@@ -53,29 +49,26 @@ func b2u(b bool) uint64 {
 }
 
 // btb is a direct-mapped branch target buffer predicting indirect-branch
-// targets by last target seen.
+// targets by last target seen. An entry keeps its tag beside its target,
+// so a prediction touches one host cache line, not two.
 type btb struct {
-	tags    []uint64
-	targets []uint64
+	entries []btbEntry
 	mask    uint64
 }
 
-func newBTB(bits uint) *btb {
+type btbEntry struct{ tag, target uint64 }
+
+func newBTB(bits uint) btb {
 	n := 1 << bits
-	return &btb{
-		tags:    make([]uint64, n),
-		targets: make([]uint64, n),
-		mask:    uint64(n - 1),
-	}
+	return btb{entries: make([]btbEntry, n), mask: uint64(n - 1)}
 }
 
 // predict looks up pc, reports whether the stored target matches the actual
 // target, and updates the entry.
 func (b *btb) predict(pc, target uint64) (correct bool) {
-	idx := (pc >> 2) & b.mask
-	correct = b.tags[idx] == pc && b.targets[idx] == target
-	b.tags[idx] = pc
-	b.targets[idx] = target
+	e := &b.entries[(pc>>2)&b.mask]
+	correct = e.tag == pc && e.target == target
+	e.tag, e.target = pc, target
 	return correct
 }
 
@@ -90,11 +83,11 @@ type ras struct {
 	n    int // live entries, <= len(buf)
 }
 
-func newRAS(depth int) *ras {
+func newRAS(depth int) ras {
 	if depth < 0 {
 		depth = 0
 	}
-	return &ras{buf: make([]uint64, depth)}
+	return ras{buf: make([]uint64, depth)}
 }
 
 func (r *ras) push(addr uint64) {

@@ -2,7 +2,10 @@ package difftest
 
 import (
 	"encoding/binary"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,6 +17,52 @@ func seedBytes(i uint64) []byte {
 	return b[:]
 }
 
+// runCorpus runs the oracle over the programs gen makes for seeds
+// 0..n-1 on GOMAXPROCS workers — the runs share nothing (DESIGN.md §8) —
+// and returns each seed's outcomes in seed order. Workers take seeds in
+// order and stop taking them after a failure, so every seed below a
+// failing one has run: the lowest failing seed fails the test, with its
+// program, as a serial walk would report it.
+func runCorpus(t *testing.T, n int, scheme bool, gen func(seed uint64) string) [][]*Outcome {
+	t.Helper()
+	type run struct {
+		src  string
+		outs []*Outcome
+		err  error
+	}
+	runs := make([]run, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				src := gen(uint64(i))
+				outs, err := RunMatrix(src, scheme)
+				runs[i] = run{src, outs, err}
+				if err != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	all := make([][]*Outcome, n)
+	for i, r := range runs {
+		if r.err != nil {
+			t.Fatalf("seed %d: %v\nprogram:\n%s", i, r.err, r.src)
+		}
+		all[i] = r.outs
+	}
+	return all
+}
+
 // TestPylangCorpus cross-checks seeded random pylang programs under the
 // full configuration matrix.
 func TestPylangCorpus(t *testing.T) {
@@ -22,12 +71,7 @@ func TestPylangCorpus(t *testing.T) {
 		n = 50
 	}
 	jitEngaged, tierEngaged := 0, 0
-	for i := 0; i < n; i++ {
-		src := GenPylang(seedBytes(uint64(i)))
-		outs, err := RunMatrix(src, false)
-		if err != nil {
-			t.Fatalf("seed %d: %v\nprogram:\n%s", i, err, src)
-		}
+	for _, outs := range runCorpus(t, n, false, func(seed uint64) string { return GenPylang(seedBytes(seed)) }) {
 		jit, tier := false, false
 		for _, o := range outs {
 			jit = jit || o.Stats.LoopsCompiled > 0
@@ -59,12 +103,7 @@ func TestSklangCorpus(t *testing.T) {
 		n = 25
 	}
 	jitEngaged := 0
-	for i := 0; i < n; i++ {
-		src := GenSklang(seedBytes(uint64(i) | 1<<32))
-		outs, err := RunMatrix(src, true)
-		if err != nil {
-			t.Fatalf("seed %d: %v\nprogram:\n%s", i, err, src)
-		}
+	for _, outs := range runCorpus(t, n, true, func(seed uint64) string { return GenSklang(seedBytes(seed | 1<<32)) }) {
 		for _, o := range outs {
 			if o.Stats.LoopsCompiled > 0 {
 				jitEngaged++

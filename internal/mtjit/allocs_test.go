@@ -8,6 +8,8 @@ import (
 	"metajit/internal/aot"
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
+	"metajit/internal/isa"
+	"metajit/internal/pintool"
 )
 
 // TestCallAOTDoesNotAllocate: a residual call from the plain interpreter,
@@ -38,6 +40,32 @@ func TestCallAOTDoesNotAllocate(t *testing.T) {
 	}
 	if total != 201*(0+1+3+6) {
 		t.Errorf("sum of results = %d", total)
+	}
+}
+
+// TestDirectDispatchDoesNotAllocate: the plain interpreter's dispatch and
+// a primitive compute their table-load addresses and extra branches into
+// the machine's own buffers and retire them through one fused cpu.Machine
+// call each, with a dispatch observer attached.
+func TestDirectDispatchDoesNotAllocate(t *testing.T) {
+	mach := cpu.NewDefault()
+	pintool.NewWorkMeter(mach, 0)
+	rt := aot.NewRuntime(heap.New(mach, heap.DefaultConfig()))
+	for _, p := range []*CostProfile{ReferenceProfile(), FrameworkProfile(), CustomVMProfile()} {
+		m := NewDirectMachine(rt, p)
+		a, b := Concrete(heap.IntVal(3)), Concrete(heap.IntVal(4))
+		site, sum := uint64(0), int64(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			site += 64
+			m.Dispatch(isa.RegionVMText+site%4096, isa.RegionVMText+0x1000+site%640)
+			sum += m.IntAdd(a, b).V.I
+		})
+		if allocs != 0 {
+			t.Errorf("%s: dispatch + primitive: %v host allocations per round, want 0", p.Name, allocs)
+		}
+		if sum != 201*7 {
+			t.Errorf("%s: sum of results = %d", p.Name, sum)
+		}
 	}
 }
 

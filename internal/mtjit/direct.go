@@ -1,6 +1,8 @@
 package mtjit
 
 import (
+	"math/bits"
+
 	"metajit/internal/aot"
 	"metajit/internal/core"
 	"metajit/internal/cpu"
@@ -19,6 +21,18 @@ type DirectMachine struct {
 	P  *CostProfile
 
 	dispatchSeq uint64
+
+	// foot reduces table-load hashes modulo P.Footprint, and addrs and
+	// brs are the buffers a dispatch or primitive computes its table-load
+	// addresses and extra branches into before retiring them in one call.
+	// All three are sized from P when the machine is built. addrBuf and
+	// brBuf back the buffers for every shipped profile, so that building
+	// a machine, which every trace recording does, is one allocation.
+	foot    divisor
+	addrs   []uint64
+	brs     []cpu.CondBranch
+	addrBuf [8]uint64
+	brBuf   [2]cpu.CondBranch
 
 	// Per-profile instruction mixes, precomputed so the hottest
 	// fixed-shape overheads retire through one Block call each. Held per
@@ -41,16 +55,29 @@ var _ Machine = (*DirectMachine)(nil)
 var guestReturnBlock = isa.NewBlock(isa.CC(isa.ALU, 2), isa.CC(isa.Load, 2))
 
 // NewDirectMachine returns a machine over the given heap/runtime with the
-// given cost profile.
+// given cost profile, which must have a footprint.
 func NewDirectMachine(rt *aot.Runtime, p *CostProfile) *DirectMachine {
-	return &DirectMachine{
+	if p.Footprint == 0 {
+		panic("mtjit: cost profile " + p.Name + " has no footprint")
+	}
+	m := &DirectMachine{
 		H: rt.H, RT: rt, S: rt.H.Stream(), P: p,
+		foot: newDivisor(p.Footprint),
 		callBlock: isa.NewBlock(isa.CC(isa.ALU, p.CallALU),
 			isa.CC(isa.Load, p.CallLoads), isa.CC(isa.Store, p.CallStores)),
 		faddBlock: isa.NewBlock(isa.CC(isa.ALU, p.PrimALU), isa.CC(isa.FPU, 1)),
 		fmulBlock: isa.NewBlock(isa.CC(isa.ALU, p.PrimALU), isa.CC(isa.FMul, 1)),
 		fdivBlock: isa.NewBlock(isa.CC(isa.ALU, p.PrimALU), isa.CC(isa.FDiv, 1)),
 	}
+	m.addrs, m.brs = m.addrBuf[:], m.brBuf[:]
+	if n := max(p.DispatchLoads, p.PrimLoads); n > len(m.addrs) {
+		m.addrs = make([]uint64, n)
+	}
+	if p.DispatchXtraBr > len(m.brs) {
+		m.brs = make([]cpu.CondBranch, p.DispatchXtraBr)
+	}
+	m.brs = m.brs[:p.DispatchXtraBr]
+	return m
 }
 
 // Heap implements Machine.
@@ -62,14 +89,10 @@ func (m *DirectMachine) Runtime() *aot.Runtime { return m.RT }
 // Tracing implements Machine.
 func (m *DirectMachine) Tracing() bool { return false }
 
-// tableLoad emits one load into the interpreter's working set: larger
-// footprints (translated interpreters) miss the caches, which is where
-// the reference-vs-framework IPC gap comes from.
-func (m *DirectMachine) tableLoad(salt uint64) {
-	if m.P.Footprint == 0 {
-		m.S.Ops(isa.Load, 1)
-		return
-	}
+// tableAddr returns the address of one load into the interpreter's
+// working set: larger footprints (translated interpreters) miss the
+// caches, which is where the reference-vs-framework IPC gap comes from.
+func (m *DirectMachine) tableAddr(salt uint64) uint64 {
 	// Interpreter tables have strong locality: most accesses hit a hot
 	// core, a fraction walks the full working set.
 	h := salt * 0x9E3779B97F4A7C15
@@ -78,35 +101,54 @@ func (m *DirectMachine) tableLoad(salt uint64) {
 	if h%16 != 0 {
 		addr = base + (h>>32)%(16<<10)
 	} else {
-		addr = base + (h>>16)%m.P.Footprint
+		addr = base + m.foot.mod(h>>16)
 	}
-	m.S.Load(addr &^ 7)
+	return addr &^ 7
 }
 
 // Dispatch implements Machine: the fetch/decode/dispatch cost of one
-// bytecode, including the hard-to-predict indirect handler jump.
+// bytecode, including the hard-to-predict indirect handler jump, retired
+// through one cpu.Machine.Dispatch.
 func (m *DirectMachine) Dispatch(site uint64, target uint64) {
-	m.S.Annot(core.TagDispatch, 1)
-	m.S.Ops(isa.ALU, m.P.DispatchALU)
-	for i := 0; i < m.P.DispatchLoads; i++ {
-		m.tableLoad(target + uint64(i)*977)
+	loads := m.addrs[:m.P.DispatchLoads]
+	for i := range loads {
+		loads[i] = m.tableAddr(target + uint64(i)*977)
 	}
-	m.S.Indirect(site, target)
-	m.dispatchSeq++
-	for i := 0; i < m.P.DispatchXtraBr; i++ {
+	brs := m.brs
+	for i := range brs {
 		// Framework interpreters carry extra data-dependent branches
 		// per bytecode (jit bookkeeping, signal checks); their outcome
 		// pattern follows the bytecode stream.
-		m.S.Branch(site+4+uint64(i)*4, (target>>uint(i+3))&1 == 0)
+		brs[i] = cpu.CondBranch{PC: site + 4 + uint64(i)*4, Taken: (target>>uint(i+3))&1 == 0}
 	}
+	m.S.Dispatch(m.P.DispatchALU, loads, site, target, brs)
+	m.dispatchSeq++
 }
 
 func (m *DirectMachine) prim() {
-	m.S.Ops(isa.ALU, m.P.PrimALU)
-	for i := 0; i < m.P.PrimLoads; i++ {
+	loads := m.addrs[:m.P.PrimLoads]
+	for i := range loads {
 		m.dispatchSeq++
-		m.tableLoad(m.dispatchSeq*7 + uint64(i))
+		loads[i] = m.tableAddr(m.dispatchSeq*7 + uint64(i))
 	}
+	m.S.OpsLoads(m.P.PrimALU, loads)
+}
+
+// divisor reduces modulo a fixed d with one high multiply instead of a
+// divide. With r = floor((2^64-1)/d), the high word of x*r is x/d
+// rounded down or one less, so x minus that quotient times d is below
+// 2d and one conditional subtract makes it exactly x % d, for every x.
+type divisor struct{ d, r uint64 }
+
+func newDivisor(d uint64) divisor { return divisor{d: d, r: ^uint64(0) / d} }
+
+func (v divisor) mod(x uint64) uint64 {
+	q, _ := bits.Mul64(x, v.r)
+	x -= q * v.d
+	if x >= v.d {
+		x -= v.d
+	}
+	return x
 }
 
 // Const implements Machine.

@@ -65,7 +65,7 @@ type CostProfile struct {
 	// (handler tables, type tables): dispatch and primitive loads walk
 	// this region, so a translated interpreter's larger footprint costs
 	// real cache misses — the paper's explanation for the framework
-	// interpreter's lower IPC.
+	// interpreter's lower IPC. Every profile has one.
 	Footprint uint64
 
 	// Guest-call overhead (frame setup).

@@ -440,7 +440,7 @@ func (e *Engine) invalidateTierDeps(name string) {
 // the driver drains at the next bytecode boundary.
 //
 // Each tier gets its own TierMachine, hence its own DirectMachine:
-// dispatchSeq is per-instance state that feeds tableLoad addresses, so
+// dispatchSeq is per-instance state that feeds tableAddr addresses, so
 // two tiers sharing one instance would see each other's cache traffic.
 type TierMachine struct {
 	*DirectMachine

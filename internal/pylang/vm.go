@@ -333,7 +333,13 @@ func (vm *VM) run(base int) heap.Value {
 			vm.tierMach[c.Tier].BeginOp(f.PC)
 			site = c.SitePC(f.PC)
 		}
-		m.Dispatch(site, HandlerPC(in.Op))
+		if d, ok := m.(*mtjit.DirectMachine); ok {
+			// The plain interpreter's dispatch, called on the concrete
+			// machine rather than through the interface.
+			d.Dispatch(site, HandlerPC(in.Op))
+		} else {
+			m.Dispatch(site, HandlerPC(in.Op))
+		}
 		f.PC++
 
 		switch in.Op {
