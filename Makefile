@@ -34,27 +34,31 @@ fmt:
 # one-allocation-per-guest-object guards of internal/heap and the string
 # runtime; and the per-cell budget (internal/harness: three fixed cells
 # under committed host-allocations-per-kinstr ceilings, measured number
-# printed on failure); and the plain interpreter's fused dispatch and
-# primitive retire, which compute into the machine's own buffers.
+# printed on failure); the plain interpreter's fused dispatch and
+# primitive retire, which compute into the machine's own buffers; and
+# pylang's plain value handlers on the one concrete guest machine.
 # The guards live in //go:build !race files — the race detector
 # allocates — so they run here, without -race.
 allocs:
 	$(GO) test -run 'DoesNotAllocate|Aliasing' ./internal/mtjit/ ./internal/pylang/ ./internal/heap/ ./internal/aot/ ./internal/harness/ ./internal/cluster/
 
 # inline fails unless the compiler reports cpu.Machine.Ops inlined into
-# the trace executor, the interpreter machine and the heap: every emitter
+# the trace executor, the guest machine and the heap: every emitter
 # holds the concrete *cpu.Machine so that the retire calls inline, and an
 # interface creeping back between them would show here first (DESIGN.md
 # "Executor"). It also holds the interpreter's fused dispatch to one call
 # per bytecode: the cache, BTB and gshare models inline into the fused
 # cpu.Machine entries, and the table-address helper and its reciprocal
-# modulus into DirectMachine.Dispatch (DESIGN.md "The interpreter's retire
-# path"). inlined FILE FUNC CALLEE finds CALLEE's inlining diagnostic
-# between the line of FILE that starts with FUNC and the next closing
-# brace. go build replays the -m diagnostics from its cache.
+# modulus into mtjit.Machine.Dispatch (DESIGN.md "The interpreter's
+# retire path"). And it holds the guest handlers to the one concrete
+# mtjit.Machine: its small operations, Const and KindOf, inline into
+# pylang's index, normIndex and classify, which no call through an
+# interface can. inlined FILE FUNC CALLEE finds CALLEE's inlining
+# diagnostic between the line of FILE that starts with FUNC and the next
+# closing brace. go build replays the -m diagnostics from its cache.
 inline:
-	@out="$$($(GO) build -gcflags=-m ./internal/cpu ./internal/mtjit ./internal/heap ./internal/aot 2>&1)"; \
-	for f in internal/mtjit/executor.go internal/mtjit/direct.go internal/heap/heap.go; do \
+	@out="$$($(GO) build -gcflags=-m ./internal/cpu ./internal/mtjit ./internal/heap ./internal/aot ./internal/pylang 2>&1)"; \
+	for f in internal/mtjit/executor.go internal/mtjit/machine.go internal/heap/heap.go; do \
 		if ! echo "$$out" | grep -q "^$$f:.*inlining call to cpu.(\*Machine).Ops"; then \
 			echo "$$f: cpu.Machine.Ops is not inlined (is the retire path behind an interface again?)"; exit 1; \
 		fi; \
@@ -69,8 +73,11 @@ inline:
 	inlined internal/cpu/machine.go 'func (m *Machine) OpsLoads(' '(*cache).access' && \
 	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*btb).predict' && \
 	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*gshare).predict' && \
-	inlined internal/mtjit/direct.go 'func (m *DirectMachine) Dispatch(' '(*DirectMachine).tableAddr' && \
-	inlined internal/mtjit/direct.go 'func (m *DirectMachine) Dispatch(' 'divisor.mod'
+	inlined internal/mtjit/machine.go 'func (m *Machine) Dispatch(' '(*DirectMachine).tableAddr' && \
+	inlined internal/mtjit/machine.go 'func (m *Machine) Dispatch(' 'divisor.mod' && \
+	inlined internal/pylang/ops.go 'func (vm *VM) normIndex(' 'mtjit.(*Machine).Const' && \
+	inlined internal/pylang/ops.go 'func (vm *VM) index(' 'mtjit.(*Machine).Const' && \
+	inlined internal/pylang/ops.go 'func (vm *VM) classify(' 'mtjit.(*Machine).KindOf'
 
 # results regenerates every table and figure and compares the output
 # byte for byte with the checked-in results.txt — the repo's first

@@ -92,7 +92,7 @@ func (rt *Runtime) HashValue(v heap.Value) uint64 {
 		rt.S.Ops(isa.ALU, 3)
 		// Integral floats hash like their integer value would not in
 		// this simplified model; bit hashing suffices for the guests.
-		return uint64(int64(v.F*4096)) * 0x9E3779B97F4A7C15
+		return uint64(int64(v.F()*4096)) * 0x9E3779B97F4A7C15
 	case heap.KindNil:
 		rt.S.Ops(isa.ALU, 1)
 		return 0x5bd1e995

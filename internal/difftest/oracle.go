@@ -273,7 +273,7 @@ func renderValue(vm *pylang.VM, v heap.Value) string {
 	case heap.KindInt:
 		return fmt.Sprintf("int:%d", v.I)
 	case heap.KindFloat:
-		return fmt.Sprintf("float:%x", v.F)
+		return fmt.Sprintf("float:%x", v.F())
 	case heap.KindRef:
 		return fmt.Sprintf("ref:%#x", vm.ValueChecksum(v))
 	}

@@ -11,7 +11,10 @@
 // to the work done (roots scanned, bytes copied, objects marked).
 package heap
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind discriminates Value representations.
 type Kind uint8
@@ -28,13 +31,18 @@ const (
 )
 
 // Value is the universal guest value representation used by every VM
-// configuration and by JIT-compiled traces.
+// configuration and by JIT-compiled traces. A float keeps its IEEE 754
+// bits in I, so a Value is three words and an mtjit.TV (a Value and its
+// trace ref) four: small enough for the Go compiler to keep in
+// registers rather than copy through memory on every handler call.
 type Value struct {
 	Kind Kind
 	I    int64
-	F    float64
 	O    *Obj
 }
+
+// F returns a float value's number.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // Convenience constructors.
 var (
@@ -49,7 +57,7 @@ var (
 func IntVal(i int64) Value { return Value{Kind: KindInt, I: i} }
 
 // FloatVal returns an unboxed guest float.
-func FloatVal(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func FloatVal(f float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(f))} }
 
 // BoolVal returns a guest boolean.
 func BoolVal(b bool) Value {
@@ -74,7 +82,7 @@ func (v Value) Truthy() bool {
 	case KindBool, KindInt:
 		return v.I != 0
 	case KindFloat:
-		return v.F != 0
+		return v.F() != 0
 	default:
 		return true
 	}
@@ -93,7 +101,7 @@ func (v Value) String() string {
 	case KindInt:
 		return fmt.Sprintf("%d", v.I)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.F())
 	case KindRef:
 		if v.O == nil {
 			return "ref<nil>"
@@ -115,7 +123,7 @@ func (v Value) Eq(o Value) bool {
 	case KindBool, KindInt:
 		return v.I == o.I
 	case KindFloat:
-		return v.F == o.F
+		return v.F() == o.F()
 	case KindRef:
 		return v.O == o.O
 	}

@@ -12,14 +12,14 @@ import (
 	"metajit/internal/pintool"
 )
 
-// TestCallAOTDoesNotAllocate: a residual call from the plain interpreter,
-// made through the Machine interface the guests use, marshals its
-// arguments on the machine's value stack.
+// TestCallAOTDoesNotAllocate: a residual call from the plain interpreter
+// marshals its arguments on the machine's value stack, and the variadic
+// argument slice stays on the caller's stack.
 func TestCallAOTDoesNotAllocate(t *testing.T) {
 	mach := cpu.NewDefault()
 	rt := aot.NewRuntime(heap.New(mach, heap.DefaultConfig()))
 	fn := rt.Register("test.sum", aot.SrcIntrinsic)
-	var m Machine = NewDirectMachine(rt, FrameworkProfile())
+	m := NewMachine(rt, FrameworkProfile())
 	sum := func(args []heap.Value) heap.Value {
 		s := int64(0)
 		for _, a := range args {
@@ -31,9 +31,9 @@ func TestCallAOTDoesNotAllocate(t *testing.T) {
 	total := int64(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		total += m.CallAOT(fn, sum).V.I
-		total += m.CallAOT1(fn, sum, a).V.I
-		total += m.CallAOT2(fn, sum, a, b).V.I
-		total += m.CallAOT3(fn, sum, a, b, c).V.I
+		total += m.CallAOT(fn, sum, a).V.I
+		total += m.CallAOT(fn, sum, a, b).V.I
+		total += m.CallAOT(fn, sum, a, b, c).V.I
 	})
 	if allocs != 0 {
 		t.Errorf("CallAOT with 0-3 args: %v host allocations per round, want 0", allocs)
@@ -52,7 +52,7 @@ func TestDirectDispatchDoesNotAllocate(t *testing.T) {
 	pintool.NewWorkMeter(mach, 0)
 	rt := aot.NewRuntime(heap.New(mach, heap.DefaultConfig()))
 	for _, p := range []*CostProfile{ReferenceProfile(), FrameworkProfile(), CustomVMProfile()} {
-		m := NewDirectMachine(rt, p)
+		m := NewMachine(rt, p)
 		a, b := Concrete(heap.IntVal(3)), Concrete(heap.IntVal(4))
 		site, sum := uint64(0), int64(0)
 		allocs := testing.AllocsPerRun(200, func() {

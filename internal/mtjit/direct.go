@@ -4,18 +4,19 @@ import (
 	"math/bits"
 
 	"metajit/internal/aot"
-	"metajit/internal/core"
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/isa"
 )
 
-// DirectMachine executes guest operations concretely and emits the
-// interpreter's cost into the instruction stream according to its
-// CostProfile. It implements plain interpretation for both the reference
-// VM (CPython analog) and the framework VM with the JIT off or cold.
+// DirectMachine prices plain execution: it emits the interpreter's
+// per-bytecode dispatch, per-primitive overhead, residual-call and
+// guest-call costs into the instruction stream according to its
+// CostProfile. A Machine does each operation's plain work on the
+// DirectMachine of the code now running: the interpreter's (the
+// reference VM, or the framework VM with the JIT off or cold), a
+// resident lower tier's, or a recording's.
 type DirectMachine struct {
-	H  *heap.Heap
 	RT *aot.Runtime
 	S  *cpu.Machine
 	P  *CostProfile
@@ -43,25 +44,23 @@ type DirectMachine struct {
 	fmulBlock *isa.Block
 	fdivBlock *isa.Block
 
-	// vals is the residual-call value stack: CallAOT pushes the argument
+	// vals is the residual-call value stack: callAOT pushes the argument
 	// values, hands the thunk that window, and pops it. A thunk's args
 	// are valid only until it returns; one that keeps them copies.
 	vals []heap.Value
 }
 
-var _ Machine = (*DirectMachine)(nil)
-
 // guestReturnBlock is the fixed frame-teardown overhead of GuestReturn.
 var guestReturnBlock = isa.NewBlock(isa.CC(isa.ALU, 2), isa.CC(isa.Load, 2))
 
-// NewDirectMachine returns a machine over the given heap/runtime with the
-// given cost profile, which must have a footprint.
-func NewDirectMachine(rt *aot.Runtime, p *CostProfile) *DirectMachine {
+// newDirectMachine returns the pricing for the given cost profile, which
+// must have a footprint.
+func newDirectMachine(rt *aot.Runtime, p *CostProfile) *DirectMachine {
 	if p.Footprint == 0 {
 		panic("mtjit: cost profile " + p.Name + " has no footprint")
 	}
 	m := &DirectMachine{
-		H: rt.H, RT: rt, S: rt.H.Stream(), P: p,
+		RT: rt, S: rt.H.Stream(), P: p,
 		foot: newDivisor(p.Footprint),
 		callBlock: isa.NewBlock(isa.CC(isa.ALU, p.CallALU),
 			isa.CC(isa.Load, p.CallLoads), isa.CC(isa.Store, p.CallStores)),
@@ -80,15 +79,6 @@ func NewDirectMachine(rt *aot.Runtime, p *CostProfile) *DirectMachine {
 	return m
 }
 
-// Heap implements Machine.
-func (m *DirectMachine) Heap() *heap.Heap { return m.H }
-
-// Runtime implements Machine.
-func (m *DirectMachine) Runtime() *aot.Runtime { return m.RT }
-
-// Tracing implements Machine.
-func (m *DirectMachine) Tracing() bool { return false }
-
 // tableAddr returns the address of one load into the interpreter's
 // working set: larger footprints (translated interpreters) miss the
 // caches, which is where the reference-vs-framework IPC gap comes from.
@@ -106,25 +96,8 @@ func (m *DirectMachine) tableAddr(salt uint64) uint64 {
 	return addr &^ 7
 }
 
-// Dispatch implements Machine: the fetch/decode/dispatch cost of one
-// bytecode, including the hard-to-predict indirect handler jump, retired
-// through one cpu.Machine.Dispatch.
-func (m *DirectMachine) Dispatch(site uint64, target uint64) {
-	loads := m.addrs[:m.P.DispatchLoads]
-	for i := range loads {
-		loads[i] = m.tableAddr(target + uint64(i)*977)
-	}
-	brs := m.brs
-	for i := range brs {
-		// Framework interpreters carry extra data-dependent branches
-		// per bytecode (jit bookkeeping, signal checks); their outcome
-		// pattern follows the bytecode stream.
-		brs[i] = cpu.CondBranch{PC: site + 4 + uint64(i)*4, Taken: (target>>uint(i+3))&1 == 0}
-	}
-	m.S.Dispatch(m.P.DispatchALU, loads, site, target, brs)
-	m.dispatchSeq++
-}
-
+// prim is the overhead of one value operation (unboxing, tag tests),
+// retired through one cpu.Machine.OpsLoads.
 func (m *DirectMachine) prim() {
 	loads := m.addrs[:m.P.PrimLoads]
 	for i := range loads {
@@ -151,70 +124,23 @@ func (v divisor) mod(x uint64) uint64 {
 	return x
 }
 
-// Const implements Machine.
-func (m *DirectMachine) Const(v heap.Value) TV { return Concrete(v) }
-
-// KindOf implements Machine.
-func (m *DirectMachine) KindOf(a TV) heap.Kind {
-	m.S.Ops(isa.ALU, 1)
-	return a.V.Kind
-}
-
-// ShapeOf implements Machine.
-func (m *DirectMachine) ShapeOf(a TV) *heap.Shape {
-	m.S.Ops(isa.ALU, 1)
-	if a.V.Kind != heap.KindRef {
-		return KindShape(a.V.Kind)
+// callAOT pushes args on the value stack, calls thunk on that window
+// and pops it. A nested residual call pushes above the window (and may
+// move the stack, which leaves the outer window readable where it was).
+func (m *DirectMachine) callAOT(fn *aot.Func, thunk Thunk, args []TV) TV {
+	base := len(m.vals)
+	for _, a := range args {
+		m.vals = append(m.vals, a.V)
 	}
-	m.S.Load(a.V.O.Addr())
-	return a.V.O.Shape
-}
-
-// IsNil implements Machine.
-func (m *DirectMachine) IsNil(a TV) bool {
-	m.S.Ops(isa.ALU, 1)
-	return a.V.Kind == heap.KindNil
-}
-
-// Truth implements Machine: a data-dependent guest branch.
-func (m *DirectMachine) Truth(a TV, site uint64) bool {
-	m.prim()
-	t := a.V.Truthy()
-	m.S.Branch(site, t)
-	return t
-}
-
-// PromoteInt implements Machine.
-func (m *DirectMachine) PromoteInt(a TV) int64 {
-	m.S.Ops(isa.ALU, 1)
-	return a.V.I
-}
-
-// PromoteRef implements Machine.
-func (m *DirectMachine) PromoteRef(a TV) *heap.Obj {
-	m.S.Ops(isa.ALU, 1)
-	return a.V.O
-}
-
-// ---- integer ops ----
-
-// IntAdd implements Machine.
-func (m *DirectMachine) IntAdd(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I + b.V.I))
-}
-
-// IntSub implements Machine.
-func (m *DirectMachine) IntSub(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I - b.V.I))
-}
-
-// IntMul implements Machine.
-func (m *DirectMachine) IntMul(a, b TV) TV {
-	m.prim()
-	m.S.Ops(isa.Mul, 1)
-	return Concrete(heap.IntVal(a.V.I * b.V.I))
+	m.RT.CallPrologue(fn, len(args))
+	window := m.vals[base:len(m.vals):len(m.vals)]
+	res := thunk(window)
+	if PoisonScratch {
+		poison(window)
+	}
+	m.RT.CallEpilogue(fn)
+	m.vals = m.vals[:base]
+	return Concrete(res)
 }
 
 func addOvf(a, b int64) (int64, bool) {
@@ -238,42 +164,6 @@ func mulOvf(a, b int64) (int64, bool) {
 	return r, false
 }
 
-// IntAddOvf implements Machine.
-func (m *DirectMachine) IntAddOvf(a, b TV) (TV, bool) {
-	m.prim()
-	r, ovf := addOvf(a.V.I, b.V.I)
-	return Concrete(heap.IntVal(r)), ovf
-}
-
-// IntSubOvf implements Machine.
-func (m *DirectMachine) IntSubOvf(a, b TV) (TV, bool) {
-	m.prim()
-	r, ovf := subOvf(a.V.I, b.V.I)
-	return Concrete(heap.IntVal(r)), ovf
-}
-
-// IntMulOvf implements Machine.
-func (m *DirectMachine) IntMulOvf(a, b TV) (TV, bool) {
-	m.prim()
-	m.S.Ops(isa.Mul, 1)
-	r, ovf := mulOvf(a.V.I, b.V.I)
-	return Concrete(heap.IntVal(r)), ovf
-}
-
-// IntFloorDiv implements Machine (Python floor semantics; b != 0).
-func (m *DirectMachine) IntFloorDiv(a, b TV) TV {
-	m.prim()
-	m.S.Ops(isa.Div, 1)
-	return Concrete(heap.IntVal(floorDiv(a.V.I, b.V.I)))
-}
-
-// IntMod implements Machine (Python floor semantics; b != 0).
-func (m *DirectMachine) IntMod(a, b TV) TV {
-	m.prim()
-	m.S.Ops(isa.Div, 1)
-	return Concrete(heap.IntVal(floorMod(a.V.I, b.V.I)))
-}
-
 func floorDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {
@@ -288,48 +178,6 @@ func floorMod(a, b int64) int64 {
 		r += b
 	}
 	return r
-}
-
-// IntAnd implements Machine.
-func (m *DirectMachine) IntAnd(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I & b.V.I))
-}
-
-// IntOr implements Machine.
-func (m *DirectMachine) IntOr(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I | b.V.I))
-}
-
-// IntXor implements Machine.
-func (m *DirectMachine) IntXor(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I ^ b.V.I))
-}
-
-// IntLshift implements Machine (shift counts 0..63).
-func (m *DirectMachine) IntLshift(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I << uint(b.V.I&63)))
-}
-
-// IntRshift implements Machine.
-func (m *DirectMachine) IntRshift(a, b TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(a.V.I >> uint(b.V.I&63)))
-}
-
-// IntNeg implements Machine.
-func (m *DirectMachine) IntNeg(a TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(-a.V.I))
-}
-
-// IntCmp implements Machine for OpIntLt..OpIntGe.
-func (m *DirectMachine) IntCmp(opc Opcode, a, b TV) TV {
-	m.prim()
-	return Concrete(heap.BoolVal(intCmp(opc, a.V.I, b.V.I)))
 }
 
 func intCmp(opc Opcode, a, b int64) bool {
@@ -350,21 +198,6 @@ func intCmp(opc Opcode, a, b int64) bool {
 	panic("mtjit: bad int comparison opcode " + opc.Name())
 }
 
-// ---- float ops ----
-
-// FloatArith implements Machine for add/sub/mul/div.
-func (m *DirectMachine) FloatArith(opc Opcode, a, b TV) TV {
-	switch opc {
-	case OpFloatMul:
-		m.S.Block(m.fmulBlock)
-	case OpFloatTruediv:
-		m.S.Block(m.fdivBlock)
-	default:
-		m.S.Block(m.faddBlock)
-	}
-	return Concrete(heap.FloatVal(floatArith(opc, a.V.F, b.V.F)))
-}
-
 func floatArith(opc Opcode, a, b float64) float64 {
 	switch opc {
 	case OpFloatAdd:
@@ -377,12 +210,6 @@ func floatArith(opc Opcode, a, b float64) float64 {
 		return a / b
 	}
 	panic("mtjit: bad float arith opcode " + opc.Name())
-}
-
-// FloatCmp implements Machine for OpFloatLt..OpFloatGe.
-func (m *DirectMachine) FloatCmp(opc Opcode, a, b TV) TV {
-	m.S.Block(m.faddBlock)
-	return Concrete(heap.BoolVal(floatCmp(opc, a.V.F, b.V.F)))
 }
 
 func floatCmp(opc Opcode, a, b float64) bool {
@@ -401,146 +228,4 @@ func floatCmp(opc Opcode, a, b float64) bool {
 		return a >= b
 	}
 	panic("mtjit: bad float comparison opcode " + opc.Name())
-}
-
-// FloatNeg implements Machine.
-func (m *DirectMachine) FloatNeg(a TV) TV {
-	m.S.Ops(isa.FPU, 1)
-	return Concrete(heap.FloatVal(-a.V.F))
-}
-
-// IntToFloat implements Machine.
-func (m *DirectMachine) IntToFloat(a TV) TV {
-	m.S.Ops(isa.FPU, 1)
-	return Concrete(heap.FloatVal(float64(a.V.I)))
-}
-
-// FloatToInt implements Machine (truncating).
-func (m *DirectMachine) FloatToInt(a TV) TV {
-	m.S.Ops(isa.FPU, 1)
-	return Concrete(heap.IntVal(int64(a.V.F)))
-}
-
-// ---- heap ops ----
-
-// NewObj implements Machine.
-func (m *DirectMachine) NewObj(shape *heap.Shape, nFields int) TV {
-	m.prim()
-	return Concrete(heap.RefVal(m.H.AllocObj(shape, nFields)))
-}
-
-// NewArray implements Machine.
-func (m *DirectMachine) NewArray(shape *heap.Shape, nFields, n int) TV {
-	m.prim()
-	return Concrete(heap.RefVal(m.H.AllocElems(shape, nFields, n)))
-}
-
-// GetField implements Machine.
-func (m *DirectMachine) GetField(o TV, i int) TV {
-	m.prim()
-	return Concrete(m.H.ReadField(o.V.O, i))
-}
-
-// SetField implements Machine.
-func (m *DirectMachine) SetField(o TV, i int, v TV) {
-	m.prim()
-	m.H.WriteField(o.V.O, i, v.V)
-}
-
-// GetElem implements Machine (bounds already checked by the guest).
-func (m *DirectMachine) GetElem(o TV, i TV) TV {
-	m.prim()
-	return Concrete(m.H.ReadElem(o.V.O, int(i.V.I)))
-}
-
-// SetElem implements Machine.
-func (m *DirectMachine) SetElem(o TV, i TV, v TV) {
-	m.prim()
-	m.H.WriteElem(o.V.O, int(i.V.I), v.V)
-}
-
-// ArrayLen implements Machine.
-func (m *DirectMachine) ArrayLen(o TV) TV {
-	m.S.Ops(isa.ALU, 1)
-	m.S.Load(o.V.O.Addr() + 8)
-	return Concrete(heap.IntVal(int64(len(o.V.O.Elems))))
-}
-
-// StrGetItem implements Machine.
-func (m *DirectMachine) StrGetItem(o TV, i TV) TV {
-	m.prim()
-	return Concrete(heap.IntVal(int64(m.H.LoadByte(o.V.O, int(i.V.I)))))
-}
-
-// StrLen implements Machine.
-func (m *DirectMachine) StrLen(o TV) TV {
-	m.S.Ops(isa.ALU, 1)
-	m.S.Load(o.V.O.Addr() + 8)
-	return Concrete(heap.IntVal(int64(len(o.V.O.Bytes))))
-}
-
-// PtrEq implements Machine.
-func (m *DirectMachine) PtrEq(a, b TV) TV {
-	m.S.Ops(isa.ALU, 1)
-	return Concrete(heap.BoolVal(a.V.Eq(b.V)))
-}
-
-// Annotate implements Machine: the annotation is a tagged nop.
-func (m *DirectMachine) Annotate(tag core.Tag, arg uint64) {
-	m.S.Annot(tag, arg)
-}
-
-// CallAOT implements Machine: from the plain interpreter, a residual call
-// is just a call (no phase change).
-func (m *DirectMachine) CallAOT(fn *aot.Func, thunk Thunk, args ...TV) TV {
-	for _, a := range args {
-		m.vals = append(m.vals, a.V)
-	}
-	return m.callAOT(fn, thunk, len(args))
-}
-
-// CallAOT1 implements Machine.
-func (m *DirectMachine) CallAOT1(fn *aot.Func, thunk Thunk, a TV) TV {
-	m.vals = append(m.vals, a.V)
-	return m.callAOT(fn, thunk, 1)
-}
-
-// CallAOT2 implements Machine.
-func (m *DirectMachine) CallAOT2(fn *aot.Func, thunk Thunk, a, b TV) TV {
-	m.vals = append(m.vals, a.V, b.V)
-	return m.callAOT(fn, thunk, 2)
-}
-
-// CallAOT3 implements Machine.
-func (m *DirectMachine) CallAOT3(fn *aot.Func, thunk Thunk, a, b, c TV) TV {
-	m.vals = append(m.vals, a.V, b.V, c.V)
-	return m.callAOT(fn, thunk, 3)
-}
-
-// callAOT calls thunk on the top n values of the value stack and pops
-// them. A nested residual call pushes above the window (and may move the
-// stack, which leaves the outer window readable where it was).
-func (m *DirectMachine) callAOT(fn *aot.Func, thunk Thunk, n int) TV {
-	base := len(m.vals) - n
-	m.RT.CallPrologue(fn, n)
-	args := m.vals[base:len(m.vals):len(m.vals)]
-	res := thunk(args)
-	if PoisonScratch {
-		poison(args)
-	}
-	m.RT.CallEpilogue(fn)
-	m.vals = m.vals[:base]
-	return Concrete(res)
-}
-
-// GuestCall implements Machine.
-func (m *DirectMachine) GuestCall(site uint64) {
-	m.S.Block(m.callBlock)
-	m.S.CallDirect(site)
-}
-
-// GuestReturn implements Machine.
-func (m *DirectMachine) GuestReturn() {
-	m.S.Block(guestReturnBlock)
-	m.S.Return()
 }

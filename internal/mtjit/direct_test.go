@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"metajit/internal/aot"
 	"metajit/internal/cpu"
@@ -55,7 +56,7 @@ func TestDirectDispatchRetiresItsProfile(t *testing.T) {
 	wide.DispatchLoads, wide.DispatchXtraBr, wide.PrimLoads = 11, 3, 9
 	for _, p := range []*CostProfile{ReferenceProfile(), FrameworkProfile(), CustomVMProfile(), wide} {
 		mach := cpu.NewDefault()
-		m := NewDirectMachine(aot.NewRuntime(heap.New(mach, heap.DefaultConfig())), p)
+		m := NewMachine(aot.NewRuntime(heap.New(mach, heap.DefaultConfig())), p)
 		before := mach.Total()
 		m.Dispatch(isa.RegionVMText+0x40, isa.RegionVMText+0x1000)
 		m.IntAdd(Concrete(heap.IntVal(1)), Concrete(heap.IntVal(2)))
@@ -69,4 +70,58 @@ func TestDirectDispatchRetiresItsProfile(t *testing.T) {
 				got.CondBr-before.CondBr, got.IndBr-before.IndBr, loads, alu, p.DispatchXtraBr)
 		}
 	}
+}
+
+// TestTVIsFourWords: a traced value stays within the four words the Go
+// compiler handles as scalars, which is what makes a guest handler's
+// direct calls on the Machine cheap (a float keeps its bits in
+// heap.Value.I for it).
+func TestTVIsFourWords(t *testing.T) {
+	if n, max := unsafe.Sizeof(TV{}), 4*unsafe.Sizeof(uintptr(0)); n > max {
+		t.Errorf("TV is %d bytes, over the %d the compiler keeps in registers", n, max)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, -2.25e300, math.Inf(-1), math.SmallestNonzeroFloat64} {
+		v := heap.FloatVal(f)
+		if v.Kind != heap.KindFloat || math.Float64bits(v.F()) != math.Float64bits(f) {
+			t.Errorf("FloatVal(%g).F() = %g", f, v.F())
+		}
+		if v.Truthy() != (f != 0) {
+			t.Errorf("FloatVal(%g).Truthy() = %v", f, v.Truthy())
+		}
+	}
+	if !heap.FloatVal(0).Eq(heap.FloatVal(math.Copysign(0, -1))) || heap.FloatVal(math.NaN()).Eq(heap.FloatVal(math.NaN())) {
+		t.Error("float equality is not IEEE equality")
+	}
+}
+
+// TestMachineHooksPrice: each hook prices the machine's plain work on
+// its own DirectMachine and clearing it returns to the interpreter's;
+// recording while resident is refused.
+func TestMachineHooksPrice(t *testing.T) {
+	rt := aot.NewRuntime(heap.New(cpu.NewDefault(), heap.DefaultConfig()))
+	e := NewEngine(rt, FrameworkProfile())
+	m := NewMachine(rt, FrameworkProfile())
+	res, rec := NewResidency(e, BaselineTier), newRecorder(e)
+	for _, c := range []struct {
+		name string
+		set  func()
+		want *DirectMachine
+	}{
+		{"resident", func() { m.Reside(res) }, res.d},
+		{"plain after residency", func() { m.Reside(nil) }, m.plain},
+		{"recording", func() { m.Record(rec) }, rec.d},
+		{"plain after recording", func() { m.Record(nil) }, m.plain},
+	} {
+		c.set()
+		if m.d != c.want {
+			t.Errorf("%s: priced on %s", c.name, m.d.P.Name)
+		}
+	}
+	m.Reside(res)
+	defer func() {
+		if recover() == nil {
+			t.Error("recording while resident was not refused")
+		}
+	}()
+	m.Record(rec)
 }

@@ -2,7 +2,6 @@ package mtjit
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"metajit/internal/aot"
@@ -118,7 +117,7 @@ type Engine struct {
 	guards []*Op
 
 	// globalDeps maps a global name to the installed traces that
-	// constant-folded its value (see TracingMachine.DependOnGlobal).
+	// constant-folded its value (see Recorder.DependOnGlobal).
 	globalDeps map[string][]*Trace
 
 	// tiers is the lower-tier bookkeeping, one entry per Tier (tier.go).
@@ -134,7 +133,7 @@ type Engine struct {
 
 	guardSeq uint32
 	traceSeq uint32
-	tracing  *TracingMachine
+	tracing  *Recorder
 
 	jitPC   *isa.PCAlloc
 	bhSite  isa.Site
@@ -168,7 +167,7 @@ type Engine struct {
 // while no simulation is running.
 var PoisonScratch bool
 
-var poisonValue = heap.Value{Kind: heap.KindRef, I: -0x2152411021524111, F: math.NaN()}
+var poisonValue = heap.Value{Kind: heap.KindRef, I: -0x2152411021524111}
 
 func poison(vals []heap.Value) {
 	for i := range vals {
@@ -362,9 +361,6 @@ func (e *Engine) BaselinePromotions() int { return e.promotions }
 // Traces returns every installed trace and bridge in compile order.
 func (e *Engine) Traces() []*Trace { return e.all }
 
-// Tracing returns the recording in progress, or nil.
-func (e *Engine) Tracing() *TracingMachine { return e.tracing }
-
 // LookupTrace returns the compiled loop trace for a green key, or nil.
 func (e *Engine) LookupTrace(key GreenKey) *Trace { return e.traces[key] }
 
@@ -397,11 +393,11 @@ var beginTraceBlock = isa.NewBlock(isa.CC(isa.ALU, 60), isa.CC(isa.Store, 20))
 
 // BeginTracing starts recording the loop at key. The frame's slots are
 // seeded with input refs; snap captures resume metadata at guards. The
-// returned TracingMachine replaces the driver's Machine until the loop
+// driver's Machine records into the returned Recorder until the loop
 // closes or aborts.
-func (e *Engine) BeginTracing(key GreenKey, fr FrameAdapter, snap SnapshotFn) *TracingMachine {
+func (e *Engine) BeginTracing(key GreenKey, fr FrameAdapter, snap SnapshotFn) *Recorder {
 	e.S.Annot(core.TagTraceStart, uint64(key.CodeID)<<16|uint64(key.PC))
-	tm := newTracingMachine(NewDirectMachine(e.RT, e.Profile), e)
+	tm := newRecorder(e)
 	tm.snapshot = snap
 	tm.rootKey = key
 	n := fr.NumSlots()
@@ -426,9 +422,9 @@ func (e *Engine) BeginTracing(key GreenKey, fr FrameAdapter, snap SnapshotFn) *T
 
 // BeginBridge starts recording a bridge for guardID from the reconstructed
 // frame chain (trace-root frame first).
-func (e *Engine) BeginBridge(guardID uint32, resume *ResumeState, frames []FrameAdapter, snap SnapshotFn) *TracingMachine {
+func (e *Engine) BeginBridge(guardID uint32, resume *ResumeState, frames []FrameAdapter, snap SnapshotFn) *Recorder {
 	e.S.Annot(core.TagTraceStart, core.TraceStartBridge|uint64(guardID))
-	tm := newTracingMachine(NewDirectMachine(e.RT, e.Profile), e)
+	tm := newRecorder(e)
 	tm.snapshot = snap
 	tm.bridge = true
 	tm.fromGrd = guardID
@@ -479,7 +475,7 @@ const (
 // AtMergePoint is called by the driver at every loop header crossed while
 // recording. depth is the guest frame depth relative to the trace root
 // (1 = the root frame).
-func (e *Engine) AtMergePoint(tm *TracingMachine, key GreenKey, depth int, fr FrameAdapter) MPAction {
+func (e *Engine) AtMergePoint(tm *Recorder, key GreenKey, depth int, fr FrameAdapter) MPAction {
 	if tm.aborted {
 		e.AbortTrace(tm)
 		return MPAborted
@@ -500,7 +496,7 @@ func (e *Engine) AtMergePoint(tm *TracingMachine, key GreenKey, depth int, fr Fr
 }
 
 // AbortTrace abandons the active recording.
-func (e *Engine) AbortTrace(tm *TracingMachine, reason ...AbortReason) {
+func (e *Engine) AbortTrace(tm *Recorder, reason ...AbortReason) {
 	r := tm.reason
 	if len(reason) > 0 {
 		r = reason[0]
@@ -520,7 +516,7 @@ func (e *Engine) AbortTrace(tm *TracingMachine, reason ...AbortReason) {
 }
 
 // finishLoop closes a loop recording with a jump back to its own header.
-func (e *Engine) finishLoop(tm *TracingMachine, key GreenKey, fr FrameAdapter) {
+func (e *Engine) finishLoop(tm *Recorder, key GreenKey, fr FrameAdapter) {
 	args := make([]Ref, fr.NumSlots())
 	for i := range args {
 		args[i] = fr.SlotRef(i)
@@ -531,7 +527,7 @@ func (e *Engine) finishLoop(tm *TracingMachine, key GreenKey, fr FrameAdapter) {
 }
 
 // finishBridgeJump closes a bridge with a jump into an existing loop.
-func (e *Engine) finishBridgeJump(tm *TracingMachine, target *Trace, fr FrameAdapter) {
+func (e *Engine) finishBridgeJump(tm *Recorder, target *Trace, fr FrameAdapter) {
 	args := make([]Ref, fr.NumSlots())
 	for i := range args {
 		args[i] = fr.SlotRef(i)
@@ -549,7 +545,7 @@ func (e *Engine) finishBridgeJump(tm *TracingMachine, target *Trace, fr FrameAda
 
 // finishCallAssembler ends a recording that reached another compiled loop:
 // the trace transfers into that loop's assembly.
-func (e *Engine) finishCallAssembler(tm *TracingMachine, target *Trace) {
+func (e *Engine) finishCallAssembler(tm *Recorder, target *Trace) {
 	tm.rec(Op{
 		Opc:    OpCallAssembler,
 		Target: target,
@@ -565,7 +561,7 @@ func (e *Engine) finishCallAssembler(tm *TracingMachine, target *Trace) {
 }
 
 // install optimizes, assembles, and publishes a recording.
-func (e *Engine) install(tm *TracingMachine, key GreenKey, bridge bool) *Trace {
+func (e *Engine) install(tm *Recorder, key GreenKey, bridge bool) *Trace {
 	e.traceSeq++
 	t := &Trace{
 		ID:       e.traceSeq,

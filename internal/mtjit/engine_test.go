@@ -43,9 +43,8 @@ func (f *miniFrame) SlotRef(i int) Ref       { return f.slots[i].R }
 
 type miniVM struct {
 	eng      *Engine
-	direct   *DirectMachine
-	m        Machine
-	tm       *TracingMachine
+	m        *Machine
+	tm       *Recorder
 	frame    *miniFrame
 	pairSh   *heap.Shape
 	dispatch isa.Site
@@ -67,11 +66,10 @@ func newMiniVM(t *testing.T, mach *cpu.Machine) *miniVM {
 	eng.BridgeThreshold = 5
 	vm := &miniVM{
 		eng:      eng,
-		direct:   NewDirectMachine(rt, FrameworkProfile()),
+		m:        NewMachine(rt, FrameworkProfile()),
 		pairSh:   h.NewShape("pair", 2),
 		dispatch: isa.NewSite(),
 	}
-	vm.m = vm.direct
 	h.AddRoots(heap.RootFunc(func(visit func(*heap.Obj)) {
 		if vm.frame == nil {
 			return
@@ -121,7 +119,7 @@ func (vm *miniVM) run(code *miniCode, iters int64) heap.Value {
 				act := vm.eng.AtMergePoint(vm.tm, key, 1, f)
 				if act != MPContinue {
 					vm.tm = nil
-					vm.m = vm.direct
+					vm.m.Record(nil)
 					continue
 				}
 			} else if tr := vm.eng.LookupTrace(key); tr != nil {
@@ -133,13 +131,13 @@ func (vm *miniVM) run(code *miniCode, iters int64) heap.Value {
 						resume := vm.eng.GuardResume(exit.StartBridgeGuard)
 						vm.tm = vm.eng.BeginBridge(exit.StartBridgeGuard, resume,
 							[]FrameAdapter{f}, vm.snapshot)
-						vm.m = vm.tm
+						vm.m.Record(vm.tm)
 					}
 				}
 				continue
 			} else if vm.eng.CountAndMaybeTrace(key) {
 				vm.tm = vm.eng.BeginTracing(key, f, vm.snapshot)
-				vm.m = vm.tm
+				vm.m.Record(vm.tm)
 			}
 		}
 		op := &code.ops[f.pc]
@@ -188,13 +186,13 @@ func (vm *miniVM) run(code *miniCode, iters int64) heap.Value {
 			f.slots[op.a] = p
 			f.pc++
 		case "call":
-			f.slots[op.a] = m.CallAOT1(vm.callFn, vm.callThunk, f.slots[op.b])
+			f.slots[op.a] = m.CallAOT(vm.callFn, vm.callThunk, f.slots[op.b])
 			f.pc++
 		case "halt":
 			if vm.tm != nil {
 				vm.eng.AbortTrace(vm.tm, AbortLeftFrame)
 				vm.tm = nil
-				vm.m = vm.direct
+				vm.m.Record(nil)
 			}
 			return f.slots[op.a].V
 		default:

@@ -40,9 +40,9 @@ func evalPureBin(opc Opcode, a, b heap.Value) (heap.Value, bool) {
 	case OpIntLt, OpIntLe, OpIntEq, OpIntNe, OpIntGt, OpIntGe:
 		return heap.BoolVal(intCmp(opc, a.I, b.I)), true
 	case OpFloatAdd, OpFloatSub, OpFloatMul, OpFloatTruediv:
-		return heap.FloatVal(floatArith(opc, a.F, b.F)), true
+		return heap.FloatVal(floatArith(opc, a.F(), b.F())), true
 	case OpFloatLt, OpFloatLe, OpFloatEq, OpFloatNe, OpFloatGt, OpFloatGe:
-		return heap.BoolVal(floatCmp(opc, a.F, b.F)), true
+		return heap.BoolVal(floatCmp(opc, a.F(), b.F())), true
 	case OpPtrEq:
 		return heap.BoolVal(a.Eq(b)), true
 	case OpPtrNe:
@@ -59,13 +59,13 @@ func evalPureUn(opc Opcode, a heap.Value) (heap.Value, bool) {
 	case OpIntIsTrue:
 		return heap.BoolVal(a.I != 0), true
 	case OpFloatNeg:
-		return heap.FloatVal(-a.F), true
+		return heap.FloatVal(-a.F()), true
 	case OpFloatAbs:
-		return heap.FloatVal(math.Abs(a.F)), true
+		return heap.FloatVal(math.Abs(a.F())), true
 	case OpCastIntToFloat:
 		return heap.FloatVal(float64(a.I)), true
 	case OpCastFloatToInt:
-		return heap.IntVal(int64(a.F)), true
+		return heap.IntVal(int64(a.F())), true
 	case OpSameAs:
 		return a, true
 	}

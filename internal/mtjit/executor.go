@@ -327,46 +327,46 @@ func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 			m.Block(mulOvfBlock)
 
 		case OpFloatAdd:
-			regs[x.res] = heap.FloatVal(regs[x.a].F + regs[x.b].F)
+			regs[x.res] = heap.FloatVal(regs[x.a].F() + regs[x.b].F())
 			m.Ops(isa.FPU, 1)
 		case OpFloatSub:
-			regs[x.res] = heap.FloatVal(regs[x.a].F - regs[x.b].F)
+			regs[x.res] = heap.FloatVal(regs[x.a].F() - regs[x.b].F())
 			m.Ops(isa.FPU, 1)
 		case OpFloatMul:
-			regs[x.res] = heap.FloatVal(regs[x.a].F * regs[x.b].F)
+			regs[x.res] = heap.FloatVal(regs[x.a].F() * regs[x.b].F())
 			m.Ops(isa.FMul, 1)
 		case OpFloatTruediv:
-			regs[x.res] = heap.FloatVal(regs[x.a].F / regs[x.b].F)
+			regs[x.res] = heap.FloatVal(regs[x.a].F() / regs[x.b].F())
 			m.Ops(isa.FDiv, 1)
 		case OpFloatNeg:
-			regs[x.res] = heap.FloatVal(-regs[x.a].F)
+			regs[x.res] = heap.FloatVal(-regs[x.a].F())
 			m.Ops(isa.FPU, 1)
 		case OpFloatAbs:
-			regs[x.res] = heap.FloatVal(math.Abs(regs[x.a].F))
+			regs[x.res] = heap.FloatVal(math.Abs(regs[x.a].F()))
 			m.Ops(isa.FPU, 1)
 		case OpFloatLt:
-			regs[x.res] = heap.BoolVal(regs[x.a].F < regs[x.b].F)
+			regs[x.res] = heap.BoolVal(regs[x.a].F() < regs[x.b].F())
 			m.Ops(isa.FPU, 2)
 		case OpFloatLe:
-			regs[x.res] = heap.BoolVal(regs[x.a].F <= regs[x.b].F)
+			regs[x.res] = heap.BoolVal(regs[x.a].F() <= regs[x.b].F())
 			m.Ops(isa.FPU, 2)
 		case OpFloatEq:
-			regs[x.res] = heap.BoolVal(regs[x.a].F == regs[x.b].F)
+			regs[x.res] = heap.BoolVal(regs[x.a].F() == regs[x.b].F())
 			m.Ops(isa.FPU, 2)
 		case OpFloatNe:
-			regs[x.res] = heap.BoolVal(regs[x.a].F != regs[x.b].F)
+			regs[x.res] = heap.BoolVal(regs[x.a].F() != regs[x.b].F())
 			m.Ops(isa.FPU, 2)
 		case OpFloatGt:
-			regs[x.res] = heap.BoolVal(regs[x.a].F > regs[x.b].F)
+			regs[x.res] = heap.BoolVal(regs[x.a].F() > regs[x.b].F())
 			m.Ops(isa.FPU, 2)
 		case OpFloatGe:
-			regs[x.res] = heap.BoolVal(regs[x.a].F >= regs[x.b].F)
+			regs[x.res] = heap.BoolVal(regs[x.a].F() >= regs[x.b].F())
 			m.Ops(isa.FPU, 2)
 		case OpCastIntToFloat:
 			regs[x.res] = heap.FloatVal(float64(regs[x.a].I))
 			m.Ops(isa.FPU, 1)
 		case OpCastFloatToInt:
-			regs[x.res] = heap.IntVal(int64(regs[x.a].F))
+			regs[x.res] = heap.IntVal(int64(regs[x.a].F()))
 			m.Ops(isa.FPU, 1)
 
 		case OpPtrEq:

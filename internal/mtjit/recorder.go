@@ -46,11 +46,15 @@ type constKey struct {
 	o *heap.Obj
 }
 
-// TracingMachine is the recording meta-interpreter: it executes guest
-// operations concretely (delegating to a DirectMachine) while recording
-// the corresponding JIT IR and emitting the much higher per-operation cost
-// of meta-interpretation into the tracing phase.
-type TracingMachine struct {
+// Recorder is the recording meta-interpreter: while a Machine records
+// into it, every operation executes concretely as in plain
+// interpretation and the Recorder appends the corresponding JIT IR,
+// emitting the much higher per-operation cost of meta-interpretation
+// into the tracing phase.
+type Recorder struct {
+	// d prices the recording's plain work: its own instance on the
+	// engine's profile, so a recording never moves the interpreter's
+	// table-load sequence.
 	d   *DirectMachine
 	eng *Engine
 
@@ -82,9 +86,9 @@ type TracingMachine struct {
 	recSite isa.Site
 }
 
-func newTracingMachine(d *DirectMachine, eng *Engine) *TracingMachine {
-	return &TracingMachine{
-		d:        d,
+func newRecorder(eng *Engine) *Recorder {
+	return &Recorder{
+		d:        newDirectMachine(eng.RT, eng.Profile),
 		eng:      eng,
 		constMap: make(map[constKey]Ref),
 		nextReg:  1, // register 0 is the RefUnused sentinel
@@ -92,22 +96,11 @@ func newTracingMachine(d *DirectMachine, eng *Engine) *TracingMachine {
 	}
 }
 
-var _ Machine = (*TracingMachine)(nil)
-
-// Heap implements Machine.
-func (m *TracingMachine) Heap() *heap.Heap { return m.d.H }
-
-// Runtime implements Machine.
-func (m *TracingMachine) Runtime() *aot.Runtime { return m.d.RT }
-
-// Tracing implements Machine.
-func (m *TracingMachine) Tracing() bool { return true }
-
 // recCost emits the meta-interpretation overhead of recording one IR op:
 // the meta-interpreter allocates boxes, appends to the operation list, and
 // dispatches on the operation — an order of magnitude over plain
 // interpretation.
-func (m *TracingMachine) recCost() {
+func (m *Recorder) recCost() {
 	s := m.d.S
 	s.Ops(isa.ALU, 24)
 	s.Ops(isa.Load, 9)
@@ -118,20 +111,20 @@ func (m *TracingMachine) recCost() {
 
 // ref returns the IR ref of a TV, interning values that flowed in from
 // outside the recording as trace constants.
-func (m *TracingMachine) ref(a TV) Ref {
+func (m *Recorder) ref(a TV) Ref {
 	if a.R != RefNone {
 		return a.R
 	}
 	return m.intern(a.V)
 }
 
-func (m *TracingMachine) intern(v heap.Value) Ref {
+func (m *Recorder) intern(v heap.Value) Ref {
 	k := constKey{k: v.Kind}
 	switch v.Kind {
 	case heap.KindInt, heap.KindBool:
 		k.i = v.I
 	case heap.KindFloat:
-		k.f = v.F
+		k.f = v.F()
 	case heap.KindRef:
 		k.o = v.O
 	}
@@ -144,7 +137,7 @@ func (m *TracingMachine) intern(v heap.Value) Ref {
 	return r
 }
 
-func (m *TracingMachine) newReg() Ref {
+func (m *Recorder) newReg() Ref {
 	r := m.nextReg
 	m.nextReg++
 	return r
@@ -152,7 +145,7 @@ func (m *TracingMachine) newReg() Ref {
 
 // rec appends an op, assigning a result register if withRes, and returns
 // the result ref.
-func (m *TracingMachine) rec(op Op, withRes bool) Ref {
+func (m *Recorder) rec(op Op, withRes bool) Ref {
 	if withRes {
 		op.Res = m.newReg()
 	} else {
@@ -167,7 +160,7 @@ func (m *TracingMachine) rec(op Op, withRes bool) Ref {
 	return op.Res
 }
 
-func (m *TracingMachine) captureResume() *ResumeState {
+func (m *Recorder) captureResume() *ResumeState {
 	return &ResumeState{Frames: m.snapshot()}
 }
 
@@ -176,7 +169,7 @@ func (m *TracingMachine) captureResume() *ResumeState {
 // already bumped bcCount), and a failure resumes the interpreter at
 // that bytecode's start, so the segment's exact retired work at this
 // guard excludes the current bytecode.
-func (m *TracingMachine) guard(op Op) {
+func (m *Recorder) guard(op Op) {
 	op.Resume = m.captureResume()
 	op.GuardID = m.eng.nextGuardID()
 	op.BCProgress = int32(max(m.bcCount-1, 0))
@@ -190,9 +183,10 @@ func (m *TracingMachine) guard(op Op) {
 	m.d.S.Ops(isa.Store, 2+n/2)
 }
 
-// Dispatch implements Machine: meta-interpreter dispatch is far heavier
-// than plain dispatch (the meta-interpreter interprets the interpreter).
-func (m *TracingMachine) Dispatch(site uint64, target uint64) {
+// dispatch is Machine.Dispatch while recording: meta-interpreter
+// dispatch is far heavier than plain dispatch (the meta-interpreter
+// interprets the interpreter).
+func (m *Recorder) dispatch(site uint64, target uint64) {
 	s := m.d.S
 	s.Annot(core.TagDispatch, 1)
 	s.Ops(isa.ALU, 34)
@@ -203,39 +197,30 @@ func (m *TracingMachine) Dispatch(site uint64, target uint64) {
 	m.bcCount++
 }
 
-// Const implements Machine.
-func (m *TracingMachine) Const(v heap.Value) TV {
-	return TV{V: v, R: m.intern(v)}
-}
-
-// KindOf implements Machine: the interpreter's type dispatch becomes a
+// guardKind records KindOf: the interpreter's type dispatch becomes a
 // class guard in the trace.
-func (m *TracingMachine) KindOf(a TV) heap.Kind {
-	k := m.d.KindOf(a)
+func (m *Recorder) guardKind(a TV) {
 	r := m.ref(a)
 	if !r.IsConst() {
+		k := a.V.Kind
 		sh := KindShape(k)
 		if k == heap.KindRef {
 			sh = a.V.O.Shape
 		}
 		m.guard(Op{Opc: OpGuardClass, A: r, Shape: sh})
 	}
-	return k
 }
 
-// ShapeOf implements Machine.
-func (m *TracingMachine) ShapeOf(a TV) *heap.Shape {
-	sh := m.d.ShapeOf(a)
+// guardShape records ShapeOf.
+func (m *Recorder) guardShape(a TV, sh *heap.Shape) {
 	r := m.ref(a)
 	if !r.IsConst() {
 		m.guard(Op{Opc: OpGuardClass, A: r, Shape: sh})
 	}
-	return sh
 }
 
-// IsNil implements Machine.
-func (m *TracingMachine) IsNil(a TV) bool {
-	isNil := m.d.IsNil(a)
+// guardNil records IsNil.
+func (m *Recorder) guardNil(a TV, isNil bool) {
 	r := m.ref(a)
 	if !r.IsConst() {
 		if isNil {
@@ -244,12 +229,11 @@ func (m *TracingMachine) IsNil(a TV) bool {
 			m.guard(Op{Opc: OpGuardNonnull, A: r})
 		}
 	}
-	return isNil
 }
 
-// Truth implements Machine: a guest branch becomes guard_true/guard_false.
-func (m *TracingMachine) Truth(a TV, site uint64) bool {
-	t := m.d.Truth(a, site)
+// guardTruth records Truth: a guest branch becomes guard_true or
+// guard_false.
+func (m *Recorder) guardTruth(a TV, t bool) {
 	r := m.ref(a)
 	if !r.IsConst() {
 		if t {
@@ -258,147 +242,34 @@ func (m *TracingMachine) Truth(a TV, site uint64) bool {
 			m.guard(Op{Opc: OpGuardFalse, A: r})
 		}
 	}
-	return t
 }
 
-// PromoteInt implements Machine: RPython's promote hint becomes
+// guardValue records a promotion: RPython's promote hint becomes
 // guard_value, making the runtime value a trace constant.
-func (m *TracingMachine) PromoteInt(a TV) int64 {
-	v := m.d.PromoteInt(a)
+func (m *Recorder) guardValue(a TV, v int64) {
 	r := m.ref(a)
 	if !r.IsConst() {
 		m.guard(Op{Opc: OpGuardValue, A: r, Aux: v})
 	}
-	return v
 }
 
-// PromoteRef implements Machine.
-func (m *TracingMachine) PromoteRef(a TV) *heap.Obj {
-	o := m.d.PromoteRef(a)
-	r := m.ref(a)
-	if !r.IsConst() {
-		m.guard(Op{Opc: OpGuardValue, A: r, Aux: int64(o.UID())})
-	}
-	return o
+func (m *Recorder) binop(opc Opcode, a, b TV) Ref {
+	return m.rec(Op{Opc: opc, A: m.ref(a), B: m.ref(b)}, true)
 }
 
-func (m *TracingMachine) binop(opc Opcode, a, b TV, v heap.Value) TV {
-	r := m.rec(Op{Opc: opc, A: m.ref(a), B: m.ref(b)}, true)
-	return TV{V: v, R: r}
+func (m *Recorder) unop(opc Opcode, a TV) Ref {
+	return m.rec(Op{Opc: opc, A: m.ref(a)}, true)
 }
 
-func (m *TracingMachine) unop(opc Opcode, a TV, v heap.Value) TV {
-	r := m.rec(Op{Opc: opc, A: m.ref(a)}, true)
-	return TV{V: v, R: r}
-}
-
-// IntAdd implements Machine.
-func (m *TracingMachine) IntAdd(a, b TV) TV { return m.binop(OpIntAdd, a, b, m.d.IntAdd(a, b).V) }
-
-// IntSub implements Machine.
-func (m *TracingMachine) IntSub(a, b TV) TV { return m.binop(OpIntSub, a, b, m.d.IntSub(a, b).V) }
-
-// IntMul implements Machine.
-func (m *TracingMachine) IntMul(a, b TV) TV { return m.binop(OpIntMul, a, b, m.d.IntMul(a, b).V) }
-
-func (m *TracingMachine) intOvf(opc Opcode, a, b TV, v heap.Value, ovf bool) (TV, bool) {
-	res := m.binop(opc, a, b, v)
+// intOvf records overflow-checked arithmetic and its guard_no_overflow.
+func (m *Recorder) intOvf(opc Opcode, a, b TV, ovf bool) Ref {
+	res := m.binop(opc, a, b)
 	aux := int64(0)
 	if ovf {
 		aux = 1
 	}
 	m.guard(Op{Opc: OpGuardNoOverflow, Aux: aux})
-	return res, ovf
-}
-
-// IntAddOvf implements Machine.
-func (m *TracingMachine) IntAddOvf(a, b TV) (TV, bool) {
-	v, ovf := m.d.IntAddOvf(a, b)
-	return m.intOvf(OpIntAddOvf, a, b, v.V, ovf)
-}
-
-// IntSubOvf implements Machine.
-func (m *TracingMachine) IntSubOvf(a, b TV) (TV, bool) {
-	v, ovf := m.d.IntSubOvf(a, b)
-	return m.intOvf(OpIntSubOvf, a, b, v.V, ovf)
-}
-
-// IntMulOvf implements Machine.
-func (m *TracingMachine) IntMulOvf(a, b TV) (TV, bool) {
-	v, ovf := m.d.IntMulOvf(a, b)
-	return m.intOvf(OpIntMulOvf, a, b, v.V, ovf)
-}
-
-// IntFloorDiv implements Machine.
-func (m *TracingMachine) IntFloorDiv(a, b TV) TV {
-	return m.binop(OpIntFloorDiv, a, b, m.d.IntFloorDiv(a, b).V)
-}
-
-// IntMod implements Machine.
-func (m *TracingMachine) IntMod(a, b TV) TV { return m.binop(OpIntMod, a, b, m.d.IntMod(a, b).V) }
-
-// IntAnd implements Machine.
-func (m *TracingMachine) IntAnd(a, b TV) TV { return m.binop(OpIntAnd, a, b, m.d.IntAnd(a, b).V) }
-
-// IntOr implements Machine.
-func (m *TracingMachine) IntOr(a, b TV) TV { return m.binop(OpIntOr, a, b, m.d.IntOr(a, b).V) }
-
-// IntXor implements Machine.
-func (m *TracingMachine) IntXor(a, b TV) TV { return m.binop(OpIntXor, a, b, m.d.IntXor(a, b).V) }
-
-// IntLshift implements Machine.
-func (m *TracingMachine) IntLshift(a, b TV) TV {
-	return m.binop(OpIntLshift, a, b, m.d.IntLshift(a, b).V)
-}
-
-// IntRshift implements Machine.
-func (m *TracingMachine) IntRshift(a, b TV) TV {
-	return m.binop(OpIntRshift, a, b, m.d.IntRshift(a, b).V)
-}
-
-// IntNeg implements Machine.
-func (m *TracingMachine) IntNeg(a TV) TV { return m.unop(OpIntNeg, a, m.d.IntNeg(a).V) }
-
-// IntCmp implements Machine.
-func (m *TracingMachine) IntCmp(opc Opcode, a, b TV) TV {
-	return m.binop(opc, a, b, m.d.IntCmp(opc, a, b).V)
-}
-
-// FloatArith implements Machine.
-func (m *TracingMachine) FloatArith(opc Opcode, a, b TV) TV {
-	return m.binop(opc, a, b, m.d.FloatArith(opc, a, b).V)
-}
-
-// FloatCmp implements Machine.
-func (m *TracingMachine) FloatCmp(opc Opcode, a, b TV) TV {
-	return m.binop(opc, a, b, m.d.FloatCmp(opc, a, b).V)
-}
-
-// FloatNeg implements Machine.
-func (m *TracingMachine) FloatNeg(a TV) TV { return m.unop(OpFloatNeg, a, m.d.FloatNeg(a).V) }
-
-// IntToFloat implements Machine.
-func (m *TracingMachine) IntToFloat(a TV) TV {
-	return m.unop(OpCastIntToFloat, a, m.d.IntToFloat(a).V)
-}
-
-// FloatToInt implements Machine.
-func (m *TracingMachine) FloatToInt(a TV) TV {
-	return m.unop(OpCastFloatToInt, a, m.d.FloatToInt(a).V)
-}
-
-// NewObj implements Machine.
-func (m *TracingMachine) NewObj(shape *heap.Shape, nFields int) TV {
-	v := m.d.NewObj(shape, nFields)
-	r := m.rec(Op{Opc: OpNewWithVtable, Shape: shape, Aux: int64(nFields)}, true)
-	return TV{V: v.V, R: r}
-}
-
-// NewArray implements Machine.
-func (m *TracingMachine) NewArray(shape *heap.Shape, nFields, n int) TV {
-	v := m.d.NewArray(shape, nFields, n)
-	r := m.rec(Op{Opc: OpNewArray, Shape: shape, Aux: packNewArray(nFields, n)}, true)
-	return TV{V: v.V, R: r}
+	return res
 }
 
 // packNewArray packs the field count and array length of new_array into Aux.
@@ -408,78 +279,38 @@ func unpackNewArray(aux int64) (nFields, n int) {
 	return int(aux >> 32), int(int32(uint32(aux)))
 }
 
-// GetField implements Machine.
-func (m *TracingMachine) GetField(o TV, i int) TV {
-	v := m.d.GetField(o, i)
-	r := m.rec(Op{Opc: OpGetfieldGC, A: m.ref(o), Aux: int64(i)}, true)
-	return TV{V: v.V, R: r}
+func (m *Recorder) getField(o TV, i int) Ref {
+	return m.rec(Op{Opc: OpGetfieldGC, A: m.ref(o), Aux: int64(i)}, true)
 }
 
-// SetField implements Machine.
-func (m *TracingMachine) SetField(o TV, i int, v TV) {
-	m.d.SetField(o, i, v)
+func (m *Recorder) setField(o TV, i int, v TV) {
 	m.rec(Op{Opc: OpSetfieldGC, A: m.ref(o), B: m.ref(v), Aux: int64(i)}, false)
 }
 
-// GetElem implements Machine.
-func (m *TracingMachine) GetElem(o TV, i TV) TV {
-	v := m.d.GetElem(o, i)
-	r := m.rec(Op{Opc: OpGetarrayitemGC, A: m.ref(o), B: m.ref(i)}, true)
-	return TV{V: v.V, R: r}
-}
-
-// SetElem implements Machine.
-func (m *TracingMachine) SetElem(o TV, i TV, v TV) {
-	m.d.SetElem(o, i, v)
+func (m *Recorder) setElem(o, i, v TV) {
 	m.rec(Op{Opc: OpSetarrayitemGC, A: m.ref(o), B: m.ref(i), C: m.ref(v)}, false)
 }
 
-// ArrayLen implements Machine.
-func (m *TracingMachine) ArrayLen(o TV) TV {
-	v := m.d.ArrayLen(o)
-	r := m.rec(Op{Opc: OpArraylenGC, A: m.ref(o)}, true)
-	return TV{V: v.V, R: r}
-}
-
-// StrGetItem implements Machine.
-func (m *TracingMachine) StrGetItem(o TV, i TV) TV {
-	v := m.d.StrGetItem(o, i)
-	opc := OpStrgetitem
-	if m.UseUnicodeOps {
-		opc = OpUnicodegetitem
+// strOp maps a byte-string opcode onto its unicode twin when the guest's
+// strings are unicode.
+func (m *Recorder) strOp(opc Opcode) Opcode {
+	if !m.UseUnicodeOps {
+		return opc
 	}
-	r := m.rec(Op{Opc: opc, A: m.ref(o), B: m.ref(i)}, true)
-	return TV{V: v.V, R: r}
-}
-
-// StrLen implements Machine.
-func (m *TracingMachine) StrLen(o TV) TV {
-	v := m.d.StrLen(o)
-	opc := OpStrlen
-	if m.UseUnicodeOps {
-		opc = OpUnicodelen
+	if opc == OpStrlen {
+		return OpUnicodelen
 	}
-	r := m.rec(Op{Opc: opc, A: m.ref(o)}, true)
-	return TV{V: v.V, R: r}
+	return OpUnicodegetitem
 }
 
-// PtrEq implements Machine.
-func (m *TracingMachine) PtrEq(a, b TV) TV { return m.binop(OpPtrEq, a, b, m.d.PtrEq(a, b).V) }
-
-// Annotate implements Machine: the annotation fires now and is recorded
-// so it survives into the compiled trace (the optimizer never removes it).
-func (m *TracingMachine) Annotate(tag core.Tag, arg uint64) {
-	m.d.S.Annot(tag, arg)
-	m.rec(Op{Opc: OpAnnot, Aux: int64(tag)<<32 | int64(uint32(arg))}, false)
-}
-
-// CallAOT implements Machine: records a residual call node.
-func (m *TracingMachine) CallAOT(fn *aot.Func, thunk Thunk, args ...TV) TV {
+// callAOT is Machine.CallAOT while recording: the call runs concretely
+// and is recorded as a residual call node.
+func (m *Recorder) callAOT(fn *aot.Func, thunk Thunk, args []TV) TV {
 	refs := make([]Ref, len(args))
 	for i, a := range args {
 		refs[i] = m.ref(a)
 	}
-	v := m.d.CallAOT(fn, thunk, args...)
+	v := m.d.callAOT(fn, thunk, args)
 	opc := OpCall
 	if fn.Src == aot.SrcInterp {
 		opc = OpCallMayForce
@@ -488,40 +319,12 @@ func (m *TracingMachine) CallAOT(fn *aot.Func, thunk Thunk, args ...TV) TV {
 	return TV{V: v.V, R: r}
 }
 
-// CallAOT1 implements Machine (recording is off the hot path: forward).
-func (m *TracingMachine) CallAOT1(fn *aot.Func, thunk Thunk, a TV) TV {
-	return m.CallAOT(fn, thunk, a)
-}
-
-// CallAOT2 implements Machine.
-func (m *TracingMachine) CallAOT2(fn *aot.Func, thunk Thunk, a, b TV) TV {
-	return m.CallAOT(fn, thunk, a, b)
-}
-
-// CallAOT3 implements Machine.
-func (m *TracingMachine) CallAOT3(fn *aot.Func, thunk Thunk, a, b, c TV) TV {
-	return m.CallAOT(fn, thunk, a, b, c)
-}
-
-// GuestCall implements Machine: calls are inlined into the trace, so only
-// the meta-interpreter's bookkeeping cost remains.
-func (m *TracingMachine) GuestCall(site uint64) {
-	m.d.S.Ops(isa.ALU, 12)
-	m.d.S.Ops(isa.Store, 4)
-}
-
-// GuestReturn implements Machine.
-func (m *TracingMachine) GuestReturn() {
-	m.d.S.Ops(isa.ALU, 6)
-	m.d.S.Ops(isa.Load, 3)
-}
-
 // DependOnGlobal records that the trace constant-folded the value bound
 // to name: a guard_not_invalidated op is recorded (once per name per
 // recording), and on install the trace registers as a dependent so a
 // later store to name invalidates it (RPython's quasi-immutable field
 // mechanism, applied to versioned module dicts).
-func (m *TracingMachine) DependOnGlobal(name string) {
+func (m *Recorder) DependOnGlobal(name string) {
 	if m.deps[name] {
 		return
 	}
@@ -535,15 +338,15 @@ func (m *TracingMachine) DependOnGlobal(name string) {
 // DependsOnGlobal reports whether the recording already constant-folded
 // the named global. Guest VMs must abort the recording before storing to
 // such a name: the recorded constant is already stale.
-func (m *TracingMachine) DependsOnGlobal(name string) bool { return m.deps[name] }
+func (m *Recorder) DependsOnGlobal(name string) bool { return m.deps[name] }
 
 // Abort abandons the recording with the given reason; the driver picks
 // it up at the next merge point.
-func (m *TracingMachine) Abort(reason AbortReason) {
+func (m *Recorder) Abort(reason AbortReason) {
 	m.aborted = true
 	m.reason = reason
 }
 
 // RefOf exposes the IR ref of a TV for snapshot construction, interning
 // values that flowed in from outside the recording.
-func (m *TracingMachine) RefOf(tv TV) Ref { return m.ref(tv) }
+func (m *Recorder) RefOf(tv TV) Ref { return m.ref(tv) }

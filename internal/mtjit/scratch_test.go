@@ -135,19 +135,19 @@ func TestCallAOTWindowAliasing(t *testing.T) {
 	h := heap.New(mach, heap.DefaultConfig())
 	rt := aot.NewRuntime(h)
 	fn := rt.Register("test.keep", aot.SrcIntrinsic)
-	var m Machine = NewDirectMachine(rt, FrameworkProfile())
+	m := NewMachine(rt, FrameworkProfile())
 
 	var kept []heap.Value
 	inner := func(args []heap.Value) heap.Value { return heap.IntVal(args[0].I * 10) }
 	outer := func(args []heap.Value) heap.Value {
 		kept = args
-		r := m.CallAOT1(fn, inner, Concrete(args[1]))
+		r := m.CallAOT(fn, inner, Concrete(args[1]))
 		if args[0].I != 1 || args[1].I != 2 || args[2].I != 3 {
 			t.Fatalf("nested call disturbed the outer window: %v", args)
 		}
 		return heap.IntVal(args[0].I + r.V.I)
 	}
-	res := m.CallAOT3(fn, outer, Concrete(heap.IntVal(1)), Concrete(heap.IntVal(2)), Concrete(heap.IntVal(3)))
+	res := m.CallAOT(fn, outer, Concrete(heap.IntVal(1)), Concrete(heap.IntVal(2)), Concrete(heap.IntVal(3)))
 	if res.V.I != 21 {
 		t.Fatalf("result = %d, want 21", res.V.I)
 	}

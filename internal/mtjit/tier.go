@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"metajit/internal/core"
-	"metajit/internal/heap"
 	"metajit/internal/isa"
 )
 
@@ -29,11 +28,11 @@ import (
 //
 // In both tiers every bytecode keeps its generic handler and type checks
 // stay generic guards. Execution is concrete: it reuses the guest
-// evaluator through TierMachine, which changes only the cost accounting
-// (the tier's dispatch instead of the framework switch loop) and
-// intercepts guards. Results are therefore byte-identical to plain
-// interpretation by construction; the differential oracle checks that
-// this stays true. Deopt is interpreter fallback at the failing
+// evaluator with a Residency hook on its Machine, which changes only the
+// cost accounting (the tier's dispatch instead of the framework switch
+// loop) and intercepts guards. Results are therefore byte-identical to
+// plain interpretation by construction; the differential oracle checks
+// that this stays true. Deopt is interpreter fallback at the failing
 // bytecode's boundary with no state reconstruction, because lower-tier
 // frames ARE interpreter frames.
 //
@@ -431,20 +430,20 @@ func (e *Engine) invalidateTierDeps(name string) {
 	}
 }
 
-// TierMachine executes guest operations concretely at a lower tier's
-// cost. It embeds a DirectMachine on the tier's cost profile, so
-// semantics are identical to plain interpretation; additionally every
-// operation that would be a guard in a trace (type tests, truth tests,
-// promotions, overflow arithmetic) passes through a generic-guard point
-// that the ForceTierGuardFail hook can fail, latching a pending deopt
-// the driver drains at the next bytecode boundary.
+// Residency is the Machine hook of one lower tier: while it is set
+// (Machine.Reside), the machine prices the code on the tier's own
+// DirectMachine, so semantics are identical to plain interpretation, and
+// every operation that would be a guard in a trace (type tests, truth
+// tests, promotions, overflow arithmetic) first passes a generic-guard
+// point that the ForceTierGuardFail hook can fail, latching a pending
+// deopt the driver drains at the next bytecode boundary.
 //
-// Each tier gets its own TierMachine, hence its own DirectMachine:
+// Each tier gets its own Residency, hence its own DirectMachine:
 // dispatchSeq is per-instance state that feeds tableAddr addresses, so
 // two tiers sharing one instance would see each other's cache traffic.
-type TierMachine struct {
-	*DirectMachine
-	Eng *Engine
+type Residency struct {
+	d   *DirectMachine
+	eng *Engine
 
 	// Code is the compilation currently executing.
 	Code *TierCode
@@ -454,14 +453,12 @@ type TierMachine struct {
 	pendingDeopt bool
 }
 
-var _ Machine = (*TierMachine)(nil)
-
-// NewTierMachine returns the tier-t machine for an engine, deriving its
+// NewResidency returns the tier-t residency for an engine, deriving its
 // cost profile from the engine's interpreter profile.
-func NewTierMachine(e *Engine, t Tier) *TierMachine {
+func NewResidency(e *Engine, t Tier) *Residency {
 	spec, p := &tierTable[t], e.Profile
-	return &TierMachine{
-		DirectMachine: NewDirectMachine(e.RT, &CostProfile{
+	return &Residency{
+		d: newDirectMachine(e.RT, &CostProfile{
 			Name:          p.Name + "+" + spec.name,
 			DispatchALU:   spec.dispatchALU,
 			DispatchLoads: spec.dispatchLoads,
@@ -472,7 +469,7 @@ func NewTierMachine(e *Engine, t Tier) *TierMachine {
 			CallLoads:     p.CallLoads,
 			CallStores:    p.CallStores,
 		}),
-		Eng: e,
+		eng: e,
 	}
 }
 
@@ -480,16 +477,16 @@ func NewTierMachine(e *Engine, t Tier) *TierMachine {
 // (guest pc, ordinal within the bytecode's lowering), so they are unique
 // within one TierCode, stable across runs and enumerable by the deopt
 // round-trip test.
-func (m *TierMachine) BeginOp(pc int) {
-	m.curPC = pc
-	m.guardSeq = 0
+func (r *Residency) BeginOp(pc int) {
+	r.curPC = pc
+	r.guardSeq = 0
 }
 
 // TakeDeopt consumes the pending-deopt latch set by a forced guard
 // failure.
-func (m *TierMachine) TakeDeopt() bool {
-	d := m.pendingDeopt
-	m.pendingDeopt = false
+func (r *Residency) TakeDeopt() bool {
+	d := r.pendingDeopt
+	r.pendingDeopt = false
 	return d
 }
 
@@ -498,66 +495,12 @@ func (m *TierMachine) TakeDeopt() bool {
 // current bytecode still completes concretely (lower-tier guards sit at
 // bytecode boundaries in the lowering), so falling back to the
 // interpreter afterwards is state-identical.
-func (m *TierMachine) guard() {
-	m.S.Ops(isa.ALU, 1)
-	id := uint64(m.curPC)<<8 | uint64(m.guardSeq&0xFF)
-	m.guardSeq++
-	if !m.pendingDeopt && m.Eng.ForceTierGuardFail != nil &&
-		m.Eng.ForceTierGuardFail(m.Code, id) {
-		m.pendingDeopt = true
+func (r *Residency) guard() {
+	r.d.S.Ops(isa.ALU, 1)
+	id := uint64(r.curPC)<<8 | uint64(r.guardSeq&0xFF)
+	r.guardSeq++
+	if !r.pendingDeopt && r.eng.ForceTierGuardFail != nil &&
+		r.eng.ForceTierGuardFail(r.Code, id) {
+		r.pendingDeopt = true
 	}
-}
-
-// KindOf implements Machine (guard_class over kinds in trace terms).
-func (m *TierMachine) KindOf(a TV) heap.Kind {
-	m.guard()
-	return m.DirectMachine.KindOf(a)
-}
-
-// ShapeOf implements Machine (guard_class).
-func (m *TierMachine) ShapeOf(a TV) *heap.Shape {
-	m.guard()
-	return m.DirectMachine.ShapeOf(a)
-}
-
-// IsNil implements Machine (guard_isnull).
-func (m *TierMachine) IsNil(a TV) bool {
-	m.guard()
-	return m.DirectMachine.IsNil(a)
-}
-
-// Truth implements Machine (guard_true/guard_false).
-func (m *TierMachine) Truth(a TV, site uint64) bool {
-	m.guard()
-	return m.DirectMachine.Truth(a, site)
-}
-
-// PromoteInt implements Machine (guard_value).
-func (m *TierMachine) PromoteInt(a TV) int64 {
-	m.guard()
-	return m.DirectMachine.PromoteInt(a)
-}
-
-// PromoteRef implements Machine (guard_value on identity).
-func (m *TierMachine) PromoteRef(a TV) *heap.Obj {
-	m.guard()
-	return m.DirectMachine.PromoteRef(a)
-}
-
-// IntAddOvf implements Machine (guard_no_overflow).
-func (m *TierMachine) IntAddOvf(a, b TV) (TV, bool) {
-	m.guard()
-	return m.DirectMachine.IntAddOvf(a, b)
-}
-
-// IntSubOvf implements Machine (guard_no_overflow).
-func (m *TierMachine) IntSubOvf(a, b TV) (TV, bool) {
-	m.guard()
-	return m.DirectMachine.IntSubOvf(a, b)
-}
-
-// IntMulOvf implements Machine (guard_no_overflow).
-func (m *TierMachine) IntMulOvf(a, b TV) (TV, bool) {
-	m.guard()
-	return m.DirectMachine.IntMulOvf(a, b)
 }

@@ -13,14 +13,19 @@ import (
 //
 // Exactness contract. The machine's per-cycle costs are floats, so
 // naive re-summation of per-span deltas would drift from the machine's
-// own per-phase accounting. Instead the profiler snapshots ALL phases'
-// counters at every phase-transition barrier and verifies change
-// locality: between barriers, only the phase believed active may have
-// advanced (any other change is a detected accounting bug, not silent
-// drift). Per-phase cycle totals are therefore the machine's own final
-// counters — exact by construction — while per-phase instruction totals
-// are accumulated independently as uint64 sums and cross-checked
-// against the machine by the difftest CheckProfile invariant.
+// own per-phase accounting. Instead the profiler keeps a snapshot of
+// every phase's counters and verifies change locality: between
+// barriers, only the phase believed active may advance (any other
+// change is a detected accounting bug, not silent drift). A barrier
+// re-snapshots the phase being left and compares the phase being
+// entered with its snapshot, and Finish compares every phase, so every
+// field of every phase is verified at a cost per barrier that does not
+// grow with the number of phases; a violation is reported when the
+// phase it touched is next entered, or at Finish. Per-phase cycle
+// totals are therefore the machine's own final counters — exact by
+// construction — while per-phase instruction totals are accumulated
+// independently as uint64 sums and cross-checked against the machine
+// by the difftest CheckProfile invariant.
 //
 // Attach the profiler AFTER pintool.NewPhaseTracker: observers run in
 // registration order, and the profiler asserts at each barrier that the
@@ -118,40 +123,57 @@ func (p *Profiler) OnAnnotation(a core.Annotation, _, _ uint64) {
 	}
 }
 
-// barrier verifies change locality against the machine's live counters
-// (every field of every non-active phase must equal its snapshot),
-// re-snapshots the phases that moved, folds their instruction advance
-// into the independent per-phase sums, and re-bases the total on the
-// event that crossed the boundary (NOT on a re-summation of the
-// snapshots, which would change float addition order and break
-// monotonicity against already-stamped events).
+// barrier re-snapshots the phase being left, folding its instruction
+// advance into the independent per-phase sums, verifies the phase being
+// entered against its snapshot, and re-bases the total on the event
+// that crossed the boundary (NOT on a re-summation of the snapshots,
+// which would change float addition order and break monotonicity
+// against already-stamped events).
 func (p *Profiler) barrier(st *State) {
-	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-		c := p.m.PhaseView(ph)
-		if ph != p.active {
-			if *c == p.snaps[ph] {
-				continue
-			}
-			p.errorf("phase %s counters changed while %s was active", ph, p.active)
-		}
-		p.instrsByPhase[ph] += c.Instrs - p.snaps[ph].Instrs
-		p.snaps[ph] = *c
-	}
+	left := p.active
+	p.resnap(left)
 	p.barrierTotal = *st
 	p.activate()
+	p.verify(p.active, left)
 	if sp := p.Stream.CurrentPhase(); sp != p.active && p.Stream.errCount == 0 {
 		p.errorf("machine phase %s disagrees with span stack phase %s", p.active, sp)
 	}
 }
 
-// Finish runs a final barrier and finalizes the stream (closing
-// exports). Further annotations are ignored.
+// verify checks that a phase's counters still equal its snapshot, taken
+// when it was last left: every field, since any change means something
+// retired into the phase while it was not active. A violation is
+// reported against the phase active when it is found (while), and the
+// change is folded in so the totals keep matching the machine.
+func (p *Profiler) verify(ph, while core.Phase) {
+	if *p.m.PhaseView(ph) != p.snaps[ph] {
+		p.errorf("phase %s counters changed while %s was active", ph, while)
+		p.resnap(ph)
+	}
+}
+
+// resnap folds a phase's instruction advance since its snapshot into the
+// per-phase sums and snapshots its counters again.
+func (p *Profiler) resnap(ph core.Phase) {
+	c := p.m.PhaseView(ph)
+	p.instrsByPhase[ph] += c.Instrs - p.snaps[ph].Instrs
+	p.snaps[ph] = *c
+}
+
+// Finish verifies every inactive phase, runs a final barrier and
+// finalizes the stream (closing exports). Further annotations are
+// ignored.
 func (p *Profiler) Finish() {
 	if p.finished {
 		return
 	}
 	var st State
 	p.stamp(&st)
+	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
+		if ph != p.active {
+			p.verify(ph, p.active)
+		}
+	}
 	p.barrier(&st)
 	p.Stream.Finish(st)
 	p.finished = true

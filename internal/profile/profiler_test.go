@@ -312,6 +312,39 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestBarrierReportsChangeOnEntry: a barrier verifies only the phase it
+// enters, so a change behind the profiler's back is reported as soon as
+// the phase it touched becomes active, before Finish, and only once.
+func TestBarrierReportsChangeOnEntry(t *testing.T) {
+	mach := cpu.NewDefault()
+	pintool.NewPhaseTracker(mach)
+	prof := Attach(mach, Config{})
+	mach.SetPhase(core.PhaseJIT)
+	mach.Ops(0, 3)
+	mach.SetPhase(core.PhaseInterp)
+	mach.Annot(core.TagGCMinorStart, 0)
+	if prof.Err() != nil {
+		t.Fatalf("entering an untouched phase reported %v", prof.Err())
+	}
+	mach.Annot(core.TagGCMinorEnd, 0)
+	mach.Annot(core.TagJITEnter, 1)
+	err := prof.Err()
+	if err == nil || !strings.Contains(err.Error(), "phase jit counters changed while interp was active") {
+		t.Fatalf("change not reported on entering the phase: %v", err)
+	}
+	mach.Annot(core.TagJITLeave, 1)
+	prof.Finish()
+	if n := prof.ErrorCount(); n != 1 {
+		t.Errorf("%d errors, want the one violation once: %v", n, prof.Errors())
+	}
+	totals := prof.PhaseTotals()
+	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
+		if totals[ph] != mach.PhaseCounters(ph) {
+			t.Errorf("phase %s totals diverge from the machine after the violation", ph)
+		}
+	}
+}
+
 // TestAttachedAllocationsScaleWithSignatures bounds what attaching
 // costs in host allocations on the cell with the densest span stream:
 // a few per distinct stack signature (node, label, signature string,

@@ -143,3 +143,34 @@ func TestBoundCallDoesNotAllocate(t *testing.T) {
 		t.Errorf("constructor call: %v host allocations, want 1 (the instance)", allocs)
 	}
 }
+
+// TestPlainHandlersDoNotAllocate: the plain interpreter's value handlers
+// — indexing a list and a string (type dispatch, bounds normalization,
+// element and character loads), storing into a list, integer arithmetic,
+// comparison and truth tests — allocate nothing on the host: operands
+// and results are values, and every operation is a direct call on the
+// VM's one machine.
+func TestPlainHandlersDoNotAllocate(t *testing.T) {
+	for _, p := range []*mtjit.CostProfile{mtjit.ReferenceProfile(), mtjit.FrameworkProfile(), mtjit.CustomVMProfile()} {
+		x := newIndexFixture(t, p, false)
+		vm, m := x.vm, x.vm.m
+		lst := x.f.Locals[fxList]
+		i, sum := 0, int64(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			sum += x.index(i)
+			idx := m.Const(heap.IntVal(int64(i % 64)))
+			v := vm.binary(m, BinAdd, vm.index(m, lst, idx), m.Const(heap.IntVal(1)))
+			vm.storeIndex(m, lst, idx, v)
+			if vm.truthy(m, vm.compare(m, CmpLt, v, idx), 0x40) {
+				sum++
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v host allocations per round of handlers, want 0", p.Name, allocs)
+		}
+		if sum == 0 {
+			t.Errorf("%s: no element read", p.Name)
+		}
+	}
+}

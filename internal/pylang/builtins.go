@@ -12,14 +12,14 @@ import (
 )
 
 // newBuiltin wraps a native function in a callable guest object.
-func (vm *VM) newBuiltin(name string, fn func(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV) *heap.Obj {
+func (vm *VM) newBuiltin(name string, fn func(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV) *heap.Obj {
 	o := vm.H.AllocObj(vm.BuiltinShape, 0)
 	o.Native = &Builtin{Name: name, Fn: fn}
 	return o
 }
 
 func (vm *VM) setupBuiltins() {
-	def := func(name string, fn func(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV) {
+	def := func(name string, fn func(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV) {
 		vm.builtins[name] = vm.newBuiltin(name, fn)
 	}
 
@@ -41,7 +41,7 @@ func (vm *VM) setupBuiltins() {
 	def("annotate", biAnnotate)
 }
 
-func biAnnotate(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biAnnotate(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "annotate", args, 1, 2)
 	if vm.classify(m, args[0]) != nkStr {
 		vm.throw("annotate() requires a tag name string")
@@ -78,7 +78,7 @@ func (vm *VM) Format(v heap.Value) string {
 	case heap.KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case heap.KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', 12, 64)
+		s := strconv.FormatFloat(v.F(), 'g', 12, 64)
 		if !hasDotOrExp(s) {
 			s += ".0"
 		}
@@ -137,7 +137,7 @@ func hasDotOrExp(s string) bool {
 	return false
 }
 
-func biPrint(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biPrint(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	return m.CallAOT(vm.fnMemcpy, vm.th.print, args...)
 }
 
@@ -155,7 +155,7 @@ func (vm *VM) thunkPrint(vals []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func biAbs(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biAbs(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "abs", args, 1, 1)
 	a := args[0]
 	switch vm.classify(m, a) {
@@ -178,7 +178,7 @@ func biAbs(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 
 var siteAbs = isa.NewSite()
 
-func minmax(vm *VM, m mtjit.Machine, args []mtjit.TV, name string, wantLess bool) mtjit.TV {
+func minmax(vm *VM, m *mtjit.Machine, args []mtjit.TV, name string, wantLess bool) mtjit.TV {
 	argcheck(vm, name, args, 2, 4)
 	best := args[0]
 	for _, a := range args[1:] {
@@ -202,15 +202,15 @@ func minmax(vm *VM, m mtjit.Machine, args []mtjit.TV, name string, wantLess bool
 	return best
 }
 
-func biMin(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biMin(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	return minmax(vm, m, args, "min", true)
 }
 
-func biMax(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biMax(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	return minmax(vm, m, args, "max", false)
 }
 
-func biOrd(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biOrd(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "ord", args, 1, 1)
 	if vm.classify(m, args[0]) != nkStr {
 		vm.throw("ord() requires a string")
@@ -218,23 +218,23 @@ func biOrd(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	return m.StrGetItem(args[0], m.Const(heap.IntVal(0)))
 }
 
-func biChr(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biChr(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "chr", args, 1, 1)
 	return m.GetElem(m.Const(heap.RefVal(vm.charTab)), args[0])
 }
 
-func biStr(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biStr(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "str", args, 1, 1)
 	a := args[0]
 	switch vm.classify(m, a) {
 	case nkStr:
 		return a
 	case nkInt:
-		return m.CallAOT1(vm.fnInt2Dec, vm.th.intStr, a)
+		return m.CallAOT(vm.fnInt2Dec, vm.th.intStr, a)
 	case nkBig:
-		return m.CallAOT1(vm.fnBigStr, vm.th.bigStr, a)
+		return m.CallAOT(vm.fnBigStr, vm.th.bigStr, a)
 	default:
-		return m.CallAOT1(vm.fnInt2Dec, vm.th.formatStr, a)
+		return m.CallAOT(vm.fnInt2Dec, vm.th.formatStr, a)
 	}
 }
 
@@ -254,7 +254,7 @@ func (vm *VM) thunkFormatStr(vals []heap.Value) heap.Value {
 	return heap.RefVal(out)
 }
 
-func biInt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biInt(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "int", args, 1, 1)
 	a := args[0]
 	switch vm.classify(m, a) {
@@ -263,7 +263,7 @@ func biInt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	case nkFloat:
 		return m.FloatToInt(a)
 	case nkStr:
-		return m.CallAOT1(vm.fnStr2Int, vm.th.strToInt, a)
+		return m.CallAOT(vm.fnStr2Int, vm.th.strToInt, a)
 	}
 	vm.throw("int() argument must be a number or string")
 	return mtjit.TV{}
@@ -277,7 +277,7 @@ func (vm *VM) thunkStrToInt(vals []heap.Value) heap.Value {
 	return heap.IntVal(v)
 }
 
-func biFloat(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biFloat(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "float", args, 1, 1)
 	a := args[0]
 	switch vm.classify(m, a) {
@@ -286,7 +286,7 @@ func biFloat(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	case nkInt:
 		return m.IntToFloat(a)
 	case nkStr:
-		return m.CallAOT1(vm.fnStr2Int, vm.th.strToFloat, a)
+		return m.CallAOT(vm.fnStr2Int, vm.th.strToFloat, a)
 	}
 	vm.throw("float() argument must be a number or string")
 	return mtjit.TV{}
@@ -301,7 +301,7 @@ func (vm *VM) thunkStrToFloat(vals []heap.Value) heap.Value {
 	return heap.FloatVal(f)
 }
 
-func biDivmod(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biDivmod(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "divmod", args, 2, 2)
 	a, b := args[0], args[1]
 	ka, kb := vm.classify(m, a), vm.classify(m, b)
@@ -316,7 +316,7 @@ func biDivmod(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
 		m.SetElem(tup, m.Const(heap.IntVal(1)), r)
 		return tup
 	}
-	return m.CallAOT2(vm.fnBigDivMod, vm.th.bigDivmod, a, b)
+	return m.CallAOT(vm.fnBigDivMod, vm.th.bigDivmod, a, b)
 }
 
 func (vm *VM) thunkBigDivmod(vals []heap.Value) heap.Value {
@@ -327,20 +327,20 @@ func (vm *VM) thunkBigDivmod(vals []heap.Value) heap.Value {
 	return heap.RefVal(tup)
 }
 
-func biSqrt(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biSqrt(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "sqrt", args, 1, 1)
 	a := args[0]
 	if vm.classify(m, a) == nkInt {
 		a = m.IntToFloat(a)
 	}
-	return m.CallAOT1(vm.fnSqrt, vm.th.sqrt, a)
+	return m.CallAOT(vm.fnSqrt, vm.th.sqrt, a)
 }
 
 func (vm *VM) thunkSqrt(vals []heap.Value) heap.Value {
-	return heap.FloatVal(vm.RT.CSqrt(vals[0].F))
+	return heap.FloatVal(vm.RT.CSqrt(vals[0].F()))
 }
 
-func biPow(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func biPow(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	argcheck(vm, "pow", args, 2, 2)
 	return vm.binary(m, BinPow, args[0], args[1])
 }
@@ -371,7 +371,7 @@ func (vm *VM) builtinMethod(sh *heap.Shape, name string) *heap.Obj {
 	return o
 }
 
-func (vm *VM) resolveBuiltinMethod(sh *heap.Shape, name string) func(*VM, mtjit.Machine, []mtjit.TV) mtjit.TV {
+func (vm *VM) resolveBuiltinMethod(sh *heap.Shape, name string) func(*VM, *mtjit.Machine, []mtjit.TV) mtjit.TV {
 	switch sh {
 	case vm.ListShape:
 		switch name {
@@ -428,8 +428,8 @@ func (vm *VM) resolveBuiltinMethod(sh *heap.Shape, name string) func(*VM, mtjit.
 	return nil
 }
 
-func lmAppend(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnListSetSlice, vm.th.listAppend, args[0], args[1])
+func lmAppend(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnListSetSlice, vm.th.listAppend, args[0], args[1])
 }
 
 func (vm *VM) thunkListAppend(vals []heap.Value) heap.Value {
@@ -437,12 +437,12 @@ func (vm *VM) thunkListAppend(vals []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func lmPop(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func lmPop(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	idxTV := m.Const(heap.IntVal(-1))
 	if len(args) > 1 {
 		idxTV = args[1]
 	}
-	return m.CallAOT2(vm.fnListSetSlice, vm.th.listPop, args[0], idxTV)
+	return m.CallAOT(vm.fnListSetSlice, vm.th.listPop, args[0], idxTV)
 }
 
 func (vm *VM) thunkListPop(vals []heap.Value) heap.Value {
@@ -465,8 +465,8 @@ func (vm *VM) thunkListPop(vals []heap.Value) heap.Value {
 	return v
 }
 
-func lmInsert(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT3(vm.fnListSetSlice, vm.th.listInsert, args[0], args[1], args[2])
+func lmInsert(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnListSetSlice, vm.th.listInsert, args[0], args[1], args[2])
 }
 
 func (vm *VM) thunkListInsert(vals []heap.Value) heap.Value {
@@ -489,8 +489,8 @@ func (vm *VM) thunkListInsert(vals []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func lmIndex(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnListFind, vm.th.listIndex, args[0], args[1])
+func lmIndex(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnListFind, vm.th.listIndex, args[0], args[1])
 }
 
 func (vm *VM) thunkListIndex(vals []heap.Value) heap.Value {
@@ -501,8 +501,8 @@ func (vm *VM) thunkListIndex(vals []heap.Value) heap.Value {
 	return heap.IntVal(int64(i))
 }
 
-func lmExtend(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnListSetSlice, vm.th.listExtend, args[0], args[1])
+func lmExtend(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnListSetSlice, vm.th.listExtend, args[0], args[1])
 }
 
 func (vm *VM) thunkListExtend(vals []heap.Value) heap.Value {
@@ -515,8 +515,8 @@ func (vm *VM) thunkListExtend(vals []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func lmSort(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnListSort, vm.th.listSort, args[0])
+func lmSort(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnListSort, vm.th.listSort, args[0])
 }
 
 func (vm *VM) thunkListSort(vals []heap.Value) heap.Value {
@@ -550,7 +550,7 @@ func (vm *VM) valueLess(a, b heap.Value) bool {
 		return a.I < b.I
 	}
 	if a.Kind == heap.KindFloat || b.Kind == heap.KindFloat {
-		af, bf := a.F, b.F
+		af, bf := a.F(), b.F()
 		if a.Kind == heap.KindInt {
 			af = float64(a.I)
 		}
@@ -567,8 +567,8 @@ func (vm *VM) valueLess(a, b heap.Value) bool {
 	return false
 }
 
-func lmReverse(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnListSetSlice, vm.th.listReverse, args[0])
+func lmReverse(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnListSetSlice, vm.th.listReverse, args[0])
 }
 
 func (vm *VM) thunkListReverse(vals []heap.Value) heap.Value {
@@ -580,8 +580,8 @@ func (vm *VM) thunkListReverse(vals []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func smJoin(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnStrJoin, vm.th.strJoin, args[0], args[1])
+func smJoin(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnStrJoin, vm.th.strJoin, args[0], args[1])
 }
 
 func (vm *VM) thunkStrJoin(vals []heap.Value) heap.Value {
@@ -595,12 +595,12 @@ func (vm *VM) thunkStrJoin(vals []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.StrJoin(sep, list.Elems))
 }
 
-func smSplit(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func smSplit(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	sep := m.Const(heap.RefVal(vm.Intern(" ")))
 	if len(args) > 1 {
 		sep = args[1]
 	}
-	return m.CallAOT2(vm.fnStrSplit, vm.th.strSplit, args[0], sep)
+	return m.CallAOT(vm.fnStrSplit, vm.th.strSplit, args[0], sep)
 }
 
 func (vm *VM) thunkStrSplit(vals []heap.Value) heap.Value {
@@ -612,20 +612,20 @@ func (vm *VM) thunkStrSplit(vals []heap.Value) heap.Value {
 	return heap.RefVal(out)
 }
 
-func smReplace(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT3(vm.fnStrReplace, vm.th.strReplace, args[0], args[1], args[2])
+func smReplace(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnStrReplace, vm.th.strReplace, args[0], args[1], args[2])
 }
 
 func (vm *VM) thunkStrReplace(vals []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.StrReplace(vals[0].O, vals[1].O, vals[2].O))
 }
 
-func smFind(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func smFind(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	start := m.Const(heap.IntVal(0))
 	if len(args) > 2 {
 		start = args[2]
 	}
-	return m.CallAOT3(vm.fnStrFindChar, vm.th.strFind, args[0], args[1], start)
+	return m.CallAOT(vm.fnStrFindChar, vm.th.strFind, args[0], args[1], start)
 }
 
 func (vm *VM) thunkStrFind(vals []heap.Value) heap.Value {
@@ -635,8 +635,8 @@ func (vm *VM) thunkStrFind(vals []heap.Value) heap.Value {
 	return heap.IntVal(int64(vm.RT.StrFind(vals[0].O, vals[1].O, int(vals[2].I))))
 }
 
-func smStartswith(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnStrFind, vm.th.strStartswith, args[0], args[1])
+func smStartswith(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnStrFind, vm.th.strStartswith, args[0], args[1])
 }
 
 func (vm *VM) thunkStrStartswith(vals []heap.Value) heap.Value {
@@ -645,8 +645,8 @@ func (vm *VM) thunkStrStartswith(vals []heap.Value) heap.Value {
 	return heap.BoolVal(len(s) >= len(p) && string(s[:len(p)]) == string(p))
 }
 
-func smEndswith(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnStrFind, vm.th.strEndswith, args[0], args[1])
+func smEndswith(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnStrFind, vm.th.strEndswith, args[0], args[1])
 }
 
 func (vm *VM) thunkStrEndswith(vals []heap.Value) heap.Value {
@@ -666,24 +666,24 @@ var upperTable, lowerTable = func() (up, lo [256]byte) {
 	return
 }()
 
-func smUpper(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnTranslate, vm.th.strUpper, args[0])
+func smUpper(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnTranslate, vm.th.strUpper, args[0])
 }
 
 func (vm *VM) thunkStrUpper(vals []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.Translate(vals[0].O, upperTable))
 }
 
-func smLower(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnTranslate, vm.th.strLower, args[0])
+func smLower(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnTranslate, vm.th.strLower, args[0])
 }
 
 func (vm *VM) thunkStrLower(vals []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.Translate(vals[0].O, lowerTable))
 }
 
-func smStrip(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnStrSlice, vm.th.strStrip, args[0])
+func smStrip(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnStrSlice, vm.th.strStrip, args[0])
 }
 
 func (vm *VM) thunkStrStrip(vals []heap.Value) heap.Value {
@@ -699,20 +699,20 @@ func (vm *VM) thunkStrStrip(vals []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.NewStr(b[lo:hi]))
 }
 
-func smEncodeASCII(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnEncode, vm.th.encodeASCII, args[0])
+func smEncodeASCII(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnEncode, vm.th.encodeASCII, args[0])
 }
 
 func (vm *VM) thunkEncodeASCII(vals []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.EncodeASCII(vals[0].O))
 }
 
-func dmGet(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func dmGet(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	def := m.Const(heap.Nil)
 	if len(args) > 2 {
 		def = args[2]
 	}
-	return m.CallAOT3(vm.fnDictLookup, vm.th.dictGet, args[0], args[1], def)
+	return m.CallAOT(vm.fnDictLookup, vm.th.dictGet, args[0], args[1], def)
 }
 
 func (vm *VM) thunkDictGet(vals []heap.Value) heap.Value {
@@ -723,12 +723,12 @@ func (vm *VM) thunkDictGet(vals []heap.Value) heap.Value {
 	return v
 }
 
-func dmKeys(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+func dmKeys(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 	return vm.iterPrep(m, args[0])
 }
 
-func dmValues(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnDictKeys, vm.th.dictValues, args[0])
+func dmValues(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnDictKeys, vm.th.dictValues, args[0])
 }
 
 func (vm *VM) thunkDictValues(vals []heap.Value) heap.Value {
@@ -742,8 +742,8 @@ func (vm *VM) thunkDictValues(vals []heap.Value) heap.Value {
 	return heap.RefVal(out)
 }
 
-func dmPop(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
-	return m.CallAOT2(vm.fnDictDel, vm.th.dictPop, args[0], args[1])
+func dmPop(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnDictDel, vm.th.dictPop, args[0], args[1])
 }
 
 func (vm *VM) thunkDictPop(vals []heap.Value) heap.Value {

@@ -66,7 +66,7 @@ func (c *checksummer) value(v heap.Value) {
 	case heap.KindBool, heap.KindInt:
 		c.mix(uint64(v.I))
 	case heap.KindFloat:
-		c.mix(math.Float64bits(v.F))
+		c.mix(math.Float64bits(v.F()))
 	case heap.KindRef:
 		c.obj(v.O)
 	}

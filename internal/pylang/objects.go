@@ -46,7 +46,7 @@ type Builtin struct {
 	Name string
 	// Fn runs under the current machine so builtin work records into
 	// traces and emits interpreter cost like everything else.
-	Fn func(vm *VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV
+	Fn func(vm *VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV
 }
 
 // Class is a guest class. Instances share a heap.Shape per class, so
@@ -99,18 +99,20 @@ type VM struct {
 	RT   *aot.Runtime
 	Eng  *mtjit.Engine // nil when the VM is a plain interpreter
 
-	direct *mtjit.DirectMachine
-	m      mtjit.Machine
-	tm     *mtjit.TracingMachine
+	// m is the VM's one machine. While tm is non-nil it records into
+	// tm; while tierCode is non-nil it is resident in that tier.
+	m  *mtjit.Machine
+	tm *mtjit.Recorder
 	// traceRoot is the frame-stack depth where the active recording
 	// started.
 	traceRoot int
 
 	// Lower-tier residency: while tierCode is non-nil the dispatch loop
-	// runs inside that compiled region for tierFrame, on the region's
-	// tier machine for cost accounting. tierMach[t] is nil unless tier t
-	// is on; each tier keeps its own machine (see mtjit.TierMachine).
-	tierMach  [mtjit.NumTiers]*mtjit.TierMachine
+	// runs inside that compiled region for tierFrame, with the region's
+	// tier residency hooked on m for cost accounting and guards.
+	// resid[t] is nil unless tier t is on; each tier keeps its own (see
+	// mtjit.Residency).
+	resid     [mtjit.NumTiers]*mtjit.Residency
 	tierCode  *mtjit.TierCode
 	tierFrame *Frame
 
@@ -255,8 +257,7 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 	rt.DictShape = vm.DictShape
 	rt.ListShape = vm.ListShape
 
-	vm.direct = mtjit.NewDirectMachine(rt, cfg.Profile)
-	vm.m = vm.direct
+	vm.m = mtjit.NewMachine(rt, cfg.Profile)
 	if cfg.JIT {
 		// The engine config is validated/clamped at construction
 		// (mtjit.Config.normalize), so inverted threshold orderings
@@ -286,10 +287,10 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 			vm.Eng.Opts = *cfg.Opts
 		}
 		if cfg.Baseline {
-			vm.tierMach[mtjit.BaselineTier] = mtjit.NewTierMachine(vm.Eng, mtjit.BaselineTier)
+			vm.resid[mtjit.BaselineTier] = mtjit.NewResidency(vm.Eng, mtjit.BaselineTier)
 		}
 		if cfg.Method {
-			vm.tierMach[mtjit.MethodTier] = mtjit.NewTierMachine(vm.Eng, mtjit.MethodTier)
+			vm.resid[mtjit.MethodTier] = mtjit.NewResidency(vm.Eng, mtjit.MethodTier)
 		}
 	}
 
@@ -495,7 +496,7 @@ func (vm *VM) DefineFunctionGlobal(name string, code *Code) {
 }
 
 // DefineGlobalBuiltin binds a native function to a global name.
-func (vm *VM) DefineGlobalBuiltin(name string, fn func(*VM, mtjit.Machine, []mtjit.TV) mtjit.TV) {
+func (vm *VM) DefineGlobalBuiltin(name string, fn func(*VM, *mtjit.Machine, []mtjit.TV) mtjit.TV) {
 	vm.builtins[name] = vm.newBuiltin(name, fn)
 }
 

@@ -49,7 +49,7 @@ const (
 	nkOther
 )
 
-func (vm *VM) classify(m mtjit.Machine, v mtjit.TV) numKind {
+func (vm *VM) classify(m *mtjit.Machine, v mtjit.TV) numKind {
 	switch m.KindOf(v) {
 	case heap.KindInt, heap.KindBool:
 		return nkInt
@@ -72,7 +72,7 @@ func (vm *VM) classify(m mtjit.Machine, v mtjit.TV) numKind {
 	return nkOther
 }
 
-func (vm *VM) binary(m mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
+func (vm *VM) binary(m *mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
 	ka := vm.classify(m, a)
 	kb := vm.classify(m, b)
 
@@ -176,18 +176,18 @@ func (vm *VM) binary(m mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
 			}
 			return res
 		case BinMod:
-			return m.CallAOT2(vm.fnPow, vm.th.floatMod, fa, fb)
+			return m.CallAOT(vm.fnPow, vm.th.floatMod, fa, fb)
 		case BinPow:
-			return m.CallAOT2(vm.fnPow, vm.th.pow, fa, fb)
+			return m.CallAOT(vm.fnPow, vm.th.pow, fa, fb)
 		}
 	case ka == nkStr && kb == nkStr && op == BinAdd:
-		return m.CallAOT2(vm.fnStrConcat, vm.th.strConcat, a, b)
+		return m.CallAOT(vm.fnStrConcat, vm.th.strConcat, a, b)
 	case ka == nkStr && kb == nkInt && op == BinMul:
-		return m.CallAOT2(vm.fnMemcpy, vm.th.strRepeat, a, b)
+		return m.CallAOT(vm.fnMemcpy, vm.th.strRepeat, a, b)
 	case ka == nkList && kb == nkList && op == BinAdd:
-		return m.CallAOT2(vm.fnListSlice, vm.th.listConcat, a, b)
+		return m.CallAOT(vm.fnListSlice, vm.th.listConcat, a, b)
 	case ka == nkList && kb == nkInt && op == BinMul:
-		return m.CallAOT2(vm.fnListSlice, vm.th.listRepeat, a, b)
+		return m.CallAOT(vm.fnListSlice, vm.th.listRepeat, a, b)
 	}
 	vm.throw("unsupported operand types for binary op %d (%s, %s)", op, a.V, b.V)
 	return mtjit.TV{}
@@ -197,7 +197,7 @@ func (vm *VM) binary(m mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
 // machine, so traces carry a compare+guard re-testing it: a trace
 // recorded with a nonzero divisor must deoptimize — not execute int_mod
 // on zero — when a later iteration divides by zero.
-func (vm *VM) intDivisorZero(m mtjit.Machine, b mtjit.TV) bool {
+func (vm *VM) intDivisorZero(m *mtjit.Machine, b mtjit.TV) bool {
 	z := m.IntCmp(mtjit.OpIntEq, b, m.Const(heap.IntVal(0)))
 	return m.Truth(z, siteDivZero.PC())
 }
@@ -212,30 +212,30 @@ var (
 
 // intPow computes a**b: non-negative integer exponents stay exact
 // (promoting to bigint on overflow); negative exponents go float.
-func (vm *VM) intPow(m mtjit.Machine, a, b mtjit.TV) mtjit.TV {
+func (vm *VM) intPow(m *mtjit.Machine, a, b mtjit.TV) mtjit.TV {
 	bneg := m.IntCmp(mtjit.OpIntLt, b, m.Const(heap.IntVal(0)))
 	if m.Truth(bneg, sitePowNeg.PC()) {
-		return m.CallAOT2(vm.fnPow, vm.th.pow, m.IntToFloat(a), m.IntToFloat(b))
+		return m.CallAOT(vm.fnPow, vm.th.pow, m.IntToFloat(a), m.IntToFloat(b))
 	}
-	return m.CallAOT2(vm.fnBigMul, vm.th.intPow, a, b)
+	return m.CallAOT(vm.fnBigMul, vm.th.intPow, a, b)
 }
 
-func (vm *VM) bigBinary(m mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
+func (vm *VM) bigBinary(m *mtjit.Machine, op BinKind, a, b mtjit.TV) mtjit.TV {
 	switch op {
 	case BinAdd:
-		return m.CallAOT2(vm.fnBigAdd, vm.th.bigAdd, a, b)
+		return m.CallAOT(vm.fnBigAdd, vm.th.bigAdd, a, b)
 	case BinSub:
-		return m.CallAOT2(vm.fnBigSub, vm.th.bigSub, a, b)
+		return m.CallAOT(vm.fnBigSub, vm.th.bigSub, a, b)
 	case BinMul:
-		return m.CallAOT2(vm.fnBigMul, vm.th.bigMul, a, b)
+		return m.CallAOT(vm.fnBigMul, vm.th.bigMul, a, b)
 	case BinFloorDiv:
-		return m.CallAOT2(vm.fnBigDivMod, vm.th.bigFloorDiv, a, b)
+		return m.CallAOT(vm.fnBigDivMod, vm.th.bigFloorDiv, a, b)
 	case BinMod:
-		return m.CallAOT2(vm.fnBigDivMod, vm.th.bigMod, a, b)
+		return m.CallAOT(vm.fnBigDivMod, vm.th.bigMod, a, b)
 	case BinLsh:
-		return m.CallAOT2(vm.fnBigLsh, vm.th.bigLsh, a, b)
+		return m.CallAOT(vm.fnBigLsh, vm.th.bigLsh, a, b)
 	case BinRsh:
-		return m.CallAOT2(vm.fnBigRsh, vm.th.bigRsh, a, b)
+		return m.CallAOT(vm.fnBigRsh, vm.th.bigRsh, a, b)
 	}
 	vm.throw("unsupported bigint operation %d", op)
 	return mtjit.TV{}
@@ -294,11 +294,11 @@ func (vm *VM) thunkIntPow(args []heap.Value) heap.Value {
 }
 
 func (vm *VM) thunkPow(args []heap.Value) heap.Value {
-	return heap.FloatVal(vm.RT.CPow(args[0].F, args[1].F))
+	return heap.FloatVal(vm.RT.CPow(args[0].F(), args[1].F()))
 }
 
 func (vm *VM) thunkFloatMod(args []heap.Value) heap.Value {
-	a, b := args[0].F, args[1].F
+	a, b := args[0].F(), args[1].F()
 	r := a - float64(int64(a/b))*b
 	if r != 0 && (r < 0) != (b < 0) {
 		r += b
@@ -351,7 +351,7 @@ func (vm *VM) thunkListRepeat(args []heap.Value) heap.Value {
 
 // ---- comparisons ----
 
-func (vm *VM) compare(m mtjit.Machine, op CmpKind, a, b mtjit.TV) mtjit.TV {
+func (vm *VM) compare(m *mtjit.Machine, op CmpKind, a, b mtjit.TV) mtjit.TV {
 	switch op {
 	case CmpIs:
 		return m.PtrEq(a, b)
@@ -376,9 +376,9 @@ func (vm *VM) compare(m mtjit.Machine, op CmpKind, a, b mtjit.TV) mtjit.TV {
 		}
 		return m.FloatCmp(cmpToFloatIR(op), fa, fb)
 	case ka == nkBig || kb == nkBig:
-		return m.CallAOT2(vm.fnBigSub, vm.th.cmpBig[op], a, b)
+		return m.CallAOT(vm.fnBigSub, vm.th.cmpBig[op], a, b)
 	case ka == nkStr && kb == nkStr:
-		return m.CallAOT2(vm.fnStrEq, vm.th.cmpStr[op], a, b)
+		return m.CallAOT(vm.fnStrEq, vm.th.cmpStr[op], a, b)
 	case op == CmpEq:
 		return m.PtrEq(a, b)
 	case op == CmpNe:
@@ -464,14 +464,14 @@ func cmpToFloatIR(op CmpKind) mtjit.Opcode {
 }
 
 // contains implements "needle in container".
-func (vm *VM) contains(m mtjit.Machine, container, needle mtjit.TV) mtjit.TV {
+func (vm *VM) contains(m *mtjit.Machine, container, needle mtjit.TV) mtjit.TV {
 	switch vm.classify(m, container) {
 	case nkDict:
-		return m.CallAOT2(vm.fnDictLookup, vm.th.dictContains, container, needle)
+		return m.CallAOT(vm.fnDictLookup, vm.th.dictContains, container, needle)
 	case nkList, nkTuple:
-		return m.CallAOT2(vm.fnListFind, vm.th.listContains, container, needle)
+		return m.CallAOT(vm.fnListFind, vm.th.listContains, container, needle)
 	case nkStr:
-		return m.CallAOT2(vm.fnStrFind, vm.th.strContains, container, needle)
+		return m.CallAOT(vm.fnStrFind, vm.th.strContains, container, needle)
 	}
 	vm.throw("argument of 'in' is not a container")
 	return mtjit.TV{}
@@ -491,14 +491,14 @@ func (vm *VM) thunkStrContains(args []heap.Value) heap.Value {
 	return heap.BoolVal(vm.RT.StrFind(args[0].O, args[1].O, 0) >= 0)
 }
 
-func (vm *VM) unaryNeg(m mtjit.Machine, a mtjit.TV) mtjit.TV {
+func (vm *VM) unaryNeg(m *mtjit.Machine, a mtjit.TV) mtjit.TV {
 	switch vm.classify(m, a) {
 	case nkInt:
 		return m.IntNeg(a)
 	case nkFloat:
 		return m.FloatNeg(a)
 	case nkBig:
-		return m.CallAOT1(vm.fnBigSub, vm.th.bigNeg, a)
+		return m.CallAOT(vm.fnBigSub, vm.th.bigNeg, a)
 	}
 	vm.throw("bad operand for unary minus")
 	return mtjit.TV{}
@@ -510,7 +510,7 @@ func (vm *VM) thunkBigNeg(args []heap.Value) heap.Value {
 }
 
 // truthy evaluates guest truthiness, recording the guard.
-func (vm *VM) truthy(m mtjit.Machine, v mtjit.TV, site uint64) bool {
+func (vm *VM) truthy(m *mtjit.Machine, v mtjit.TV, site uint64) bool {
 	switch vm.classify(m, v) {
 	case nkList, nkTuple:
 		n := m.ArrayLen(v)
@@ -537,7 +537,7 @@ func (vm *VM) truthy(m mtjit.Machine, v mtjit.TV, site uint64) bool {
 
 // normIndex bounds-checks and normalizes a sequence index through the
 // machine, so traces carry the same compare+guard pattern PyPy emits.
-func (vm *VM) normIndex(m mtjit.Machine, idx, length mtjit.TV, what string) mtjit.TV {
+func (vm *VM) normIndex(m *mtjit.Machine, idx, length mtjit.TV, what string) mtjit.TV {
 	neg := m.IntCmp(mtjit.OpIntLt, idx, m.Const(heap.IntVal(0)))
 	if m.Truth(neg, siteIndexNeg.PC()) {
 		idx = m.IntAdd(idx, length)
@@ -554,7 +554,7 @@ var (
 	siteIndexBound = isa.NewSite()
 )
 
-func (vm *VM) index(m mtjit.Machine, o, i mtjit.TV) mtjit.TV {
+func (vm *VM) index(m *mtjit.Machine, o, i mtjit.TV) mtjit.TV {
 	switch vm.classify(m, o) {
 	case nkList, nkTuple:
 		i = vm.normIndex(m, i, m.ArrayLen(o), "list")
@@ -564,7 +564,7 @@ func (vm *VM) index(m mtjit.Machine, o, i mtjit.TV) mtjit.TV {
 		ch := m.StrGetItem(o, i)
 		return m.GetElem(m.Const(heap.RefVal(vm.charTab)), ch)
 	case nkDict:
-		return m.CallAOT2(vm.fnDictLookup, vm.th.dictIndex, o, i)
+		return m.CallAOT(vm.fnDictLookup, vm.th.dictIndex, o, i)
 	}
 	vm.throw("object is not subscriptable")
 	return mtjit.TV{}
@@ -578,7 +578,7 @@ func (vm *VM) thunkDictIndex(args []heap.Value) heap.Value {
 	return v
 }
 
-func (vm *VM) storeIndex(m mtjit.Machine, o, i, v mtjit.TV) {
+func (vm *VM) storeIndex(m *mtjit.Machine, o, i, v mtjit.TV) {
 	switch vm.classify(m, o) {
 	case nkList:
 		i = vm.normIndex(m, i, m.ArrayLen(o), "list")
@@ -590,8 +590,8 @@ func (vm *VM) storeIndex(m mtjit.Machine, o, i, v mtjit.TV) {
 	}
 }
 
-func (vm *VM) dictSet(m mtjit.Machine, d, k, v mtjit.TV) {
-	m.CallAOT3(vm.fnDictSet, vm.th.dictSet, d, k, v)
+func (vm *VM) dictSet(m *mtjit.Machine, d, k, v mtjit.TV) {
+	m.CallAOT(vm.fnDictSet, vm.th.dictSet, d, k, v)
 }
 
 func (vm *VM) thunkDictSet(args []heap.Value) heap.Value {
@@ -602,8 +602,8 @@ func (vm *VM) thunkDictSet(args []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func (vm *VM) dictLen(m mtjit.Machine, d mtjit.TV) mtjit.TV {
-	return m.CallAOT1(vm.fnDictLen, vm.th.dictLen, d)
+func (vm *VM) dictLen(m *mtjit.Machine, d mtjit.TV) mtjit.TV {
+	return m.CallAOT(vm.fnDictLen, vm.th.dictLen, d)
 }
 
 func (vm *VM) thunkDictLen(args []heap.Value) heap.Value {
@@ -611,7 +611,7 @@ func (vm *VM) thunkDictLen(args []heap.Value) heap.Value {
 	return heap.IntVal(int64(args[0].O.Native.(*aot.Dict).Len()))
 }
 
-func (vm *VM) newDict(m mtjit.Machine) mtjit.TV {
+func (vm *VM) newDict(m *mtjit.Machine) mtjit.TV {
 	return m.CallAOT(vm.fnDictNew, vm.th.dictNew)
 }
 
@@ -644,12 +644,12 @@ func sliceBounds(lo, hi, n int64) (int64, int64) {
 	return lo, hi
 }
 
-func (vm *VM) slice(m mtjit.Machine, o, lo, hi mtjit.TV) mtjit.TV {
+func (vm *VM) slice(m *mtjit.Machine, o, lo, hi mtjit.TV) mtjit.TV {
 	switch vm.classify(m, o) {
 	case nkList, nkTuple:
-		return m.CallAOT3(vm.fnListSlice, vm.th.listSlice, o, lo, hi)
+		return m.CallAOT(vm.fnListSlice, vm.th.listSlice, o, lo, hi)
 	case nkStr:
-		return m.CallAOT3(vm.fnStrSlice, vm.th.strSlice, o, lo, hi)
+		return m.CallAOT(vm.fnStrSlice, vm.th.strSlice, o, lo, hi)
 	}
 	vm.throw("object is not sliceable")
 	return mtjit.TV{}
@@ -666,7 +666,7 @@ func (vm *VM) thunkStrSlice(args []heap.Value) heap.Value {
 	return heap.RefVal(vm.RT.NewStr(args[0].O.Bytes[l:h]))
 }
 
-func (vm *VM) storeSlice(m mtjit.Machine, o, lo, hi, v mtjit.TV) {
+func (vm *VM) storeSlice(m *mtjit.Machine, o, lo, hi, v mtjit.TV) {
 	if vm.classify(m, o) != nkList || vm.classify(m, v) != nkList {
 		vm.throw("slice assignment requires lists")
 	}
@@ -680,7 +680,7 @@ func (vm *VM) thunkListSetSlice(args []heap.Value) heap.Value {
 	return heap.Nil
 }
 
-func (vm *VM) length(m mtjit.Machine, o mtjit.TV) mtjit.TV {
+func (vm *VM) length(m *mtjit.Machine, o mtjit.TV) mtjit.TV {
 	switch vm.classify(m, o) {
 	case nkList, nkTuple:
 		return m.ArrayLen(o)
@@ -693,12 +693,12 @@ func (vm *VM) length(m mtjit.Machine, o mtjit.TV) mtjit.TV {
 	return mtjit.TV{}
 }
 
-func (vm *VM) iterPrep(m mtjit.Machine, o mtjit.TV) mtjit.TV {
+func (vm *VM) iterPrep(m *mtjit.Machine, o mtjit.TV) mtjit.TV {
 	switch vm.classify(m, o) {
 	case nkList, nkTuple, nkStr:
 		return o
 	case nkDict:
-		return m.CallAOT1(vm.fnDictKeys, vm.th.dictKeys, o)
+		return m.CallAOT(vm.fnDictKeys, vm.th.dictKeys, o)
 	}
 	vm.throw("object is not iterable")
 	return mtjit.TV{}
@@ -722,7 +722,7 @@ func (vm *VM) attrCost() {
 	vm.H.Stream().Ops(isa.Load, 2)
 }
 
-func (vm *VM) loadAttr(m mtjit.Machine, f *Frame, name string) {
+func (vm *VM) loadAttr(m *mtjit.Machine, f *Frame, name string) {
 	obj := f.pop()
 	sh := m.ShapeOf(obj)
 	vm.attrCost()
@@ -753,7 +753,7 @@ func (vm *VM) loadAttr(m mtjit.Machine, f *Frame, name string) {
 	vm.throw("%s object has no attribute %q", sh.Name, name)
 }
 
-func (vm *VM) storeAttr(m mtjit.Machine, f *Frame, name string) {
+func (vm *VM) storeAttr(m *mtjit.Machine, f *Frame, name string) {
 	v := f.pop()
 	obj := f.pop()
 	sh := m.ShapeOf(obj)

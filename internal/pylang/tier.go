@@ -113,11 +113,11 @@ func (vm *VM) compileTier(t mtjit.Tier, f *Frame, start, end int) {
 
 // enterTier makes the dispatch loop resident in c for frame f.
 func (vm *VM) enterTier(c *mtjit.TierCode, f *Frame) {
-	m := vm.tierMach[c.Tier]
-	m.Code = c
+	r := vm.resid[c.Tier]
+	r.Code = c
 	vm.tierCode = c
 	vm.tierFrame = f
-	vm.m = m
+	vm.m.Reside(r)
 	vm.Eng.EnterTier(c)
 }
 
@@ -130,7 +130,7 @@ func (vm *VM) leaveTier() {
 	vm.Eng.LeaveTier(vm.tierCode)
 	vm.tierCode = nil
 	vm.tierFrame = nil
-	vm.m = vm.direct
+	vm.m.Reside(nil)
 }
 
 // checkResidency runs at the top of the dispatch loop while resident:
@@ -139,7 +139,7 @@ func (vm *VM) leaveTier() {
 // the code was invalidated under us.
 func (vm *VM) checkResidency() {
 	f := vm.frames[len(vm.frames)-1]
-	if vm.tierMach[vm.tierCode.Tier].TakeDeopt() {
+	if vm.resid[vm.tierCode.Tier].TakeDeopt() {
 		vm.Eng.TierDeopt(vm.tierCode)
 		vm.leaveTier()
 		return

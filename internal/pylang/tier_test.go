@@ -231,8 +231,8 @@ def main():
 		if open != 0 {
 			t.Errorf("%d residency span(s) still open after main returned", open)
 		}
-		if vm.m != vm.direct || vm.tierCode != nil {
-			t.Errorf("VM still resident after main returned: machine %T, code %v", vm.m, vm.tierCode)
+		if !vm.m.Plain() || vm.tierCode != nil {
+			t.Errorf("VM still resident after main returned: machine hooked %v, code %v", !vm.m.Plain(), vm.tierCode)
 		}
 	})
 }

@@ -236,7 +236,7 @@ func (vm *VM) mergePoint(f *Frame) bool {
 		act := vm.Eng.AtMergePoint(vm.tm, key, depth, f)
 		if act != mtjit.MPContinue {
 			vm.tm = nil
-			vm.m = vm.direct
+			vm.m.Record(nil)
 		}
 		return false
 	}
@@ -254,7 +254,7 @@ func (vm *VM) mergePoint(f *Frame) bool {
 		vm.traceRoot = len(vm.frames) - 1
 		vm.tm = vm.Eng.BeginTracing(key, f, vm.snapshot)
 		vm.tm.UseUnicodeOps = vm.UnicodeStrings
-		vm.m = vm.tm
+		vm.m.Record(vm.tm)
 		return false
 	case mtjit.TierMethod:
 		// Amalgamation: the whole enclosing function compiles (and
@@ -292,7 +292,7 @@ func (vm *VM) runTrace(tr *mtjit.Trace) {
 			}
 			vm.tm = vm.Eng.BeginBridge(exit.StartBridgeGuard, resume, adapters, vm.snapshot)
 			vm.tm.UseUnicodeOps = vm.UnicodeStrings
-			vm.m = vm.tm
+			vm.m.Record(vm.tm)
 		}
 	}
 }
@@ -330,16 +330,10 @@ func (vm *VM) run(base int) heap.Value {
 			// compiled fragment's own address (per-fragment indirect
 			// branches predict far better than the shared switch), and
 			// guard identities reset per bytecode.
-			vm.tierMach[c.Tier].BeginOp(f.PC)
+			vm.resid[c.Tier].BeginOp(f.PC)
 			site = c.SitePC(f.PC)
 		}
-		if d, ok := m.(*mtjit.DirectMachine); ok {
-			// The plain interpreter's dispatch, called on the concrete
-			// machine rather than through the interface.
-			d.Dispatch(site, HandlerPC(in.Op))
-		} else {
-			m.Dispatch(site, HandlerPC(in.Op))
-		}
+		m.Dispatch(site, HandlerPC(in.Op))
 		f.PC++
 
 		switch in.Op {
@@ -409,8 +403,7 @@ func (vm *VM) run(base int) heap.Value {
 			if vm.tm != nil && len(vm.frames) <= vm.traceRoot {
 				vm.Eng.AbortTrace(vm.tm, mtjit.AbortLeftFrame)
 				vm.tm = nil
-				vm.m = vm.direct
-				m = vm.m
+				m.Record(nil)
 			}
 			if len(vm.frames) == base {
 				// Compiled regions can cover the return (method code
@@ -523,7 +516,7 @@ func (vm *VM) lookupGlobal(name string) heap.Value {
 // guard_not_invalidated — the versioned-dict fast path. Mutated
 // globals cannot be folded: the trace re-reads the module dict through
 // a residual ll_call_lookup_function call on every execution.
-func (vm *VM) loadGlobal(m mtjit.Machine, name string) mtjit.TV {
+func (vm *VM) loadGlobal(m *mtjit.Machine, name string) mtjit.TV {
 	if vm.tm != nil && vm.mutatedGlobals[name] {
 		return m.CallAOT(vm.fnDictLookup, func([]heap.Value) heap.Value {
 			return vm.lookupGlobal(name)
@@ -540,12 +533,12 @@ func (vm *VM) loadGlobal(m mtjit.Machine, name string) mtjit.TV {
 // recording has constant-folded aborts the recording — the folded
 // constant is already stale. Otherwise the store is recorded as a
 // residual ll_dict_setitem call so compiled code performs it too.
-func (vm *VM) storeGlobal(m mtjit.Machine, name string, v mtjit.TV) {
+func (vm *VM) storeGlobal(m *mtjit.Machine, name string, v mtjit.TV) {
 	if vm.tm != nil {
 		if vm.tm.DependsOnGlobal(name) {
 			vm.tm.Abort(mtjit.AbortForced)
 		}
-		m.CallAOT1(vm.fnDictSet, func(args []heap.Value) heap.Value {
+		m.CallAOT(vm.fnDictSet, func(args []heap.Value) heap.Value {
 			vm.setGlobal(name, args[0])
 			return heap.Nil
 		}, v)
@@ -580,7 +573,7 @@ func (vm *VM) setGlobal(name string, v heap.Value) {
 
 // pushCall dispatches a call to a function, class, bound method, or
 // builtin. ctor marks constructor frames (return value discarded).
-func (vm *VM) pushCall(m mtjit.Machine, callee mtjit.TV, args []mtjit.TV, ctor bool) {
+func (vm *VM) pushCall(m *mtjit.Machine, callee mtjit.TV, args []mtjit.TV, ctor bool) {
 	sh := m.ShapeOf(callee)
 	switch sh {
 	case vm.FuncShape:
@@ -629,7 +622,7 @@ func (vm *VM) pushCall(m mtjit.Machine, callee mtjit.TV, args []mtjit.TV, ctor b
 // vm.callBuf used as a stack, so the nested pushCall a bound constructor
 // makes builds its own list above this one; args may itself be a window
 // of callBuf (append copies before it moves the buffer).
-func (vm *VM) pushCallWith(m mtjit.Machine, callee, first mtjit.TV, args []mtjit.TV, ctor bool) {
+func (vm *VM) pushCallWith(m *mtjit.Machine, callee, first mtjit.TV, args []mtjit.TV, ctor bool) {
 	base := len(vm.callBuf)
 	vm.callBuf = append(append(vm.callBuf, first), args...)
 	vm.pushCall(m, callee, vm.callBuf[base:], ctor)

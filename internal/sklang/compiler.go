@@ -391,7 +391,7 @@ func (c *fnCompiler) binArgs(args []*SExpr, n int, e *SExpr) error {
 
 // registerSchemeBuiltins installs Scheme-specific native procedures.
 func registerSchemeBuiltins(vm *pylang.VM) {
-	vm.DefineGlobalBuiltin("make-vector", func(vm *pylang.VM, m mtjit.Machine, args []mtjit.TV) mtjit.TV {
+	vm.DefineGlobalBuiltin("make-vector", func(vm *pylang.VM, m *mtjit.Machine, args []mtjit.TV) mtjit.TV {
 		if len(args) < 1 || len(args) > 2 {
 			panic("sklang: make-vector takes 1-2 arguments")
 		}
