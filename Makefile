@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt allocs inline results race bench hostprof allocprof serveprof benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs inline results examples race bench hostprof allocprof serveprof benchmark experiments serve fuzz traces
 
 all: build
 
@@ -12,10 +12,10 @@ test:
 
 # check is the pre-merge gate: static analysis, formatting, the host
 # allocation guards, the retire-path inlining guard, the byte-identical
-# regeneration of results.txt, and the race-enabled tests for the
-# packages with real concurrency (the parallel experiment runner and the
-# pintool observers).
-check: vet fmt allocs inline results race
+# regeneration of results.txt, the example programs, and the
+# race-enabled tests for the packages with real concurrency (the parallel
+# experiment runner and the pintool observers).
+check: vet fmt allocs inline results examples race
 
 vet:
 	$(GO) vet ./...
@@ -84,6 +84,21 @@ inline:
 # invariant (~12 s on 2 CPUs; each distinct cell simulates once).
 results:
 	$(GO) run ./cmd/experiments -exp all | cmp - results.txt
+
+# examples runs the four programs under examples/ (each well under a
+# second) and fails on a non-zero exit, or unless the engine's record of
+# compiled code shows through them: quickstart must report at least one
+# compiled trace, and both schemeloops guests at least one trace each.
+examples:
+	@for d in phasebreakdown warmupcurve; do \
+		$(GO) run ./examples/$$d > /dev/null || { echo "examples/$$d failed"; exit 1; }; \
+	done; \
+	out="$$($(GO) run ./examples/quickstart)" || { echo "examples/quickstart failed"; exit 1; }; \
+	echo "$$out" | grep -q 'the JIT compiled [1-9]' || { echo "examples/quickstart: the JIT compiled no trace"; exit 1; }; \
+	out="$$($(GO) run ./examples/schemeloops)" || { echo "examples/schemeloops failed"; exit 1; }; \
+	for g in scheme python; do \
+		echo "$$out" | grep -Eq "^$$g .*, [1-9][0-9]* traces" || { echo "examples/schemeloops: no $$g trace"; exit 1; }; \
+	done
 
 # Race instrumentation slows the simulator ~10x; give slow single-core
 # machines headroom beyond go test's default 10m panic. The JIT engine

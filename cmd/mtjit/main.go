@@ -29,7 +29,6 @@ import (
 	"metajit/internal/core"
 	"metajit/internal/cpu"
 	"metajit/internal/harness"
-	"metajit/internal/mtjit"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
 	"metajit/internal/telemetry"
@@ -258,7 +257,23 @@ func refuseForFile(opt harness.Options, teleDump bool) error {
 	return nil
 }
 
+// fileConfig is the guest configuration of a -file run: the VM table's
+// row for vmName, refused unless its guest runs Python source.
+func fileConfig(vmName string, threshold int) (pylang.Config, error) {
+	cfg, scheme, ok := harness.GuestConfig(harness.VMKind(vmName))
+	if !ok || scheme {
+		return cfg, fmt.Errorf("mtjit: -file runs Python source; -vm %s does not", vmName)
+	}
+	cfg.Threshold = threshold
+	return cfg, nil
+}
+
 func runFile(path, vmName string, threshold int) {
+	cfg, err := fileConfig(vmName, threshold)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -266,29 +281,6 @@ func runFile(path, vmName string, threshold int) {
 	}
 	mach := cpu.NewDefault()
 	pintool.NewPhaseTracker(mach)
-	cfg := pylang.Config{Threshold: threshold}
-	switch vmName {
-	case "cpython":
-		cfg.Profile = mtjit.ReferenceProfile()
-	case "pypy-nojit":
-		cfg.Profile = mtjit.FrameworkProfile()
-	case "pypy":
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-	case "pypy-tiered":
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-		cfg.Baseline = true
-	case "pypy-amalg", "pypy-adaptive":
-		cfg.Profile = mtjit.FrameworkProfile()
-		cfg.JIT = true
-		cfg.Baseline = true
-		cfg.Method = true
-		cfg.Adaptive = vmName == "pypy-adaptive"
-	default:
-		fmt.Fprintf(os.Stderr, "-file supports cpython|pypy-nojit|pypy|pypy-tiered|pypy-amalg|pypy-adaptive\n")
-		os.Exit(2)
-	}
 	vm := pylang.New(mach, cfg)
 	if err := vm.LoadModule(path, string(src)); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -34,3 +34,35 @@ func TestRefuseForFile(t *testing.T) {
 		}
 	}
 }
+
+// TestFileConfig: -file takes its guest configuration from the harness's
+// VM table and refuses, by the row's own bits, the Scheme guests, the
+// static kernels and unknown names.
+func TestFileConfig(t *testing.T) {
+	for _, tc := range []struct {
+		vm                              string
+		jit, baseline, method, adaptive bool
+	}{
+		{"cpython", false, false, false, false},
+		{"pypy-nojit", false, false, false, false},
+		{"pypy", true, false, false, false},
+		{"pypy-tiered", true, true, false, false},
+		{"pypy-amalg", true, true, true, false},
+		{"pypy-adaptive", true, true, true, true},
+	} {
+		cfg, err := fileConfig(tc.vm, 7)
+		if err != nil {
+			t.Errorf("%s: refused: %v", tc.vm, err)
+			continue
+		}
+		if cfg.Profile == nil || cfg.JIT != tc.jit || cfg.Baseline != tc.baseline ||
+			cfg.Method != tc.method || cfg.Adaptive != tc.adaptive || cfg.Threshold != 7 {
+			t.Errorf("%s: config %+v", tc.vm, cfg)
+		}
+	}
+	for _, name := range []string{"racket", "pycket", "c", "bogus"} {
+		if _, err := fileConfig(name, 0); err == nil || !strings.Contains(err.Error(), "-vm "+name) {
+			t.Errorf("%s: got %v, want a refusal naming it", name, err)
+		}
+	}
+}

@@ -23,7 +23,7 @@
 //	GET  /healthz      liveness, drain state, cache statistics
 //	POST /drain        stop accepting runs (what SIGTERM does first)
 //	GET  /vm/phases    per-phase cycles/instrs/IPC of tracked runs
-//	GET  /vm/traces    compiled trace/bridge inventory with jitlog labels
+//	GET  /vm/traces    compiled trace/bridge and lower-tier code inventory, labeled
 //	GET  /vm/warmup    per-tier work-fraction progress (SSE stream)
 //	GET  /debug/pprof  Go runtime profiling
 //	GET  /debug/reqtrace  flight recorder: recent request span trees

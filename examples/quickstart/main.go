@@ -8,7 +8,6 @@ import (
 
 	"metajit/internal/core"
 	"metajit/internal/cpu"
-	"metajit/internal/jitlog"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
 )
@@ -40,7 +39,6 @@ func main() {
 
 	// A framework VM (RPython analog) with the meta-tracing JIT on.
 	vm := pylang.New(mach, pylang.Config{JIT: true})
-	log := jitlog.Attach(vm.Eng)
 
 	if err := vm.LoadModule("quickstart", program); err != nil {
 		panic(err)
@@ -63,13 +61,11 @@ func main() {
 			ph, 100*float64(c.Instrs)/float64(mach.TotalInstrs()), c.IPC())
 	}
 
-	fmt.Printf("\nthe JIT compiled %d trace(s):\n", len(log.Traces))
-	for _, t := range log.Traces {
-		kind := "loop"
-		if t.Bridge {
-			kind = "bridge"
-		}
+	// The engine keeps every trace it compiled, as RPython's JIT does.
+	traces := vm.Eng.Traces()
+	fmt.Printf("\nthe JIT compiled %d trace(s):\n", len(traces))
+	for _, t := range traces {
 		fmt.Printf("  %s %d: %d IR ops, executed %d times\n",
-			kind, t.ID, t.NewOpsCount(), t.ExecCount)
+			t.Kind(), t.ID, t.NewOpsCount(), t.ExecCount)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"metajit/internal/cpu"
-	"metajit/internal/jitlog"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
 	"metajit/internal/sklang"
@@ -36,15 +35,15 @@ func run(label string, load func(vm *pylang.VM) error, scheme bool) {
 	pintool.NewPhaseTracker(mach)
 	vm := pylang.New(mach, pylang.Config{JIT: true})
 	vm.UnicodeStrings = !scheme
-	log := jitlog.Attach(vm.Eng)
 	if err := load(vm); err != nil {
 		panic(err)
 	}
 	res := vm.RunFunction("main")
+	traces := vm.Eng.Traces()
 	fmt.Printf("%-8s main() = %-14s %8.2fM instrs, %d traces",
-		label, vm.Format(res), float64(mach.TotalInstrs())/1e6, len(log.Traces))
-	if len(log.Traces) > 0 {
-		fmt.Printf(" (first trace: %d IR ops)", log.Traces[0].NewOpsCount())
+		label, vm.Format(res), float64(mach.TotalInstrs())/1e6, len(traces))
+	if len(traces) > 0 {
+		fmt.Printf(" (first trace: %d IR ops)", traces[0].NewOpsCount())
 	}
 	fmt.Println()
 }

@@ -51,8 +51,9 @@ func (w *Worker) handlePhases(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, map[string]any{"runs": out})
 }
 
-// tracesView is the /vm/traces row: identity plus the jitlog inventory
-// (traces and bridges, then baseline and method code by "tier").
+// tracesView is the /vm/traces row: identity plus the engine's inventory
+// of compiled code (traces and bridges, then baseline and method code by
+// "tier").
 type tracesView struct {
 	ID     uint64              `json:"id"`
 	Bench  string              `json:"bench"`

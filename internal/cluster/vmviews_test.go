@@ -193,7 +193,7 @@ func testLiveIntrospection(t *testing.T, store *Store) {
 				sawTraces = true
 				for _, trc := range run.Traces {
 					if trc.Label == "" {
-						t.Errorf("trace %d has no jitlog label", trc.ID)
+						t.Errorf("trace %d has no label", trc.ID)
 					}
 				}
 			}

@@ -162,7 +162,7 @@ type Options struct {
 	// GC/tracing/JIT phases.
 	ReqTrace *reqtrace.Span
 	// JITLog, when non-nil and the run has a JIT, receives the JIT log
-	// dump (jitlog.Log.Dump) after main returns; a write error is the
+	// dump (jitlog.Dump) after main returns; a write error is the
 	// run's error. The traces end with the run and Result.IR keeps their
 	// statistics.
 	JITLog io.Writer
@@ -255,7 +255,7 @@ func Run(p *bench.Program, kind VMKind, opt Options) (*Result, error) {
 
 // run is one simulation in flight: the machine, its observers in
 // registration order and, as they come to exist, the guest heap, VM and
-// JIT log that span labels and the final reduction read.
+// JIT engine that span labels and the final reduction read.
 type run struct {
 	p    *bench.Program
 	spec Spec
@@ -273,8 +273,8 @@ type run struct {
 	rec    *trace.Recorder   // spec.Record
 
 	heap *heap.Heap
-	vm   *pylang.VM  // nil for an alloc replay
-	log  *jitlog.Log // nil without a JIT
+	vm   *pylang.VM    // nil for an alloc replay
+	eng  *mtjit.Engine // nil without a JIT
 
 	// The profile's Chrome trace streams into obs.ProfileDir as the run
 	// goes.
@@ -338,7 +338,7 @@ func simulate(p *bench.Program, spec Spec, obs Observe) (*Result, error) {
 	if spec.ReplayAlloc {
 		res.Checksum, err = r.replayAllocs()
 	} else {
-		res.Checksum, err = r.runGuest(row)
+		res.Checksum, err = r.runGuest()
 	}
 	if err != nil {
 		return nil, err
@@ -385,30 +385,41 @@ func (r *run) setHeap(h *heap.Heap) {
 	}
 }
 
-// runGuest builds the guest VM the row describes, loads the benchmark
-// and returns main's result.
-func (r *run) runGuest(row vmRow) (int64, error) {
-	vm := pylang.New(r.mach, pylang.Config{
-		Profile:           row.profile(),
-		JIT:               row.jit,
-		Baseline:          row.baseline,
-		Method:            row.method,
-		Adaptive:          row.adaptive || r.spec.Adaptive,
-		Threshold:         r.spec.Threshold,
-		BridgeThreshold:   r.spec.BridgeThreshold,
-		BaselineThreshold: r.spec.BaselineThreshold,
-		MethodThreshold:   r.spec.MethodThreshold,
-		Opts:              &r.spec.Opts,
-		HeapConfig:        &r.spec.Heap,
-	})
-	r.vm = vm
-	r.setHeap(vm.H)
-	if row.jit {
-		r.log = jitlog.Attach(vm.Eng)
-		r.live.setLog(r.log)
+// GuestConfig returns the guest VM configuration of kind, before a
+// Spec's thresholds, optimizer and heap overrides, and whether the guest
+// runs Scheme source. ok is false for an unknown kind and for the static
+// kernels, which have no guest VM.
+func GuestConfig(kind VMKind) (cfg pylang.Config, scheme, ok bool) {
+	row, ok := vmTable[kind]
+	if !ok || row.profile == nil {
+		return pylang.Config{}, false, false
 	}
+	return pylang.Config{
+		Profile:  row.profile(),
+		JIT:      row.jit,
+		Baseline: row.baseline,
+		Method:   row.method,
+		Adaptive: row.adaptive,
+	}, row.scheme, true
+}
+
+// runGuest builds the guest VM the Spec describes, loads the benchmark
+// and returns main's result.
+func (r *run) runGuest() (int64, error) {
+	cfg, scheme, _ := GuestConfig(r.spec.VM)
+	cfg.Adaptive = cfg.Adaptive || r.spec.Adaptive
+	cfg.Threshold = r.spec.Threshold
+	cfg.BridgeThreshold = r.spec.BridgeThreshold
+	cfg.BaselineThreshold = r.spec.BaselineThreshold
+	cfg.MethodThreshold = r.spec.MethodThreshold
+	cfg.Opts = &r.spec.Opts
+	cfg.HeapConfig = &r.spec.Heap
+	vm := pylang.New(r.mach, cfg)
+	r.vm, r.eng = vm, vm.Eng
+	r.setHeap(vm.H)
+	r.live.setEngine(vm.Eng)
 	var err error
-	if row.scheme {
+	if scheme {
 		vm.UnicodeStrings = false
 		err = sklang.Load(vm, r.source)
 	} else {
@@ -445,9 +456,9 @@ func (r *run) finish(res *Result) error {
 	res.Bytecodes = r.wm.Bytecodes
 	res.Samples = r.wm.Samples
 	res.Events = *r.events
-	if r.log != nil {
-		res.IR = r.log.Stats()
-		res.EngStats = r.vm.Eng.Stats()
+	if r.eng != nil {
+		res.IR = jitlog.StatsOf(r.eng)
+		res.EngStats = r.eng.Stats()
 	}
 	if r.vm != nil {
 		for _, f := range r.vm.RT.Funcs() {
@@ -485,8 +496,8 @@ func (r *run) finish(res *Result) error {
 			return err
 		}
 	}
-	if r.obs.JITLog != nil && r.log != nil {
-		if _, err := io.WriteString(r.obs.JITLog, r.log.Dump()); err != nil {
+	if r.obs.JITLog != nil && r.eng != nil {
+		if _, err := io.WriteString(r.obs.JITLog, jitlog.Dump(r.eng)); err != nil {
 			return fmt.Errorf("harness: %s on %s: jit log: %w", r.p.Name, r.spec.VM, err)
 		}
 	}

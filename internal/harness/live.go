@@ -7,7 +7,7 @@ import (
 
 	"metajit/internal/core"
 	"metajit/internal/cpu"
-	"metajit/internal/jitlog"
+	"metajit/internal/mtjit"
 )
 
 // LiveTracker publishes point-in-time snapshots of in-flight
@@ -60,7 +60,7 @@ type LiveRun struct {
 
 	tracker *LiveTracker
 	m       *cpu.Machine
-	log     *jitlog.Log
+	eng     *mtjit.Engine
 
 	ticks  uint64
 	pubSeq uint64
@@ -152,14 +152,14 @@ func (lr *LiveRun) attach() {
 	lr.m.Observe(lr)
 }
 
-// setLog hands the run its jitlog once the engine exists; the trace and
-// lower-tier code inventories appear in snapshots from the next publish
-// on.
-func (lr *LiveRun) setLog(log *jitlog.Log) {
+// setEngine hands the run its JIT engine once it exists (nil without a
+// JIT); the trace and lower-tier code inventories appear in snapshots
+// from the next publish on.
+func (lr *LiveRun) setEngine(eng *mtjit.Engine) {
 	if lr == nil {
 		return
 	}
-	lr.log = log
+	lr.eng = eng
 }
 
 // OnAnnotation implements core.Observer on the run goroutine: it
@@ -185,8 +185,8 @@ func (lr *LiveRun) end() {
 	lr.ended = true
 	lr.publish(true)
 	// The tracker retains finished runs for their last snapshot only;
-	// holding the machine and the jitlog would pin the whole simulation.
-	lr.m, lr.log = nil, nil
+	// holding the machine and the engine would pin the whole simulation.
+	lr.m, lr.eng = nil, nil
 	t := lr.tracker
 	t.mu.Lock()
 	t.active--
@@ -211,7 +211,8 @@ func (t *LiveTracker) prune() {
 }
 
 // publish builds an immutable snapshot from the machine's counters and
-// the jitlog and swaps it in. Runs on the simulation goroutine only.
+// the engine's record of compiled code and swaps it in. Runs on the
+// simulation goroutine only.
 func (lr *LiveRun) publish(done bool) {
 	lr.pubSeq++
 	snap := &LiveSnapshot{
@@ -237,25 +238,23 @@ func (lr *LiveRun) publish(done bool) {
 	}
 	snap.Instrs = total.Instrs
 	snap.Cycles = total.Cycles
-	if lr.log != nil {
-		snap.Traces = make([]LiveTrace, 0, len(lr.log.Traces))
-		for _, t := range lr.log.Traces {
-			kind := "loop"
-			if t.Bridge {
-				kind = "bridge"
-			}
+	if lr.eng != nil {
+		traces := lr.eng.Traces()
+		snap.Traces = make([]LiveTrace, 0, len(traces))
+		for _, t := range traces {
 			snap.Traces = append(snap.Traces, LiveTrace{
 				ID:          t.ID,
-				Kind:        kind,
-				Label:       lr.log.TraceLabel(uint64(t.ID)),
+				Kind:        t.Kind(),
+				Label:       t.Label(),
 				Execs:       t.ExecCount,
 				Ops:         len(t.Ops),
 				AsmLen:      t.AsmLen,
 				Invalidated: t.Invalidated,
 			})
 		}
-		snap.Code = make([]LiveCode, 0, len(lr.log.Code))
-		for _, c := range lr.log.Code {
+		st := lr.eng.Stats()
+		snap.Code = make([]LiveCode, 0, st.BaselinesCompiled+st.MethodsCompiled)
+		lr.eng.TierCodes(func(c *mtjit.TierCode) {
 			snap.Code = append(snap.Code, LiveCode{
 				Tier:        c.Tier.String(),
 				ID:          c.ID,
@@ -266,7 +265,7 @@ func (lr *LiveRun) publish(done bool) {
 				AsmLen:      c.AsmLen,
 				Invalidated: c.Invalidated,
 			})
-		}
+		})
 	}
 	lr.snap.Store(snap)
 }

@@ -49,6 +49,10 @@ func TestLiveTrackerSnapshots(t *testing.T) {
 	if len(snap.Traces) == 0 {
 		t.Error("JIT run published no trace inventory")
 	}
+	if snap.Code == nil {
+		// /vm/traces shows a JIT run without lower tiers as "code": [].
+		t.Error("JIT run published a nil lower-tier inventory, want an empty one")
+	}
 	var work uint64
 	for _, ph := range snap.Phases {
 		work += ph.Work
@@ -58,12 +62,12 @@ func TestLiveTrackerSnapshots(t *testing.T) {
 	}
 
 	// The retained run keeps its last snapshot but must not pin the
-	// finished simulation (machine, jitlog) behind it.
+	// finished simulation (machine, JIT engine) behind it.
 	lt.mu.Lock()
 	lr := lt.runs[run.ID]
 	lt.mu.Unlock()
-	if lr.m != nil || lr.log != nil {
-		t.Errorf("retained run still holds machine=%v jitlog=%v", lr.m != nil, lr.log != nil)
+	if lr.m != nil || lr.eng != nil {
+		t.Errorf("retained run still holds machine=%v engine=%v", lr.m != nil, lr.eng != nil)
 	}
 	if again, ok := lt.Run(run.ID); !ok {
 		t.Error("Run(id) did not find the tracked run")
@@ -81,7 +85,7 @@ func TestLiveTrackerNil(t *testing.T) {
 	var lt *LiveTracker
 	lr := lt.begin("x", VMCPython, nil)
 	lr.attach()
-	lr.setLog(nil)
+	lr.setEngine(nil)
 	lr.end()
 	if lt.Status() != nil || lt.Active() != 0 {
 		t.Error("nil tracker reported runs")

@@ -25,7 +25,7 @@ func ProfileArtifacts(dir, bench string, kind VMKind) []string {
 // alone keeps the interval series off (Spec.ProfileWindow is zero):
 // nobody reads it, and with the series off no dispatch tick is ever
 // stamped. Span labels are resolved at span open, during execution, by
-// which time the run has its guest VM and JIT log.
+// which time the run has its guest VM and JIT engine.
 func (r *run) attachProfiler() error {
 	if !r.spec.Profile && r.obs.ReqTrace == nil {
 		return nil
@@ -52,25 +52,31 @@ func (r *run) attachProfiler() error {
 	return nil
 }
 
-// labels names traces and lower-tier code objects through the JIT log
-// and AOT functions through the VM's runtime; before either exists (and
-// in an alloc replay, which has neither) every id falls back to its
-// numeric label.
+// labels names traces and lower-tier code objects through the JIT
+// engine's record and AOT functions through the VM's runtime; before
+// either exists (and in an alloc replay, which has neither) every id
+// falls back to its numeric label.
 func (r *run) labels() profile.Labels {
 	tier := func(t mtjit.Tier) func(uint64) string {
 		return func(id uint64) string {
-			if r.log == nil {
+			if r.eng == nil {
 				return ""
 			}
-			return r.log.TierLabel(t, id)
+			if c := r.eng.TierCodeByID(t, uint32(id)); c != nil {
+				return c.Label()
+			}
+			return ""
 		}
 	}
 	return profile.Labels{
 		Trace: func(id uint64) string {
-			if r.log == nil {
+			if r.eng == nil {
 				return ""
 			}
-			return r.log.TraceLabel(id)
+			if t := r.eng.TraceByID(uint32(id)); t != nil {
+				return t.Label()
+			}
+			return ""
 		},
 		Baseline: tier(mtjit.BaselineTier),
 		Method:   tier(mtjit.MethodTier),
@@ -78,10 +84,8 @@ func (r *run) labels() profile.Labels {
 			if r.vm == nil {
 				return ""
 			}
-			for _, f := range r.vm.RT.Funcs() {
-				if uint64(f.ID) == id {
-					return f.Name
-				}
+			if f := r.vm.RT.ByID(uint32(id)); f != nil {
+				return f.Name
 			}
 			return ""
 		},

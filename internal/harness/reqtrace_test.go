@@ -83,7 +83,7 @@ func TestReqTraceLinksPhaseSpans(t *testing.T) {
 
 	// Nobody asked for a profile, so the Result must not carry one: in a
 	// worker it goes into the memo cache, where a profiler would pin the
-	// machine, the guest heap and the JIT log for the life of the process.
+	// machine, the guest heap and the JIT engine for the life of the process.
 	if traced.Profile != nil {
 		t.Fatal("ReqTrace-only run leaked its profiler into Result.Profile")
 	}

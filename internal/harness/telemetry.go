@@ -98,8 +98,8 @@ func (r *run) count(res *Result) {
 		return
 	}
 	c := runCounts{eng: res.EngStats, gc: res.GC}
-	if r.vm != nil && r.vm.Eng != nil {
-		c.promotions = r.vm.Eng.BaselinePromotions()
+	if r.eng != nil {
+		c.promotions = r.eng.BaselinePromotions()
 	}
 	if r.prof != nil {
 		c.spans, c.events, c.profErrs = r.prof.Stream.Spans, r.prof.Stream.Events, r.prof.ErrorCount()

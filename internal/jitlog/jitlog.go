@@ -1,7 +1,9 @@
-// Package jitlog is the analog of the PyPy Log facility (Section III): it
-// records, for every compiled trace and bridge, the JIT IR nodes, the
-// lowered assembly footprint, and execution counts, supporting the JIT-IR
-// level studies (Figures 6-9).
+// Package jitlog is the analog of the PyPy Log facility (Section III):
+// for every compiled trace and bridge it reports the JIT IR nodes, the
+// lowered assembly footprint and execution counts, supporting the JIT-IR
+// level studies (Figures 6-9). Like RPython's log, which the JIT writes
+// from its own structures, it keeps no copy: its functions read the
+// engine's record of compiled code (mtjit.Engine.Traces, TierCodes).
 package jitlog
 
 import (
@@ -12,73 +14,10 @@ import (
 	"metajit/internal/mtjit"
 )
 
-// Log collects trace and lower-tier compile records from an engine.
-type Log struct {
-	Traces []*mtjit.Trace
-	// Code records lower-tier (baseline and method) compilations in
-	// install order, including later-invalidated ones.
-	Code []*mtjit.TierCode
-
-	// Lazy ID indexes for the span-label helpers. Traces and Code are
-	// append-only, so the indexes extend incrementally. Lower-tier IDs
-	// are per tier.
-	traceByID    map[uint32]*mtjit.Trace
-	codeByID     [mtjit.NumTiers]map[uint32]*mtjit.TierCode
-	traceIndexed int
-	codeIndexed  int
-}
-
-// TraceLabel returns a compact human-readable label for the trace with
-// the given ID ("loop3@c2:p14", "bridge7@c2:p9"), or "" when the ID is
-// unknown. The format is safe for folded-flamegraph frames: no spaces
-// or semicolons.
-func (l *Log) TraceLabel(id uint64) string {
-	for ; l.traceIndexed < len(l.Traces); l.traceIndexed++ {
-		if l.traceByID == nil {
-			l.traceByID = map[uint32]*mtjit.Trace{}
-		}
-		t := l.Traces[l.traceIndexed]
-		l.traceByID[t.ID] = t
-	}
-	t := l.traceByID[uint32(id)]
-	if t == nil {
-		return ""
-	}
-	kind := "loop"
-	if t.Bridge {
-		kind = "bridge"
-	}
-	return fmt.Sprintf("%s%d@c%d:p%d", kind, t.ID, t.Key.CodeID, t.Key.PC)
-}
-
-// TierLabel is TraceLabel's lower-tier analog: the mtjit.TierCode.Label
-// of tier t's code with the given ID, or "" when the ID is unknown.
-func (l *Log) TierLabel(t mtjit.Tier, id uint64) string {
-	for ; l.codeIndexed < len(l.Code); l.codeIndexed++ {
-		c := l.Code[l.codeIndexed]
-		if l.codeByID[c.Tier] == nil {
-			l.codeByID[c.Tier] = map[uint32]*mtjit.TierCode{}
-		}
-		l.codeByID[c.Tier][c.ID] = c
-	}
-	if c := l.codeByID[t][uint32(id)]; c != nil {
-		return c.Label()
-	}
-	return ""
-}
-
-// Attach registers the log with an engine's compile hooks.
-func Attach(eng *mtjit.Engine) *Log {
-	l := &Log{}
-	eng.OnCompile = func(t *mtjit.Trace) { l.Traces = append(l.Traces, t) }
-	eng.OnTierCompile = func(c *mtjit.TierCode) { l.Code = append(l.Code, c) }
-	return l
-}
-
-// Stats is what Figures 6-9 need from a finished log, as plain numbers: a
-// run keeps this and lets the traces go. Both arrays are indexed by
-// opcode and count OpLabel like any other node; the figures that exclude
-// labels (6, 7, 9 and the hot fraction) skip that one index.
+// Stats is what Figures 6-9 need from a finished run's traces, as plain
+// numbers: a run keeps this and lets the engine go. Both arrays are
+// indexed by opcode and count OpLabel like any other node; the figures
+// that exclude labels (6, 7, 9 and the hot fraction) skip that one index.
 type Stats struct {
 	// Compiled counts the IR nodes of each type across all traces.
 	Compiled [mtjit.NumOpcodes]uint64
@@ -89,18 +28,18 @@ type Stats struct {
 	Hot95 float64
 }
 
-// Stats reduces the log in one walk over Traces x Ops. A node's execution
-// count is the trace's entry count minus the failures of the guards
-// before it — Trace.OpExecs, derived in place so the walk allocates one
-// slice per log, not one per trace.
-func (l *Log) Stats() Stats {
+// StatsOf reduces the engine's traces in one walk over Traces x Ops. A
+// node's execution count is the trace's entry count minus the failures
+// of the guards before it — Trace.OpExecs, derived in place so the walk
+// allocates one slice per engine, not one per trace.
+func StatsOf(e *mtjit.Engine) Stats {
 	var s Stats
 	nodes := 0
-	for _, t := range l.Traces {
+	for _, t := range e.Traces() {
 		nodes += len(t.Ops)
 	}
 	execs := make([]uint64, 0, nodes)
-	for _, t := range l.Traces {
+	for _, t := range e.Traces() {
 		n := t.ExecCount
 		for i := range t.Ops {
 			op := &t.Ops[i]
@@ -180,25 +119,22 @@ func (s *Stats) Categories() [mtjit.NumCategories]float64 {
 	return out
 }
 
-// Dump renders lower-tier and trace records in PyPy-log style for
-// debugging; every record leads with its tier tag.
-func (l *Log) Dump() string {
+// Dump renders the engine's lower-tier code, in install order across
+// tiers, then its traces, in PyPy-log style for debugging; every record
+// leads with its tier tag.
+func Dump(e *mtjit.Engine) string {
 	var sb strings.Builder
-	for _, c := range l.Code {
+	e.TierCodes(func(c *mtjit.TierCode) {
 		status := ""
 		if c.Invalidated {
 			status = " (invalidated)"
 		}
 		fmt.Fprintf(&sb, "# tier%d %s %d (code %d pc %d-%d) entered %d times, %d deopts, %d ops, %d asm bytes%s\n",
 			c.Tier+1, c.Tier, c.ID, c.CodeID, c.Start, c.End, c.EnterCount, c.DeoptCount, len(c.Ops), c.AsmLen*4, status)
-	}
-	for _, t := range l.Traces {
-		kind := "loop"
-		if t.Bridge {
-			kind = "bridge"
-		}
+	})
+	for _, t := range e.Traces() {
 		fmt.Fprintf(&sb, "# tier2 %s %d (code %d pc %d) executed %d times, %d ops, %d asm bytes\n",
-			kind, t.ID, t.Key.CodeID, t.Key.PC, t.ExecCount, len(t.Ops), t.AsmLen*4)
+			t.Kind(), t.ID, t.Key.CodeID, t.Key.PC, t.ExecCount, len(t.Ops), t.AsmLen*4)
 		for i, n := range t.OpExecs() {
 			fmt.Fprintf(&sb, "  [%6d] %s\n", n, t.Ops[i].String())
 		}

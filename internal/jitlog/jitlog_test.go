@@ -9,11 +9,10 @@ import (
 	"metajit/internal/pylang"
 )
 
-// Build a real log by running a guest loop through the engine.
-func buildLog(t *testing.T) *Log {
+// Build a real record by running a guest loop through the engine.
+func buildEngine(t *testing.T) *mtjit.Engine {
 	t.Helper()
 	vm := pylang.New(cpu.NewDefault(), pylang.Config{JIT: true, Threshold: 13})
-	l := Attach(vm.Eng)
 	err := vm.LoadModule("log", `
 def main():
     s = 0
@@ -25,15 +24,15 @@ def main():
 		t.Fatal(err)
 	}
 	vm.RunFunction("main")
-	if len(l.Traces) == 0 {
+	if len(vm.Eng.Traces()) == 0 {
 		t.Fatal("no traces compiled")
 	}
-	return l
+	return vm.Eng
 }
 
 func TestLogStatistics(t *testing.T) {
-	l := buildLog(t)
-	s := l.Stats()
+	e := buildEngine(t)
+	s := StatsOf(e)
 	if s.CompiledNodes() == 0 {
 		t.Errorf("CompiledNodes = 0")
 	}
@@ -65,7 +64,7 @@ func TestLogStatistics(t *testing.T) {
 		t.Errorf("Hot95 = %f", s.Hot95)
 	}
 	var execs []uint64
-	for _, tr := range l.Traces {
+	for _, tr := range e.Traces() {
 		for i, n := range tr.OpExecs() {
 			if tr.Ops[i].Opc != mtjit.OpLabel {
 				execs = append(execs, n)
@@ -86,14 +85,18 @@ func TestLogStatistics(t *testing.T) {
 		t.Errorf("no jump compiled")
 	}
 
-	dump := l.Dump()
+	dump := Dump(e)
 	if !strings.Contains(dump, "loop") || !strings.Contains(dump, "int_add_ovf") {
 		t.Errorf("dump missing content:\n%s", dump)
 	}
 }
 
 func TestEmptyLogSafe(t *testing.T) {
-	s := (&Log{}).Stats()
+	e := pylang.New(cpu.NewDefault(), pylang.Config{JIT: true}).Eng
+	if d := Dump(e); d != "" {
+		t.Errorf("empty dump = %q", d)
+	}
+	s := StatsOf(e)
 	if s.CompiledNodes() != 0 || s.DynamicNodes() != 0 {
 		t.Errorf("empty log nonzero")
 	}

@@ -85,19 +85,11 @@ type Engine struct {
 	// per-engine state, so runs stay deterministic and replayable.
 	Adaptive bool
 
-	// OnCompile, if set, is invoked for every installed trace or bridge
-	// (the PyPy-log hook).
-	OnCompile func(*Trace)
-
 	// ForceGuardFail, if set, is consulted for every guard that passed
 	// its runtime check during trace execution; returning true makes the
 	// guard fail anyway. Deoptimization testing hook: it exercises the
 	// bridge/blackhole exit paths at guards whose conditions hold.
 	ForceGuardFail func(*Trace, *Op) bool
-
-	// OnTierCompile, if set, is invoked for every installed lower-tier
-	// compilation (the tier-1/tier-2 analog of OnCompile).
-	OnTierCompile func(*TierCode)
 
 	// ForceTierGuardFail, if set, is consulted at every generic guard
 	// executed in lower-tier code; returning true deoptimizes to the
@@ -132,7 +124,6 @@ type Engine struct {
 	ctlLog []ControllerDecision
 
 	guardSeq uint32
-	traceSeq uint32
 	tracing  *Recorder
 
 	jitPC   *isa.PCAlloc
@@ -358,8 +349,19 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // tier-1 baseline code to a compiled trace.
 func (e *Engine) BaselinePromotions() int { return e.promotions }
 
-// Traces returns every installed trace and bridge in compile order.
+// Traces returns every installed trace and bridge in compile order,
+// invalidated ones included: the engine's record of what it compiled,
+// which the JIT log, span labels and live views read.
 func (e *Engine) Traces() []*Trace { return e.all }
+
+// TraceByID returns the trace or bridge with the given ID, or nil. IDs
+// are install indexes from 1.
+func (e *Engine) TraceByID(id uint32) *Trace {
+	if id == 0 || int(id) > len(e.all) {
+		return nil
+	}
+	return e.all[id-1]
+}
 
 // LookupTrace returns the compiled loop trace for a green key, or nil.
 func (e *Engine) LookupTrace(key GreenKey) *Trace { return e.traces[key] }
@@ -562,9 +564,8 @@ func (e *Engine) finishCallAssembler(tm *Recorder, target *Trace) {
 
 // install optimizes, assembles, and publishes a recording.
 func (e *Engine) install(tm *Recorder, key GreenKey, bridge bool) *Trace {
-	e.traceSeq++
 	t := &Trace{
-		ID:       e.traceSeq,
+		ID:       uint32(len(e.all) + 1),
 		Key:      key,
 		Bridge:   bridge,
 		Entry:    tm.entry,
@@ -620,9 +621,6 @@ func (e *Engine) install(tm *Recorder, key GreenKey, bridge bool) *Trace {
 	e.tracing = nil
 	e.S.Annot(core.TagTraceEnd, uint64(t.ID))
 	e.S.Annot(core.TagTraceCompiled, uint64(t.ID))
-	if e.OnCompile != nil {
-		e.OnCompile(t)
-	}
 	return t
 }
 

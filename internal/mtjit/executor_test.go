@@ -24,12 +24,13 @@ func (f *handFrame) SlotRef(int) Ref           { return RefNone }
 func (f *handFrame) IsCtor() bool              { return false }
 
 // assembleByHand does for a hand-built trace what install does for a
-// recorded one: addresses, then the predecoded form.
+// recorded one: an ID, addresses, the predecoded form and a place in the
+// engine's record.
 func assembleByHand(e *Engine, t *Trace) *Trace {
-	e.traceSeq++
-	t.ID = e.traceSeq
+	t.ID = uint32(len(e.all) + 1)
 	e.assemble(t)
 	t.predecode()
+	e.all = append(e.all, t)
 	return t
 }
 

@@ -406,6 +406,27 @@ type Trace struct {
 	code    []inst
 	regBase int
 	files   [][]heap.Value
+	label   string // Label's result, built on first use
+}
+
+// Kind names the trace's kind: "loop" or "bridge".
+func (t *Trace) Kind() string {
+	if t.Bridge {
+		return "bridge"
+	}
+	return "loop"
+}
+
+// Label returns a compact human-readable name for the trace, unique
+// within the run: "loop3@c2:p14" for loop trace 3 at pc 14 of function
+// 2, "bridge7@c2:p9" for bridge 7 of the loop at pc 9. Like
+// TierCode.Label, it is safe for folded-flamegraph frames: no spaces or
+// semicolons.
+func (t *Trace) Label() string {
+	if t.label == "" {
+		t.label = fmt.Sprintf("%s%d@c%d:p%d", t.Kind(), t.ID, t.Key.CodeID, t.Key.PC)
+	}
+	return t.label
 }
 
 // OpExecs returns how often each op has executed, for IR-profile

@@ -303,19 +303,6 @@ func (m *Machine) Truth(a TV, site uint64) bool {
 	return t
 }
 
-// PromoteInt makes the concrete integer value of a available as a trace
-// constant (RPython's promote hint): guard_value.
-func (m *Machine) PromoteInt(a TV) int64 {
-	if m.tier != nil {
-		m.tier.guard()
-	}
-	m.s.Ops(isa.ALU, 1)
-	if m.rec != nil {
-		m.rec.guardValue(a, a.V.I)
-	}
-	return a.V.I
-}
-
 // PromoteRef promotes an object identity (e.g. a code object):
 // guard_value on the identity.
 func (m *Machine) PromoteRef(a TV) *heap.Obj {
@@ -337,27 +324,6 @@ func (m *Machine) IntAdd(a, b TV) TV {
 	v := heap.IntVal(a.V.I + b.V.I)
 	if m.rec != nil {
 		return TV{V: v, R: m.rec.binop(OpIntAdd, a, b)}
-	}
-	return Concrete(v)
-}
-
-// IntSub subtracts.
-func (m *Machine) IntSub(a, b TV) TV {
-	m.d.prim()
-	v := heap.IntVal(a.V.I - b.V.I)
-	if m.rec != nil {
-		return TV{V: v, R: m.rec.binop(OpIntSub, a, b)}
-	}
-	return Concrete(v)
-}
-
-// IntMul multiplies.
-func (m *Machine) IntMul(a, b TV) TV {
-	m.d.prim()
-	m.s.Ops(isa.Mul, 1)
-	v := heap.IntVal(a.V.I * b.V.I)
-	if m.rec != nil {
-		return TV{V: v, R: m.rec.binop(OpIntMul, a, b)}
 	}
 	return Concrete(v)
 }

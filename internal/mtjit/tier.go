@@ -185,14 +185,12 @@ type tierState struct {
 	// failed holds keys the guest could not lower.
 	failed map[GreenKey]bool
 	// all is the compile log in install order (including invalidated
-	// code — the log does not rewrite history).
+	// code — the log does not rewrite history); a code's ID is its index
+	// here plus one.
 	all []*TierCode
 	// deps maps a global name to the code embedding its value (lower-
 	// tier code embeds globals like an inline cache).
-	deps map[string][]*TierCode
-	// seq is the tier's own ID sequence: IDs label profile spans and
-	// jitlog records per tier.
-	seq   uint32
+	deps  map[string][]*TierCode
 	stats tierCounters
 }
 
@@ -289,10 +287,9 @@ func (c *TierCode) SitePC(pc int) uint64 {
 // range of a per-function tier starts at pc 0 (Validate checks it).
 func (e *Engine) CompileTier(t Tier, codeID uint32, start, end int, ops []TierOp, globals []string) *TierCode {
 	spec, ts := &tierTable[t], &e.tiers[t]
-	ts.seq++
 	c := &TierCode{
 		Tier:    t,
-		ID:      ts.seq,
+		ID:      uint32(len(ts.all) + 1),
 		CodeID:  codeID,
 		Start:   start,
 		End:     end,
@@ -333,10 +330,38 @@ func (e *Engine) CompileTier(t Tier, codeID uint32, start, end int, ops []TierOp
 	}
 	*ts.stats.compiled++
 	e.S.Annot(spec.compileEnd, uint64(c.ID))
-	if e.OnTierCompile != nil {
-		e.OnTierCompile(c)
-	}
 	return c
+}
+
+// TierCodeByID returns tier t's code with the given ID, or nil. IDs are
+// install indexes from 1 within the tier.
+func (e *Engine) TierCodeByID(t Tier, id uint32) *TierCode {
+	all := e.tiers[t].all
+	if id == 0 || int(id) > len(all) {
+		return nil
+	}
+	return all[id-1]
+}
+
+// TierCodes visits every lower-tier compilation in install order across
+// the tiers, invalidated code included. Traces and both tiers take their
+// addresses from the one jitPC bump allocator, so merging the per-tier
+// lists by AsmBase restores install order.
+func (e *Engine) TierCodes(visit func(*TierCode)) {
+	var next [NumTiers]int
+	for {
+		var c *TierCode
+		for t := range e.tiers {
+			if all := e.tiers[t].all; next[t] < len(all) && (c == nil || all[next[t]].AsmBase < c.AsmBase) {
+				c = all[next[t]]
+			}
+		}
+		if c == nil {
+			return
+		}
+		next[c.Tier]++
+		visit(c)
+	}
 }
 
 // MarkTierFailed blacklists a header (or function) the guest could not

@@ -240,6 +240,7 @@ func (t *Trace) checkInst(i int, pc uint64) error {
 // validates every installed trace. It verifies that:
 //
 //   - LoopsCompiled + BridgesCompiled matches the installed trace count,
+//     and each trace's ID is its install index plus one (TraceByID),
 //   - the optimizer never reports removing more ops than were recorded,
 //   - per-reason abort counters never exceed the abort total,
 //   - every GuardID belongs to exactly one op of one installed trace and
@@ -274,7 +275,10 @@ func (e *Engine) Validate() error {
 	}
 
 	guards, fails := 0, uint64(0)
-	for _, t := range e.all {
+	for i, t := range e.all {
+		if t.ID != uint32(i+1) {
+			return fmt.Errorf("trace %d at install index %d (TraceByID)", t.ID, i)
+		}
 		if err := ValidateTrace(t); err != nil {
 			return err
 		}
@@ -349,7 +353,9 @@ func (e *Engine) Validate() error {
 }
 
 // validateTiers checks lower-tier bookkeeping, the same for every tier:
-// stats match the compile log, every compiled region is well-formed,
+// stats match the compile log, IDs are install indexes plus one
+// (TierCodeByID) at rising addresses (TierCodes merges the tiers by
+// address), every compiled region is well-formed,
 // the dispatch table only holds valid installed code under its own key,
 // and per-code counters sum to the engine totals. Then the two
 // cross-tier invariants: promotion invalidated the baseline code a loop
@@ -366,7 +372,13 @@ func (e *Engine) validateTiers() error {
 		}
 		invalidated := 0
 		var enters, deopts uint64
-		for _, c := range ts.all {
+		for i, c := range ts.all {
+			if c.ID != uint32(i+1) {
+				return fmt.Errorf("%s code %d at install index %d (TierCodeByID)", t, c.ID, i)
+			}
+			if i > 0 && c.AsmBase <= ts.all[i-1].AsmBase {
+				return fmt.Errorf("%s code %d below its predecessor's address (TierCodes)", t, c.ID)
+			}
 			if c.Invalidated {
 				invalidated++
 			}

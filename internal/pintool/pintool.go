@@ -7,9 +7,10 @@
 // per-bytecode dispatch tick reaches the WorkMeter alone). PhaseTracker
 // reconstructs the framework phase (Figures 2-4, Table IV), WorkMeter
 // measures bytecode rate for warmup curves (Figure 5), AOTAttributor
-// attributes JIT-call time to AOT entry points (Table III), and IRProfiler
-// aggregates per-trace IR statistics (Figures 6-9) together with
-// internal/jitlog.
+// attributes JIT-call time to AOT entry points (Table III), and
+// TraceEventCounter tallies JIT lifecycle events. The per-trace IR
+// statistics of Figures 6-9 are not observed here: internal/jitlog reads
+// them from the engine's own record.
 package pintool
 
 import (

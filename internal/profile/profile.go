@@ -116,11 +116,13 @@ type Event struct {
 // (or "" results) fall back to numeric labels. Returned names must be
 // folded-stack safe: no spaces or semicolons (sanitized defensively).
 type Labels struct {
-	// Trace labels a tier-2 trace or bridge by ID (jitlog.Log.TraceLabel).
+	// Trace labels a tier-2 trace or bridge by ID (mtjit.Trace.Label of
+	// mtjit.Engine.TraceByID).
 	Trace func(id uint64) string
-	// Baseline labels a tier-1 code object by ID (jitlog.Log.TierLabel).
+	// Baseline labels a tier-1 code object by ID (mtjit.TierCode.Label of
+	// mtjit.Engine.TierCodeByID).
 	Baseline func(id uint64) string
-	// Method labels a tier-2 method code object by ID (jitlog.Log.TierLabel).
+	// Method labels a tier-2 method code object by ID (as Baseline).
 	Method func(id uint64) string
 	// AOTFunc labels an AOT-compiled function by ID.
 	AOTFunc func(id uint64) string

@@ -11,7 +11,6 @@ import (
 	"metajit/internal/core"
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
-	"metajit/internal/jitlog"
 	"metajit/internal/mtjit"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
@@ -95,23 +94,18 @@ func (c guestCell) run(t testing.TB, attach func(m *cpu.Machine, labels Labels))
 	t.Helper()
 	mach := cpu.NewDefault()
 	pintool.NewPhaseTracker(mach)
-	var (
-		vm  *pylang.VM
-		log *jitlog.Log
-	)
+	var vm *pylang.VM
 	if attach != nil {
 		attach(mach, Labels{
 			Trace: func(id uint64) string {
-				if log == nil {
-					return ""
+				if t := vm.Eng.TraceByID(uint32(id)); t != nil {
+					return t.Label()
 				}
-				return log.TraceLabel(id)
+				return ""
 			},
 			AOTFunc: func(id uint64) string {
-				for _, f := range vm.RT.Funcs() {
-					if uint64(f.ID) == id {
-						return f.Name
-					}
+				if f := vm.RT.ByID(uint32(id)); f != nil {
+					return f.Name
 				}
 				return ""
 			},
@@ -120,9 +114,6 @@ func (c guestCell) run(t testing.TB, attach func(m *cpu.Machine, labels Labels))
 	cfg := c.cfg
 	cfg.HeapConfig = &heap.Config{NurserySize: 32 << 10, MajorThreshold: 384 << 10, MajorGrowth: 1.82}
 	vm = pylang.New(mach, cfg)
-	if cfg.JIT {
-		log = jitlog.Attach(vm.Eng)
-	}
 	p := bench.ByName(c.bench)
 	if err := vm.LoadModule(p.Name, p.Source); err != nil {
 		t.Fatal(err)

@@ -402,7 +402,7 @@ func (s *Stream) Finish(final State) {
 	s.finished = true
 	// No label is resolved, span closed or event written after this, and
 	// each of the three reaches what the run was built of (label closures
-	// hold the guest VM and its JIT log); the exports read the rest.
+	// hold the guest VM and its JIT engine); the exports read the rest.
 	s.cfg.Labels, s.cfg.SpanSink, s.cfg.Chrome, s.cw = Labels{}, nil, nil, nil
 }
 

@@ -133,10 +133,12 @@ type VM struct {
 	// th is the residual-call thunk table (thunks.go).
 	th thunks
 
-	globals  map[string]heap.Value
-	codes    []*Code
-	codeSeq  uint32
-	codeByID map[uint32]*Code
+	globals map[string]heap.Value
+	codes   []*Code
+	codeSeq uint32
+	// codeIndex finds a code object by ID: a trace exit names its
+	// frames' code that way.
+	codeIndex map[uint32]*Code
 
 	// mutatedGlobals holds names stored to after module initialization.
 	// Traced loads of such names cannot be constant-folded and become
@@ -234,7 +236,7 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 		RT:             rt,
 		globals:        map[string]heap.Value{},
 		mutatedGlobals: map[string]bool{},
-		codeByID:       map[uint32]*Code{},
+		codeIndex:      map[uint32]*Code{},
 		classes:        map[*heap.Shape]*Class{},
 		builtins:       map[string]*heap.Obj{},
 		builtinMethods: map[methodKey]*heap.Obj{},
@@ -483,7 +485,7 @@ func (vm *VM) NewCodeForFrontend(name string, numParams int) *Code {
 		PCBase:    vm.RT.PC.Take(1 << 14),
 	}
 	vm.codes = append(vm.codes, c)
-	vm.codeByID[c.ID] = c
+	vm.codeIndex[c.ID] = c
 	return c
 }
 
@@ -522,7 +524,7 @@ func (vm *VM) compileFunction(fd *FuncDef) (*heap.Obj, error) {
 	c.emit(BCLoadConst, c.constIdx(heap.Nil))
 	c.emit(BCReturn, 0)
 	code := c.finish()
-	vm.codeByID[code.ID] = code
+	vm.codeIndex[code.ID] = code
 	fo := vm.H.AllocObj(vm.FuncShape, 0)
 	fo.Native = &Function{Name: fd.Name, Code: code}
 	return fo, nil

@@ -135,7 +135,7 @@ func (vm *VM) LoadModule(name, src string) error {
 	if err != nil {
 		return err
 	}
-	vm.codeByID[code.ID] = code
+	vm.codeIndex[code.ID] = code
 	fr := &Frame{Code: code, Locals: make([]mtjit.TV, code.NumLocals)}
 	vm.frames = append(vm.frames, fr)
 	vm.inModuleInit = true
@@ -208,7 +208,7 @@ func (vm *VM) applyExit(exit *mtjit.ExitState) {
 	vm.frames = vm.frames[:len(vm.frames)-1]
 	vm.releaseFrame(old)
 	for _, fv := range exit.Frames {
-		code := vm.codeByID[fv.CodeID]
+		code := vm.codeIndex[fv.CodeID]
 		if code == nil {
 			panic(fmt.Sprintf("pylang: deopt to unknown code %d", fv.CodeID))
 		}
