@@ -86,9 +86,11 @@ results:
 	$(GO) run ./cmd/experiments -exp all | cmp - results.txt
 
 # examples runs the four programs under examples/ (each well under a
-# second) and fails on a non-zero exit, or unless the engine's record of
+# second) and the guest source examples/sumloop.py through mtjit -file,
+# and fails on a non-zero exit, or unless the engine's record of
 # compiled code shows through them: quickstart must report at least one
-# compiled trace, and both schemeloops guests at least one trace each.
+# compiled trace, both schemeloops guests at least one trace each, and
+# the -file run its JIT log.
 examples:
 	@for d in phasebreakdown warmupcurve; do \
 		$(GO) run ./examples/$$d > /dev/null || { echo "examples/$$d failed"; exit 1; }; \
@@ -98,7 +100,9 @@ examples:
 	out="$$($(GO) run ./examples/schemeloops)" || { echo "examples/schemeloops failed"; exit 1; }; \
 	for g in scheme python; do \
 		echo "$$out" | grep -Eq "^$$g .*, [1-9][0-9]* traces" || { echo "examples/schemeloops: no $$g trace"; exit 1; }; \
-	done
+	done; \
+	out="$$($(GO) run ./cmd/mtjit -vm pypy -file examples/sumloop.py -jitlog)" || { echo "mtjit -file examples/sumloop.py failed"; exit 1; }; \
+	echo "$$out" | grep -q -- '---- jit log ----' || { echo "mtjit -file examples/sumloop.py: no jit log"; exit 1; }
 
 # Race instrumentation slows the simulator ~10x; give slow single-core
 # machines headroom beyond go test's default 10m panic. The JIT engine

@@ -24,12 +24,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"metajit/internal/bench"
 	"metajit/internal/core"
-	"metajit/internal/cpu"
 	"metajit/internal/harness"
-	"metajit/internal/pintool"
 	"metajit/internal/pylang"
 	"metajit/internal/telemetry"
 	"metajit/internal/trace"
@@ -91,20 +90,26 @@ func main() {
 		os.Exit(code)
 	}
 
+	// A -file run is a program like any benchmark: the Guest seam keeps
+	// its VM so the guest's output can be printed before the report.
+	var p *bench.Program
+	var vm *pylang.VM
 	if *file != "" {
-		if err := refuseForFile(opt, reg != nil); err != nil {
+		src, err := os.ReadFile(*file)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			os.Exit(1)
 		}
-		runFile(*file, *vmName, *threshold)
-		return
-	}
-	p := bench.ByName(*benchName)
-	if p == nil {
+		p = &bench.Program{Name: filepath.Base(*file), Source: string(src)}
+		opt.Guest = func(v *pylang.VM) { vm = v }
+	} else if p = bench.ByName(*benchName); p == nil {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (use -list)\n", *benchName)
 		os.Exit(2)
 	}
 	r, err := harness.Run(p, harness.VMKind(*vmName), opt)
+	if vm != nil {
+		fmt.Print(vm.Output.String())
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -234,65 +239,5 @@ func report(r *harness.Result, profileDir string, jitLog *bytes.Buffer) {
 	if jitLog.Len() > 0 {
 		fmt.Println("---- jit log ----")
 		fmt.Print(jitLog.String())
-	}
-}
-
-// refuseForFile names the first flag a -file run cannot honour: it
-// builds the guest VM itself, outside harness.Run, so no profiler,
-// recorder, JIT log sink or telemetry flush is attached to it.
-func refuseForFile(opt harness.Options, teleDump bool) error {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"profile", opt.ProfileDir != ""},
-		{"record", opt.RecordDir != ""},
-		{"jitlog", opt.JITLog != nil},
-		{"telemetry-dump", teleDump},
-	} {
-		if f.set {
-			return fmt.Errorf("mtjit: -file does not support -%s", f.name)
-		}
-	}
-	return nil
-}
-
-// fileConfig is the guest configuration of a -file run: the VM table's
-// row for vmName, refused unless its guest runs Python source.
-func fileConfig(vmName string, threshold int) (pylang.Config, error) {
-	cfg, scheme, ok := harness.GuestConfig(harness.VMKind(vmName))
-	if !ok || scheme {
-		return cfg, fmt.Errorf("mtjit: -file runs Python source; -vm %s does not", vmName)
-	}
-	cfg.Threshold = threshold
-	return cfg, nil
-}
-
-func runFile(path, vmName string, threshold int) {
-	cfg, err := fileConfig(vmName, threshold)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	src, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	mach := cpu.NewDefault()
-	pintool.NewPhaseTracker(mach)
-	vm := pylang.New(mach, cfg)
-	if err := vm.LoadModule(path, string(src)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	res := vm.RunFunction("main")
-	fmt.Print(vm.Output.String())
-	fmt.Printf("main() = %s\n", vm.Format(res))
-	fmt.Printf("instrs: %d  cycles: %.0f  IPC: %.2f\n",
-		mach.TotalInstrs(), mach.TotalCycles(), mach.Total().IPC())
-	if vm.Eng != nil {
-		st := vm.Eng.Stats()
-		fmt.Printf("jit: %d traces compiled\n", st.LoopsCompiled+st.BridgesCompiled)
 	}
 }

@@ -1,68 +1,101 @@
 package main
 
 import (
-	"io"
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"metajit/internal/harness"
 )
 
-// TestRefuseForFile: a -file run builds its VM outside harness.Run, so
-// the flags only harness.Run honours are refused, naming the flag, and
-// the others pass.
-func TestRefuseForFile(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		opt      harness.Options
-		teleDump bool
-		refused  string // the flag named, "" if accepted
-	}{
-		{"plain", harness.Options{}, false, ""},
-		{"threshold", harness.Options{Threshold: 7}, false, ""},
-		{"profile", harness.Options{ProfileDir: "out"}, false, "-profile"},
-		{"record", harness.Options{RecordDir: "traces"}, false, "-record"},
-		{"jitlog", harness.Options{JITLog: io.Discard}, false, "-jitlog"},
-		{"telemetry-dump", harness.Options{}, true, "-telemetry-dump"},
-	} {
-		err := refuseForFile(tc.opt, tc.teleDump)
-		switch {
-		case tc.refused == "" && err != nil:
-			t.Errorf("%s: refused: %v", tc.name, err)
-		case tc.refused != "" && (err == nil || !strings.HasSuffix(err.Error(), tc.refused)):
-			t.Errorf("%s: got %v, want a refusal naming %s", tc.name, err, tc.refused)
-		}
-	}
-}
+const fileProg = `
+def main():
+    s = 0
+    i = 0
+    while i < 300:
+        s = s + i
+        i = i + 1
+    print(s)
+    return s
+`
 
-// TestFileConfig: -file takes its guest configuration from the harness's
-// VM table and refuses, by the row's own bits, the Scheme guests, the
-// static kernels and unknown names.
-func TestFileConfig(t *testing.T) {
-	for _, tc := range []struct {
-		vm                              string
-		jit, baseline, method, adaptive bool
-	}{
-		{"cpython", false, false, false, false},
-		{"pypy-nojit", false, false, false, false},
-		{"pypy", true, false, false, false},
-		{"pypy-tiered", true, true, false, false},
-		{"pypy-amalg", true, true, true, false},
-		{"pypy-adaptive", true, true, true, true},
-	} {
-		cfg, err := fileConfig(tc.vm, 7)
-		if err != nil {
-			t.Errorf("%s: refused: %v", tc.vm, err)
-			continue
-		}
-		if cfg.Profile == nil || cfg.JIT != tc.jit || cfg.Baseline != tc.baseline ||
-			cfg.Method != tc.method || cfg.Adaptive != tc.adaptive || cfg.Threshold != 7 {
-			t.Errorf("%s: config %+v", tc.vm, cfg)
+const badProg = `
+def main():
+    xs = [1, 2]
+    print(3)
+    return xs[5]
+`
+
+// TestFileRun builds the command and runs source files through it. A
+// -file run is harness.Run on a program: every flag a -bench run takes
+// writes its artifact, every Python guest kind runs it, a guest error
+// exits 1 with the guest's message and no Go stack, and the kinds the
+// harness cannot run the file on fail non-zero.
+func TestFileRun(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mtjit")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	prog, bad := filepath.Join(dir, "prog.py"), filepath.Join(dir, "bad.py")
+	for path, src := range map[string]string{prog: fileProg, bad: badProg} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"racket", "pycket", "c", "bogus"} {
-		if _, err := fileConfig(name, 0); err == nil || !strings.Contains(err.Error(), "-vm "+name) {
-			t.Errorf("%s: got %v, want a refusal naming it", name, err)
+	run := func(args ...string) (stdout, stderr string, code int) {
+		t.Helper()
+		var o, e bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); ok {
+			return o.String(), e.String(), ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return o.String(), e.String(), 0
+	}
+
+	prof, rec := filepath.Join(dir, "prof"), filepath.Join(dir, "rec")
+	out, errOut, code := run("-vm", "pypy", "-file", prog, "-threshold", "2",
+		"-profile", prof, "-jitlog", "-record", rec, "-telemetry-dump")
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	for _, want := range []string{"44850\nbenchmark: prog.py on pypy\n", "checksum:  44850\n", "---- jit log ----\n# "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(errOut, "---- telemetry ----") {
+		t.Errorf("stderr lacks the telemetry dump:\n%s", errOut)
+	}
+	for _, f := range []string{
+		"prof/prog.py-pypy.trace.json", "prof/prog.py-pypy.folded", "prof/prog.py-pypy.series.txt",
+		"rec/prog.py-pypy.mtt",
+	} {
+		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
+			t.Errorf("artifact %s: %v", f, err)
+		}
+	}
+
+	for _, vm := range []string{"cpython", "pypy-nojit", "pypy", "pypy-tiered", "pypy-amalg", "pypy-adaptive"} {
+		if out, errOut, code := run("-vm", vm, "-file", prog); code != 0 || !strings.Contains(out, "checksum:  44850\n") {
+			t.Errorf("-vm %s: exit %d\nstdout:\n%s\nstderr:\n%s", vm, code, out, errOut)
+		}
+	}
+
+	out, errOut, code = run("-vm", "pypy", "-file", bad)
+	if code != 1 || out != "3\n" || !strings.Contains(errOut, "pylang: list index out of range") ||
+		strings.Contains(errOut, "goroutine") {
+		t.Errorf("guest error: exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+
+	for _, vm := range []string{"racket", "pycket", "c", "bogus"} {
+		if _, errOut, code := run("-vm", vm, "-file", prog); code == 0 || !strings.HasPrefix(errOut, "harness: ") {
+			t.Errorf("-vm %s: exit %d, stderr %q; want a refusal by the harness", vm, code, errOut)
 		}
 	}
 }

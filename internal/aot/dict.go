@@ -73,11 +73,6 @@ func (d *Dict) ScanRefs(visit func(*heap.Obj)) {
 	}
 }
 
-// NativeSize implements heap.NativeSized.
-func (d *Dict) NativeSize() uint64 {
-	return uint64(4*len(d.index) + 32*cap(d.entries))
-}
-
 // Len returns the number of live entries.
 func (d *Dict) Len() int { return d.used }
 

@@ -272,9 +272,6 @@ func (rt *Runtime) NewBuilder() *Builder {
 // ScanRefs implements heap.NativeScanner (builders hold no refs).
 func (b *Builder) ScanRefs(visit func(*heap.Obj)) {}
 
-// NativeSize implements heap.NativeSized.
-func (b *Builder) NativeSize() uint64 { return uint64(cap(b.buf)) }
-
 // BuilderAppend appends a guest string (rbuilder.ll_append).
 func (rt *Runtime) BuilderAppend(b *Builder, s *heap.Obj) {
 	rt.requireStr(s, "BuilderAppend")

@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"metajit/internal/bench"
+	"metajit/internal/harness"
 )
 
-// benchConfigs is the configuration set used for the real benchmark
+// benchCells is the cell set used for the real benchmark
 // suite: the full matrix over every benchmark would take minutes, and
 // the random corpus already covers the ablation cells, so the suite is
 // cross-checked under the configurations that differ most structurally
@@ -14,15 +15,15 @@ import (
 // tracing, bridging, and deopt traffic), and both tier-1 shapes
 // (baseline-only and the production tiered configuration every warmup
 // number in results.txt comes from).
-func benchConfigs() []VMConfig {
-	return []VMConfig{
-		{Name: "interp"},
-		{Name: "jit-default", JIT: true},
+func benchCells() []Cell {
+	return []Cell{
+		interp,
+		{Name: "jit-default", VM: harness.VMPyPyJIT},
 		hot("jit-hot", nil),
-		{Name: "tier1-only", JIT: true, Baseline: true,
-			BaselineThreshold: 2, Threshold: 1 << 20},
-		{Name: "tiered-default", JIT: true, Baseline: true,
-			BaselineThreshold: 6},
+		{Name: "tier1-only", VM: harness.VMPyPyTiered, Opt: harness.Options{
+			BaselineThreshold: 2, Threshold: unreachable}},
+		{Name: "tiered-default", VM: harness.VMPyPyTiered, Opt: harness.Options{
+			BaselineThreshold: 6}},
 	}
 }
 
@@ -35,7 +36,7 @@ func TestBenchDifferential(t *testing.T) {
 		p := p
 		t.Run(p.Name+"/py", func(t *testing.T) {
 			t.Parallel()
-			if _, err := RunConfigs(p.Source, false, benchConfigs()); err != nil {
+			if _, err := RunCells(p.Source, false, benchCells()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -44,7 +45,7 @@ func TestBenchDifferential(t *testing.T) {
 		}
 		t.Run(p.Name+"/sk", func(t *testing.T) {
 			t.Parallel()
-			if _, err := RunConfigs(p.SkSource, true, benchConfigs()); err != nil {
+			if _, err := RunCells(p.SkSource, true, benchCells()); err != nil {
 				t.Fatal(err)
 			}
 		})

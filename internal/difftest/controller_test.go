@@ -11,7 +11,7 @@ import (
 
 // adaptiveCell is the adaptive-hot matrix cell, looked up by name so the
 // determinism test always exercises exactly the advertised configuration.
-func adaptiveCell(t *testing.T) VMConfig {
+func adaptiveCell(t *testing.T) Cell {
 	t.Helper()
 	for _, c := range Matrix() {
 		if c.Name == "adaptive-hot" {
@@ -19,7 +19,7 @@ func adaptiveCell(t *testing.T) VMConfig {
 		}
 	}
 	t.Fatal("matrix has no adaptive-hot cell")
-	return VMConfig{}
+	return Cell{}
 }
 
 // TestControllerDeterministic pins the tier controller's determinism
@@ -34,15 +34,15 @@ func TestControllerDeterministic(t *testing.T) {
 	// repeat exactly.
 	cfg := adaptiveCell(t)
 	src := GenPylang(seedBytes(7))
-	a, err := RunSource(src, false, cfg)
+	a, err := RunCell(src, false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSource(src, false, cfg)
+	b, err := RunCell(src, false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Result != b.Result || a.Heap != b.Heap || a.Output != b.Output || a.Err != b.Err {
+	if a.Checksum != b.Checksum || a.Heap != b.Heap || a.Output != b.Output || a.Err != b.Err {
 		t.Errorf("adaptive rerun diverged:\n  first:  %s\n  second: %s", a, b)
 	}
 	if !reflect.DeepEqual(a.Stats, b.Stats) {

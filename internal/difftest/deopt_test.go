@@ -3,7 +3,9 @@ package difftest
 import (
 	"testing"
 
+	"metajit/internal/harness"
 	"metajit/internal/mtjit"
+	"metajit/internal/pylang"
 )
 
 // deoptSrc is a pylang loop whose trace carries the full guard variety:
@@ -37,27 +39,41 @@ def main():
     return acc
 `
 
+// forceTrace and forceTier install a deoptimization-testing hook
+// (mtjit.Engine.ForceGuardFail, ForceTierGuardFail) through the harness's
+// Guest seam. The tier hook sees baseline and method guards alike and
+// tells them apart by the code's Tier.
+func forceTrace(f func(*mtjit.Trace, *mtjit.Op) bool) func(*pylang.VM) {
+	return func(vm *pylang.VM) { vm.Eng.ForceGuardFail = f }
+}
+
+func forceTier(f func(*mtjit.TierCode, uint64) bool) func(*pylang.VM) {
+	return func(vm *pylang.VM) { vm.Eng.ForceTierGuardFail = f }
+}
+
 // TestTierDeoptRoundTrip is the lower-tier analog of TestDeoptRoundTrip,
 // one row per tier: force a failure at every guard the tier's code
 // executes, one guard per run, and demand the fallback interpreter
 // reproduces the pure interpreter's result, output, and heap exactly.
 // Tracing is kept out of reach so every deopt exits the tier's code, not
-// a trace.
+// a trace, and in the method row baseline code too.
 func TestTierDeoptRoundTrip(t *testing.T) {
 	for _, row := range []struct {
 		tier   mtjit.Tier
-		cfg    VMConfig
+		cell   Cell
 		deopts func(mtjit.EngineStats) uint64
 	}{
 		{mtjit.BaselineTier,
-			VMConfig{JIT: true, Baseline: true, BaselineThreshold: 2, Threshold: 1 << 20},
+			Cell{VM: harness.VMPyPyTiered, Opt: harness.Options{
+				BaselineThreshold: 2, Threshold: unreachable}},
 			func(s mtjit.EngineStats) uint64 { return s.BaselineDeopts }},
 		{mtjit.MethodTier,
-			VMConfig{JIT: true, Method: true, MethodThreshold: 2, Threshold: 1 << 20},
+			Cell{VM: harness.VMPyPyAmalg, Opt: harness.Options{
+				BaselineThreshold: unreachable, Threshold: unreachable, MethodThreshold: 2}},
 			func(s mtjit.EngineStats) uint64 { return s.MethodDeopts }},
 	} {
 		t.Run(row.tier.String(), func(t *testing.T) {
-			ref, err := RunSource(deoptSrc, false, VMConfig{Name: "interp"})
+			ref, err := RunCell(deoptSrc, false, interp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,9 +87,9 @@ func TestTierDeoptRoundTrip(t *testing.T) {
 			}
 			var order []guardKey
 			seen := map[guardKey]bool{}
-			discover := row.cfg
+			discover := row.cell
 			discover.Name = row.tier.String() + "-discover"
-			discover.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+			discover.Opt.Guest = forceTier(func(c *mtjit.TierCode, id uint64) bool {
 				if c.Tier != row.tier {
 					t.Errorf("guard in %s code, want %s", c.Tier, row.tier)
 				}
@@ -83,8 +99,8 @@ func TestTierDeoptRoundTrip(t *testing.T) {
 					order = append(order, k)
 				}
 				return false
-			}
-			if _, err := RunSource(deoptSrc, false, discover); err != nil {
+			})
+			if _, err := RunCell(deoptSrc, false, discover); err != nil {
 				t.Fatal(err)
 			}
 			if len(order) < 5 {
@@ -92,16 +108,16 @@ func TestTierDeoptRoundTrip(t *testing.T) {
 			}
 
 			for _, gk := range order {
-				cfg := row.cfg
-				cfg.Name = row.tier.String() + "-forced"
-				cfg.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+				cell := row.cell
+				cell.Name = row.tier.String() + "-forced"
+				cell.Opt.Guest = forceTier(func(c *mtjit.TierCode, id uint64) bool {
 					return c.ID == gk.code && id == gk.id
-				}
-				out, err := RunSource(deoptSrc, false, cfg)
+				})
+				out, err := RunCell(deoptSrc, false, cell)
 				if err != nil {
 					t.Fatalf("%s guard %d/%d: %v", row.tier, gk.code, gk.id, err)
 				}
-				if out.Result != ref.Result || out.Heap != ref.Heap ||
+				if out.Checksum != ref.Checksum || out.Heap != ref.Heap ||
 					out.Output != ref.Output || out.Err != ref.Err {
 					t.Errorf("%s guard %d/%d diverged:\n  interp: %s\n  forced: %s",
 						row.tier, gk.code, gk.id, ref, out)
@@ -124,7 +140,7 @@ func TestTierDeoptRoundTrip(t *testing.T) {
 func TestDeoptRoundTrip(t *testing.T) { deoptRoundTrip(t) }
 
 func deoptRoundTrip(t *testing.T) {
-	ref, err := RunSource(deoptSrc, false, VMConfig{Name: "interp"})
+	ref, err := RunCell(deoptSrc, false, interp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +148,17 @@ func deoptRoundTrip(t *testing.T) {
 	// Discovery run: collect every guard the compiled code executes.
 	var order []uint32
 	seen := map[uint32]bool{}
-	discover := VMConfig{
-		Name: "discover", JIT: true, Threshold: 2, BridgeThreshold: 1 << 20,
-		ForceGuardFail: func(tr *mtjit.Trace, op *mtjit.Op) bool {
+	discover := Cell{Name: "discover", VM: harness.VMPyPyJIT, Opt: harness.Options{
+		Threshold: 2, BridgeThreshold: unreachable,
+		Guest: forceTrace(func(tr *mtjit.Trace, op *mtjit.Op) bool {
 			if !seen[op.GuardID] {
 				seen[op.GuardID] = true
 				order = append(order, op.GuardID)
 			}
 			return false
-		},
-	}
-	if _, err := RunSource(deoptSrc, false, discover); err != nil {
+		}),
+	}}
+	if _, err := RunCell(deoptSrc, false, discover); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) < 5 {
@@ -153,23 +169,22 @@ func deoptRoundTrip(t *testing.T) {
 		name            string
 		bridgeThreshold int
 	}{
-		{"blackhole", 1 << 20},
+		{"blackhole", unreachable},
 		{"bridge", 1},
 	} {
 		for _, gid := range order {
 			gid := gid
-			cfg := VMConfig{
-				Name: variant.name, JIT: true, Threshold: 2,
-				BridgeThreshold: variant.bridgeThreshold,
-				ForceGuardFail: func(tr *mtjit.Trace, op *mtjit.Op) bool {
+			cell := Cell{Name: variant.name, VM: harness.VMPyPyJIT, Opt: harness.Options{
+				Threshold: 2, BridgeThreshold: variant.bridgeThreshold,
+				Guest: forceTrace(func(tr *mtjit.Trace, op *mtjit.Op) bool {
 					return op.GuardID == gid
-				},
-			}
-			out, err := RunSource(deoptSrc, false, cfg)
+				}),
+			}}
+			out, err := RunCell(deoptSrc, false, cell)
 			if err != nil {
 				t.Fatalf("%s guard %d: %v", variant.name, gid, err)
 			}
-			if out.Result != ref.Result || out.Heap != ref.Heap ||
+			if out.Checksum != ref.Checksum || out.Heap != ref.Heap ||
 				out.Output != ref.Output || out.Err != ref.Err {
 				t.Errorf("%s guard %d diverged:\n  interp: %s\n  forced: %s",
 					variant.name, gid, ref, out)

@@ -29,7 +29,7 @@ func TestFixturesThroughOracle(t *testing.T) {
 			if p.SkSource != "" {
 				src, scheme = p.SkSource, true
 			}
-			if _, err := RunConfigs(src, scheme, benchConfigs()); err != nil {
+			if _, err := RunCells(src, scheme, benchCells()); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -3,6 +3,7 @@ package difftest
 import (
 	"testing"
 
+	"metajit/internal/harness"
 	"metajit/internal/mtjit"
 )
 
@@ -60,17 +61,16 @@ func FuzzTieredPromotion(f *testing.F) {
 		mask := uint64(d.intn(8))
 		src := GenPylang(data)
 
-		tiered := VMConfig{
-			Name: "tiered-fuzz", JIT: true, Baseline: true,
+		tiered := Cell{Name: "tiered-fuzz", VM: harness.VMPyPyTiered, Opt: harness.Options{
 			BaselineThreshold: baseT, Threshold: hotT, BridgeThreshold: bridgeT,
-		}
+		}}
 		if mask != 0 {
-			tiered.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+			tiered.Opt.Guest = forceTier(func(c *mtjit.TierCode, id uint64) bool {
 				return (id+c.EnterCount+c.DeoptCount)&7 == mask
-			}
+			})
 		}
-		configs := []VMConfig{{Name: "interp"}, tiered}
-		if _, err := RunConfigs(src, false, configs); err != nil {
+		cells := []Cell{interp, tiered}
+		if _, err := RunCells(src, false, cells); err != nil {
 			t.Fatalf("thresholds base=%d hot=%d bridge=%d mask=%d: %v\nprogram:\n%s",
 				baseT, hotT, bridgeT, mask, err, src)
 		}
@@ -100,18 +100,17 @@ func FuzzAmalgamatedTiering(f *testing.F) {
 		mask := uint64(d.intn(8))
 		src := GenPylang(data)
 
-		amalg := VMConfig{
-			Name: "amalg-fuzz", JIT: true, Baseline: true, Method: true,
+		amalg := Cell{Name: "amalg-fuzz", VM: harness.VMPyPyAmalg, Opt: harness.Options{
 			BaselineThreshold: baseT, Threshold: hotT, BridgeThreshold: bridgeT,
 			MethodThreshold: methodT, Adaptive: adaptive,
-		}
+		}}
 		if mask != 0 {
-			amalg.ForceTierGuardFail = func(c *mtjit.TierCode, id uint64) bool {
+			amalg.Opt.Guest = forceTier(func(c *mtjit.TierCode, id uint64) bool {
 				return c.Tier == mtjit.MethodTier && (id+c.EnterCount+c.DeoptCount)&7 == mask
-			}
+			})
 		}
-		configs := []VMConfig{{Name: "interp"}, amalg}
-		if _, err := RunConfigs(src, false, configs); err != nil {
+		cells := []Cell{interp, amalg}
+		if _, err := RunCells(src, false, cells); err != nil {
 			t.Fatalf("thresholds base=%d hot=%d bridge=%d method=%d adaptive=%v mask=%d: %v\nprogram:\n%s",
 				baseT, hotT, bridgeT, methodT, adaptive, mask, err, src)
 		}

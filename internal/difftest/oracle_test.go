@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"metajit/internal/mtjit"
+	"metajit/internal/pylang"
 )
 
 // seedBytes encodes a corpus index as the decider input, so the corpus
@@ -117,13 +120,14 @@ func TestSklangCorpus(t *testing.T) {
 }
 
 // TestMatrixShape pins the matrix: ablation cells must cover every
-// optimizer pass exactly once, and all cells must carry distinct names.
+// optimizer pass exactly once, all cells must carry distinct names, and
+// each name must match the tiers its cell's engine really has.
 func TestMatrixShape(t *testing.T) {
 	m := Matrix()
 	names := map[string]bool{}
 	for _, c := range m {
 		if names[c.Name] {
-			t.Fatalf("duplicate config name %q", c.Name)
+			t.Fatalf("duplicate cell name %q", c.Name)
 		}
 		names[c.Name] = true
 	}
@@ -135,43 +139,57 @@ func TestMatrixShape(t *testing.T) {
 		"method-only", "amalg-hot", "amalg-promote", "adaptive-hot",
 	} {
 		if !names[want] {
-			t.Errorf("matrix is missing config %q", want)
+			t.Errorf("matrix is missing cell %q", want)
 		}
 	}
 	if len(m) < 16 {
 		t.Errorf("matrix has %d cells, want >= 16", len(m))
 	}
-	if m[0].JIT {
-		t.Error("first matrix cell must be the plain interpreter (the reference)")
-	}
-	for _, c := range m {
+	// A tier is in a cell when the kind enables it and its threshold is
+	// within reach of an oracle program.
+	reach := func(threshold int) bool { return threshold > 0 && threshold < unreachable/2 }
+	for i, c := range m {
+		var eng *mtjit.Engine
+		probe := c
+		probe.Opt.Guest = func(vm *pylang.VM) {
+			if c.Opt.Guest != nil {
+				c.Opt.Guest(vm)
+			}
+			eng = vm.Eng
+		}
+		if _, err := RunCell("def main():\n    return 0\n", false, probe); err != nil {
+			t.Fatal(err)
+		}
+		if (i == 0) != (eng == nil) {
+			t.Errorf("cell %q: the first cell, and only it, must be the plain interpreter (the reference)", c.Name)
+		}
+		if eng == nil {
+			continue
+		}
 		// The documented naming scheme (package comment) is enforced:
 		// tier prefixes match the tiers the cell actually enables.
 		hasTier1 := strings.HasPrefix(c.Name, "tier1-") || strings.HasPrefix(c.Name, "tiered-") ||
 			strings.HasPrefix(c.Name, "amalg-") || strings.HasPrefix(c.Name, "adaptive-")
-		if hasTier1 != c.Baseline {
-			t.Errorf("cell %q: name/tier mismatch (Baseline=%v)", c.Name, c.Baseline)
+		if hasTier1 != reach(eng.BaselineThreshold) {
+			t.Errorf("cell %q: name/tier mismatch (baseline threshold %d)", c.Name, eng.BaselineThreshold)
 		}
 		hasMethod := strings.HasPrefix(c.Name, "method-") || strings.HasPrefix(c.Name, "amalg-") ||
 			strings.HasPrefix(c.Name, "adaptive-")
-		if hasMethod != c.Method {
-			t.Errorf("cell %q: name/tier mismatch (Method=%v)", c.Name, c.Method)
+		if hasMethod != reach(eng.MethodThreshold) {
+			t.Errorf("cell %q: name/tier mismatch (method threshold %d)", c.Name, eng.MethodThreshold)
 		}
-		if strings.HasPrefix(c.Name, "adaptive-") != c.Adaptive {
-			t.Errorf("cell %q: name/controller mismatch (Adaptive=%v)", c.Name, c.Adaptive)
+		if strings.HasPrefix(c.Name, "adaptive-") != eng.Adaptive {
+			t.Errorf("cell %q: name/controller mismatch (Adaptive=%v)", c.Name, eng.Adaptive)
 		}
-		if strings.HasPrefix(c.Name, "tier1-") && c.Threshold < 1<<20 {
-			t.Errorf("cell %q: tier1-only cells must keep tracing out of reach (Threshold=%d)",
-				c.Name, c.Threshold)
+		lower := strings.HasPrefix(c.Name, "tier1-") || strings.HasPrefix(c.Name, "method-")
+		if lower && reach(eng.Threshold) {
+			t.Errorf("cell %q: lower-tier-only cells must keep tracing out of reach (threshold %d)",
+				c.Name, eng.Threshold)
 		}
-		if strings.HasPrefix(c.Name, "method-") && c.Threshold < 1<<20 {
-			t.Errorf("cell %q: method-only cells must keep tracing out of reach (Threshold=%d)",
-				c.Name, c.Threshold)
-		}
-		if c.Baseline && c.BaselineThreshold == 0 {
+		if eng.BaselineThreshold > 0 && c.Opt.BaselineThreshold == 0 {
 			t.Errorf("cell %q: tier cells must pin BaselineThreshold explicitly", c.Name)
 		}
-		if c.Method && c.MethodThreshold == 0 {
+		if eng.MethodThreshold > 0 && c.Opt.MethodThreshold == 0 {
 			t.Errorf("cell %q: method cells must pin MethodThreshold explicitly", c.Name)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/mtjit"
+	"metajit/internal/pylang"
 	"metajit/internal/reqtrace"
 )
 
@@ -46,16 +47,19 @@ type Spec struct {
 	ReplayAlloc   bool
 }
 
-// Observe is how one call watches the run it causes: sinks only. None of
-// them can reach the Result — simulate hands them what happened after the
-// Result is complete — so requests that differ only here share a cell,
-// and the call that simulates the cell is the one whose sinks are fed.
+// Observe is how one call watches the run it causes: the five sinks and
+// the Guest seam. No sink can reach the Result — simulate hands them what
+// happened after the Result is complete — so requests that differ only in
+// sinks share a cell, and the call that simulates the cell is the one
+// whose sinks are fed. Guest can change the run, which is why a Runner
+// refuses it.
 type Observe struct {
 	Live       *LiveTracker
 	ReqTrace   *reqtrace.Span
 	JITLog     io.Writer
 	ProfileDir string
 	RecordDir  string
+	Guest      func(*pylang.VM)
 }
 
 // What a nil override resolves to. The heap geometry scales the paper's
@@ -114,6 +118,7 @@ func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
 		JITLog:     opt.JITLog,
 		ProfileDir: opt.ProfileDir,
 		RecordDir:  opt.RecordDir,
+		Guest:      opt.Guest,
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
 	"metajit/internal/mtjit"
+	"metajit/internal/pylang"
 	"metajit/internal/reqtrace"
 	"metajit/internal/trace"
 )
@@ -42,6 +43,8 @@ func perturb(t *testing.T, base Options, field string) Options {
 		v.Set(reflect.ValueOf(&p))
 	case *LiveTracker:
 		v.Set(reflect.ValueOf(NewLiveTracker(1)))
+	case func(*pylang.VM):
+		v.Set(reflect.ValueOf(func(*pylang.VM) {}))
 	case *reqtrace.Span:
 		rec := reqtrace.NewRecorder(reqtrace.Config{Process: "audit"})
 		v.Set(reflect.ValueOf(rec.StartTrace(reqtrace.Context{}, reqtrace.KindSimulate, "audit")))
@@ -76,7 +79,7 @@ func TestSplitDropsNoOption(t *testing.T) {
 		}
 		spec, obs := base.split(p, VMPyPyJIT)
 		gotSpec, gotObs := perturb(t, base, field).split(p, VMPyPyJIT)
-		if gotSpec == spec && gotObs == obs {
+		if gotSpec == spec && reflect.DeepEqual(gotObs, obs) {
 			t.Errorf("Options.%s reaches neither the Spec nor the Observe: split drops it", field)
 		}
 	}

@@ -166,6 +166,14 @@ type Options struct {
 	// run's error. The traces end with the run and Result.IR keeps their
 	// statistics.
 	JITLog io.Writer
+
+	// Guest, when non-nil, is called with the guest VM after it is built
+	// and before the program loads. It is the test seam: a caller can
+	// set engine knobs no Spec field names (TraceLimit, the forced-guard
+	// hooks) and keep the VM to read its output, machine and engine once
+	// Run returns, a guest error included. What it changes is simulated
+	// but not in the Spec, so a Runner refuses Options that set it.
+	Guest func(*pylang.VM)
 }
 
 // DefaultProfileWindow is the time-series window (in retired
@@ -308,7 +316,9 @@ func simulate(p *bench.Program, spec Spec, obs Observe) (*Result, error) {
 		}
 		r.guest, r.source = p.Trace.Header.Guest, p.Trace.Header.Source
 	default:
-		if row.scheme {
+		// The language follows the program: one with no Python source
+		// runs its Scheme source on any guest kind.
+		if row.scheme || p.Source == "" {
 			r.guest, r.source = trace.GuestSk, p.SkSource
 		}
 		if r.source == "" {
@@ -385,41 +395,43 @@ func (r *run) setHeap(h *heap.Heap) {
 	}
 }
 
-// GuestConfig returns the guest VM configuration of kind, before a
-// Spec's thresholds, optimizer and heap overrides, and whether the guest
-// runs Scheme source. ok is false for an unknown kind and for the static
-// kernels, which have no guest VM.
-func GuestConfig(kind VMKind) (cfg pylang.Config, scheme, ok bool) {
-	row, ok := vmTable[kind]
-	if !ok || row.profile == nil {
-		return pylang.Config{}, false, false
-	}
-	return pylang.Config{
-		Profile:  row.profile(),
-		JIT:      row.jit,
-		Baseline: row.baseline,
-		Method:   row.method,
-		Adaptive: row.adaptive,
-	}, row.scheme, true
-}
-
-// runGuest builds the guest VM the Spec describes, loads the benchmark
-// and returns main's result.
-func (r *run) runGuest() (int64, error) {
-	cfg, scheme, _ := GuestConfig(r.spec.VM)
-	cfg.Adaptive = cfg.Adaptive || r.spec.Adaptive
-	cfg.Threshold = r.spec.Threshold
-	cfg.BridgeThreshold = r.spec.BridgeThreshold
-	cfg.BaselineThreshold = r.spec.BaselineThreshold
-	cfg.MethodThreshold = r.spec.MethodThreshold
-	cfg.Opts = &r.spec.Opts
-	cfg.HeapConfig = &r.spec.Heap
-	vm := pylang.New(r.mach, cfg)
+// runGuest builds the guest VM the Spec describes, loads the program and
+// returns main's result: its value when that is an int, which every
+// benchmark returns, and otherwise its kind-tagged structural checksum
+// (pylang.VM.ValueChecksum), so None, True, 1 and 1.0 all differ. A guest
+// error, at load or in main, ends the run and comes back as an error
+// wrapping the *pylang.GuestError; any other panic keeps unwinding.
+func (r *run) runGuest() (sum int64, err error) {
+	row := vmTable[r.spec.VM]
+	vm := pylang.New(r.mach, pylang.Config{
+		Profile:           row.profile(),
+		JIT:               row.jit,
+		Baseline:          row.baseline,
+		Method:            row.method,
+		Adaptive:          row.adaptive || r.spec.Adaptive,
+		Threshold:         r.spec.Threshold,
+		BridgeThreshold:   r.spec.BridgeThreshold,
+		BaselineThreshold: r.spec.BaselineThreshold,
+		MethodThreshold:   r.spec.MethodThreshold,
+		Opts:              &r.spec.Opts,
+		HeapConfig:        &r.spec.Heap,
+	})
 	r.vm, r.eng = vm, vm.Eng
 	r.setHeap(vm.H)
 	r.live.setEngine(vm.Eng)
-	var err error
-	if scheme {
+	if r.obs.Guest != nil {
+		r.obs.Guest(vm)
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			g, ok := v.(*pylang.GuestError)
+			if !ok {
+				panic(v)
+			}
+			sum, err = 0, fmt.Errorf("harness: %s on %s: %w", r.p.Name, r.spec.VM, g)
+		}
+	}()
+	if r.guest == trace.GuestSk {
 		vm.UnicodeStrings = false
 		err = sklang.Load(vm, r.source)
 	} else {
@@ -428,7 +440,11 @@ func (r *run) runGuest() (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("harness: %s on %s: %w", r.p.Name, r.spec.VM, err)
 	}
-	return vm.RunFunction("main").I, nil
+	v := vm.RunFunction("main")
+	if v.Kind != heap.KindInt {
+		return int64(vm.ValueChecksum(v)), nil
+	}
+	return v.I, nil
 }
 
 // replayAllocs is the dj_trace execution mode: no guest code runs; the

@@ -50,12 +50,6 @@ type NativeScanner interface {
 	ScanRefs(visit func(*Obj))
 }
 
-// NativeSized is implemented by Native payloads that contribute to the
-// object's accounted size.
-type NativeSized interface {
-	NativeSize() uint64
-}
-
 // AllocKind distinguishes the three allocation entry points for trace
 // recording (internal/trace): plain objects, bytes payloads (strings),
 // and objects with an array part.
@@ -329,8 +323,8 @@ func (h *Heap) allocate(o *Obj) {
 }
 
 // RawAlloc reserves simulated address space for a native payload table
-// (dict index arrays, string-builder buffers). The space is accounted to
-// the owning object via heap.NativeSized, not tracked individually.
+// (dict index arrays, string-builder buffers). The space is not charged
+// to the owning object or to the heap's statistics yet.
 func (h *Heap) RawAlloc(size uint64) uint64 { return h.bump(size) }
 
 // checkLive panics on dead-object access in debug mode.

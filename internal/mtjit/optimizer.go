@@ -318,8 +318,6 @@ func (o *optimizer) forward() {
 		case op.Opc == OpNewWithVtable, op.Opc == OpNewArray:
 			if _, ok := o.virtual[op.Res]; ok {
 				o.removed[i] = true
-			} else if o.cfg.CSE {
-				o.invalidateNothing()
 			}
 		case op.Opc == OpGetfieldGC:
 			o.forwardGetfield(i, op)
@@ -380,8 +378,6 @@ func resultShape(opc Opcode) *heap.Shape {
 	}
 	return nil
 }
-
-func (o *optimizer) invalidateNothing() {}
 
 func (o *optimizer) forwardGuard(i int, op *Op) {
 	// Guards over allocation-removed objects MUST be removed (their
