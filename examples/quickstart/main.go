@@ -8,6 +8,7 @@ import (
 
 	"metajit/internal/core"
 	"metajit/internal/cpu"
+	"metajit/internal/mtjit"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
 )
@@ -38,7 +39,8 @@ func main() {
 	meter := pintool.NewWorkMeter(mach, 0)
 
 	// A framework VM (RPython analog) with the meta-tracing JIT on.
-	vm := pylang.New(mach, pylang.Config{JIT: true})
+	jit := mtjit.DefaultConfig()
+	vm := pylang.New(mach, pylang.Config{Engine: &jit})
 
 	if err := vm.LoadModule("quickstart", program); err != nil {
 		panic(err)

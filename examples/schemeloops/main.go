@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"metajit/internal/cpu"
+	"metajit/internal/mtjit"
 	"metajit/internal/pintool"
 	"metajit/internal/pylang"
 	"metajit/internal/sklang"
@@ -33,7 +34,8 @@ def main():
 func run(label string, load func(vm *pylang.VM) error, scheme bool) {
 	mach := cpu.NewDefault()
 	pintool.NewPhaseTracker(mach)
-	vm := pylang.New(mach, pylang.Config{JIT: true})
+	jit := mtjit.DefaultConfig()
+	vm := pylang.New(mach, pylang.Config{Engine: &jit})
 	vm.UnicodeStrings = !scheme
 	if err := load(vm); err != nil {
 		panic(err)

@@ -52,7 +52,7 @@ func (id CellID) Short() string { return hex.EncodeToString(id[:4]) }
 // canonical Spec encoding starts with the high zero byte of Bench's
 // length, so no address can equal one computed before the stream was
 // versioned (DESIGN.md §11).
-const specVersion = 1
+const specVersion = 2
 
 // IDOf content-addresses a cell. The canonical encoding walks the Spec
 // reflectively (see canonicalAppend), so the address covers exactly what
@@ -153,8 +153,8 @@ func (c *Catalog) Cell(r *Request) (*bench.Program, harness.VMKind, harness.Opti
 	if err != nil {
 		return nil, "", harness.Options{}, CellID{}, err
 	}
-	// A threshold at or below zero runs with the default, so a negative
-	// one would name a second cell for the same simulation.
+	// The request is outside input: a negative threshold is refused as
+	// malformed rather than run with the default that zero asks for.
 	if r.Threshold < 0 || r.BridgeThreshold < 0 || r.BaselineThreshold < 0 {
 		return nil, "", harness.Options{}, CellID{}, errors.New("threshold, bridge_threshold and baseline_threshold must not be negative (0 keeps the default)")
 	}

@@ -124,9 +124,12 @@ func TestIDOfVersioned(t *testing.T) {
 }
 
 // TestCellIDDistinguishesCells pins that the content address reacts to
-// each request knob: two cells differing in any option a Request can set
-// must never share an address (an address collision would serve one
-// cell's result for another — the worst possible cluster bug).
+// each request knob on a kind that simulates it: two cells differing in
+// any option a Request can set must never share an address (an address
+// collision would serve one cell's result for another — the worst
+// possible cluster bug). A knob the kind does not simulate is one cell
+// (harness TestSpecResolvesDefaults), so the baseline threshold is
+// varied on pypy-tiered.
 func TestCellIDDistinguishesCells(t *testing.T) {
 	p := bench.ByName("telco")
 	base := func() harness.Options { return harness.Options{} }
@@ -148,7 +151,7 @@ func TestCellIDDistinguishesCells(t *testing.T) {
 	add("bridge", harness.VMPyPyJIT, o)
 	o = base()
 	o.BaselineThreshold = 50
-	add("baseline", harness.VMPyPyJIT, o)
+	add("baseline", harness.VMPyPyTiered, o)
 	q := bench.ByName("chaos")
 	id := IDOf(harness.Key(q, harness.VMPyPyJIT, base()))
 	if _, dup := ids[id]; dup {

@@ -330,6 +330,30 @@ func TestWorkerFresh(t *testing.T) {
 	}
 }
 
+// TestWorkerDefaultSpelledOut: a request that spells out a default tier
+// threshold names the default's cell, so the worker answers it from the
+// memo instead of simulating and storing the cell a second time.
+func TestWorkerDefaultSpelledOut(t *testing.T) {
+	store := testStore(t)
+	w := newFakeWorker(t, store)
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	_, rr1, raw1 := postWorkerRun(t, ts, `{"bench":"telco","vm":"pypy"}`)
+	_, rr2, raw2 := postWorkerRun(t, ts, `{"bench":"telco","vm":"pypy","threshold":57}`)
+	if rr1.Source != "simulated" || rr2.Source != "memo" {
+		t.Fatalf("sources %q then %q, want simulated then memo", rr1.Source, rr2.Source)
+	}
+	if rr1.CellID != rr2.CellID || !bytes.Equal(resultBytes(t, raw1), resultBytes(t, raw2)) {
+		t.Fatal("the spelled-out default is a second cell")
+	}
+	if w.Simulations() != 1 {
+		t.Fatalf("simulations=%d, want 1", w.Simulations())
+	}
+	if n, err := store.Len(); err != nil || n != 1 {
+		t.Fatalf("store holds %d blobs (%v), want 1", n, err)
+	}
+}
+
 // TestWorkerFreshRebuildsEncodedResult: the fresh request replaces the
 // finished entry, and its encoded bytes with it, by one in flight, and
 // the re-simulation encodes the same bytes again.

@@ -42,11 +42,13 @@ func FuzzSklangDifferential(f *testing.F) {
 
 // FuzzTieredPromotion stresses the tier-1/tier-2 interaction: the input
 // bytes pick the baseline, hot, and bridge thresholds AND a sparse
-// baseline-guard failure pattern, then generate a pylang program (the
-// generator emits global mutations, so InvalidateGlobal races
-// promotion and residency). The tiered run must agree with the plain
-// interpreter on everything while promotion, invalidation, and forced
-// tier-1 deopts interleave mid-loop.
+// baseline-guard failure pattern, then generate a pylang program.
+// GenPylang writes its globals only after every loop and never rebinds a
+// helper, so no compiled dependency is invalidated here: this target
+// covers promotion and forced tier-1 deopts interleaving mid-loop, not
+// InvalidateGlobal (TestGlobalInvalidation does; a generator that
+// reaches it is ROADMAP item 15). The tiered run must agree with the
+// plain interpreter on everything.
 func FuzzTieredPromotion(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(seedBytes(i | 2<<32))

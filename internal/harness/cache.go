@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -29,15 +30,16 @@ type Spec struct {
 	TraceHash string
 	VM        VMKind
 
-	Heap              heap.Config
-	SampleInterval    uint64
-	Threshold         int
-	BridgeThreshold   int
-	BaselineThreshold int
-	MethodThreshold   int
-	Adaptive          bool
-	Opts              mtjit.OptConfig
-	Params            cpu.Params
+	// What the kind does not simulate stays zero: a static kernel has
+	// no heap, sampling, engine or optimizer, and only a JIT kind that
+	// runs guest code has an Engine and Opts.
+	Heap           heap.Config
+	SampleInterval uint64
+	// Engine is the tier configuration the JIT runs, resolved for the
+	// kind (see tierConfig) and normalized.
+	Engine mtjit.Config
+	Opts   mtjit.OptConfig
+	Params cpu.Params
 
 	// Profile and Record say whether Result.Profile and Result.Trace
 	// exist; ProfileWindow is zero unless Profile.
@@ -77,39 +79,41 @@ var (
 
 // split separates the two things an Options says. It is the only place
 // that reads an Options field by field: an option that is neither in the
-// Spec nor in the Observe does nothing (TestSplitDropsNoOption).
+// Spec nor in the Observe does nothing (TestSplitDropsNoOption). An
+// option the VM kind does not simulate is not in the Spec, so it names
+// no second cell.
 func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
+	row := vmTable[kind]
 	s := Spec{
-		VM:                kind,
-		Heap:              defaultHeap,
-		SampleInterval:    opt.SampleInterval,
-		Threshold:         opt.Threshold,
-		BridgeThreshold:   opt.BridgeThreshold,
-		BaselineThreshold: opt.BaselineThreshold,
-		MethodThreshold:   opt.MethodThreshold,
-		Adaptive:          opt.Adaptive,
-		Opts:              defaultOpts,
-		Params:            defaultParams,
-		Profile:           opt.Profile || opt.ProfileDir != "",
-		Record:            opt.Record || opt.RecordDir != "",
-		ReplayAlloc:       opt.ReplayAlloc,
+		VM:          kind,
+		Params:      defaultParams,
+		Profile:     opt.Profile || opt.ProfileDir != "",
+		Record:      opt.Record || opt.RecordDir != "",
+		ReplayAlloc: opt.ReplayAlloc,
 	}
 	if p != nil {
 		s.Bench, s.TraceHash = p.Name, p.TraceHash
 	}
-	if opt.HeapConfig != nil {
-		s.Heap = *opt.HeapConfig
-	}
-	if opt.Opts != nil {
-		s.Opts = *opt.Opts
-	}
 	if opt.Params != nil {
 		s.Params = *opt.Params
 	}
-	if s.Profile {
-		s.ProfileWindow = opt.ProfileWindow
-		if s.ProfileWindow == 0 {
-			s.ProfileWindow = DefaultProfileWindow
+	// A static kernel keeps only what simulate refuses it.
+	if row.profile != nil {
+		s.Heap, s.SampleInterval = defaultHeap, opt.SampleInterval
+		if opt.HeapConfig != nil {
+			s.Heap = *opt.HeapConfig
+		}
+		if row.jit && !s.ReplayAlloc {
+			s.Engine, s.Opts = row.tierConfig(opt), defaultOpts
+			if opt.Opts != nil {
+				s.Opts = *opt.Opts
+			}
+		}
+		if s.Profile {
+			s.ProfileWindow = opt.ProfileWindow
+			if s.ProfileWindow == 0 {
+				s.ProfileWindow = DefaultProfileWindow
+			}
 		}
 	}
 	return s, Observe{
@@ -122,6 +126,26 @@ func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
 	}
 }
 
+// tierConfig resolves the engine configuration of a JIT kind: the
+// Options thresholds, each lower tier the kind has at its threshold (a
+// tier it lacks stays off whatever the Options say; a non-positive one
+// keeps mtjit's default), then Normalize, which defaults the tracing and
+// bridge thresholds the same way and clamps the tier ordering.
+func (row vmRow) tierConfig(opt Options) mtjit.Config {
+	c := mtjit.Config{
+		Threshold:       opt.Threshold,
+		BridgeThreshold: opt.BridgeThreshold,
+		Adaptive:        row.adaptive || opt.Adaptive,
+	}
+	if row.baseline {
+		c.BaselineThreshold = cmp.Or(max(opt.BaselineThreshold, 0), mtjit.DefaultBaselineThreshold)
+	}
+	if row.method {
+		c.MethodThreshold = cmp.Or(max(opt.MethodThreshold, 0), mtjit.DefaultMethodThreshold)
+	}
+	return c.Normalize()
+}
+
 // Key returns the cell a call asks for.
 func Key(p *bench.Program, kind VMKind, opt Options) Spec {
 	s, _ := opt.split(p, kind)
@@ -129,31 +153,31 @@ func Key(p *bench.Program, kind VMKind, opt Options) Spec {
 }
 
 // String renders the cell compactly for error messages: the benchmark and
-// VM, plus a marker for each option group that is not at its default.
+// VM, plus a marker for each option group that is not at the kind's
+// default.
 func (s Spec) String() string {
+	d := Key(nil, s.VM, Options{ReplayAlloc: s.ReplayAlloc})
+	e, de := s.Engine, d.Engine
 	out := fmt.Sprintf("%s/%s", s.Bench, s.VM)
 	if s.SampleInterval != 0 {
 		out += fmt.Sprintf("+sample=%d", s.SampleInterval)
 	}
-	if s.Threshold != 0 {
-		out += fmt.Sprintf("+threshold=%d", s.Threshold)
+	mark := func(name string, v, def int) {
+		if v != def {
+			out += fmt.Sprintf("+%s=%d", name, v)
+		}
 	}
-	if s.BridgeThreshold != 0 {
-		out += fmt.Sprintf("+bridge=%d", s.BridgeThreshold)
-	}
-	if s.BaselineThreshold != 0 {
-		out += fmt.Sprintf("+baseline=%d", s.BaselineThreshold)
-	}
-	if s.MethodThreshold != 0 {
-		out += fmt.Sprintf("+method=%d", s.MethodThreshold)
-	}
-	if s.Adaptive {
+	mark("threshold", e.Threshold, de.Threshold)
+	mark("bridge", e.BridgeThreshold, de.BridgeThreshold)
+	mark("baseline", e.BaselineThreshold, de.BaselineThreshold)
+	mark("method", e.MethodThreshold, de.MethodThreshold)
+	if e.Adaptive != de.Adaptive {
 		out += "+adaptive"
 	}
-	if s.Heap != defaultHeap {
+	if s.Heap != d.Heap {
 		out += "+heap"
 	}
-	if s.Opts != defaultOpts {
+	if s.Opts != d.Opts {
 		out += "+opts"
 	}
 	if s.Params != defaultParams {

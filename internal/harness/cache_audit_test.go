@@ -66,7 +66,8 @@ func perturb(t *testing.T, base Options, field string) Options {
 // third place for a field to go, and one that reaches neither does
 // nothing. (PR 4 shipped a BaselineThreshold sweep whose cells all
 // memoized to one result because the key missed the field; this is the
-// regression test for that class of bug.) ProfileWindow only means
+// regression test for that class of bug.) The walk runs on pypy-amalg,
+// the kind that simulates every tier field. ProfileWindow only means
 // something to a profiled run, so it is perturbed on one.
 func TestSplitDropsNoOption(t *testing.T) {
 	p := bench.ByName("telco")
@@ -77,17 +78,45 @@ func TestSplitDropsNoOption(t *testing.T) {
 		if field == "ProfileWindow" {
 			base.Profile = true
 		}
-		spec, obs := base.split(p, VMPyPyJIT)
-		gotSpec, gotObs := perturb(t, base, field).split(p, VMPyPyJIT)
+		spec, obs := base.split(p, VMPyPyAmalg)
+		gotSpec, gotObs := perturb(t, base, field).split(p, VMPyPyAmalg)
 		if gotSpec == spec && reflect.DeepEqual(gotObs, obs) {
 			t.Errorf("Options.%s reaches neither the Spec nor the Observe: split drops it", field)
 		}
 	}
 }
 
+// CellPair is two Options for one VM kind.
+type CellPair struct {
+	VM   VMKind
+	A, B Options
+}
+
+// SameCells are Options that differ only in what the kind does not
+// simulate, or that spell out the kind's default: each pair is one cell.
+// The cluster's CellID check (cellid_test.go) walks them too.
+var SameCells = func() []CellPair {
+	none := mtjit.OptConfig{}
+	return []CellPair{
+		{VMPyPyJIT, Options{}, Options{Threshold: 57}},
+		{VMPyPyJIT, Options{}, Options{BridgeThreshold: 17}},
+		{VMPyPyJIT, Options{}, Options{BaselineThreshold: 3, MethodThreshold: 9}},
+		{VMPyPyNoJIT, Options{}, Options{Threshold: 5, Adaptive: true, Opts: &none}},
+		{VMCPython, Options{}, Options{Threshold: 5}},
+		{VMRacket, Options{}, Options{Threshold: 5}},
+		{VMPyPyAdaptive, Options{}, Options{Adaptive: true}},
+		{VMPyPyTiered, Options{}, Options{BaselineThreshold: 6}},
+		// Both clamp to one below the tracing threshold.
+		{VMPyPyTiered, Options{BaselineThreshold: 100}, Options{BaselineThreshold: 56}},
+		{VMC, Options{}, Options{Threshold: 5, SampleInterval: 1000}},
+	}
+}()
+
 // TestSpecResolvesDefaults: an override that spells out the default is
-// the default's cell — equal Specs and one simulation — and what a
-// directory implies is already in the Spec.
+// the default's cell — equal Specs and one simulation — and so is an
+// option the kind does not simulate; what a directory implies is already
+// in the Spec, and so is every tier default, so that changing one moves
+// the cell.
 func TestSpecResolvesDefaults(t *testing.T) {
 	p := bench.ByName("telco")
 	def, all, params := defaultHeap, mtjit.AllOpts(), cpu.DefaultParams()
@@ -100,6 +129,25 @@ func TestSpecResolvesDefaults(t *testing.T) {
 	}
 	if s := Key(p, VMPyPyJIT, Options{ProfileWindow: 9}); s.ProfileWindow != 0 {
 		t.Errorf("an unprofiled Spec carries ProfileWindow %d", s.ProfileWindow)
+	}
+	if s := Key(p, VMPyPyTiered, Options{}); s.Engine.BaselineThreshold != mtjit.DefaultBaselineThreshold {
+		t.Errorf("the pypy-tiered Spec carries baseline threshold %d, want mtjit's default %d",
+			s.Engine.BaselineThreshold, mtjit.DefaultBaselineThreshold)
+	}
+	for _, c := range SameCells {
+		if a, b := Key(p, c.VM, c.A), Key(p, c.VM, c.B); a != b {
+			t.Errorf("one run, two cells: %s and %s", a, b)
+		}
+	}
+	for _, c := range []CellPair{
+		{VMPyPyJIT, Options{}, Options{Threshold: 40}},
+		{VMPyPyJIT, Options{}, Options{Adaptive: true}},
+		{VMPyPyTiered, Options{}, Options{BaselineThreshold: 3}},
+		{VMPyPyJIT, Options{}, Options{SampleInterval: 1000}},
+	} {
+		if a := Key(p, c.VM, c.A); a == Key(p, c.VM, c.B) {
+			t.Errorf("%s: Options %+v are the default's cell %s", c.VM, c.B, a)
+		}
 	}
 
 	r := NewRunner(2)

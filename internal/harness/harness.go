@@ -100,23 +100,29 @@ type Options struct {
 	// HeapConfig overrides the benchmark heap geometry. The default
 	// scales the paper's testbed down to simulator workload sizes: a
 	// nursery small relative to benchmark working sets, so that GC
-	// pressure (binarytrees!) shows the same shape.
+	// pressure (binarytrees!) shows the same shape. A static kernel
+	// has no heap and ignores it.
 	HeapConfig *heap.Config
-	// SampleInterval enables WorkMeter sampling every N instructions.
+	// SampleInterval enables WorkMeter sampling every N instructions
+	// (ignored by a static kernel).
 	SampleInterval uint64
-	// Threshold / BridgeThreshold override JIT defaults when non-zero.
+	// The tier settings: split resolves them with the kind's defaults
+	// into Spec.Engine, a kind without a JIT ignores them, and a
+	// threshold at or below zero keeps the default. Threshold and
+	// BridgeThreshold set the tracing and bridge thresholds.
 	Threshold       int
 	BridgeThreshold int
-	// BaselineThreshold overrides the tier-1 compile threshold for
-	// tiered VM kinds when non-zero.
+	// BaselineThreshold sets the tier-1 compile threshold of a kind with
+	// the baseline tier (pypy-tiered, pypy-amalg, pypy-adaptive); it is
+	// clamped below the tracing threshold.
 	BaselineThreshold int
-	// MethodThreshold overrides the tier-2 method-compile threshold for
-	// amalgamated VM kinds when non-zero.
+	// MethodThreshold sets the tier-2 method-compile threshold of a kind
+	// with the method tier (pypy-amalg, pypy-adaptive).
 	MethodThreshold int
-	// Adaptive forces the adaptive tier controller on for any JIT kind
-	// (pypy-adaptive implies it).
+	// Adaptive turns the adaptive tier controller on for any JIT kind
+	// (pypy-adaptive has it on).
 	Adaptive bool
-	// Opts overrides the optimizer configuration.
+	// Opts overrides the optimizer configuration of a JIT kind.
 	Opts *mtjit.OptConfig
 	// Params overrides the CPU model.
 	Params *cpu.Params
@@ -403,19 +409,11 @@ func (r *run) setHeap(h *heap.Heap) {
 // wrapping the *pylang.GuestError; any other panic keeps unwinding.
 func (r *run) runGuest() (sum int64, err error) {
 	row := vmTable[r.spec.VM]
-	vm := pylang.New(r.mach, pylang.Config{
-		Profile:           row.profile(),
-		JIT:               row.jit,
-		Baseline:          row.baseline,
-		Method:            row.method,
-		Adaptive:          row.adaptive || r.spec.Adaptive,
-		Threshold:         r.spec.Threshold,
-		BridgeThreshold:   r.spec.BridgeThreshold,
-		BaselineThreshold: r.spec.BaselineThreshold,
-		MethodThreshold:   r.spec.MethodThreshold,
-		Opts:              &r.spec.Opts,
-		HeapConfig:        &r.spec.Heap,
-	})
+	cfg := pylang.Config{Profile: row.profile(), Opts: &r.spec.Opts, HeapConfig: &r.spec.Heap}
+	if row.jit {
+		cfg.Engine = &r.spec.Engine
+	}
+	vm := pylang.New(r.mach, cfg)
 	r.vm, r.eng = vm, vm.Eng
 	r.setHeap(vm.H)
 	r.live.setEngine(vm.Eng)
@@ -555,11 +553,11 @@ func (r *run) summary(res *Result) trace.Summary {
 // header.
 func snapshotConfig(s Spec) trace.ConfigSnapshot {
 	return trace.ConfigSnapshot{
-		Threshold:         int64(s.Threshold),
-		BridgeThreshold:   int64(s.BridgeThreshold),
-		BaselineThreshold: int64(s.BaselineThreshold),
-		MethodThreshold:   int64(s.MethodThreshold),
-		Adaptive:          s.Adaptive,
+		Threshold:         int64(s.Engine.Threshold),
+		BridgeThreshold:   int64(s.Engine.BridgeThreshold),
+		BaselineThreshold: int64(s.Engine.BaselineThreshold),
+		MethodThreshold:   int64(s.Engine.MethodThreshold),
+		Adaptive:          s.Engine.Adaptive,
 		NurserySize:       s.Heap.NurserySize,
 		MajorThreshold:    s.Heap.MajorThreshold,
 		MajorGrowthBits:   math.Float64bits(s.Heap.MajorGrowth),

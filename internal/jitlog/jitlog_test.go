@@ -12,7 +12,7 @@ import (
 // Build a real record by running a guest loop through the engine.
 func buildEngine(t *testing.T) *mtjit.Engine {
 	t.Helper()
-	vm := pylang.New(cpu.NewDefault(), pylang.Config{JIT: true, Threshold: 13})
+	vm := pylang.New(cpu.NewDefault(), pylang.Config{Engine: &mtjit.Config{Threshold: 13}})
 	err := vm.LoadModule("log", `
 def main():
     s = 0
@@ -92,7 +92,7 @@ func TestLogStatistics(t *testing.T) {
 }
 
 func TestEmptyLogSafe(t *testing.T) {
-	e := pylang.New(cpu.NewDefault(), pylang.Config{JIT: true}).Eng
+	e := pylang.New(cpu.NewDefault(), pylang.Config{Engine: &mtjit.Config{}}).Eng
 	if d := Dump(e); d != "" {
 		t.Errorf("empty dump = %q", d)
 	}

@@ -80,15 +80,15 @@ func TestConfigNormalize(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.in.normalize(); got != tc.want {
-				t.Errorf("normalize(%+v):\n  got  %+v\n  want %+v", tc.in, got, tc.want)
+			if got := tc.in.Normalize(); got != tc.want {
+				t.Errorf("Normalize(%+v):\n  got  %+v\n  want %+v", tc.in, got, tc.want)
 			}
 		})
 	}
 }
 
 // TestNewEngineConfigClamps proves clamping happens at engine
-// construction, not just in the pure normalize helper: a degenerate
+// construction, not just in the pure Normalize helper: a degenerate
 // Config must never reach the tier state machine.
 func TestNewEngineConfigClamps(t *testing.T) {
 	mach := cpu.New(cpu.DefaultParams())

@@ -55,35 +55,9 @@ type Engine struct {
 	Profile *CostProfile
 	// Opts selects optimizer passes (ablations toggle these).
 	Opts OptConfig
-	// Threshold is the loop-header count that triggers tracing (PyPy's
-	// --jit threshold, scaled to the simulator's workload sizes).
-	Threshold int
-	// BridgeThreshold is the guard-failure count that triggers bridge
-	// compilation.
-	BridgeThreshold int
-	// TraceLimit aborts recordings that grow too long.
-	TraceLimit int
-	// MaxAborts blacklists a loop after this many failed recordings.
-	MaxAborts int
-	// BaselineThreshold, when positive, enables the tier-1 baseline
-	// compiler: loop headers crossing it (well below Threshold) get
-	// threaded-code compilation while the hot counter keeps running.
-	// Zero disables the tier (single-tier behavior, bit-identical to
-	// the pre-tier engine).
-	BaselineThreshold int
-	// MethodThreshold, when positive, enables the tier-2 method
-	// compiler (the amalgamated strategy): a guest function whose loop
-	// headers accumulate this many crossings becomes eligible for
-	// whole-function compilation when the tier controller judges its
-	// region trace-hostile (see Engine.hostile). Zero disables the
-	// tier (bit-identical to the pre-method engine).
-	MethodThreshold int
-	// Adaptive enables the feedback tier controller: the static
-	// Threshold is reshaped per loop header from the engine's own
-	// observed event history (trace-abort backoff, warmup-slope early
-	// promotion; see controller.go). Decisions are a pure function of
-	// per-engine state, so runs stay deterministic and replayable.
-	Adaptive bool
+	// Config is the tier configuration the engine was built with,
+	// normalized (NewEngineConfig); e.Threshold and the rest read it.
+	Config
 
 	// ForceGuardFail, if set, is consulted for every guard that passed
 	// its runtime check during trace execution; returning true makes the
@@ -195,12 +169,14 @@ type virtObj struct {
 	obj *heap.Obj
 }
 
-// Config bundles the Engine's tunable tier thresholds. Constructing an
-// engine through a Config validates and clamps degenerate threshold
-// orderings (see normalize) instead of letting the tier state machine
-// silently misbehave on inverted values.
+// Config is the engine's tier configuration: the thresholds of the three
+// tiers, the recording limits and whether the tier controller adapts.
+// Constructing an engine through a Config validates and clamps degenerate
+// threshold orderings (see Normalize) instead of letting the tier state
+// machine silently misbehave on inverted values.
 type Config struct {
-	// Threshold is the loop-header count that triggers tracing.
+	// Threshold is the loop-header count that triggers tracing (PyPy's
+	// --jit threshold, scaled to the simulator's workload sizes).
 	Threshold int
 	// BridgeThreshold is the guard-failure count that triggers bridge
 	// compilation.
@@ -209,12 +185,22 @@ type Config struct {
 	TraceLimit int
 	// MaxAborts blacklists a loop after this many failed recordings.
 	MaxAborts int
-	// BaselineThreshold enables the tier-1 baseline compiler when
-	// positive (must stay below Threshold; normalize enforces it).
+	// BaselineThreshold, when positive, enables the tier-1 baseline
+	// compiler: loop headers crossing it (below Threshold; Normalize
+	// enforces it) get threaded-code compilation while the hot counter
+	// keeps running. Zero disables the tier.
 	BaselineThreshold int
-	// MethodThreshold enables the tier-2 method compiler when positive.
+	// MethodThreshold, when positive, enables the tier-2 method compiler
+	// (the amalgamated strategy): a guest function whose loop headers
+	// accumulate this many crossings becomes eligible for whole-function
+	// compilation when the tier controller judges its region
+	// trace-hostile (see Engine.hostile). Zero disables the tier.
 	MethodThreshold int
-	// Adaptive enables the feedback tier controller.
+	// Adaptive enables the feedback tier controller: the static
+	// Threshold is reshaped per loop header from the engine's own
+	// observed event history (trace-abort backoff, warmup-slope early
+	// promotion; see controller.go). Decisions are a pure function of
+	// per-engine state, so runs stay deterministic and replayable.
 	Adaptive bool
 }
 
@@ -230,15 +216,30 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize validates and clamps a Config so a constructed engine never
+// DefaultBaselineThreshold is the loop-header count that triggers tier-1
+// compilation in a configuration with the baseline tier: roughly a tenth
+// of the tracing threshold, so baseline code covers most of the warmup
+// window.
+const DefaultBaselineThreshold = 6
+
+// DefaultMethodThreshold is the pooled per-function header count that
+// makes a function eligible for tier-2 compilation in a configuration
+// with the method tier. It sits above the tracing threshold so the
+// amalgamated default only method-compiles regions the tracing pipeline
+// has demonstrably struggled with (aborts, failed lowerings, guard
+// churn) — trace-friendly code is promoted to a trace first.
+const DefaultMethodThreshold = 72
+
+// Normalize validates and clamps a Config so a constructed engine never
 // runs with degenerate tier orderings: non-positive core thresholds
 // fall back to their defaults (a BridgeThreshold that is zero or
 // negative could never equal a failure count, silently disabling
 // bridges), a negative tier threshold disables that tier, and a
 // BaselineThreshold at or above Threshold is pulled down to
 // Threshold-1 — tier-1 must engage below the tracing threshold or the
-// baseline compiler would never run before promotion.
-func (c Config) normalize() Config {
+// baseline compiler would never run before promotion. Normalizing a
+// normalized Config changes nothing.
+func (c Config) Normalize() Config {
 	d := DefaultConfig()
 	if c.Threshold <= 0 {
 		c.Threshold = d.Threshold
@@ -273,28 +274,21 @@ func NewEngine(rt *aot.Runtime, profile *CostProfile) *Engine {
 
 // NewEngineConfig returns an engine with the normalized config applied.
 func NewEngineConfig(rt *aot.Runtime, profile *CostProfile, cfg Config) *Engine {
-	cfg = cfg.normalize()
 	e := &Engine{
-		RT:                rt,
-		H:                 rt.H,
-		S:                 rt.H.Stream(),
-		Profile:           profile,
-		Opts:              AllOpts(),
-		Threshold:         cfg.Threshold,
-		BridgeThreshold:   cfg.BridgeThreshold,
-		TraceLimit:        cfg.TraceLimit,
-		MaxAborts:         cfg.MaxAborts,
-		BaselineThreshold: cfg.BaselineThreshold,
-		MethodThreshold:   cfg.MethodThreshold,
-		Adaptive:          cfg.Adaptive,
-		counters:          map[GreenKey]int{},
-		blacklist:         map[GreenKey]int{},
-		traces:            map[GreenKey]*Trace{},
-		globalDeps:        map[string][]*Trace{},
-		methodCounters:    map[uint32]int{},
-		jitPC:             isa.NewPCAlloc(isa.RegionJITCode),
-		bhSite:            rt.PC.Site(),
-		cmpSite:           rt.PC.Site(),
+		RT:             rt,
+		H:              rt.H,
+		S:              rt.H.Stream(),
+		Profile:        profile,
+		Opts:           AllOpts(),
+		Config:         cfg.Normalize(),
+		counters:       map[GreenKey]int{},
+		blacklist:      map[GreenKey]int{},
+		traces:         map[GreenKey]*Trace{},
+		globalDeps:     map[string][]*Trace{},
+		methodCounters: map[uint32]int{},
+		jitPC:          isa.NewPCAlloc(isa.RegionJITCode),
+		bhSite:         rt.PC.Site(),
+		cmpSite:        rt.PC.Site(),
 	}
 	e.initTiers()
 	rt.H.AddRoots(e)

@@ -37,7 +37,8 @@ func TestEngineRecord(t *testing.T) {
 			order = append(order, installed{tier: mtjit.MethodTier, id: uint32(a.Arg)})
 		}
 	}), core.TagTraceCompiled, core.TagBaselineCompileEnd, core.TagMethodCompileEnd)
-	vm := pylang.New(mach, pylang.Config{Profile: mtjit.FrameworkProfile(), JIT: true, Baseline: true, Method: true})
+	vm := pylang.New(mach, pylang.Config{Profile: mtjit.FrameworkProfile(), Engine: &mtjit.Config{
+		BaselineThreshold: mtjit.DefaultBaselineThreshold, MethodThreshold: mtjit.DefaultMethodThreshold}})
 	p := bench.ByName("meteor_contest")
 	if err := vm.LoadModule(p.Name, p.Source); err != nil {
 		t.Fatal(err)

@@ -82,9 +82,10 @@ type guestCell struct {
 
 var guestCells = []guestCell{
 	{"telco/cpython", "telco", pylang.Config{Profile: mtjit.ReferenceProfile()}},
-	{"richards/pypy", "richards", pylang.Config{JIT: true}},
-	{"richards/pypy-tiered", "richards", pylang.Config{JIT: true, Baseline: true}},
-	{"json_bench/pypy-amalg", "json_bench", pylang.Config{JIT: true, Baseline: true, Method: true}},
+	{"richards/pypy", "richards", pylang.Config{Engine: &mtjit.Config{}}},
+	{"richards/pypy-tiered", "richards", pylang.Config{Engine: &mtjit.Config{BaselineThreshold: mtjit.DefaultBaselineThreshold}}},
+	{"json_bench/pypy-amalg", "json_bench", pylang.Config{Engine: &mtjit.Config{
+		BaselineThreshold: mtjit.DefaultBaselineThreshold, MethodThreshold: mtjit.DefaultMethodThreshold}}},
 }
 
 // run executes the cell on a fresh machine. attach is called after the

@@ -45,7 +45,7 @@ func TestExitStateAliasing(t *testing.T) {
 	} {
 		want, _ := interp(t, tc.src)
 
-		vm := New(cpu.NewDefault(), Config{JIT: true, Threshold: 13, BridgeThreshold: 7})
+		vm := New(cpu.NewDefault(), Config{Engine: &mtjit.Config{Threshold: 13, BridgeThreshold: 7}})
 		if err := vm.LoadModule(tc.name, tc.src); err != nil {
 			t.Fatal(err)
 		}

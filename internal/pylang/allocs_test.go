@@ -42,7 +42,7 @@ def branchy(n):
 
 func allocGuardVM(t *testing.T) *VM {
 	t.Helper()
-	vm := New(cpu.NewDefault(), Config{JIT: true, Threshold: 3, BridgeThreshold: 2})
+	vm := New(cpu.NewDefault(), Config{Engine: &mtjit.Config{Threshold: 3, BridgeThreshold: 2}})
 	if err := vm.LoadModule("allocs", allocGuardSrc); err != nil {
 		t.Fatal(err)
 	}

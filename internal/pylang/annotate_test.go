@@ -5,6 +5,7 @@ import (
 
 	"metajit/internal/core"
 	"metajit/internal/cpu"
+	"metajit/internal/mtjit"
 )
 
 // The paper's application-level annotation API: guest annotations survive
@@ -19,7 +20,7 @@ def main():
     annotate("done")
     return total
 `
-	vm := New(cpu.NewDefault(), Config{JIT: true, Threshold: 13})
+	vm := New(cpu.NewDefault(), Config{Engine: &mtjit.Config{Threshold: 13}})
 	var iterCount, doneCount int
 	reg := vm.Mach.Registry()
 	vm.Mach.Observe(core.ObserverFunc(func(a core.Annotation, _, _ uint64) {

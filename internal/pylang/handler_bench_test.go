@@ -24,7 +24,11 @@ const (
 
 func newIndexFixture(tb testing.TB, p *mtjit.CostProfile, jit bool) *indexFixture {
 	tb.Helper()
-	vm := New(cpu.NewDefault(), Config{Profile: p, JIT: jit})
+	cfg := Config{Profile: p}
+	if jit {
+		cfg.Engine = &mtjit.Config{}
+	}
+	vm := New(cpu.NewDefault(), cfg)
 	if err := vm.LoadModule("fixture", "def f(x):\n    return x\n"); err != nil {
 		tb.Fatal(err)
 	}

@@ -191,29 +191,12 @@ type Config struct {
 	// Profile is the interpreter cost model (Reference = CPython analog,
 	// Framework = RPython analog).
 	Profile *mtjit.CostProfile
-	// JIT enables the meta-tracing engine (framework profile only).
-	JIT bool
-	// Baseline enables the tier-1 threaded-code compiler (requires JIT;
-	// the engine owns the tier state machine).
-	Baseline bool
-	// Method enables the tier-2 method compiler (requires JIT): whole
-	// guest functions compile when the tier controller judges their
-	// region trace-hostile (the amalgamated strategy).
-	Method bool
-	// Adaptive enables the feedback tier controller (requires JIT):
-	// per-header promotion thresholds derived from observed abort
-	// counts, guard-failure rates, and warmup slope.
-	Adaptive bool
-	// Threshold/BridgeThreshold override engine defaults when non-zero.
-	Threshold       int
-	BridgeThreshold int
-	// BaselineThreshold overrides the tier-1 compile threshold when
-	// Baseline is on (default DefaultBaselineThreshold).
-	BaselineThreshold int
-	// MethodThreshold overrides the tier-2 hotness threshold when
-	// Method is on (default DefaultMethodThreshold).
-	MethodThreshold int
-	// Opts overrides optimizer passes when JIT is on.
+	// Engine, when non-nil, builds the meta-tracing engine with this
+	// tier configuration (mtjit.NewEngineConfig normalizes it); nil runs
+	// without a JIT. A lower tier is on exactly when its normalized
+	// threshold is positive: the VM then keeps that tier's residency.
+	Engine *mtjit.Config
+	// Opts overrides optimizer passes when Engine is set.
 	Opts *mtjit.OptConfig
 	// HeapConfig overrides the GC geometry.
 	HeapConfig *heap.Config
@@ -260,38 +243,15 @@ func New(mach *cpu.Machine, cfg Config) *VM {
 	rt.ListShape = vm.ListShape
 
 	vm.m = mtjit.NewMachine(rt, cfg.Profile)
-	if cfg.JIT {
-		// The engine config is validated/clamped at construction
-		// (mtjit.Config.normalize), so inverted threshold orderings
-		// never reach the tier state machine.
-		ecfg := mtjit.DefaultConfig()
-		if cfg.Threshold > 0 {
-			ecfg.Threshold = cfg.Threshold
-		}
-		if cfg.BridgeThreshold > 0 {
-			ecfg.BridgeThreshold = cfg.BridgeThreshold
-		}
-		if cfg.Baseline {
-			ecfg.BaselineThreshold = DefaultBaselineThreshold
-			if cfg.BaselineThreshold > 0 {
-				ecfg.BaselineThreshold = cfg.BaselineThreshold
-			}
-		}
-		if cfg.Method {
-			ecfg.MethodThreshold = DefaultMethodThreshold
-			if cfg.MethodThreshold > 0 {
-				ecfg.MethodThreshold = cfg.MethodThreshold
-			}
-		}
-		ecfg.Adaptive = cfg.Adaptive
-		vm.Eng = mtjit.NewEngineConfig(rt, cfg.Profile, ecfg)
+	if cfg.Engine != nil {
+		vm.Eng = mtjit.NewEngineConfig(rt, cfg.Profile, *cfg.Engine)
 		if cfg.Opts != nil {
 			vm.Eng.Opts = *cfg.Opts
 		}
-		if cfg.Baseline {
+		if vm.Eng.BaselineThreshold > 0 {
 			vm.resid[mtjit.BaselineTier] = mtjit.NewResidency(vm.Eng, mtjit.BaselineTier)
 		}
-		if cfg.Method {
+		if vm.Eng.MethodThreshold > 0 {
 			vm.resid[mtjit.MethodTier] = mtjit.NewResidency(vm.Eng, mtjit.MethodTier)
 		}
 	}

@@ -14,19 +14,6 @@ import (
 // optimization, generic guards — so the tier's cost model (and nothing
 // else) is what distinguishes it from plain interpretation.
 
-// DefaultBaselineThreshold is the loop-header count that triggers
-// tier-1 compilation when Config.Baseline is on: roughly a tenth of the
-// tracing threshold, so baseline code covers most of the warmup window.
-const DefaultBaselineThreshold = 6
-
-// DefaultMethodThreshold is the pooled per-function header count that
-// makes a function eligible for tier-2 compilation when Config.Method
-// is on. It sits above the tracing threshold so the amalgamated
-// default only method-compiles regions the tracing pipeline has
-// demonstrably struggled with (aborts, failed lowerings, guard
-// churn) — trace-friendly code is promoted to a trace first.
-const DefaultMethodThreshold = 72
-
 // templateAsmLen is the compiled footprint of one bytecode's template,
 // in synthetic instructions: the next-handler jump plus the generic
 // handler body. Both tiers use it (the method compiler drops the

@@ -40,7 +40,7 @@ type tierStats struct {
 var tierRows = []tierRow{
 	{
 		name: "baseline", tier: mtjit.BaselineTier,
-		cfg: Config{JIT: true, Baseline: true, Threshold: 1 << 20, BaselineThreshold: 3},
+		cfg: Config{Engine: &mtjit.Config{Threshold: 1 << 20, BaselineThreshold: 3}},
 		stats: func(s mtjit.EngineStats) tierStats {
 			return tierStats{s.BaselinesCompiled, s.BaselineInvalidated, s.BaselineEnters, s.BaselineDeopts}
 		},
@@ -49,7 +49,7 @@ var tierRows = []tierRow{
 	},
 	{
 		name: "method", tier: mtjit.MethodTier,
-		cfg: Config{JIT: true, Method: true, Threshold: 1 << 20, MethodThreshold: 3},
+		cfg: Config{Engine: &mtjit.Config{Threshold: 1 << 20, MethodThreshold: 3}},
 		stats: func(s mtjit.EngineStats) tierStats {
 			return tierStats{s.MethodsCompiled, s.MethodInvalidated, s.MethodEnters, s.MethodDeopts}
 		},
@@ -71,9 +71,9 @@ func forEachTier(t *testing.T, f func(t *testing.T, row tierRow)) {
 func TestTierMatchesInterp(t *testing.T) {
 	forEachTier(t, func(t *testing.T, row tierRow) {
 		want, _ := interp(t, tierLoopSrc)
-		cfg := row.cfg
-		cfg.Threshold, cfg.BridgeThreshold = 13, 7
-		got, vm := runProgram(t, tierLoopSrc, cfg)
+		eng := *row.cfg.Engine
+		eng.Threshold, eng.BridgeThreshold = 13, 7
+		got, vm := runProgram(t, tierLoopSrc, Config{Engine: &eng})
 		wantInt(t, got, want.I)
 
 		st := vm.Eng.Stats()

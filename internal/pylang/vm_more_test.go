@@ -318,7 +318,7 @@ def main():
         s = (s + p.a) % 999983
     return s
 `
-	v1, _ := runProgram(t, src, Config{JIT: true, Threshold: 13, HeapConfig: &hc})
+	v1, _ := runProgram(t, src, Config{Engine: &mtjit.Config{Threshold: 13}, HeapConfig: &hc})
 	v2, _ := runProgram(t, src, Config{Profile: mtjit.ReferenceProfile(), HeapConfig: &hc})
 	if !v1.Eq(v2) {
 		t.Fatalf("GC-stressed JIT run differs: %v vs %v", v1, v2)

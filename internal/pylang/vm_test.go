@@ -30,7 +30,7 @@ func interp(t *testing.T, src string) (heap.Value, *VM) {
 // jitted runs src on the framework VM with the JIT at a low threshold.
 func jitted(t *testing.T, src string) (heap.Value, *VM) {
 	t.Helper()
-	return runProgram(t, src, Config{JIT: true, Threshold: 13, BridgeThreshold: 7})
+	return runProgram(t, src, Config{Engine: &mtjit.Config{Threshold: 13, BridgeThreshold: 7}})
 }
 
 func wantInt(t *testing.T, v heap.Value, want int64) {

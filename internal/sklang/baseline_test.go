@@ -3,6 +3,7 @@ package sklang
 import (
 	"testing"
 
+	"metajit/internal/mtjit"
 	"metajit/internal/pylang"
 )
 
@@ -22,8 +23,7 @@ func TestBaselineTieredScheme(t *testing.T) {
 `
 	want, _ := runScheme(t, src, pylang.Config{})
 	got, vm := runScheme(t, src, pylang.Config{
-		JIT: true, Baseline: true,
-		Threshold: 13, BaselineThreshold: 3,
+		Engine: &mtjit.Config{Threshold: 13, BaselineThreshold: 3},
 	})
 	if got.I != want.I {
 		t.Fatalf("tiered result = %v, interp = %v", got, want)

@@ -62,7 +62,7 @@ func TestTailRecursionAsLoop(t *testing.T) {
       (loop (+ i 1) n (+ acc i))))
 
 (define (main) (loop 0 5000 0))
-`, pylang.Config{JIT: true, Threshold: 13})
+`, pylang.Config{Engine: &mtjit.Config{Threshold: 13}})
 	if v.I != 5000*4999/2 {
 		t.Fatalf("result = %v", v)
 	}
@@ -132,7 +132,7 @@ func TestSchemeJITDifferential(t *testing.T) {
 (define (main) (kernel 0 8000 0 0))
 `
 	vi, _ := runScheme(t, src, pylang.Config{Profile: mtjit.CustomVMProfile()})
-	vj, vmj := runScheme(t, src, pylang.Config{JIT: true, Threshold: 13, BridgeThreshold: 7})
+	vj, vmj := runScheme(t, src, pylang.Config{Engine: &mtjit.Config{Threshold: 13, BridgeThreshold: 7}})
 	if !vi.Eq(vj) {
 		t.Fatalf("JIT %v != interp %v", vj, vi)
 	}
