@@ -81,9 +81,18 @@ inline:
 
 # results regenerates every table and figure and compares the output
 # byte for byte with the checked-in results.txt — the repo's first
-# invariant (~12 s on 2 CPUs; each distinct cell simulates once).
+# invariant (~10 s on 2 CPUs; each distinct cell simulates once). It also
+# fails when the run simulates more than its 159 cells: every table asks
+# for its cells under one Options, and a cell asked for a second time
+# under Options that differ only in what is not simulated would run
+# twice.
 results:
-	$(GO) run ./cmd/experiments -exp all | cmp - results.txt
+	@err="$$(mktemp)"; trap 'rm -f "$$err"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -stats 2>"$$err" | cmp - results.txt || { cat "$$err"; exit 1; }; \
+	misses="$$(sed -n 's/^cache: .*, \([0-9]*\) misses.*/\1/p' "$$err")"; \
+	if [ -z "$$misses" ] || [ "$$misses" -gt 159 ]; then \
+		cat "$$err"; echo "results: $$misses cells simulated, want at most 159"; exit 1; \
+	fi
 
 # examples runs the four programs under examples/ (each well under a
 # second) and the guest source examples/sumloop.py through mtjit -file,

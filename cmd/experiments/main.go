@@ -86,48 +86,34 @@ func main() {
 		}
 	}
 
-	// Profiled cells run after the tables so they reuse the warmed pool
-	// without perturbing memoized cells (Profile is part of what a cell
-	// is; the directory is not). Artifacts are written by the call that
-	// simulates the cell, and nothing before this loop asked for a
-	// profiled one; the summary goes to stderr to keep stdout
-	// byte-identical to an unprofiled run of the same experiments.
-	if *profileDir != "" {
+	// Profiled and recorded runs follow the tables. A profile or a
+	// recording is an artifact of the call that asks for it, not a cell,
+	// so a Runner refuses it: each run is a bare harness.Run that writes
+	// its files as it simulates, one run serving both directories, and
+	// failures join the Runner's summary. The summary goes to stderr to
+	// keep stdout byte-identical to a plain run of the same experiments.
+	if *profileDir != "" || *recordDir != "" {
 		for _, kind := range []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered} {
 			for i := range pypy {
 				p := &pypy[i]
-				res, err := runner.Get(p, kind, harness.Options{ProfileDir: *profileDir})
+				res, err := harness.Run(p, kind, harness.Options{ProfileDir: *profileDir, RecordDir: *recordDir})
 				if err != nil {
-					runner.Fail(err)
+					runner.Fail(fmt.Errorf("%s/%s: %w", p.Name, kind, err))
 					continue
 				}
-				if perr := res.Profile.Err(); perr != nil {
-					runner.Fail(fmt.Errorf("%s/%s: profile: %w", p.Name, kind, perr))
-					continue
+				if prof := res.Profile; prof != nil {
+					if perr := prof.Err(); perr != nil {
+						runner.Fail(fmt.Errorf("%s/%s: profile: %w", p.Name, kind, perr))
+					} else {
+						fmt.Fprintf(os.Stderr, "profiled %s/%s: %d spans -> %s\n", p.Name, kind, prof.Stream.Spans,
+							strings.Join(harness.ProfileArtifacts(*profileDir, p.Name, kind), " "))
+					}
 				}
-				fmt.Fprintf(os.Stderr, "profiled %s/%s: %d spans -> %s\n", p.Name, kind, res.Profile.Stream.Spans,
-					strings.Join(harness.ProfileArtifacts(*profileDir, p.Name, kind), " "))
-			}
-		}
-	}
-
-	// Recorded cells follow the same pattern as profiled ones: they run
-	// after the tables on the warmed pool (Record is part of what a cell
-	// is, so recording never perturbs a memoized unrecorded cell), the
-	// trace files land in -record as each cell simulates, and the summary
-	// goes to stderr.
-	if *recordDir != "" {
-		for _, kind := range []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered} {
-			for i := range pypy {
-				p := &pypy[i]
-				res, err := runner.Get(p, kind, harness.Options{RecordDir: *recordDir})
-				if err != nil {
-					runner.Fail(err)
-					continue
+				if res.Trace != nil {
+					fmt.Fprintf(os.Stderr, "recorded %s/%s: %d events -> %s\n",
+						p.Name, kind, res.Trace.Summary.Events,
+						filepath.Join(*recordDir, trace.FileName(p.Name, string(kind))))
 				}
-				fmt.Fprintf(os.Stderr, "recorded %s/%s: %d events -> %s\n",
-					p.Name, kind, res.Trace.Summary.Events,
-					filepath.Join(*recordDir, trace.FileName(p.Name, string(kind))))
 			}
 		}
 	}
@@ -150,10 +136,10 @@ func main() {
 			tr := p.Trace
 			ropt := harness.ReplayOptions(tr)
 			ropt.Record = true
-			res, err := runner.Get(p, harness.VMKind(tr.Header.VM), ropt)
+			res, err := harness.Run(p, harness.VMKind(tr.Header.VM), ropt)
 			status := "verified"
 			if err != nil {
-				runner.Fail(err)
+				runner.Fail(fmt.Errorf("%s/%s: %w", p.Name, tr.Header.VM, err))
 				status = "ERROR"
 			} else if err := trace.CheckReplay(tr, res.Trace); err != nil {
 				runner.Fail(fmt.Errorf("%s: replay DIVERGED: %w", p.Name, err))

@@ -47,18 +47,19 @@ func (id CellID) Hex() string { return hex.EncodeToString(id[:]) }
 func (id CellID) Short() string { return hex.EncodeToString(id[:4]) }
 
 // specVersion opens the hashed stream and names the layout of
-// harness.Spec: bump it when a Spec field is added, removed or reordered,
-// and regenerate testdata/ring_golden.txt. It is never zero, and every
-// canonical Spec encoding starts with the high zero byte of Bench's
-// length, so no address can equal one computed before the stream was
-// versioned (DESIGN.md §11).
-const specVersion = 2
+// harness.Spec and what it simulates to: bump it when a Spec field moves
+// or a result does (TestResultsPinnedToSpecVersion), and regenerate
+// testdata/ring_golden.txt. It is never zero, and every canonical Spec
+// encoding starts with the high zero byte of Bench's length, so no
+// address can equal an unversioned one (DESIGN.md §11).
+const specVersion = 3
 
 // IDOf content-addresses a cell. The canonical encoding walks the Spec
 // reflectively (see canonicalAppend), so the address covers exactly what
 // harness.Run simulates from: defaults resolved, no sink, no file path.
+// Any built-in Spec fits the stack buffer: an address allocates nothing.
 func IDOf(spec harness.Spec) CellID {
-	return sha256.Sum256(canonicalAppend([]byte{specVersion}, reflect.ValueOf(spec)))
+	return sha256.Sum256(canonicalAppend(append(make([]byte, 0, 512), specVersion), reflect.ValueOf(spec)))
 }
 
 // Request is the cluster's wire form of one cell: the subset of

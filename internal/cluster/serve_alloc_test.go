@@ -8,6 +8,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"metajit/internal/bench"
+	"metajit/internal/harness"
 )
 
 // TestWarmRunDoesNotAllocateBeyondItsReply is the handler-level guard on
@@ -54,5 +57,15 @@ func TestWarmRunDoesNotAllocateBeyondItsReply(t *testing.T) {
 	}
 	if objects > 50 {
 		t.Errorf("a warm /run allocates %.0f objects, want at most 50", objects)
+	}
+}
+
+// TestIDOfDoesNotAllocate: a content address is computed on the frontend
+// and on the worker for every /run; its canonical encoding fits the
+// stack buffer IDOf starts from, so hashing a Spec allocates nothing.
+func TestIDOfDoesNotAllocate(t *testing.T) {
+	spec := harness.Key(bench.ByName("telco"), harness.VMPyPyTiered, harness.Options{})
+	if n := testing.AllocsPerRun(100, func() { _ = IDOf(spec) }); n != 0 {
+		t.Errorf("IDOf of %s allocates %.0f objects, want 0", spec, n)
 	}
 }

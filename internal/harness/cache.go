@@ -37,31 +37,27 @@ type Spec struct {
 	SampleInterval uint64
 	// Engine is the tier configuration the JIT runs, resolved for the
 	// kind (see tierConfig) and normalized.
-	Engine mtjit.Config
-	Opts   mtjit.OptConfig
-	Params cpu.Params
-
-	// Profile and Record say whether Result.Profile and Result.Trace
-	// exist; ProfileWindow is zero unless Profile.
-	Profile       bool
-	ProfileWindow uint64
-	Record        bool
-	ReplayAlloc   bool
+	Engine      mtjit.Config
+	Opts        mtjit.OptConfig
+	Params      cpu.Params
+	ReplayAlloc bool
 }
 
-// Observe is how one call watches the run it causes: the five sinks and
-// the Guest seam. No sink can reach the Result — simulate hands them what
-// happened after the Result is complete — so requests that differ only in
-// sinks share a cell, and the call that simulates the cell is the one
-// whose sinks are fed. Guest can change the run, which is why a Runner
-// refuses it.
+// Observe is how one call watches the run it causes: the five sinks, the
+// two artifact requests and the Guest seam. The sinks and the watchers
+// behind the requests only listen, so calls that differ only here are
+// one cell; an artifact comes back in the Result of the call that asked,
+// and Guest can change the run, which is why a Runner refuses all three.
+// ProfileWindow is non-zero exactly when a profile was asked for.
 type Observe struct {
-	Live       *LiveTracker
-	ReqTrace   *reqtrace.Span
-	JITLog     io.Writer
-	ProfileDir string
-	RecordDir  string
-	Guest      func(*pylang.VM)
+	Live          *LiveTracker
+	ReqTrace      *reqtrace.Span
+	JITLog        io.Writer
+	ProfileDir    string
+	RecordDir     string
+	ProfileWindow uint64
+	Record        bool
+	Guest         func(*pylang.VM)
 }
 
 // What a nil override resolves to. The heap geometry scales the paper's
@@ -84,13 +80,7 @@ var (
 // no second cell.
 func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
 	row := vmTable[kind]
-	s := Spec{
-		VM:          kind,
-		Params:      defaultParams,
-		Profile:     opt.Profile || opt.ProfileDir != "",
-		Record:      opt.Record || opt.RecordDir != "",
-		ReplayAlloc: opt.ReplayAlloc,
-	}
+	s := Spec{VM: kind, Params: defaultParams, ReplayAlloc: opt.ReplayAlloc}
 	if p != nil {
 		s.Bench, s.TraceHash = p.Name, p.TraceHash
 	}
@@ -109,21 +99,20 @@ func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
 				s.Opts = *opt.Opts
 			}
 		}
-		if s.Profile {
-			s.ProfileWindow = opt.ProfileWindow
-			if s.ProfileWindow == 0 {
-				s.ProfileWindow = DefaultProfileWindow
-			}
-		}
 	}
-	return s, Observe{
+	obs := Observe{
 		Live:       opt.Live,
 		ReqTrace:   opt.ReqTrace,
 		JITLog:     opt.JITLog,
 		ProfileDir: opt.ProfileDir,
 		RecordDir:  opt.RecordDir,
+		Record:     opt.Record || opt.RecordDir != "",
 		Guest:      opt.Guest,
 	}
+	if opt.Profile || opt.ProfileDir != "" {
+		obs.ProfileWindow = cmp.Or(opt.ProfileWindow, DefaultProfileWindow)
+	}
+	return s, obs
 }
 
 // tierConfig resolves the engine configuration of a JIT kind: the
@@ -183,14 +172,8 @@ func (s Spec) String() string {
 	if s.Params != defaultParams {
 		out += "+params"
 	}
-	if s.Profile {
-		out += "+profile"
-	}
 	if s.TraceHash != "" {
 		out += "+trace=" + s.TraceHash[:min(8, len(s.TraceHash))]
-	}
-	if s.Record {
-		out += "+record"
 	}
 	if s.ReplayAlloc {
 		out += "+replay-alloc"

@@ -109,14 +109,18 @@ var SameCells = func() []CellPair {
 		// Both clamp to one below the tracing threshold.
 		{VMPyPyTiered, Options{BaselineThreshold: 100}, Options{BaselineThreshold: 56}},
 		{VMC, Options{}, Options{Threshold: 5, SampleInterval: 1000}},
+		// A profile or a recording is watched, not simulated.
+		{VMPyPyJIT, Options{}, Options{Profile: true}},
+		{VMPyPyTiered, Options{}, Options{Record: true}},
+		{VMCPython, Options{Profile: true, ProfileWindow: 999}, Options{ProfileDir: "x", RecordDir: "y"}},
 	}
 }()
 
 // TestSpecResolvesDefaults: an override that spells out the default is
 // the default's cell — equal Specs and one simulation — and so is an
-// option the kind does not simulate; what a directory implies is already
-// in the Spec, and so is every tier default, so that changing one moves
-// the cell.
+// option the kind does not simulate or only watches; what a directory
+// implies is resolved into the Observe, and every tier default into the
+// Spec, so that changing one moves the cell.
 func TestSpecResolvesDefaults(t *testing.T) {
 	p := bench.ByName("telco")
 	def, all, params := defaultHeap, mtjit.AllOpts(), cpu.DefaultParams()
@@ -124,11 +128,11 @@ func TestSpecResolvesDefaults(t *testing.T) {
 	if Key(p, VMPyPyJIT, explicit) != Key(p, VMPyPyJIT, Options{}) {
 		t.Fatal("spelling out every default changed the Spec")
 	}
-	if s := Key(p, VMPyPyJIT, Options{ProfileDir: "x"}); !s.Profile || s.ProfileWindow != DefaultProfileWindow {
-		t.Errorf("ProfileDir did not resolve to a profiled Spec with the default window: %+v", s)
+	if _, o := (Options{ProfileDir: "x"}).split(p, VMPyPyJIT); o.ProfileWindow != DefaultProfileWindow {
+		t.Errorf("ProfileDir did not resolve to a profile with the default window: %+v", o)
 	}
-	if s := Key(p, VMPyPyJIT, Options{ProfileWindow: 9}); s.ProfileWindow != 0 {
-		t.Errorf("an unprofiled Spec carries ProfileWindow %d", s.ProfileWindow)
+	if _, o := (Options{ProfileWindow: 9}).split(p, VMPyPyJIT); o.ProfileWindow != 0 {
+		t.Errorf("an unprofiled run carries ProfileWindow %d", o.ProfileWindow)
 	}
 	if s := Key(p, VMPyPyTiered, Options{}); s.Engine.BaselineThreshold != mtjit.DefaultBaselineThreshold {
 		t.Errorf("the pypy-tiered Spec carries baseline threshold %d, want mtjit's default %d",
@@ -167,9 +171,8 @@ func TestSpecResolvesDefaults(t *testing.T) {
 }
 
 // TestDirectoriesAreNotIdentity: where artifacts go is a sink. Asking by
-// flag or by any directory is one cell, so a second Get is a memo hit —
-// and a memo hit feeds no sink: only the directory of the call that
-// simulated has files.
+// flag or by any directory is one cell, and the Run call that asks for
+// both directories writes every artifact into its own.
 func TestDirectoriesAreNotIdentity(t *testing.T) {
 	p := bench.ByName("telco")
 	a, b := filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")
@@ -184,26 +187,14 @@ func TestDirectoriesAreNotIdentity(t *testing.T) {
 		}
 	}
 
-	r := NewRunner(1)
-	first, err := r.Get(p, VMPyPyJIT, Options{ProfileDir: a, RecordDir: a})
-	if err != nil {
+	if _, err := Run(p, VMPyPyJIT, Options{ProfileDir: a, RecordDir: a}); err != nil {
 		t.Fatal(err)
-	}
-	second, err := r.Get(p, VMPyPyJIT, Options{ProfileDir: b, RecordDir: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != first || r.Simulations() != 1 {
-		t.Fatalf("two directories simulated %d times, want one shared cell", r.Simulations())
 	}
 	want := append(ProfileArtifacts(a, p.Name, VMPyPyJIT), filepath.Join(a, trace.FileName(p.Name, string(VMPyPyJIT))))
 	for _, path := range want {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
-			t.Errorf("the simulating call's directory lacks %s: %v", path, err)
+			t.Errorf("the run's directory lacks %s: %v", path, err)
 		}
-	}
-	if _, err := os.Stat(b); !os.IsNotExist(err) {
-		t.Errorf("a memo hit wrote into its directory %s (stat: %v)", b, err)
 	}
 }
 

@@ -13,8 +13,14 @@ import (
 )
 
 // DefaultSampleInterval is the WorkMeter sampling period (instructions)
-// used by the sampled experiments (Figures 3 and 5).
+// used by the sampled experiments (Figures 3, 5 and 10).
 const DefaultSampleInterval = 200_000
+
+// cellOpt is the one Options every table and figure asks for its cells
+// under. Sampling retires no simulated instruction, so a sampled cell
+// serves the tables that do not read Result.Samples too; a second,
+// unsampled request for the same run would simulate it twice.
+var cellOpt = Options{SampleInterval: DefaultSampleInterval}
 
 // errCell is the table cell rendered for a failed run; the error itself
 // is recorded on the Runner and summarized at exit.
@@ -26,10 +32,10 @@ const errCell = "ERR"
 func Table1(r *Runner, progs []bench.Program) string {
 	for i := range progs {
 		p := &progs[i]
-		r.Prefetch(p, VMCPython, Options{})
-		r.Prefetch(p, VMPyPyNoJIT, Options{})
-		r.Prefetch(p, VMPyPyJIT, Options{})
-		r.Prefetch(p, VMPyPyTiered, Options{})
+		r.Prefetch(p, VMCPython, cellOpt)
+		r.Prefetch(p, VMPyPyNoJIT, cellOpt)
+		r.Prefetch(p, VMPyPyJIT, cellOpt)
+		r.Prefetch(p, VMPyPyTiered, cellOpt)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table I: PyPy Benchmark Suite Performance (simulated; t in Mcycles)\n")
@@ -44,10 +50,10 @@ func Table1(r *Runner, progs []bench.Program) string {
 	var rows []row
 	for i := range progs {
 		p := &progs[i]
-		rc, errC := r.Get(p, VMCPython, Options{})
-		rn, errN := r.Get(p, VMPyPyNoJIT, Options{})
-		rj, errJ := r.Get(p, VMPyPyJIT, Options{})
-		rt, errT := r.Get(p, VMPyPyTiered, Options{})
+		rc, errC := r.Get(p, VMCPython, cellOpt)
+		rn, errN := r.Get(p, VMPyPyNoJIT, cellOpt)
+		rj, errJ := r.Get(p, VMPyPyJIT, cellOpt)
+		rt, errT := r.Get(p, VMPyPyTiered, cellOpt)
 		if errC != nil || errN != nil || errJ != nil || errT != nil {
 			rows = append(rows, row{name: p.Name, speedup: -1,
 				text: fmt.Sprintf("%-20s %s", p.Name, errCell)})
@@ -91,7 +97,7 @@ func table2Kinds(p *bench.Program) []VMKind {
 func Table2(r *Runner, progs []bench.Program) string {
 	for i := range progs {
 		for _, kind := range table2Kinds(&progs[i]) {
-			r.Prefetch(&progs[i], kind, Options{})
+			r.Prefetch(&progs[i], kind, cellOpt)
 		}
 	}
 	var sb strings.Builder
@@ -107,7 +113,7 @@ func Table2(r *Runner, progs []bench.Program) string {
 			if (kind == VMRacket || kind == VMPycket) && p.SkSource == "" {
 				return "-"
 			}
-			res, err := r.Get(p, kind, Options{})
+			res, err := r.Get(p, kind, cellOpt)
 			if err != nil {
 				return errCell
 			}
@@ -123,7 +129,7 @@ func Table2(r *Runner, progs []bench.Program) string {
 // for the PyPy suite under the meta-tracing JIT.
 func Fig2(r *Runner, progs []bench.Program) string {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 2: Phase breakdown (%% of instructions, PyPy with JIT)\n")
@@ -131,7 +137,7 @@ func Fig2(r *Runner, progs []bench.Program) string {
 		"Benchmark", "interp", "tracing", "jit", "jitcall", "gc", "blkhole", "basecomp", "baseline", "methcomp", "method")
 	for i := range progs {
 		p := &progs[i]
-		res, err := r.Get(p, VMPyPyJIT, Options{})
+		res, err := r.Get(p, VMPyPyJIT, cellOpt)
 		if err != nil {
 			fmt.Fprintf(&sb, "%-20s %s\n", p.Name, errCell)
 			continue
@@ -214,11 +220,11 @@ func bytesRepeat(b byte, n int) []byte {
 // fast-warming and a slow-warming benchmark.
 func Fig3(r *Runner, fast, slow string) string {
 	for _, name := range []string{fast, slow} {
-		r.Prefetch(bench.ByName(name), VMPyPyJIT, Options{SampleInterval: DefaultSampleInterval})
+		r.Prefetch(bench.ByName(name), VMPyPyJIT, cellOpt)
 	}
 	var sb strings.Builder
 	for _, name := range []string{fast, slow} {
-		res, err := r.Get(bench.ByName(name), VMPyPyJIT, Options{SampleInterval: DefaultSampleInterval})
+		res, err := r.Get(bench.ByName(name), VMPyPyJIT, cellOpt)
 		fmt.Fprintf(&sb, "Figure 3 (%s): per-interval dominant phase\n", name)
 		if err != nil {
 			fmt.Fprintf(&sb, "%s\n", errCell)
@@ -247,9 +253,9 @@ func Fig3(r *Runner, fast, slow string) string {
 // Fig4 reproduces Figure 4: phase breakdown of PyPy vs Pycket on CLBG.
 func Fig4(r *Runner, progs []bench.Program) string {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 		if progs[i].SkSource != "" {
-			r.Prefetch(&progs[i], VMPycket, Options{})
+			r.Prefetch(&progs[i], VMPycket, cellOpt)
 		}
 	}
 	var sb strings.Builder
@@ -262,7 +268,7 @@ func Fig4(r *Runner, progs []bench.Program) string {
 			if kind == VMPycket && p.SkSource == "" {
 				continue
 			}
-			res, err := r.Get(p, kind, Options{})
+			res, err := r.Get(p, kind, cellOpt)
 			if err != nil {
 				fmt.Fprintf(&sb, "%-16s %-7s %s\n", p.Name, kind, errCell)
 				continue
@@ -290,12 +296,12 @@ type AOTEntry struct {
 // skipped; their errors live on the Runner.
 func Table3Data(r *Runner, progs []bench.Program, minPercent float64) []AOTEntry {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 	}
 	var out []AOTEntry
 	for i := range progs {
 		p := &progs[i]
-		res, err := r.Get(p, VMPyPyJIT, Options{})
+		res, err := r.Get(p, VMPyPyJIT, cellOpt)
 		if err != nil {
 			continue
 		}
@@ -346,14 +352,15 @@ type WarmupData struct {
 
 // Fig5Data computes warmup curves: bytecode execution rate of PyPy (with
 // JIT) normalized to the reference interpreter's steady rate, plus
-// break-even points (Section V-D).
+// break-even points (Section V-D). interval is the sampling period of
+// the pypy series; the two baselines are the tables' cells.
 func Fig5Data(r *Runner, p *bench.Program, interval uint64) (WarmupData, error) {
 	r.Prefetch(p, VMPyPyJIT, Options{SampleInterval: interval})
-	r.Prefetch(p, VMCPython, Options{})
-	r.Prefetch(p, VMPyPyNoJIT, Options{})
+	r.Prefetch(p, VMCPython, cellOpt)
+	r.Prefetch(p, VMPyPyNoJIT, cellOpt)
 	rj, errJ := r.Get(p, VMPyPyJIT, Options{SampleInterval: interval})
-	rc, errC := r.Get(p, VMCPython, Options{})
-	rn, errN := r.Get(p, VMPyPyNoJIT, Options{})
+	rc, errC := r.Get(p, VMCPython, cellOpt)
+	rn, errN := r.Get(p, VMPyPyNoJIT, cellOpt)
 	for _, err := range []error{errJ, errC, errN} {
 		if err != nil {
 			return WarmupData{}, err
@@ -389,9 +396,9 @@ func Fig5Data(r *Runner, p *bench.Program, interval uint64) (WarmupData, error) 
 func Fig5(r *Runner, progs []bench.Program) string {
 	for i := range progs {
 		p := &progs[i]
-		r.Prefetch(p, VMPyPyJIT, Options{SampleInterval: DefaultSampleInterval})
-		r.Prefetch(p, VMCPython, Options{})
-		r.Prefetch(p, VMPyPyNoJIT, Options{})
+		r.Prefetch(p, VMPyPyJIT, cellOpt)
+		r.Prefetch(p, VMCPython, cellOpt)
+		r.Prefetch(p, VMPyPyNoJIT, cellOpt)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 5: PyPy warmup - bytecode rate normalized to CPython\n")
@@ -435,7 +442,7 @@ func sparkChar(rate float64) byte {
 // and dynamic IR nodes per million instructions.
 func Fig6(r *Runner, progs []bench.Program) string {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 6: JIT IR node compilation and execution statistics\n")
@@ -443,7 +450,7 @@ func Fig6(r *Runner, progs []bench.Program) string {
 		"Benchmark", "(a) compiled", "(b) hot95%% frac", "(c) nodes/1M instr")
 	for i := range progs {
 		p := &progs[i]
-		res, err := r.Get(p, VMPyPyJIT, Options{})
+		res, err := r.Get(p, VMPyPyJIT, cellOpt)
 		if err != nil {
 			fmt.Fprintf(&sb, "%-20s %s\n", p.Name, errCell)
 			continue
@@ -460,7 +467,7 @@ func Fig6(r *Runner, progs []bench.Program) string {
 // Fig7 reproduces Figure 7: IR node category breakdown per benchmark.
 func Fig7(r *Runner, progs []bench.Program) string {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 	}
 	var sb strings.Builder
 	cats := mtjit.AllCategories()
@@ -474,7 +481,7 @@ func Fig7(r *Runner, progs []bench.Program) string {
 	n := 0
 	for i := range progs {
 		p := &progs[i]
-		res, err := r.Get(p, VMPyPyJIT, Options{})
+		res, err := r.Get(p, VMPyPyJIT, cellOpt)
 		if err != nil {
 			fmt.Fprintf(&sb, "%-20s %s\n", p.Name, errCell)
 			continue
@@ -502,10 +509,10 @@ func Fig7(r *Runner, progs []bench.Program) string {
 // (Figures 8 and 9 are suite aggregates); failed cells are skipped.
 func suiteIR(r *Runner, progs []bench.Program) (sum jitlog.Stats) {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 	}
 	for i := range progs {
-		res, err := r.Get(&progs[i], VMPyPyJIT, Options{})
+		res, err := r.Get(&progs[i], VMPyPyJIT, cellOpt)
 		if err != nil {
 			continue
 		}
@@ -583,7 +590,7 @@ func Fig9(r *Runner, progs []bench.Program) string {
 // (mean and standard deviation over the suite).
 func Table4(r *Runner, progs []bench.Program) string {
 	for i := range progs {
-		r.Prefetch(&progs[i], VMPyPyJIT, Options{})
+		r.Prefetch(&progs[i], VMPyPyJIT, cellOpt)
 	}
 	type acc struct {
 		ipc, br, miss []float64
@@ -593,7 +600,7 @@ func Table4(r *Runner, progs []bench.Program) string {
 		accs[ph] = &acc{}
 	}
 	for i := range progs {
-		res, err := r.Get(&progs[i], VMPyPyJIT, Options{})
+		res, err := r.Get(&progs[i], VMPyPyJIT, cellOpt)
 		if err != nil {
 			continue
 		}
@@ -685,10 +692,9 @@ type TierRow struct {
 // totals verified (the same guest progress must mean the same work in
 // every configuration).
 func Fig10Data(r *Runner, progs []bench.Program) []TierRow {
-	opt := Options{SampleInterval: DefaultSampleInterval}
 	for i := range progs {
 		for _, kind := range TierStrategies {
-			r.Prefetch(&progs[i], kind, opt)
+			r.Prefetch(&progs[i], kind, cellOpt)
 		}
 	}
 	rows := make([]TierRow, 0, len(progs))
@@ -697,7 +703,7 @@ func Fig10Data(r *Runner, progs []bench.Program) []TierRow {
 		row := TierRow{Bench: p.Name}
 		var res [4]*Result
 		for s, kind := range TierStrategies {
-			rr, err := r.Get(p, kind, opt)
+			rr, err := r.Get(p, kind, cellOpt)
 			if err != nil {
 				row.Err = true
 				break

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -101,14 +102,40 @@ func TestLanguageFollowsProgram(t *testing.T) {
 }
 
 // TestRunnerRefusesGuest: the Guest seam changes the run outside the
-// Spec, so a Runner will not take it, and simulates nothing for it.
+// Spec, and a profile or a recording is an artifact of the call that asks
+// for it, so a Runner takes none of them: it simulates nothing for them,
+// memoizes nothing, and names the field. A later plain Get of the same
+// cell simulates it once.
 func TestRunnerRefusesGuest(t *testing.T) {
 	r := NewRunner(1)
-	_, err := r.Get(bench.ByName("telco"), VMCPython, Options{Guest: func(*pylang.VM) {}})
-	if err == nil || !strings.Contains(err.Error(), "Options.Guest") {
-		t.Fatalf("Get with Guest = %v, want a refusal", err)
+	p := bench.ByName("telco")
+	dir := t.TempDir()
+	refused := []struct {
+		field string
+		opt   Options
+	}{
+		{"Guest", Options{Guest: func(*pylang.VM) {}}},
+		{"Profile", Options{Profile: true}},
+		{"ProfileDir", Options{ProfileDir: dir}},
+		{"Record", Options{Record: true}},
+		{"RecordDir", Options{RecordDir: dir}},
 	}
-	if r.Simulations() != 0 || len(r.Errs()) != 1 {
-		t.Errorf("refused cell: %d simulations, %d errors", r.Simulations(), len(r.Errs()))
+	for _, c := range refused {
+		_, err := r.Get(p, VMCPython, c.opt)
+		if err == nil || !strings.Contains(err.Error(), "Options."+c.field) {
+			t.Errorf("Get with %s = %v, want a refusal naming it", c.field, err)
+		}
+	}
+	if r.Simulations() != 0 || len(r.Errs()) != len(refused) {
+		t.Errorf("refused cells: %d simulations, %d errors", r.Simulations(), len(r.Errs()))
+	}
+	if res, err := r.Get(p, VMCPython, Options{}); err != nil || res.Profile != nil || res.Trace != nil {
+		t.Fatalf("plain Get after the refusals: %v", err)
+	}
+	if r.Simulations() != 1 {
+		t.Errorf("the plain cell simulated %d times, want 1", r.Simulations())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a refused call wrote %d files", len(entries))
 	}
 }

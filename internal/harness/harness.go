@@ -95,7 +95,7 @@ func ParseVMKind(name string) (VMKind, error) {
 // Options is the one input literal of a run. It says two things that
 // never mix: what is simulated, which split resolves into a Spec (the
 // cell's identity), and how the run is watched, which split collects
-// into an Observe (sinks the Result cannot see).
+// into an Observe (the sinks, the artifact requests and the Guest seam).
 type Options struct {
 	// HeapConfig overrides the benchmark heap geometry. The default
 	// scales the paper's testbed down to simulator workload sizes: a
@@ -128,8 +128,9 @@ type Options struct {
 	Params *cpu.Params
 	// Profile attaches the streaming cross-layer profiler
 	// (internal/profile) to the run; Result.Profile holds the finished
-	// profiler. When false and ProfileDir is empty, no profiler is
-	// attached and the run is bit-identical to an unprofiled one.
+	// profiler. It only listens, so it is watched (Observe), not
+	// simulated: a Runner refuses it, like ProfileDir, Record and
+	// RecordDir, and the artifact is this Run call's alone.
 	Profile bool
 	// ProfileWindow overrides the interval time-series window of a
 	// profiled run in retired instructions (0: DefaultProfileWindow).
@@ -137,8 +138,7 @@ type Options struct {
 	// Record attaches the trace recorder (internal/trace): every
 	// cross-layer annotation and heap allocation/free event is captured
 	// into Result.Trace, with the run's outcome sealed into the trace
-	// Summary. Nothing is attached when false and RecordDir is empty,
-	// so an unrecorded run is bit-identical to a pre-recorder one.
+	// Summary.
 	Record bool
 	// ReplayAlloc replays the benchmark's recorded allocation/free
 	// event stream directly against a fresh heap (trace.ReplayAllocs,
@@ -190,7 +190,7 @@ const DefaultProfileWindow = 1 << 16
 // everything a default run produces is numbers and strings computed when
 // the run ends, so a memoized Result holds no machine, trace or guest
 // heap (TestResultHoldsNoGraph). Profile and Trace are the two artifacts
-// a caller asks for by name; they are nil otherwise.
+// a Run call asks for by name; they are nil otherwise.
 type Result struct {
 	Bench string
 	VM    VMKind
@@ -218,15 +218,15 @@ type Result struct {
 	EngStats mtjit.EngineStats
 
 	// Profile is the finished streaming profiler (nil unless
-	// Spec.Profile asked for it).
+	// Options.Profile or ProfileDir asked for it).
 	Profile *profile.Profiler
 
 	// HeapChecksum is the structural hash of the final guest-visible
 	// heap (pylang.VM.HeapChecksum); 0 for static-kernel and
 	// alloc-replay runs, which have no guest heap state.
 	HeapChecksum uint64
-	// Trace is the finished recording (nil unless Spec.Record asked for
-	// it).
+	// Trace is the finished recording (nil unless Options.Record or
+	// RecordDir asked for it).
 	Trace *trace.Trace
 }
 
@@ -283,8 +283,8 @@ type run struct {
 	wm     *pintool.WorkMeter
 	att    *pintool.AOTAttributor
 	events *pintool.TraceEventCounter
-	prof   *profile.Profiler // spec.Profile or obs.ReqTrace
-	rec    *trace.Recorder   // spec.Record
+	prof   *profile.Profiler // obs.ProfileWindow or obs.ReqTrace
+	rec    *trace.Recorder   // obs.Record
 
 	heap *heap.Heap
 	vm   *pylang.VM    // nil for an alloc replay
@@ -310,7 +310,7 @@ func simulate(p *bench.Program, spec Spec, obs Observe) (*Result, error) {
 	case row.profile == nil:
 		// A static kernel has no annotation stream: there is nothing to
 		// profile, record or replay.
-		if spec.Profile || spec.Record || spec.ReplayAlloc {
+		if obs.ProfileWindow != 0 || obs.Record || spec.ReplayAlloc {
 			return nil, fmt.Errorf("harness: profile and trace record/replay unsupported for %s", spec.VM)
 		}
 		if kernel = static.ByName(p.Name); kernel == nil {
@@ -378,7 +378,7 @@ func (r *run) attach() error {
 	if err := r.attachProfiler(); err != nil {
 		return err
 	}
-	if r.spec.Record {
+	if r.obs.Record {
 		r.rec = trace.NewRecorder(trace.Header{
 			Guest:  r.guest,
 			Name:   r.p.Name,
@@ -490,7 +490,7 @@ func (r *run) finish(res *Result) error {
 		r.prof.Finish()
 		// Only a profile that was asked for: a memoized Result must not
 		// hold the interval series of a profiler a request span attached.
-		if r.spec.Profile {
+		if r.obs.ProfileWindow != 0 {
 			res.Profile = r.prof
 		}
 	}

@@ -20,14 +20,14 @@ func ProfileArtifacts(dir, bench string, kind VMKind) []string {
 	return []string{base + ".trace.json", base + ".folded", base + ".series.txt"}
 }
 
-// attachProfiler attaches the streaming profiler when the Spec asks for
+// attachProfiler attaches the streaming profiler when the call asks for
 // a profile or a request span wants the run's phases. A request span
-// alone keeps the interval series off (Spec.ProfileWindow is zero):
+// alone keeps the interval series off (Observe.ProfileWindow is zero):
 // nobody reads it, and with the series off no dispatch tick is ever
 // stamped. Span labels are resolved at span open, during execution, by
 // which time the run has its guest VM and JIT engine.
 func (r *run) attachProfiler() error {
-	if !r.spec.Profile && r.obs.ReqTrace == nil {
+	if r.obs.ProfileWindow == 0 && r.obs.ReqTrace == nil {
 		return nil
 	}
 	clock := r.mach.Params().ClockHz
@@ -35,7 +35,7 @@ func (r *run) attachProfiler() error {
 		ClockHz:  clock,
 		SpanSink: reqTraceSink(r.obs.ReqTrace, clock),
 		Labels:   r.labels(),
-		Window:   r.spec.ProfileWindow,
+		Window:   r.obs.ProfileWindow,
 	}
 	if dir := r.obs.ProfileDir; dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -2,16 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"metajit/internal/bench"
 )
 
-// TestParallelRecordingDeterministic runs recorded cells through the
-// memoizing Runner at full parallelism and compares every trace against
-// a serial (-j1) run: the recordings must be byte-identical. This is
-// both the recorder's race test (under `make race` the Runner's workers
-// exercise concurrent recording) and the determinism contract that
+// TestParallelRecordingDeterministic runs recorded cells through bare
+// harness.Run on a bounded goroutine pool and compares every trace
+// against a serial (width 1) run: the recordings must be byte-identical.
+// This is both the recorder's race test (under `make race` the pool
+// exercises concurrent recording) and the determinism contract that
 // makes committed fixtures meaningful — a recording must not depend on
 // scheduling.
 func TestParallelRecordingDeterministic(t *testing.T) {
@@ -19,24 +20,35 @@ func TestParallelRecordingDeterministic(t *testing.T) {
 	kinds := []VMKind{VMPyPyJIT, VMPyPyTiered}
 
 	runAll := func(workers int) map[string]*Result {
-		r := NewRunner(workers)
+		out := map[string]*Result{}
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, workers)
 		for _, b := range benches {
 			for _, k := range kinds {
-				r.Prefetch(bench.ByName(b), k, Options{Record: true})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sem <- struct{}{}
+					defer func() { <-sem }()
+					res, err := Run(bench.ByName(b), k, Options{Record: true})
+					if err != nil {
+						t.Errorf("%s/%s: %v", b, k, err)
+						return
+					}
+					if res.Trace == nil {
+						t.Errorf("%s/%s: no trace recorded", b, k)
+						return
+					}
+					mu.Lock()
+					out[b+"/"+string(k)] = res
+					mu.Unlock()
+				}()
 			}
 		}
-		out := map[string]*Result{}
-		for _, b := range benches {
-			for _, k := range kinds {
-				res, err := r.Get(bench.ByName(b), k, Options{Record: true})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", b, k, err)
-				}
-				if res.Trace == nil {
-					t.Fatalf("%s/%s: no trace recorded", b, k)
-				}
-				out[b+"/"+string(k)] = res
-			}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
 		}
 		return out
 	}

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"metajit/internal/bench"
+	"metajit/internal/trace"
 )
 
 // resultGraphs lists the Result fields allowed to hold a reference other
@@ -18,8 +21,8 @@ import (
 // path. The next *Something added to Result fails here, not in a heap
 // profile.
 var resultGraphs = map[string]string{
-	"Profile": "an artifact the caller asked for by name (Options.Profile/ProfileDir); nil otherwise",
-	"Trace":   "an artifact the caller asked for by name (Options.Record/RecordDir); nil otherwise",
+	"Profile": "set only by the harness.Run call that simulated; a Runner refuses Options that ask for it",
+	"Trace":   "set only by the harness.Run call that simulated; a Runner refuses Options that ask for it",
 }
 
 func TestResultHoldsNoGraph(t *testing.T) {
@@ -52,36 +55,61 @@ func TestResultHoldsNoGraph(t *testing.T) {
 	}
 }
 
-// TestJITLogSinkLeavesResultAlone: Options.JITLog is a sink, outside the
-// Spec, which is sound only if handing a run a sink changes nothing it
-// returns.
+// TestJITLogSinkLeavesResultAlone: the sinks and the artifact requests
+// are outside the Spec, which is sound only if watching a run changes
+// nothing it simulates. For each of them the cell is the plain run's, and
+// so is the Result once the artifacts it asked for are cleared.
 func TestJITLogSinkLeavesResultAlone(t *testing.T) {
 	p := bench.ByName("richards")
+	plain, err := Run(p, VMPyPyJIT, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dump bytes.Buffer
-	with, without := Options{JITLog: &dump}, Options{}
-	if Key(p, VMPyPyJIT, with) != Key(p, VMPyPyJIT, without) {
-		t.Fatal("JITLog changes the memo key")
-	}
-	// Bare Run, not the memoizing mustRun: the two share a cell.
-	a, errA := Run(p, VMPyPyJIT, with)
-	b, errB := Run(p, VMPyPyJIT, without)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("a run with a JIT log sink returns a different Result:\n%+v\n%+v", a, b)
-	}
-	if dump.Len() == 0 {
-		t.Error("the sink received no dump")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		opt  Options
+		fed  func(*Result) bool
+	}{
+		{"JITLog", Options{JITLog: &dump}, func(*Result) bool { return dump.Len() > 0 }},
+		{"Profile", Options{Profile: true}, func(r *Result) bool { return r.Profile != nil }},
+		{"ProfileWindow", Options{Profile: true, ProfileWindow: 999}, func(r *Result) bool { return r.Profile != nil }},
+		{"ProfileDir", Options{ProfileDir: dir}, func(r *Result) bool { return r.Profile != nil && exists(ProfileArtifacts(dir, p.Name, VMPyPyJIT)[2]) }},
+		{"Record", Options{Record: true}, func(r *Result) bool { return r.Trace != nil }},
+		{"RecordDir", Options{RecordDir: dir}, func(r *Result) bool {
+			return r.Trace != nil && exists(filepath.Join(dir, trace.FileName(p.Name, string(VMPyPyJIT))))
+		}},
+	} {
+		if Key(p, VMPyPyJIT, c.opt) != Key(p, VMPyPyJIT, Options{}) {
+			t.Errorf("%s changes the memo key", c.name)
+		}
+		// Bare Run, not the memoizing mustRun: the two share a cell.
+		res, err := Run(p, VMPyPyJIT, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !c.fed(res) {
+			t.Errorf("%s: the run did not hand over what was asked for", c.name)
+		}
+		res.Profile, res.Trace = nil, nil
+		if !reflect.DeepEqual(res, plain) {
+			t.Errorf("a run with %s returns a different Result:\n%+v\n%+v", c.name, res, plain)
+		}
 	}
 	// A run without a JIT has no log to write.
 	dump.Reset()
-	if _, err := Run(p, VMCPython, with); err != nil {
+	if _, err := Run(p, VMCPython, Options{JITLog: &dump}); err != nil {
 		t.Fatal(err)
 	}
 	if dump.Len() != 0 {
 		t.Errorf("cpython wrote %d bytes of JIT log", dump.Len())
 	}
+}
+
+func exists(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.Size() > 0
 }
 
 // TestMemoDoesNotKeepTheRequestsSinks: the memo keeps a cell for its

@@ -62,7 +62,8 @@ func TestMemoizedCellRetention(t *testing.T) {
 }
 
 // TestProfiledCellRetention is the same bound for the artifact a caller
-// asks for: a finished profiler keeps its flame weights and its series
+// asks for: the profiles of the PyPy suite, held as the Results of their
+// harness.Run calls, keep each profiler's flame weights and its series
 // (576 B per 64 Ki-instruction window, so the longer cpython runs hold
 // more), not the machine and guest VM it watched (~1160 KB pypy,
 // ~1300 KB cpython before Profiler.Finish let go of them).
@@ -70,11 +71,22 @@ func TestProfiledCellRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the PyPy suite twice")
 	}
+	progs := bench.PyPySuite()
 	for _, kind := range []VMKind{VMPyPyJIT, VMCPython} {
-		kb := retainedKB(t, kind, Options{Profile: true})
-		t.Logf("%s: %.1f KB retained per profiled cell", kind, kb)
+		base := liveHeap()
+		held := make([]*Result, len(progs))
+		for i := range progs {
+			res, err := Run(&progs[i], kind, Options{Profile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = res
+		}
+		kb := (float64(liveHeap()) - float64(base)) / 1024 / float64(len(progs))
+		runtime.KeepAlive(held)
+		t.Logf("%s: %.1f KB retained per profiled run", kind, kb)
 		if kb > 512 {
-			t.Errorf("%s: a profiled cell retains %.1f KB of live heap, want <= 512", kind, kb)
+			t.Errorf("%s: a profiled run's Result retains %.1f KB of live heap, want <= 512", kind, kb)
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // heap), so running them on separate goroutines shares no simulator
 // state. Failures stay per-cell: a failed cell renders as ERR in the
 // table that wanted it, and the errors are collected for an end-of-run
-// summary instead of panicking mid-table.
+// summary instead of panicking mid-table. A Runner takes only cells:
+// Options that ask for an artifact or set Guest are refused (lookup).
 type Runner struct {
 	sem chan struct{}
 
@@ -73,14 +74,14 @@ func (r *Runner) Get(p *bench.Program, kind VMKind, opt Options) (*Result, error
 }
 
 func (r *Runner) lookup(p *bench.Program, kind VMKind, opt Options) *cell {
-	key := Key(p, kind, opt)
+	key, obs := opt.split(p, kind)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if opt.Guest != nil {
-		// The seam changes the run without entering the Spec: a memo
-		// keyed by the Spec would hand its result to a plain call.
+	if obs.Guest != nil || obs.ProfileWindow != 0 || obs.Record {
+		// Not in the Spec: the seam changes the run, and an artifact
+		// belongs to the call that asked; a memo would share either.
 		c := &cell{key: key, done: make(chan struct{}),
-			err: fmt.Errorf("%s: a Runner does not take Options.Guest", key)}
+			err: fmt.Errorf("%s: a Runner does not take Options.%s", key, refused(opt))}
 		close(c.done)
 		r.order = append(r.order, c)
 		return c
@@ -96,6 +97,22 @@ func (r *Runner) lookup(p *bench.Program, kind VMKind, opt Options) *cell {
 	r.order = append(r.order, c)
 	go r.runCell(c, p, kind, opt)
 	return c
+}
+
+// refused names the Options field a Runner does not take.
+func refused(opt Options) string {
+	switch {
+	case opt.Guest != nil:
+		return "Guest"
+	case opt.Profile:
+		return "Profile"
+	case opt.ProfileDir != "":
+		return "ProfileDir"
+	case opt.Record:
+		return "Record"
+	default:
+		return "RecordDir"
+	}
 }
 
 func (r *Runner) runCell(c *cell, p *bench.Program, kind VMKind, opt Options) {
