@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt allocs inline results examples race bench hostprof allocprof serveprof benchmark experiments serve fuzz traces
+.PHONY: all build test check vet fmt allocs inline results examples race bench hostprof allocprof serveprof benchmark ab experiments serve fuzz traces
 
 all: build
 
@@ -171,6 +171,18 @@ TRACE ?= 0
 
 benchmark:
 	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 20 --trace $(TRACE)
+
+# ab compares the work tree with commit REF on the repository benchmark:
+# N alternated pairs of runs of each workload in W (a space-separated
+# list), then per end-to-end metric each side's median and quartiles, the
+# pairs the change won, and a verdict against the BENCHMARK.json bound
+# (scripts/ab.sh, cmd/abreport). REF's committed files and both binaries
+# stay in .bench_build/, every run's output in .bench_build/ab-runs/.
+REF ?= HEAD
+N ?= 10
+
+ab:
+	bash scripts/ab.sh '$(REF)' '$(W)' '$(N)'
 
 experiments:
 	$(GO) run ./cmd/experiments -exp all

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"metajit/internal/bench"
 	"metajit/internal/harness"
@@ -26,7 +27,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate (table1..4, fig2..10, all)")
-	jobs := flag.Int("j", 0, "max concurrent cell simulations (0 = NumCPU)")
+	jobs := flag.Int("j", 0, "max concurrent simulations: cells, and the profiled, recorded and replayed runs (0 = NumCPU)")
 	profileDir := flag.String("profile", "", "also run the PyPy suite under the streaming profiler, writing Chrome traces, folded flamegraphs, and interval series to this directory")
 	recordDir := flag.String("record", "", "also record the PyPy suite as workload traces (.mtt) into this directory")
 	tracesDir := flag.String("traces", "", "replay every committed trace fixture (*.mtt) in this directory, verifying each against its recorded summary")
@@ -90,32 +91,46 @@ func main() {
 	// recording is an artifact of the call that asks for it, not a cell,
 	// so a Runner refuses it: each run is a bare harness.Run that writes
 	// its files as it simulates, one run serving both directories, and
-	// failures join the Runner's summary. The summary goes to stderr to
-	// keep stdout byte-identical to a plain run of the same experiments.
+	// failures join the Runner's summary. The runs share -j with the
+	// tables' pool size, and report in suite order. The summary goes to
+	// stderr to keep stdout byte-identical to a plain run of the same
+	// experiments.
 	if *profileDir != "" || *recordDir != "" {
+		type cell struct {
+			p    *bench.Program
+			kind harness.VMKind
+		}
+		var cells []cell
 		for _, kind := range []harness.VMKind{harness.VMPyPyJIT, harness.VMPyPyTiered} {
 			for i := range pypy {
-				p := &pypy[i]
-				res, err := harness.Run(p, kind, harness.Options{ProfileDir: *profileDir, RecordDir: *recordDir})
-				if err != nil {
-					runner.Fail(fmt.Errorf("%s/%s: %w", p.Name, kind, err))
-					continue
-				}
-				if prof := res.Profile; prof != nil {
-					if perr := prof.Err(); perr != nil {
-						runner.Fail(fmt.Errorf("%s/%s: profile: %w", p.Name, kind, perr))
-					} else {
-						fmt.Fprintf(os.Stderr, "profiled %s/%s: %d spans -> %s\n", p.Name, kind, prof.Stream.Spans,
-							strings.Join(harness.ProfileArtifacts(*profileDir, p.Name, kind), " "))
-					}
-				}
-				if res.Trace != nil {
-					fmt.Fprintf(os.Stderr, "recorded %s/%s: %d events -> %s\n",
-						p.Name, kind, res.Trace.Summary.Events,
-						filepath.Join(*recordDir, trace.FileName(p.Name, string(kind))))
-				}
+				cells = append(cells, cell{&pypy[i], kind})
 			}
 		}
+		results := make([]*harness.Result, len(cells))
+		errs := make([]error, len(cells))
+		inOrder(len(cells), *jobs, func(i int) {
+			results[i], errs[i] = harness.Run(cells[i].p, cells[i].kind, harness.Options{ProfileDir: *profileDir, RecordDir: *recordDir})
+		}, func(i int) {
+			p, kind, res := cells[i].p, cells[i].kind, results[i]
+			results[i] = nil
+			if err := errs[i]; err != nil {
+				runner.Fail(fmt.Errorf("%s/%s: %w", p.Name, kind, err))
+				return
+			}
+			if prof := res.Profile; prof != nil {
+				if perr := prof.Err(); perr != nil {
+					runner.Fail(fmt.Errorf("%s/%s: profile: %w", p.Name, kind, perr))
+				} else {
+					fmt.Fprintf(os.Stderr, "profiled %s/%s: %d spans -> %s\n", p.Name, kind, prof.Stream.Spans,
+						strings.Join(harness.ProfileArtifacts(*profileDir, p.Name, kind), " "))
+				}
+			}
+			if res.Trace != nil {
+				fmt.Fprintf(os.Stderr, "recorded %s/%s: %d events -> %s\n",
+					p.Name, kind, res.Trace.Summary.Events,
+					filepath.Join(*recordDir, trace.FileName(p.Name, string(kind))))
+			}
+		})
 	}
 
 	// Fixture replay: load every committed recording and re-drive it
@@ -131,14 +146,19 @@ func main() {
 		}
 		fmt.Printf("Recorded workload fixtures (%s)\n", *tracesDir)
 		fmt.Printf("%-24s %-12s %10s %12s  %s\n", "fixture", "vm", "events", "instrs", "replay")
-		for i := range progs {
-			p := &progs[i]
-			tr := p.Trace
+		results := make([]*harness.Result, len(progs))
+		errs := make([]error, len(progs))
+		inOrder(len(progs), *jobs, func(i int) {
+			tr := progs[i].Trace
 			ropt := harness.ReplayOptions(tr)
 			ropt.Record = true
-			res, err := harness.Run(p, harness.VMKind(tr.Header.VM), ropt)
+			results[i], errs[i] = harness.Run(&progs[i], harness.VMKind(tr.Header.VM), ropt)
+		}, func(i int) {
+			p, res := &progs[i], results[i]
+			results[i] = nil
+			tr := p.Trace
 			status := "verified"
-			if err != nil {
+			if err := errs[i]; err != nil {
 				runner.Fail(fmt.Errorf("%s/%s: %w", p.Name, tr.Header.VM, err))
 				status = "ERROR"
 			} else if err := trace.CheckReplay(tr, res.Trace); err != nil {
@@ -147,7 +167,7 @@ func main() {
 			}
 			fmt.Printf("%-24s %-12s %10d %12d  %s\n",
 				p.Name, tr.Header.VM, tr.Summary.Events, tr.Summary.Instrs, status)
-		}
+		})
 	}
 
 	// Cache statistics go to stderr so stdout (results.txt) stays
@@ -181,5 +201,32 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", m)
 		}
 		os.Exit(1)
+	}
+}
+
+// inOrder runs do(0), …, do(n-1) on at most jobs goroutines (0 or less:
+// NumCPU, as the Runner does), taking indexes in order, and calls done(i)
+// on the calling goroutine in index order, each as soon as do(i) has
+// returned.
+func inOrder(n, jobs int, do, done func(i int)) {
+	if jobs <= 0 {
+		jobs = runtime.NumCPU()
+	}
+	finished := make([]chan struct{}, n)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	var next atomic.Int64
+	for w := 0; w < min(jobs, n); w++ {
+		go func() {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				do(i)
+				close(finished[i])
+			}
+		}()
+	}
+	for i, f := range finished {
+		<-f
+		done(i)
 	}
 }

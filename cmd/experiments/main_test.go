@@ -4,7 +4,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"metajit/internal/bench"
 	"metajit/internal/harness"
@@ -184,5 +186,41 @@ func TestTierShootoutRegression(t *testing.T) {
 	if want := total - 3; noWorse < want {
 		t.Errorf("adaptive warmup no worse than static tiered on only %d/%d programs; want >= %d",
 			noWorse, total, want)
+	}
+}
+
+// TestInOrder: the artifact loops' pool runs every index once on at most
+// jobs goroutines and hands each result over in index order, after its
+// run finished, whatever order the runs end in.
+func TestInOrder(t *testing.T) {
+	for _, jobs := range []int{0, 1, 3, 100} {
+		const n = 40
+		ran := make([]int, n)
+		var running, most atomic.Int64
+		var seen []int
+		inOrder(n, jobs, func(i int) {
+			r := running.Add(1)
+			for m := most.Load(); r > m && !most.CompareAndSwap(m, r); m = most.Load() {
+			}
+			time.Sleep(time.Duration((i*7)%5) * time.Millisecond)
+			ran[i]++
+			running.Add(-1)
+		}, func(i int) {
+			if ran[i] != 1 {
+				t.Errorf("jobs %d: index %d handed over after %d runs", jobs, i, ran[i])
+			}
+			seen = append(seen, i)
+		})
+		for i, v := range seen {
+			if v != i {
+				t.Fatalf("jobs %d: handed over in order %v", jobs, seen)
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("jobs %d: %d of %d indexes handed over", jobs, len(seen), n)
+		}
+		if limit := int64(jobs); jobs > 0 && most.Load() > limit {
+			t.Errorf("jobs %d: %d runs at once", jobs, most.Load())
+		}
 	}
 }

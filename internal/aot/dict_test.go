@@ -186,6 +186,7 @@ func TestDictEmitsProbeTraffic(t *testing.T) {
 func TestDictGCIntegration(t *testing.T) {
 	cfg := heap.DefaultConfig()
 	cfg.NurserySize = 2 << 10
+	cfg.Debug = true // the collector clears Live on what it frees
 	h := heap.New(cpu.NewDefault(), cfg)
 	rt := NewRuntime(h)
 	rt.StrShape = h.NewShape("str", 0)

@@ -210,6 +210,12 @@ func TestTraceFixtures(t *testing.T) {
 			if err := trace.CheckReplay(tr, r.Trace); err != nil {
 				t.Fatalf("replay diverged from the fixture: %v", err)
 			}
+			// The snapshot is what today's recorder writes for the
+			// configuration the replay resolved: a fixture recorded
+			// before a default moved into the snapshot needs -update.
+			if got := r.Trace.Header.Config; got != tr.Header.Config {
+				t.Fatalf("replay recorded config %+v, the fixture holds %+v (re-record with make traces)", got, tr.Header.Config)
+			}
 		})
 	}
 }

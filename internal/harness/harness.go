@@ -476,8 +476,8 @@ func (r *run) finish(res *Result) error {
 	}
 	if r.vm != nil {
 		for _, f := range r.vm.RT.Funcs() {
-			if cyc, ok := r.att.CyclesByFunc[f.ID]; ok {
-				res.AOT = append(res.AOT, AOTCost{Name: f.Name, Src: f.Src.String(), Cycles: cyc, Calls: r.att.CallsByFunc[f.ID]})
+			if cyc, calls, ok := r.att.Func(f.ID); ok {
+				res.AOT = append(res.AOT, AOTCost{Name: f.Name, Src: f.Src.String(), Cycles: float64(cyc), Calls: calls})
 			}
 		}
 		// The heap checksum is a pure Go walk (no simulated

@@ -5,12 +5,10 @@ package heap
 import "testing"
 
 // quietHeap is a heap whose allocations do nothing on the host but make
-// the object: no collection, and a nursery list that never regrows
-// mid-measurement.
+// the object: no collection, and (no Debug, no tracer) no nursery list.
 func quietHeap() *Heap {
 	h, _ := testHeap(false)
 	h.cfg.NurserySize = 1 << 40
-	h.nursery = make([]*Obj, 0, 1<<16)
 	return h
 }
 

@@ -1,6 +1,8 @@
 package heap
 
 import (
+	"fmt"
+
 	"metajit/internal/core"
 	"metajit/internal/isa"
 )
@@ -67,8 +69,15 @@ func (h *Heap) minor(reason uint64) {
 
 	// Trace and promote. Per-object overhead covers the type-info
 	// lookup, forwarding-pointer install, and remembered-set checks of a
-	// real generational collector.
+	// real generational collector. A promoted object below youngFrom was
+	// found dead by an earlier collection while something unreported
+	// still held it: it is promoted, but it is not one of this nursery's
+	// young objects.
+	var survivors uint64
 	for o := h.popMark(); o != nil; o = h.popMark() {
+		if o.addr >= h.youngFrom {
+			survivors++
+		}
 		h.promote(o)
 		promoted += o.size
 		h.stream.Block(promoteBlock)
@@ -77,15 +86,19 @@ func (h *Heap) minor(reason uint64) {
 	}
 
 	// Everything unreached in the nursery dies young.
+	h.stats.CollectedYoung += h.young - survivors
+	var died uint64
 	for _, o := range h.nursery {
 		if o.gen == 0 && o.mark != h.epoch {
 			o.live = false
-			h.stats.CollectedYoung++
+			died++
 			if h.tracer != nil {
 				h.tracer.TraceFree(o)
 			}
 		}
 	}
+	h.debugCheck("young objects", uint64(len(h.nursery)), h.young)
+	h.debugCheck("young objects dead", died, h.young-survivors)
 	// Nursery reset: the collector re-zeroes the nursery for the next
 	// allocation epoch (streaming stores, one per 64-byte line).
 	h.stream.Ops(isa.Store, int(h.cfg.NurserySize/64))
@@ -93,6 +106,8 @@ func (h *Heap) minor(reason uint64) {
 	// every dead nursery object reachable for the host collector.
 	clear(h.nursery)
 	h.nursery = h.nursery[:0]
+	h.young = 0
+	h.youngFrom = h.nextAddr
 	h.sinceMinor = 0
 	h.oldBytes += promoted
 	h.stats.Minor++
@@ -121,7 +136,8 @@ func (h *Heap) popMark() *Obj {
 
 // promote moves a surviving nursery object to the old generation: it gets a
 // fresh simulated address and its contents are copied (emitted as bulk
-// load/store traffic plus one cache touch at each end).
+// load/store traffic plus one cache touch at each end). It is counted in
+// the old generation until a major collection does not reach it.
 func (h *Heap) promote(o *Obj) {
 	words := int(o.size / 8)
 	newAddr := h.bump(o.size)
@@ -136,7 +152,11 @@ func (h *Heap) promote(o *Obj) {
 		o.elemsAddr = h.bump(8 * uint64(max(len(o.Elems), 1)))
 	}
 	o.gen = 1
-	h.old = append(h.old, o)
+	o.oldAt = uint32(h.stats.Major)
+	h.oldN++
+	if h.listing() {
+		h.old = append(h.old, o)
+	}
 }
 
 func (h *Heap) scanChildren(o *Obj, visit func(*Obj)) {
@@ -190,6 +210,12 @@ func (h *Heap) major(reason uint64) {
 	}
 	h.stream.Ops(isa.Load, nroots+8)
 
+	// Marking also counts the old generation's survivors: every object
+	// counted in it that this collection reaches (after the minor
+	// collection above, that is every reachable object but one a
+	// collection already found dead while something unreported held it).
+	var liveN, liveBytes uint64
+	major := uint32(h.stats.Major)
 	for o := h.popMark(); o != nil; o = h.popMark() {
 		// Mark cost: header load, type dispatch, mark store, children
 		// scan (two instructions per edge: load + null/gen test).
@@ -198,17 +224,26 @@ func (h *Heap) major(reason uint64) {
 		h.stream.Indirect(siteGCTrace.PC()+4, o.Shape.VTableAddr)
 		h.stream.Ops(isa.Load, len(o.Fields)+len(o.Elems))
 		h.stream.Ops(isa.ALU, len(o.Fields)+len(o.Elems))
+		if o.gen == 1 && o.oldAt == major {
+			o.oldAt++
+			liveN++
+			liveBytes += o.size
+		}
 		h.scanChildren(o, visit)
 	}
 
-	// Sweep the old generation.
-	var liveBytes uint64
+	// Sweep the old generation: one step per object counted in it.
+	for range h.oldN {
+		h.stream.Block(sweepBlock)
+	}
+	h.debugCheck("old objects", uint64(len(h.old)), h.oldN)
+	h.oldN = liveN
+	var listedBytes uint64
 	liveOld := h.old[:0]
 	for _, o := range h.old {
-		h.stream.Block(sweepBlock)
 		if o.mark == h.epoch {
 			liveOld = append(liveOld, o)
-			liveBytes += o.size
+			listedBytes += o.size
 		} else {
 			o.live = false
 			if h.tracer != nil {
@@ -220,6 +255,8 @@ func (h *Heap) major(reason uint64) {
 	// in host memory until the slice happens to regrow.
 	clear(h.old[len(liveOld):])
 	h.old = liveOld
+	h.debugCheck("old objects live", uint64(len(h.old)), liveN)
+	h.debugCheck("old bytes live", listedBytes, liveBytes)
 	h.oldBytes = liveBytes
 	h.majorAt = uint64(h.cfg.MajorGrowth * float64(liveBytes))
 	if h.majorAt < h.cfg.MajorThreshold {
@@ -230,6 +267,14 @@ func (h *Heap) major(reason uint64) {
 
 	h.stream.Annot(core.TagGCMajorEnd, liveBytes)
 	h.gcActive = false
+}
+
+// debugCheck panics under Config.Debug, where the lists hold every object
+// the counts count, when a list and its count disagree.
+func (h *Heap) debugCheck(what string, listed, counted uint64) {
+	if h.cfg.Debug && listed != counted {
+		panic(fmt.Sprintf("heap: %d %s listed, %d counted", listed, what, counted))
+	}
 }
 
 // OldBytes returns the current accounted old-generation size.

@@ -19,7 +19,10 @@ type Config struct {
 	MajorThreshold uint64
 	// MajorGrowth is the heap-growth factor (RPython default is 1.82).
 	MajorGrowth float64
-	// Debug enables dead-object access checking (slower).
+	// Debug enables dead-object access checking (slower): the heap then
+	// lists every object of both generations, clears Obj.Live on each
+	// one a collection finds dead, and checks the lists against the
+	// generation counts at every collection.
 	Debug bool
 }
 
@@ -71,12 +74,18 @@ type Tracer interface {
 	// size assigned; a triggered minor collection already finished).
 	TraceAlloc(o *Obj, kind AllocKind)
 	// TraceFree fires when a collection finds an object dead. Objects
-	// still live at VM exit never see TraceFree.
+	// still live at VM exit never see TraceFree, and neither do objects
+	// allocated before the tracer attached: the heap lists only what it
+	// allocates or promotes while a tracer is attached.
 	TraceFree(o *Obj)
 }
 
 // SetTracer attaches (or, with nil, detaches) the allocation tracer.
 func (h *Heap) SetTracer(t Tracer) { h.tracer = t }
+
+// listing reports whether objects allocated or promoted now go on the
+// generation lists: only while something consumes per-object deaths.
+func (h *Heap) listing() bool { return h.tracer != nil || h.cfg.Debug }
 
 // Stats accumulates collector statistics for EXPERIMENTS.md reporting.
 type Stats struct {
@@ -100,6 +109,16 @@ type Heap struct {
 	oldBytes   uint64
 	majorAt    uint64
 
+	// The generations are counts: young is the objects allocated since
+	// the last minor collection, oldN the objects in the old generation,
+	// and youngFrom the first address a young object can have. Nothing
+	// else holds a guest object the guest has dropped, so the Go
+	// collector frees it at once.
+	young     uint64
+	oldN      uint64
+	youngFrom uint64
+	// nursery and old list the same objects, one by one, for a death
+	// consumer (a Tracer or Config.Debug) and only while there is one.
 	nursery []*Obj
 	old     []*Obj
 	remset  []*Obj
@@ -124,10 +143,11 @@ func New(stream *cpu.Machine, cfg Config) *Heap {
 		cfg = DefaultConfig()
 	}
 	return &Heap{
-		cfg:      cfg,
-		stream:   stream,
-		nextAddr: isa.RegionHeap,
-		majorAt:  cfg.MajorThreshold,
+		cfg:       cfg,
+		stream:    stream,
+		nextAddr:  isa.RegionHeap,
+		youngFrom: isa.RegionHeap,
+		majorAt:   cfg.MajorThreshold,
 	}
 }
 
@@ -319,7 +339,10 @@ func (h *Heap) allocate(o *Obj) {
 	h.sinceMinor += o.size
 	h.stats.AllocObjects++
 	h.stats.AllocBytes += o.size
-	h.nursery = append(h.nursery, o)
+	h.young++
+	if h.listing() {
+		h.nursery = append(h.nursery, o)
+	}
 }
 
 // RawAlloc reserves simulated address space for a native payload table

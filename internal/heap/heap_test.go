@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,7 +97,7 @@ func TestElemsAndGrow(t *testing.T) {
 }
 
 func TestMinorCollectsGarbage(t *testing.T) {
-	h, _ := testHeap(false)
+	h, _ := testHeap(true)
 	sh := h.NewShape("node", 1)
 	var root *Obj
 	h.AddRoots(RootFunc(func(visit func(*Obj)) {
@@ -177,7 +178,7 @@ func TestWriteBarrierKeepsYoungAlive(t *testing.T) {
 }
 
 func TestMajorCollectsOldGarbage(t *testing.T) {
-	h, _ := testHeap(false)
+	h, _ := testHeap(true)
 	sh := h.NewShape("blob", 8)
 	live := make([]*Obj, 0, 4)
 	h.AddRoots(RootFunc(func(visit func(*Obj)) {
@@ -256,69 +257,206 @@ func TestGCEmitsAnnotations(t *testing.T) {
 }
 
 // Property test: build a random object graph, pick a random subset of roots,
-// run a full GC, and verify exactly the reachable objects survive.
+// run a full GC, and verify exactly the reachable objects survive. Under
+// Debug the heap examines every object and each one's Live flag must equal
+// its reachability; by default it examines none, and the old generation it
+// counts must weigh exactly what is reachable.
 func TestGCLivenessProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// Full-size nursery: no collection may run while the graph is
-		// under construction (roots are registered afterwards).
-		h := New(cpu.NewDefault(), DefaultConfig())
-		sh := h.NewShape("n", 3)
+	for _, debug := range []bool{true, false} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			// Full-size nursery: no collection may run while the graph is
+			// under construction (roots are registered afterwards).
+			cfg := DefaultConfig()
+			cfg.Debug = debug
+			h := New(cpu.NewDefault(), cfg)
+			sh := h.NewShape("n", 3)
 
-		const n = 120
-		objs := make([]*Obj, n)
-		for i := range objs {
-			objs[i] = h.AllocObj(sh, 3)
-		}
-		// Random edges.
-		for i := range objs {
-			for f := 0; f < 3; f++ {
-				if rng.Intn(2) == 0 {
-					h.WriteField(objs[i], f, RefVal(objs[rng.Intn(n)]))
+			const n = 120
+			objs := make([]*Obj, n)
+			for i := range objs {
+				objs[i] = h.AllocObj(sh, 3)
+			}
+			// Random edges.
+			for i := range objs {
+				for f := 0; f < 3; f++ {
+					if rng.Intn(2) == 0 {
+						h.WriteField(objs[i], f, RefVal(objs[rng.Intn(n)]))
+					}
 				}
 			}
-		}
-		// Random roots.
-		var roots []*Obj
-		for _, o := range objs {
-			if rng.Intn(4) == 0 {
-				roots = append(roots, o)
+			// Random roots.
+			var roots []*Obj
+			for _, o := range objs {
+				if rng.Intn(4) == 0 {
+					roots = append(roots, o)
+				}
 			}
-		}
-		h.AddRoots(RootFunc(func(visit func(*Obj)) {
-			for _, o := range roots {
-				visit(o)
-			}
-		}))
+			h.AddRoots(RootFunc(func(visit func(*Obj)) {
+				for _, o := range roots {
+					visit(o)
+				}
+			}))
 
-		// Expected reachability via independent BFS over Go pointers.
-		reach := map[*Obj]bool{}
-		queue := append([]*Obj(nil), roots...)
-		for len(queue) > 0 {
-			o := queue[0]
-			queue = queue[1:]
-			if reach[o] {
+			// Expected reachability via independent BFS over Go pointers.
+			reach := map[*Obj]bool{}
+			var reachBytes uint64
+			queue := append([]*Obj(nil), roots...)
+			for len(queue) > 0 {
+				o := queue[0]
+				queue = queue[1:]
+				if reach[o] {
+					continue
+				}
+				reach[o] = true
+				reachBytes += o.Size()
+				for _, v := range o.Fields {
+					if v.Kind == KindRef && v.O != nil && !reach[v.O] {
+						queue = append(queue, v.O)
+					}
+				}
+			}
+
+			h.Major()
+			if !debug {
+				if live := h.Stats().LiveAtMajor; live != reachBytes || h.OldBytes() != reachBytes {
+					t.Logf("seed %d: %d bytes live at major, %d old, %d reachable", seed, live, h.OldBytes(), reachBytes)
+					return false
+				}
+				return true
+			}
+			for _, o := range objs {
+				if o.Live() != reach[o] {
+					t.Logf("seed %d: object live=%v reachable=%v", seed, o.Live(), reach[o])
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("debug=%v: %v", debug, err)
+		}
+	}
+}
+
+// freeCounter is a Tracer that counts what it is told.
+type freeCounter struct{ allocs, frees int }
+
+func (c *freeCounter) TraceAlloc(*Obj, AllocKind) { c.allocs++ }
+func (c *freeCounter) TraceFree(*Obj)             { c.frees++ }
+
+// simulate runs one random program of allocations, stores, drops and
+// collections on h and returns what the heap and its machine counted. The
+// program also stores back objects it dropped earlier, whether or not a
+// collection has found them dead since, as a VM holding a value no root
+// reports does. traceAt attaches a freeCounter before that step (-1:
+// never).
+func simulate(h *Heap, s *testStream, seed int64, traceAt int) (Stats, cpu.Counters, *freeCounter) {
+	rng := rand.New(rand.NewSource(seed))
+	obj, str, vec := h.NewShape("obj", 2), h.NewShape("str", 0), h.NewShape("vec", 0)
+	// The objects in slots are the roots; each is reachable from its
+	// allocation on, so the program only ever accesses live objects.
+	var slots [16]*Obj
+	var dropped []*Obj
+	h.AddRoots(RootFunc(func(visit func(*Obj)) {
+		for _, o := range slots {
+			visit(o)
+		}
+	}))
+	drop := func(i int) {
+		if slots[i] != nil {
+			dropped = append(dropped, slots[i])
+			if len(dropped) > 64 {
+				dropped = dropped[1:]
+			}
+		}
+		slots[i] = nil
+	}
+	tr := &freeCounter{}
+	for step := 0; step < 6000; step++ {
+		if step == traceAt {
+			h.SetTracer(tr)
+		}
+		i := rng.Intn(len(slots))
+		switch r := rng.Intn(100); {
+		case r < 35:
+			drop(i)
+			switch rng.Intn(3) {
+			case 0:
+				slots[i] = h.AllocObj(obj, 2)
+			case 1:
+				slots[i] = h.AllocBytes(str, rng.Intn(200))
+			default:
+				slots[i] = h.AllocElems(vec, 0, rng.Intn(12))
+			}
+		case r < 80:
+			o := slots[i]
+			if o == nil || o.Shape == str {
 				continue
 			}
-			reach[o] = true
-			for _, v := range o.Fields {
-				if v.Kind == KindRef && v.O != nil && !reach[v.O] {
-					queue = append(queue, v.O)
-				}
+			var v Value
+			switch k := rng.Intn(10); {
+			case k < 3:
+				v = RefVal(h.AllocObj(obj, 2))
+			case k < 6:
+				v = RefVal(slots[rng.Intn(len(slots))])
+			case k < 8 && len(dropped) > 0:
+				v = RefVal(dropped[rng.Intn(len(dropped))])
+			default:
+				v = IntVal(int64(k))
 			}
-		}
-
-		h.Major()
-		for _, o := range objs {
-			if o.Live() != reach[o] {
-				t.Logf("seed %d: object live=%v reachable=%v", seed, o.Live(), reach[o])
-				return false
+			if o.Shape == obj {
+				h.WriteField(o, rng.Intn(2), v)
+			} else {
+				h.AppendElem(o, v)
 			}
+		case r < 95:
+			drop(i)
+		case r < 98:
+			h.Minor()
+		default:
+			h.Major()
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	h.Major()
+	return h.Stats(), s.Total(), tr
+}
+
+// TestDebugHeapSimulatesTheSame: Debug and a tracer add per-object lists
+// beside the generation counts and change nothing simulated. The same
+// program on a default heap, a Debug heap, a heap traced from its first
+// allocation and one traced from midway (as the recorder attaches after VM
+// bootstrap) gives equal statistics and equal machine totals, cycles
+// compared by bits.
+func TestDebugHeapSimulatesTheSame(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		h0, s0 := testHeap(false)
+		base, baseTotal, _ := simulate(h0, s0, seed, -1)
+		if base.Major == 0 || base.CollectedYoung == 0 || base.PromotedBytes == 0 {
+			t.Fatalf("seed %d: the program exercised too little: %+v", seed, base)
+		}
+		for _, v := range []struct {
+			name    string
+			debug   bool
+			traceAt int
+		}{{"debug", true, -1}, {"traced", false, 0}, {"traced from midway", false, 3000}} {
+			h, s := testHeap(v.debug)
+			st, total, tr := simulate(h, s, seed, v.traceAt)
+			if st != base {
+				t.Errorf("seed %d, %s heap: stats %+v, default heap %+v", seed, v.name, st, base)
+			}
+			if math.Float64bits(total.Cycles) != math.Float64bits(baseTotal.Cycles) {
+				t.Errorf("seed %d, %s heap: %v cycles, default heap %v", seed, v.name, total.Cycles, baseTotal.Cycles)
+			}
+			want := baseTotal
+			total.Cycles, want.Cycles = 0, 0
+			if total != want {
+				t.Errorf("seed %d, %s heap: machine totals %+v, default heap %+v", seed, v.name, total, want)
+			}
+			if v.traceAt >= 0 && (tr.allocs == 0 || tr.frees == 0) {
+				t.Errorf("seed %d, %s heap: tracer saw %d allocations and %d deaths", seed, v.name, tr.allocs, tr.frees)
+			}
+		}
 	}
 }
 

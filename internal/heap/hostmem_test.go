@@ -22,7 +22,8 @@ func noDead(t *testing.T, what string, arr []*Obj) {
 // the heap's own backing arrays may keep it reachable — the host collector
 // has to be able to free what the simulated one freed.
 func TestSweptObjectsUnpinned(t *testing.T) {
-	h, _ := testHeap(false)
+	// A Debug heap: only a death consumer makes the heap list objects.
+	h, _ := testHeap(true)
 	sh := h.NewShape("node", 1)
 	var keep []*Obj
 	h.AddRoots(RootFunc(func(visit func(*Obj)) {
@@ -84,6 +85,49 @@ func hostFreed(ch <-chan struct{}) bool {
 		return true
 	case <-time.After(2 * time.Second):
 		return false
+	}
+}
+
+// TestDeadYoungFreedBeforeMinor: the nursery is a count, not a list, so a
+// young object the guest drops is the Go collector's at once, before any
+// simulated minor collection.
+func TestDeadYoungFreedBeforeMinor(t *testing.T) {
+	h, _ := testHeap(false)
+	sh := h.NewShape("node", 1)
+	dead := finalized(h.AllocObj(sh, 1))
+	if !hostFreed(dead) {
+		t.Error("a dead nursery object is held on the host until a minor collection")
+	}
+	if n := h.Stats().Minor; n != 0 {
+		t.Fatalf("%d minor collections ran", n)
+	}
+	runtime.KeepAlive(h)
+}
+
+// TestDeadOldFreedBeforeMajor: nor is the old generation a list, so an
+// object a minor collection promoted and the guest then drops is freed on
+// the host before any major collection, which still counts it dead.
+func TestDeadOldFreedBeforeMajor(t *testing.T) {
+	h, _ := testHeap(false)
+	sh := h.NewShape("node", 1)
+	var root *Obj
+	h.AddRoots(RootFunc(func(visit func(*Obj)) { visit(root) }))
+	root = h.AllocObj(sh, 1)
+	dead := finalized(root)
+	h.Minor()
+	if !root.Old() || h.OldBytes() != root.Size() {
+		t.Fatalf("not promoted: old=%v, %d old bytes", root.Old(), h.OldBytes())
+	}
+	root = nil
+	if !hostFreed(dead) {
+		t.Error("a dead old object is held on the host until a major collection")
+	}
+	if n := h.Stats().Major; n != 0 {
+		t.Fatalf("%d major collections ran", n)
+	}
+	h.Major()
+	if h.OldBytes() != 0 {
+		t.Errorf("%d old bytes after the major collection, want 0", h.OldBytes())
 	}
 }
 

@@ -46,6 +46,10 @@ type Obj struct {
 	live      bool
 	mark      uint32 // epoch of last GC that reached this object
 	inRemset  bool
+	// oldAt is the number of major collections run when the object was
+	// promoted or last survived one: it is counted in the old generation
+	// while this equals the heap's count.
+	oldAt uint32
 }
 
 // Addr returns the object's current simulated address (it changes when the
@@ -63,8 +67,10 @@ func (o *Obj) Size() uint64 { return o.size }
 func (o *Obj) Old() bool { return o.gen == 1 }
 
 // Live reports whether the object was reachable at the last collection
-// that examined it. Dead-object access is a VM bug; the heap's debug mode
-// panics on it.
+// that examined it. A collection examines an object one by one only under
+// Config.Debug or an attached Tracer (heap.go); otherwise the flag stays
+// set and a dead object simply becomes garbage on the host. Dead-object
+// access is a VM bug; the heap's debug mode panics on it.
 func (o *Obj) Live() bool { return o.live }
 
 // FieldAddr returns the simulated address of field i.

@@ -75,7 +75,9 @@ func TestRootsFollowRegisterFileTransfers(t *testing.T) {
 			}
 		}
 		eng.H.Minor()
-		if !o.Live() {
+		// The pair is young until a collection reaches it; a minor
+		// collection promotes every young object it reaches.
+		if !o.Old() {
 			t.Fatalf("call %d: argument died in a collection forced mid-Execute", inTrace)
 		}
 		cur := eng.active[len(eng.active)-1]

@@ -118,28 +118,41 @@ func (w *WorkMeter) OnAnnotation(a core.Annotation, instrs, cycles uint64) {
 }
 
 // AOTAttributor accumulates cycles spent in AOT-compiled functions called
-// from JIT code, keyed by function ID (Table III). Nested AOT calls
-// attribute to the outermost entry point, matching the paper ("time spent
-// in called functions is counted as part of these entry points").
+// from JIT code, by function ID (Table III). Nested AOT calls attribute to
+// the outermost entry point, matching the paper ("time spent in called
+// functions is counted as part of these entry points").
 type AOTAttributor struct {
-	// CyclesByFunc maps AOT function ID to cycles attributed.
-	CyclesByFunc map[uint32]float64
-	// CallsByFunc counts calls per function.
-	CallsByFunc map[uint32]uint64
+	// funcs is indexed by function ID: aot.Runtime numbers its functions
+	// densely from 1, so a slice holds them without a map lookup per call.
+	funcs []aotTally
 
 	depth      int
 	curFunc    uint32
 	enterCycle uint64
 }
 
+// aotTally is one function's outermost calls and the cycles of those that
+// returned.
+type aotTally struct {
+	cycles, calls uint64
+	returned      bool
+}
+
 // NewAOTAttributor attaches an attributor to m.
 func NewAOTAttributor(m *cpu.Machine) *AOTAttributor {
-	a := &AOTAttributor{
-		CyclesByFunc: map[uint32]float64{},
-		CallsByFunc:  map[uint32]uint64{},
-	}
+	a := &AOTAttributor{}
 	m.Observe(a, core.TagAOTCallEnter, core.TagAOTCallLeave)
 	return a
+}
+
+// Func returns the cycles attributed to function id and the outermost
+// calls made to it; ok is false until one of those calls has returned.
+func (a *AOTAttributor) Func(id uint32) (cycles, calls uint64, ok bool) {
+	if int(id) >= len(a.funcs) {
+		return 0, 0, false
+	}
+	f := &a.funcs[id]
+	return f.cycles, f.calls, f.returned
 }
 
 // OnAnnotation implements core.Observer.
@@ -149,13 +162,18 @@ func (a *AOTAttributor) OnAnnotation(an core.Annotation, instrs, cycles uint64) 
 		if a.depth == 0 {
 			a.curFunc = uint32(an.Arg)
 			a.enterCycle = cycles
-			a.CallsByFunc[a.curFunc]++
+			if n := int(a.curFunc) + 1; n > len(a.funcs) {
+				a.funcs = append(a.funcs, make([]aotTally, n-len(a.funcs))...)
+			}
+			a.funcs[a.curFunc].calls++
 		}
 		a.depth++
 	case core.TagAOTCallLeave:
 		a.depth--
 		if a.depth == 0 {
-			a.CyclesByFunc[a.curFunc] += float64(cycles - a.enterCycle)
+			f := &a.funcs[a.curFunc]
+			f.cycles += cycles - a.enterCycle
+			f.returned = true
 		}
 		if a.depth < 0 {
 			a.depth = 0

@@ -105,17 +105,21 @@ func TestAOTAttributorNestedCalls(t *testing.T) {
 	m.Annot(core.TagAOTCallLeave, 9)
 	m.Annot(core.TagAOTCallLeave, 7)
 
-	if a.CallsByFunc[7] != 1 {
-		t.Errorf("outer calls = %d", a.CallsByFunc[7])
+	if cycles, calls, ok := a.Func(7); !ok || calls != 1 || cycles == 0 {
+		t.Errorf("outer entry: %d cycles, %d calls, returned %v; want cycles, 1 call, returned", cycles, calls, ok)
 	}
-	if a.CallsByFunc[9] != 0 {
-		t.Errorf("nested call counted separately: %d", a.CallsByFunc[9])
+	if cycles, calls, ok := a.Func(9); ok || calls != 0 || cycles != 0 {
+		t.Errorf("nested entry attributed separately: %d cycles, %d calls, returned %v", cycles, calls, ok)
 	}
-	if a.CyclesByFunc[7] <= 0 {
-		t.Errorf("no cycles attributed to outer")
+
+	// A call still running is counted but not yet attributed; an ID no
+	// call has used has nothing.
+	m.Annot(core.TagAOTCallEnter, 12)
+	if cycles, calls, ok := a.Func(12); ok || calls != 1 || cycles != 0 {
+		t.Errorf("running call: %d cycles, %d calls, returned %v", cycles, calls, ok)
 	}
-	if a.CyclesByFunc[9] != 0 {
-		t.Errorf("cycles attributed to nested entry")
+	if _, _, ok := a.Func(1000); ok {
+		t.Error("an unused ID reports a returned call")
 	}
 }
 
@@ -147,7 +151,7 @@ func TestToolsRegisterForEveryTagTheyRead(t *testing.T) {
 
 	pt2 := &PhaseTracker{m: all, cur: core.PhaseInterp}
 	wm2 := &WorkMeter{m: all}
-	at2 := &AOTAttributor{CyclesByFunc: map[uint32]float64{}, CallsByFunc: map[uint32]uint64{}}
+	at2 := &AOTAttributor{}
 	all.Observe(pt2)
 	all.Observe(wm2)
 	all.Observe(at2)
@@ -171,8 +175,10 @@ func TestToolsRegisterForEveryTagTheyRead(t *testing.T) {
 	if wm.Bytecodes != wm2.Bytecodes || wm.Bytecodes != 9 {
 		t.Errorf("bytecodes: %d routed, %d unrouted, want 9", wm.Bytecodes, wm2.Bytecodes)
 	}
-	if at.CallsByFunc[3] != at2.CallsByFunc[3] || at.CallsByFunc[3] != 3 {
-		t.Errorf("AOT calls: %d routed, %d unrouted, want 3", at.CallsByFunc[3], at2.CallsByFunc[3])
+	_, calls, _ := at.Func(3)
+	_, calls2, _ := at2.Func(3)
+	if calls != calls2 || calls != 3 {
+		t.Errorf("AOT calls: %d routed, %d unrouted, want 3", calls, calls2)
 	}
 	want := TraceEventCounter{
 		Compiled: seen[core.TagTraceCompiled], Aborts: seen[core.TagTraceAbort],
