@@ -48,7 +48,8 @@ allocs:
 # interface creeping back between them would show here first (DESIGN.md
 # "Executor"). It also holds the interpreter's fused dispatch to one call
 # per bytecode: the cache, BTB and gshare models inline into the fused
-# cpu.Machine entries, and the table-address helper and its reciprocal
+# cpu.Machine entries, the cache model into Load and Store and gshare
+# into OpsBranch (the compiled guard), and the table-address helper and its reciprocal
 # modulus into mtjit.Machine.Dispatch (DESIGN.md "The interpreter's
 # retire path"). And it holds the guest handlers to the one concrete
 # mtjit.Machine: its small operations, Const and KindOf, inline into
@@ -73,6 +74,9 @@ inline:
 	inlined internal/cpu/machine.go 'func (m *Machine) OpsLoads(' '(*cache).access' && \
 	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*btb).predict' && \
 	inlined internal/cpu/machine.go 'func (m *Machine) Dispatch(' '(*gshare).predict' && \
+	inlined internal/cpu/machine.go 'func (m *Machine) OpsBranch(' '(*gshare).predict' && \
+	inlined internal/cpu/machine.go 'func (m *Machine) Load(' '(*cache).access' && \
+	inlined internal/cpu/machine.go 'func (m *Machine) Store(' '(*cache).access' && \
 	inlined internal/mtjit/machine.go 'func (m *Machine) Dispatch(' '(*DirectMachine).tableAddr' && \
 	inlined internal/mtjit/machine.go 'func (m *Machine) Dispatch(' 'divisor.mod' && \
 	inlined internal/pylang/ops.go 'func (vm *VM) normIndex(' 'mtjit.(*Machine).Const' && \

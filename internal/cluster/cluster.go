@@ -52,7 +52,7 @@ func (id CellID) Short() string { return hex.EncodeToString(id[:4]) }
 // testdata/ring_golden.txt. It is never zero, and every canonical Spec
 // encoding starts with the high zero byte of Bench's length, so no
 // address can equal an unversioned one (DESIGN.md §11).
-const specVersion = 3
+const specVersion = 4
 
 // IDOf content-addresses a cell. The canonical encoding walks the Spec
 // reflectively (see canonicalAppend), so the address covers exactly what

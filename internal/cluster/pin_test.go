@@ -16,6 +16,7 @@ import (
 // moving specVersion serves stale numbers under live addresses.
 var resultDigests = map[byte]string{
 	3: "1991c66d1f34965aae495a789a95d3740507aa4db79ee76fbf1e300182b71c64",
+	4: "fcbb004e1fb14a24a76c1b633e72082bedc27c8df61606d8d955c5db303971c9",
 }
 
 // canaries are short cells over every guest family: fasta runs on every

@@ -6,7 +6,6 @@ package cpu
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -21,8 +20,8 @@ func TestStoreL2MissChargesBothLevels(t *testing.T) {
 	m := NewDefault()
 	m.Store(0x1000) // cold caches: misses L1 and L2
 	p := m.Params()
-	want := p.IssueCost[isa.Store] + (p.L1MissPenalty+p.L2MissPenalty)*0.5
-	if got := m.Total().Cycles; math.Abs(got-want) > 1e-12 {
+	want := CyclesOf(Units(p.IssueCost[isa.Store]) + Units(p.L1MissPenalty+p.L2MissPenalty)/2)
+	if got := m.Total().Cycles; got != want {
 		t.Fatalf("L2-miss store cycles = %v, want %v (L1+L2 components, half-hidden)", got, want)
 	}
 	if tot := m.Total(); tot.L1Miss != 1 || tot.L2Miss != 1 {
@@ -42,11 +41,11 @@ func TestStoreL2HitChargesL1Component(t *testing.T) {
 		alias += uint64(p.L1Size)
 	}
 	m.Load(alias) // evicts 0x1000 from L1 (same set), L2 keeps it
-	before := m.Total().Cycles
+	before := m.totUnits
 	m.Store(0x1000)
-	got := m.Total().Cycles - before
-	want := p.IssueCost[isa.Store] + p.L1MissPenalty*0.5
-	if math.Abs(got-want) > 1e-9 {
+	got := m.totUnits - before
+	want := Units(p.IssueCost[isa.Store]) + Units(p.L1MissPenalty)/2
+	if got != want {
 		t.Fatalf("L2-hit store cycles = %v, want %v", got, want)
 	}
 }
@@ -69,16 +68,14 @@ func TestBlockMatchesOps(t *testing.T) {
 	if tb.ClassCounts != to.ClassCounts {
 		t.Fatalf("ClassCounts diverge: %v vs %v", tb.ClassCounts, to.ClassCounts)
 	}
-	if math.Abs(tb.Cycles-to.Cycles) > 1e-9 {
+	if tb.Cycles != to.Cycles {
 		t.Fatalf("Cycles: block %v vs ops %v", tb.Cycles, to.Cycles)
 	}
 }
 
 // TestRunningTotalsMatchPhaseSums drives a mixed-phase stream through
 // every retire path and checks the O(1) running totals against the
-// grouped per-phase sums: integer-exact for instructions, and within
-// float rounding for cycles (the two sums accumulate in different
-// orders).
+// grouped per-phase sums. Both are integers, so they are equal.
 func TestRunningTotalsMatchPhaseSums(t *testing.T) {
 	m := NewDefault()
 	rng := rand.New(rand.NewSource(7))
@@ -108,8 +105,13 @@ func TestRunningTotalsMatchPhaseSums(t *testing.T) {
 	if m.TotalInstrs() != tot.Instrs {
 		t.Fatalf("TotalInstrs = %d, phase sum = %d", m.TotalInstrs(), tot.Instrs)
 	}
-	if d := math.Abs(m.TotalCycles() - tot.Cycles); d > 1e-6*tot.Cycles {
-		t.Fatalf("TotalCycles = %v, phase sum = %v (diff %v)", m.TotalCycles(), tot.Cycles, d)
+	var units uint64
+	for i := range m.byPhase {
+		units += m.byPhase[i].Units
+	}
+	if m.totUnits != units || m.TotalCycles() != tot.Cycles {
+		t.Fatalf("running total %d units (%v cycles), phase sum %d units (%v cycles)",
+			m.totUnits, m.TotalCycles(), units, tot.Cycles)
 	}
 }
 
@@ -131,7 +133,7 @@ func TestPhaseViewAliasesLiveCounters(t *testing.T) {
 		t.Fatalf("view crossed phases: interp %+v gc %+v", *interp, *gc)
 	}
 	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-		if *m.PhaseView(ph) != m.PhaseCounters(ph) {
+		if m.PhaseView(ph).Read() != m.PhaseCounters(ph) {
 			t.Fatalf("phase %s: view and by-value read disagree", ph)
 		}
 	}
@@ -155,11 +157,25 @@ func TestAnnotDetachedIsOneNop(t *testing.T) {
 	if got := m.PhaseCounters(core.PhaseJIT); got != want {
 		t.Fatalf("detached Annot touched more than the nop:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := m.TotalCycles(), float64(runs)*m.Params().IssueCost[isa.Nop]; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("detached Annot cycles = %v, want %d nops = %v", got, runs, want)
+	if got, want := m.totUnits, runs*Units(m.Params().IssueCost[isa.Nop]); got != want {
+		t.Fatalf("detached Annot units = %d, want %d nops = %d", got, runs, want)
 	}
 	if got := m.Total(); got != m.PhaseCounters(core.PhaseJIT) {
 		t.Fatalf("detached Annot retired outside the current phase: %+v", got)
+	}
+}
+
+// TestShippedCostsAreWholeUnits: every cost of the shipped
+// configurations converts to units without rounding, so the machine
+// charges exactly the cost the parameters state.
+func TestShippedCostsAreWholeUnits(t *testing.T) {
+	for name, p := range map[string]Params{"default": DefaultParams(), "static": StaticPredictorParams()} {
+		costs := append(p.IssueCost[:], p.MispredictPenalty, p.LoadUseStall, p.L1MissPenalty, p.L2MissPenalty)
+		for i, c := range costs {
+			if CyclesOf(Units(c)) != c {
+				t.Errorf("%s cost %d = %v is not a whole number of units", name, i, c)
+			}
+		}
 	}
 }
 
@@ -201,6 +217,15 @@ func TestParamsNormalized(t *testing.T) {
 		if n.GShareBits != MaxPredictorBits || n.BTBBits != MaxPredictorBits || n.HistoryBits != 64 {
 			t.Fatalf("got gshare %d btb %d history %d bits, want %d/%d/64",
 				n.GShareBits, n.BTBBits, n.HistoryBits, MaxPredictorBits, MaxPredictorBits)
+		}
+	})
+	t.Run("costs round to the unit", func(t *testing.T) {
+		p := DefaultParams()
+		p.IssueCost[isa.ALU], p.LoadUseStall, p.MispredictPenalty = 0.2504, 0.3496, -2
+		n := p.Normalized()
+		if n.IssueCost[isa.ALU] != 0.25 || n.LoadUseStall != 0.35 || n.MispredictPenalty != 0 {
+			t.Fatalf("got ALU %v, load-use %v, mispredict %v; want 0.25, 0.35, 0",
+				n.IssueCost[isa.ALU], n.LoadUseStall, n.MispredictPenalty)
 		}
 	})
 	t.Run("negative RAS depth clamps", func(t *testing.T) {
@@ -349,14 +374,9 @@ func BenchmarkMachineAnnot(b *testing.B) {
 }
 
 // TestOpsBranchMatchesOpsThenBranch: the fused guard retire is Ops(ALU, n)
-// followed by Branch(pc, taken) bit for bit — every counter of every phase,
-// both cycle accumulators and the predictor — over seeded sequences with
-// n == 0 and phase switches between calls. Equality is exact: float64
-// accumulation is order-sensitive and the fused form must keep the order.
-// The sequences are many and short because the order shows where the
-// accumulators are small: adding the two costs as one sum differs in the
-// last bit within a few of these sequences, and almost never once the
-// totals are large.
+// followed by Branch(pc, taken) exactly — every counter of every phase,
+// the running totals and the predictor — over seeded sequences with
+// n == 0 and phase switches between calls.
 func TestOpsBranchMatchesOpsThenBranch(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	phases := []core.Phase{core.PhaseJIT, core.PhaseInterp, core.PhaseBlackhole}
@@ -439,8 +459,7 @@ func newFusedPair() *fusedPair {
 }
 
 // interleave makes the same random phase switch and other retire on both
-// machines, so the accumulators hold values whose low bits a reordering
-// would disturb and the models hold state the fused entry must continue.
+// machines, so the models hold state the fused entry must continue.
 func (p *fusedPair) interleave(rng *rand.Rand) {
 	if rng.Intn(5) == 0 {
 		ph := core.Phase(rng.Intn(int(core.NumPhases)))
@@ -476,7 +495,7 @@ func tableAddrs(rng *rand.Rand, n int) []uint64 {
 	return loads
 }
 
-// check fails unless the two machines agree to the bit: every counter of
+// check fails unless the two machines agree exactly: every counter of
 // every phase, both running totals, every model's state and the totals
 // the dispatch observer was handed.
 func (p *fusedPair) check(t *testing.T, seq int) {
@@ -504,9 +523,8 @@ func (p *fusedPair) check(t *testing.T, seq int) {
 }
 
 // TestDispatchMatchesSplit: the fused dispatch retire is Annot, Ops, the
-// loads, Indirect and the branches bit for bit, with an observer on the
-// dispatch tag that switches the phase mid-dispatch. Equality is exact,
-// for the reason TestOpsBranchMatchesOpsThenBranch gives.
+// loads, Indirect and the branches exactly, with an observer on the
+// dispatch tag that switches the phase mid-dispatch.
 func TestDispatchMatchesSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	flips, empty := 0, 0

@@ -42,6 +42,21 @@ func (c *Counters) Add(o Counters) {
 	}
 }
 
+// Domain is one accounting domain as the machine keeps it: the counters,
+// with the cycles as a whole number of Units instead of in Cycles, which
+// the machine leaves zero. Read converts them once.
+type Domain struct {
+	Counters
+	Units uint64
+}
+
+// Read returns the domain's counters with Cycles converted from Units.
+func (d *Domain) Read() Counters {
+	c := d.Counters
+	c.Cycles = CyclesOf(d.Units)
+	return c
+}
+
 // IPC returns retired instructions per cycle.
 func (c Counters) IPC() float64 {
 	if c.Cycles == 0 {
@@ -91,19 +106,20 @@ func (c Counters) MPKI() float64 {
 // interface in between would prevent (`make inline` checks it).
 type Machine struct {
 	p Params
+	// The costs in units, converted once by New: per class, a mispredict,
+	// a load that hits L1 (issue and load-use stall), and what an access
+	// adds when it misses L1 and hits L2 (l2Hit) or misses both (l2Miss).
+	issue                              [isa.NumClasses]uint64
+	mispredict, loadHit, l2Hit, l2Miss uint64
 
 	phase   core.Phase
-	cur     *Counters // &byPhase[phase], refreshed by SetPhase
-	byPhase [core.NumPhases]Counters
+	cur     *Domain // &byPhase[phase], refreshed by SetPhase
+	byPhase [core.NumPhases]Domain
 
 	// Running whole-run totals maintained at retire time so TotalInstrs
-	// and TotalCycles (hit once per dispatch annotation) do not rescan
-	// every phase. totCycles accumulates in retire order, while the
-	// per-phase Cycles sum groups by phase; the two can differ by float64
-	// rounding at the last bit. Exact whole-run accounting (Total, and
-	// everything derived from Result) therefore still sums byPhase.
-	totInstrs uint64
-	totCycles float64
+	// and the totals an annotation hands its observers do not rescan
+	// every phase. Units are integers, so both equal the phase sums.
+	totInstrs, totUnits uint64
 
 	// The predictor and cache models are held by value: a retire reaches
 	// their tables through m, without a pointer load per model.
@@ -136,6 +152,13 @@ func New(p Params) *Machine {
 		byTag:    make([][]core.Observer, core.NumBuiltinTags),
 		registry: core.NewRegistry(),
 	}
+	for c, cost := range m.p.IssueCost {
+		m.issue[c] = Units(cost)
+	}
+	m.mispredict = Units(m.p.MispredictPenalty)
+	m.loadHit = m.issue[isa.Load] + Units(m.p.LoadUseStall)
+	m.l2Hit = Units(m.p.L1MissPenalty)
+	m.l2Miss = m.l2Hit + Units(m.p.L2MissPenalty)
 	m.bp = newGShare(m.p.GShareBits, m.p.HistoryBits)
 	m.btb = newBTB(m.p.BTBBits)
 	m.ras = newRAS(m.p.RASDepth)
@@ -193,144 +216,126 @@ func (m *Machine) SetPhase(p core.Phase) {
 func (m *Machine) Phase() core.Phase { return m.phase }
 
 // PhaseCounters returns the accumulated counters of one phase.
-func (m *Machine) PhaseCounters(p core.Phase) Counters { return m.byPhase[p] }
+func (m *Machine) PhaseCounters(p core.Phase) Counters { return m.byPhase[p].Read() }
 
-// PhaseView returns a read-only view of one phase's live counters: the
+// PhaseView returns a read-only view of one phase's live domain: the
 // pointee advances as instructions retire into that phase. It exists for
 // per-annotation observers, which cannot afford a Counters copy per
 // event; callers must not write through it.
-func (m *Machine) PhaseView(p core.Phase) *Counters { return &m.byPhase[p] }
+func (m *Machine) PhaseView(p core.Phase) *Domain { return &m.byPhase[p] }
 
-// Total returns counters summed over all phases.
+// Total returns counters summed over all phases, the cycles in units.
 func (m *Machine) Total() Counters {
-	var t Counters
+	var t Domain
 	for i := range m.byPhase {
-		t.Add(m.byPhase[i])
+		t.Counters.Add(m.byPhase[i].Counters)
+		t.Units += m.byPhase[i].Units
 	}
-	return t
+	return t.Read()
 }
 
 // TotalInstrs returns total retired instructions (cheap, for sampling).
 func (m *Machine) TotalInstrs() uint64 { return m.totInstrs }
 
-// TotalCycles returns total elapsed cycles, accumulated in retire order
-// (may differ from the per-phase grouped sum in the last float64 bit).
-func (m *Machine) TotalCycles() float64 { return m.totCycles }
+// TotalCycles returns total elapsed cycles: Total().Cycles, exactly.
+func (m *Machine) TotalCycles() float64 { return CyclesOf(m.totUnits) }
 
 // Ops retires n straight-line instructions of class c. c must not be a
 // branch class.
 func (m *Machine) Ops(c isa.Class, n int) {
-	d := m.cur
-	un := uint64(n)
-	d.Instrs += un
+	d, un := m.cur, uint64(n)
 	d.ClassCounts[c] += un
-	cyc := m.p.IssueCost[c] * float64(n)
-	d.Cycles += cyc
-	m.totInstrs += un
-	m.totCycles += cyc
+	m.retire(d, un, m.issue[c]*un)
+}
+
+// retire adds n instructions costing u units to d and to the running
+// totals.
+func (m *Machine) retire(d *Domain, n, u uint64) {
+	d.Instrs += n
+	d.Units += u
+	m.totInstrs += n
+	m.totUnits += u
 }
 
 // Block retires a precomputed straight-line mix in one call instead of
 // one Ops call per class.
 func (m *Machine) Block(b *isa.Block) {
 	d := m.cur
-	var cyc float64
+	var u uint64
 	for _, cc := range b.Mix {
 		d.ClassCounts[cc.Class] += uint64(cc.N)
-		cyc += m.p.IssueCost[cc.Class] * float64(cc.N)
+		u += m.issue[cc.Class] * uint64(cc.N)
 	}
-	d.Instrs += b.Total
-	d.Cycles += cyc
-	m.totInstrs += b.Total
-	m.totCycles += cyc
+	m.retire(d, b.Total, u)
 }
 
 // Load retires one load from the simulated address addr.
 func (m *Machine) Load(addr uint64) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Load]++
 	d.Loads++
-	cyc := m.p.IssueCost[isa.Load] + m.p.LoadUseStall
+	u := m.loadHit
 	if !m.l1.access(addr) {
 		d.L1Miss++
 		if m.l2.access(addr) {
-			cyc += m.p.L1MissPenalty
+			u += m.l2Hit
 		} else {
 			d.L2Miss++
-			cyc += m.p.L1MissPenalty + m.p.L2MissPenalty
+			u += m.l2Miss
 		}
 	}
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, u)
 }
 
 // Store retires one store to the simulated address addr. Store misses are
-// charged half the load miss penalty: the store buffer hides most of the
-// latency, but a miss still occupies a fill buffer and delays retirement.
+// charged half the load miss penalty, rounded down to a unit: the store
+// buffer hides most of the latency, but a miss still occupies a fill
+// buffer and delays retirement. An L2 miss pays the full path to memory,
+// the L1 component plus the L2 component, both half-hidden.
 func (m *Machine) Store(addr uint64) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Store]++
 	d.Stores++
-	cyc := m.p.IssueCost[isa.Store]
+	u := m.issue[isa.Store]
 	if !m.l1.access(addr) {
 		d.L1Miss++
 		if m.l2.access(addr) {
-			cyc += m.p.L1MissPenalty * 0.5
+			u += m.l2Hit / 2
 		} else {
 			d.L2Miss++
-			// An L2 miss pays the full path to memory: the L1 component
-			// plus the L2 component, both half-hidden like the L2-hit case.
-			cyc += (m.p.L1MissPenalty + m.p.L2MissPenalty) * 0.5
+			u += m.l2Miss / 2
 		}
 	}
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, u)
 }
 
 // Branch retires a conditional direct branch at pc with the given outcome.
 func (m *Machine) Branch(pc uint64, taken bool) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Branch]++
 	d.CondBr++
-	cyc := m.p.IssueCost[isa.Branch]
+	u := m.issue[isa.Branch]
 	if !m.bp.predict(pc, taken) {
 		d.CondMiss++
-		cyc += m.p.MispredictPenalty
+		u += m.mispredict
 	}
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, u)
 }
 
 // OpsBranch retires n ALU instructions and then a conditional branch at pc
-// — a compiled guard's compare-and-branch — in one call. It is Ops(isa.ALU,
-// n) followed by Branch(pc, taken) to the bit: Cycles and the running
-// total each receive the same two additions in the same order, because
-// float64 accumulation of the non-dyadic issue costs is order-sensitive
-// and the totals feed every result.
+// — a compiled guard's compare-and-branch — in one call: Ops(isa.ALU, n)
+// followed by Branch(pc, taken).
 func (m *Machine) OpsBranch(n int, pc uint64, taken bool) {
-	d := m.cur
-	un := uint64(n)
-	d.Instrs += un + 1
+	d, un := m.cur, uint64(n)
 	d.ClassCounts[isa.ALU] += un
 	d.ClassCounts[isa.Branch]++
 	d.CondBr++
-	cyc := m.p.IssueCost[isa.ALU] * float64(n)
-	d.Cycles += cyc
-	m.totCycles += cyc
-	cyc = m.p.IssueCost[isa.Branch]
+	u := m.issue[isa.ALU]*un + m.issue[isa.Branch]
 	if !m.bp.predict(pc, taken) {
 		d.CondMiss++
-		cyc += m.p.MispredictPenalty
+		u += m.mispredict
 	}
-	d.Cycles += cyc
-	m.totInstrs += un + 1
-	m.totCycles += cyc
+	m.retire(d, un+1, u)
 }
 
 // CondBranch is one conditional branch of a Dispatch: its pc and outcome.
@@ -347,188 +352,138 @@ type CondBranch struct {
 //	Indirect(site, target)
 //	Branch(b.PC, b.Taken) for each b in brs
 //
-// to the bit, as OpsBranch is to its pair. The annotation retires and
-// reaches its observers first, and the phase is read again after them
-// (an observer may SetPhase). The rest keeps the phase's Cycles and the
-// running total in locals but adds each retire's cycles to both in the
-// split calls' order, because float64 accumulation of the non-dyadic
-// issue costs is order-sensitive and the totals feed every result.
+// The annotation retires and reaches its observers first, and the phase
+// is read again after them (an observer may SetPhase). The rest consults
+// the models in the split calls' order and retires as one sum.
 func (m *Machine) Dispatch(alu int, loads []uint64, site, target uint64, brs []CondBranch) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Nop]++
-	cyc := m.p.IssueCost[isa.Nop]
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, m.issue[isa.Nop])
 	if obs := m.byTag[core.TagDispatch]; len(obs) != 0 {
-		a, instrs, cycles := core.Annotation{Tag: core.TagDispatch, Arg: 1}, m.totInstrs, uint64(m.totCycles)
+		a, instrs, cycles := core.Annotation{Tag: core.TagDispatch, Arg: 1}, m.totInstrs, m.totUnits/UnitsPerCycle
 		for _, o := range obs {
 			o.OnAnnotation(a, instrs, cycles)
 		}
 	}
 
 	d = m.cur
-	nb := uint64(len(brs))
-	d.ClassCounts[isa.IndirectJump]++
-	d.IndBr++
-	d.ClassCounts[isa.Branch] += nb
-	d.CondBr += nb
 	// The ALU ops and the loads, as in OpsLoads. Written out rather than
 	// called: the call and the spills around it cost the fused dispatch a
 	// tenth of its host time.
-	un, nl := uint64(alu), uint64(len(loads))
-	d.Instrs += un + nl
+	un, nl, nb := uint64(alu), uint64(len(loads)), uint64(len(brs))
 	d.ClassCounts[isa.ALU] += un
 	d.ClassCounts[isa.Load] += nl
+	d.ClassCounts[isa.IndirectJump]++
+	d.ClassCounts[isa.Branch] += nb
 	d.Loads += nl
-	m.totInstrs += un + nl
-	cyc = m.p.IssueCost[isa.ALU] * float64(alu)
-	dc, tc := d.Cycles+cyc, m.totCycles+cyc
-	hit := m.p.IssueCost[isa.Load] + m.p.LoadUseStall
+	d.IndBr++
+	d.CondBr += nb
+	u := m.issue[isa.ALU]*un + m.loadHit*nl + m.issue[isa.IndirectJump] + m.issue[isa.Branch]*nb
 	for _, a := range loads {
-		cyc = hit
 		if !m.l1.access(a) {
 			d.L1Miss++
 			if m.l2.access(a) {
-				cyc += m.p.L1MissPenalty
+				u += m.l2Hit
 			} else {
 				d.L2Miss++
-				cyc += m.p.L1MissPenalty + m.p.L2MissPenalty
+				u += m.l2Miss
 			}
 		}
-		dc += cyc
-		tc += cyc
 	}
-	cyc = m.p.IssueCost[isa.IndirectJump]
 	if !m.btb.predict(site, target) {
 		d.IndMiss++
-		cyc += m.p.MispredictPenalty
+		u += m.mispredict
 	}
-	dc += cyc
-	tc += cyc
 	for _, b := range brs {
-		cyc = m.p.IssueCost[isa.Branch]
 		if !m.bp.predict(b.PC, b.Taken) {
 			d.CondMiss++
-			cyc += m.p.MispredictPenalty
+			u += m.mispredict
 		}
-		dc += cyc
-		tc += cyc
 	}
-	d.Instrs += 1 + nb
-	m.totInstrs += 1 + nb
-	d.Cycles = dc
-	m.totCycles = tc
+	m.retire(d, un+nl+1+nb, u)
 }
 
 // OpsLoads retires n ALU instructions and then one load at each address
 // of loads — an interpreter primitive's tag tests and table loads — in
-// one call. It is Ops(isa.ALU, n) followed by Load(a) for each a, to the
-// bit, as Dispatch is to its split calls.
+// one call: Ops(isa.ALU, n) followed by Load(a) for each a.
 func (m *Machine) OpsLoads(n int, loads []uint64) {
 	d := m.cur
 	un, nl := uint64(n), uint64(len(loads))
-	d.Instrs += un + nl
 	d.ClassCounts[isa.ALU] += un
 	d.ClassCounts[isa.Load] += nl
 	d.Loads += nl
-	m.totInstrs += un + nl
-	cyc := m.p.IssueCost[isa.ALU] * float64(n)
-	dc, tc := d.Cycles+cyc, m.totCycles+cyc
-	hit := m.p.IssueCost[isa.Load] + m.p.LoadUseStall
+	u := m.issue[isa.ALU]*un + m.loadHit*nl
 	for _, a := range loads {
-		cyc = hit
 		if !m.l1.access(a) {
 			d.L1Miss++
 			if m.l2.access(a) {
-				cyc += m.p.L1MissPenalty
+				u += m.l2Hit
 			} else {
 				d.L2Miss++
-				cyc += m.p.L1MissPenalty + m.p.L2MissPenalty
+				u += m.l2Miss
 			}
 		}
-		dc += cyc
-		tc += cyc
 	}
-	d.Cycles = dc
-	m.totCycles = tc
+	m.retire(d, un+nl, u)
 }
 
 // Indirect retires an indirect jump at pc to target (interpreter
 // dispatch, vtable dispatch).
 func (m *Machine) Indirect(pc, target uint64) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.IndirectJump]++
 	d.IndBr++
-	cyc := m.p.IssueCost[isa.IndirectJump]
+	u := m.issue[isa.IndirectJump]
 	if !m.btb.predict(pc, target) {
 		d.IndMiss++
-		cyc += m.p.MispredictPenalty
+		u += m.mispredict
 	}
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, u)
 }
 
 // CallDirect retires a direct call at pc (pushes the return-address
 // stack).
 func (m *Machine) CallDirect(pc uint64) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Call]++
-	cyc := m.p.IssueCost[isa.Call]
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, m.issue[isa.Call])
 	m.ras.push(pc + 4)
 }
 
 // CallIndirect retires an indirect call at pc to target.
 func (m *Machine) CallIndirect(pc, target uint64) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.IndirectCall]++
 	d.IndBr++
-	cyc := m.p.IssueCost[isa.IndirectCall]
+	u := m.issue[isa.IndirectCall]
 	if !m.btb.predict(pc, target) {
 		d.IndMiss++
-		cyc += m.p.MispredictPenalty
+		u += m.mispredict
 	}
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, u)
 	m.ras.push(pc + 4)
 }
 
 // Return retires a return (pops the return-address stack).
 func (m *Machine) Return() {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Ret]++
 	d.Returns++
-	cyc := m.p.IssueCost[isa.Ret]
+	u := m.issue[isa.Ret]
 	if !m.ras.pop() {
 		d.RetMiss++
-		cyc += m.p.MispredictPenalty
+		u += m.mispredict
 	}
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, u)
 }
 
 // Annot retires a tagged nop carrying a cross-layer annotation and hands
-// it, with the machine's current instruction and cycle totals, to the
-// observers registered for its tag.
+// it, with the machine's current instruction and whole-cycle totals, to
+// the observers registered for its tag.
 func (m *Machine) Annot(tag core.Tag, arg uint64) {
 	d := m.cur
-	d.Instrs++
 	d.ClassCounts[isa.Nop]++
-	cyc := m.p.IssueCost[isa.Nop]
-	d.Cycles += cyc
-	m.totInstrs++
-	m.totCycles += cyc
+	m.retire(d, 1, m.issue[isa.Nop])
 	obs := m.all
 	if int(tag) < len(m.byTag) {
 		obs = m.byTag[tag]
@@ -536,9 +491,7 @@ func (m *Machine) Annot(tag core.Tag, arg uint64) {
 	if len(obs) == 0 {
 		return
 	}
-	a := core.Annotation{Tag: tag, Arg: arg}
-	instrs := m.totInstrs
-	cycles := uint64(m.totCycles)
+	a, instrs, cycles := core.Annotation{Tag: tag, Arg: arg}, m.totInstrs, m.totUnits/UnitsPerCycle
 	for _, o := range obs {
 		o.OnAnnotation(a, instrs, cycles)
 	}

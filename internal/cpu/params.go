@@ -7,7 +7,23 @@
 // paper's PAPI/perf measurements.
 package cpu
 
-import "metajit/internal/isa"
+import (
+	"math"
+
+	"metajit/internal/isa"
+)
+
+// UnitsPerCycle is the machine's cycle resolution: it counts cycles as
+// whole units of 1/UnitsPerCycle cycle, so every sum is exact and no
+// total depends on the order of its additions.
+const UnitsPerCycle = 1000
+
+// Units converts cycles to the nearest whole number of units.
+func Units(cycles float64) uint64 { return uint64(math.Round(cycles * UnitsPerCycle)) }
+
+// CyclesOf converts units to cycles, the one conversion every reader of
+// a domain's cycles goes through.
+func CyclesOf(units uint64) float64 { return float64(units) / UnitsPerCycle }
 
 // Params holds the microarchitectural parameters of the modeled core. The
 // defaults approximate the paper's Haswell-class test machine: a 4-wide
@@ -104,7 +120,9 @@ const MaxPredictorBits = 20
 //     removes the divide-by-zero when size < line;
 //   - a negative RAS depth is clamped to zero (no return prediction);
 //   - GShareBits and BTBBits are clamped to MaxPredictorBits, and
-//     HistoryBits to 64, the width of the history register.
+//     HistoryBits to 64, the width of the history register;
+//   - every cost is rounded to the nearest whole unit (UnitsPerCycle),
+//     a negative one to zero.
 //
 // cpu.New normalizes its Params, so Machine.Params always reports the
 // geometry actually modeled. Already-valid parameters (including every
@@ -119,6 +137,12 @@ func (p Params) Normalized() Params {
 	p.GShareBits = min(p.GShareBits, MaxPredictorBits)
 	p.BTBBits = min(p.BTBBits, MaxPredictorBits)
 	p.HistoryBits = min(p.HistoryBits, 64)
+	for i, c := range p.IssueCost {
+		p.IssueCost[i] = CyclesOf(Units(max(c, 0)))
+	}
+	for _, c := range []*float64{&p.MispredictPenalty, &p.LoadUseStall, &p.L1MissPenalty, &p.L2MissPenalty} {
+		*c = CyclesOf(Units(max(*c, 0)))
+	}
 	return p
 }
 

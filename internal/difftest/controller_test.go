@@ -1,12 +1,13 @@
 package difftest
 
 import (
-	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"metajit/internal/bench"
 	"metajit/internal/harness"
+	"metajit/internal/pylang"
 )
 
 // adaptiveCell is the adaptive-hot matrix cell, looked up by name so the
@@ -50,49 +51,78 @@ func TestControllerDeterministic(t *testing.T) {
 			a.Stats, b.Stats)
 	}
 
-	// Worker-pool width must not leak into results: -j1 and -j4 runners
-	// simulate the same cells bit-identically (cells share no state, and
-	// the controller reads only its own engine's history).
+	// Worker-pool width must not leak into results: the cells run one
+	// after another and then on four concurrent goroutines, as -j1 and
+	// -j4 runners schedule them, and must simulate the same runs,
+	// every promotion decision included (cells share no state, and the
+	// controller reads only its own engine's history).
 	short := map[string]bool{"telco": true, "nbody": true, "richards": true}
-	seq := harness.NewRunner(1)
-	par := harness.NewRunner(4)
+	type cell struct {
+		p    *bench.Program
+		kind harness.VMKind
+	}
+	var cells []cell
 	for _, p := range bench.All() {
-		p := p
 		if testing.Short() && !short[p.Name] {
 			continue
 		}
 		for _, kind := range []harness.VMKind{harness.VMPyPyAmalg, harness.VMPyPyAdaptive} {
-			par.Prefetch(&p, kind, harness.Options{})
+			cells = append(cells, cell{&p, kind})
 		}
 	}
-	for _, p := range bench.All() {
-		p := p
-		if testing.Short() && !short[p.Name] {
-			continue
+	type outcome struct {
+		res *harness.Result
+		vm  *pylang.VM
+		err error
+	}
+	run := func(c cell) (o outcome) {
+		o.res, o.err = harness.Run(c.p, c.kind, harness.Options{Guest: func(vm *pylang.VM) { o.vm = vm }})
+		return o
+	}
+	seq, par := make([]outcome, len(cells)), make([]outcome, len(cells))
+	for i, c := range cells {
+		seq[i] = run(c)
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				par[i] = run(cells[i])
+			}
+		}()
+	}
+	for i := range cells {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for i, c := range cells {
+		name := c.p.Name + "/" + string(c.kind)
+		rs, rp := seq[i], par[i]
+		if rs.err != nil || rp.err != nil {
+			t.Fatalf("%s: sequential %v, concurrent %v", name, rs.err, rp.err)
 		}
-		for _, kind := range []harness.VMKind{harness.VMPyPyAmalg, harness.VMPyPyAdaptive} {
-			rs, err := seq.Get(&p, kind, harness.Options{})
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", p.Name, kind, err)
-			}
-			rp, err := par.Get(&p, kind, harness.Options{})
-			if err != nil {
-				t.Fatalf("%s/%s parallel: %v", p.Name, kind, err)
-			}
-			if rs.Checksum != rp.Checksum || rs.HeapChecksum != rp.HeapChecksum {
-				t.Errorf("%s/%s: checksum differs between -j1 and -j4 (%d/%#x vs %d/%#x)",
-					p.Name, kind, rs.Checksum, rs.HeapChecksum, rp.Checksum, rp.HeapChecksum)
-			}
-			if rs.Instrs != rp.Instrs || rs.Bytecodes != rp.Bytecodes ||
-				math.Float64bits(rs.Cycles) != math.Float64bits(rp.Cycles) {
-				t.Errorf("%s/%s: counters differ between -j1 and -j4 (instrs %d vs %d, bytecodes %d vs %d, cycles %x vs %x)",
-					p.Name, kind, rs.Instrs, rp.Instrs, rs.Bytecodes, rp.Bytecodes,
-					math.Float64bits(rs.Cycles), math.Float64bits(rp.Cycles))
-			}
-			if !reflect.DeepEqual(rs.EngStats, rp.EngStats) {
-				t.Errorf("%s/%s: engine stats differ between -j1 and -j4:\n  -j1: %+v\n  -j4: %+v",
-					p.Name, kind, rs.EngStats, rp.EngStats)
-			}
+		if rs.res.Checksum != rp.res.Checksum || rs.res.HeapChecksum != rp.res.HeapChecksum {
+			t.Errorf("%s: checksum differs between sequential and concurrent runs (%d/%#x vs %d/%#x)",
+				name, rs.res.Checksum, rs.res.HeapChecksum, rp.res.Checksum, rp.res.HeapChecksum)
+		}
+		if rs.res.Instrs != rp.res.Instrs || rs.res.Bytecodes != rp.res.Bytecodes || rs.res.Cycles != rp.res.Cycles {
+			t.Errorf("%s: counters differ between sequential and concurrent runs (instrs %d vs %d, bytecodes %d vs %d, cycles %v vs %v)",
+				name, rs.res.Instrs, rp.res.Instrs, rs.res.Bytecodes, rp.res.Bytecodes, rs.res.Cycles, rp.res.Cycles)
+		}
+		if !reflect.DeepEqual(rs.res.EngStats, rp.res.EngStats) {
+			t.Errorf("%s: engine stats differ between sequential and concurrent runs:\n  seq: %+v\n  par: %+v",
+				name, rs.res.EngStats, rp.res.EngStats)
+		}
+		ls, lp := rs.vm.Eng.ControllerLog(), rp.vm.Eng.ControllerLog()
+		if len(ls) == 0 {
+			t.Errorf("%s: the controller made no decision", name)
+		}
+		if !reflect.DeepEqual(ls, lp) {
+			t.Errorf("%s: controller logs differ between sequential and concurrent runs:\n  seq: %+v\n  par: %+v", name, ls, lp)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"fmt"
-	"math"
 
 	"metajit/internal/core"
 	"metajit/internal/cpu"
@@ -16,20 +15,21 @@ import (
 // hold for any workload, so the differential oracle asserts them after
 // each execution regardless of the program or VM configuration.
 func CheckPhases(mach *cpu.Machine) error {
-	var sum cpu.Counters
+	var instrs, units uint64
 	for p := core.Phase(0); p < core.NumPhases; p++ {
 		c := mach.PhaseCounters(p)
 		if err := checkCounters(c); err != nil {
 			return fmt.Errorf("phase %s: %w", p, err)
 		}
-		sum.Add(c)
+		instrs += c.Instrs
+		units += cpu.Units(c.Cycles)
 	}
 	total := mach.Total()
-	if sum.Instrs != total.Instrs {
-		return fmt.Errorf("phase instruction counts sum to %d, total is %d", sum.Instrs, total.Instrs)
+	if instrs != total.Instrs || instrs != mach.TotalInstrs() {
+		return fmt.Errorf("phase instruction counts sum to %d, total is %d (running %d)", instrs, total.Instrs, mach.TotalInstrs())
 	}
-	if math.Abs(sum.Cycles-total.Cycles) > 1e-6*(1+math.Abs(total.Cycles)) {
-		return fmt.Errorf("phase cycle counts sum to %g, total is %g", sum.Cycles, total.Cycles)
+	if units != cpu.Units(total.Cycles) || total.Cycles != mach.TotalCycles() {
+		return fmt.Errorf("phase cycle counts sum to %d units, total is %g cycles (running %g)", units, total.Cycles, mach.TotalCycles())
 	}
 	return nil
 }

@@ -36,7 +36,8 @@ type Spec struct {
 	Heap           heap.Config
 	SampleInterval uint64
 	// Engine is the tier configuration the JIT runs, resolved for the
-	// kind (see tierConfig) and normalized.
+	// kind (see tierConfig) and normalized, and Params the CPU model as
+	// cpu.New builds it (Normalized).
 	Engine      mtjit.Config
 	Opts        mtjit.OptConfig
 	Params      cpu.Params
@@ -85,7 +86,7 @@ func (opt Options) split(p *bench.Program, kind VMKind) (Spec, Observe) {
 		s.Bench, s.TraceHash = p.Name, p.TraceHash
 	}
 	if opt.Params != nil {
-		s.Params = *opt.Params
+		s.Params = opt.Params.Normalized()
 	}
 	// A static kernel keeps only what simulate refuses it.
 	if row.profile != nil {

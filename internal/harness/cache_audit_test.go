@@ -11,6 +11,7 @@ import (
 	"metajit/internal/core"
 	"metajit/internal/cpu"
 	"metajit/internal/heap"
+	"metajit/internal/isa"
 	"metajit/internal/mtjit"
 	"metajit/internal/pylang"
 	"metajit/internal/reqtrace"
@@ -97,6 +98,8 @@ type CellPair struct {
 // The cluster's CellID check (cellid_test.go) walks them too.
 var SameCells = func() []CellPair {
 	none := mtjit.OptConfig{}
+	nearDefault := cpu.DefaultParams()
+	nearDefault.LoadUseStall, nearDefault.L2Size = 0.3502, 1<<20-64
 	return []CellPair{
 		{VMPyPyJIT, Options{}, Options{Threshold: 57}},
 		{VMPyPyJIT, Options{}, Options{BridgeThreshold: 17}},
@@ -113,6 +116,8 @@ var SameCells = func() []CellPair {
 		{VMPyPyJIT, Options{}, Options{Profile: true}},
 		{VMPyPyTiered, Options{}, Options{Record: true}},
 		{VMCPython, Options{Profile: true, ProfileWindow: 999}, Options{ProfileDir: "x", RecordDir: "y"}},
+		// Params the machine rounds to the default model.
+		{VMPyPyJIT, Options{}, Options{Params: &nearDefault}},
 	}
 }()
 
@@ -167,6 +172,23 @@ func TestSpecResolvesDefaults(t *testing.T) {
 	}
 	if sims != 1 {
 		t.Errorf("default and spelled-out default simulated %d times, want 1", sims)
+	}
+}
+
+// TestSpecNormalizesParams: Params that the machine builds as one model
+// — costs that round to one unit, cache geometry that rounds to one
+// power of two — are one cell, and the Spec holds the model built.
+func TestSpecNormalizesParams(t *testing.T) {
+	p := bench.ByName("telco")
+	a, b := cpu.DefaultParams(), cpu.DefaultParams()
+	a.IssueCost[isa.Mul], a.L1Size = 0.9, 40<<10
+	b.IssueCost[isa.Mul], b.L1Size = 0.9003, 64<<10
+	ka, kb := Key(p, VMPyPyJIT, Options{Params: &a}), Key(p, VMPyPyJIT, Options{Params: &b})
+	if ka != kb {
+		t.Fatalf("Params that build one machine are two cells:\n%+v\n%+v", ka.Params, kb.Params)
+	}
+	if ka.Params != a.Normalized() || ka.Params == cpu.DefaultParams() {
+		t.Fatalf("the Spec holds Params %+v, want %+v", ka.Params, a.Normalized())
 	}
 }
 

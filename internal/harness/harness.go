@@ -524,15 +524,13 @@ func (r *run) finish(res *Result) error {
 	return nil
 }
 
-// summary seals the run's outcome for the recording. The totals are the
-// machine's retire-order sums, which can differ from the per-phase
-// grouped sum of Result.Total in the last float64 bit.
+// summary seals the run's outcome for the recording.
 func (r *run) summary(res *Result) trace.Summary {
 	sum := trace.Summary{
 		Checksum:     res.Checksum,
 		HeapChecksum: res.HeapChecksum,
-		Instrs:       r.mach.TotalInstrs(),
-		CyclesBits:   math.Float64bits(r.mach.TotalCycles()),
+		Instrs:       res.Instrs,
+		CyclesBits:   math.Float64bits(res.Cycles),
 		Phases:       make([]trace.PhaseSum, core.NumPhases),
 		GC: trace.GCSum{
 			Minor:         res.GC.Minor,
@@ -590,8 +588,7 @@ func ReplayOptions(t *trace.Trace) Options {
 func (r *Result) readCounters(mach *cpu.Machine) {
 	r.Params = mach.Params()
 	r.Total = mach.Total()
-	r.Instrs = r.Total.Instrs
-	r.Cycles = r.Total.Cycles
+	r.Instrs, r.Cycles = r.Total.Instrs, r.Total.Cycles
 	for p := core.Phase(0); p < core.NumPhases; p++ {
 		r.Phases[p] = mach.PhaseCounters(p)
 	}

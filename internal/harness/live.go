@@ -219,11 +219,9 @@ func (lr *LiveRun) publish(done bool) {
 		Seq:  lr.pubSeq,
 		Done: done,
 	}
-	var total cpu.Counters
 	snap.Phases = make([]LivePhase, 0, core.NumPhases)
 	for _, ph := range core.AllPhases() {
 		c := lr.m.PhaseCounters(ph)
-		total.Add(c)
 		lp := LivePhase{
 			Phase:  ph.String(),
 			Instrs: c.Instrs,
@@ -236,8 +234,7 @@ func (lr *LiveRun) publish(done bool) {
 		snap.Phases = append(snap.Phases, lp)
 		snap.Bytecodes += lr.work[ph]
 	}
-	snap.Instrs = total.Instrs
-	snap.Cycles = total.Cycles
+	snap.Instrs, snap.Cycles = lr.m.TotalInstrs(), lr.m.TotalCycles()
 	if lr.eng != nil {
 		traces := lr.eng.Traces()
 		snap.Traces = make([]LiveTrace, 0, len(traces))

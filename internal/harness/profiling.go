@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"metajit/internal/cpu"
 	"metajit/internal/mtjit"
 	"metajit/internal/profile"
 	"metajit/internal/reqtrace"
@@ -143,10 +144,10 @@ func reqTraceSink(dst *reqtrace.Span, clockHz float64) func(profile.CompletedSpa
 			Label:   cs.Label,
 			Phase:   cs.Phase.String(),
 			Depth:   cs.Depth,
-			StartUS: cs.Start.Cycles * scale,
-			DurUS:   (cs.End.Cycles - cs.Start.Cycles) * scale,
+			StartUS: cpu.CyclesOf(cs.Start.Units) * scale,
+			DurUS:   cpu.CyclesOf(cs.End.Units-cs.Start.Units) * scale,
 			Instrs:  cs.Self.Instrs,
-			Cycles:  uint64(cs.Self.Cycles),
+			Cycles:  cs.Self.Units / cpu.UnitsPerCycle,
 		})
 	}
 }

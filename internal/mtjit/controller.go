@@ -120,8 +120,8 @@ func (e *Engine) maybeMethod(key GreenKey) TierEvent {
 
 // ControllerDecision is one recorded promotion decision: which header,
 // which tier, and the effective tracing threshold in force when it
-// fired. TestControllerDeterministic compares whole logs across -j1,
-// -jN, and record/replay runs.
+// fired. TestControllerDeterministic compares whole logs between cells
+// run one after another and on concurrent goroutines.
 type ControllerDecision struct {
 	Key       GreenKey
 	Event     TierEvent

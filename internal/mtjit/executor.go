@@ -58,9 +58,9 @@ var (
 //
 // The loop runs the predecoded form (predecode.go), one dispatch per IR
 // op: each case does the op's work and retires its instructions into the
-// machine. Retire calls are never merged across ops — Counters.Cycles is a
-// float64 accumulated in retire order with non-dyadic issue costs, so any
-// regrouping changes its rounding and every result derived from it.
+// machine. The machine counts cycles in integer units, so retires of
+// consecutive ops may be merged into one call without changing any
+// result; today each op still retires on its own.
 func (e *Engine) Execute(t *Trace, fr FrameAdapter) *ExitState {
 	if len(t.Entry.Frames) != 1 {
 		panic("mtjit: loop trace entry must have exactly one frame")

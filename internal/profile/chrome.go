@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"metajit/internal/cpu"
 )
 
 // chromeWriter streams Chrome trace-event JSON (the "JSON Array Format"
@@ -58,7 +60,7 @@ func (cw *chromeWriter) sep() {
 
 // begin emits a B event unless the cap is reached; the return value
 // tells the caller whether a matching end is owed.
-func (cw *chromeWriter) begin(name, cat string, cycles float64) bool {
+func (cw *chromeWriter) begin(name, cat string, units uint64) bool {
 	if cw.written >= cw.max {
 		cw.dropped++
 		return false
@@ -66,26 +68,29 @@ func (cw *chromeWriter) begin(name, cat string, cycles float64) bool {
 	cw.written++
 	cw.sep()
 	cw.printf(`{"ph":"B","pid":1,"tid":1,"ts":%.3f,"name":%s,"cat":%s}`,
-		cycles*cw.perCyc, strconv.Quote(name), strconv.Quote(cat))
+		cw.us(units), strconv.Quote(name), strconv.Quote(cat))
 	return true
 }
 
 // end closes the innermost open B event, attaching the span's counters.
-func (cw *chromeWriter) end(cycles float64, incl, self State) {
+func (cw *chromeWriter) end(units uint64, incl, self State) {
 	cw.written++
 	cw.sep()
 	ipc := 0.0
-	if incl.Cycles > 0 {
-		ipc = float64(incl.Instrs) / incl.Cycles
+	if incl.Units > 0 {
+		ipc = float64(incl.Instrs) / cpu.CyclesOf(incl.Units)
 	}
 	cw.printf(`{"ph":"E","pid":1,"tid":1,"ts":%.3f,"args":{"instrs":%d,"cycles":%.2f,"ipc":%.3f,"br_miss":%d,"l1_miss":%d,"l2_miss":%d,"self_instrs":%d,"self_cycles":%.2f}}`,
-		cycles*cw.perCyc, incl.Instrs, incl.Cycles, ipc,
+		cw.us(units), incl.Instrs, cpu.CyclesOf(incl.Units), ipc,
 		incl.Mispredicts, incl.L1Miss, incl.L2Miss,
-		self.Instrs, self.Cycles)
+		self.Instrs, cpu.CyclesOf(self.Units))
 }
 
+// us converts machine units to trace microseconds.
+func (cw *chromeWriter) us(units uint64) float64 { return cpu.CyclesOf(units) * cw.perCyc }
+
 // instant emits a thread-scoped instant event.
-func (cw *chromeWriter) instant(name string, cycles float64, arg uint64) {
+func (cw *chromeWriter) instant(name string, units uint64, arg uint64) {
 	if cw.written >= cw.max {
 		cw.dropped++
 		return
@@ -93,7 +98,7 @@ func (cw *chromeWriter) instant(name string, cycles float64, arg uint64) {
 	cw.written++
 	cw.sep()
 	cw.printf(`{"ph":"i","pid":1,"tid":1,"ts":%.3f,"name":%s,"s":"t","args":{"arg":%d}}`,
-		cycles*cw.perCyc, strconv.Quote(name), arg)
+		cw.us(units), strconv.Quote(name), arg)
 }
 
 // close terminates the JSON document, recording dropped-event counts.

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 )
 
 // WriteFolded emits the folded-stack flamegraph text: one line per
@@ -21,21 +22,21 @@ func (s *Stream) WriteFolded(w io.Writer) error {
 	}
 	sort.Strings(sigs)
 	for _, sig := range sigs {
-		if _, err := fmt.Fprintf(w, "%s %d\n", sig, uint64(flame[sig]+0.5)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", sig, (flame[sig]+cpu.UnitsPerCycle/2)/cpu.UnitsPerCycle); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flame flattens the signature tree into cycles per signature string,
+// flame flattens the signature tree into units per signature string,
 // merging nodes whose keys resolved to one label and leaving out stacks
 // that never ran.
-func (s *Stream) flame() map[string]float64 {
-	out := map[string]float64{}
+func (s *Stream) flame() map[string]uint64 {
+	out := map[string]uint64{}
 	for _, n := range s.nodes {
-		if n.cycles != 0 || n.instrs != 0 {
-			out[n.sig] += n.cycles
+		if n.units != 0 || n.instrs != 0 {
+			out[n.sig] += n.units
 		}
 	}
 	return out
@@ -66,7 +67,7 @@ func (s *Stream) WriteSeries(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "%d\t%d\t%d\t%s\t%s\t%s\t%s",
 			win.Start, win.End, tot.Instrs,
-			ratio(float64(tot.Instrs), tot.Cycles),
+			ratio(float64(tot.Instrs), cpu.CyclesOf(tot.Units)),
 			ratio(float64(tot.Mispredicts)*1000, float64(tot.Instrs)),
 			ratio(float64(tot.L1Miss)*1000, float64(tot.Instrs)),
 			ratio(float64(tot.L2Miss)*1000, float64(tot.Instrs))); err != nil {
@@ -74,7 +75,7 @@ func (s *Stream) WriteSeries(w io.Writer) error {
 		}
 		for ph := range win.Phases {
 			p := win.Phases[ph]
-			if _, err := fmt.Fprintf(w, "\t%d\t%s", p.Instrs, ratio(float64(p.Instrs), p.Cycles)); err != nil {
+			if _, err := fmt.Fprintf(w, "\t%d\t%s", p.Instrs, ratio(float64(p.Instrs), cpu.CyclesOf(p.Units))); err != nil {
 				return err
 			}
 		}

@@ -30,7 +30,7 @@ func decodeEvents(data []byte) []Event {
 		}
 		evs = append(evs, Event{Tag: tag, Arg: arg, State: State{
 			Instrs: instrs,
-			Cycles: 1.25 * float64(instrs),
+			Units:  1250 * instrs,
 		}})
 	}
 	return evs

@@ -44,10 +44,12 @@ import (
 const DefaultMaxChromeEvents = 250_000
 
 // State is the profiler's projection of machine counters: the totals it
-// attributes to spans, windows, and flamegraph frames.
+// attributes to spans, windows, and flamegraph frames. Cycles are the
+// machine's units (cpu.UnitsPerCycle), so every field is an integer
+// count; only the exporters convert them to cycles or µs.
 type State struct {
 	Instrs      uint64
-	Cycles      float64
+	Units       uint64
 	Branches    uint64
 	Mispredicts uint64
 	Accesses    uint64 // cache-modeled loads + stores
@@ -56,10 +58,10 @@ type State struct {
 }
 
 // StateOf projects one counter domain.
-func StateOf(c *cpu.Counters) State {
+func StateOf(c *cpu.Domain) State {
 	return State{
 		Instrs:      c.Instrs,
-		Cycles:      c.Cycles,
+		Units:       c.Units,
 		Branches:    c.CondBr + c.IndBr + c.Returns,
 		Mispredicts: c.CondMiss + c.IndMiss + c.RetMiss,
 		Accesses:    c.Loads + c.Stores,
@@ -72,7 +74,7 @@ func StateOf(c *cpu.Counters) State {
 func (s State) Sub(o State) State {
 	return State{
 		Instrs:      s.Instrs - o.Instrs,
-		Cycles:      s.Cycles - o.Cycles,
+		Units:       s.Units - o.Units,
 		Branches:    s.Branches - o.Branches,
 		Mispredicts: s.Mispredicts - o.Mispredicts,
 		Accesses:    s.Accesses - o.Accesses,
@@ -84,7 +86,7 @@ func (s State) Sub(o State) State {
 // Add accumulates d into s.
 func (s *State) Add(d State) {
 	s.Instrs += d.Instrs
-	s.Cycles += d.Cycles
+	s.Units += d.Units
 	s.Branches += d.Branches
 	s.Mispredicts += d.Mispredicts
 	s.Accesses += d.Accesses
@@ -92,11 +94,10 @@ func (s *State) Add(d State) {
 	s.L2Miss += d.L2Miss
 }
 
-// accrue adds the delta at-last into s; the caller supplies the cycle
-// delta, which it has already checked for regression.
-func (s *State) accrue(at, last *State, cycles float64) {
+// accrue adds the delta at-last into s.
+func (s *State) accrue(at, last *State) {
 	s.Instrs += at.Instrs - last.Instrs
-	s.Cycles += cycles
+	s.Units += at.Units - last.Units
 	s.Branches += at.Branches - last.Branches
 	s.Mispredicts += at.Mispredicts - last.Mispredicts
 	s.Accesses += at.Accesses - last.Accesses

@@ -11,21 +11,19 @@ import (
 // annotations like a pintool, stamps them with the machine state, and
 // feeds them through the Stream consumer as they retire.
 //
-// Exactness contract. The machine's per-cycle costs are floats, so
-// naive re-summation of per-span deltas would drift from the machine's
-// own per-phase accounting. Instead the profiler keeps a snapshot of
-// every phase's counters and verifies change locality: between
-// barriers, only the phase believed active may advance (any other
-// change is a detected accounting bug, not silent drift). A barrier
+// Exactness contract. Every counter the profiler reads is an integer,
+// cycles included (the machine's units), so per-span and per-window
+// deltas sum to the machine's totals exactly in any grouping. The
+// profiler also keeps a snapshot of every phase's counters and verifies
+// change locality: between barriers, only the phase believed active may
+// advance (any other change is a detected accounting bug). A barrier
 // re-snapshots the phase being left and compares the phase being
 // entered with its snapshot, and Finish compares every phase, so every
 // field of every phase is verified at a cost per barrier that does not
 // grow with the number of phases; a violation is reported when the
-// phase it touched is next entered, or at Finish. Per-phase cycle
-// totals are therefore the machine's own final counters — exact by
-// construction — while per-phase instruction totals are accumulated
-// independently as uint64 sums and cross-checked against the machine
-// by the difftest CheckProfile invariant.
+// phase it touched is next entered, or at Finish. Per-phase instruction
+// totals are accumulated independently and cross-checked against the
+// machine by the difftest CheckProfile invariant.
 //
 // Attach the profiler AFTER pintool.NewPhaseTracker: observers run in
 // registration order, and the profiler asserts at each barrier that the
@@ -36,11 +34,11 @@ type Profiler struct {
 	Stream *Stream
 
 	active core.Phase
-	cur    *cpu.Counters // live counters of the active phase
-	base   State         // the active phase's projection at the last barrier
+	cur    *cpu.Domain // live counters of the active phase
+	base   State       // the active phase's projection at the last barrier
 
-	snaps         [core.NumPhases]cpu.Counters
-	initial       [core.NumPhases]cpu.Counters
+	snaps         [core.NumPhases]cpu.Domain
+	initial       [core.NumPhases]cpu.Domain
 	instrsByPhase [core.NumPhases]uint64
 	barrierTotal  State
 
@@ -57,7 +55,7 @@ func Attach(m *cpu.Machine, cfg Config) *Profiler {
 		Stream: NewStream(cfg),
 	}
 	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-		p.snaps[ph] = m.PhaseCounters(ph)
+		p.snaps[ph] = *m.PhaseView(ph)
 		p.barrierTotal.Add(StateOf(&p.snaps[ph]))
 	}
 	p.initial = p.snaps
@@ -90,7 +88,7 @@ func (p *Profiler) errorf(format string, args ...any) {
 func (p *Profiler) stamp(st *State) {
 	c, b, t := p.cur, &p.base, &p.barrierTotal
 	st.Instrs = p.instrs()
-	st.Cycles = t.Cycles + (c.Cycles - b.Cycles)
+	st.Units = t.Units + (c.Units - b.Units)
 	st.Branches = t.Branches + (c.CondBr + c.IndBr + c.Returns - b.Branches)
 	st.Mispredicts = t.Mispredicts + (c.CondMiss + c.IndMiss + c.RetMiss - b.Mispredicts)
 	st.Accesses = t.Accesses + (c.Loads + c.Stores - b.Accesses)
@@ -126,9 +124,7 @@ func (p *Profiler) OnAnnotation(a core.Annotation, _, _ uint64) {
 // barrier re-snapshots the phase being left, folding its instruction
 // advance into the independent per-phase sums, verifies the phase being
 // entered against its snapshot, and re-bases the total on the event
-// that crossed the boundary (NOT on a re-summation of the snapshots,
-// which would change float addition order and break monotonicity
-// against already-stamped events).
+// that crossed the boundary.
 func (p *Profiler) barrier(st *State) {
 	left := p.active
 	p.resnap(left)
@@ -184,14 +180,14 @@ func (p *Profiler) Finish() {
 }
 
 // PhaseTotals returns per-phase counters attributed over the profiled
-// interval: the machine's own snapshots (cycles and memory counters
-// exact by construction) with the instruction field replaced by the
-// profiler's independently accumulated sums. Comparing against
-// Machine.PhaseCounters is therefore a real cross-check, not an
+// interval: the machine's own snapshots with the instruction field
+// replaced by the profiler's independently accumulated sums. Comparing
+// against Machine.PhaseCounters is therefore a real cross-check, not an
 // identity. Valid after Finish.
 func (p *Profiler) PhaseTotals() [core.NumPhases]cpu.Counters {
-	out := p.snaps
+	var out [core.NumPhases]cpu.Counters
 	for ph := range out {
+		out[ph] = p.snaps[ph].Read()
 		out[ph].Instrs = p.initial[ph].Instrs + p.instrsByPhase[ph]
 	}
 	return out

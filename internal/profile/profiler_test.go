@@ -2,7 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,14 +25,14 @@ type refObserver struct {
 	m      *cpu.Machine
 	s      *Stream
 	active core.Phase
-	snaps  [core.NumPhases]cpu.Counters
+	snaps  [core.NumPhases]cpu.Domain
 	total  State
 }
 
 func attachRef(m *cpu.Machine, cfg Config) *refObserver {
 	r := &refObserver{m: m, s: NewStream(cfg), active: m.Phase()}
 	for ph := range r.snaps {
-		r.snaps[ph] = m.PhaseCounters(core.Phase(ph))
+		r.snaps[ph] = *m.PhaseView(core.Phase(ph))
 		r.total.Add(StateOf(&r.snaps[ph]))
 	}
 	r.s.start(r.total)
@@ -42,7 +41,7 @@ func attachRef(m *cpu.Machine, cfg Config) *refObserver {
 }
 
 func (r *refObserver) now() State {
-	cur := r.m.PhaseCounters(r.active)
+	cur := *r.m.PhaseView(r.active)
 	st := r.total
 	st.Add(StateOf(&cur).Sub(StateOf(&r.snaps[r.active])))
 	return st
@@ -53,7 +52,7 @@ func (r *refObserver) OnAnnotation(a core.Annotation, _, _ uint64) {
 	r.s.Consume(Event{Tag: a.Tag, Arg: a.Arg, State: st})
 	if core.Rule(a.Tag).Transition() {
 		for ph := range r.snaps {
-			r.snaps[ph] = r.m.PhaseCounters(core.Phase(ph))
+			r.snaps[ph] = *r.m.PhaseView(core.Phase(ph))
 		}
 		r.total = st
 		r.active = r.m.Phase()
@@ -211,19 +210,6 @@ func TestCoalescedMatchesReference(t *testing.T) {
 	}
 }
 
-// selfCyclesTol bounds the relative difference allowed in a span's or a
-// window's accumulated cycles, the one quantity that is not bit-equal:
-// it is a float sum of per-event differences, the reference adds one
-// rounded difference per dispatch tick where the profiler adds one per
-// stamped event, and issue costs such as 0.35 are not dyadic, so the
-// partial sums round differently in their last bits. Everything that is
-// a stamp (span start and end) or an integer is compared exactly.
-const selfCyclesTol = 1e-9
-
-func cyclesClose(a, b float64) bool {
-	return a == b || math.Abs(a-b) <= selfCyclesTol*math.Max(math.Abs(a), math.Abs(b))
-}
-
 func compareSpans(t *testing.T, series string, got, want []CompletedSpan) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -234,12 +220,7 @@ func compareSpans(t *testing.T, series string, got, want []CompletedSpan) {
 		if g.Label != w.Label || g.Phase != w.Phase || g.Depth != w.Depth || g.Start != w.Start || g.End != w.End {
 			t.Fatalf("%s: span %d = %+v, reference %+v", series, i, g, w)
 		}
-		gs, ws := g.Self, w.Self
-		if !cyclesClose(gs.Cycles, ws.Cycles) {
-			t.Fatalf("%s: span %d (%s) self cycles %v, reference %v", series, i, w.Label, gs.Cycles, ws.Cycles)
-		}
-		gs.Cycles, ws.Cycles = 0, 0
-		if gs != ws {
+		if gs, ws := g.Self, w.Self; gs != ws {
 			t.Fatalf("%s: span %d (%s) self counts %+v, reference %+v", series, i, w.Label, gs, ws)
 		}
 	}
@@ -256,12 +237,7 @@ func compareWindows(t *testing.T, series string, got, want []Window) {
 			t.Fatalf("%s: window %d is [%d,%d), reference [%d,%d)", series, i, g.Start, g.End, w.Start, w.End)
 		}
 		for ph := range w.Phases {
-			gp, wp := g.Phases[ph], w.Phases[ph]
-			if !cyclesClose(gp.Cycles, wp.Cycles) {
-				t.Fatalf("%s: window %d phase %s cycles %v, reference %v", series, i, core.Phase(ph), gp.Cycles, wp.Cycles)
-			}
-			gp.Cycles, wp.Cycles = 0, 0
-			if gp != wp {
+			if gp, wp := g.Phases[ph], w.Phases[ph]; gp != wp {
 				t.Fatalf("%s: window %d phase %s counts %+v, reference %+v", series, i, core.Phase(ph), gp, wp)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 )
 
 // TestSpanSinkDelivery drives a synthetic stream and checks the sink
@@ -13,8 +14,8 @@ func TestSpanSinkDelivery(t *testing.T) {
 	var got []CompletedSpan
 	s := NewStream(Config{SpanSink: func(cs CompletedSpan) { got = append(got, cs) }})
 
-	at := func(instrs uint64, cycles float64) State {
-		return State{Instrs: instrs, Cycles: cycles}
+	at := func(instrs, cycles uint64) State {
+		return State{Instrs: instrs, Units: cycles * cpu.UnitsPerCycle}
 	}
 	s.Consume(Event{Tag: core.TagTraceStart, State: at(100, 150)})
 	s.Consume(Event{Tag: core.TagTraceEnd, State: at(300, 450)})
@@ -62,9 +63,9 @@ func TestSpanSinkDelivery(t *testing.T) {
 func TestSpanSinkMalformedStream(t *testing.T) {
 	var got []CompletedSpan
 	s := NewStream(Config{SpanSink: func(cs CompletedSpan) { got = append(got, cs) }})
-	s.Consume(Event{Tag: core.TagJITEnter, Arg: 1, State: State{Instrs: 10, Cycles: 10}})
+	s.Consume(Event{Tag: core.TagJITEnter, Arg: 1, State: State{Instrs: 10, Units: 10000}})
 	// jit never left; Finish force-closes it, then the root.
-	s.Finish(State{Instrs: 20, Cycles: 20})
+	s.Finish(State{Instrs: 20, Units: 20000})
 	if s.Err() == nil {
 		t.Fatal("expected stream error for unclosed span")
 	}

@@ -27,7 +27,7 @@ var instants = [core.NumBuiltinTags]bool{
 type sigNode struct {
 	label  string
 	sig    string // semicolon-joined labels, root first
-	cycles float64
+	units  uint64
 	instrs uint64
 	kids   map[sigKey]*sigNode
 }
@@ -217,24 +217,19 @@ func (s *Stream) tick(instrs uint64) (stamp bool) {
 // states in place.
 func (s *Stream) attribute(at *State) {
 	last := &s.last
-	if at.Instrs < last.Instrs {
-		s.errorf("event state regressed: instrs %d -> %d", last.Instrs, at.Instrs)
+	if at.Instrs < last.Instrs || at.Units < last.Units {
+		s.errorf("event state regressed: instrs %d -> %d, units %d -> %d", last.Instrs, at.Instrs, last.Units, at.Units)
 		return
 	}
-	cycles := at.Cycles - last.Cycles
-	if cycles < 0 {
-		s.errorf("event state regressed: cycles went negative by %g", -cycles)
-		cycles = 0
-	}
-	if at.Instrs == last.Instrs && cycles == 0 {
+	if at.Instrs == last.Instrs && at.Units == last.Units {
 		return
 	}
 	top := &s.stack[len(s.stack)-1]
-	top.self.accrue(at, last, cycles)
-	top.node.cycles += cycles
+	top.self.accrue(at, last)
+	top.node.units += at.Units - last.Units
 	top.node.instrs += at.Instrs - last.Instrs
 	if s.cfg.Window > 0 {
-		s.win.Phases[top.phase].accrue(at, last, cycles)
+		s.win.Phases[top.phase].accrue(at, last)
 		if at.Instrs >= s.winEnd {
 			s.win.End = at.Instrs
 			s.windows = append(s.windows, s.win)
@@ -257,7 +252,7 @@ func (s *Stream) apply(ev *Event) {
 		s.check(r)
 	}
 	if int(ev.Tag) < len(instants) && instants[ev.Tag] && s.cw != nil {
-		s.cw.instant(r.Name, ev.State.Cycles, ev.Arg)
+		s.cw.instant(r.Name, ev.State.Units, ev.Arg)
 	}
 	if ev.Tag == core.TagBridgeEnter {
 		s.relink(ev)
@@ -286,7 +281,7 @@ func (s *Stream) open(ev *Event, r *core.TagRule) {
 		start:    ev.State,
 	}
 	if s.cw != nil {
-		sp.chrome = s.cw.begin(sp.node.label, r.Opens.String(), ev.State.Cycles)
+		sp.chrome = s.cw.begin(sp.node.label, r.Opens.String(), ev.State.Units)
 	}
 	s.stack = append(s.stack, sp)
 	s.Spans++
@@ -327,7 +322,7 @@ func (s *Stream) close(ev *Event, r *core.TagRule) {
 func (s *Stream) pop(at *State) {
 	top := s.top()
 	if s.cw != nil && top.chrome {
-		s.cw.end(at.Cycles, at.Sub(top.start), top.self)
+		s.cw.end(at.Units, at.Sub(top.start), top.self)
 	}
 	if s.cfg.SpanSink != nil {
 		s.cfg.SpanSink(CompletedSpan{
@@ -381,7 +376,7 @@ func (s *Stream) Finish(final State) {
 	if s.cw != nil {
 		root := &s.stack[0]
 		if root.chrome {
-			s.cw.end(final.Cycles, final.Sub(root.start), root.self)
+			s.cw.end(final.Units, final.Sub(root.start), root.self)
 		}
 		s.cw.close()
 		if err := s.cw.Err(); err != nil {

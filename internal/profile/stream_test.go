@@ -10,10 +10,9 @@ import (
 )
 
 // ev builds a synthetic event at the given instruction count, with
-// cycles advancing at a fixed non-integral rate so float attribution is
-// exercised.
+// cycles advancing at 1.25 a instruction (1250 units).
 func ev(tag core.Tag, arg, instrs uint64) Event {
-	return Event{Tag: tag, Arg: arg, State: State{Instrs: instrs, Cycles: 1.25 * float64(instrs)}}
+	return Event{Tag: tag, Arg: arg, State: State{Instrs: instrs, Units: 1250 * instrs}}
 }
 
 func consumeAll(s *Stream, evs []Event) {
@@ -51,12 +50,12 @@ func TestStreamWellFormed(t *testing.T) {
 	}
 	// Flamegraph weights partition total cycles exactly: every frame's
 	// self time is attributed to exactly one signature.
-	var total float64
-	for _, c := range s.flame() {
-		total += c
+	var total uint64
+	for _, u := range s.flame() {
+		total += u
 	}
-	if want := 1.25 * 500; total != want {
-		t.Fatalf("flame cycles sum to %g, want %g", total, want)
+	if want := uint64(1250 * 500); total != want {
+		t.Fatalf("flame units sum to %d, want %d", total, want)
 	}
 }
 
@@ -118,7 +117,7 @@ func TestStreamErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStream(Config{})
 			consumeAll(s, tc.evs)
-			s.Finish(State{Instrs: 100, Cycles: 125})
+			s.Finish(State{Instrs: 100, Units: 125000})
 			err := s.Err()
 			if err == nil {
 				t.Fatalf("malformed stream accepted")
@@ -141,7 +140,7 @@ func TestBridgeLinkLegalizesLeave(t *testing.T) {
 		ev(core.TagBridgeEnter, 2, 21),
 		ev(core.TagJITLeave, 5, 40),
 	})
-	s.Finish(State{Instrs: 50, Cycles: 62.5})
+	s.Finish(State{Instrs: 50, Units: 62500})
 	if err := s.Err(); err != nil {
 		t.Fatalf("linked jit span rejected: %v", err)
 	}
@@ -163,7 +162,7 @@ func TestWindows(t *testing.T) {
 		ev(core.TagDispatch, 1, 150), // crosses the first boundary
 		ev(core.TagJITLeave, 1, 210), // crosses the second
 	})
-	s.Finish(State{Instrs: 230, Cycles: 1.25 * 230})
+	s.Finish(State{Instrs: 230, Units: 1250 * 230})
 	ws := s.Windows()
 	// The dispatch at 150 crosses the first boundary and closes [0,150);
 	// nothing crosses 250, so the tail flushes at Finish as one partial
@@ -201,7 +200,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 		s.Consume(ev(core.TagGuardFail, 3, base+20))
 		s.Consume(ev(core.TagJITLeave, 1, base+30))
 	}
-	s.Finish(State{Instrs: 3000, Cycles: 3750})
+	s.Finish(State{Instrs: 3000, Units: 3750000})
 	if err := s.Err(); err != nil {
 		t.Fatalf("stream error: %v", err)
 	}
@@ -257,7 +256,7 @@ func TestLabels(t *testing.T) {
 		ev(core.TagGCMinorStart, core.GCReasonAlloc, 50),
 		ev(core.TagGCMinorEnd, 0, 60),
 	})
-	s.Finish(State{Instrs: 70, Cycles: 87.5})
+	s.Finish(State{Instrs: 70, Units: 87500})
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}

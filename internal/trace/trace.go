@@ -45,6 +45,7 @@ import (
 	"math"
 
 	"metajit/internal/core"
+	"metajit/internal/cpu"
 )
 
 // FormatVersion is the current wire-format version. Decoders reject
@@ -171,6 +172,24 @@ type Summary struct {
 
 // Cycles returns the recorded total cycle count.
 func (s *Summary) Cycles() float64 { return math.Float64frombits(s.CyclesBits) }
+
+// check refuses a summary whose totals are not the sums of its phases:
+// instructions exactly, and cycles in the machine's whole units, in which
+// the machine keeps both.
+func (s *Summary) check() error {
+	var instrs, units uint64
+	for _, p := range s.Phases {
+		instrs += p.Instrs
+		units += cpu.Units(math.Float64frombits(p.CyclesBits))
+	}
+	if instrs != s.Instrs {
+		return fmt.Errorf("%w: phase instructions sum to %d, summary says %d", ErrCorrupt, instrs, s.Instrs)
+	}
+	if total := cpu.Units(s.Cycles()); units != total {
+		return fmt.Errorf("%w: phase cycles sum to %d units, summary says %d", ErrCorrupt, units, total)
+	}
+	return nil
+}
 
 // Trace is one decoded (or freshly recorded) trace. EventData holds
 // the canonical encoded event section; Events decodes it on demand so
@@ -467,6 +486,9 @@ func Decode(data []byte) (*Trace, error) {
 	}
 	if d.off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
+	}
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	// Validate the event section in full: every event must carry a kind
 	// declared in the schema, and the walk must land exactly on the

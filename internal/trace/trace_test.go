@@ -61,14 +61,17 @@ func genTrace(seed uint64) *Trace {
 	sum := Summary{
 		Checksum:     int64(next()) - int64(next()),
 		HeapChecksum: next(),
-		Instrs:       instr,
-		CyclesBits:   math.Float64bits(float64(instr) * 1.5),
 		Phases:       make([]PhaseSum, core.NumPhases),
 		GC:           GCSum{Minor: next() % 100, Major: next() % 10, AllocObjects: next() % 10000},
 	}
+	var units uint64
 	for i := range sum.Phases {
-		sum.Phases[i] = PhaseSum{Instrs: next() % 100000, CyclesBits: math.Float64bits(float64(next() % 1000))}
+		u := next() % 1000000
+		sum.Phases[i] = PhaseSum{Instrs: next() % 100000, CyclesBits: math.Float64bits(cpu.CyclesOf(u))}
+		sum.Instrs += sum.Phases[i].Instrs
+		units += u
 	}
+	sum.CyclesBits = math.Float64bits(cpu.CyclesOf(units))
 	return rec.Finish(sum)
 }
 
@@ -151,6 +154,25 @@ func TestEventCountCrossCheck(t *testing.T) {
 	tr.Summary.Events++
 	if _, err := Decode(tr.Encode()); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("event count mismatch: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSummaryTotalsCrossCheck: a summary whose totals are not the sums of
+// its phases — instructions, or cycles in whole units — is corrupt.
+func TestSummaryTotalsCrossCheck(t *testing.T) {
+	for name, mutate := range map[string]func(*Summary){
+		"instrs":       func(s *Summary) { s.Instrs++ },
+		"phase instrs": func(s *Summary) { s.Phases[2].Instrs-- },
+		"cycles":       func(s *Summary) { s.CyclesBits = math.Float64bits(s.Cycles() + cpu.CyclesOf(1)) },
+		"phase cycles": func(s *Summary) {
+			s.Phases[1].CyclesBits = math.Float64bits(math.Float64frombits(s.Phases[1].CyclesBits) + 0.25)
+		},
+	} {
+		tr := genTrace(5)
+		mutate(&tr.Summary)
+		if _, err := Decode(tr.Encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s mismatch: got %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
